@@ -119,12 +119,12 @@ fn bench_ops(c: &mut Criterion) {
             std::hint::black_box(sp.cost(NodeId(i % n), NodeId((i * 31 + 7) % n)))
         })
     });
-    sp_group.bench_function("astar_cross_city", |b| {
-        let sp = ShortestPaths::driving(g);
+    sp_group.bench_function("router_cross_city", |b| {
+        let router = region.router();
         let mut i = 0u32;
         b.iter(|| {
             i = i.wrapping_add(97);
-            std::hint::black_box(sp.astar(NodeId(i % n), NodeId((i * 31 + 7) % n)).map(|p| p.dist_m))
+            std::hint::black_box(router.path(NodeId(i % n), NodeId((i * 31 + 7) % n)).map(|p| p.dist_m))
         })
     });
     sp_group.finish();

@@ -9,7 +9,7 @@
 //! "such an update may render some of the earlier pass through and
 //! reachable clusters invalid".
 
-use xar_roadnet::{NodeId, Route, ShortestPaths};
+use xar_roadnet::{NodeId, Route};
 
 use crate::engine::XarEngine;
 use crate::error::XarError;
@@ -127,16 +127,21 @@ impl XarEngine {
 
         let old_len = ride.route.dist_m();
         let budget_before = ride.detour_remaining_m();
-        let sp = ShortestPaths::driving(region.graph());
         let graph = region.graph();
         let mut sp_count = 0usize;
         let sp_ns = std::sync::Arc::clone(&self.metrics.sp_ns);
+        // Counted when computed, like creation does: a leg that finds
+        // no route fails the booking after its predecessors were paid
+        // for, and `engine.shortest_paths` must not fall behind
+        // `engine.sp_ns`.
+        let sp_total = std::sync::Arc::clone(&self.stats.shortest_paths);
         let mut path_route = |a: NodeId, b: NodeId| -> Result<Route, XarError> {
             sp_count += 1;
+            sp_total.inc();
             let p = {
                 let _sp_span = xar_obs::SpanTimer::new(std::sync::Arc::clone(&sp_ns));
                 let _sp_trace = xar_obs::trace::span("shortest_path");
-                sp.path(a, b)
+                region.router().path(a, b)
             }
             .ok_or(XarError::NoRoute)?;
             Route::from_path_result(graph, &p).ok_or(XarError::NoRoute)
@@ -230,7 +235,6 @@ impl XarEngine {
             vps.insert(pickup_seg + 1, ViaPoint { route_idx: pickup_idx, node: pickup_node });
             vps.insert(dropoff_seg + 2, ViaPoint { route_idx: dropoff_idx, node: dropoff_node });
         }
-        self.stats.shortest_paths.add(sp_count as u64);
         debug_assert!(vps.windows(2).all(|w| w[0].route_idx <= w[1].route_idx), "via-points out of order");
         debug_assert!(vps.iter().all(|v| new_route.nodes()[v.route_idx] == v.node));
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use xar_discretize::{ClusterId, RegionIndex};
 use xar_obs::{Counter, Registry};
-use xar_roadnet::{Route, ShortestPaths};
+use xar_roadnet::Route;
 
 use crate::error::XarError;
 use crate::index::{ClusterIndex, PotentialRide};
@@ -180,7 +180,7 @@ pub struct XarEngine {
 }
 
 /// How the per-ride state columns changed since the last publish —
-/// drained by [`XarEngine::drain_publish_dirt`] and consumed by
+/// drained by `XarEngine::drain_publish_dirt` and consumed by
 /// [`crate::ShardSnapshot::build_incremental`] to pick the cheapest
 /// valid way of producing the next snapshot's ride table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -376,14 +376,13 @@ impl XarEngine {
             return Err(XarError::InvalidRequest("source and destination coincide"));
         }
 
-        let sp = ShortestPaths::driving(self.region.graph());
         let mut route: Option<Route> = None;
         for w in stop_nodes.windows(2) {
             self.stats.shortest_paths.inc();
             let path = {
                 let _sp_span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.sp_ns));
                 let _sp_trace = xar_obs::trace::span("shortest_path");
-                sp.path(w[0], w[1])
+                self.region.router().path(w[0], w[1])
             }
             .ok_or(XarError::NoRoute)?;
             let leg = Route::from_path_result(self.region.graph(), &path).ok_or(XarError::NoRoute)?;

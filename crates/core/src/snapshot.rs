@@ -50,7 +50,7 @@
 //! compile time, no epoch argument needed.
 //!
 //! Snapshots use a struct-of-arrays layout segmented per cluster: each
-//! cluster's entries live in one immutable [`ClusterSeg`] holding
+//! cluster's entries live in one immutable `ClusterSeg` holding
 //! parallel `eta`/`ride`/`detour` columns, so the ETA range query of
 //! search Step 1 is two `partition_point` calls on a contiguous `f64`
 //! column instead of a `BTreeMap` walk, and the whole search runs
@@ -553,7 +553,7 @@ impl RideTable {
 
 /// An immutable, point-in-time copy of everything search reads from one
 /// shard: the per-cluster potential-rides lists as `Arc`-shared
-/// [`ClusterSeg`] columns, plus the per-ride feasibility table (free
+/// `ClusterSeg` columns, plus the per-ride feasibility table (free
 /// seats, remaining detour budget).
 ///
 /// Built either from scratch ([`ShardSnapshot::build`]) or by patching

@@ -377,3 +377,89 @@ fn heap_bytes_grow_with_rides() {
     }
     assert!(eng.heap_bytes() > empty);
 }
+
+/// A booking that finds no route on a later leg has still computed the
+/// earlier ones: `engine.shortest_paths` counts them when they are
+/// computed, so it never falls behind the `engine.sp_ns` sample count.
+///
+/// The fixture is a two-way lattice plus one dead-end landmark `T`
+/// that can be driven *to* but not *out of*: with `T` as the drop-off,
+/// legs `s1 → pick-up` and `pick-up → T` succeed and `T → s2` has no
+/// route.
+#[test]
+fn failed_booking_still_counts_its_shortest_paths() {
+    use xar_core::RideMatch;
+    use xar_roadnet::{Poi, PoiKind, RoadClass, RoadGraphBuilder};
+
+    const SIDE: usize = 6;
+    let mut b = RoadGraphBuilder::new();
+    let at = |r: usize, c: usize| GeoPoint::new(40.70 + 0.0027 * r as f64, -74.00 + 0.0036 * c as f64);
+    let ids: Vec<NodeId> = (0..SIDE * SIDE).map(|i| b.add_node(at(i / SIDE, i % SIDE))).collect();
+    for r in 0..SIDE {
+        for c in 0..SIDE {
+            // Distinct lengths (~300 m) so shortest paths are unique.
+            let len = 300.0 + (r * SIDE + c) as f64;
+            if c + 1 < SIDE {
+                b.add_two_way(ids[r * SIDE + c], ids[r * SIDE + c + 1], RoadClass::Street, Some(len));
+            }
+            if r + 1 < SIDE {
+                b.add_two_way(ids[r * SIDE + c], ids[(r + 1) * SIDE + c], RoadClass::Street, Some(len + 0.5));
+            }
+        }
+    }
+    let dead_end = b.add_node(at(SIDE, 2));
+    b.add_edge(ids[(SIDE - 1) * SIDE + 2], dead_end, RoadClass::Street, Some(310.0));
+    let graph = Arc::new(b.build());
+
+    let poi = |node: NodeId| Poi { point: graph.point(node), node, kind: PoiKind::TransitStop };
+    let mut pois: Vec<Poi> = ids.iter().map(|&n| poi(n)).collect();
+    pois.push(poi(dead_end));
+    let region = Arc::new(RegionIndex::build(
+        Arc::clone(&graph),
+        &pois,
+        RegionConfig {
+            landmark_separation_m: 100.0,
+            cluster_goal: ClusterGoal::Delta(150.0),
+            ..Default::default()
+        },
+    ));
+    let landmark_at = |node: NodeId| {
+        region.landmarks().iter().find(|l| l.node == node).expect("every POI became a landmark").id
+    };
+    let (pickup, dropoff) = (landmark_at(ids[SIDE + 1]), landmark_at(dead_end));
+
+    let mut eng = XarEngine::new(Arc::clone(&region), EngineConfig::default());
+    let ride = eng
+        .create_ride(&RideOffer::simple(
+            graph.point(ids[0]),
+            graph.point(ids[SIDE * SIDE - 1]),
+            8.0 * 3600.0,
+            3,
+            5_000.0,
+        ))
+        .unwrap();
+    assert_eq!(eng.stats().snapshot().shortest_paths, 1);
+
+    let m = RideMatch {
+        ride,
+        pickup_cluster: region.cluster_of_landmark(pickup),
+        pickup_landmark: pickup,
+        dropoff_cluster: region.cluster_of_landmark(dropoff),
+        dropoff_landmark: dropoff,
+        walk_pickup_m: 0.0,
+        walk_dropoff_m: 0.0,
+        eta_pickup_s: 8.0 * 3600.0,
+        eta_dropoff_s: 8.1 * 3600.0,
+        detour_est_m: 0.0,
+        pickup_seg: 0,
+        dropoff_seg: 0,
+    };
+    assert!(matches!(eng.book(&m), Err(XarError::NoRoute)));
+
+    // 1 for the creation + 3 legs attempted by the failed booking.
+    assert_eq!(eng.metrics().sp_ns.count(), 4);
+    assert_eq!(eng.stats().snapshot().shortest_paths, eng.metrics().sp_ns.count());
+    // Nothing else about the ride moved.
+    let r = eng.ride(ride).unwrap();
+    assert_eq!((r.seats_available, r.bookings.len(), r.via_points.len()), (3, 0, 2));
+}

@@ -49,9 +49,12 @@ impl LandmarkMetric {
                     let sp = ShortestPaths::new(graph, CostMetric::Distance, Direction::Forward);
                     for (local, row) in rows.chunks_mut(n).enumerate() {
                         let i = t * chunk + local;
-                        let costs = sp.to_targets(nodes[i], nodes, f64::INFINITY);
-                        for (j, c) in costs.into_iter().enumerate() {
-                            row[j] = c.map_or(f32::INFINITY, |c| c as f32);
+                        // The landmarks cover the whole graph, so a
+                        // search that stops once all are settled is a
+                        // full one anyway.
+                        let costs = sp.one_to_all(nodes[i]);
+                        for (j, t) in nodes.iter().enumerate() {
+                            row[j] = costs[t.index()] as f32;
                         }
                     }
                 });

@@ -8,9 +8,9 @@
 //! `xar_roadnet::io`), so one artifact fully describes a deployed
 //! region.
 //!
-//! The derived structures that are cheap to rebuild (the implicit grid
-//! and the nearest-node locator) are reconstructed at load time from
-//! the stored configuration.
+//! The derived structures that are cheap to rebuild (the implicit
+//! grid, the nearest-node locator and the router's landmark table) are
+//! reconstructed at load time from the stored graph and configuration.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use xar_geo::BoundingBox;
 use xar_geo::GridSpec;
 use xar_roadnet::io::{read_graph, write_graph};
-use xar_roadnet::{NodeId, NodeLocator};
+use xar_roadnet::{NodeId, NodeLocator, Router};
 
 use crate::assoc::{NodeAssociation, WalkEntry};
 use crate::cluster_distance::ClusterDistances;
@@ -297,11 +297,13 @@ impl RegionIndex {
             .expanded(1e-3);
         let grid = GridSpec::new(bbox, config.grid_cell_m);
         let locator = NodeLocator::new(&graph, (config.grid_cell_m * 4.0).max(200.0));
+        let router = Router::new(Arc::clone(&graph));
 
         Ok(RegionIndex {
             graph,
             grid,
             locator,
+            router,
             landmarks,
             cluster_of,
             members,
@@ -382,6 +384,10 @@ mod tests {
         let p = original.grid().bbox().center();
         assert_eq!(original.snap(&p), loaded.snap(&p));
         assert_eq!(original.snap_exact(&p), loaded.snap_exact(&p));
+        // The router is rebuilt from the stored graph and routes alike.
+        let (a, b) = (NodeId(0), NodeId(original.graph().node_count() as u32 - 1));
+        assert!(original.router().path(a, b).is_some());
+        assert_eq!(original.router().path(a, b), loaded.router().path(a, b));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use xar_geo::{BoundingBox, GeoPoint, GridId, GridSpec};
-use xar_roadnet::{NodeId, NodeLocator, Poi, RoadGraph};
+use xar_roadnet::{NodeId, NodeLocator, Poi, RoadGraph, Router};
 
 use crate::assoc::{NodeAssociation, WalkEntry};
 use crate::cluster_distance::ClusterDistances;
@@ -90,6 +90,10 @@ pub struct RegionIndex {
     pub(crate) graph: Arc<RoadGraph>,
     pub(crate) grid: GridSpec,
     pub(crate) locator: NodeLocator,
+    /// Point-to-point router over `graph` for ride creation and
+    /// booking. Derived from the graph alone, so it is rebuilt on load
+    /// (like `grid` and `locator`) instead of being persisted.
+    pub(crate) router: Router,
     pub(crate) landmarks: Vec<Landmark>,
     pub(crate) cluster_of: Vec<ClusterId>,
     pub(crate) members: Vec<Vec<LandmarkId>>,
@@ -114,6 +118,7 @@ impl RegionIndex {
             .expanded(1e-3);
         let grid = GridSpec::new(bbox, config.grid_cell_m);
         let locator = NodeLocator::new(&graph, (config.grid_cell_m * 4.0).max(200.0));
+        let router = Router::new(Arc::clone(&graph));
 
         let landmarks = filter_landmarks(&graph, pois, config.landmark_separation_m);
         assert!(!landmarks.is_empty(), "no landmarks survived filtering");
@@ -147,13 +152,33 @@ impl RegionIndex {
             config.cluster_distance_bound_m,
         );
 
-        Self { graph, grid, locator, landmarks, cluster_of, members, assoc, cluster_dist, epsilon_m, config }
+        Self {
+            graph,
+            grid,
+            locator,
+            router,
+            landmarks,
+            cluster_of,
+            members,
+            assoc,
+            cluster_dist,
+            epsilon_m,
+            config,
+        }
     }
 
     /// The road graph the index was built over.
     #[inline]
     pub fn graph(&self) -> &Arc<RoadGraph> {
         &self.graph
+    }
+
+    /// The exact point-to-point driving router over [`Self::graph`] —
+    /// what ride creation and booking compute their shortest paths
+    /// with. Search never touches it.
+    #[inline]
+    pub fn router(&self) -> &Router {
+        &self.router
     }
 
     /// The implicit grid.
@@ -261,6 +286,9 @@ impl RegionIndex {
 
     /// Heap bytes of the discretization tables (landmarks, associations,
     /// cluster distances) — the static part of Figure 3c's index size.
+    /// The routing substrate is not part of that index and is not
+    /// counted here: neither the road graph nor the router's landmark
+    /// table ([`Router::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
         self.landmarks.capacity() * std::mem::size_of::<Landmark>()
             + self.cluster_of.capacity() * std::mem::size_of::<ClusterId>()

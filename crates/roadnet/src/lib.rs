@@ -11,10 +11,14 @@
 //!   waypoints", §VI fn. 2).
 //! * [`spatial`] — grid-bucketed nearest-node lookup for snapping
 //!   point locations onto the network.
-//! * [`shortest_path`] — Dijkstra / A* / bounded and multi-target
-//!   variants, over driving time, driving distance, or undirected
-//!   walking distance (walking ignores one-way restrictions, which is
-//!   why the paper keeps separate walking and driving distances).
+//! * [`shortest_path`] — Dijkstra and its bounded, multi-target and
+//!   one-to-all variants, over driving time, driving distance, or
+//!   undirected walking distance (walking ignores one-way restrictions,
+//!   which is why the paper keeps separate walking and driving
+//!   distances).
+//! * [`router`] — the exact goal-directed point-to-point router (ALT
+//!   landmark bounds on a reusable per-thread scratch) that ride
+//!   creation and booking route through.
 //! * [`route`] — a concrete route: node sequence + cumulative
 //!   distance/time, supporting position-at-time queries for tracking.
 //! * [`generators`] — synthetic city generators (Manhattan lattice with
@@ -44,7 +48,9 @@ pub mod graph;
 pub mod io;
 pub mod poi;
 pub mod route;
+pub mod router;
 pub mod scc;
+mod scratch;
 pub mod shortest_path;
 pub mod spatial;
 pub mod travel_time;
@@ -53,6 +59,7 @@ pub use generators::{CityConfig, CityKind};
 pub use graph::{Edge, EdgeId, Node, NodeId, RoadClass, RoadGraph, RoadGraphBuilder};
 pub use poi::{prune_insignificant, sample_pois, Poi, PoiConfig, PoiKind};
 pub use route::Route;
+pub use router::Router;
 pub use shortest_path::{CostMetric, Direction, PathResult, ShortestPaths, WALK_SPEED_MPS};
 pub use spatial::NodeLocator;
 pub use travel_time::HistoricalSpeeds;

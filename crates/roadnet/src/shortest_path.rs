@@ -18,10 +18,10 @@
 //!   distances\] can sometimes be very different, especially in regions
 //!   with narrow streets, or one-way etc." (§IV).
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::graph::{Edge, NodeId, RoadGraph};
+use crate::scratch::{with_scratch, HeapEntry, NO_MARK};
 
 /// Cached handles into the process-wide metric registry
 /// ([`xar_obs::global`]): one latency histogram per traversal entry
@@ -43,7 +43,6 @@ mod sp_metrics {
     }
 
     cached!(path_ns, "roadnet.sp_path_ns");
-    cached!(astar_ns, "roadnet.sp_astar_ns");
     cached!(bounded_ns, "roadnet.sp_bounded_ns");
     cached!(targets_ns, "roadnet.sp_targets_ns");
     cached!(one_to_all_ns, "roadnet.sp_one_to_all_ns");
@@ -82,34 +81,6 @@ pub struct PathResult {
     pub dist_m: f64,
     /// Total free-flow driving time in seconds.
     pub time_s: f64,
-}
-
-/// Min-heap entry ordered by `cost` (then node id, for determinism).
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    cost: f64,
-    node: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.node == other.node
-    }
-}
-impl Eq for HeapEntry {}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A shortest-path engine bound to a graph, a cost metric, and a
@@ -183,6 +154,11 @@ impl<'g> ShortestPaths<'g> {
 
     /// Dijkstra from `src` to `dst` with early termination; `None` if
     /// unreachable.
+    ///
+    /// Deliberately the textbook routine — fresh `node_count()`-sized
+    /// arrays, no goal direction: it is the oracle the
+    /// [`crate::Router`] is tested against and the search-time routine
+    /// of the T-Share baseline, whose cost Figure 4 contrasts with XAR.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<PathResult> {
         let _span = xar_obs::SpanTimer::new(sp_metrics::path_ns());
         let n = self.graph.node_count();
@@ -193,7 +169,7 @@ impl<'g> ShortestPaths<'g> {
         heap.push(HeapEntry { cost: 0.0, node: src.0 });
         while let Some(HeapEntry { cost, node }) = heap.pop() {
             if node == dst.0 {
-                return Some(self.reconstruct(src, dst, &prev));
+                return Some(self.reconstruct(src, dst, |v| prev[v]));
             }
             if cost > dist[node as usize] {
                 continue;
@@ -204,47 +180,6 @@ impl<'g> ShortestPaths<'g> {
                     dist[next.index()] = nd;
                     prev[next.index()] = node;
                     heap.push(HeapEntry { cost: nd, node: next.0 });
-                }
-            });
-        }
-        None
-    }
-
-    /// A* from `src` to `dst` using the great-circle lower bound as the
-    /// heuristic (admissible for both metrics: road length ≥ crow-flies
-    /// distance, travel time ≥ crow-flies distance / fastest speed).
-    pub fn astar(&self, src: NodeId, dst: NodeId) -> Option<PathResult> {
-        let _span = xar_obs::SpanTimer::new(sp_metrics::astar_ns());
-        let n = self.graph.node_count();
-        let goal = self.graph.point(dst);
-        // Fastest speed in the network bounds the time heuristic.
-        let speed_bound = crate::graph::RoadClass::Highway.speed_mps();
-        let h = |node: NodeId| -> f64 {
-            let d = self.graph.point(node).haversine_m(&goal);
-            match self.metric {
-                CostMetric::Distance => d,
-                CostMetric::Time => d / speed_bound,
-            }
-        };
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev = vec![u32::MAX; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: h(src), node: src.0 });
-        while let Some(HeapEntry { cost: f, node }) = heap.pop() {
-            if node == dst.0 {
-                return Some(self.reconstruct(src, dst, &prev));
-            }
-            let g_node = dist[node as usize];
-            if f > g_node + h(NodeId(node)) + 1e-9 {
-                continue; // stale entry
-            }
-            self.for_each_neighbor(NodeId(node), |next, w| {
-                let nd = g_node + w;
-                if nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    prev[next.index()] = node;
-                    heap.push(HeapEntry { cost: nd + h(next), node: next.0 });
                 }
             });
         }
@@ -265,26 +200,24 @@ impl<'g> ShortestPaths<'g> {
     /// cost 0.
     pub fn bounded_from(&self, src: NodeId, max_cost: f64) -> Vec<(NodeId, f64)> {
         let _span = xar_obs::SpanTimer::new(sp_metrics::bounded_ns());
-        let n = self.graph.node_count();
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = BinaryHeap::new();
-        let mut out = Vec::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src.0 });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
-            if cost > dist[node as usize] {
-                continue;
-            }
-            out.push((NodeId(node), cost));
-            self.for_each_neighbor(NodeId(node), |next, w| {
-                let nd = cost + w;
-                if nd <= max_cost && nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    heap.push(HeapEntry { cost: nd, node: next.0 });
+        with_scratch(self.graph.node_count(), |mut labels, heap| {
+            let mut out = Vec::new();
+            labels.lower(src.index(), 0.0);
+            heap.push(HeapEntry { cost: 0.0, node: src.0 });
+            while let Some(HeapEntry { cost, node }) = heap.pop() {
+                if cost > labels.dist(node as usize) {
+                    continue;
                 }
-            });
-        }
-        out
+                out.push((NodeId(node), cost));
+                self.for_each_neighbor(NodeId(node), |next, w| {
+                    let nd = cost + w;
+                    if nd <= max_cost && labels.lower(next.index(), nd) {
+                        heap.push(HeapEntry { cost: nd, node: next.0 });
+                    }
+                });
+            }
+            out
+        })
     }
 
     /// Costs from `src` to each of `targets`, stopping as soon as every
@@ -297,45 +230,44 @@ impl<'g> ShortestPaths<'g> {
         max_cost: f64,
     ) -> Vec<Option<f64>> {
         let _span = xar_obs::SpanTimer::new(sp_metrics::targets_ns());
-        let n = self.graph.node_count();
-        let mut want = vec![false; n];
-        let mut remaining = 0usize;
-        for t in targets {
-            if !want[t.index()] {
-                want[t.index()] = true;
-                remaining += 1;
-            }
-        }
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src.0 });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
-            if cost > dist[node as usize] {
-                continue;
-            }
-            if want[node as usize] {
-                want[node as usize] = false;
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
+        // Mark of a target that is not settled yet.
+        const WANTED: u32 = 1;
+        with_scratch(self.graph.node_count(), |mut labels, heap| {
+            let mut remaining = 0usize;
+            for t in targets {
+                if labels.mark(t.index()) != WANTED {
+                    labels.set(t.index(), f64::INFINITY, WANTED);
+                    remaining += 1;
                 }
             }
-            self.for_each_neighbor(NodeId(node), |next, w| {
-                let nd = cost + w;
-                if nd <= max_cost && nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    heap.push(HeapEntry { cost: nd, node: next.0 });
+            labels.lower(src.index(), 0.0);
+            heap.push(HeapEntry { cost: 0.0, node: src.0 });
+            while let Some(HeapEntry { cost, node }) = heap.pop() {
+                if cost > labels.dist(node as usize) {
+                    continue;
                 }
-            });
-        }
-        targets
-            .iter()
-            .map(|t| {
-                let d = dist[t.index()];
-                (d <= max_cost).then_some(d)
-            })
-            .collect()
+                if labels.mark(node as usize) == WANTED {
+                    labels.set(node as usize, cost, NO_MARK);
+                    remaining -= 1;
+                    if remaining == 0 {
+                        break;
+                    }
+                }
+                self.for_each_neighbor(NodeId(node), |next, w| {
+                    let nd = cost + w;
+                    if nd <= max_cost && labels.lower(next.index(), nd) {
+                        heap.push(HeapEntry { cost: nd, node: next.0 });
+                    }
+                });
+            }
+            targets
+                .iter()
+                .map(|t| {
+                    let d = labels.dist(t.index());
+                    (d <= max_cost).then_some(d)
+                })
+                .collect()
+        })
     }
 
     /// Full single-source Dijkstra: cost to every node (`INFINITY` when
@@ -362,15 +294,28 @@ impl<'g> ShortestPaths<'g> {
         dist
     }
 
-    /// Rebuild the node path from the predecessor array, accumulating
-    /// both distance and time.
-    fn reconstruct(&self, src: NodeId, dst: NodeId, prev: &[u32]) -> PathResult {
-        let mut nodes = vec![dst];
+    /// Rebuild the node path by following `prev_of` (node index →
+    /// predecessor id) back from `dst`, accumulating both distance and
+    /// time. The chain is walked once to size the node vector, so the
+    /// result costs one allocation.
+    pub(crate) fn reconstruct(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        prev_of: impl Fn(usize) -> u32,
+    ) -> PathResult {
+        let mut hops = 0usize;
         let mut cur = dst;
         while cur != src {
-            let p = NodeId(prev[cur.index()]);
-            nodes.push(p);
-            cur = p;
+            cur = NodeId(prev_of(cur.index()));
+            hops += 1;
+        }
+        let mut nodes = Vec::with_capacity(hops + 1);
+        nodes.push(dst);
+        let mut cur = dst;
+        while cur != src {
+            cur = NodeId(prev_of(cur.index()));
+            nodes.push(cur);
         }
         nodes.reverse();
         let (mut dist_m, mut time_s) = (0.0, 0.0);
@@ -495,25 +440,6 @@ mod tests {
         // Avenue shortcut: 1400m at 11 m/s ≈ 127 s; grid: 2000m at 8 m/s = 250 s.
         assert!((p.time_s - 1400.0 / 11.0).abs() < 1e-9);
         assert_eq!(p.dist_m, 1400.0);
-    }
-
-    #[test]
-    fn astar_agrees_with_dijkstra() {
-        let g = lattice();
-        for metric in [CostMetric::Distance, CostMetric::Time] {
-            let sp = ShortestPaths::new(&g, metric, Direction::Forward);
-            for src in 0..16u32 {
-                for dst in 0..16u32 {
-                    let d = sp.path(NodeId(src), NodeId(dst)).map(|p| p.dist_m);
-                    let a = sp.astar(NodeId(src), NodeId(dst)).map(|p| p.dist_m);
-                    match (d, a) {
-                        (Some(d), Some(a)) => assert!((d - a).abs() < 1e-6, "{src}->{dst}: {d} vs {a}"),
-                        (None, None) => {}
-                        other => panic!("{src}->{dst}: disagreement {other:?}"),
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! Property-based tests of the road-network substrate.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
-use xar_roadnet::{CityConfig, CostMetric, Direction, NodeId, RoadGraph, Route, ShortestPaths};
+use xar_geo::GeoPoint;
+use xar_roadnet::{
+    CityConfig, NodeId, RoadClass, RoadGraph, RoadGraphBuilder, Route, Router, ShortestPaths,
+};
 
 fn graph() -> &'static RoadGraph {
     use std::sync::OnceLock;
@@ -79,20 +84,41 @@ proptest! {
         }
     }
 
-    /// A* equals Dijkstra on random pairs for both metrics.
+    /// `Router::path` is the Dijkstra oracle, exactly: same reachability,
+    /// bit-identical `dist_m`, same node sequence — on random cities of
+    /// all three topologies (the Manhattan ones with half their streets
+    /// one-way). Edge lengths are haversines of jittered or random
+    /// coordinates, so shortest paths are unique and the sequences
+    /// must agree.
     #[test]
-    fn astar_equals_dijkstra(a in 0u32..380, b in 0u32..380, time_metric in any::<bool>()) {
-        let g = graph();
+    fn router_equals_dijkstra(
+        kind in 0usize..3,
+        seed in 0u64..10_000,
+        a in 0u32..100_000,
+        b in 0u32..100_000,
+    ) {
+        let config = match kind {
+            0 => CityConfig::manhattan(12, 14, seed),
+            1 => CityConfig::radial(6, 10, seed),
+            _ => CityConfig::random_geometric(150, seed),
+        };
+        let g = Arc::new(config.generate());
+        let router = Router::new(Arc::clone(&g));
+        let oracle = ShortestPaths::driving(&g);
         let n = g.node_count() as u32;
-        let (a, b) = (NodeId(a % n), NodeId(b % n));
-        let metric = if time_metric { CostMetric::Time } else { CostMetric::Distance };
-        let sp = ShortestPaths::new(g, metric, Direction::Forward);
-        let d = sp.path(a, b).map(|p| if time_metric { p.time_s } else { p.dist_m });
-        let astar = sp.astar(a, b).map(|p| if time_metric { p.time_s } else { p.dist_m });
-        match (d, astar) {
-            (Some(x), Some(y)) => prop_assert!((x - y).abs() < 1e-6, "{} vs {}", x, y),
-            (None, None) => {}
-            other => prop_assert!(false, "disagreement: {:?}", other),
+        for k in 0..16u32 {
+            let (src, dst) = (NodeId((a + k * 7_919) % n), NodeId((b + k * 104_729) % n));
+            match (oracle.path(src, dst), router.path(src, dst)) {
+                (Some(want), Some(got)) => {
+                    prop_assert_eq!(want.dist_m.to_bits(), got.dist_m.to_bits());
+                    prop_assert_eq!(want.nodes, got.nodes);
+                }
+                (None, None) => {}
+                (want, got) => prop_assert!(
+                    false,
+                    "{:?}->{:?}: reachability differs: {:?} vs {:?}", src, dst, want, got
+                ),
+            }
         }
     }
 
@@ -145,5 +171,101 @@ proptest! {
             prev_idx = idx;
         }
         prop_assert_eq!(route.index_at_time(total + 1.0), route.len() - 1);
+    }
+}
+
+/// Router ≡ oracle over every ordered pair of `g` (full equality:
+/// reachability, cost bits, node sequence).
+fn assert_router_is_oracle_on_all_pairs(g: RoadGraph) {
+    let g = Arc::new(g);
+    let router = Router::new(Arc::clone(&g));
+    let oracle = ShortestPaths::driving(&g);
+    for src in g.node_ids() {
+        for dst in g.node_ids() {
+            assert_eq!(router.path(src, dst), oracle.path(src, dst), "{src:?} -> {dst:?}");
+        }
+    }
+}
+
+/// A two-way ring of `len` nodes with distinct edge lengths, returned
+/// as its node ids.
+fn add_ring(b: &mut RoadGraphBuilder, len: usize, lat: f64, base_m: f64) -> Vec<NodeId> {
+    let ids: Vec<NodeId> =
+        (0..len).map(|i| b.add_node(GeoPoint::new(lat, -74.0 + 0.001 * i as f64))).collect();
+    for i in 0..len {
+        let m = base_m + 13.0 * i as f64 + 0.37 * (i * i) as f64;
+        b.add_two_way(ids[i], ids[(i + 1) % len], RoadClass::Street, Some(m));
+    }
+    ids
+}
+
+#[test]
+fn router_path_to_self_is_the_single_node() {
+    let g = Arc::new(CityConfig::test_city(11).generate());
+    let router = Router::new(Arc::clone(&g));
+    let p = router.path(NodeId(9), NodeId(9)).expect("a node reaches itself");
+    assert_eq!((p.nodes, p.dist_m, p.time_s), (vec![NodeId(9)], 0.0, 0.0));
+}
+
+#[test]
+fn router_returns_none_for_an_unreachable_pair() {
+    let mut b = RoadGraphBuilder::new();
+    let a = b.add_node(GeoPoint::new(40.70, -74.00));
+    let c = b.add_node(GeoPoint::new(40.71, -74.00));
+    b.add_edge(a, c, RoadClass::Street, Some(10.0));
+    let g = Arc::new(b.build());
+    let router = Router::new(Arc::clone(&g));
+    assert!(router.path(c, a).is_none());
+    assert_eq!(router.path(a, c).map(|p| p.dist_m), Some(10.0));
+}
+
+/// Landmarks cut off from part of the graph put ∞ into the table.
+/// Ring A reaches ring B over a one-way bridge but not back, and ring C
+/// is an island, so wherever the landmarks fall some rows hold ∞ on
+/// one side and C's hold it on both: the bound meets `∞ − ∞` (NaN,
+/// must be ignored), `finite − ∞` (−∞, ignored) and `∞ − finite` (∞:
+/// the target really is unreachable). None of it may turn into
+/// NaN-driven pruning or a wrong `None`.
+#[test]
+fn router_is_exact_when_landmarks_are_cut_off() {
+    let mut b = RoadGraphBuilder::new();
+    let ring_a = add_ring(&mut b, 7, 40.70, 100.0);
+    let ring_b = add_ring(&mut b, 6, 40.71, 140.0);
+    add_ring(&mut b, 5, 40.72, 90.0);
+    b.add_edge(ring_a[3], ring_b[0], RoadClass::Street, Some(55.0));
+    assert_router_is_oracle_on_all_pairs(b.build());
+}
+
+/// An un-jittered lattice of 1 km blocks: most pairs have many shortest
+/// paths of exactly equal cost (sums of 1000.0 are exact in `f64`), so
+/// the router may return a different one than Dijkstra — only the cost
+/// is pinned, and it must be equal to the last bit.
+#[test]
+fn router_cost_is_exact_on_a_lattice_of_ties() {
+    const SIDE: usize = 6;
+    let mut b = RoadGraphBuilder::new();
+    let ids: Vec<NodeId> = (0..SIDE * SIDE)
+        .map(|i| b.add_node(GeoPoint::new(40.70 + 0.009 * (i / SIDE) as f64, -74.0 + 0.012 * (i % SIDE) as f64)))
+        .collect();
+    for r in 0..SIDE {
+        for c in 0..SIDE {
+            if c + 1 < SIDE {
+                b.add_two_way(ids[r * SIDE + c], ids[r * SIDE + c + 1], RoadClass::Street, Some(1000.0));
+            }
+            if r + 1 < SIDE {
+                b.add_two_way(ids[r * SIDE + c], ids[(r + 1) * SIDE + c], RoadClass::Street, Some(1000.0));
+            }
+        }
+    }
+    let g = Arc::new(b.build());
+    let router = Router::new(Arc::clone(&g));
+    let oracle = ShortestPaths::driving(&g);
+    for src in g.node_ids() {
+        for dst in g.node_ids() {
+            let want = oracle.path(src, dst).expect("lattice is connected").dist_m;
+            let got = router.path(src, dst).expect("lattice is connected");
+            assert_eq!(got.dist_m, want, "{src:?} -> {dst:?}");
+            assert_eq!((got.nodes.first(), got.nodes.last()), (Some(&src), Some(&dst)));
+        }
     }
 }

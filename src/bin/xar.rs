@@ -280,6 +280,10 @@ fn inspect(flags: &Flags) -> Result<(), String> {
     println!("clusters       : {}", region.cluster_count());
     println!("epsilon        : {:.0} m (worst intra-cluster driving distance)", region.epsilon_m());
     println!("tables in RAM  : {:.1} MiB", region.heap_bytes() as f64 / (1024.0 * 1024.0));
+    println!(
+        "router table   : {:.1} MiB (rebuilt on load, not in the file)",
+        region.router().heap_bytes() as f64 / (1024.0 * 1024.0)
+    );
     let sizes: Vec<usize> = (0..region.cluster_count() as u32)
         .map(|c| region.cluster_members(xhare_a_ride::discretize::ClusterId(c)).len())
         .collect();

@@ -22,7 +22,8 @@
 
 use xar_bench::{scale_arg, BenchCity};
 use xar_core::EngineConfig;
-use xar_workload::searchbench::{populated_engine, request_of, run_search_point};
+use xar_workload::backend::request_of;
+use xar_workload::searchbench::{populated_engine, run_search_point};
 use xar_workload::{search_curve_json, SearchPoint, SimConfig};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];

@@ -23,9 +23,7 @@
 //! ```
 
 use xar_bench::{header, row, scale_arg, BenchCity};
-use xar_workload::{
-    run_simulation_with, DispatchSpec, SimConfig, SimReport, Trip, XarBackend,
-};
+use xar_workload::{run_dispatch, DispatchSpec, SimConfig, SimReport, Trip, XarBackend};
 
 const BASE_TRIPS: usize = 20_000;
 /// Simulated seconds the trip day is compressed onto: 20 000 trips
@@ -80,7 +78,7 @@ fn main() {
         let mut backend = XarBackend::new(city.xar(std::sync::Arc::clone(&region)));
         let mut policy = spec.build(&cfg);
         let t0 = std::time::Instant::now();
-        let report = run_simulation_with(&mut backend, &trips, &cfg, policy.as_mut());
+        let report = run_dispatch(&mut backend, &trips, &cfg, policy.as_mut());
         let wall_s = t0.elapsed().as_secs_f64();
         eprintln!(
             "  {:<12} service {:.4}, stale commits {}, swaps {}, {:.1} s wall",

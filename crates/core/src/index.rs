@@ -128,19 +128,14 @@ impl ClusterIndex {
     }
 
     /// Publish this index's per-cluster emptiness into `occupancy` as
-    /// shard `shard`. Existing non-empty lists are back-filled into the
-    /// map (the single-shard facade wraps already-populated engines),
-    /// then `insert`/`remove` keep it in sync incrementally.
+    /// shard `shard`: from here on `insert`/`remove` keep the map in
+    /// sync incrementally. Attached while the index is still empty.
     pub(crate) fn attach_occupancy(
         &mut self,
         occupancy: std::sync::Arc<crate::sharded::ShardOccupancy>,
         shard: u32,
     ) {
-        for (c, list) in self.lists.iter().enumerate() {
-            if !list.by_ride.is_empty() {
-                occupancy.set(c, shard);
-            }
-        }
+        debug_assert!(self.is_empty(), "occupancy must be attached before any entry exists");
         self.occupancy = Some((occupancy, shard));
     }
 

@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod booking;
-pub mod concurrent;
 pub mod engine;
 pub mod error;
 pub mod index;
@@ -69,7 +68,6 @@ pub mod social;
 pub mod tracking;
 
 pub use booking::BookingOutcome;
-pub use concurrent::SharedXarEngine;
 pub use engine::{EngineConfig, EngineStats, EngineStatsSnapshot, RideDirt, XarEngine};
 pub use error::{Reason, XarError};
 pub use index::ClusterIndex;
@@ -78,5 +76,5 @@ pub use request::RideRequest;
 pub use ride::{Ride, RideId, RideOffer, RideStatus, RiderId};
 pub use search::{RideMatch, SearchExplain};
 pub use sharded::{ShardOccupancy, ShardedXarEngine, DEFAULT_SHARDS, MAX_SHARDS};
-pub use snapshot::{SearchScratch, ShardSnapshot, SnapshotCell};
+pub use snapshot::{ShardSnapshot, SnapshotCell};
 pub use social::SocialGraph;

@@ -15,13 +15,15 @@
 //! strictly preceding drop-off and a free seat. **No shortest paths are
 //! computed anywhere on this path.**
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::sync::Arc;
+use std::time::Instant;
 
-use xar_discretize::{ClusterId, LandmarkId, WalkEntry};
+use xar_discretize::{ClusterId, LandmarkId, RegionIndex, WalkEntry};
 
-use crate::engine::XarEngine;
+use crate::engine::{EngineStats, XarEngine};
 use crate::error::{Reason, XarError};
-use crate::index::PotentialRide;
+use crate::metrics::EngineMetrics;
 use crate::request::RideRequest;
 use crate::ride::RideId;
 
@@ -100,7 +102,7 @@ impl SearchExplain {
     /// Record that one candidate ride was rejected at pairing depth
     /// `deepest` (1 = ordering, 2 = walking, 3 = detour).
     #[inline]
-    pub(crate) fn reject_at_depth(&mut self, deepest: u8) {
+    fn reject_at_depth(&mut self, deepest: u8) {
         match deepest {
             1 => self.ordering_rejected += 1,
             2 => self.walk_rejected += 1,
@@ -149,16 +151,6 @@ impl RideMatch {
     }
 }
 
-/// Per-side candidate record: the best (least-walk) walkable cluster
-/// through which each ride was found.
-#[derive(Debug, Clone, Copy)]
-struct SideHit {
-    cluster: ClusterId,
-    landmark: LandmarkId,
-    walk_m: f64,
-    entry: PotentialRide,
-}
-
 impl XarEngine {
     /// Search for rides that can serve `req`, returning up to `limit`
     /// matches (`usize::MAX` for all), best (least combined walking)
@@ -184,43 +176,86 @@ impl XarEngine {
         limit: usize,
         explain: &mut SearchExplain,
     ) -> Result<Vec<RideMatch>, XarError> {
-        *explain = SearchExplain::default();
-        if let Err(e) = req.validate() {
-            explain.hard = Some(e.reason());
-            return Err(e);
-        }
-        self.stats.searches.inc();
-        let t0 = std::time::Instant::now();
-        let _span = xar_obs::SpanTimer::new(std::sync::Arc::clone(&self.metrics.search_ns));
-        let mut tspan = xar_obs::trace::span("search");
-        let region = self.region();
-        let src_node = region.snap(&req.source);
-        let dst_node = region.snap(&req.destination);
-        let src_walkable = region.walkable_within(src_node, req.walk_limit_m);
-        let dst_walkable = region.walkable_within(dst_node, req.walk_limit_m);
-        if src_walkable.is_empty() || dst_walkable.is_empty() {
-            explain.hard = Some(Reason::NotServable);
-            return Err(XarError::NotServable);
-        }
-        // Tiered latency series: fan-out (walkable clusters on the
-        // source side) is the main cost driver, so the per-tier p99s
-        // separate "cheap" from "wide" searches on a live dashboard.
-        // Unservable searches (above) carry no tier.
-        let tier = crate::metrics::EngineMetrics::tier_index(src_walkable.len());
-        explain.tier = tier as u8 + 1;
-        let tier_hist = &self.metrics.search_ns_tier[tier];
-
         let mut out = Vec::new();
-        let candidates = collect_matches(self, src_walkable, dst_walkable, req, &mut out, explain);
-        self.metrics.search_candidates.record(candidates as u64);
-        tspan.attr("candidates", candidates);
-
-        sort_matches(&mut out);
-        out.truncate(limit);
-        tspan.attr("matches", out.len());
-        tier_hist.record(t0.elapsed().as_nanos() as u64);
+        run_search(self.region(), &self.stats, &self.metrics, req, limit, &mut out, explain, |run| {
+            run.collect_matches(self)
+        })?;
         Ok(out)
     }
+}
+
+/// Everything around candidate collection that every search does, once:
+/// validate, resolve both end-points' walkable clusters from the region
+/// tables (no lock, no shortest path), pick the latency tier, let
+/// `probe` run [`SearchRun::collect_matches`] over whichever indexes the
+/// engine keeps, then sort, truncate and record. `out` and `explain`
+/// are reset first; on error `explain` carries the hard [`Reason`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_search(
+    region: &RegionIndex,
+    stats: &EngineStats,
+    metrics: &EngineMetrics,
+    req: &RideRequest,
+    limit: usize,
+    out: &mut Vec<RideMatch>,
+    explain: &mut SearchExplain,
+    probe: impl FnOnce(&mut SearchRun<'_>),
+) -> Result<(), XarError> {
+    out.clear();
+    *explain = SearchExplain::default();
+    if let Err(e) = req.validate() {
+        explain.hard = Some(e.reason());
+        return Err(e);
+    }
+    stats.searches.inc();
+    let t0 = Instant::now();
+    let _span = xar_obs::SpanTimer::new(Arc::clone(&metrics.search_ns));
+    let mut tspan = xar_obs::trace::span("search");
+    let src_walkable = region.walkable_within(region.snap(&req.source), req.walk_limit_m);
+    let dst_walkable = region.walkable_within(region.snap(&req.destination), req.walk_limit_m);
+    if src_walkable.is_empty() || dst_walkable.is_empty() {
+        explain.hard = Some(Reason::NotServable);
+        return Err(XarError::NotServable);
+    }
+    // Tiered latency series: fan-out (walkable clusters on the source
+    // side) is the main cost driver, so the per-tier p99s separate
+    // "cheap" from "wide" searches on a live dashboard. Unservable
+    // searches (above) carry no tier.
+    let tier = EngineMetrics::tier_index(src_walkable.len());
+    explain.tier = tier as u8 + 1;
+
+    // One search runs at a time per thread, so the borrow never nests.
+    let probed = SCRATCH.with(|scratch| {
+        let mut run = SearchRun {
+            src_walkable,
+            dst_walkable,
+            req,
+            scratch: &mut scratch.borrow_mut(),
+            out,
+            explain,
+            traced: tspan.is_recording(),
+            probed: 0,
+        };
+        probe(&mut run);
+        run.probed
+    });
+    let candidates = u64::from(explain.candidates);
+    metrics.search_candidates.record(candidates);
+    tspan.attr("candidates", candidates);
+    tspan.attr("shards", u64::from(probed));
+
+    sort_matches(out);
+    out.truncate(limit);
+    tspan.attr("matches", out.len());
+    let elapsed_ns = t0.elapsed().as_nanos() as u64;
+    metrics.search_ns_tier[tier].record(elapsed_ns);
+    // Latency exemplar per tier: retain the trace ids behind the
+    // slowest recent searches (atomics only — the warmed search path
+    // stays allocation-free; skipped when tracing is off).
+    if let Some(ctx) = xar_obs::trace::current_ctx() {
+        metrics.search_exemplar_tier[tier].offer(elapsed_ns, ctx.trace);
+    }
+    Ok(())
 }
 
 /// "the ride that incurs least walking for the requester is matched"
@@ -229,7 +264,7 @@ impl XarEngine {
 /// total order and `sort_unstable` (no temp allocation — the search
 /// path must stay allocation-free) produces the same permutation a
 /// stable sort would.
-pub(crate) fn sort_matches(out: &mut [RideMatch]) {
+fn sort_matches(out: &mut [RideMatch]) {
     out.sort_unstable_by(|a, b| {
         a.walk_total_m()
             .total_cmp(&b.walk_total_m())
@@ -238,154 +273,270 @@ pub(crate) fn sort_matches(out: &mut [RideMatch]) {
     });
 }
 
-/// The candidate-generation and feasibility core of search, over one
-/// engine's index and ride table: Steps 1 and 2 (per-cluster ETA range
-/// queries on both sides), the `R1 ∩ R2` intersection, and the final
-/// walking / detour / ordering checks. Feasible matches are appended to
-/// `out`; the return value is `|R1|` (the candidate-set size).
+/// What the one search algorithm reads from an index, whatever its
+/// storage layout: the live `BTreeMap` lists of an [`XarEngine`] or the
+/// frozen columns of a [`crate::ShardSnapshot`].
 ///
-/// Factored out of [`XarEngine::search`] so the sharded engine
-/// ([`crate::sharded::ShardedXarEngine`]) can run the identical logic
-/// against each shard's private slice of the ride state: a ride's index
-/// entries live wholly within its owning shard, so per-shard collection
-/// followed by a global sort is equivalent to the single-engine search.
-pub(crate) fn collect_matches(
-    engine: &XarEngine,
-    src_walkable: &[WalkEntry],
-    dst_walkable: &[WalkEntry],
-    req: &RideRequest,
-    out: &mut Vec<RideMatch>,
-    explain: &mut SearchExplain,
-) -> usize {
-    // Step 1: R1 from the source side, ETA within the departure
-    // window. A ride may be reachable through several walkable
-    // clusters; all hits are kept (the walkable lists are short, so
-    // this stays linear in practice) — greedy per-side pruning can
-    // discard the only *jointly* feasible combination.
-    let mut r1: HashMap<RideId, Vec<SideHit>> = HashMap::new();
-    {
-        let mut espan = xar_obs::trace::span("enumerate_src");
-        for w in src_walkable {
-            for entry in engine.index().range_eta(w.cluster, req.window_start_s, req.window_end_s)
-            {
-                r1.entry(entry.ride).or_default().push(SideHit {
+/// The contract that makes results bit-identical across layouts:
+/// `scan` covers the **inclusive** ETA range `[from_s, to_s]` and
+/// yields entries in **`(eta, ride)` order**, so the per-ride hit lists
+/// — and therefore which of several equally good pairings wins — are
+/// built in the same order everywhere.
+pub(crate) trait IndexView {
+    /// Visit `cluster`'s entries with ETA in `[from_s, to_s]` as
+    /// `f(ride, eta_s, detour_m, seg, pass_route_idx)`.
+    fn scan(
+        &self,
+        cluster: ClusterId,
+        from_s: f64,
+        to_s: f64,
+        f: impl FnMut(RideId, f64, f64, u32, u32),
+    );
+
+    /// `(free seats, remaining detour budget)` of `ride`, if it is live
+    /// in this view.
+    fn ride_state(&self, ride: RideId) -> Option<(u8, f64)>;
+}
+
+impl IndexView for XarEngine {
+    fn scan(
+        &self,
+        cluster: ClusterId,
+        from_s: f64,
+        to_s: f64,
+        mut f: impl FnMut(RideId, f64, f64, u32, u32),
+    ) {
+        for e in self.index().range_eta(cluster, from_s, to_s) {
+            f(e.ride, e.eta_s, e.detour_m, e.seg as u32, e.pass_route_idx as u32);
+        }
+    }
+
+    fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
+        self.ride(ride).map(|r| (r.seats_available, r.detour_remaining_m()))
+    }
+}
+
+/// One side-candidate: a walkable cluster paired with one
+/// potential-ride entry found there.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    cluster: ClusterId,
+    landmark: LandmarkId,
+    walk_m: f64,
+    eta_s: f64,
+    detour_m: f64,
+    seg: u32,
+    pass_route_idx: u32,
+}
+
+/// One side's candidate list: `(ride, discovery order, hit)`, sorted by
+/// `(ride, discovery order)`.
+type Hits = Vec<(RideId, u32, Hit)>;
+
+/// Reusable per-thread candidate buffers (source side, destination
+/// side): grown on the first few searches, then allocation-free forever
+/// after.
+#[derive(Default)]
+struct SearchScratch {
+    r1: Hits,
+    r2: Hits,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::default());
+}
+
+/// One enumeration step (`span` names it in the trace; `None` when the
+/// search is not being traced): every entry of `walkable`'s clusters
+/// with ETA in `[from_s, to_s]` whose ride `keep` admits, collected
+/// into `hits` and sorted by ride, then by discovery
+/// order (walkable order × ETA order) so the per-ride pairing iterates
+/// deterministically. A ride may be reachable through several walkable
+/// clusters; all its hits are kept (the walkable lists are short) —
+/// greedy per-side pruning can discard the only *jointly* feasible
+/// combination.
+fn enumerate<V: IndexView>(
+    span: Option<&'static str>,
+    view: &V,
+    walkable: &[WalkEntry],
+    (from_s, to_s): (f64, f64),
+    keep: impl Fn(RideId) -> bool,
+    hits: &mut Hits,
+) {
+    let mut espan = span.map(xar_obs::trace::span);
+    hits.clear();
+    let mut seq = 0u32;
+    for w in walkable {
+        view.scan(w.cluster, from_s, to_s, |ride, eta_s, detour_m, seg, pass_route_idx| {
+            if keep(ride) {
+                let hit = Hit {
                     cluster: w.cluster,
                     landmark: w.landmark,
                     walk_m: f64::from(w.walk_m),
-                    entry: *entry,
-                });
+                    eta_s,
+                    detour_m,
+                    seg,
+                    pass_route_idx,
+                };
+                hits.push((ride, seq, hit));
+                seq += 1;
             }
-        }
-        espan.attr("clusters", src_walkable.len());
-        espan.attr("candidates", r1.len());
+        });
     }
-    if r1.is_empty() {
-        return 0;
+    hits.sort_unstable_by_key(|&(ride, seq, _)| (ride, seq));
+    if let Some(espan) = &mut espan {
+        espan.attr("clusters", walkable.len());
+        espan.attr("candidates", hits.chunk_by(|a, b| a.0 == b.0).count());
     }
+}
 
-    // Step 2: R2 from the destination side. Drop-off can happen any
-    // time after the window opens; the pick-up-before-drop-off
-    // ordering is enforced per pair below.
-    let mut r2: HashMap<RideId, Vec<SideHit>> = HashMap::new();
-    {
-        let mut espan = xar_obs::trace::span("enumerate_dst");
-        for w in dst_walkable {
-            for entry in engine.index().range_eta(w.cluster, req.window_start_s, f64::INFINITY) {
-                // Cheap pre-filter: only rides already in R1 matter.
-                if !r1.contains_key(&entry.ride) {
-                    continue;
-                }
-                r2.entry(entry.ride).or_default().push(SideHit {
-                    cluster: w.cluster,
-                    landmark: w.landmark,
-                    walk_m: f64::from(w.walk_m),
-                    entry: *entry,
-                });
+/// One search in flight: the request's resolved walkable clusters plus
+/// the buffers matches and attribution accumulate into. [`run_search`]
+/// builds it and hands it to the engine, which calls
+/// [`SearchRun::collect_matches`] once per index it wants probed.
+pub(crate) struct SearchRun<'a> {
+    /// Walkable clusters of the request's source, nearest first.
+    pub(crate) src_walkable: &'a [WalkEntry],
+    /// Walkable clusters of the request's destination.
+    pub(crate) dst_walkable: &'a [WalkEntry],
+    req: &'a RideRequest,
+    scratch: &'a mut SearchScratch,
+    out: &'a mut Vec<RideMatch>,
+    explain: &'a mut SearchExplain,
+    /// Whether the enclosing `search` span records: the per-index
+    /// enumerate spans are opened only then, so a search with tracing
+    /// off does no span work per probed index.
+    traced: bool,
+    /// Indexes probed so far.
+    probed: u32,
+}
+
+impl SearchRun<'_> {
+    /// The candidate-generation and feasibility core of search over one
+    /// index: Steps 1 and 2 (per-cluster ETA range queries on both
+    /// sides), the `R1 ∩ R2` intersection, and the final ordering /
+    /// walking / detour / seat checks, least-walk best per ride.
+    /// Feasible matches are appended to the run's output buffer and
+    /// `|R1|` is added to `explain.candidates`.
+    ///
+    /// A ride's index entries live wholly within one index (its owning
+    /// shard), so probing several indexes and sorting once afterwards
+    /// is equivalent to searching their union.
+    ///
+    /// Allocation-free in steady state: candidates go through the
+    /// thread's scratch, grouping uses `sort_unstable` + merge-join
+    /// instead of hash maps, and the output is the caller's buffer.
+    pub(crate) fn collect_matches<V: IndexView>(&mut self, view: &V) {
+        self.probed += 1;
+        let req = self.req;
+        let SearchScratch { r1, r2 } = &mut *self.scratch;
+
+        // Step 1: R1 from the source side, ETA within the departure
+        // window.
+        let window = (req.window_start_s, req.window_end_s);
+        let span = self.traced.then_some("enumerate_src");
+        enumerate(span, view, self.src_walkable, window, |_| true, r1);
+        if r1.is_empty() {
+            return;
+        }
+
+        // Step 2: R2 from the destination side, pre-filtered to rides
+        // present in R1 (binary search over the sorted R1). Drop-off
+        // can happen any time after the window opens; the
+        // pick-up-before-drop-off ordering is enforced per pair below.
+        let in_r1 =
+            |ride| r1.get(r1.partition_point(|e| e.0 < ride)).is_some_and(|e| e.0 == ride);
+        let after = (req.window_start_s, f64::INFINITY);
+        let span = self.traced.then_some("enumerate_dst");
+        enumerate(span, view, self.dst_walkable, after, in_r1, r2);
+
+        // Intersection + final feasibility: merge-join the two sorted
+        // runs (R2 holds only rides of R1, so its groups arrive in R1's
+        // order); per ride, the best (least-walk, then least-detour,
+        // first-found) feasible (source, destination) pair wins. Each
+        // R1 ride lands in exactly one explain class (matched, seat,
+        // deepest pairing check, or unpaired) — the conservation the
+        // reason taxonomy depends on.
+        let mut j = 0usize;
+        for srcs in r1.chunk_by(|a, b| a.0 == b.0) {
+            let ride = srcs[0].0;
+            self.explain.candidates += 1;
+            let j0 = j;
+            while j < r2.len() && r2[j].0 == ride {
+                j += 1;
             }
-        }
-        espan.attr("clusters", dst_walkable.len());
-        espan.attr("candidates", r2.len());
-    }
-
-    // Intersection + final feasibility checks: per ride, the best
-    // (least-walk) feasible (source, destination) combination wins.
-    // Each R1 ride lands in exactly one explain class (matched, seat,
-    // deepest pairing check, or unpaired) — the conservation the
-    // reason taxonomy depends on.
-    for (ride_id, srcs) in &r1 {
-        let Some(dsts) = r2.get(ride_id) else {
-            explain.unpaired += 1;
-            continue;
-        };
-        let Some(ride) = engine.ride(*ride_id) else {
-            explain.unpaired += 1;
-            continue;
-        };
-        if ride.seats_available == 0 {
-            explain.seat_rejected += 1;
-            continue;
-        }
-        let budget = ride.detour_remaining_m();
-        let mut best: Option<RideMatch> = None;
-        // Deepest check any pairing reached: 1 ordering, 2 walk,
-        // 3 detour (checks run in that order).
-        let mut deepest = 1u8;
-        for src in srcs {
-            for dst in dsts {
-                // Pick-up must strictly precede drop-off along the
-                // ride: different clusters, increasing ETA and
-                // segment, and non-decreasing position of the
-                // serving pass-through point along the route
-                // (estimated times alone can mis-order detours
-                // hanging off nearby pass points, which would force
-                // the ride to backtrack at booking time).
-                if src.cluster == dst.cluster
-                    || dst.entry.eta_s <= src.entry.eta_s
-                    || dst.entry.seg < src.entry.seg
-                    || dst.entry.pass_route_idx < src.entry.pass_route_idx
-                {
-                    continue;
-                }
-                // (a) combined walking within the rider's limit.
-                let walk_total = src.walk_m + dst.walk_m;
-                if walk_total > req.walk_limit_m {
-                    deepest = deepest.max(2);
-                    continue;
-                }
-                // (b) combined detour within the ride's budget.
-                let detour_total = src.entry.detour_m + dst.entry.detour_m;
-                if detour_total > budget {
-                    deepest = deepest.max(3);
-                    continue;
-                }
-                let better = best.as_ref().is_none_or(|b| {
-                    walk_total < b.walk_total_m()
-                        || (walk_total == b.walk_total_m() && detour_total < b.detour_est_m)
-                });
-                if better {
-                    best = Some(RideMatch {
-                        ride: *ride_id,
-                        pickup_cluster: src.cluster,
-                        pickup_landmark: src.landmark,
-                        dropoff_cluster: dst.cluster,
-                        dropoff_landmark: dst.landmark,
-                        walk_pickup_m: src.walk_m,
-                        walk_dropoff_m: dst.walk_m,
-                        eta_pickup_s: src.entry.eta_s,
-                        eta_dropoff_s: dst.entry.eta_s,
-                        detour_est_m: detour_total,
-                        pickup_seg: src.entry.seg,
-                        dropoff_seg: dst.entry.seg,
+            let dsts = &r2[j0..j];
+            if dsts.is_empty() {
+                self.explain.unpaired += 1;
+                continue;
+            }
+            let Some((seats, budget)) = view.ride_state(ride) else {
+                self.explain.unpaired += 1;
+                continue;
+            };
+            if seats == 0 {
+                self.explain.seat_rejected += 1;
+                continue;
+            }
+            let mut best: Option<RideMatch> = None;
+            // Deepest check any pairing reached: 1 ordering, 2 walk,
+            // 3 detour (checks run in that order).
+            let mut deepest = 1u8;
+            for &(_, _, src) in srcs {
+                for &(_, _, dst) in dsts {
+                    // Pick-up must strictly precede drop-off along the
+                    // ride: different clusters, increasing ETA and
+                    // segment, and non-decreasing position of the
+                    // serving pass-through point along the route
+                    // (estimated times alone can mis-order detours
+                    // hanging off nearby pass points, which would force
+                    // the ride to backtrack at booking time).
+                    if src.cluster == dst.cluster
+                        || dst.eta_s <= src.eta_s
+                        || dst.seg < src.seg
+                        || dst.pass_route_idx < src.pass_route_idx
+                    {
+                        continue;
+                    }
+                    // (a) combined walking within the rider's limit.
+                    let walk_total = src.walk_m + dst.walk_m;
+                    if walk_total > req.walk_limit_m {
+                        deepest = deepest.max(2);
+                        continue;
+                    }
+                    // (b) combined detour within the ride's budget.
+                    let detour_total = src.detour_m + dst.detour_m;
+                    if detour_total > budget {
+                        deepest = deepest.max(3);
+                        continue;
+                    }
+                    let better = best.as_ref().is_none_or(|b| {
+                        walk_total < b.walk_total_m()
+                            || (walk_total == b.walk_total_m() && detour_total < b.detour_est_m)
                     });
+                    if better {
+                        best = Some(RideMatch {
+                            ride,
+                            pickup_cluster: src.cluster,
+                            pickup_landmark: src.landmark,
+                            dropoff_cluster: dst.cluster,
+                            dropoff_landmark: dst.landmark,
+                            walk_pickup_m: src.walk_m,
+                            walk_dropoff_m: dst.walk_m,
+                            eta_pickup_s: src.eta_s,
+                            eta_dropoff_s: dst.eta_s,
+                            detour_est_m: detour_total,
+                            pickup_seg: src.seg as usize,
+                            dropoff_seg: dst.seg as usize,
+                        });
+                    }
                 }
             }
-        }
-        if let Some(m) = best {
-            out.push(m);
-        } else {
-            explain.reject_at_depth(deepest);
+            if let Some(m) = best {
+                self.out.push(m);
+            } else {
+                self.explain.reject_at_depth(deepest);
+            }
         }
     }
-    explain.candidates += r1.len() as u32;
-    r1.len()
 }

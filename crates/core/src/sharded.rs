@@ -1,11 +1,10 @@
 //! Cluster-sharded concurrent engine.
 //!
-//! XAR's workload is ~480 searches per booking (§X.B.2), yet the PR-1
-//! [`crate::concurrent::SharedXarEngine`] funnelled every operation
-//! through one global `RwLock<XarEngine>`: a single writer stalled all
-//! readers, and writes serialized with each other even when they
-//! touched rides on opposite sides of the city. [`ShardedXarEngine`]
-//! removes the global lock:
+//! XAR's workload is ~480 searches per booking (§X.B.2), so funnelling
+//! every operation through one global `RwLock<XarEngine>` lets a single
+//! writer stall all readers, and serializes writes with each other even
+//! when they touch rides on opposite sides of the city.
+//! [`ShardedXarEngine`] has no global lock:
 //!
 //! * The ride state is split into `N` **shards**. A ride lives wholly
 //!   in one shard — its record *and* every one of its potential-rides
@@ -54,11 +53,11 @@ use xar_obs::{Histogram, Registry};
 
 use crate::booking::BookingOutcome;
 use crate::engine::{EngineConfig, EngineStats, XarEngine};
-use crate::error::{Reason, XarError};
+use crate::error::XarError;
 use crate::metrics::EngineMetrics;
 use crate::request::RideRequest;
 use crate::ride::{Ride, RideId, RideOffer, RideStatus};
-use crate::search::{sort_matches, RideMatch, SearchExplain};
+use crate::search::{run_search, RideMatch, SearchExplain};
 use crate::snapshot::{self, ShardSnapshot, SnapshotCell};
 
 /// Hard cap on the shard count: the occupancy bitmask is one `u64` per
@@ -247,79 +246,27 @@ impl ShardedXarEngine {
                 );
                 engine.set_id_sequence(i as u64 + 1, n as u64);
                 engine.attach_shard_occupancy(Arc::clone(&occupancy), i as u32);
-                Self::make_shard(engine, i, &registry)
+                let name = format!("s{i}");
+                let label = [("shard", name.as_str())];
+                Shard {
+                    snapshot: SnapshotCell::new(ShardSnapshot::empty(region.cluster_count())),
+                    published_version: AtomicU64::new(engine.state_version()),
+                    lock: RwLock::new(engine),
+                    last_publish_ns: AtomicU64::new(0),
+                    read_hold_ns: registry.histogram_with("lock.read_hold_ns", &label),
+                    write_hold_ns: registry.histogram_with("lock.write_hold_ns", &label),
+                }
             })
             .collect();
-        Self::assemble(region, shards, occupancy, metrics)
-    }
-
-    /// Wrap an existing engine. With `shards == 1` the engine is taken
-    /// as-is — rides, ids and metrics preserved (this is how
-    /// [`crate::concurrent::SharedXarEngine`] stays a drop-in facade).
-    /// With more shards the engine must still be empty (its id space is
-    /// re-striped across the shards).
-    ///
-    /// # Panics
-    /// If `shards > 1` and the engine already holds rides.
-    pub fn from_engine(engine: XarEngine, shards: usize) -> Self {
-        let n = shards.clamp(1, MAX_SHARDS);
-        let region = Arc::clone(engine.region());
-        let config = engine.config().clone();
-        let metrics = engine.metrics().clone();
-        let registry = metrics.registry();
-        let occupancy = Arc::new(ShardOccupancy::new(region.cluster_count()));
-        if n == 1 {
-            let mut engine = engine;
-            engine.attach_shard_occupancy(Arc::clone(&occupancy), 0);
-            let shards = vec![Self::make_shard(engine, 0, &registry)];
-            return Self::assemble(region, shards, occupancy, metrics);
-        }
-        assert!(
-            engine.ride_count() == 0,
-            "cannot re-stripe a populated engine across {n} shards"
-        );
-        Self::with_metrics(region, config, metrics, n)
-    }
-
-    fn make_shard(mut engine: XarEngine, i: usize, registry: &Arc<Registry>) -> Shard {
-        let label = format!("s{i}");
-        // Seed the snapshot from the engine as handed over — the
-        // single-shard facade wraps already-populated engines, whose
-        // rides must be searchable before the first write republishes.
-        // The seed is a full build, so any dirt the engine accumulated
-        // before hand-over is already reflected: drain it.
-        let snapshot = SnapshotCell::new(ShardSnapshot::build(&engine));
-        let _ = engine.drain_publish_dirt();
-        let published_version = AtomicU64::new(engine.state_version());
-        Shard {
-            lock: RwLock::new(engine),
-            snapshot,
-            published_version,
-            last_publish_ns: AtomicU64::new(0),
-            read_hold_ns: registry.histogram_with("lock.read_hold_ns", &[("shard", &label)]),
-            write_hold_ns: registry.histogram_with("lock.write_hold_ns", &[("shard", &label)]),
-        }
-    }
-
-    fn assemble(
-        region: Arc<RegionIndex>,
-        shards: Vec<Shard>,
-        occupancy: Arc<ShardOccupancy>,
-        metrics: EngineMetrics,
-    ) -> Self {
-        let registry = metrics.registry();
-        let stats = EngineStats::from_registry(&registry);
-        let read_hold_ns = registry.histogram("lock.read_hold_ns");
-        let write_hold_ns = registry.histogram("lock.write_hold_ns");
         Self {
             inner: Arc::new(Inner {
                 region,
                 shards,
                 occupancy,
-                stats,
+                stats: EngineStats::from_registry(&registry),
+                read_hold_ns: registry.histogram("lock.read_hold_ns"),
+                write_hold_ns: registry.histogram("lock.write_hold_ns"),
                 metrics,
-                read_hold_ns,
-                write_hold_ns,
                 full_publish: AtomicBool::new(false),
                 publish_coalesce_ns: AtomicU64::new(0),
                 anchor: Instant::now(),
@@ -490,69 +437,23 @@ impl ShardedXarEngine {
         out: &mut Vec<RideMatch>,
         explain: &mut SearchExplain,
     ) -> Result<(), XarError> {
-        out.clear();
-        *explain = SearchExplain::default();
         let inner = &*self.inner;
-        if let Err(e) = req.validate() {
-            explain.hard = Some(e.reason());
-            return Err(e);
-        }
-        inner.stats.searches.inc();
-        let t0 = Instant::now();
-        let _span = xar_obs::SpanTimer::new(Arc::clone(&inner.metrics.search_ns));
-        let mut tspan = xar_obs::trace::span("search");
-        let region = &inner.region;
-        let src_node = region.snap(&req.source);
-        let dst_node = region.snap(&req.destination);
-        let src_walkable = region.walkable_within(src_node, req.walk_limit_m);
-        let dst_walkable = region.walkable_within(dst_node, req.walk_limit_m);
-        if src_walkable.is_empty() || dst_walkable.is_empty() {
-            explain.hard = Some(Reason::NotServable);
-            return Err(XarError::NotServable);
-        }
-        let tier = EngineMetrics::tier_index(src_walkable.len());
-        explain.tier = tier as u8 + 1;
-        let tier_hist = &inner.metrics.search_ns_tier[tier];
-
-        // A shard can only contribute a match if it holds entries for at
-        // least one source-side AND one destination-side cluster (the
-        // candidate set is R1 ∩ R2, and a ride's entries never leave its
-        // shard) — everything else is skipped without loading its
-        // snapshot.
-        let mask = inner.occupancy.mask_for(src_walkable.iter().map(|w| w.cluster.index()))
-            & inner.occupancy.mask_for(dst_walkable.iter().map(|w| w.cluster.index()));
-
-        let mut candidates = 0usize;
-        {
+        run_search(&inner.region, &inner.stats, &inner.metrics, req, limit, out, explain, |run| {
+            // A shard can only contribute a match if it holds entries
+            // for at least one source-side AND one destination-side
+            // cluster (the candidate set is R1 ∩ R2, and a ride's
+            // entries never leave its shard) — everything else is
+            // skipped without loading its snapshot.
+            let occ = &inner.occupancy;
+            let mask = occ.mask_for(run.src_walkable.iter().map(|w| w.cluster.index()))
+                & occ.mask_for(run.dst_walkable.iter().map(|w| w.cluster.index()));
             let guard = snapshot::pin();
-            snapshot::with_scratch(|scratch| {
-                for (i, shard) in inner.shards.iter().enumerate() {
-                    if mask & (1u64 << i) == 0 {
-                        continue;
-                    }
-                    let snap = shard.snapshot.load(&guard);
-                    candidates += snap
-                        .collect_matches(src_walkable, dst_walkable, req, scratch, out, explain);
+            for (i, shard) in inner.shards.iter().enumerate() {
+                if mask & (1u64 << i) != 0 {
+                    run.collect_matches(shard.snapshot.load(&guard));
                 }
-            });
-        }
-        inner.metrics.search_candidates.record(candidates as u64);
-        tspan.attr("candidates", candidates);
-        tspan.attr("shards", u64::from(mask.count_ones()));
-
-        sort_matches(out);
-        out.truncate(limit);
-        tspan.attr("matches", out.len());
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        tier_hist.record(elapsed_ns);
-        // Latency exemplar per tier: retain the trace ids behind the
-        // slowest recent searches (atomics only — the warmed search
-        // path stays allocation-free; skipped when tracing is off).
-        if let Some(ctx) = xar_obs::trace::current_ctx() {
-            inner.metrics.search_exemplar_tier[EngineMetrics::tier_index(src_walkable.len())]
-                .offer(elapsed_ns, ctx.trace);
-        }
-        Ok(())
+            }
+        })
     }
 
     /// Publish shard `i`'s search snapshot if its engine's searchable
@@ -971,30 +872,6 @@ mod tests {
                 || json.contains("lock.write_hold_ns{shard=\\\"s1\\\"}"),
             "{json}"
         );
-    }
-
-    #[test]
-    fn from_engine_single_shard_preserves_rides() {
-        let region = region(31);
-        let graph = Arc::clone(region.graph());
-        let mut engine = XarEngine::new(Arc::clone(&region), EngineConfig::default());
-        let id = engine.create_ride(&offer(&graph, 2)).unwrap();
-        let sharded = ShardedXarEngine::from_engine(engine, 1);
-        assert_eq!(sharded.shard_count(), 1);
-        assert_eq!(sharded.ride_count(), 1);
-        // The pre-existing ride is findable: occupancy was back-filled.
-        assert!(sharded.occupancy().mask_for(0..region.cluster_count()) != 0);
-        assert!(sharded.with_shard_read(0, |e| e.ride(id).is_some()));
-    }
-
-    #[test]
-    #[should_panic(expected = "re-stripe")]
-    fn from_engine_multi_shard_rejects_populated_engine() {
-        let region = region(31);
-        let graph = Arc::clone(region.graph());
-        let mut engine = XarEngine::new(region, EngineConfig::default());
-        let _ = engine.create_ride(&offer(&graph, 2)).unwrap();
-        let _ = ShardedXarEngine::from_engine(engine, 4);
     }
 
     #[test]

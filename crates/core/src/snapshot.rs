@@ -53,26 +53,25 @@
 //! cluster's entries live in one immutable `ClusterSeg` holding
 //! parallel `eta`/`ride`/`detour` columns, so the ETA range query of
 //! search Step 1 is two `partition_point` calls on a contiguous `f64`
-//! column instead of a `BTreeMap` walk, and the whole search runs
-//! without allocating (candidate buffers live in a thread-local
-//! [`SearchScratch`]). Segments are `Arc`-shared between successive
+//! column instead of a `BTreeMap` walk. The search itself is the
+//! one in [`crate::search`], reading these columns through its index
+//! view. Segments are `Arc`-shared between successive
 //! snapshots: [`ShardSnapshot::build_incremental`] rebuilds only the
 //! segments of clusters whose entries changed since the previous
 //! publish and clones the rest by pointer, which makes the write-path
 //! publish cost proportional to the *touched* clusters, not the shard
 //! size (DESIGN.md §5f).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 
-use xar_discretize::{ClusterId, WalkEntry};
+use xar_discretize::ClusterId;
 
 use crate::engine::{RideDirt, XarEngine};
-use crate::request::RideRequest;
 use crate::ride::RideId;
-use crate::search::RideMatch;
+use crate::search::IndexView;
 
 /// Slot value: unclaimed, available for any thread to take.
 const SLOT_FREE: u64 = u64::MAX;
@@ -413,53 +412,13 @@ impl Drop for SnapshotCell {
     }
 }
 
-/// One side-candidate in scratch space: a walkable cluster paired with
-/// one potential-ride entry found there (the snapshot-native mirror of
-/// the search module's `SideHit`).
-#[derive(Debug, Clone, Copy)]
-struct SnapHit {
-    cluster: ClusterId,
-    landmark: xar_discretize::LandmarkId,
-    walk_m: f64,
-    eta_s: f64,
-    detour_m: f64,
-    seg: u32,
-    pass_route_idx: u32,
-}
-
-/// Reusable per-thread candidate buffers for snapshot search: grown on
-/// the first few searches, then allocation-free forever after. Obtain
-/// one with [`with_scratch`] (thread-local) or own one per worker.
-#[derive(Default)]
-pub struct SearchScratch {
-    /// Source-side hits, tagged with discovery order: `(ride, seq, hit)`.
-    r1: Vec<(RideId, u32, SnapHit)>,
-    /// Destination-side hits, same shape.
-    r2: Vec<(RideId, u32, SnapHit)>,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::default());
-}
-
-/// Run `f` with this thread's [`SearchScratch`].
-///
-/// # Panics
-///
-/// Panics if called re-entrantly from within `f` (the engine never
-/// does: one search runs at a time per thread).
-pub fn with_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
-    SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
 /// One cluster's entry columns (SoA): the ETA column is scanned by
 /// every range query, so it stays dense and contiguous; the rest are
 /// only touched for rows inside the range.
 ///
 /// Entries are sorted by `(eta, ride)` — the same order the live
-/// `BTreeMap` index iterates in — so snapshot search visits candidates
-/// in exactly the serial engine's order and returns bit-identical
-/// matches. A segment is immutable once built; successive snapshots
+/// `BTreeMap` index iterates in, which is the order the search's index
+/// view requires of every layout. A segment is immutable once built; successive snapshots
 /// share unchanged segments via `Arc`.
 struct ClusterSeg {
     eta_s: Vec<f64>,
@@ -748,17 +707,6 @@ impl ShardSnapshot {
         self.rides.ids.len()
     }
 
-    /// `(free seats, remaining detour budget)` of `ride`, if it is live
-    /// in this snapshot.
-    #[inline]
-    fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
-        self.rides
-            .ids
-            .binary_search(&ride)
-            .ok()
-            .map(|i| (self.rides.seats[i], self.rides.budget_m[i]))
-    }
-
     /// Approximate heap bytes held by the snapshot (index-size
     /// accounting). Segments shared with other snapshots are counted in
     /// full here — the number answers "what does this view keep alive",
@@ -780,186 +728,30 @@ impl ShardSnapshot {
             + self.rides.heap_bytes()
             + std::mem::size_of::<RideTable>()
     }
+}
 
-    /// The candidate-generation and feasibility core of search against
-    /// this snapshot: the exact semantics of the live engine's
-    /// `collect_matches` (Steps 1–2 ETA range queries, `R1 ∩ R2`,
-    /// walking / detour / ordering / seat checks, least-walk best per
-    /// ride), appended to `out`. Returns `|R1|` (candidate-set size).
-    ///
-    /// Allocation-free in steady state: candidates go through
-    /// `scratch`, grouping uses `sort_unstable` + merge-join instead of
-    /// hash maps, and `out` is the caller's reusable buffer.
-    pub fn collect_matches(
+impl IndexView for ShardSnapshot {
+    #[inline]
+    fn scan(
         &self,
-        src_walkable: &[WalkEntry],
-        dst_walkable: &[WalkEntry],
-        req: &RideRequest,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<RideMatch>,
-        explain: &mut crate::search::SearchExplain,
-    ) -> usize {
-        scratch.r1.clear();
-        scratch.r2.clear();
+        cluster: ClusterId,
+        from_s: f64,
+        to_s: f64,
+        mut f: impl FnMut(RideId, f64, f64, u32, u32),
+    ) {
+        let Some(cs) = self.seg(cluster.index()) else { return };
+        for i in cs.eta_range(from_s, to_s) {
+            f(cs.ride[i], cs.eta_s[i], cs.detour_m[i], cs.seg[i], cs.pass_route_idx[i]);
+        }
+    }
 
-        // Step 1: R1 from the source side, ETA within the departure
-        // window. `seq` tags discovery order (walkable order × ETA
-        // order) so the per-ride pairing below iterates hits exactly
-        // as the serial engine's insertion-ordered Vecs do.
-        let mut seq = 0u32;
-        for w in src_walkable {
-            let Some(cs) = self.seg(w.cluster.index()) else { continue };
-            for i in cs.eta_range(req.window_start_s, req.window_end_s) {
-                scratch.r1.push((
-                    cs.ride[i],
-                    seq,
-                    SnapHit {
-                        cluster: w.cluster,
-                        landmark: w.landmark,
-                        walk_m: f64::from(w.walk_m),
-                        eta_s: cs.eta_s[i],
-                        detour_m: cs.detour_m[i],
-                        seg: cs.seg[i],
-                        pass_route_idx: cs.pass_route_idx[i],
-                    },
-                ));
-                seq += 1;
-            }
-        }
-        if scratch.r1.is_empty() {
-            return 0;
-        }
-        scratch.r1.sort_unstable_by_key(|&(ride, seq, _)| (ride, seq));
-
-        // Step 2: R2 from the destination side, pre-filtered to rides
-        // present in R1 (binary search over the sorted R1).
-        let mut seq = 0u32;
-        for w in dst_walkable {
-            let Some(cs) = self.seg(w.cluster.index()) else { continue };
-            for i in cs.eta_range(req.window_start_s, f64::INFINITY) {
-                let ride = cs.ride[i];
-                let p = scratch.r1.partition_point(|e| e.0 < ride);
-                if p == scratch.r1.len() || scratch.r1[p].0 != ride {
-                    continue;
-                }
-                scratch.r2.push((
-                    ride,
-                    seq,
-                    SnapHit {
-                        cluster: w.cluster,
-                        landmark: w.landmark,
-                        walk_m: f64::from(w.walk_m),
-                        eta_s: cs.eta_s[i],
-                        detour_m: cs.detour_m[i],
-                        seg: cs.seg[i],
-                        pass_route_idx: cs.pass_route_idx[i],
-                    },
-                ));
-                seq += 1;
-            }
-        }
-        scratch.r2.sort_unstable_by_key(|&(ride, seq, _)| (ride, seq));
-
-        // |R1| = distinct rides on the source side.
-        let mut candidates = 0usize;
-        let mut i = 0;
-        while i < scratch.r1.len() {
-            candidates += 1;
-            let ride = scratch.r1[i].0;
-            while i < scratch.r1.len() && scratch.r1[i].0 == ride {
-                i += 1;
-            }
-        }
-
-        // Intersection + final feasibility: merge-join the two sorted
-        // runs; per ride, the best (least-walk, then least-detour,
-        // first-found) feasible (source, destination) pair wins. Each
-        // R1 ride lands in exactly one explain class (matched, seat,
-        // deepest pairing check, or unpaired) — mirroring the live
-        // engine's attribution exactly.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < scratch.r1.len() {
-            let ride = scratch.r1[i].0;
-            let mut i_end = i;
-            while i_end < scratch.r1.len() && scratch.r1[i_end].0 == ride {
-                i_end += 1;
-            }
-            while j < scratch.r2.len() && scratch.r2[j].0 < ride {
-                j += 1;
-            }
-            let mut j_end = j;
-            while j_end < scratch.r2.len() && scratch.r2[j_end].0 == ride {
-                j_end += 1;
-            }
-            if j_end > j {
-                if let Some((seats, budget)) = self.ride_state(ride) {
-                    if seats > 0 {
-                        let mut best: Option<RideMatch> = None;
-                        let mut deepest = 1u8;
-                        for &(_, _, src) in &scratch.r1[i..i_end] {
-                            for &(_, _, dst) in &scratch.r2[j..j_end] {
-                                // Pick-up strictly precedes drop-off
-                                // along the ride (see the search module
-                                // for why each clause exists).
-                                if src.cluster == dst.cluster
-                                    || dst.eta_s <= src.eta_s
-                                    || dst.seg < src.seg
-                                    || dst.pass_route_idx < src.pass_route_idx
-                                {
-                                    continue;
-                                }
-                                let walk_total = src.walk_m + dst.walk_m;
-                                if walk_total > req.walk_limit_m {
-                                    deepest = deepest.max(2);
-                                    continue;
-                                }
-                                let detour_total = src.detour_m + dst.detour_m;
-                                if detour_total > budget {
-                                    deepest = deepest.max(3);
-                                    continue;
-                                }
-                                let better = best.as_ref().is_none_or(|b| {
-                                    walk_total < b.walk_total_m()
-                                        || (walk_total == b.walk_total_m()
-                                            && detour_total < b.detour_est_m)
-                                });
-                                if better {
-                                    best = Some(RideMatch {
-                                        ride,
-                                        pickup_cluster: src.cluster,
-                                        pickup_landmark: src.landmark,
-                                        dropoff_cluster: dst.cluster,
-                                        dropoff_landmark: dst.landmark,
-                                        walk_pickup_m: src.walk_m,
-                                        walk_dropoff_m: dst.walk_m,
-                                        eta_pickup_s: src.eta_s,
-                                        eta_dropoff_s: dst.eta_s,
-                                        detour_est_m: detour_total,
-                                        pickup_seg: src.seg as usize,
-                                        dropoff_seg: dst.seg as usize,
-                                    });
-                                }
-                            }
-                        }
-                        if let Some(m) = best {
-                            out.push(m);
-                        } else {
-                            explain.reject_at_depth(deepest);
-                        }
-                    } else {
-                        explain.seat_rejected += 1;
-                    }
-                } else {
-                    explain.unpaired += 1;
-                }
-            } else {
-                explain.unpaired += 1;
-            }
-            i = i_end;
-            j = j_end;
-        }
-        explain.candidates += candidates as u32;
-        candidates
+    #[inline]
+    fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
+        self.rides
+            .ids
+            .binary_search(&ride)
+            .ok()
+            .map(|i| (self.rides.seats[i], self.rides.budget_m[i]))
     }
 }
 

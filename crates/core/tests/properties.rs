@@ -1,11 +1,14 @@
 //! Property-based tests of the runtime unit: search results are always
-//! feasible and complete w.r.t. an index oracle, and arbitrary
-//! operation sequences preserve the engine invariants.
+//! feasible and complete w.r.t. an index oracle, arbitrary operation
+//! sequences preserve the engine invariants, and the search's rejection
+//! attribution obeys one law on every storage layout.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use xar_core::{EngineConfig, RideOffer, RideRequest, XarEngine};
+use xar_core::{
+    EngineConfig, RideMatch, RideOffer, RideRequest, SearchExplain, ShardedXarEngine, XarEngine,
+};
 use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
@@ -53,6 +56,54 @@ fn op_strategy(n_nodes: u32) -> impl Strategy<Value = Op> {
         ),
         1 => (400u16..1000).prop_map(|at_min| Op::Track { at_min }),
     ]
+}
+
+/// The serial engine or a sharded one, behind the four calls a random
+/// session makes — so one schedule can drive every storage layout.
+enum AnyEngine {
+    Serial(Box<XarEngine>),
+    Sharded(ShardedXarEngine),
+}
+
+impl AnyEngine {
+    fn create(&mut self, offer: &RideOffer) -> Option<u64> {
+        match self {
+            AnyEngine::Serial(e) => e.create_ride(offer),
+            AnyEngine::Sharded(e) => e.create_ride(offer),
+        }
+        .ok()
+        .map(|id| id.0)
+    }
+
+    /// All matches plus the attribution; an erroring search has no
+    /// matches and carries its hard reason in the explain.
+    fn search(&self, req: &RideRequest) -> (Vec<RideMatch>, SearchExplain) {
+        let mut explain = SearchExplain::default();
+        let mut out = Vec::new();
+        match self {
+            AnyEngine::Serial(e) => {
+                out = e.search_explained(req, usize::MAX, &mut explain).unwrap_or_default();
+            }
+            AnyEngine::Sharded(e) => {
+                let _ = e.search_into_explained(req, usize::MAX, &mut out, &mut explain);
+            }
+        }
+        (out, explain)
+    }
+
+    fn book(&mut self, m: &RideMatch) -> bool {
+        match self {
+            AnyEngine::Serial(e) => e.book(m).is_ok(),
+            AnyEngine::Sharded(e) => e.book(m).is_ok(),
+        }
+    }
+
+    fn track(&mut self, now_s: f64) -> usize {
+        match self {
+            AnyEngine::Serial(e) => e.track_all(now_s),
+            AnyEngine::Sharded(e) => e.track_all(now_s),
+        }
+    }
 }
 
 /// Check every cross-structure invariant of the engine.
@@ -262,6 +313,93 @@ proptest! {
                 }
             }
             assert_invariants(&eng);
+        }
+    }
+    /// One explain law on every layout: over random create / book /
+    /// track / search schedules, each `R1` ride lands in exactly one
+    /// [`SearchExplain`] class, and the serial engine, a 1-shard and a
+    /// 4-shard sharded engine attribute every search identically.
+    #[test]
+    fn explain_conserves_and_agrees_across_layouts(
+        ops in proptest::collection::vec(op_strategy(625), 1..30)
+    ) {
+        let g = graph();
+        let n = g.node_count() as u32;
+        let cfg = EngineConfig::default;
+        let mut engines = [
+            AnyEngine::Serial(Box::new(XarEngine::new(Arc::clone(region()), cfg()))),
+            AnyEngine::Sharded(ShardedXarEngine::new(Arc::clone(region()), cfg(), 1)),
+            AnyEngine::Sharded(ShardedXarEngine::new(Arc::clone(region()), cfg(), 4)),
+        ];
+        // Per engine: its ride id → creation ordinal (id sequences
+        // differ between layouts by design).
+        let mut ords = [(); 3].map(|_| std::collections::HashMap::new());
+        let mut created = 0usize;
+        for op in ops {
+            match op {
+                Op::Create { src, dst, depart_min, seats, detour_km } => {
+                    let offer = RideOffer {
+                        source: g.point(NodeId(src % n)),
+                        destination: g.point(NodeId(dst % n)),
+                        departure_s: f64::from(depart_min) * 60.0,
+                        seats,
+                        detour_limit_m: f64::from(detour_km) * 1_000.0,
+                        driver: None,
+                        via: Vec::new(),
+                    };
+                    let ids = engines.each_mut().map(|e| e.create(&offer));
+                    prop_assert!(ids.iter().all(|id| id.is_some() == ids[0].is_some()));
+                    if ids[0].is_some() {
+                        for (ord, id) in ords.iter_mut().zip(ids) {
+                            ord.insert(id.unwrap(), created);
+                        }
+                        created += 1;
+                    }
+                }
+                Op::SearchAndMaybeBook { src, dst, at_min, walk_m, book } => {
+                    let req = RideRequest {
+                        source: g.point(NodeId(src % n)),
+                        destination: g.point(NodeId(dst % n)),
+                        window_start_s: f64::from(at_min) * 60.0,
+                        window_end_s: f64::from(at_min) * 60.0 + 3_600.0,
+                        walk_limit_m: f64::from(walk_m),
+                    };
+                    let results = engines.each_ref().map(|e| e.search(&req));
+                    for (ms, ex) in &results {
+                        prop_assert_eq!(
+                            ms.len() as u32
+                                + ex.seat_rejected
+                                + ex.unpaired
+                                + ex.ordering_rejected
+                                + ex.walk_rejected
+                                + ex.detour_rejected,
+                            ex.candidates,
+                            "an R1 ride left unclassified or counted twice: {:?}", ex
+                        );
+                        prop_assert_eq!(ex, &results[0].1, "layouts attribute differently");
+                        prop_assert_eq!(
+                            ex.dominant_reason(ms.len()),
+                            results[0].1.dominant_reason(results[0].0.len())
+                        );
+                    }
+                    // Book the serial engine's best match in all three,
+                    // locating each twin by creation ordinal.
+                    if let (true, Some(best)) = (book, results[0].0.first()) {
+                        let ord = ords[0][&best.ride.0];
+                        let mut booked = [false; 3];
+                        for i in 0..3 {
+                            let twin = results[i].0.iter().find(|m| ords[i][&m.ride.0] == ord);
+                            prop_assert!(twin.is_some(), "layout {} lost the serial best ride", i);
+                            booked[i] = engines[i].book(twin.unwrap());
+                        }
+                        prop_assert!(booked.iter().all(|&b| b == booked[0]));
+                    }
+                }
+                Op::Track { at_min } => {
+                    let retired = engines.each_mut().map(|e| e.track(f64::from(at_min) * 60.0));
+                    prop_assert!(retired.iter().all(|&r| r == retired[0]));
+                }
+            }
         }
     }
 }

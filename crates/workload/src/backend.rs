@@ -1,6 +1,12 @@
-//! [`RideBackend`] adapters for the two systems under test.
+//! [`RideBackend`] adapters for the systems under test, and the one
+//! mapping from a [`Trip`] to the request / offer it poses.
 
-use xar_core::{Reason, RideMatch, RideOffer, RideRequest, SearchExplain, XarEngine};
+use std::sync::Arc;
+
+use xar_core::{
+    Reason, RideMatch, RideOffer, RideRequest, SearchExplain, ShardedXarEngine, XarEngine,
+};
+use xar_obs::Registry;
 use xar_tshare::engine::{TShareMatch, TShareRequest};
 use xar_tshare::TShareEngine;
 
@@ -8,9 +14,40 @@ use crate::dispatch::Candidate;
 use crate::sim::{BookResult, RideBackend, SimConfig};
 use crate::trips::Trip;
 
+/// The [`RideRequest`] a trip poses under the simulation parameters.
+pub fn request_of(trip: &Trip, cfg: &SimConfig) -> RideRequest {
+    RideRequest {
+        source: trip.pickup,
+        destination: trip.dropoff,
+        window_start_s: trip.pickup_s,
+        window_end_s: trip.pickup_s + cfg.window_s,
+        walk_limit_m: cfg.walk_limit_m,
+    }
+}
+
+/// The [`RideOffer`] a trip becomes when its rider turns driver.
+pub fn offer_of(trip: &Trip, cfg: &SimConfig) -> RideOffer {
+    RideOffer {
+        source: trip.pickup,
+        destination: trip.dropoff,
+        departure_s: trip.pickup_s,
+        seats: cfg.seats,
+        detour_limit_m: cfg.detour_limit_m,
+        driver: None,
+        via: Vec::new(),
+    }
+}
+
+/// The assignment edge of an XAR match. Score = combined rider
+/// walking: the paper's assignment objective ("the ride that incurs
+/// least walking ... is matched"), also the engine's primary sort key.
+fn candidate_of(m: &RideMatch) -> Candidate {
+    Candidate { ride: m.ride.0, score: m.walk_total_m(), detour_m: m.detour_est_m }
+}
+
 /// [`BookResult`] from a core-engine booking outcome; failures carry
 /// the error's typed rejection reason.
-pub(crate) fn book_result(res: Result<xar_core::BookingOutcome, xar_core::XarError>) -> BookResult {
+fn book_result(res: Result<xar_core::BookingOutcome, xar_core::XarError>) -> BookResult {
     match res {
         Ok(out) => BookResult::Booked {
             actual_detour_m: out.actual_detour_m,
@@ -24,7 +61,8 @@ pub(crate) fn book_result(res: Result<xar_core::BookingOutcome, xar_core::XarErr
     }
 }
 
-/// XAR under simulation.
+/// XAR under simulation: the serial engine (one thread, no locks, no
+/// snapshot publication).
 pub struct XarBackend {
     /// The wrapped engine (public so harnesses can inspect stats and
     /// memory after a run).
@@ -36,23 +74,13 @@ impl XarBackend {
     pub fn new(engine: XarEngine) -> Self {
         Self { engine }
     }
-
-    fn request(trip: &Trip, cfg: &SimConfig) -> RideRequest {
-        RideRequest {
-            source: trip.pickup,
-            destination: trip.dropoff,
-            window_start_s: trip.pickup_s,
-            window_end_s: trip.pickup_s + cfg.window_s,
-            walk_limit_m: cfg.walk_limit_m,
-        }
-    }
 }
 
 impl RideBackend for XarBackend {
     type Match = RideMatch;
 
     fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> Vec<RideMatch> {
-        self.engine.search(&Self::request(trip, cfg), cfg.k).unwrap_or_default()
+        self.engine.search(&request_of(trip, cfg), cfg.k).unwrap_or_default()
     }
 
     fn search_explained(
@@ -63,7 +91,7 @@ impl RideBackend for XarBackend {
         let mut explain = SearchExplain::default();
         let matches = self
             .engine
-            .search_explained(&Self::request(trip, cfg), cfg.k, &mut explain)
+            .search_explained(&request_of(trip, cfg), cfg.k, &mut explain)
             .unwrap_or_default();
         (matches, explain)
     }
@@ -77,35 +105,94 @@ impl RideBackend for XarBackend {
     }
 
     fn describe(m: &RideMatch) -> Candidate {
-        // Score = combined rider walking: the paper's assignment
-        // objective ("the ride that incurs least walking ... is
-        // matched"), also the engine's primary sort key.
-        Candidate { ride: m.ride.0, score: m.walk_total_m(), detour_m: m.detour_est_m }
+        candidate_of(m)
     }
 
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
-        self.engine
-            .create_ride(&RideOffer {
-                source: trip.pickup,
-                destination: trip.dropoff,
-                departure_s: trip.pickup_s,
-                seats: cfg.seats,
-                detour_limit_m: cfg.detour_limit_m, driver: None, via: Vec::new(),
-            })
-            .map(|_| ())
-            .map_err(|e| e.reason())
+        self.engine.create_ride(&offer_of(trip, cfg)).map(|_| ()).map_err(|e| e.reason())
     }
 
     fn track(&mut self, now_s: f64) {
         self.engine.track_all(now_s);
     }
 
-    fn registry(&self) -> Option<std::sync::Arc<xar_obs::Registry>> {
+    fn registry(&self) -> Option<Arc<Registry>> {
         Some(self.engine.metrics().registry())
     }
 
     fn name(&self) -> &'static str {
         "xar"
+    }
+}
+
+/// The sharded XAR engine under simulation. The engine is a shared
+/// handle, so a clone drives the *same* rides: the parallel driver
+/// gives every worker thread its own clone.
+#[derive(Clone)]
+pub struct ShardedXarBackend {
+    /// The engine (public so harnesses can audit rides and stats after
+    /// a run).
+    pub engine: ShardedXarEngine,
+}
+
+impl ShardedXarBackend {
+    /// Wrap an engine.
+    pub fn new(engine: ShardedXarEngine) -> Self {
+        Self { engine }
+    }
+}
+
+impl RideBackend for ShardedXarBackend {
+    type Match = RideMatch;
+
+    fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> Vec<RideMatch> {
+        self.engine.search(&request_of(trip, cfg), cfg.k).unwrap_or_default()
+    }
+
+    fn search_explained(
+        &mut self,
+        trip: &Trip,
+        cfg: &SimConfig,
+    ) -> (Vec<RideMatch>, SearchExplain) {
+        let mut explain = SearchExplain::default();
+        let mut out = Vec::new();
+        // On error the engine leaves `out` empty and `explain` carrying
+        // the hard reason.
+        let req = request_of(trip, cfg);
+        let _ = self.engine.search_into_explained(&req, cfg.k, &mut out, &mut explain);
+        (out, explain)
+    }
+
+    fn book(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
+        book_result(self.engine.book(m))
+    }
+
+    fn book_checked(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
+        book_result(self.engine.book_checked(m))
+    }
+
+    fn book_checked_batch(&mut self, ms: &[&RideMatch], _cfg: &SimConfig) -> Vec<BookResult> {
+        self.engine.book_checked_batch(ms).into_iter().map(book_result).collect()
+    }
+
+    fn describe(m: &RideMatch) -> Candidate {
+        candidate_of(m)
+    }
+
+    fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
+        self.engine.create_ride(&offer_of(trip, cfg)).map(|_| ()).map_err(|e| e.reason())
+    }
+
+    fn track(&mut self, now_s: f64) {
+        self.engine.track_all(now_s);
+    }
+
+    fn registry(&self) -> Option<Arc<Registry>> {
+        Some(self.engine.registry())
+    }
+
+    fn name(&self) -> &'static str {
+        "xar-sharded"
     }
 }
 
@@ -173,7 +260,7 @@ impl RideBackend for TShareBackend {
         self.engine.track_all(now_s);
     }
 
-    fn registry(&self) -> Option<std::sync::Arc<xar_obs::Registry>> {
+    fn registry(&self) -> Option<Arc<Registry>> {
         Some(self.engine.metrics().registry())
     }
 
@@ -187,7 +274,6 @@ mod tests {
     use super::*;
     use crate::sim::run_simulation;
     use crate::trips::{generate_trips, TripGenConfig};
-    use std::sync::Arc;
     use xar_core::EngineConfig;
     use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
     use xar_roadnet::{sample_pois, CityConfig, PoiConfig};

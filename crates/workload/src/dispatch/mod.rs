@@ -297,11 +297,25 @@ pub fn run_dispatch<B: RideBackend, P: DispatchPolicy + ?Sized>(
     cfg: &SimConfig,
     policy: &mut P,
 ) -> SimReport {
-    let mut report = SimReport::default();
     // Phase histograms live in the backend's registry when it has one
     // (so engine internals and simulator phases share a snapshot), in a
     // private one otherwise.
     let registry = backend.registry().unwrap_or_else(|| Arc::new(Registry::new()));
+    run_dispatch_in(backend, trips, cfg, policy, registry)
+}
+
+/// [`run_dispatch`] recording into `registry` — the parallel driver
+/// resolves one registry for the run and hands it to every worker, so
+/// all of them record into the same snapshot even when the backend
+/// keeps no registry of its own.
+pub(crate) fn run_dispatch_in<B: RideBackend, P: DispatchPolicy + ?Sized>(
+    backend: &mut B,
+    trips: &[Trip],
+    cfg: &SimConfig,
+    policy: &mut P,
+    registry: Arc<Registry>,
+) -> SimReport {
+    let mut report = SimReport::default();
     let pm = PhaseMetrics::new(&registry);
     let system = backend.name();
     let mut pending: Vec<PendingLifecycle> = Vec::new();

@@ -42,21 +42,18 @@ pub mod sim;
 pub mod writebench;
 pub mod trips;
 
-pub use backend::{TShareBackend, XarBackend};
+pub use backend::{ShardedXarBackend, TShareBackend, XarBackend};
 pub use dispatch::{
     run_dispatch, AssignOutcome, Assignment, BatchRequest, BatchWindow, Candidate,
     DispatchPolicy, DispatchSpec, FirstMatch,
 };
-pub use parallel::{
-    run_parallel_dispatch, run_parallel_simulation, run_scaling_point, scaling_curve_json,
-    ConcurrentBackend, ScalingPoint, ShardedXarBackend,
-};
+pub use parallel::{run_parallel_dispatch, run_scaling_point, scaling_curve_json, ScalingPoint};
 pub use report::{
     percentile, percentile_ns, Decision, DecisionOutcome, DispatchDeltas, SimReport,
 };
 pub use searchbench::{
     populated_engine, run_search_point, search_curve_json, SearchPoint,
 };
-pub use sim::{run_simulation, run_simulation_with, BookResult, RideBackend, SimConfig};
+pub use sim::{run_simulation, BookResult, RideBackend, SimConfig};
 pub use writebench::{run_write_point, write_curve_json, WritePoint};
 pub use trips::{generate_trips, Trip, TripGenConfig};

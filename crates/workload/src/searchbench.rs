@@ -21,38 +21,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xar_core::{RideMatch, RideOffer, RideRequest, ShardedXarEngine};
+use xar_core::{RideMatch, RideRequest, ShardedXarEngine};
 
-use crate::parallel::{run_parallel_simulation, ShardedXarBackend};
+use crate::backend::{offer_of, ShardedXarBackend};
 use crate::report::percentile_ns;
-use crate::sim::SimConfig;
+use crate::sim::{run_simulation, SimConfig};
 use crate::trips::Trip;
-
-/// The [`RideRequest`] a trip poses under the simulation parameters
-/// (same mapping as the simulation backends).
-pub fn request_of(trip: &Trip, cfg: &SimConfig) -> RideRequest {
-    RideRequest {
-        source: trip.pickup,
-        destination: trip.dropoff,
-        window_start_s: trip.pickup_s,
-        window_end_s: trip.pickup_s + cfg.window_s,
-        walk_limit_m: cfg.walk_limit_m,
-    }
-}
-
-/// The [`RideOffer`] a trip becomes when its rider turns driver (same
-/// mapping as the simulation backends).
-pub fn offer_of(trip: &Trip, cfg: &SimConfig) -> RideOffer {
-    RideOffer {
-        source: trip.pickup,
-        destination: trip.dropoff,
-        departure_s: trip.pickup_s,
-        seats: cfg.seats,
-        detour_limit_m: cfg.detour_limit_m,
-        driver: None,
-        via: Vec::new(),
-    }
-}
 
 /// Replay `trips` serially through the §X.A.2 protocol into a fresh
 /// `shards`-shard engine and return it populated — the fixed state the
@@ -64,12 +38,12 @@ pub fn populated_engine(
     cfg: &SimConfig,
     shards: usize,
 ) -> ShardedXarEngine {
-    let backend = ShardedXarBackend::new(ShardedXarEngine::new(
+    let mut backend = ShardedXarBackend::new(ShardedXarEngine::new(
         Arc::clone(region),
         engine_cfg.clone(),
         shards,
     ));
-    let _ = run_parallel_simulation(&backend, trips, cfg, 1);
+    let _ = run_simulation(&mut backend, trips, cfg);
     backend.engine
 }
 
@@ -230,6 +204,7 @@ pub fn search_curve_json(meta: &[(&str, f64)], cores: usize, points: &[SearchPoi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::request_of;
     use crate::trips::{generate_trips, TripGenConfig};
     use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
     use xar_roadnet::{sample_pois, CityConfig, PoiConfig};

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use xar_core::{Reason, SearchExplain};
 use xar_obs::Registry;
 
-use crate::dispatch::{Candidate, DispatchPolicy, FirstMatch};
+use crate::dispatch::{Candidate, FirstMatch};
 use crate::report::SimReport;
 use crate::trips::Trip;
 
@@ -54,8 +54,12 @@ impl Default for SimConfig {
     }
 }
 
-/// A ride-sharing system under simulation. Implemented for XAR and for
-/// the T-Share baseline in [`crate::backend`].
+/// A ride-sharing system under simulation. Implemented for XAR (serial
+/// and sharded engine) and for the T-Share baseline in
+/// [`crate::backend`]. The one trait both drivers run: the serial
+/// driver borrows a backend, the parallel driver
+/// ([`crate::parallel::run_parallel_dispatch`]) gives each worker
+/// thread its own clone of a backend whose clones share one engine.
 pub trait RideBackend {
     /// An opaque match handle.
     type Match;
@@ -78,7 +82,8 @@ pub trait RideBackend {
             SearchExplain { candidates: matches.len() as u32, ..SearchExplain::default() };
         (matches, explain)
     }
-    /// Book a match; `false` if the booking failed (stale match).
+    /// Book a match; [`BookResult::Failed`] carries the typed reason
+    /// when it went stale.
     fn book(&mut self, m: &Self::Match, cfg: &SimConfig) -> BookResult;
     /// Book a match after re-validating its feasibility (seats +
     /// detour budget) against the live engine — the commit primitive
@@ -110,8 +115,8 @@ pub trait RideBackend {
     /// Advance the system clock (tracking sweep).
     fn track(&mut self, now_s: f64);
     /// The backend's own metric registry, if it keeps one. When
-    /// present, [`run_simulation`] records its `sim.*` phase metrics
-    /// into the same registry, so one snapshot covers the whole stack
+    /// present, the drivers record their `sim.*` phase metrics into
+    /// the same registry, so one snapshot covers the whole stack
     /// (simulator phases + engine internals + lock telemetry).
     fn registry(&self) -> Option<Arc<Registry>> {
         None
@@ -168,19 +173,7 @@ pub fn run_simulation<B: RideBackend>(
     trips: &[Trip],
     cfg: &SimConfig,
 ) -> SimReport {
-    run_simulation_with(backend, trips, cfg, &mut FirstMatch)
-}
-
-/// [`run_simulation`] under an explicit [`DispatchPolicy`]: the
-/// three-stage pipeline (generate candidates → assign → commit) with
-/// `policy` in the assignment seat.
-pub fn run_simulation_with<B: RideBackend, P: DispatchPolicy + ?Sized>(
-    backend: &mut B,
-    trips: &[Trip],
-    cfg: &SimConfig,
-    policy: &mut P,
-) -> SimReport {
-    crate::dispatch::run_dispatch(backend, trips, cfg, policy)
+    crate::dispatch::run_dispatch(backend, trips, cfg, &mut FirstMatch)
 }
 
 #[cfg(test)]

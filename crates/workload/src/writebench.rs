@@ -25,7 +25,7 @@ use std::time::Instant;
 use xar_core::{ShardedXarEngine, XarError};
 
 use crate::report::percentile_ns;
-use crate::searchbench::{offer_of, request_of};
+use crate::backend::{offer_of, request_of};
 use crate::sim::SimConfig;
 use crate::trips::Trip;
 

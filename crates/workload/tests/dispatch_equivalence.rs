@@ -19,7 +19,7 @@ use xar_core::{EngineConfig, XarEngine};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, PoiConfig};
 use xar_workload::{
-    generate_trips, run_simulation, run_simulation_with, BatchWindow, BookResult, Decision,
+    generate_trips, run_dispatch, run_simulation, BatchWindow, BookResult, Decision,
     DecisionOutcome, RideBackend, SimConfig, Trip, TripGenConfig, XarBackend,
 };
 
@@ -110,7 +110,7 @@ proptest! {
         let ts = trips(count, seed);
         let first = run_simulation(&mut backend(), &ts, &cfg).decisions;
         let mut zero = BatchWindow::new(0.0, u32::from(cfg.seats));
-        let batch = run_simulation_with(&mut backend(), &ts, &cfg, &mut zero).decisions;
+        let batch = run_dispatch(&mut backend(), &ts, &cfg, &mut zero).decisions;
         prop_assert_eq!(first, batch);
     }
 
@@ -124,7 +124,7 @@ proptest! {
         let first = run_simulation(&mut backend(), &ts, &cfg).decisions;
         let mut one =
             BatchWindow::new(3_600.0, u32::from(cfg.seats)).with_max_batch(1);
-        let batch = run_simulation_with(&mut backend(), &ts, &cfg, &mut one).decisions;
+        let batch = run_dispatch(&mut backend(), &ts, &cfg, &mut one).decisions;
         prop_assert_eq!(first, batch);
     }
 }
@@ -145,7 +145,7 @@ fn batched_dispatch_does_not_lose_service() {
     }
     let first = run_simulation(&mut backend(), &ts, &cfg);
     let mut policy = BatchWindow::new(0.020, u32::from(cfg.seats));
-    let batch = run_simulation_with(&mut backend(), &ts, &cfg, &mut policy);
+    let batch = run_dispatch(&mut backend(), &ts, &cfg, &mut policy);
     assert!(batch.window_sizes.iter().any(|&s| s > 1), "windows never batched");
     assert!(
         batch.service_rate() >= first.service_rate(),

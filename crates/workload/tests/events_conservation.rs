@@ -15,9 +15,9 @@ use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_obs::events;
 use xar_roadnet::{sample_pois, CityConfig, PoiConfig};
 use xar_workload::backend::{TShareBackend, XarBackend};
-use xar_workload::dispatch::DispatchSpec;
+use xar_workload::dispatch::{run_dispatch, DispatchSpec};
 use xar_workload::report::SimReport;
-use xar_workload::sim::{run_simulation_with, SimConfig};
+use xar_workload::sim::SimConfig;
 use xar_workload::trips::{generate_trips, TripGenConfig};
 use xar_tshare::{TShareConfig, TShareEngine};
 
@@ -57,7 +57,7 @@ fn run_with_events(
     events::configure(events::DEFAULT_CAPACITY);
     events::set_enabled(true);
     let mut policy = spec.build(cfg);
-    let report = run_simulation_with(&mut backend, &ts, cfg, policy.as_mut());
+    let report = run_dispatch(&mut backend, &ts, cfg, policy.as_mut());
     events::set_enabled(false);
     let snap = events::snapshot();
     (report, snap)
@@ -191,7 +191,7 @@ fn tshare_default_explain_stays_closed() {
     events::configure(events::DEFAULT_CAPACITY);
     events::set_enabled(true);
     let mut policy = DispatchSpec::First.build(&cfg);
-    let report = run_simulation_with(&mut backend, &ts, &cfg, policy.as_mut());
+    let report = run_dispatch(&mut backend, &ts, &cfg, policy.as_mut());
     events::set_enabled(false);
     let snap = events::snapshot();
     assert_conserved(&report, &snap);

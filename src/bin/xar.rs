@@ -138,10 +138,10 @@ use xhare_a_ride::core::{
 use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::tshare::{TShareConfig, TShareEngine};
-use xhare_a_ride::workload::searchbench::request_of;
+use xhare_a_ride::workload::backend::request_of;
 use xhare_a_ride::workload::{
-    generate_trips, percentile_ns, populated_engine, run_parallel_dispatch, run_scaling_point,
-    run_search_point, run_simulation, run_simulation_with, run_write_point, scaling_curve_json,
+    generate_trips, percentile_ns, populated_engine, run_dispatch, run_parallel_dispatch,
+    run_scaling_point, run_search_point, run_simulation, run_write_point, scaling_curve_json,
     search_curve_json, write_curve_json, DispatchSpec, ScalingPoint, SearchPoint,
     ShardedXarBackend, SimConfig, TShareBackend, TripGenConfig, WritePoint, XarBackend,
 };
@@ -515,8 +515,9 @@ fn gate_against_baseline(
 }
 
 /// The simulation's system under test: the serial single-engine
-/// backend (default; carries the full request-tracing path) or the
-/// sharded engine driven by N closed-loop workers.
+/// backend (`--threads 1`, the default — no locks, no snapshot
+/// publication) or the sharded engine driven by N closed-loop workers.
+/// Both run the same dispatch loop behind the one `RideBackend` trait.
 enum SimUnderTest {
     Serial(Box<XarBackend>),
     Parallel(ShardedXarBackend),
@@ -578,6 +579,11 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     let trips = trips;
     eprintln!("simulating {} trips on {} clusters...", trips.len(), region.cluster_count());
     let mut sim = if threads == 1 {
+        // The serial engine is one index — nothing to shard, but say
+        // so instead of silently ignoring the flag.
+        if flags.get_opt("shards").is_some() {
+            eprintln!("shards         : --shards ignored on the serial driver (use --threads > 1)");
+        }
         SimUnderTest::Serial(Box::new(XarBackend::new(XarEngine::new(
             Arc::clone(&region),
             EngineConfig::default(),
@@ -689,7 +695,7 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     let report = match &mut sim {
         SimUnderTest::Serial(b) => {
             let mut policy = dispatch.build(&cfg);
-            run_simulation_with(b.as_mut(), &trips, &cfg, policy.as_mut())
+            run_dispatch(b.as_mut(), &trips, &cfg, policy.as_mut())
         }
         SimUnderTest::Parallel(b) => run_parallel_dispatch(&*b, &trips, &cfg, threads, dispatch),
     };

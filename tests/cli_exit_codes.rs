@@ -413,6 +413,51 @@ fn write_bench_and_publish_coalesce_flags_validate_with_exit_9() {
 }
 
 #[test]
+fn serial_driver_says_when_it_ignores_shards() {
+    // `--threads 1` (the default) runs the serial engine, which has
+    // nothing to shard: the flag is still validated, but a valid value
+    // must be reported as ignored — on stderr only, so stdout and the
+    // exit code are what they are without the flag.
+    let dir = scratch("serial_shards");
+    let region = dir.join("region.xarr");
+    let out = xar(&[
+        "build-region", "--rows", "10", "--cols", "10", "--seed", "7", "--out",
+        region.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let simulate = |extra: &[&str]| {
+        let mut args = vec!["simulate", "--region", region.to_str().unwrap(), "--trips", "120"];
+        args.extend_from_slice(extra);
+        let out = xar(&args);
+        assert_eq!(code(&out), 0, "{args:?} -> {out:?}");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    const NOTICE: &str = "--shards ignored on the serial driver (use --threads > 1)";
+    // The seeded outcome lines (timings aside) of a run's stdout.
+    let outcomes = |stdout: &str| -> Vec<String> {
+        stdout
+            .lines()
+            .filter(|l| ["trips", "booked", "created", "unservable"].iter().any(|k| l.starts_with(k)))
+            .map(str::to_string)
+            .collect()
+    };
+
+    let (plain_out, plain_err) = simulate(&[]);
+    assert!(!plain_err.contains(NOTICE), "no flag, no notice: {plain_err}");
+    let (out, err) = simulate(&["--threads", "1", "--shards", "8"]);
+    assert_eq!(err.matches(NOTICE).count(), 1, "one stderr line: {err}");
+    assert!(!out.contains("ignored"), "stdout must stay machine-readable: {out}");
+    assert_eq!(outcomes(&out), outcomes(&plain_out));
+    assert_eq!(outcomes(&out).len(), 4, "{out}");
+    // The parallel driver honours the flag and stays silent about it.
+    let (_, err) = simulate(&["--threads", "2", "--shards", "2"]);
+    assert!(!err.contains(NOTICE), "{err}");
+}
+
+#[test]
 fn write_bench_against_gate_exit_codes() {
     let dir = scratch("write_bench_against");
 

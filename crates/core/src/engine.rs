@@ -488,68 +488,63 @@ impl XarEngine {
         // Reachable clusters per pass-through cluster (§VI): candidates
         // within the remaining detour of the pass cluster, refined by
         // the triangle detour test against the segment's end via-point.
+        // Candidates go to the footprint in route order: per cluster
+        // the smaller detour wins, then the earlier ETA, else the first.
         let budget = if config.index_reachable { ride.detour_remaining_m() } else { 0.0 };
-        let k = region.cluster_count();
-        for p in &mut pass {
-            let end_via = ride.via_points[(p.seg + 1).min(ride.via_points.len() - 1)];
-            let end_cluster = region.cluster_of_node(end_via.node);
-            p.reachable.reserve(8);
-            for c in 0..k as u32 {
-                let candidate = ClusterId(c);
-                if candidate == p.cluster {
-                    continue;
-                }
-                let d_pc = region.cluster_distance(p.cluster, candidate);
-                if !d_pc.is_finite() || d_pc > budget {
-                    continue;
-                }
-                let detour_est = match end_cluster {
-                    Some(cv) => {
-                        let d_cv = region.cluster_distance(candidate, cv);
-                        let d_pv = region.cluster_distance(p.cluster, cv);
-                        if d_cv.is_finite() && d_pv.is_finite() {
-                            (d_pc + d_cv - d_pv).max(0.0)
-                        } else {
-                            2.0 * d_pc // conservative out-and-back bound
-                        }
+        crate::footprint::with(region.cluster_count(), |fp| {
+            fp.candidates.resize(region.cluster_count(), 0);
+            // The end cluster whose distance column `fp.column` holds.
+            let mut column_of = None;
+            for p in &mut pass {
+                let end_via = ride.via_points[(p.seg + 1).min(ride.via_points.len() - 1)];
+                let end_cluster = region.cluster_of_node(end_via.node);
+                // d(p, ·) is a contiguous row; d(·, v) to the segment's end
+                // cluster v a strided column, copied out once per segment.
+                let row = region.cluster_distances_from(p.cluster);
+                if column_of != Some(end_cluster) {
+                    fp.column.clear();
+                    match end_cluster {
+                        Some(cv) => fp.column.extend(region.cluster_distances_to(cv)),
+                        None => fp.column.resize(row.len(), f32::INFINITY),
                     }
-                    None => 2.0 * d_pc,
-                };
-                if detour_est > budget {
-                    continue;
+                    column_of = Some(end_cluster);
                 }
-                let eta = p.eta_s + d_pc / config.historical_speed_mps;
-                p.reachable.push((candidate, detour_est, eta));
-            }
-        }
+                let d_pv = end_cluster.map_or(f64::INFINITY, |cv| f64::from(row[cv.index()]));
+                // One branch-free pass over the row keeps the clusters
+                // within the budget of p (unknown distances are +inf)...
+                let mut n = 0;
+                for (c, &d_pc) in row.iter().enumerate() {
+                    fp.candidates[n] = c as u32;
+                    n += usize::from(f64::from(d_pc) <= budget);
+                }
+                // ...and only those take the triangle detour test.
+                fp.reach.clear();
+                for &c in &fp.candidates[..n] {
+                    let c = c as usize;
+                    let (d_pc, d_cv) = (f64::from(row[c]), f64::from(fp.column[c]));
+                    let detour_est = if d_cv.is_finite() && d_pv.is_finite() {
+                        (d_pc + d_cv - d_pv).max(0.0)
+                    } else {
+                        2.0 * d_pc // conservative out-and-back bound
+                    };
+                    if detour_est > budget || c == p.cluster.index() {
+                        continue;
+                    }
+                    let eta = p.eta_s + d_pc / config.historical_speed_mps;
+                    fp.reach.push((ClusterId(c as u32), detour_est, eta));
+                }
+                p.reachable = fp.reach.clone(); // one allocation, sized exactly
 
-        // Insert the ride into every cluster's potential lists.
-        for p in &pass {
-            index.insert(
-                p.cluster,
-                PotentialRide {
-                    ride: ride.id,
-                    eta_s: p.eta_s,
-                    detour_m: 0.0,
-                    seg: p.seg,
-                    via_pass: p.cluster,
-                    pass_route_idx: p.route_idx,
-                },
-            );
-            for &(c, detour, eta) in &p.reachable {
-                index.insert(
-                    c,
-                    PotentialRide {
-                        ride: ride.id,
-                        eta_s: eta,
-                        detour_m: detour,
-                        seg: p.seg,
-                        via_pass: p.cluster,
-                        pass_route_idx: p.route_idx,
-                    },
-                );
+                fp.offer(p.cluster, p.entry(ride.id, p.eta_s, 0.0), PotentialRide::better_than);
+                for &(c, detour, eta) in &p.reachable {
+                    fp.offer(c, p.entry(ride.id, eta, detour), PotentialRide::better_than);
+                }
             }
-        }
+            // One insert per distinct cluster.
+            for &(c, entry) in fp.entries() {
+                index.insert(c, entry);
+            }
+        });
         ride.pass_clusters = pass;
     }
 
@@ -595,14 +590,15 @@ impl XarEngine {
     }
 
     /// Remove every index entry belonging to `ride` (pass-through and
-    /// reachable clusters alike).
+    /// reachable clusters alike), one removal per distinct cluster.
     pub(crate) fn deindex_ride(ride: &Ride, index: &mut ClusterIndex) {
-        for p in &ride.pass_clusters {
-            index.remove(p.cluster, ride.id);
-            for &(c, _, _) in &p.reachable {
-                index.remove(c, ride.id);
+        crate::footprint::with(index.cluster_count(), |fp| {
+            for c in ride.pass_clusters.iter().flat_map(PassCluster::clusters) {
+                if fp.first_visit(c) {
+                    index.remove(c, ride.id);
+                }
             }
-        }
+        });
     }
 
     /// Total heap bytes of the runtime state: region discretization

@@ -8,70 +8,108 @@
 //! > lists, one sorted in non-decreasing order by the time of arrival,
 //! > and the other sorted by the unique ride identification numbers."*
 //!
-//! The ETA-ordered list is a `BTreeMap` keyed by `(eta, ride)` — range
-//! queries over a departure window are logarithmic, exactly the search
-//! cost the paper claims. The id-ordered list is a `HashMap` from ride
-//! id to its ETA key — constant-time membership tests for the search
-//! intersection step, and constant-time location of the entry to delete
-//! during tracking and booking updates.
+//! **Substitution.** The two lists are kept here as *one* vector of
+//! 32-byte rows per cluster, sorted by `(eta, ride)`, behind an `Arc`
+//! that published [`crate::ShardSnapshot`]s clone by pointer. The
+//! ETA-sorted list's job — the departure-window range query of search
+//! Step 1 — is two binary searches on it. The id-sorted list had two
+//! jobs: membership for the `R1 ∩ R2` intersection, which search does
+//! by sorting both sides' candidates by ride and merge-joining them
+//! (`search::SearchRun::collect_matches`), and locating a ride's entry
+//! to delete it, which is a linear scan of the rows' ride field — 3
+//! rows on average per shard list on the benchmark day (p99 20), 47 on
+//! the serial engine at twice NYC density (p99 470), where it still
+//! beats the `BTreeMap` + `HashMap` pair it replaced (DESIGN.md §5f,
+//! "One layout": measurements, copy-on-write rule, stated limit).
 
-use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use xar_discretize::ClusterId;
 
 use crate::ride::RideId;
 
-/// Total-ordered `f64` wrapper so ETAs can key a `BTreeMap`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OrdF64(pub f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// One entry of a cluster's potential-rides list: the paper's `⟨r, t⟩`
+/// One row of a cluster's potential-rides list: the paper's `⟨r, t⟩`
 /// tuple, extended with what the final search checks need so that no
 /// shortest path is ever computed at search time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PotentialRide {
-    /// The ride.
-    pub ride: RideId,
     /// Estimated time of arrival of the ride in this cluster, absolute
     /// seconds.
     pub eta_s: f64,
+    /// The ride.
+    pub ride: RideId,
     /// Estimated extra driving distance the ride incurs to serve this
     /// cluster (0 for a pass-through cluster), metres.
     pub detour_m: f64,
     /// The segment of the ride this entry belongs to.
-    pub seg: usize,
-    /// The pass-through cluster this entry is reachable from (equals
-    /// the cluster itself for pass-through entries).
-    pub via_pass: ClusterId,
-    /// Route way-point index where the ride enters `via_pass` — used by
-    /// search to enforce that pick-up precedes drop-off *along the
-    /// route*, not merely in estimated time.
-    pub pass_route_idx: usize,
+    pub seg: u32,
+    /// Route way-point index where the ride enters the pass-through
+    /// cluster this entry is served from — used by search to enforce
+    /// that pick-up precedes drop-off *along the route*, not merely in
+    /// estimated time.
+    pub pass_route_idx: u32,
 }
 
-#[derive(Debug, Default, Clone)]
-struct ClusterList {
-    by_eta: BTreeMap<(OrdF64, RideId), PotentialRide>,
-    by_ride: HashMap<RideId, OrdF64>,
+const ROW_BYTES: usize = std::mem::size_of::<PotentialRide>();
+const _: () = assert!(ROW_BYTES == 32);
+
+impl PotentialRide {
+    /// Whether `self` displaces `other` as the same ride's entry for one
+    /// cluster: smaller estimated detour, then earlier ETA; on a full
+    /// tie the entry already there stays.
+    #[inline]
+    pub(crate) fn better_than(&self, other: &Self) -> bool {
+        self.detour_m < other.detour_m
+            || (self.detour_m == other.detour_m && self.eta_s < other.eta_s)
+    }
 }
 
-/// The in-memory index: one dual-sorted potential-rides list per
-/// cluster.
+/// The rows of `rows` (sorted by `(eta, ride)`) whose ETA lies in
+/// `[from_s, to_s]`, both ends inclusive.
+#[inline]
+pub(crate) fn eta_range(rows: &[PotentialRide], from_s: f64, to_s: f64) -> &[PotentialRide] {
+    let a = rows.partition_point(|r| r.eta_s < from_s);
+    let b = a + rows[a..].partition_point(|r| r.eta_s <= to_s);
+    &rows[a..b]
+}
+
+/// One cluster's non-empty list, sorted by `(eta, ride)`.
+#[derive(Debug)]
+pub(crate) struct Segment {
+    rows: Vec<PotentialRide>,
+}
+
+impl Clone for Segment {
+    /// The copy [`Arc::make_mut`] takes when a snapshot shares the
+    /// list: sized for the one insert that usually follows, so a write
+    /// costs one allocation and one `memcpy` per shared list it edits.
+    fn clone(&self) -> Self {
+        let mut rows = Vec::with_capacity(self.rows.len() + 1);
+        rows.extend_from_slice(&self.rows);
+        Self { rows }
+    }
+}
+
+impl Segment {
+    /// The rows, sorted by `(eta, ride)`.
+    #[inline]
+    pub(crate) fn rows(&self) -> &[PotentialRide] {
+        &self.rows
+    }
+
+    /// Exact heap bytes of one `Arc<Segment>`: the reference counts,
+    /// the vector header and the row buffer.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>() + std::mem::size_of::<Self>() + self.rows.capacity() * ROW_BYTES
+    }
+}
+
+/// The in-memory index: one potential-rides list per cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterIndex {
-    lists: Vec<ClusterList>,
+    /// `None` while a cluster lists no ride (most clusters of a shard,
+    /// most of the time).
+    lists: Vec<Option<Arc<Segment>>>,
     entries: usize,
     /// Clusters whose lists changed since the last [`Self::drain_dirty`]
     /// — the working set of an incremental snapshot publish. Kept
@@ -84,18 +122,24 @@ pub struct ClusterIndex {
     /// and this shard's bit, kept in sync on every empty↔non-empty
     /// transition of a cluster list so searches can skip shards that
     /// hold nothing for their cluster fan-out.
-    occupancy: Option<(std::sync::Arc<crate::sharded::ShardOccupancy>, u32)>,
+    occupancy: Option<(Arc<crate::sharded::ShardOccupancy>, u32)>,
+    /// `insert` + `remove` calls so far: lets the engine's unit test
+    /// assert one call per distinct cluster a write touches.
+    #[cfg(test)]
+    pub(crate) edit_calls: usize,
 }
 
 impl ClusterIndex {
     /// Create an index over `cluster_count` clusters.
     pub fn new(cluster_count: usize) -> Self {
         Self {
-            lists: vec![ClusterList::default(); cluster_count],
+            lists: vec![None; cluster_count],
             entries: 0,
             dirty: Vec::new(),
             dirty_mark: vec![false; cluster_count],
             occupancy: None,
+            #[cfg(test)]
+            edit_calls: 0,
         }
     }
 
@@ -132,7 +176,7 @@ impl ClusterIndex {
     /// sync incrementally. Attached while the index is still empty.
     pub(crate) fn attach_occupancy(
         &mut self,
-        occupancy: std::sync::Arc<crate::sharded::ShardOccupancy>,
+        occupancy: Arc<crate::sharded::ShardOccupancy>,
         shard: u32,
     ) {
         debug_assert!(self.is_empty(), "occupancy must be attached before any entry exists");
@@ -157,24 +201,42 @@ impl ClusterIndex {
         self.entries == 0
     }
 
+    /// `cluster`'s list as snapshots share it; `None` while it is empty.
+    #[inline]
+    pub(crate) fn segment(&self, cluster: ClusterId) -> Option<&Arc<Segment>> {
+        self.lists[cluster.index()].as_ref()
+    }
+
+    /// `cluster`'s rows in `(eta, ride)` order.
+    #[inline]
+    pub(crate) fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
+        self.segment(cluster).map_or(&[], |s| s.rows())
+    }
+
     /// Insert (or improve) the entry for `entry.ride` in `cluster`'s
     /// list. If the ride is already listed, the entry with the smaller
     /// estimated detour wins (ties: earlier ETA).
     pub fn insert(&mut self, cluster: ClusterId, entry: PotentialRide) {
-        let list = &mut self.lists[cluster.index()];
-        let was_empty = list.by_ride.is_empty();
-        if let Some(&old_eta) = list.by_ride.get(&entry.ride) {
-            let old = list.by_eta[&(old_eta, entry.ride)];
-            let better = entry.detour_m < old.detour_m
-                || (entry.detour_m == old.detour_m && entry.eta_s < old.eta_s);
-            if !better {
-                return;
-            }
-            list.by_eta.remove(&(old_eta, entry.ride));
+        #[cfg(test)]
+        {
+            self.edit_calls += 1;
+        }
+        let slot = &mut self.lists[cluster.index()];
+        let was_empty = slot.is_none();
+        let seg = slot.get_or_insert_with(|| Arc::new(Segment { rows: Vec::new() }));
+        let listed = seg.rows.iter().position(|r| r.ride == entry.ride);
+        if listed.is_some_and(|i| !entry.better_than(&seg.rows[i])) {
+            return;
+        }
+        let rows = &mut Arc::make_mut(seg).rows;
+        if let Some(i) = listed {
+            rows.remove(i);
             self.entries -= 1;
         }
-        list.by_ride.insert(entry.ride, OrdF64(entry.eta_s));
-        list.by_eta.insert((OrdF64(entry.eta_s), entry.ride), entry);
+        let at = rows.partition_point(|r| {
+            r.eta_s.total_cmp(&entry.eta_s).then(r.ride.cmp(&entry.ride)).is_lt()
+        });
+        rows.insert(at, entry);
         self.entries += 1;
         if was_empty {
             if let Some((occ, shard)) = &self.occupancy {
@@ -186,26 +248,33 @@ impl ClusterIndex {
 
     /// Remove `ride` from `cluster`'s list. Returns the removed entry.
     pub fn remove(&mut self, cluster: ClusterId, ride: RideId) -> Option<PotentialRide> {
-        let list = &mut self.lists[cluster.index()];
-        let eta = list.by_ride.remove(&ride)?;
-        let removed = list.by_eta.remove(&(eta, ride));
-        debug_assert!(removed.is_some(), "dual lists out of sync");
-        self.entries -= 1;
-        if list.by_ride.is_empty() {
+        #[cfg(test)]
+        {
+            self.edit_calls += 1;
+        }
+        let slot = &mut self.lists[cluster.index()];
+        let seg = slot.as_mut()?;
+        let i = seg.rows.iter().position(|r| r.ride == ride)?;
+        let rows = &mut Arc::make_mut(seg).rows;
+        let removed = rows.remove(i);
+        if rows.is_empty() {
+            *slot = None;
             if let Some((occ, shard)) = &self.occupancy {
                 occ.clear(cluster.index(), *shard);
             }
+        } else if rows.len() * 4 < rows.capacity() {
+            // Give back what a past peak left behind (amortised O(1):
+            // the list must halve again before the next shrink).
+            rows.shrink_to(rows.len() * 2);
         }
+        self.entries -= 1;
         self.mark_dirty(cluster);
-        removed
+        Some(removed)
     }
 
-    /// The entry for `ride` in `cluster`, if present (the id-sorted
-    /// list's constant-time lookup).
-    pub fn get(&self, cluster: ClusterId, ride: RideId) -> Option<&PotentialRide> {
-        let list = &self.lists[cluster.index()];
-        let eta = list.by_ride.get(&ride)?;
-        list.by_eta.get(&(*eta, ride))
+    /// The entry for `ride` in `cluster`, if present.
+    pub fn get(&self, cluster: ClusterId, ride: RideId) -> Option<PotentialRide> {
+        self.rows(cluster).iter().find(|r| r.ride == ride).copied()
     }
 
     /// Rides whose ETA in `cluster` lies in `[from_s, to_s]`, in ETA
@@ -215,31 +284,28 @@ impl ClusterIndex {
         cluster: ClusterId,
         from_s: f64,
         to_s: f64,
-    ) -> impl Iterator<Item = &PotentialRide> {
-        let lo = (OrdF64(from_s), RideId(0));
-        let hi = (OrdF64(to_s), RideId(u64::MAX));
-        self.lists[cluster.index()].by_eta.range(lo..=hi).map(|(_, v)| v)
+    ) -> impl Iterator<Item = PotentialRide> + '_ {
+        eta_range(self.rows(cluster), from_s, to_s).iter().copied()
     }
 
     /// All entries of `cluster` in ETA order.
-    pub fn entries_of(&self, cluster: ClusterId) -> impl Iterator<Item = &PotentialRide> {
-        self.lists[cluster.index()].by_eta.values()
+    pub fn entries_of(&self, cluster: ClusterId) -> impl Iterator<Item = PotentialRide> + '_ {
+        self.rows(cluster).iter().copied()
     }
 
     /// Number of rides listed in `cluster`.
     pub fn cluster_len(&self, cluster: ClusterId) -> usize {
-        self.lists[cluster.index()].by_ride.len()
+        self.rows(cluster).len()
     }
 
-    /// Approximate heap bytes (index-size accounting, Figure 3c).
+    /// Exact heap bytes (index-size accounting, Figure 3c): directory,
+    /// dirty set, and every list's `Arc` header and row buffer at its
+    /// capacity — in full even where a snapshot shares the list.
     pub fn heap_bytes(&self) -> usize {
-        // BTreeMap nodes amortize to roughly key+value+overhead per
-        // entry; HashMap to key+value over its load factor.
-        let per_btree_entry = std::mem::size_of::<((OrdF64, RideId), PotentialRide)>() + 16;
-        let per_hash_entry =
-            (std::mem::size_of::<(RideId, OrdF64)>() as f64 / 0.85) as usize + 8;
-        self.lists.capacity() * std::mem::size_of::<ClusterList>()
-            + self.entries * (per_btree_entry + per_hash_entry)
+        self.lists.capacity() * std::mem::size_of::<Option<Arc<Segment>>>()
+            + self.dirty.capacity() * std::mem::size_of::<u32>()
+            + self.dirty_mark.capacity()
+            + self.lists.iter().flatten().map(|s| s.heap_bytes()).sum::<usize>()
     }
 }
 
@@ -248,14 +314,7 @@ mod tests {
     use super::*;
 
     fn entry(ride: u64, eta: f64, detour: f64) -> PotentialRide {
-        PotentialRide {
-            ride: RideId(ride),
-            eta_s: eta,
-            detour_m: detour,
-            seg: 0,
-            via_pass: ClusterId(0),
-            pass_route_idx: 0,
-        }
+        PotentialRide { ride: RideId(ride), eta_s: eta, detour_m: detour, seg: 0, pass_route_idx: 0 }
     }
 
     #[test]
@@ -272,20 +331,22 @@ mod tests {
     #[test]
     fn range_query_is_eta_ordered_and_inclusive() {
         let mut idx = ClusterIndex::new(1);
-        for (r, t) in [(1u64, 50.0), (2, 100.0), (3, 150.0), (4, 200.0)] {
+        for (r, t) in [(4u64, 200.0), (1, 50.0), (3, 150.0), (2, 100.0), (5, 100.0)] {
             idx.insert(ClusterId(0), entry(r, t, 0.0));
         }
-        let got: Vec<u64> = idx.range_eta(ClusterId(0), 100.0, 200.0).map(|e| e.ride.0).collect();
-        assert_eq!(got, vec![2, 3, 4]);
-        let empty: Vec<_> = idx.range_eta(ClusterId(0), 300.0, 400.0).collect();
-        assert!(empty.is_empty());
+        let got = |from, to| idx.range_eta(ClusterId(0), from, to).map(|e| e.ride.0).collect::<Vec<_>>();
+        assert_eq!(got(100.0, 200.0), vec![2, 5, 3, 4]);
+        assert_eq!(got(100.0, 150.0), vec![2, 5, 3]);
+        assert_eq!(got(0.0, 49.0), Vec::<u64>::new());
+        assert_eq!(got(300.0, 400.0), Vec::<u64>::new());
+        assert_eq!(got(f64::NEG_INFINITY, f64::INFINITY), vec![1, 2, 5, 3, 4]);
     }
 
     #[test]
     fn equal_etas_are_kept_per_ride() {
         let mut idx = ClusterIndex::new(1);
-        idx.insert(ClusterId(0), entry(1, 100.0, 0.0));
         idx.insert(ClusterId(0), entry(2, 100.0, 0.0));
+        idx.insert(ClusterId(0), entry(1, 100.0, 0.0));
         assert_eq!(idx.cluster_len(ClusterId(0)), 2);
         let got: Vec<u64> = idx.range_eta(ClusterId(0), 100.0, 100.0).map(|e| e.ride.0).collect();
         assert_eq!(got, vec![1, 2]);
@@ -306,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_keeps_lists_in_sync() {
+    fn remove_keeps_the_list_sorted_and_counted() {
         let mut idx = ClusterIndex::new(2);
         idx.insert(ClusterId(0), entry(1, 100.0, 0.0));
         idx.insert(ClusterId(0), entry(2, 200.0, 0.0));
@@ -317,13 +378,17 @@ mod tests {
         assert!(idx.get(ClusterId(0), RideId(1)).is_none());
         assert!(idx.get(ClusterId(1), RideId(1)).is_some());
         assert!(idx.remove(ClusterId(0), RideId(1)).is_none(), "double remove is None");
+        // Emptying a list frees it.
+        idx.remove(ClusterId(0), RideId(2)).unwrap();
+        assert!(idx.segment(ClusterId(0)).is_none());
+        assert_eq!(idx.cluster_len(ClusterId(0)), 0);
     }
 
     #[test]
     fn negative_and_zero_etas_order_correctly() {
         let mut idx = ClusterIndex::new(1);
-        idx.insert(ClusterId(0), entry(1, -50.0, 0.0));
         idx.insert(ClusterId(0), entry(2, 0.0, 0.0));
+        idx.insert(ClusterId(0), entry(1, -50.0, 0.0));
         let got: Vec<u64> = idx.range_eta(ClusterId(0), f64::NEG_INFINITY, 0.0).map(|e| e.ride.0).collect();
         assert_eq!(got, vec![1, 2]);
     }
@@ -349,12 +414,41 @@ mod tests {
     }
 
     #[test]
-    fn heap_bytes_scales_with_entries() {
+    fn edits_leave_a_shared_list_untouched_and_reuse_an_unshared_one() {
+        let mut idx = ClusterIndex::new(1);
+        for r in 0..10 {
+            idx.insert(ClusterId(0), entry(r, r as f64, 0.0));
+        }
+        // Unshared: the edit happens in the same allocation.
+        let before = Arc::as_ptr(idx.segment(ClusterId(0)).unwrap());
+        idx.remove(ClusterId(0), RideId(3));
+        idx.insert(ClusterId(0), entry(3, 3.5, 0.0));
+        assert_eq!(Arc::as_ptr(idx.segment(ClusterId(0)).unwrap()), before);
+        // Shared (what a published snapshot does): the holder's view is
+        // frozen, the index moves to a copy, and a losing insert or a
+        // missing remove copies nothing.
+        let pinned = Arc::clone(idx.segment(ClusterId(0)).unwrap());
+        let frozen = pinned.rows().to_vec();
+        idx.insert(ClusterId(0), entry(3, 1.0, 9.0));
+        assert!(idx.remove(ClusterId(0), RideId(77)).is_none());
+        assert!(Arc::ptr_eq(&pinned, idx.segment(ClusterId(0)).unwrap()));
+        idx.remove(ClusterId(0), RideId(4));
+        assert!(!Arc::ptr_eq(&pinned, idx.segment(ClusterId(0)).unwrap()));
+        assert_eq!(pinned.rows(), &frozen[..]);
+        assert_eq!(idx.cluster_len(ClusterId(0)), 9);
+    }
+
+    #[test]
+    fn heap_bytes_is_capacity_exact() {
         let mut idx = ClusterIndex::new(4);
         let empty = idx.heap_bytes();
+        assert_eq!(empty, 4 * 8 + 4);
         for r in 0..100 {
             idx.insert(ClusterId((r % 4) as u32), entry(r, r as f64, 0.0));
         }
-        assert!(idx.heap_bytes() > empty);
+        let rows: usize = (0..4).map(|c| idx.segment(ClusterId(c)).unwrap().rows.capacity()).sum();
+        assert!(rows >= 100);
+        let dirt = idx.dirty.capacity() * 4;
+        assert_eq!(idx.heap_bytes(), empty + dirt + 4 * (16 + 24) + rows * 32);
     }
 }

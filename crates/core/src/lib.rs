@@ -57,6 +57,7 @@
 pub mod booking;
 pub mod engine;
 pub mod error;
+mod footprint;
 pub mod index;
 pub mod metrics;
 pub mod request;

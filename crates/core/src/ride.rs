@@ -6,6 +6,8 @@ use xar_discretize::ClusterId;
 use xar_geo::GeoPoint;
 use xar_roadnet::{NodeId, Route};
 
+use crate::index::PotentialRide;
+
 /// Unique ride identifier ("each ride created in the system is assigned
 /// a unique ride ID", §VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,6 +99,21 @@ pub struct PassCluster {
     /// Clusters reachable from here within the remaining detour limit,
     /// with `(cluster, estimated detour metres, estimated eta seconds)`.
     pub reachable: Vec<(ClusterId, f64, f64)>,
+}
+
+impl PassCluster {
+    /// Every cluster the ride is listed in on account of this
+    /// pass-through cluster: itself, then its reachable clusters.
+    pub(crate) fn clusters(&self) -> impl Iterator<Item = ClusterId> + '_ {
+        std::iter::once(self.cluster).chain(self.reachable.iter().map(|&(c, _, _)| c))
+    }
+
+    /// `ride`'s index entry for one of [`Self::clusters`]: `detour_m` 0
+    /// and this cluster's ETA for the cluster itself.
+    #[inline]
+    pub(crate) fn entry(&self, ride: RideId, eta_s: f64, detour_m: f64) -> PotentialRide {
+        PotentialRide { ride, eta_s, detour_m, seg: self.seg as u32, pass_route_idx: self.route_idx as u32 }
+    }
 }
 
 /// A confirmed booking on a ride.

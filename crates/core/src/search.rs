@@ -23,6 +23,7 @@ use xar_discretize::{ClusterId, LandmarkId, RegionIndex, WalkEntry};
 
 use crate::engine::{EngineStats, XarEngine};
 use crate::error::{Reason, XarError};
+use crate::index::{eta_range, PotentialRide};
 use crate::metrics::EngineMetrics;
 use crate::request::RideRequest;
 use crate::ride::RideId;
@@ -273,25 +274,18 @@ fn sort_matches(out: &mut [RideMatch]) {
     });
 }
 
-/// What the one search algorithm reads from an index, whatever its
-/// storage layout: the live `BTreeMap` lists of an [`XarEngine`] or the
-/// frozen columns of a [`crate::ShardSnapshot`].
+/// What the one search algorithm reads from an index: the live lists of
+/// an [`XarEngine`] or the frozen ones of a [`crate::ShardSnapshot`].
+/// Both hold the same [`crate::index`] rows, so the two views differ
+/// only in where a list and a ride's state come from.
 ///
-/// The contract that makes results bit-identical across layouts:
-/// `scan` covers the **inclusive** ETA range `[from_s, to_s]` and
-/// yields entries in **`(eta, ride)` order**, so the per-ride hit lists
-/// — and therefore which of several equally good pairings wins — are
-/// built in the same order everywhere.
+/// The contract that makes results bit-identical across views: a list
+/// is in **`(eta, ride)` order**, so the per-ride hit lists — and
+/// therefore which of several equally good pairings wins — are built
+/// in the same order everywhere.
 pub(crate) trait IndexView {
-    /// Visit `cluster`'s entries with ETA in `[from_s, to_s]` as
-    /// `f(ride, eta_s, detour_m, seg, pass_route_idx)`.
-    fn scan(
-        &self,
-        cluster: ClusterId,
-        from_s: f64,
-        to_s: f64,
-        f: impl FnMut(RideId, f64, f64, u32, u32),
-    );
+    /// `cluster`'s potential-rides list (empty when it lists no ride).
+    fn rows(&self, cluster: ClusterId) -> &[PotentialRide];
 
     /// `(free seats, remaining detour budget)` of `ride`, if it is live
     /// in this view.
@@ -299,16 +293,9 @@ pub(crate) trait IndexView {
 }
 
 impl IndexView for XarEngine {
-    fn scan(
-        &self,
-        cluster: ClusterId,
-        from_s: f64,
-        to_s: f64,
-        mut f: impl FnMut(RideId, f64, f64, u32, u32),
-    ) {
-        for e in self.index().range_eta(cluster, from_s, to_s) {
-            f(e.ride, e.eta_s, e.detour_m, e.seg as u32, e.pass_route_idx as u32);
-        }
+    #[inline]
+    fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
+        self.index().rows(cluster)
     }
 
     fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
@@ -348,8 +335,8 @@ thread_local! {
 
 /// One enumeration step (`span` names it in the trace; `None` when the
 /// search is not being traced): every entry of `walkable`'s clusters
-/// with ETA in `[from_s, to_s]` whose ride `keep` admits, collected
-/// into `hits` and sorted by ride, then by discovery
+/// with ETA in `[from_s, to_s]` (both ends inclusive) whose ride `keep`
+/// admits, collected into `hits` and sorted by ride, then by discovery
 /// order (walkable order × ETA order) so the per-ride pairing iterates
 /// deterministically. A ride may be reachable through several walkable
 /// clusters; all its hits are kept (the walkable lists are short) —
@@ -367,21 +354,21 @@ fn enumerate<V: IndexView>(
     hits.clear();
     let mut seq = 0u32;
     for w in walkable {
-        view.scan(w.cluster, from_s, to_s, |ride, eta_s, detour_m, seg, pass_route_idx| {
-            if keep(ride) {
+        for e in eta_range(view.rows(w.cluster), from_s, to_s) {
+            if keep(e.ride) {
                 let hit = Hit {
                     cluster: w.cluster,
                     landmark: w.landmark,
                     walk_m: f64::from(w.walk_m),
-                    eta_s,
-                    detour_m,
-                    seg,
-                    pass_route_idx,
+                    eta_s: e.eta_s,
+                    detour_m: e.detour_m,
+                    seg: e.seg,
+                    pass_route_idx: e.pass_route_idx,
                 };
-                hits.push((ride, seq, hit));
+                hits.push((e.ride, seq, hit));
                 seq += 1;
             }
-        });
+        }
     }
     hits.sort_unstable_by_key(|&(ride, seq, _)| (ride, seq));
     if let Some(espan) = &mut espan {

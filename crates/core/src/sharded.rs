@@ -274,10 +274,10 @@ impl ShardedXarEngine {
         }
     }
 
-    /// Force every snapshot publish down the full-rebuild path instead
-    /// of patching dirty cluster segments. Bench baselines and the
-    /// incremental ≡ full equivalence tests flip this; production keeps
-    /// the default (`false`).
+    /// Force every snapshot publish down the full-build path (a walk
+    /// over every cluster) instead of patching dirty cluster segments.
+    /// Bench baselines and the incremental ≡ full equivalence tests
+    /// flip this; production keeps the default (`false`).
     pub fn set_full_publish(&self, full: bool) {
         self.inner.full_publish.store(full, Ordering::Relaxed);
     }
@@ -458,12 +458,12 @@ impl ShardedXarEngine {
 
     /// Publish shard `i`'s search snapshot if its engine's searchable
     /// state changed: drain the engine's dirty clusters and patch the
-    /// previous snapshot ([`ShardSnapshot::build_incremental`] —
-    /// unchanged cluster segments are `Arc`-shared, so the cost is
-    /// proportional to the dirt, not the shard). Falls back to a full
-    /// rebuild when at least half the clusters are dirty (the patch
-    /// would copy most of the pointer array anyway and the full build
-    /// resets `entries` drift exactly) or when
+    /// previous snapshot ([`ShardSnapshot::build_incremental`] — a
+    /// dirty cluster's segment is a pointer clone of the index's list,
+    /// unchanged ones are shared with the previous snapshot, so the
+    /// cost is proportional to the dirt, not the shard). Falls back to
+    /// a full build when at least half the clusters are dirty (the
+    /// patch would copy most of the pointer array anyway) or when
     /// [`ShardedXarEngine::set_full_publish`] is on.
     ///
     /// Called by every write path while it still holds the shard write
@@ -737,19 +737,20 @@ impl ShardedXarEngine {
     }
 
     /// Total heap bytes: the shared region tables once, plus every
-    /// shard's private runtime state (index + rides) and its published
-    /// search snapshot.
+    /// shard's private runtime state (index + rides) and what its
+    /// published search snapshot keeps alive beyond that. A list shared
+    /// by the live index and the snapshot (every list, right after a
+    /// publish) is counted once.
     pub fn heap_bytes(&self) -> usize {
-        let runtime: usize = (0..self.inner.shards.len())
+        let pin = snapshot::pin();
+        let shards: usize = (0..self.inner.shards.len())
             .map(|i| {
                 let (guard, _hold) = self.read_shard(i);
-                guard.heap_bytes_runtime()
+                let snap = self.inner.shards[i].snapshot.load(&pin);
+                guard.heap_bytes_runtime() + snap.heap_bytes_beyond(Some(guard.index()))
             })
             .sum();
-        let guard = snapshot::pin();
-        let snapshots: usize =
-            self.inner.shards.iter().map(|s| s.snapshot.load(&guard).heap_bytes()).sum();
-        self.inner.region.heap_bytes() + runtime + snapshots
+        self.inner.region.heap_bytes() + shards
     }
 }
 
@@ -1127,6 +1128,160 @@ mod tests {
         // the same stream: each Ok really decremented a seat.
         let booked: u64 = results.iter().filter(|r| r.is_ok()).count() as u64;
         assert_eq!(eng.stats().snapshot().bookings, booked);
+    }
+
+    /// The distinct clusters `id` is listed in, and its
+    /// `(pass, reachable)` pair count.
+    fn footprint_of(eng: &ShardedXarEngine, id: RideId) -> (std::collections::BTreeSet<ClusterId>, usize) {
+        eng.with_shard_read(0, |e| {
+            let pass = &e.ride(id).expect("live ride").pass_clusters;
+            let pairs = pass.iter().map(|p| 1 + p.reachable.len()).sum();
+            (pass.iter().flat_map(crate::ride::PassCluster::clusters).collect(), pairs)
+        })
+    }
+
+    #[test]
+    fn a_write_edits_each_distinct_cluster_once() {
+        let region = region(31);
+        let graph = Arc::clone(region.graph());
+        let n = graph.node_count() as u32;
+        let eng = ShardedXarEngine::new(region, EngineConfig::default(), 1);
+        let calls = || eng.with_shard_read(0, |e| e.index().edit_calls);
+
+        // Create: one insert per distinct cluster, far fewer than pairs.
+        let o = RideOffer::simple(graph.point(NodeId(0)), graph.point(NodeId(n - 1)), 8.0 * 3600.0, 3, 3_000.0);
+        let id = eng.create_ride(&o).unwrap();
+        let (created, pairs) = footprint_of(&eng, id);
+        assert!(pairs > 2 * created.len(), "fixture lost its overlap: {pairs} pairs, {} clusters", created.len());
+        assert_eq!(calls(), created.len());
+
+        // Book: one remove per old cluster, one insert per new one.
+        let req = RideRequest {
+            source: graph.point(NodeId(n / 2)),
+            destination: graph.point(NodeId(n - 1)),
+            window_start_s: 7.5 * 3600.0,
+            window_end_s: 9.5 * 3600.0,
+            walk_limit_m: 800.0,
+        };
+        let before = calls();
+        eng.book(&eng.search(&req, 1).unwrap()[0]).unwrap();
+        let (booked, _) = footprint_of(&eng, id);
+        assert_eq!(calls() - before, created.len() + booked.len());
+
+        // Track: one remove per obsolete cluster, one insert for each
+        // that a surviving pass-through cluster still serves.
+        let (pass, depart, total_s) = eng.with_shard_read(0, |e| {
+            let r = e.ride(id).unwrap();
+            (r.pass_clusters.clone(), r.departure_s, r.route.duration_s())
+        });
+        let before = calls();
+        eng.track_ride(id, depart + 0.5 * total_s).unwrap();
+        let progress = eng.with_shard_read(0, |e| e.ride(id).unwrap().progress_idx);
+        let obsolete: std::collections::BTreeSet<ClusterId> = pass
+            .iter()
+            .filter(|p| p.exit_idx < progress)
+            .flat_map(crate::ride::PassCluster::clusters)
+            .collect();
+        assert!(!obsolete.is_empty(), "half-way tracking must cross clusters");
+        let (tracked, _) = footprint_of(&eng, id);
+        assert_eq!(calls() - before, obsolete.len() + obsolete.intersection(&tracked).count());
+        assert!(eng.snapshots_consistent());
+    }
+
+    #[test]
+    fn a_pinned_snapshot_stays_frozen_under_copy_on_write() {
+        use crate::search::IndexView;
+        let region = region(31);
+        let graph = Arc::clone(region.graph());
+        let n = graph.node_count() as u32;
+        let clusters = || (0..region.cluster_count() as u32).map(ClusterId);
+        let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 1);
+        for i in 0..30 {
+            let _ = eng.create_ride(&offer(&graph, i));
+        }
+        // Pin the published view: every list's address and rows.
+        let pin = snapshot::pin();
+        let snap = eng.inner.shards[0].snapshot.load(&pin);
+        let frozen: Vec<_> = clusters().map(|c| (snap.rows(c).as_ptr(), snap.rows(c).to_vec())).collect();
+        assert!(frozen.iter().filter(|(_, rows)| !rows.is_empty()).count() > 10);
+        // 200 writes over the same clusters: creates, bookings, and
+        // sweeps that expel crossed clusters and retire rides.
+        let req = RideRequest {
+            source: graph.point(NodeId(n / 2)),
+            destination: graph.point(NodeId(n - 1)),
+            window_start_s: 7.5 * 3600.0,
+            window_end_s: 10.5 * 3600.0,
+            walk_limit_m: 800.0,
+        };
+        for i in 0..200u32 {
+            match i % 4 {
+                0 | 1 => drop(eng.create_ride(&offer(&graph, 30 + i))),
+                2 => drop(eng.search(&req, 1).map(|ms| ms.first().map(|m| eng.book(m)))),
+                _ => drop(eng.track_all(8.0 * 3600.0 + f64::from(i) * 30.0)),
+            }
+        }
+        // The writes did edit those lists...
+        let live = eng.inner.shards[0].snapshot.load(&pin);
+        let moved = clusters().filter(|&c| live.rows(c).as_ptr() != snap.rows(c).as_ptr()).count();
+        assert!(moved > 10, "only {moved} lists were edited");
+        // ...and the pinned view never saw it: same addresses, same rows.
+        for (c, (ptr, rows)) in clusters().zip(&frozen) {
+            assert_eq!(snap.rows(c).as_ptr(), *ptr, "cluster {c:?} moved under a pinned reader");
+            assert_eq!(snap.rows(c), &rows[..], "cluster {c:?} changed under a pinned reader");
+        }
+        drop(pin);
+        assert!(eng.snapshots_consistent());
+    }
+
+    #[test]
+    fn heap_bytes_counts_a_list_shared_with_the_snapshot_once() {
+        let region = region(31);
+        let graph = Arc::clone(region.graph());
+        let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 2);
+        // (index + rides, snapshot in full, engine total) over both shards.
+        let parts = || {
+            let pin = snapshot::pin();
+            let (mut runtime, mut snap) = (0, 0);
+            for (i, shard) in eng.inner.shards.iter().enumerate() {
+                runtime += eng.with_shard_read(i, |e| e.heap_bytes_runtime());
+                snap += shard.snapshot.load(&pin).heap_bytes();
+            }
+            (runtime, snap, eng.heap_bytes() - region.heap_bytes())
+        };
+        let lists = || -> usize {
+            (0..eng.shard_count())
+                .map(|i| eng.with_shard_read(i, |e| {
+                    let idx = e.index();
+                    (0..idx.cluster_count() as u32)
+                        .filter_map(|c| idx.segment(ClusterId(c)))
+                        .map(|s| s.heap_bytes())
+                        .sum::<usize>()
+                }))
+                .sum()
+        };
+        // A seeded write schedule with deferred publishes in it, so
+        // some lists are shared and some are not.
+        eng.set_publish_coalesce_us(3_600_000_000);
+        let (mut saw_shared, mut saw_unshared) = (false, false);
+        for i in 0..60u32 {
+            let _ = eng.create_ride(&offer(&graph, i));
+            if i % 7 == 3 {
+                eng.publish_pending();
+            }
+            if i % 11 == 5 {
+                eng.track_all(8.0 * 3600.0 + f64::from(i) * 90.0);
+            }
+            let (runtime, snap, counted) = parts();
+            assert!(runtime.max(snap) <= counted && counted <= runtime + snap, "{runtime} {snap} {counted}");
+            saw_shared |= counted < runtime + snap;
+            saw_unshared |= counted > runtime + snap - lists();
+        }
+        assert!(saw_shared && saw_unshared, "schedule must mix shared and unshared lists");
+        // Right after a publish every snapshot list is the index's own.
+        eng.publish_pending();
+        let (runtime, snap, counted) = parts();
+        assert!(lists() > 0);
+        assert_eq!(counted, runtime + snap - lists(), "shared lists must be counted exactly once");
     }
 
     #[test]

@@ -49,18 +49,17 @@
 //! only possible once no reference derived from it exists — enforced at
 //! compile time, no epoch argument needed.
 //!
-//! Snapshots use a struct-of-arrays layout segmented per cluster: each
-//! cluster's entries live in one immutable `ClusterSeg` holding
-//! parallel `eta`/`ride`/`detour` columns, so the ETA range query of
-//! search Step 1 is two `partition_point` calls on a contiguous `f64`
-//! column instead of a `BTreeMap` walk. The search itself is the
-//! one in [`crate::search`], reading these columns through its index
-//! view. Segments are `Arc`-shared between successive
-//! snapshots: [`ShardSnapshot::build_incremental`] rebuilds only the
-//! segments of clusters whose entries changed since the previous
-//! publish and clones the rest by pointer, which makes the write-path
-//! publish cost proportional to the *touched* clusters, not the shard
-//! size (DESIGN.md §5f).
+//! A snapshot's per-cluster lists are the live index's own
+//! row vectors, held by `Arc`: the same `(eta, ride)`-sorted 32-byte
+//! rows, read by the one search in [`crate::search`]. Publishing a
+//! dirty cluster is a pointer clone of the index's current list;
+//! the writer's next edit of a list a snapshot still shares copies it
+//! first (`Arc::make_mut` in [`crate::index`]), so a published list
+//! never changes under a reader. Successive snapshots share unchanged
+//! lists the same way: [`ShardSnapshot::build_incremental`] re-points
+//! only the clusters whose entries changed since the previous publish,
+//! which makes the write-path publish cost proportional to the
+//! *touched* clusters, not the shard size (DESIGN.md §5f).
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -70,6 +69,7 @@ use std::sync::{Arc, Mutex};
 use xar_discretize::ClusterId;
 
 use crate::engine::{RideDirt, XarEngine};
+use crate::index::{ClusterIndex, PotentialRide, Segment};
 use crate::ride::RideId;
 use crate::search::IndexView;
 
@@ -412,41 +412,6 @@ impl Drop for SnapshotCell {
     }
 }
 
-/// One cluster's entry columns (SoA): the ETA column is scanned by
-/// every range query, so it stays dense and contiguous; the rest are
-/// only touched for rows inside the range.
-///
-/// Entries are sorted by `(eta, ride)` — the same order the live
-/// `BTreeMap` index iterates in, which is the order the search's index
-/// view requires of every layout. A segment is immutable once built; successive snapshots
-/// share unchanged segments via `Arc`.
-struct ClusterSeg {
-    eta_s: Vec<f64>,
-    ride: Vec<RideId>,
-    detour_m: Vec<f64>,
-    seg: Vec<u32>,
-    pass_route_idx: Vec<u32>,
-}
-
-impl ClusterSeg {
-    /// Rows whose ETA lies in `[from_s, to_s]` (inclusive both ends,
-    /// like the live index's `range_eta`).
-    #[inline]
-    fn eta_range(&self, from_s: f64, to_s: f64) -> std::ops::Range<usize> {
-        let a = self.eta_s.partition_point(|&t| t < from_s);
-        let b = self.eta_s.partition_point(|&t| t <= to_s);
-        a..b
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.eta_s.capacity() * std::mem::size_of::<f64>()
-            + self.ride.capacity() * std::mem::size_of::<RideId>()
-            + self.detour_m.capacity() * std::mem::size_of::<f64>()
-            + self.seg.capacity() * std::mem::size_of::<u32>()
-            + self.pass_route_idx.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
 /// The per-ride feasibility columns, sorted by ride id for binary
 /// search. `Arc`-shared with the previous snapshot when a publish
 /// changed no ride's seats / budget / liveness (tracking-only
@@ -511,13 +476,13 @@ impl RideTable {
 }
 
 /// An immutable, point-in-time copy of everything search reads from one
-/// shard: the per-cluster potential-rides lists as `Arc`-shared
-/// `ClusterSeg` columns, plus the per-ride feasibility table (free
-/// seats, remaining detour budget).
+/// shard: the per-cluster potential-rides lists, `Arc`-shared with the
+/// live index, plus the per-ride feasibility table (free seats,
+/// remaining detour budget).
 ///
 /// Built either from scratch ([`ShardSnapshot::build`]) or by patching
 /// the previous snapshot ([`ShardSnapshot::build_incremental`]), which
-/// rebuilds only the segments of dirty clusters and structurally
+/// re-points only the segments of dirty clusters and structurally
 /// shares everything else. The two constructions are content-equal by
 /// construction — a property the `incremental_publish` test pins.
 pub struct ShardSnapshot {
@@ -546,7 +511,7 @@ pub struct ShardSnapshot {
 const SEG_BLOCK: usize = 64;
 
 /// One directory block: up to [`SEG_BLOCK`] per-cluster segment slots.
-type SegBlock = Vec<Option<Arc<ClusterSeg>>>;
+type SegBlock = Vec<Option<Arc<Segment>>>;
 
 impl ShardSnapshot {
     /// A snapshot with `cluster_count` clusters and no rides (the state
@@ -562,76 +527,35 @@ impl ShardSnapshot {
         }
     }
 
-    /// The segment of cluster `c`, if it holds any entries.
-    #[inline]
-    fn seg(&self, c: usize) -> Option<&ClusterSeg> {
-        self.clusters[c / SEG_BLOCK][c % SEG_BLOCK].as_deref()
-    }
-
-    /// Build one cluster's segment from the live index; `None` when the
-    /// cluster holds no entries.
-    fn build_segment(
-        index: &crate::index::ClusterIndex,
-        c: ClusterId,
-    ) -> Option<Arc<ClusterSeg>> {
-        let n = index.cluster_len(c);
-        if n == 0 {
-            return None;
-        }
-        let mut seg = ClusterSeg {
-            eta_s: Vec::with_capacity(n),
-            ride: Vec::with_capacity(n),
-            detour_m: Vec::with_capacity(n),
-            seg: Vec::with_capacity(n),
-            pass_route_idx: Vec::with_capacity(n),
-        };
-        for e in index.entries_of(c) {
-            seg.eta_s.push(e.eta_s);
-            seg.ride.push(e.ride);
-            seg.detour_m.push(e.detour_m);
-            seg.seg.push(e.seg as u32);
-            seg.pass_route_idx.push(e.pass_route_idx as u32);
-        }
-        Some(Arc::new(seg))
-    }
-
-    /// Freeze `engine`'s searchable state from scratch. Called by shard
-    /// writers while holding the shard write lock, so the copy is
-    /// consistent.
+    /// Freeze `engine`'s searchable state from scratch: a walk over the
+    /// index that clones every list pointer. Called by shard writers
+    /// while holding the shard write lock, so the view is consistent.
     pub fn build(engine: &XarEngine) -> Self {
         let index = engine.index();
         let clusters = index.cluster_count();
-        let mut snap = Self {
-            clusters: Vec::with_capacity(clusters.div_ceil(SEG_BLOCK)),
+        let block = |first: usize| {
+            let ids = first..(first + SEG_BLOCK).min(clusters);
+            Arc::new(ids.map(|c| index.segment(ClusterId(c as u32)).cloned()).collect())
+        };
+        Self {
+            clusters: (0..clusters).step_by(SEG_BLOCK).map(block).collect(),
             cluster_count: clusters,
             rides: Arc::new(RideTable::build(engine)),
-            entries: 0,
-        };
-        let mut block: SegBlock = Vec::with_capacity(SEG_BLOCK);
-        for c in 0..clusters as u32 {
-            let seg = Self::build_segment(index, ClusterId(c));
-            snap.entries += seg.as_ref().map_or(0, |s| s.eta_s.len());
-            block.push(seg);
-            if block.len() == SEG_BLOCK {
-                snap.clusters
-                    .push(Arc::new(std::mem::replace(&mut block, Vec::with_capacity(SEG_BLOCK))));
-            }
+            entries: index.len(),
         }
-        if !block.is_empty() {
-            snap.clusters.push(Arc::new(block));
-        }
-        snap
     }
 
-    /// Patch `prev` into `engine`'s current state: rebuild only the
-    /// segments of `dirty` clusters, clone every clean segment by
-    /// pointer, and produce the ride table the cheapest valid way
-    /// `ride_dirt` allows — `Arc`-share it (tracking-only publish),
-    /// patch the updated rows in place (bookings), or rebuild it from
-    /// scratch (create / retire changed the ride set). The caller must
-    /// hold the shard write lock and pass the exact dirt accumulated
-    /// since `prev` was built; allocation count is then O(|dirty|),
-    /// not O(clusters), and independent of the shard's ride count.
+    /// Patch `prev` into `engine`'s current state: re-point only the
+    /// segments of `dirty` clusters at the index's current lists, clone
+    /// every clean segment by pointer, and produce the ride table the
+    /// cheapest valid way `ride_dirt` allows — `Arc`-share it
+    /// (tracking-only publish), patch the updated rows in place
+    /// (bookings), or rebuild it from scratch (create / retire changed
+    /// the ride set). The caller must hold the shard write lock and
+    /// pass the exact dirt accumulated since `prev` was built;
+    /// allocation count is then O(dirty blocks), not O(clusters), and
+    /// independent of both the shard's ride count and the rows per
+    /// cluster.
     pub fn build_incremental(
         engine: &XarEngine,
         prev: &ShardSnapshot,
@@ -649,44 +573,29 @@ impl ShardSnapshot {
                 RideDirt::Updated(ids) => Arc::new(RideTable::patch(&prev.rides, engine, ids)),
                 RideDirt::Structural => Arc::new(RideTable::build(engine)),
             },
-            entries: prev.entries,
+            entries: index.len(),
         };
         for &c in dirty {
             let (b, i) = (c as usize / SEG_BLOCK, c as usize % SEG_BLOCK);
             // The first dirty cluster in a still-shared block copies
             // that block's slots; later dirty clusters in the same
             // block mutate the copy in place.
-            let block = Arc::make_mut(&mut snap.clusters[b]);
-            let old = block[i].take();
-            snap.entries -= old.map_or(0, |s| s.eta_s.len());
-            let seg = Self::build_segment(index, ClusterId(c));
-            snap.entries += seg.as_ref().map_or(0, |s| s.eta_s.len());
-            block[i] = seg;
+            Arc::make_mut(&mut snap.clusters[b])[i] = index.segment(ClusterId(c)).cloned();
         }
         snap
     }
 
     /// Whether `self` and `other` carry identical logical content —
-    /// every cluster's entry columns and the full ride table. The
-    /// oracle behind the `incremental publish ≡ full rebuild` property
-    /// test (`f64` columns compare bitwise; none hold NaN).
+    /// every cluster's rows and the full ride table. The oracle behind
+    /// the `incremental publish ≡ full rebuild` property test (`f64`
+    /// fields compare by value; none hold NaN).
     pub fn content_eq(&self, other: &Self) -> bool {
         self.entries == other.entries
             && self.cluster_count == other.cluster_count
             && self.rides.ids == other.rides.ids
             && self.rides.seats == other.rides.seats
             && self.rides.budget_m == other.rides.budget_m
-            && (0..self.cluster_count).all(|c| match (self.seg(c), other.seg(c)) {
-                (None, None) => true,
-                (Some(a), Some(b)) => {
-                    a.eta_s == b.eta_s
-                        && a.ride == b.ride
-                        && a.detour_m == b.detour_m
-                        && a.seg == b.seg
-                        && a.pass_route_idx == b.pass_route_idx
-                }
-                _ => false,
-            })
+            && (0..self.cluster_count as u32).all(|c| self.rows(ClusterId(c)) == other.rows(ClusterId(c)))
     }
 
     /// Number of `⟨ride, eta⟩` index entries in the snapshot.
@@ -707,23 +616,30 @@ impl ShardSnapshot {
         self.rides.ids.len()
     }
 
-    /// Approximate heap bytes held by the snapshot (index-size
-    /// accounting). Segments shared with other snapshots are counted in
+    /// Heap bytes held by the snapshot (index-size accounting). Lists
+    /// shared with the live index or other snapshots are counted in
     /// full here — the number answers "what does this view keep alive",
     /// not "what is uniquely owned".
     pub fn heap_bytes(&self) -> usize {
+        self.heap_bytes_beyond(None)
+    }
+
+    /// Heap bytes this snapshot keeps alive *beyond* what `index`
+    /// holds: its directory and ride table, plus every list the index
+    /// does not point at (pointer identity). Right after a publish that
+    /// is the directory and the table alone.
+    pub(crate) fn heap_bytes_beyond(&self, index: Option<&ClusterIndex>) -> usize {
+        let live = |c: usize| index.and_then(|i| i.segment(ClusterId(c as u32)));
+        let slots = self.clusters.iter().flat_map(|block| block.iter()).enumerate();
         self.clusters.capacity() * std::mem::size_of::<Arc<SegBlock>>()
             + self
                 .clusters
                 .iter()
-                .map(|block| {
-                    block.capacity() * std::mem::size_of::<Option<Arc<ClusterSeg>>>()
-                        + block
-                            .iter()
-                            .flatten()
-                            .map(|s| s.heap_bytes() + std::mem::size_of::<ClusterSeg>())
-                            .sum::<usize>()
-                })
+                .map(|block| block.capacity() * std::mem::size_of::<Option<Arc<Segment>>>())
+                .sum::<usize>()
+            + slots
+                .filter_map(|(c, slot)| slot.as_ref().filter(|seg| !live(c).is_some_and(|l| Arc::ptr_eq(l, seg))))
+                .map(|seg| seg.heap_bytes())
                 .sum::<usize>()
             + self.rides.heap_bytes()
             + std::mem::size_of::<RideTable>()
@@ -732,17 +648,9 @@ impl ShardSnapshot {
 
 impl IndexView for ShardSnapshot {
     #[inline]
-    fn scan(
-        &self,
-        cluster: ClusterId,
-        from_s: f64,
-        to_s: f64,
-        mut f: impl FnMut(RideId, f64, f64, u32, u32),
-    ) {
-        let Some(cs) = self.seg(cluster.index()) else { return };
-        for i in cs.eta_range(from_s, to_s) {
-            f(cs.ride[i], cs.eta_s[i], cs.detour_m[i], cs.seg[i], cs.pass_route_idx[i]);
-        }
+    fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
+        let c = cluster.index();
+        self.clusters[c / SEG_BLOCK][c % SEG_BLOCK].as_ref().map_or(&[], |s| s.rows())
     }
 
     #[inline]
@@ -813,21 +721,6 @@ mod tests {
         assert_eq!(cell.load(&guard).cluster_count(), 1);
         cell.publish(ShardSnapshot::empty(7));
         assert_eq!(cell.load(&guard).cluster_count(), 7, "load always sees the newest snapshot");
-    }
-
-    #[test]
-    fn eta_range_is_inclusive_both_ends() {
-        let cs = ClusterSeg {
-            eta_s: vec![50.0, 100.0, 100.0, 150.0, 200.0],
-            ride: (1..=5).map(RideId).collect(),
-            detour_m: vec![0.0; 5],
-            seg: vec![0; 5],
-            pass_route_idx: vec![0; 5],
-        };
-        assert_eq!(cs.eta_range(100.0, 150.0), 1..4);
-        assert_eq!(cs.eta_range(0.0, 49.0), 0..0);
-        assert_eq!(cs.eta_range(201.0, 300.0), 5..5);
-        assert_eq!(cs.eta_range(f64::NEG_INFINITY, f64::INFINITY), 0..5);
     }
 
     #[test]

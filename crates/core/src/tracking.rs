@@ -18,14 +18,12 @@
 //! 3. remove the crossed pass-through clusters from the ride's
 //!    pass-through list.
 
-use std::collections::HashMap;
-
 use xar_discretize::ClusterId;
 
 use crate::engine::XarEngine;
 use crate::error::XarError;
 use crate::index::PotentialRide;
-use crate::ride::{RideId, RideStatus};
+use crate::ride::{PassCluster, RideId, RideStatus};
 
 impl XarEngine {
     /// Advance `ride` to wall-clock time `now_s`, updating its progress
@@ -67,79 +65,40 @@ impl XarEngine {
             ride.progress_idx = new_idx;
             // Step 1: crossed pass-through clusters (exit way-point
             // strictly behind the ride) and their reachable clusters.
-            let crossed: Vec<usize> = ride
-                .pass_clusters
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| (p.exit_idx < new_idx).then_some(i))
-                .collect();
-            if crossed.is_empty() {
+            let crossed = |p: &PassCluster| p.exit_idx < new_idx;
+            let mut obsolete: Vec<ClusterId> =
+                ride.pass_clusters.iter().filter(|p| crossed(p)).flat_map(PassCluster::clusters).collect();
+            if obsolete.is_empty() {
                 return;
             }
             index_changed = true;
-            let mut obsolete: Vec<ClusterId> = Vec::new();
-            for &i in &crossed {
-                let p = &ride.pass_clusters[i];
-                obsolete.push(p.cluster);
-                obsolete.extend(p.reachable.iter().map(|&(c, _, _)| c));
-            }
             obsolete.sort_unstable();
             obsolete.dedup();
 
             // Step 3 first (so Step 2 sees only the *valid* pass-through
             // clusters): drop the crossed entries from the ride.
-            let mut keep_mask = vec![true; ride.pass_clusters.len()];
-            for &i in &crossed {
-                keep_mask[i] = false;
-            }
-            let mut iter = keep_mask.iter();
-            ride.pass_clusters.retain(|_| *iter.next().expect("mask length"));
+            ride.pass_clusters.retain(|p| !crossed(p));
 
             // Step 2: for each obsolete cluster, find the best surviving
-            // way to serve it; refresh or remove its index entry.
-            let mut best: HashMap<ClusterId, PotentialRide> = HashMap::new();
-            for p in &ride.pass_clusters {
-                let self_entry = PotentialRide {
-                    ride: ride.id,
-                    eta_s: p.eta_s,
-                    detour_m: 0.0,
-                    seg: p.seg,
-                    via_pass: p.cluster,
-                    pass_route_idx: p.route_idx,
-                };
-                best.entry(p.cluster)
-                    .and_modify(|cur| {
-                        if self_entry.detour_m < cur.detour_m {
-                            *cur = self_entry;
-                        }
-                    })
-                    .or_insert(self_entry);
-                for &(c, detour, eta) in &p.reachable {
-                    let entry = PotentialRide {
-                        ride: ride.id,
-                        eta_s: eta,
-                        detour_m: detour,
-                        seg: p.seg,
-                        via_pass: p.cluster,
-                        pass_route_idx: p.route_idx,
-                    };
-                    best.entry(c)
-                        .and_modify(|cur| {
-                            if entry.detour_m < cur.detour_m
-                                || (entry.detour_m == cur.detour_m && entry.eta_s < cur.eta_s)
-                            {
-                                *cur = entry;
-                            }
-                        })
-                        .or_insert(entry);
+            // way to serve it; refresh or remove its index entry. A
+            // pass-through cluster's own entry displaces only a
+            // strictly larger detour.
+            crate::footprint::with(index.cluster_count(), |best| {
+                for p in &ride.pass_clusters {
+                    best.offer(p.cluster, p.entry(ride.id, p.eta_s, 0.0), |own, kept| {
+                        own.detour_m < kept.detour_m
+                    });
+                    for &(c, detour, eta) in &p.reachable {
+                        best.offer(c, p.entry(ride.id, eta, detour), PotentialRide::better_than);
+                    }
                 }
-            }
-            for c in obsolete {
-                index.remove(c, ride.id);
-                if let Some(entry) = best.get(&c) {
-                    index.insert(c, *entry);
+                for c in obsolete {
+                    index.remove(c, ride.id);
+                    if let Some(entry) = best.get(c) {
+                        index.insert(c, entry);
+                    }
                 }
-            }
+            });
         });
         // progress_idx alone is invisible to search (snapshots carry
         // index entries, seats and detour budget); only an index rewrite

@@ -1,38 +1,51 @@
-//! Allocation guard for incremental snapshot publication.
+//! Allocation guards for the write path's index edits and snapshot
+//! publication.
 //!
-//! DESIGN.md §5f's cost claim, made a hard test: publishing after a
-//! booking that dirtied `k` cluster segments performs **O(k)**
-//! allocations — one short `Vec` clone of the segment pointer table
-//! plus the `k` rebuilt segments — not O(clusters) as the full rebuild
-//! does. A counting global allocator (same idiom as
-//! `tests/snapshot_alloc.rs`; one `#[global_allocator]` per test
-//! binary, hence this file) measures the allocation *count* of
-//! `book_checked` (splice + publish) under three regimes:
+//! A cluster's list is one row vector shared by the live index and the
+//! published snapshots (DESIGN.md §5f, "One layout"), so three cost
+//! claims can be made hard tests with a counting global allocator (same
+//! idiom as `tests/snapshot_alloc.rs`; one `#[global_allocator]` per
+//! test binary, hence this file):
 //!
-//! 1. incremental publish on a small region,
-//! 2. incremental publish on a region with ~4x the clusters,
-//! 3. forced full rebuild on both.
-//!
-//! Incremental counts must stay flat across the region-size jump while
-//! the full-rebuild counts climb with it — the contrast that proves
-//! the write path now scales with the touched clusters, not the shard.
+//! 1. **Publishing is pointer copies.** The publish after a booking
+//!    allocates at most one copied directory block per dirty block plus
+//!    a constant (directory vector, patched ride table, the snapshot
+//!    box) — independent of the rows per cluster and of the cluster
+//!    count. The publish is isolated from the booking by deferring it
+//!    (`set_publish_coalesce_us`) and counting `publish_pending` alone.
+//!    This file used to contrast that with a full rebuild whose count
+//!    climbed with the cluster count; the full build is now a walk that
+//!    clones pointers (one allocation per directory block), so that
+//!    contrast no longer exists and its assertion is gone.
+//! 2. **Editing an unshared list is in place.** 1 000 remove/insert
+//!    edits of a 4 000-row list allocate nothing; growing it allocates
+//!    O(1) amortised.
+//! 3. **A serial-engine booking allocates nothing proportional to list
+//!    length**: its allocation count and bytes do not follow the
+//!    population.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use xar_core::{EngineConfig, RideOffer, RideRequest, ShardedXarEngine};
-use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
+use xar_core::index::PotentialRide;
+use xar_core::{ClusterIndex, EngineConfig, RideId, RideOffer, RideRequest, ShardedXarEngine, XarEngine};
+use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
 thread_local! {
-    /// Per-thread allocation count (the libtest harness's main thread
-    /// allocates concurrently; a process-global count would be flaky).
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Per-thread allocation `(count, bytes)` (the libtest harness's
+    /// main thread allocates concurrently; a process-global count would
+    /// be flaky).
+    static THREAD_ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
+/// `(allocations, bytes)` this thread made while running `f`.
+fn allocs_of<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    let out = f();
+    let after = THREAD_ALLOCS.with(Cell::get);
+    (out, after.0 - before.0, after.1 - before.1)
 }
 
 struct CountingAlloc;
@@ -42,8 +55,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
+        THREAD_ALLOCS.with(|c| c.set((c.get().0 + 1, c.get().1 + layout.size() as u64)));
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        THREAD_ALLOCS.with(|c| c.set((c.get().0 + 1, c.get().1 + new_size as u64)));
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -85,90 +103,147 @@ fn request(g: &RoadGraph, i: u32) -> RideRequest {
     }
 }
 
-/// One shard, `rides` offers: a booking dirties a few clusters of a
-/// shard holding *all* the region's entries — the regime where full
-/// rebuilds are maximally more expensive than patches.
+/// One shard, `rides` offers, publishes deferred: a booking leaves its
+/// dirt pending so the publish can be counted on its own.
 fn populated(region: &Arc<RegionIndex>, rides: u32) -> ShardedXarEngine {
     let eng = ShardedXarEngine::new(Arc::clone(region), EngineConfig::default(), 1);
     let g = region.graph();
     for i in 0..rides {
         let _ = eng.create_ride(&offer(g, i));
     }
+    eng.set_publish_coalesce_us(3_600_000_000);
+    eng.publish_pending();
     eng
 }
 
-/// Mean allocations of one successful `book_checked` (route splice +
-/// snapshot publish). Searches run *outside* the counting window — the
-/// read path has its own guard (`tests/snapshot_alloc.rs`).
-fn booking_allocs(eng: &ShardedXarEngine, bookings: u32, seed0: u32) -> f64 {
-    let mut counted = 0u64;
-    let mut done = 0u32;
-    let mut seed = seed0;
+/// Book `bookings` matches, publishing after each; returns the largest
+/// allocation count of one publish and the mean rows per non-empty
+/// cluster list.
+fn publish_allocs(eng: &ShardedXarEngine, bookings: u32) -> (u64, f64) {
+    let g = eng.region().graph();
+    let (mut worst, mut done, mut seed) = (0, 0, 0);
     while done < bookings {
         seed += 1;
-        assert!(seed < seed0 + 40_000, "ran out of bookable matches after {done} bookings");
-        let Ok(ms) = eng.search(&request(region_graph(eng), seed), 4) else { continue };
-        for m in &ms {
-            let before = thread_allocs();
-            let res = eng.book_checked(m);
-            let delta = thread_allocs() - before;
-            if res.is_ok() {
-                counted += delta;
-                done += 1;
-                break;
-            }
+        assert!(seed < 40_000, "ran out of bookable matches after {done} bookings");
+        let Ok(ms) = eng.search(&request(g, seed), 4) else { continue };
+        if ms.iter().any(|m| eng.book_checked(m).is_ok()) {
+            let dirty = eng.with_shard_read(0, |e| e.dirty_cluster_count());
+            assert!(dirty > 0, "a booking must leave dirt behind the deferred publish");
+            let ((), count, _) = allocs_of(|| eng.publish_pending());
+            worst = worst.max(count);
+            done += 1;
         }
     }
-    counted as f64 / f64::from(bookings)
-}
-
-fn region_graph(eng: &ShardedXarEngine) -> &RoadGraph {
-    eng.region().graph()
+    let (rows, lists) = eng.with_shard_read(0, |e| {
+        let idx = e.index();
+        let lens = (0..idx.cluster_count() as u32).map(|c| idx.cluster_len(ClusterId(c)));
+        (idx.len(), lens.filter(|&n| n > 0).count())
+    });
+    (worst, rows as f64 / lists as f64)
 }
 
 #[test]
-fn incremental_publish_allocates_o_dirty_not_o_clusters() {
+fn a_publish_allocates_per_dirty_block_not_per_row_or_cluster() {
     const BOOKINGS: u32 = 12;
+    /// Directory vector, ride-table patch (3 columns + `Arc`), snapshot
+    /// box, retired-list growth, with headroom.
+    const CONSTANT: u64 = 10;
     let small = region(14, 31);
     let large = region(40, 31);
-    assert!(
-        large.cluster_count() >= small.cluster_count() * 3,
-        "fixture lost its contrast: {} vs {} clusters",
-        small.cluster_count(),
-        large.cluster_count()
-    );
-
-    // Population scales with the region so full rebuilds touch a
-    // proportional number of non-empty segments.
-    let eng_small = populated(&small, 220);
-    let eng_large = populated(&large, 1_400);
-
-    // Warm both engines (scratch vectors, hash maps, histograms).
-    let _ = booking_allocs(&eng_small, 2, 50_000);
-    let _ = booking_allocs(&eng_large, 2, 50_000);
-
-    let inc_small = booking_allocs(&eng_small, BOOKINGS, 0);
-    let inc_large = booking_allocs(&eng_large, BOOKINGS, 0);
-
-    eng_small.set_full_publish(true);
-    eng_large.set_full_publish(true);
-    let full_small = booking_allocs(&eng_small, BOOKINGS, 20_000);
-    let full_large = booking_allocs(&eng_large, BOOKINGS, 20_000);
-
+    assert!(large.cluster_count() >= small.cluster_count() * 3);
+    // Same region, 4x the rides: longer lists, same directory.
+    let sparse = populated(&large, 350);
+    let dense = populated(&large, 1_400);
+    let tiny = populated(&small, 220);
+    for eng in [&sparse, &dense, &tiny] {
+        let _ = publish_allocs(eng, 2); // warm scratch vectors and histograms
+    }
+    let (sparse_allocs, sparse_rows) = publish_allocs(&sparse, BOOKINGS);
+    let (dense_allocs, dense_rows) = publish_allocs(&dense, BOOKINGS);
+    let (tiny_allocs, _) = publish_allocs(&tiny, BOOKINGS);
     let ctx = format!(
-        "allocs/booking: inc {inc_small:.1}->{inc_large:.1}, full {full_small:.1}->{full_large:.1} \
-         ({} -> {} clusters)",
-        small.cluster_count(),
-        large.cluster_count()
+        "allocs/publish: {sparse_allocs} at {sparse_rows:.1} rows/list, {dense_allocs} at \
+         {dense_rows:.1} rows/list ({} clusters); {tiny_allocs} on {} clusters",
+        large.cluster_count(),
+        small.cluster_count()
     );
     eprintln!("{ctx}");
+    assert!(dense_rows > sparse_rows * 2.0, "fixture lost its contrast: {ctx}");
+    let blocks = |r: &RegionIndex| r.cluster_count().div_ceil(64) as u64;
+    for (allocs, region) in [(sparse_allocs, &large), (dense_allocs, &large), (tiny_allocs, &small)] {
+        assert!(allocs <= blocks(region) + CONSTANT, "publish allocated per row or per cluster: {ctx}");
+    }
+}
 
-    // The patching path is strictly cheaper than a full rebuild where
-    // it matters (the big region)...
-    assert!(inc_large * 2.0 < full_large, "incremental not cheaper than full: {ctx}");
-    // ...its allocation count does not follow the cluster count...
-    assert!(inc_large < inc_small * 3.0, "incremental publish scaled with region size: {ctx}");
-    // ...while the full rebuild's demonstrably does (the contrast that
-    // keeps the first two assertions meaningful).
-    assert!(full_large > full_small * 2.0, "full rebuild lost its O(clusters) term: {ctx}");
+#[test]
+fn edits_of_an_unshared_long_list_allocate_nothing() {
+    const ROWS: u64 = 4_000;
+    let row = |ride: u64, eta_s: f64| PotentialRide { ride: RideId(ride), eta_s, detour_m: 0.0, seg: 0, pass_route_idx: 0 };
+    let mut idx = ClusterIndex::new(1);
+    for r in 0..ROWS {
+        idx.insert(ClusterId(0), row(r, r as f64));
+    }
+    // 1 000 edits that move a row: remove it, insert it elsewhere.
+    let ((), count, _) = allocs_of(|| {
+        for k in 0..500 {
+            let ride = (k * 7) % ROWS;
+            idx.remove(ClusterId(0), RideId(ride)).expect("listed");
+            idx.insert(ClusterId(0), row(ride, ((k * 13) % ROWS) as f64 + 0.5));
+        }
+    });
+    assert_eq!(count, 0, "an in-place edit of an unshared list allocated");
+    assert_eq!(idx.cluster_len(ClusterId(0)), ROWS as usize);
+    // 1 000 inserts that grow it: amortised O(1), i.e. a doubling or two.
+    let ((), count, bytes) = allocs_of(|| {
+        for r in ROWS..ROWS + 1_000 {
+            idx.insert(ClusterId(0), row(r, r as f64));
+        }
+    });
+    assert!(count <= 2 && bytes <= 4 * ROWS * 32, "growth allocated per edit: {count} allocations, {bytes} B");
+}
+
+/// Mean `(allocations, bytes)` of one successful serial-engine booking
+/// on a region holding `rides` offers, and the mean rows per list.
+fn serial_booking_allocs(region: &Arc<RegionIndex>, rides: u32, bookings: u32) -> (f64, f64, f64) {
+    let mut eng = XarEngine::new(Arc::clone(region), EngineConfig::default());
+    let g = Arc::clone(region.graph());
+    for i in 0..rides {
+        let _ = eng.create_ride(&offer(&g, i));
+    }
+    let (mut count, mut bytes, mut done, mut seed) = (0, 0, 0, 0);
+    while done < bookings + 2 {
+        seed += 1;
+        assert!(seed < 40_000, "ran out of bookable matches after {done} bookings");
+        let Ok(ms) = eng.search(&request(&g, seed), 1) else { continue };
+        let Some(m) = ms.first() else { continue };
+        let (res, c, b) = allocs_of(|| eng.book(m));
+        if res.is_ok() {
+            done += 1;
+            if done > 2 {
+                // the first two warm the thread's scratch
+                count += c;
+                bytes += b;
+            }
+        }
+    }
+    let lists = (0..region.cluster_count() as u32).filter(|&c| eng.index().cluster_len(ClusterId(c)) > 0).count();
+    let n = f64::from(bookings);
+    (count as f64 / n, bytes as f64 / n, eng.index().len() as f64 / lists as f64)
+}
+
+#[test]
+fn a_serial_booking_allocates_nothing_proportional_to_list_length() {
+    let region = region(40, 31);
+    let (sparse_count, sparse_bytes, sparse_rows) = serial_booking_allocs(&region, 350, 24);
+    let (dense_count, dense_bytes, dense_rows) = serial_booking_allocs(&region, 2_800, 24);
+    let ctx = format!(
+        "allocs/booking {sparse_count:.1} ({sparse_bytes:.0} B) at {sparse_rows:.1} rows/list, \
+         {dense_count:.1} ({dense_bytes:.0} B) at {dense_rows:.1} rows/list"
+    );
+    eprintln!("{ctx}");
+    assert!(dense_rows > sparse_rows * 4.0, "fixture lost its contrast: {ctx}");
+    // Routes, via-points and reachable sets are what a booking
+    // allocates; none of it grows with the lists it edits.
+    assert!(dense_count < sparse_count * 1.5, "allocation count followed list length: {ctx}");
+    assert!(dense_bytes < sparse_bytes * 1.5, "allocated bytes followed list length: {ctx}");
 }

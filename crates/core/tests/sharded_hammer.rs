@@ -150,13 +150,17 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
     let booked = AtomicU64::new(0);
     // Highest time the engine is *known* tracked to (f64 seconds as
     // bits; times are non-negative so the bit pattern orders like the
-    // float).
-    let watermark = AtomicU64::new(0f64.to_bits());
+    // float). Starts one churn period before the first sweep (round 4,
+    // 08:06), so the first advance is no longer than any other.
+    let watermark = AtomicU64::new((8.0 * 3600.0 + 4.0 * 90.0 - 450.0f64).to_bits());
+    // Orders watermark advances against in-flight creates (see below).
+    let gate = std::sync::RwLock::new(());
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let eng = eng.clone();
-            let (created, retired, booked, watermark) = (&created, &retired, &booked, &watermark);
+            let (created, retired, booked, watermark, gate) =
+                (&created, &retired, &booked, &watermark, &gate);
             scope.spawn(move || {
                 for j in 0..ROUNDS {
                     let seed = t * 10_000 + j;
@@ -166,23 +170,30 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
                     // the already-tracked past — such a ride is
                     // legitimately live, yet its pickup ETAs would sit
                     // behind the floor the assertion below checks. The
-                    // +900 s headroom exceeds one churn period (450 s),
-                    // so a create racing an in-flight `track_all` still
-                    // departs ahead of the watermark that scan installs.
-                    let floor_now = f64::from_bits(watermark.load(Ordering::Acquire));
-                    let depart = (8.0 * 3600.0 + f64::from(j) * 90.0)
-                        .max(floor_now + 900.0)
-                        + f64::from(t) * 7.0;
+                    // create holds the gate's read side from loading
+                    // the watermark to its return, so the watermark can
+                    // advance at most once under it (the sweep of that
+                    // advance may already be running and miss the new
+                    // ride); the +900 s headroom exceeds that one churn
+                    // period (450 s), and every later sweep starts
+                    // after the create returned and tracks the ride.
                     let g = graph();
                     let n = g.node_count() as u32;
-                    let o = RideOffer::simple(
-                        g.point(NodeId((seed * 97) % n)),
-                        g.point(NodeId((seed * 181 + n / 2) % n)),
-                        depart,
-                        2,
-                        3_500.0,
-                    );
-                    if eng.create_ride(&o).is_ok() {
+                    let create = {
+                        let _in_flight = gate.read().unwrap();
+                        let floor_now = f64::from_bits(watermark.load(Ordering::Acquire));
+                        let depart = (8.0 * 3600.0 + f64::from(j) * 90.0)
+                            .max(floor_now + 900.0)
+                            + f64::from(t) * 7.0;
+                        eng.create_ride(&RideOffer::simple(
+                            g.point(NodeId((seed * 97) % n)),
+                            g.point(NodeId((seed * 181 + n / 2) % n)),
+                            depart,
+                            2,
+                            3_500.0,
+                        ))
+                    };
+                    if create.is_ok() {
                         created.fetch_add(1, Ordering::Relaxed);
                     }
 
@@ -203,10 +214,14 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
                     }
 
                     // One thread churns expiry; watermark moves only
-                    // after track_all has retired and republished.
+                    // after track_all has retired and republished, and
+                    // only while no create is in flight. The sweep
+                    // itself runs outside the gate: writers are never
+                    // serialised against it.
                     if t == 0 && j % 5 == 4 {
                         let now = 8.0 * 3600.0 + f64::from(j) * 90.0;
                         retired.fetch_add(eng.track_all(now) as u64, Ordering::Relaxed);
+                        let _advance = gate.write().unwrap();
                         watermark.fetch_max(now.to_bits(), Ordering::Release);
                     }
                 }

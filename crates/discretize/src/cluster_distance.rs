@@ -146,6 +146,20 @@ impl ClusterDistances {
         f64::from(self.dist[a.index() * self.k + b.index()])
     }
 
+    /// Distances from `a` to every cluster, indexed by destination
+    /// cluster id — one contiguous row of the table.
+    #[inline]
+    pub(crate) fn row(&self, a: ClusterId) -> &[f32] {
+        &self.dist[a.index() * self.k..(a.index() + 1) * self.k]
+    }
+
+    /// Distances from every cluster to `b`, in source-cluster-id order
+    /// — one strided column of the table.
+    #[inline]
+    pub(crate) fn column(&self, b: ClusterId) -> impl Iterator<Item = f32> + '_ {
+        self.dist[b.index()..].iter().step_by(self.k.max(1)).copied()
+    }
+
     /// Heap bytes held by the table (index-size accounting — this is
     /// the dominant term of Figure 3c's memory curve).
     pub fn heap_bytes(&self) -> usize {
@@ -227,6 +241,19 @@ mod tests {
         let cd = ClusterDistances::compute(&g, &lms, &cl, k, f64::INFINITY);
         for c in 0..k as u32 {
             assert_eq!(cd.dist(ClusterId(c), ClusterId(c)), 0.0);
+        }
+    }
+
+    #[test]
+    fn row_and_column_agree_with_dist() {
+        let (g, lms, cl, k) = setup();
+        let cd = ClusterDistances::compute(&g, &lms, &cl, k, f64::INFINITY);
+        for a in (0..k as u32).map(ClusterId) {
+            let row: Vec<f64> = cd.row(a).iter().map(|&d| f64::from(d)).collect();
+            let col: Vec<f64> = cd.column(a).map(f64::from).collect();
+            let ids = || (0..k as u32).map(ClusterId);
+            assert_eq!(row, ids().map(|b| cd.dist(a, b)).collect::<Vec<_>>());
+            assert_eq!(col, ids().map(|b| cd.dist(b, a)).collect::<Vec<_>>());
         }
     }
 

@@ -284,6 +284,22 @@ impl RegionIndex {
         self.cluster_dist.dist(a, b)
     }
 
+    /// [`Self::cluster_distance`] from `a` to every cluster, indexed by
+    /// destination cluster id: one contiguous row of the table, for
+    /// callers that sweep all clusters (the reachable-cluster scan).
+    #[inline]
+    pub fn cluster_distances_from(&self, a: ClusterId) -> &[f32] {
+        self.cluster_dist.row(a)
+    }
+
+    /// [`Self::cluster_distance`] from every cluster to `b`, in
+    /// source-cluster-id order (a strided column: copy it once when it
+    /// is swept repeatedly).
+    #[inline]
+    pub fn cluster_distances_to(&self, b: ClusterId) -> impl Iterator<Item = f32> + '_ {
+        self.cluster_dist.column(b)
+    }
+
     /// Heap bytes of the discretization tables (landmarks, associations,
     /// cluster distances) — the static part of Figure 3c's index size.
     /// The routing substrate is not part of that index and is not

@@ -52,9 +52,9 @@ impl XarEngine {
     /// [`XarEngine::book`] performs the first three checks itself; the
     /// detour-budget check is *stricter* than booking (which honours
     /// the ε overshoot of an estimate made when the budget still
-    /// covered it — see Figure 3a). Batch dispatchers call this at
-    /// commit time, where the estimate may predate other bookings that
-    /// consumed the budget in between.
+    /// covered it — see Figure 3a). Call it at commit time when the
+    /// estimate may predate other bookings that consumed the budget in
+    /// between.
     pub fn validate_match(&self, m: &RideMatch) -> Result<(), XarError> {
         let ride = self.ride(m.ride).ok_or(XarError::UnknownRide(m.ride))?;
         if ride.status != RideStatus::Active {
@@ -88,8 +88,8 @@ impl XarEngine {
     /// any route work — when the ride state it was searched against no
     /// longer holds, including the case booking itself would honour
     /// where the remaining detour budget has shrunk below the
-    /// estimate. The entry point for commit stages that held the match
-    /// across a batch window.
+    /// estimate. The entry point for callers that held the match while
+    /// other writers ran.
     pub fn book_checked(&mut self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
         self.validate_match(m)?;
         self.book(m)

@@ -164,11 +164,11 @@ struct Inner {
     /// Force every publish down the full-rebuild path (bench baseline /
     /// equivalence testing); incremental patching is the default.
     full_publish: AtomicBool,
-    /// Coalescing window for first-match mode, nanoseconds: a
-    /// non-forced publish within this window of the shard's previous
-    /// publish is deferred (the dirt accumulates until the next forced
-    /// publish, window expiry, or [`ShardedXarEngine::publish_pending`]).
-    /// 0 (the default) publishes on every write — read-your-writes.
+    /// Coalescing window, nanoseconds: a non-forced publish within
+    /// this window of the shard's previous publish is deferred (the
+    /// dirt accumulates until the next forced publish, window expiry,
+    /// or [`ShardedXarEngine::publish_pending`]). 0 (the default)
+    /// publishes on every write — read-your-writes.
     publish_coalesce_ns: AtomicU64,
     /// Time origin for `Shard::last_publish_ns`.
     anchor: Instant,
@@ -282,12 +282,13 @@ impl ShardedXarEngine {
         self.inner.full_publish.store(full, Ordering::Relaxed);
     }
 
-    /// Set the publish-coalescing window for first-match mode,
-    /// microseconds. While a shard published less than this long ago,
-    /// non-forced write paths (create/book) defer their republish and
-    /// let the dirt accumulate; retirement sweeps, batch commits and
-    /// [`ShardedXarEngine::publish_pending`] always publish. 0 (the
-    /// default) restores publish-on-every-write (read-your-writes).
+    /// Set the publish-coalescing window, microseconds. No driver sets
+    /// it; the publication tests measure through it. While a shard
+    /// published less than this long ago, non-forced write paths
+    /// (create/book) defer their republish and let the dirt accumulate;
+    /// retirement sweeps and [`ShardedXarEngine::publish_pending`]
+    /// always publish. 0 (the default) restores publish-on-every-write
+    /// (read-your-writes).
     pub fn set_publish_coalesce_us(&self, us: u64) {
         self.inner.publish_coalesce_ns.store(us.saturating_mul(1_000), Ordering::Relaxed);
     }
@@ -461,16 +462,13 @@ impl ShardedXarEngine {
     /// previous snapshot ([`ShardSnapshot::build_incremental`] — a
     /// dirty cluster's segment is a pointer clone of the index's list,
     /// unchanged ones are shared with the previous snapshot, so the
-    /// cost is proportional to the dirt, not the shard). Falls back to
-    /// a full build when at least half the clusters are dirty (the
-    /// patch would copy most of the pointer array anyway) or when
-    /// [`ShardedXarEngine::set_full_publish`] is on.
+    /// cost is proportional to the dirt, not the shard). Builds in full
+    /// only when [`ShardedXarEngine::set_full_publish`] is on.
     ///
     /// Called by every write path while it still holds the shard write
     /// lock, so publishes serialize per shard and each snapshot is a
     /// consistent point-in-time view. `force` bypasses the coalescing
-    /// window — retirement sweeps and batch commits must land even
-    /// mid-window.
+    /// window — retirement sweeps must land even mid-window.
     fn publish_shard(&self, i: usize, engine: &mut XarEngine, force: bool) {
         let shard = &self.inner.shards[i];
         let version = engine.state_version();
@@ -517,7 +515,6 @@ impl ShardedXarEngine {
             let prev = shard.snapshot.load(&guard);
             if self.inner.full_publish.load(Ordering::Relaxed)
                 || prev.cluster_count() != engine.index().cluster_count()
-                || dirty.len() * 2 >= prev.cluster_count().max(1)
             {
                 ShardSnapshot::build(engine)
             } else {
@@ -571,44 +568,15 @@ impl ShardedXarEngine {
     /// budget are re-validated against the live ride state under the
     /// owning shard's write lock, so the check and the booking are one
     /// atomic step — no other writer can invalidate the match between
-    /// them. This is the entry point for batch dispatchers, whose
-    /// matches come from a lock-free snapshot taken up to a window
-    /// earlier and may have gone stale behind the searcher's back.
+    /// them. This is the entry point for callers whose matches come
+    /// from a lock-free snapshot and may have gone stale behind the
+    /// searcher's back.
     pub fn book_checked(&self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.book_checked(m);
         self.publish_shard(shard, &mut guard, false);
         res
-    }
-
-    /// **Book** a whole batch window's matches with one write lock and
-    /// one snapshot publish per *touched shard* instead of one of each
-    /// per booking — the coalescing that makes `--dispatch batch:<ms>`
-    /// write cost proportional to the dirt, not to the booking count.
-    /// Matches are grouped by owning shard; within a shard they commit
-    /// in stream order, each individually re-validated
-    /// ([`XarEngine::validate_match`]) against the live state, so one
-    /// stale match never poisons the rest. Results come back
-    /// index-aligned with `ms`.
-    pub fn book_checked_batch(&self, ms: &[&RideMatch]) -> Vec<Result<BookingOutcome, XarError>> {
-        let n = self.inner.shards.len();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (pos, m) in ms.iter().enumerate() {
-            by_shard[self.shard_of_ride(m.ride)].push(pos);
-        }
-        let mut out: Vec<Option<Result<BookingOutcome, XarError>>> = (0..ms.len()).map(|_| None).collect();
-        for (shard, positions) in by_shard.into_iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let (mut guard, _hold) = self.write_shard(shard);
-            for pos in positions {
-                out[pos] = Some(guard.book_checked(ms[pos]));
-            }
-            self.publish_shard(shard, &mut guard, true);
-        }
-        out.into_iter().map(|r| r.expect("every match was routed to a shard")).collect()
     }
 
     /// **Track** one ride: one write lock on its owning shard, plus a
@@ -1027,13 +995,8 @@ mod tests {
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let eng = ShardedXarEngine::new(region, EngineConfig::default(), 4);
-        // Small detour budgets keep the reachable sets — and so the
-        // dirty fraction — small; the 30-cluster test city would
-        // otherwise trip the ≥half-dirty full-rebuild heuristic on
-        // every create.
-        let tight = |i: u32| RideOffer { detour_limit_m: 250.0, ..offer(&graph, i) };
         for i in 0..30 {
-            let _ = eng.create_ride(&tight(i));
+            let _ = eng.create_ride(&offer(&graph, i));
         }
         let m = eng.metrics();
         assert!(
@@ -1045,7 +1008,7 @@ mod tests {
         // Full-publish mode still converges to the same content.
         eng.set_full_publish(true);
         let partial_before = m.snapshot_partial_publishes.get();
-        let _ = eng.create_ride(&tight(31));
+        let _ = eng.create_ride(&offer(&graph, 31));
         assert_eq!(m.snapshot_partial_publishes.get(), partial_before);
         assert!(eng.snapshots_consistent());
     }
@@ -1087,47 +1050,6 @@ mod tests {
         eng.set_publish_coalesce_us(0);
         let _ = eng.create_ride(&offer(&graph, 50));
         assert!(eng.snapshots_consistent());
-    }
-
-    #[test]
-    fn batch_booking_publishes_once_per_touched_shard() {
-        let region = region(31);
-        let graph = Arc::clone(region.graph());
-        let n = graph.node_count() as u32;
-        let eng = ShardedXarEngine::new(region, EngineConfig::default(), 4);
-        for i in 0..30 {
-            let _ = eng.create_ride(&offer(&graph, i));
-        }
-        let req = RideRequest {
-            source: graph.point(NodeId(n / 2)),
-            destination: graph.point(NodeId(n - 1)),
-            window_start_s: 7.5 * 3600.0,
-            window_end_s: 9.5 * 3600.0,
-            walk_limit_m: 800.0,
-        };
-        let matches = eng.search(&req, 6).unwrap();
-        assert!(matches.len() >= 2, "need a real batch");
-        let refs: Vec<&RideMatch> = matches.iter().collect();
-        let mut shards: Vec<usize> = refs.iter().map(|m| eng.shard_of_ride(m.ride)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        let m = eng.metrics();
-        let publishes_before = m.snapshot_publishes.get();
-        let results = eng.book_checked_batch(&refs);
-        assert_eq!(results.len(), refs.len(), "results index-aligned with input");
-        assert!(results[0].is_ok(), "first (freshest) match must book");
-        let published = m.snapshot_publishes.get() - publishes_before;
-        assert!(
-            published <= shards.len() as u64,
-            "batch of {} published {published} times for {} touched shards",
-            refs.len(),
-            shards.len()
-        );
-        assert!(eng.snapshots_consistent());
-        // Outcomes match what sequential book_checked would decide for
-        // the same stream: each Ok really decremented a seat.
-        let booked: u64 = results.iter().filter(|r| r.is_ok()).count() as u64;
-        assert_eq!(eng.stats().snapshot().bookings, booked);
     }
 
     /// The distinct clusters `id` is listed in, and its

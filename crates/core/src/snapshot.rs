@@ -666,8 +666,9 @@ impl IndexView for ShardSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::channel;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn pin_is_reentrant_and_slot_returns_to_idle() {
@@ -689,29 +690,41 @@ mod tests {
     #[test]
     fn publish_defers_free_while_pinned_elsewhere() {
         let cell = Arc::new(SnapshotCell::new(ShardSnapshot::empty(1)));
-        let hold = Arc::new(AtomicBool::new(true));
-        let release = Arc::clone(&hold);
+        let (pinned_tx, pinned_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
         let reader_cell = Arc::clone(&cell);
         let reader = std::thread::spawn(move || {
             let guard = pin();
             let snap = reader_cell.load(&guard);
             let before = snap.entry_count();
-            while release.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
+            pinned_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
             // The pinned view must still be intact after publishes.
             assert_eq!(snap.entry_count(), before);
         });
-        // Give the reader time to pin.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        pinned_rx.recv().unwrap();
         let out1 = cell.publish(ShardSnapshot::empty(2));
         assert!(out1.backlog >= 1, "old snapshot must stay retired while the reader pins");
-        hold.store(false, Ordering::SeqCst);
+        release_tx.send(()).unwrap();
         reader.join().unwrap();
-        // With the reader gone, the next publish reclaims everything.
-        let out2 = cell.publish(ShardSnapshot::empty(3));
-        assert_eq!(out2.backlog, 0, "unpinned readers must not block reclamation");
-        assert!(out2.freed >= 1);
+        // With the reader gone, a publish reclaims everything — once its
+        // scan meets no pin at all. The epoch domain is process-global
+        // and the other unit tests of this binary pin it for the length
+        // of a search, so publish until one scan finds it clear; a pin
+        // leaked by *this* reader would never clear.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut freed = 0;
+        loop {
+            let out = cell.publish(ShardSnapshot::empty(3));
+            freed += out.freed;
+            if out.backlog == 0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "unpinned readers must not block reclamation");
+            std::thread::yield_now();
+        }
+        assert!(freed >= 2, "the pinned-over snapshot and its successor are both freed");
+        assert_eq!(cell.retired_len(), 0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Metrics aggregate and the flight recorder tail-samples; neither can
 //! answer *"why was request R rejected?"*. This module can: the
-//! dispatch pipeline emits exactly one [`EventRecord`] per simulated
+//! replay driver emits exactly one [`EventRecord`] per simulated
 //! request — outcome, typed rejection reason, search tier, candidate
-//! count, batch-window id and latencies — and the records flow into a
+//! count and latencies — and the records flow into a
 //! bounded global ring for the `/debug/events` tail and into segmented
 //! JSONL on disk (`xar simulate --events-out`) for the `xar logs`
 //! forensics CLI.
@@ -72,9 +72,6 @@ pub struct EventRecord {
     pub candidates: u32,
     /// Feasible matches the (first) search returned.
     pub matches: u32,
-    /// Batch-window id the request was decided in (per-worker
-    /// sequence; the immediate dispatcher gives each request its own).
-    pub window: u64,
     /// Search calls performed for this request (re-searches included).
     pub searches: u32,
     /// Booking attempts that failed stale before the outcome.
@@ -109,7 +106,6 @@ impl EventRecord {
             tier: 0,
             candidates: 0,
             matches: 0,
-            window: 0,
             searches: 0,
             stale: 0,
             ride: NO_RIDE,
@@ -266,8 +262,6 @@ fn write_event_line(out: &mut String, e: &EventRecord) {
     w.number_u64(u64::from(e.candidates));
     w.key("matches");
     w.number_u64(u64::from(e.matches));
-    w.key("window");
-    w.number_u64(e.window);
     w.key("searches");
     w.number_u64(u64::from(e.searches));
     w.key("stale");
@@ -362,8 +356,6 @@ pub struct ParsedEvent {
     pub candidates: u64,
     /// Matches returned.
     pub matches: u64,
-    /// Batch-window id.
-    pub window: u64,
     /// Search calls performed.
     pub searches: u64,
     /// Stale booking attempts.
@@ -478,7 +470,6 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
                         tier: field_u64(v, "tier")?,
                         candidates: field_u64(v, "candidates")?,
                         matches: field_u64(v, "matches")?,
-                        window: field_u64(v, "window")?,
                         searches: field_u64(v, "searches")?,
                         stale: field_u64(v, "stale")?,
                         ride: v.get("ride").and_then(JsonValue::as_u64),

@@ -10,7 +10,6 @@ use xar_obs::Registry;
 use xar_tshare::engine::{TShareMatch, TShareRequest};
 use xar_tshare::TShareEngine;
 
-use crate::dispatch::Candidate;
 use crate::sim::{BookResult, RideBackend, SimConfig};
 use crate::trips::Trip;
 
@@ -38,18 +37,12 @@ pub fn offer_of(trip: &Trip, cfg: &SimConfig) -> RideOffer {
     }
 }
 
-/// The assignment edge of an XAR match. Score = combined rider
-/// walking: the paper's assignment objective ("the ride that incurs
-/// least walking ... is matched"), also the engine's primary sort key.
-fn candidate_of(m: &RideMatch) -> Candidate {
-    Candidate { ride: m.ride.0, score: m.walk_total_m(), detour_m: m.detour_est_m }
-}
-
 /// [`BookResult`] from a core-engine booking outcome; failures carry
 /// the error's typed rejection reason.
 fn book_result(res: Result<xar_core::BookingOutcome, xar_core::XarError>) -> BookResult {
     match res {
         Ok(out) => BookResult::Booked {
+            ride: out.ride.0,
             actual_detour_m: out.actual_detour_m,
             estimated_detour_m: out.estimated_detour_m,
             walk_m: out.walk_total_m,
@@ -98,14 +91,6 @@ impl RideBackend for XarBackend {
 
     fn book(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
         book_result(self.engine.book(m))
-    }
-
-    fn book_checked(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
-        book_result(self.engine.book_checked(m))
-    }
-
-    fn describe(m: &RideMatch) -> Candidate {
-        candidate_of(m)
     }
 
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
@@ -167,18 +152,6 @@ impl RideBackend for ShardedXarBackend {
         book_result(self.engine.book(m))
     }
 
-    fn book_checked(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
-        book_result(self.engine.book_checked(m))
-    }
-
-    fn book_checked_batch(&mut self, ms: &[&RideMatch], _cfg: &SimConfig) -> Vec<BookResult> {
-        self.engine.book_checked_batch(ms).into_iter().map(book_result).collect()
-    }
-
-    fn describe(m: &RideMatch) -> Candidate {
-        candidate_of(m)
-    }
-
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
         self.engine.create_ride(&offer_of(trip, cfg)).map(|_| ()).map_err(|e| e.reason())
     }
@@ -225,6 +198,7 @@ impl RideBackend for TShareBackend {
     fn book(&mut self, m: &TShareMatch, _cfg: &SimConfig) -> BookResult {
         match self.engine.book(m) {
             Some(actual) => BookResult::Booked {
+                ride: m.taxi.0,
                 actual_detour_m: actual,
                 estimated_detour_m: m.detour_m,
                 walk_m: 0.0, // T-Share picks riders up at their door
@@ -237,16 +211,6 @@ impl RideBackend for TShareBackend {
             // longer absorb the trip — the match went stale.
             None => BookResult::Failed(Reason::StaleCommit),
         }
-    }
-
-    // `book_checked` stays the default (`book`): T-Share's `book`
-    // re-validates the taxi's schedule at insertion time, so there is
-    // no stale-candidate window to close.
-
-    fn describe(m: &TShareMatch) -> Candidate {
-        // T-Share has no rider walking; the detour it inflicts on the
-        // taxi is the assignment cost.
-        Candidate { ride: m.taxi.0, score: m.detour_m, detour_m: m.detour_m }
     }
 
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {

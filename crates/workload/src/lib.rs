@@ -34,7 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod dispatch;
+mod dispatch;
 pub mod parallel;
 pub mod report;
 pub mod searchbench;
@@ -43,14 +43,8 @@ pub mod writebench;
 pub mod trips;
 
 pub use backend::{ShardedXarBackend, TShareBackend, XarBackend};
-pub use dispatch::{
-    run_dispatch, AssignOutcome, Assignment, BatchRequest, BatchWindow, Candidate,
-    DispatchPolicy, DispatchSpec, FirstMatch,
-};
 pub use parallel::{run_parallel_dispatch, run_scaling_point, scaling_curve_json, ScalingPoint};
-pub use report::{
-    percentile, percentile_ns, Decision, DecisionOutcome, DispatchDeltas, SimReport,
-};
+pub use report::{percentile, percentile_ns, Decision, DecisionOutcome, SimReport};
 pub use searchbench::{
     populated_engine, run_search_point, search_curve_json, SearchPoint,
 };

@@ -2,9 +2,8 @@
 //!
 //! The serial driver ([`crate::sim::run_simulation`]) replays trips
 //! from one thread — fine for measuring algorithmic latencies, useless
-//! for measuring engine *scaling*. This module runs the same
-//! [`crate::dispatch::run_dispatch`] loop from `N` closed-loop worker
-//! threads at once:
+//! for measuring engine *scaling*. This module runs the same replay
+//! loop from `N` closed-loop worker threads at once:
 //!
 //! * Every worker drives its own **clone** of the backend, so the one
 //!   [`RideBackend`] trait serves both drivers. The clones must share
@@ -15,7 +14,7 @@
 //!   by request time and the interleaving across threads approximates
 //!   the serial arrival order — no thread runs ahead into "the future"
 //!   by more than its stride.
-//! * Each thread runs the dispatch policy (request tracing, wide events
+//! * Each thread runs the §X.A.2 protocol (request tracing, wide events
 //!   and all) against the shared engine and accumulates a private
 //!   [`SimReport`]; the partial reports are merged after the join.
 //!   Outcome counters (`sim.requests{outcome=…}`, `sim.requests_total`)
@@ -33,17 +32,14 @@ use xar_core::ShardedXarEngine;
 use xar_obs::Registry;
 
 use crate::backend::ShardedXarBackend;
-use crate::dispatch::DispatchSpec;
 use crate::report::SimReport;
 use crate::sim::{RideBackend, SimConfig};
 use crate::trips::Trip;
 
 /// Replay `trips` through clones of `backend` from `threads`
-/// closed-loop workers (clamped to ≥ 1), each running its own policy
-/// instance (built from `spec`) over its private trip slice — batch
-/// windows form per worker, the engine stays shared and every commit
-/// re-validates against it. Returns the merged report. Thread `t`
-/// replays every `threads`-th trip starting at `t`; thread 0
+/// closed-loop workers (clamped to ≥ 1), each over its private trip
+/// slice against the shared engine. Returns the merged report. Thread
+/// `t` replays every `threads`-th trip starting at `t`; thread 0
 /// additionally runs the tracking sweeps at `cfg.track_every_s`
 /// intervals of simulated time.
 ///
@@ -53,7 +49,6 @@ pub fn run_parallel_dispatch<B: RideBackend + Clone + Send>(
     trips: &[Trip],
     cfg: &SimConfig,
     threads: usize,
-    spec: DispatchSpec,
 ) -> SimReport {
     let threads = threads.max(1);
     let registry = backend.registry().unwrap_or_else(|| Arc::new(Registry::new()));
@@ -69,14 +64,7 @@ pub fn run_parallel_dispatch<B: RideBackend + Clone + Send>(
                 scope.spawn(move || {
                     let slice: Vec<Trip> =
                         trips.iter().skip(t).step_by(threads).copied().collect();
-                    let mut policy = spec.build(cfg);
-                    crate::dispatch::run_dispatch_in(
-                        &mut worker,
-                        &slice,
-                        cfg,
-                        policy.as_mut(),
-                        registry,
-                    )
+                    crate::dispatch::run_dispatch(&mut worker, &slice, cfg, registry)
                 })
             })
             .collect();
@@ -206,7 +194,7 @@ pub fn run_scaling_point(
         shards,
     ));
     let t0 = Instant::now();
-    let report = run_parallel_dispatch(&backend, trips, cfg, threads, DispatchSpec::First);
+    let report = run_parallel_dispatch(&backend, trips, cfg, threads);
     let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
     let mut overbooked = 0u64;
     backend.engine.for_each_ride(|r| {
@@ -272,7 +260,7 @@ mod tests {
         let trips = generate_trips(&g, &TripGenConfig { count: 101, ..Default::default() });
         let b = CountingBackend::default();
         let cfg = SimConfig { track_every_s: Some(600.0), ..Default::default() };
-        let r = run_parallel_dispatch(&b, &trips, &cfg, 4, DispatchSpec::First);
+        let r = run_parallel_dispatch(&b, &trips, &cfg, 4);
         assert_eq!(b.searches.load(Ordering::Relaxed), 101);
         assert_eq!(b.creates.load(Ordering::Relaxed), 101);
         assert!(b.tracks.load(Ordering::Relaxed) > 0, "thread 0 must run sweeps");
@@ -290,7 +278,7 @@ mod tests {
         let trips = generate_trips(&g, &TripGenConfig { count: 10, ..Default::default() });
         let cfg = SimConfig { track_every_s: None, ..Default::default() };
         let b = CountingBackend::default();
-        let r = run_parallel_dispatch(&b, &trips, &cfg, 0, DispatchSpec::First);
+        let r = run_parallel_dispatch(&b, &trips, &cfg, 0);
         assert_eq!(r.looks, 10);
     }
 

@@ -5,9 +5,9 @@ use std::sync::Arc;
 use xar_obs::json::JsonWriter;
 use xar_obs::Registry;
 
-/// The booking decision one request ended with — what the dispatch
-/// equivalence properties compare across policies: two runs are
-/// "decision-identical" when their sorted decision vectors are equal.
+/// The booking decision one request ended with — what the driver
+/// equivalence properties compare: two runs are "decision-identical"
+/// when their sorted decision vectors are equal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Decision {
     /// The trip the decision is for.
@@ -66,18 +66,6 @@ pub struct SimReport {
     /// Per booking: scheduled pick-up wait, seconds (pick-up ETA minus
     /// request time; only bookings with a finite ETA contribute).
     pub wait_s: Vec<f64>,
-    /// Wall-clock nanoseconds per dispatch-window flush (generate +
-    /// assign + commit). Empty for immediate (first-match) dispatch.
-    pub window_ns: Vec<u64>,
-    /// Requests per dispatch-window flush, aligned with
-    /// [`SimReport::window_ns`].
-    pub window_sizes: Vec<u64>,
-    /// Batch commits rejected by the live-engine feasibility re-check
-    /// (the candidate went stale within its window).
-    pub stale_commits: u64,
-    /// Improving local-search moves (2-swaps + eject-reinserts) the
-    /// assignment stage applied.
-    pub swaps: u64,
     /// Per-request booking decisions, in replay order for the serial
     /// driver (interleaved across threads for the parallel one — sort
     /// by trip id before comparing).
@@ -108,10 +96,6 @@ impl SimReport {
         self.walk_m.extend(other.walk_m);
         self.detour_excess_m.extend(other.detour_excess_m);
         self.wait_s.extend(other.wait_s);
-        self.window_ns.extend(other.window_ns);
-        self.window_sizes.extend(other.window_sizes);
-        self.stale_commits += other.stale_commits;
-        self.swaps += other.swaps;
         self.decisions.extend(other.decisions);
         if self.registry.is_none() {
             self.registry = other.registry;
@@ -135,78 +119,6 @@ impl SimReport {
             0.0
         } else {
             self.booked as f64 / total as f64
-        }
-    }
-
-    /// Service rate: the fraction of **all** requests served by pooling
-    /// into an existing ride (booked / (booked+created+unservable)).
-    /// This is the quantity batch-window assignment tries to raise —
-    /// every request it pools is one fewer car on the road — and the
-    /// one fig7 / the CI dispatch gate compare across policies.
-    /// (Created rides also serve their rider; they are counted by
-    /// [`SimReport::share_rate`]'s denominator, not here.)
-    pub fn service_rate(&self) -> f64 {
-        let total = self.booked + self.created + self.unservable;
-        if total == 0 {
-            0.0
-        } else {
-            self.booked as f64 / total as f64
-        }
-    }
-
-    /// Mean realised booking detour, metres (0 with no bookings).
-    pub fn mean_detour_m(&self) -> f64 {
-        if self.detour_actual_m.is_empty() {
-            0.0
-        } else {
-            self.detour_actual_m.iter().sum::<f64>() / self.detour_actual_m.len() as f64
-        }
-    }
-
-    /// Mean scheduled pick-up wait, seconds (0 with no finite ETAs).
-    pub fn mean_wait_s(&self) -> f64 {
-        if self.wait_s.is_empty() {
-            0.0
-        } else {
-            self.wait_s.iter().sum::<f64>() / self.wait_s.len() as f64
-        }
-    }
-
-    /// p99 of the *amortized* per-request dispatch cost, nanoseconds:
-    /// for a batch run, each flushed window contributes
-    /// `window_ns / batch_size` once per request it carried; for an
-    /// immediate run (no windows recorded) every request is its own
-    /// window, so this degrades to the p99 search latency.
-    pub fn amortized_dispatch_p99_ns(&self) -> f64 {
-        if self.window_ns.is_empty() {
-            return percentile_ns(&self.search_ns, 99.0);
-        }
-        let mut per_req: Vec<f64> = Vec::new();
-        for (ns, sz) in self.window_ns.iter().zip(&self.window_sizes) {
-            let amortized = *ns as f64 / (*sz).max(1) as f64;
-            for _ in 0..(*sz).max(1) {
-                per_req.push(amortized);
-            }
-        }
-        percentile(&per_req, 99.0)
-    }
-
-    /// Quality deltas of this run against a baseline (by convention the
-    /// first-match run over the same trips) — the report's
-    /// "service-rate / detour / wait vs first-match" comparison.
-    pub fn deltas_vs(&self, baseline: &SimReport) -> DispatchDeltas {
-        let base_rate = baseline.service_rate();
-        DispatchDeltas {
-            service_rate_x: if base_rate > 0.0 {
-                self.service_rate() / base_rate
-            } else if self.service_rate() > 0.0 {
-                f64::INFINITY
-            } else {
-                1.0
-            },
-            service_rate_delta: self.service_rate() - base_rate,
-            mean_detour_delta_m: self.mean_detour_m() - baseline.mean_detour_m(),
-            mean_wait_delta_s: self.mean_wait_s() - baseline.mean_wait_s(),
         }
     }
 
@@ -268,14 +180,6 @@ impl SimReport {
         }
         w.key("share_rate");
         w.number_f64(self.share_rate());
-        w.key("service_rate");
-        w.number_f64(self.service_rate());
-        w.key("stale_commits");
-        w.number_u64(self.stale_commits);
-        w.key("swaps");
-        w.number_u64(self.swaps);
-        w.key("windows");
-        w.number_u64(self.window_ns.len() as u64);
         w.key("total_search_s");
         w.number_f64(self.total_search_s());
         w.key("total_create_s");
@@ -320,40 +224,6 @@ impl SimReport {
             w.key("metrics");
             w.raw(&reg.snapshot_json());
         }
-        w.end_object();
-        w.finish()
-    }
-}
-
-/// Quality deltas of one dispatch policy against a baseline run over
-/// the same trips (produced by [`SimReport::deltas_vs`]; serialized
-/// into `results/BENCH_dispatch.json`, schema in EXPERIMENTS.md).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DispatchDeltas {
-    /// Service-rate ratio vs the baseline (≥ 1.0 means the policy
-    /// pooled at least as many requests).
-    pub service_rate_x: f64,
-    /// Absolute service-rate difference vs the baseline.
-    pub service_rate_delta: f64,
-    /// Mean-detour difference, metres (negative = shorter detours).
-    pub mean_detour_delta_m: f64,
-    /// Mean-wait difference, seconds (negative = shorter waits).
-    pub mean_wait_delta_s: f64,
-}
-
-impl DispatchDeltas {
-    /// This delta record as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("service_rate_x");
-        w.number_f64(self.service_rate_x);
-        w.key("service_rate_delta");
-        w.number_f64(self.service_rate_delta);
-        w.key("mean_detour_delta_m");
-        w.number_f64(self.mean_detour_delta_m);
-        w.key("mean_wait_delta_s");
-        w.number_f64(self.mean_wait_delta_s);
         w.end_object();
         w.finish()
     }

@@ -1,18 +1,16 @@
 //! The ride-sharing simulation framework of §X.A.2, generic over the
 //! system under test.
 //!
-//! The replay loop itself lives in [`crate::dispatch`]: this module
+//! The replay loop itself lives in `crate::dispatch`: this module
 //! keeps the configuration ([`SimConfig`]), the system-under-test
-//! abstraction ([`RideBackend`]) and the classic entry point
-//! ([`run_simulation`]), which drives the paper's first-match protocol
-//! through the pipeline.
+//! abstraction ([`RideBackend`]) and the entry point
+//! ([`run_simulation`]).
 
 use std::sync::Arc;
 
 use xar_core::{Reason, SearchExplain};
 use xar_obs::Registry;
 
-use crate::dispatch::{Candidate, FirstMatch};
 use crate::report::SimReport;
 use crate::trips::Trip;
 
@@ -85,29 +83,6 @@ pub trait RideBackend {
     /// Book a match; [`BookResult::Failed`] carries the typed reason
     /// when it went stale.
     fn book(&mut self, m: &Self::Match, cfg: &SimConfig) -> BookResult;
-    /// Book a match after re-validating its feasibility (seats +
-    /// detour budget) against the live engine — the commit primitive
-    /// of batched dispatch, where candidates can go stale between
-    /// search and commit. Defaults to plain [`RideBackend::book`] for
-    /// backends whose `book` already re-checks everything it needs.
-    fn book_checked(&mut self, m: &Self::Match, cfg: &SimConfig) -> BookResult {
-        self.book(m, cfg)
-    }
-    /// Commit a whole batch window's picked matches at once, results
-    /// index-aligned with `ms`. Backends with per-write publication
-    /// cost override this to coalesce it (one snapshot publish per
-    /// touched shard instead of per booking); the default is the
-    /// sequential loop, so semantics never differ.
-    fn book_checked_batch(&mut self, ms: &[&Self::Match], cfg: &SimConfig) -> Vec<BookResult> {
-        ms.iter().map(|m| self.book_checked(m, cfg)).collect()
-    }
-    /// Reduce a match to the [`Candidate`] edge the assignment stage
-    /// scores: target ride, score (lower better), estimated detour.
-    /// The default is a zero edge, fine for backends never driven
-    /// through a batching policy.
-    fn describe(_m: &Self::Match) -> Candidate {
-        Candidate { ride: 0, score: 0.0, detour_m: 0.0 }
-    }
     /// Offer `trip` as a new ride; on failure, the typed
     /// [`Reason`] the request becomes unservable with (e.g.
     /// unroutable end-points).
@@ -132,9 +107,11 @@ pub trait RideBackend {
 /// Outcome of one booking attempt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BookResult {
-    /// Booked; carries `(actual detour m, estimated detour m,
-    /// walked m)` for quality accounting.
+    /// Booked; carries the ride and `(actual detour m, estimated
+    /// detour m, walked m)` for quality accounting.
     Booked {
+        /// The ride that absorbed the request (backend-opaque id).
+        ride: u64,
         /// Realised route extension, metres.
         actual_detour_m: f64,
         /// Search-time detour estimate, metres.
@@ -173,7 +150,11 @@ pub fn run_simulation<B: RideBackend>(
     trips: &[Trip],
     cfg: &SimConfig,
 ) -> SimReport {
-    crate::dispatch::run_dispatch(backend, trips, cfg, &mut FirstMatch)
+    // Phase histograms live in the backend's registry when it has one
+    // (so engine internals and simulator phases share a snapshot), in a
+    // private one otherwise.
+    let registry = backend.registry().unwrap_or_else(|| Arc::new(Registry::new()));
+    crate::dispatch::run_dispatch(backend, trips, cfg, registry)
 }
 
 #[cfg(test)]
@@ -207,6 +188,7 @@ mod tests {
                 BookResult::Failed(Reason::CapacityFull)
             } else {
                 BookResult::Booked {
+                    ride: 1,
                     actual_detour_m: 10.0,
                     estimated_detour_m: 8.0,
                     walk_m: 50.0,

@@ -1,5 +1,5 @@
 //! End-to-end conservation of the wide-event plane (ISSUE 9,
-//! satellite 3): every request of a dispatch run emits exactly one
+//! satellite 3): every request of a replay emits exactly one
 //! event, the events reconcile with the run's `sim.requests{outcome}`
 //! / `sim.reject_reason{reason=...}` counters, and **no** rejection
 //! decodes to `Reason::Unknown` — the taxonomy is closed over every
@@ -15,9 +15,8 @@ use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_obs::events;
 use xar_roadnet::{sample_pois, CityConfig, PoiConfig};
 use xar_workload::backend::{TShareBackend, XarBackend};
-use xar_workload::dispatch::{run_dispatch, DispatchSpec};
 use xar_workload::report::SimReport;
-use xar_workload::sim::SimConfig;
+use xar_workload::sim::{run_simulation, SimConfig};
 use xar_workload::trips::{generate_trips, TripGenConfig};
 use xar_tshare::{TShareConfig, TShareEngine};
 
@@ -42,13 +41,12 @@ fn region(graph: &Arc<xar_roadnet::RoadGraph>) -> Arc<RegionIndex> {
     ))
 }
 
-/// Run `trips` through a fresh XAR backend under `spec` with the event
-/// sink capturing everything, and return (report, events snapshot).
+/// Run `trips` through a fresh XAR backend with the event sink
+/// capturing everything, and return (report, events snapshot).
 fn run_with_events(
     seed: u64,
     trips: usize,
     cfg: &SimConfig,
-    spec: DispatchSpec,
 ) -> (SimReport, events::EventsSnapshot) {
     let graph = city(seed);
     let reg = region(&graph);
@@ -56,8 +54,7 @@ fn run_with_events(
     let mut backend = XarBackend::new(XarEngine::new(reg, EngineConfig::default()));
     events::configure(events::DEFAULT_CAPACITY);
     events::set_enabled(true);
-    let mut policy = spec.build(cfg);
-    let report = run_dispatch(&mut backend, &ts, cfg, policy.as_mut());
+    let report = run_simulation(&mut backend, &ts, cfg);
     events::set_enabled(false);
     let snap = events::snapshot();
     (report, snap)
@@ -116,31 +113,15 @@ fn assert_conserved(report: &SimReport, snap: &events::EventsSnapshot) {
 fn first_match_run_conserves_and_never_says_unknown() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = SimConfig { track_every_s: None, ..Default::default() };
-    let (report, snap) = run_with_events(42, 500, &cfg, DispatchSpec::First);
+    let (report, snap) = run_with_events(42, 500, &cfg);
     assert!(report.booked > 0, "workload must produce shares");
     assert_conserved(&report, &snap);
-}
-
-#[test]
-fn batch_window_run_conserves_and_never_says_unknown() {
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = SimConfig { track_every_s: None, ..Default::default() };
-    let (report, snap) =
-        run_with_events(43, 500, &cfg, DispatchSpec::Batch { window_ms: 50 });
-    assert!(report.booked > 0, "workload must produce shares");
-    assert_conserved(&report, &snap);
-    // Batched runs stamp a shared window id: booked-with-siblings
-    // requests must not all sit in distinct windows.
-    let windows: std::collections::HashSet<u64> =
-        snap.events.iter().map(|e| e.window).collect();
-    assert!(windows.len() < snap.events.len(), "batching must group requests into windows");
 }
 
 /// Property-style sweep (no external proptest dependency): randomized
 /// hostile configurations — starved seats, tiny detour budgets, tight
-/// walking limits, narrow windows, batch and first-match dispatch —
-/// must keep the taxonomy closed and the accounting conserved on every
-/// run. These configs are chosen to excite *every* rejection family:
+/// walking limits, narrow windows — must keep the taxonomy closed and
+/// the accounting conserved on every run. These configs are chosen to excite *every* rejection family:
 /// CapacityFull, DetourBudgetExceeded, WalkLimitExceeded,
 /// NoClusterCandidates, stale paths.
 #[test]
@@ -164,12 +145,7 @@ fn hostile_config_sweep_emits_zero_unknown() {
             seats: [1, 2, 3][(next() % 3) as usize],
             ..Default::default()
         };
-        let spec = if next() % 2 == 0 {
-            DispatchSpec::First
-        } else {
-            DispatchSpec::Batch { window_ms: 20 + next() % 200 }
-        };
-        let (report, snap) = run_with_events(100 + round, 250, &cfg, spec);
+        let (report, snap) = run_with_events(100 + round, 250, &cfg);
         assert_conserved(&report, &snap);
     }
 }
@@ -190,8 +166,7 @@ fn tshare_default_explain_stays_closed() {
     let cfg = SimConfig { track_every_s: None, ..Default::default() };
     events::configure(events::DEFAULT_CAPACITY);
     events::set_enabled(true);
-    let mut policy = DispatchSpec::First.build(&cfg);
-    let report = run_dispatch(&mut backend, &ts, &cfg, policy.as_mut());
+    let report = run_simulation(&mut backend, &ts, &cfg);
     events::set_enabled(false);
     let snap = events::snapshot();
     assert_conserved(&report, &snap);
@@ -204,8 +179,7 @@ fn tshare_default_explain_stays_closed() {
 fn jsonl_round_trip_reconciles_with_run() {
     let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = SimConfig { track_every_s: None, ..Default::default() };
-    let (report, snap) =
-        run_with_events(55, 300, &cfg, DispatchSpec::Batch { window_ms: 50 });
+    let (report, snap) = run_with_events(55, 300, &cfg);
     let text = events::to_jsonl(&snap);
     let log = events::parse_jsonl(&text).expect("run output must parse");
     assert_eq!(log.events.len() as u64, snap.kept());
@@ -220,4 +194,26 @@ fn jsonl_round_trip_reconciles_with_run() {
     let rejected: u64 =
         reasons.iter().filter(|(r, _)| r != "served").map(|(_, n)| *n).sum();
     assert_eq!(rejected, report.created + report.unservable);
+}
+
+/// A file written before the batch policy was removed carries a
+/// `"window"` key on every event and the `swap_ejected` reason (lines
+/// below are from the parent commit's `results/events_snapshot.jsonl`).
+/// It still parses: the extra key is ignored and the retired code
+/// decodes to `Reason::Unknown`, the documented parse fallback.
+#[test]
+fn an_events_file_from_before_the_removal_still_parses() {
+    let old = concat!(
+        r#"{"type":"meta","version":1,"segment_len":4096}"#, "\n",
+        r#"{"type":"segment","seq":0,"start":0,"len":4096}"#, "\n",
+        r#"{"type":"event","id":10618,"t_s":0,"outcome":"created","reason":"no_cluster_candidates","tier":2,"candidates":0,"matches":0,"window":0,"searches":1,"stale":0,"ride":null,"search_ns":16842,"book_ns":0,"walk_m":0,"detour_m":0,"wait_s":0}"#, "\n",
+        r#"{"type":"event","id":7428,"t_s":2.2868435047591134,"outcome":"created","reason":"swap_ejected","tier":2,"candidates":13,"matches":1,"window":32,"searches":2,"stale":0,"ride":null,"search_ns":20605,"book_ns":0,"walk_m":0,"detour_m":0,"wait_s":0}"#, "\n",
+        r#"{"type":"drops","emitted":2,"dropped":0,"kept":2}"#, "\n",
+    );
+    let log = events::parse_jsonl(old).expect("a parent-format file must parse");
+    assert_eq!(log.events.len(), 2);
+    assert_eq!(log.events[1].request_id, 7428);
+    assert_eq!(log.events[1].candidates, 13);
+    assert_eq!(Reason::from_code(&log.events[0].reason), Reason::NoClusterCandidates);
+    assert_eq!(Reason::from_code(&log.events[1].reason), Reason::Unknown);
 }

@@ -14,8 +14,7 @@
 //!              [--metrics-out FILE] [--trace-out FILE]
 //!              [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N]
 //!              [--events-out FILE] [--baseline tshare] [--threads N]
-//!              [--shards N] [--dispatch first|batch:MS]
-//!              [--compress-day-s F]
+//!              [--shards N]
 //!     Run the paper's §X.A.2 ride-sharing simulation over a synthetic
 //!     taxi day and report outcome + latency statistics. `--json` dumps
 //!     the full report (counters, percentiles, metrics) as JSON;
@@ -28,15 +27,12 @@
 //!     through the T-Share baseline so the trace and metrics cover
 //!     both systems. `--threads N` (default 1) drives the replay from
 //!     N closed-loop workers against the cluster-sharded engine
-//!     (`--shards`, default 8); an invalid `--threads` value exits
-//!     with code 9. `--dispatch batch:MS` (default `first`) routes
-//!     requests through the batch-window assignment policy; invalid
-//!     values also exit 9. `--compress-day-s F` rescales the trip day
-//!     onto F seconds so millisecond windows hold real batches.
+//!     (`--shards`, default 8); an invalid `--threads` or `--shards`
+//!     value exits with code 9.
 //!     `--events-out FILE` turns on the wide-event sink and writes one
 //!     structured decision record per request (outcome, typed rejection
-//!     reason, search tier, candidate count, batch-window id,
-//!     latencies) as segmented JSONL — the input of `xar logs`.
+//!     reason, search tier, candidate count, latencies) as segmented
+//!     JSONL — the input of `xar logs`.
 //!
 //! xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N]
 //!           [--threads LIST] [--min-scaling F] [--json FILE]
@@ -66,6 +62,14 @@
 //!     median and `--max-p99-ratio F` the last point's p99 relative to
 //!     the first's (tail flatness); either breach exits with code 7.
 //!     `--json` writes the `results/BENCH_search.json` schema.
+//!
+//! xar bench --write [--rows N] [--cols N] [--seed S] [--trips N]
+//!           [--storm N] [--shards N] [--json FILE] [--against FILE]
+//!           [--tolerance F]
+//!     Write-path micro-bench: a constant-density population sweep
+//!     timing `book_checked` and snapshot publication, incremental vs
+//!     forced full rebuild (`results/BENCH_write.json` schema). A
+//!     `--trips` value below 16 exits with code 9.
 //!
 //! xar logs --in events.jsonl [--outcome X] [--reason Y]
 //!          [--slower-than MS] [--request ID] [--top N]
@@ -119,6 +123,9 @@
 //! simulation so scrapers can observe the final state; `--max-backlog N`
 //! turns `/health` 503 while the snapshot retire backlog exceeds `N`
 //! and exits with code 10 when it still does at the end of the run.
+//!
+//! Every subcommand accepts only the flags listed for it here: any
+//! other `--flag` exits with code 1 before the command does any work.
 
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
@@ -140,10 +147,10 @@ use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::tshare::{TShareConfig, TShareEngine};
 use xhare_a_ride::workload::backend::request_of;
 use xhare_a_ride::workload::{
-    generate_trips, percentile_ns, populated_engine, run_dispatch, run_parallel_dispatch,
-    run_scaling_point, run_search_point, run_simulation, run_write_point, scaling_curve_json,
-    search_curve_json, write_curve_json, DispatchSpec, ScalingPoint, SearchPoint,
-    ShardedXarBackend, SimConfig, TShareBackend, TripGenConfig, WritePoint, XarBackend,
+    generate_trips, percentile_ns, populated_engine, run_parallel_dispatch, run_scaling_point,
+    run_search_point, run_simulation, run_write_point, scaling_curve_json, search_curve_json,
+    write_curve_json, ScalingPoint, SearchPoint, ShardedXarBackend, SimConfig, TShareBackend,
+    TripGenConfig, WritePoint, XarBackend,
 };
 
 /// Flags that take no value (presence alone means `true`).
@@ -190,13 +197,19 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse `args` for `cmd`, which reads exactly the flags in
+    /// `accepted`: any other flag is an error, so a typo or a removed
+    /// option cannot silently run with defaults.
+    fn parse(cmd: &str, accepted: &[&str], args: &[String]) -> Result<Self, String> {
         let mut values: HashMap<String, Vec<String>> = HashMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument '{a}'"));
             };
+            if !accepted.contains(&key) {
+                return Err(format!("unknown flag --{key} for `xar {cmd}`"));
+            }
             if SWITCHES.contains(&key) {
                 values.entry(key.to_string()).or_default().push("true".to_string());
                 continue;
@@ -234,10 +247,10 @@ impl Flags {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--dispatch first|batch:MS] [--compress-day-s F] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F] [--max-backlog N] [--publish-coalesce-us US]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --write [--rows N] [--cols N] [--seed S] [--trips N] [--storm N] [--shards N] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F] [--max-backlog N]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --write [--rows N] [--cols N] [--seed S] [--trips N] [--storm N] [--shards N] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
 }
 
-fn build_region(flags: &Flags) -> Result<(), String> {
+fn build_region(flags: &Flags) -> Result<(), CmdError> {
     let rows: usize = flags.get("rows", 60)?;
     let cols: usize = flags.get("cols", 60)?;
     let seed: u64 = flags.get("seed", 1)?;
@@ -269,7 +282,7 @@ fn build_region(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn inspect(flags: &Flags) -> Result<(), String> {
+fn inspect(flags: &Flags) -> Result<(), CmdError> {
     let path = flags.require("region")?;
     let region = RegionIndex::load(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let g = region.graph();
@@ -335,44 +348,6 @@ fn parse_threads_list(flags: &Flags) -> Result<Vec<usize>, CmdError> {
     Ok(out)
 }
 
-/// Parse `--dispatch` (default `first`); invalid values share the
-/// exit-code-9 contract of the other invocation flags.
-fn parse_dispatch_flag(flags: &Flags) -> Result<DispatchSpec, CmdError> {
-    match flags.get_opt("dispatch") {
-        None => Ok(DispatchSpec::First),
-        Some(v) => DispatchSpec::parse(v).map_err(|e| CmdError::coded(9, e)),
-    }
-}
-
-/// Parse `--compress-day-s` (default: off): rescale the generated
-/// trip day onto `[0, F]` seconds so millisecond batch windows hold
-/// more than one request. Invalid values share the exit-code-9
-/// contract.
-fn parse_compress_flag(flags: &Flags) -> Result<Option<f64>, CmdError> {
-    match flags.get_opt("compress-day-s") {
-        None => Ok(None),
-        Some(v) => match v.parse::<f64>() {
-            Ok(f) if f.is_finite() && f > 0.0 => Ok(Some(f)),
-            _ => Err(CmdError::coded(
-                9,
-                format!("--compress-day-s must be a positive number of seconds, got '{v}'"),
-            )),
-        },
-    }
-}
-
-/// Linearly rescale trip pick-up times onto `[0, span_s]`, preserving
-/// their order — the request *sequence* is untouched, only the arrival
-/// rate changes.
-fn compress_day(trips: &mut [xhare_a_ride::workload::Trip], span_s: f64) {
-    let Some(first) = trips.first().map(|t| t.pickup_s) else { return };
-    let last = trips.last().map(|t| t.pickup_s).unwrap_or(first);
-    let span = (last - first).max(f64::MIN_POSITIVE);
-    for t in trips.iter_mut() {
-        t.pickup_s = (t.pickup_s - first) / span * span_s;
-    }
-}
-
 /// Parse `--shards` (default [`DEFAULT_SHARDS`]); out-of-range values
 /// share the exit-code-9 contract.
 fn parse_shards_flag(flags: &Flags) -> Result<usize, CmdError> {
@@ -385,25 +360,6 @@ fn parse_shards_flag(flags: &Flags) -> Result<usize, CmdError> {
                 format!("--shards must be an integer in 1..={MAX_SHARDS}, got '{v}'"),
             )),
         },
-    }
-}
-
-/// Parse `--publish-coalesce-us` (default 0 = a publish on every
-/// write, i.e. read-your-writes). Positive values let first-match
-/// bookings batch their snapshot publications into one per window.
-/// Invalid values share the exit-code-9 contract.
-fn parse_publish_coalesce_flag(flags: &Flags) -> Result<u64, CmdError> {
-    match flags.get_opt("publish-coalesce-us") {
-        None => Ok(0),
-        Some(v) => v.parse::<u64>().map_err(|_| {
-            CmdError::coded(
-                9,
-                format!(
-                    "--publish-coalesce-us must be a non-negative integer of \
-                     microseconds, got '{v}'"
-                ),
-            )
-        }),
     }
 }
 
@@ -517,7 +473,7 @@ fn gate_against_baseline(
 /// The simulation's system under test: the serial single-engine
 /// backend (`--threads 1`, the default — no locks, no snapshot
 /// publication) or the sharded engine driven by N closed-loop workers.
-/// Both run the same dispatch loop behind the one `RideBackend` trait.
+/// Both run the same replay loop behind the one `RideBackend` trait.
 enum SimUnderTest {
     Serial(Box<XarBackend>),
     Parallel(ShardedXarBackend),
@@ -528,9 +484,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     // its distinct exit code.
     let threads = parse_threads_flag(flags)?;
     let shards = parse_shards_flag(flags)?;
-    let dispatch = parse_dispatch_flag(flags)?;
-    let compress = parse_compress_flag(flags)?;
-    let publish_coalesce_us = parse_publish_coalesce_flag(flags)?;
     let path = flags.require("region")?;
     let trips_n: usize = flags.get("trips", 10_000)?;
     let seed: u64 = flags.get("seed", 0x7A11)?;
@@ -564,19 +517,10 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
 
     let region =
         Arc::new(RegionIndex::load(path).map_err(|e| format!("cannot read {path}: {e}"))?);
-    let mut trips = generate_trips(
+    let trips = generate_trips(
         region.graph(),
         &TripGenConfig { count: trips_n, seed, ..Default::default() },
     );
-    if let Some(span_s) = compress {
-        compress_day(&mut trips, span_s);
-        eprintln!(
-            "day compressed : {} trips over {span_s} s ({:.0} req/s)",
-            trips.len(),
-            trips.len() as f64 / span_s,
-        );
-    }
-    let trips = trips;
     eprintln!("simulating {} trips on {} clusters...", trips.len(), region.cluster_count());
     let mut sim = if threads == 1 {
         // The serial engine is one index — nothing to shard, but say
@@ -596,22 +540,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
             shards,
         )))
     };
-    if publish_coalesce_us > 0 {
-        match &sim {
-            SimUnderTest::Parallel(b) => {
-                b.engine.set_publish_coalesce_us(publish_coalesce_us);
-                eprintln!("publish window : coalescing first-match publishes over {publish_coalesce_us} µs");
-            }
-            // The serial engine has no snapshot plane — nothing to
-            // coalesce, but say so instead of silently ignoring it.
-            SimUnderTest::Serial(_) => {
-                eprintln!(
-                    "publish window : --publish-coalesce-us ignored on the serial driver \
-                     (use --threads > 1)"
-                );
-            }
-        }
-    }
     let cfg = SimConfig { walk_limit_m: walk, window_s: window, detour_limit_m: detour, k, ..Default::default() };
 
     // Live operational plane: windowed series + SLO rules + optionally
@@ -693,11 +621,8 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     }
 
     let report = match &mut sim {
-        SimUnderTest::Serial(b) => {
-            let mut policy = dispatch.build(&cfg);
-            run_dispatch(b.as_mut(), &trips, &cfg, policy.as_mut())
-        }
-        SimUnderTest::Parallel(b) => run_parallel_dispatch(&*b, &trips, &cfg, threads, dispatch),
+        SimUnderTest::Serial(b) => run_simulation(b.as_mut(), &trips, &cfg),
+        SimUnderTest::Parallel(b) => run_parallel_dispatch(&*b, &trips, &cfg, threads),
     };
 
     // Snapshot the wide-event plane before the baseline replay so the
@@ -716,15 +641,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     }
 
     println!("trips          : {}", trips.len());
-    // Machine-read by the CI dispatch gate — keep the line shape stable.
-    println!(
-        "dispatch       : policy={} service_rate={:.6} stale_commits={} windows={} swaps={}",
-        dispatch.label(),
-        report.service_rate(),
-        report.stale_commits,
-        report.window_ns.len(),
-        report.swaps,
-    );
     println!("booked         : {} ({:.1}% share rate)", report.booked, report.share_rate() * 100.0);
     println!("created        : {}", report.created);
     println!("unservable     : {}", report.unservable);
@@ -855,12 +771,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
 /// final point's search throughput being at least `F ×` the first
 /// point's (anti-regression, exit 7).
 fn bench(flags: &Flags) -> Result<(), CmdError> {
-    if flags.switch("search") {
-        return bench_search(flags);
-    }
-    if flags.switch("write") {
-        return bench_write(flags);
-    }
     let thread_counts = parse_threads_list(flags)?;
     let shards = parse_shards_flag(flags)?;
     let rows: usize = flags.get("rows", 30)?;
@@ -1373,7 +1283,7 @@ fn trace_cmd(flags: &Flags) -> Result<(), CmdError> {
 fn event_line(e: &xar_obs::events::ParsedEvent) -> String {
     let mut line = format!(
         "req {:<8} t={:>8.1}s  {:<10} reason={:<24} tier={} cand={:<4} matches={:<3} \
-         stale={:<2} window={:<5} search={:>8.1}µs book={:>7.1}µs",
+         stale={:<2} search={:>8.1}µs book={:>7.1}µs",
         e.request_id,
         e.sim_t_s,
         e.outcome,
@@ -1382,7 +1292,6 @@ fn event_line(e: &xar_obs::events::ParsedEvent) -> String {
         e.candidates,
         e.matches,
         e.stale,
-        e.window,
         e.search_ns as f64 / 1e3,
         e.book_ns as f64 / 1e3,
     );
@@ -1659,7 +1568,7 @@ fn render_top_frame(p: &xar_obs::promtext::PromText) -> String {
     out.push('\n');
 
     // Rejection-reason breakdown (the wide-event taxonomy, counted by
-    // the dispatch pipeline into sim_reject_reason{reason=...}).
+    // the replay driver into sim_reject_reason{reason=...}).
     let mut rejects: Vec<(String, f64)> = p
         .with_name("sim_reject_reason")
         .filter_map(|s| s.label("reason").map(|r| (r.to_string(), s.value)))
@@ -1840,35 +1749,94 @@ fn top_cmd(flags: &Flags) -> Result<(), CmdError> {
     }
 }
 
+/// One subcommand (or `bench` mode): its name as typed, the flags it
+/// reads and its entry point. The flag lists mirror `usage()`.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Flags) -> Result<(), CmdError>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "build-region",
+        flags: &["rows", "cols", "seed", "delta", "clusters", "out"],
+        run: build_region,
+    },
+    Command { name: "inspect", flags: &["region"], run: inspect },
+    Command {
+        name: "simulate",
+        flags: &[
+            "region", "trips", "seed", "k", "walk", "window", "detour", "threads", "shards",
+            "json", "metrics-out", "trace-out", "trace-slow-ms", "trace-sample", "trace-buffer",
+            "events-out", "baseline", "serve", "slo", "slo-fail", "tick-ms", "linger-s",
+            "max-backlog",
+        ],
+        run: simulate,
+    },
+    Command {
+        name: "bench",
+        flags: &[
+            "rows", "cols", "seed", "trips", "shards", "threads", "min-scaling", "json",
+            "against", "tolerance",
+        ],
+        run: bench,
+    },
+    Command {
+        name: "bench --search",
+        flags: &[
+            "search", "rows", "cols", "seed", "trips", "shards", "threads", "searches",
+            "max-p50-us", "max-p99-ratio", "json", "against", "tolerance",
+        ],
+        run: bench_search,
+    },
+    Command {
+        name: "bench --write",
+        flags: &[
+            "write", "rows", "cols", "seed", "trips", "storm", "shards", "json", "against",
+            "tolerance",
+        ],
+        run: bench_write,
+    },
+    Command {
+        name: "logs",
+        flags: &["in", "outcome", "reason", "slower-than", "request", "top"],
+        run: logs_cmd,
+    },
+    Command { name: "trace", flags: &["in", "top", "check"], run: trace_cmd },
+    Command { name: "top", flags: &["connect", "interval-ms", "frames", "plain"], run: top_cmd },
+    Command {
+        name: "profile",
+        flags: &["out", "format", "alloc", "rows", "cols", "seed", "trips", "top"],
+        run: profile_cmd,
+    },
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    let flags = match Flags::parse(rest) {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    // `bench` has three modes with their own flags, picked by a switch.
+    let mode = rest.iter().find(|a| cmd == "bench" && matches!(a.as_str(), "--search" | "--write"));
+    let name = mode.map_or(cmd.clone(), |m| format!("{cmd} {m}"));
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("error: unknown command '{cmd}'\n{}", usage());
+        return ExitCode::FAILURE;
+    };
+    let flags = match Flags::parse(command.name, command.flags, rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    let result: Result<(), CmdError> = match cmd.as_str() {
-        "build-region" => build_region(&flags).map_err(CmdError::from),
-        "inspect" => inspect(&flags).map_err(CmdError::from),
-        "simulate" => simulate(&flags),
-        "bench" => bench(&flags),
-        "logs" => logs_cmd(&flags),
-        "trace" => trace_cmd(&flags),
-        "top" => top_cmd(&flags),
-        "profile" => profile_cmd(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(CmdError::general(format!("unknown command '{other}'\n{}", usage()))),
-    };
-    match result {
+    match (command.run)(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.msg);

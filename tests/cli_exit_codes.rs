@@ -1,11 +1,11 @@
 //! Pin the `xar` binary's exit-code contract (ISSUE 4 satellite): CI
 //! and operators branch on these, so a renumbering is a breaking
-//! change. 0 = ok, 1 = generic error, 2 = unreadable / invalid trace
+//! change. 0 = ok, 1 = generic error (including a flag the subcommand
+//! does not read), 2 = unreadable / invalid trace
 //! JSON, 3 = trace with no complete request timeline, 4 = trace
 //! missing the drop counter, 7 = `bench` capacity/scaling/`--against`
 //! gate, 8 = `--slo-fail` with a fired SLO, 9 = invalid `--threads` /
-//! `--shards` / `--dispatch` / `--compress-day-s` / `--tolerance` /
-//! `--publish-coalesce-us` / `bench --write` workload /
+//! `--shards` / `--tolerance` / `bench --write` workload /
 //! `xar logs` filter value, 10 = `--max-backlog` snapshot
 //! retire-backlog gate. `xar logs` reuses 2 (unreadable / invalid
 //! events file) and 3 (no events, or none matching the filters). The
@@ -83,12 +83,6 @@ fn invalid_threads_or_shards_exit_9_with_a_clear_message() {
         ["simulate", "--shards", "999"],
         ["bench", "--threads", "1,nope"],
         ["bench", "--shards", "zero"],
-        ["simulate", "--dispatch", "nonsense"],
-        ["simulate", "--dispatch", "batch:"],
-        ["simulate", "--dispatch", "batch:-50"],
-        ["simulate", "--dispatch", "batch:1.5"],
-        ["simulate", "--compress-day-s", "0"],
-        ["simulate", "--compress-day-s", "-10"],
     ] {
         let out = xar(&args);
         assert_eq!(code(&out), 9, "{args:?} -> {out:?}");
@@ -346,12 +340,11 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
     ]);
     assert_eq!(code(&out), 0, "build-region failed: {out:?}");
 
-    // A batch-dispatch run with the event sink on writes the JSONL file
-    // and reports conserved accounting on stdout.
+    // A run with the event sink on writes the JSONL file and reports
+    // conserved accounting on stdout.
     let events = dir.join("events.jsonl");
     let out = xar(&[
         "simulate", "--region", region.to_str().unwrap(), "--trips", "400",
-        "--dispatch", "batch:50", "--compress-day-s", "5",
         "--events-out", events.to_str().unwrap(),
     ]);
     assert_eq!(code(&out), 0, "{out:?}");
@@ -378,13 +371,10 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
 }
 
 #[test]
-fn write_bench_and_publish_coalesce_flags_validate_with_exit_9() {
+fn write_bench_flags_validate_with_exit_9() {
     // Invalid values fail fast, before any region or workload is
     // built, each naming the offending flag.
     for args in [
-        &["simulate", "--publish-coalesce-us", "nope"][..],
-        &["simulate", "--publish-coalesce-us", "-5"][..],
-        &["simulate", "--publish-coalesce-us", "1.5"][..],
         &["bench", "--write", "--trips", "nope"][..],
         &["bench", "--write", "--trips", "4"][..],
         &["bench", "--write", "--shards", "0"][..],
@@ -395,21 +385,77 @@ fn write_bench_and_publish_coalesce_flags_validate_with_exit_9() {
         let flag = args.iter().find(|a| a.starts_with("--") && *a != &"--write").unwrap();
         assert!(msg.contains(flag.trim_start_matches('-')), "{args:?}: {msg}");
     }
+}
 
-    // A valid coalescing window is accepted end-to-end on the parallel
-    // driver (the knob's home; the run must still exit 0).
-    let dir = scratch("publish_coalesce");
-    let region = dir.join("region.xarr");
-    let out = xar(&[
-        "build-region", "--rows", "10", "--cols", "10", "--seed", "7", "--out",
-        region.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-    let out = xar(&[
-        "simulate", "--region", region.to_str().unwrap(), "--trips", "120", "--threads", "2",
-        "--shards", "2", "--publish-coalesce-us", "500",
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
+/// The flags of one subcommand as `xar help` lists them: every
+/// `--flag` token on the usage line that starts with `xar <cmd>`.
+fn usage_flags(usage: &str, cmd: &str) -> Vec<String> {
+    let prefix = format!("  xar {cmd} ");
+    let line = usage
+        .lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("no usage line for `xar {cmd}`"));
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|tok| tok.strip_prefix("--"))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
+    // The three options removed with batch dispatch, and a typo of a
+    // live one: each fails with exit 1 and names flag and subcommand —
+    // before the (missing) region file would be looked at.
+    for flag in ["--dispatch", "--compress-day-s", "--publish-coalesce-us", "--trps"] {
+        let out = xar(&["simulate", "--region", "/nonexistent.xarr", flag, "100"]);
+        assert_eq!(code(&out), 1, "{flag} -> {out:?}");
+        let msg = String::from_utf8_lossy(&out.stderr);
+        assert!(msg.contains(&format!("unknown flag {flag} for `xar simulate`")), "{flag}: {msg}");
+        assert!(!msg.contains("cannot read"), "{flag} was checked after the region load: {msg}");
+    }
+    // A flag of one subcommand is not a flag of another, and `bench`
+    // modes keep their own lists.
+    for (args, cmd) in [
+        (&["inspect", "--trips", "5"][..], "inspect"),
+        (&["bench", "--write", "--min-scaling", "2"][..], "bench --write"),
+        (&["bench", "--searches", "10"][..], "bench"),
+    ] {
+        let out = xar(args);
+        assert_eq!(code(&out), 1, "{args:?} -> {out:?}");
+        let msg = String::from_utf8_lossy(&out.stderr);
+        assert!(msg.contains(&format!("for `xar {cmd}`")), "{args:?}: {msg}");
+    }
+
+    // Every flag `xar help` documents is still accepted: pass them all
+    // (dummy values) followed by one bogus flag — the validator walks
+    // left to right and must name the bogus one, nothing before it.
+    let help = xar(&["help"]);
+    assert_eq!(code(&help), 0, "{help:?}");
+    let usage = String::from_utf8_lossy(&help.stdout).into_owned();
+    const SWITCHES: [&str; 6] = ["check", "slo-fail", "plain", "search", "write", "alloc"];
+    for cmd in [
+        "build-region", "inspect", "simulate", "bench", "bench --search", "bench --write",
+        "logs", "trace", "top", "profile",
+    ] {
+        let flags = usage_flags(&usage, cmd);
+        assert!(!flags.is_empty(), "`xar {cmd}` documents no flags");
+        let mut args: Vec<String> = cmd.split(' ').map(str::to_string).collect();
+        for f in &flags {
+            args.push(format!("--{f}"));
+            if !SWITCHES.contains(&f.as_str()) {
+                args.push("1".to_string());
+            }
+        }
+        args.extend(["--no-such-flag".to_string(), "1".to_string()]);
+        let argv: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = xar(&argv);
+        assert_eq!(code(&out), 1, "{cmd}: {out:?}");
+        let msg = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            msg.contains(&format!("unknown flag --no-such-flag for `xar {cmd}`")),
+            "`xar {cmd}` rejected a documented flag: {msg}"
+        );
+    }
 }
 
 #[test]

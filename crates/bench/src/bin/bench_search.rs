@@ -1,6 +1,6 @@
 //! Search-path micro-benchmark — `results/BENCH_search.json`.
 //!
-//! Isolates the lock-free read path: populates one
+//! Isolates the snapshot read path: populates one
 //! [`xar_core::ShardedXarEngine`] by replaying three quarters of a trip
 //! day through the §X.A.2
 //! protocol, then measures `search_into` latency percentiles at 1, 2,

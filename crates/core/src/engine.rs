@@ -268,12 +268,6 @@ impl XarEngine {
         (clusters, rides, compacted)
     }
 
-    /// Number of clusters currently marked dirty (pending publish).
-    #[inline]
-    pub fn dirty_cluster_count(&self) -> usize {
-        self.index.dirty_len()
-    }
-
     /// Restrict this engine to the id arithmetic progression
     /// `start, start + stride, start + 2·stride, …` — the sharding
     /// layer gives shard `i` of `n` the sequence `(i+1, n)` so ride ids

@@ -165,12 +165,6 @@ impl ClusterIndex {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Number of clusters currently marked dirty.
-    #[inline]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Publish this index's per-cluster emptiness into `occupancy` as
     /// shard `shard`: from here on `insert`/`remove` keep the map in
     /// sync incrementally. Attached while the index is still empty.
@@ -405,7 +399,7 @@ mod tests {
         let mut d = idx.drain_dirty();
         d.sort_unstable();
         assert_eq!(d, vec![1, 3]);
-        assert_eq!(idx.dirty_len(), 0);
+        assert!(idx.drain_dirty().is_empty());
         // Post-drain mutations mark afresh; duplicates collapse.
         idx.remove(ClusterId(1), RideId(1));
         idx.remove(ClusterId(1), RideId(2));

@@ -52,6 +52,7 @@
 //! assert_eq!(reg.histogram("engine.create_ns").count(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod booking;
@@ -77,5 +78,5 @@ pub use request::RideRequest;
 pub use ride::{Ride, RideId, RideOffer, RideStatus, RiderId};
 pub use search::{RideMatch, SearchExplain};
 pub use sharded::{ShardOccupancy, ShardedXarEngine, DEFAULT_SHARDS, MAX_SHARDS};
-pub use snapshot::{ShardSnapshot, SnapshotCell};
+pub use snapshot::ShardSnapshot;
 pub use social::SocialGraph;

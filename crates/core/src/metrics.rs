@@ -16,14 +16,11 @@
 //! | `engine.track_ns` | histogram | ns per tracking advance |
 //! | `engine.search_candidates` | histogram | rides in the R1 candidate set per search |
 //! | `engine.sp_ns` | histogram | ns per shortest-path computation (create/book only) |
-//! | `lock.read_hold_ns` | histogram | shard read-lock hold time (track probes and maintenance — search is lock-free) |
+//! | `lock.read_hold_ns` | histogram | shard read-lock hold time (track probes and maintenance — search takes no engine lock) |
 //! | `lock.write_hold_ns` | histogram | shard write-lock hold time (create/book/track) |
 //! | `engine.snapshot_publish_ns` | histogram | ns to build + publish one shard search snapshot |
 //! | `engine.snapshot_publishes` | counter | shard snapshots published |
-//! | `engine.snapshot_retired_freed` | counter | retired snapshots reclaimed (epoch passed) |
-//! | `engine.snapshot_backlog` | gauge | retired snapshots still pinned by readers |
-//! | `snapshot.partial_publishes` | counter | publishes that patched only dirty cluster segments (vs full rebuilds) |
-//! | `snapshot.dirty_clusters` | histogram | dirty clusters drained per publish (full or partial) |
+//! | `snapshot.dirty_clusters` | histogram | dirty clusters drained per publish |
 //! | `snapshot.compacted_rides` | counter | retired rides compacted out of snapshots at publish |
 //! | `engine.searches` / `creates` / `bookings` / `tracks` | counter | operation counts ([`crate::engine::EngineStats`]) |
 //! | `engine.shortest_paths` | counter | shortest-path computations (create/book — never search) |
@@ -93,21 +90,10 @@ pub struct EngineMetrics {
     /// source cluster bucket.
     pub cluster_rides: [Arc<Gauge>; CLUSTER_BUCKETS],
     /// Time to build and publish one shard search snapshot, nanoseconds
-    /// (write-path cost of the lock-free read path).
+    /// (write-path cost of the snapshot read path).
     pub snapshot_publish_ns: Arc<Histogram>,
     /// Shard snapshots published.
     pub snapshot_publishes: Arc<Counter>,
-    /// Retired snapshots reclaimed after their epoch passed.
-    pub snapshot_retired_freed: Arc<Counter>,
-    /// Retired snapshots not yet reclaimable because a reader pinned an
-    /// older epoch. Persistently non-zero means a reader is stuck
-    /// pinned.
-    pub snapshot_backlog: Arc<Gauge>,
-    /// Publishes that patched the previous snapshot (rebuilt only dirty
-    /// cluster segments, structurally sharing the rest) instead of a
-    /// full rebuild. `snapshot_publishes − snapshot_partial_publishes`
-    /// is the full-rebuild count.
-    pub snapshot_partial_publishes: Arc<Counter>,
     /// Dirty clusters drained per publish — the quantity incremental
     /// publish cost is proportional to.
     pub snapshot_dirty_clusters: Arc<Histogram>,
@@ -148,9 +134,6 @@ impl EngineMetrics {
             .map(|b| registry.gauge_with("engine.cluster_rides", &[("cluster", b)]));
         let snapshot_publish_ns = registry.histogram("engine.snapshot_publish_ns");
         let snapshot_publishes = registry.counter("engine.snapshot_publishes");
-        let snapshot_retired_freed = registry.counter("engine.snapshot_retired_freed");
-        let snapshot_backlog = registry.gauge("engine.snapshot_backlog");
-        let snapshot_partial_publishes = registry.counter("snapshot.partial_publishes");
         let snapshot_dirty_clusters = registry.histogram("snapshot.dirty_clusters");
         let snapshot_compacted_rides = registry.counter("snapshot.compacted_rides");
         let search_exemplar_tier =
@@ -170,9 +153,6 @@ impl EngineMetrics {
             cluster_rides,
             snapshot_publish_ns,
             snapshot_publishes,
-            snapshot_retired_freed,
-            snapshot_backlog,
-            snapshot_partial_publishes,
             snapshot_dirty_clusters,
             snapshot_compacted_rides,
             search_exemplar_tier,

@@ -16,17 +16,16 @@
 //!   landmark and cluster-distance tables) is shared behind a plain
 //!   `Arc` with no lock at all — searches resolve their walkable
 //!   clusters before touching any shard.
-//! * **Search takes no locks at all.** Each write path, while still
-//!   holding its shard's write lock, freezes the shard's searchable
-//!   state into an immutable [`ShardSnapshot`] and publishes it with an
-//!   atomic pointer swap into the shard's [`SnapshotCell`]. Search
-//!   derives its candidate cluster fan-out up front (the tier-1/2/3
-//!   region tables need no lock), consults the lock-free
-//!   [`ShardOccupancy`] bitmask to find which shards could hold
-//!   candidates, pins the reclamation epoch once, and loads each such
-//!   shard's current snapshot pointer — readers never block writers and
-//!   writers never block readers (DESIGN.md §5f has the full protocol
-//!   and the memory-reclamation argument). Because a ride's entries
+//! * **Search never takes a shard's engine lock.** Each write path,
+//!   while still holding its shard's write lock, freezes the shard's
+//!   searchable state into an immutable [`ShardSnapshot`] and swaps it
+//!   into the shard's `RwLock<Arc<ShardSnapshot>>`. Search derives its
+//!   candidate cluster fan-out up front (the tier-1/2/3 region tables
+//!   need no lock), consults the lock-free [`ShardOccupancy`] bitmask
+//!   to find which shards could hold candidates, and clones each such
+//!   shard's current `Arc` — the cell's lock is held for that clone or
+//!   for the writer's pointer swap only, never while a snapshot is
+//!   built, searched or freed (DESIGN.md §5f). Because a ride's entries
 //!   never span shards, per-shard candidate collection followed by one
 //!   global sort is *equivalent* to the single-engine search: every
 //!   candidate cluster is still examined, so the paper's approximation
@@ -40,11 +39,11 @@
 //! (PR-1 names, preserved) and into a per-shard labeled series
 //! `lock.read_hold_ns{shard="sK"}` / `lock.write_hold_ns{shard="sK"}`
 //! (PR-3 label machinery), so shard imbalance is visible in `/metrics`
-//! and `xar top` without a profiler. Since search stopped taking read
-//! locks, `lock.read_hold_ns` records only maintenance reads (the
-//! `track_all` emptiness probes, audits, memory accounting).
+//! and `xar top` without a profiler. Search takes no engine lock, so
+//! `lock.read_hold_ns` records only maintenance reads (the `track_all`
+//! emptiness probes, audits, memory accounting).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -58,7 +57,7 @@ use crate::metrics::EngineMetrics;
 use crate::request::RideRequest;
 use crate::ride::{Ride, RideId, RideOffer, RideStatus};
 use crate::search::{run_search, RideMatch, SearchExplain};
-use crate::snapshot::{self, ShardSnapshot, SnapshotCell};
+use crate::snapshot::ShardSnapshot;
 
 /// Hard cap on the shard count: the occupancy bitmask is one `u64` per
 /// cluster, and the per-shard label cardinality must stay far below the
@@ -112,23 +111,39 @@ impl ShardOccupancy {
 }
 
 /// One shard: a complete engine over its slice of the rides, the
-/// lock-free search snapshot of that slice, plus the pre-resolved
+/// published search snapshot of that slice, plus the pre-resolved
 /// labeled lock-hold histograms.
 struct Shard {
     lock: RwLock<XarEngine>,
-    /// The published, immutable view search reads (no lock). Republished
-    /// by every write path while it still holds `lock` in write mode.
-    snapshot: SnapshotCell,
+    /// The published, immutable view search reads. Swapped by every
+    /// write path while it still holds `lock` in write mode; this
+    /// cell's own lock covers one `Arc` clone or one swap.
+    snapshot: RwLock<Arc<ShardSnapshot>>,
     /// `XarEngine::state_version` as of the last publish — lets write
     /// paths that did not change searchable state (failed creates,
     /// no-progress tracks) skip the rebuild.
     published_version: AtomicU64,
-    /// Nanoseconds since `Inner::anchor` of the last actual publish —
-    /// the coalescing window ([`ShardedXarEngine::set_publish_coalesce_us`])
-    /// is measured against this.
-    last_publish_ns: AtomicU64,
     read_hold_ns: Arc<Histogram>,
     write_hold_ns: Arc<Histogram>,
+}
+
+impl Shard {
+    /// The currently published snapshot. A panic cannot leave the cell
+    /// half-written (it holds one pointer), so a poisoned lock is read
+    /// through, as the engine lock is.
+    fn load(&self) -> Arc<ShardSnapshot> {
+        Arc::clone(&self.snapshot.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Swap `next` in; the previous snapshot's `Arc` is dropped after
+    /// the cell's lock is released, so readers never wait on a free.
+    fn store(&self, next: ShardSnapshot) {
+        let next = Arc::new(next);
+        let mut cell = self.snapshot.write().unwrap_or_else(|e| e.into_inner());
+        let prev = std::mem::replace(&mut *cell, next);
+        drop(cell);
+        drop(prev);
+    }
 }
 
 /// Records a lock hold time into both the aggregate and the per-shard
@@ -161,17 +176,6 @@ struct Inner {
     metrics: EngineMetrics,
     read_hold_ns: Arc<Histogram>,
     write_hold_ns: Arc<Histogram>,
-    /// Force every publish down the full-rebuild path (bench baseline /
-    /// equivalence testing); incremental patching is the default.
-    full_publish: AtomicBool,
-    /// Coalescing window, nanoseconds: a non-forced publish within
-    /// this window of the shard's previous publish is deferred (the
-    /// dirt accumulates until the next forced publish, window expiry,
-    /// or [`ShardedXarEngine::publish_pending`]). 0 (the default)
-    /// publishes on every write — read-your-writes.
-    publish_coalesce_ns: AtomicU64,
-    /// Time origin for `Shard::last_publish_ns`.
-    anchor: Instant,
 }
 
 /// A clonable, thread-safe, cluster-sharded XAR engine (module docs
@@ -249,10 +253,9 @@ impl ShardedXarEngine {
                 let name = format!("s{i}");
                 let label = [("shard", name.as_str())];
                 Shard {
-                    snapshot: SnapshotCell::new(ShardSnapshot::empty(region.cluster_count())),
+                    snapshot: RwLock::new(Arc::new(ShardSnapshot::empty(region.cluster_count()))),
                     published_version: AtomicU64::new(engine.state_version()),
                     lock: RwLock::new(engine),
-                    last_publish_ns: AtomicU64::new(0),
                     read_hold_ns: registry.histogram_with("lock.read_hold_ns", &label),
                     write_hold_ns: registry.histogram_with("lock.write_hold_ns", &label),
                 }
@@ -267,48 +270,7 @@ impl ShardedXarEngine {
                 read_hold_ns: registry.histogram("lock.read_hold_ns"),
                 write_hold_ns: registry.histogram("lock.write_hold_ns"),
                 metrics,
-                full_publish: AtomicBool::new(false),
-                publish_coalesce_ns: AtomicU64::new(0),
-                anchor: Instant::now(),
             }),
-        }
-    }
-
-    /// Force every snapshot publish down the full-build path (a walk
-    /// over every cluster) instead of patching dirty cluster segments.
-    /// Bench baselines and the incremental ≡ full equivalence tests
-    /// flip this; production keeps the default (`false`).
-    pub fn set_full_publish(&self, full: bool) {
-        self.inner.full_publish.store(full, Ordering::Relaxed);
-    }
-
-    /// Set the publish-coalescing window, microseconds. No driver sets
-    /// it; the publication tests measure through it. While a shard
-    /// published less than this long ago, non-forced write paths
-    /// (create/book) defer their republish and let the dirt accumulate;
-    /// retirement sweeps and [`ShardedXarEngine::publish_pending`]
-    /// always publish. 0 (the default) restores publish-on-every-write
-    /// (read-your-writes).
-    pub fn set_publish_coalesce_us(&self, us: u64) {
-        self.inner.publish_coalesce_ns.store(us.saturating_mul(1_000), Ordering::Relaxed);
-    }
-
-    /// Publish every shard whose engine state ran ahead of its
-    /// published snapshot (dirt deferred by the coalescing window).
-    /// Cheap when nothing is pending: a lock-free version probe per
-    /// shard, write locks only where a publish is actually due.
-    pub fn publish_pending(&self) {
-        for i in 0..self.inner.shards.len() {
-            let shard = &self.inner.shards[i];
-            let published = shard.published_version.load(Ordering::Acquire);
-            let stale = {
-                let (guard, _hold) = self.read_shard(i);
-                guard.state_version() != published
-            };
-            if stale {
-                let (mut guard, _hold) = self.write_shard(i);
-                self.publish_shard(i, &mut guard, true);
-            }
         }
     }
 
@@ -391,7 +353,7 @@ impl ShardedXarEngine {
 
     /// **Search** (operation O1) across shards: walkable-cluster
     /// fan-out from the lock-free region tables, occupancy-pruned
-    /// lock-free snapshot reads, one global sort. Returns up to `limit`
+    /// snapshot reads, one global sort. Returns up to `limit`
     /// matches, least combined walking first — identical results to
     /// [`XarEngine::search`] over the union of the shards
     /// (property-tested in `tests/sharded_hammer` and
@@ -411,9 +373,9 @@ impl ShardedXarEngine {
     /// scratch lives in a thread-local, snapshots are read in place,
     /// and the final sort is unstable (no merge buffer).
     ///
-    /// It also takes **no locks**: each probed shard's published
-    /// [`ShardSnapshot`] is loaded with one atomic read under an epoch
-    /// pin, so concurrent writers are never waited on. The view is the
+    /// It takes **no engine lock**: each probed shard's published
+    /// [`ShardSnapshot`] is an `Arc` clone, so a writer is waited on for
+    /// the length of its pointer swap at most. The view is the
     /// serializable point-in-time state as of each shard's latest
     /// publish.
     pub fn search_into(
@@ -429,7 +391,7 @@ impl ShardedXarEngine {
     /// [`ShardedXarEngine::search_into`], also filling `explain` with
     /// per-check rejection attribution accumulated across the probed
     /// shards. `explain` is a stack-only `Copy` struct, so this path
-    /// keeps the zero-allocation and lock-free guarantees of
+    /// keeps the zero-allocation and no-engine-lock guarantees of
     /// `search_into`.
     pub fn search_into_explained(
         &self,
@@ -448,10 +410,9 @@ impl ShardedXarEngine {
             let occ = &inner.occupancy;
             let mask = occ.mask_for(run.src_walkable.iter().map(|w| w.cluster.index()))
                 & occ.mask_for(run.dst_walkable.iter().map(|w| w.cluster.index()));
-            let guard = snapshot::pin();
             for (i, shard) in inner.shards.iter().enumerate() {
                 if mask & (1u64 << i) != 0 {
-                    run.collect_matches(shard.snapshot.load(&guard));
+                    run.collect_matches(&*shard.load());
                 }
             }
         })
@@ -462,85 +423,39 @@ impl ShardedXarEngine {
     /// previous snapshot ([`ShardSnapshot::build_incremental`] — a
     /// dirty cluster's segment is a pointer clone of the index's list,
     /// unchanged ones are shared with the previous snapshot, so the
-    /// cost is proportional to the dirt, not the shard). Builds in full
-    /// only when [`ShardedXarEngine::set_full_publish`] is on.
+    /// cost is proportional to the dirt, not the shard).
     ///
     /// Called by every write path while it still holds the shard write
     /// lock, so publishes serialize per shard and each snapshot is a
-    /// consistent point-in-time view. `force` bypasses the coalescing
-    /// window — retirement sweeps must land even mid-window.
-    fn publish_shard(&self, i: usize, engine: &mut XarEngine, force: bool) {
+    /// consistent point-in-time view.
+    fn publish_shard(&self, i: usize, engine: &mut XarEngine) {
         let shard = &self.inner.shards[i];
         let version = engine.state_version();
-        // Ordering: all publishes of this shard happen under its write
-        // lock (every caller holds it), so the load below can never
-        // race a concurrent store to the same shard — the lock's
-        // acquire/release already orders them. The explicit
-        // Acquire/Release pairing makes the no-op-skip argument local
-        // as well: a publisher that loads `published_version == version`
-        // observes everything the publisher that stored that version
-        // did before its store — including its snapshot swap and its
-        // dirt drain — so an equal version always means "this exact
-        // state is already published and the dirty set is empty", never
-        // "a pending rebuild is still in flight". (With `Relaxed` the
-        // conclusion would still hold via the lock, but would silently
-        // break if a lock-free caller were ever added; regression test:
-        // `noop_skip_never_hides_a_pending_rebuild`.)
+        // Every publish of this shard happens under its write lock, so
+        // an equal version means "this exact state is already published
+        // and the dirty set is empty" (regression test:
+        // `noop_skip_never_hides_a_pending_rebuild`).
         if shard.published_version.load(Ordering::Acquire) == version {
             return;
-        }
-        if !force {
-            let window = self.inner.publish_coalesce_ns.load(Ordering::Relaxed);
-            if window > 0 {
-                let now = self.inner.anchor.elapsed().as_nanos() as u64;
-                let last = shard.last_publish_ns.load(Ordering::Relaxed);
-                if now.saturating_sub(last) < window {
-                    // Defer: the dirt stays in the engine and the next
-                    // forced or post-window publish drains it all.
-                    return;
-                }
-            }
         }
         let t0 = Instant::now();
         let mut tspan = xar_obs::trace::span("snapshot.publish");
         tspan.attr("shard", i);
         let m = &self.inner.metrics;
         let (dirty, ride_dirt, compacted) = engine.drain_publish_dirt();
-        let next = {
-            // Pin only while reading the previous snapshot for the
-            // patch; the guard must drop before `publish` below or our
-            // own pin would keep the snapshot we retire from being
-            // freed (inflating the backlog gauge for no reason).
-            let guard = snapshot::pin();
-            let prev = shard.snapshot.load(&guard);
-            if self.inner.full_publish.load(Ordering::Relaxed)
-                || prev.cluster_count() != engine.index().cluster_count()
-            {
-                ShardSnapshot::build(engine)
-            } else {
-                m.snapshot_partial_publishes.inc();
-                ShardSnapshot::build_incremental(engine, prev, &dirty, &ride_dirt)
-            }
-        };
-        let outcome = shard.snapshot.publish(next);
+        let next = ShardSnapshot::build_incremental(engine, &shard.load(), &dirty, &ride_dirt);
+        shard.store(next);
         shard.published_version.store(version, Ordering::Release);
-        shard
-            .last_publish_ns
-            .store(self.inner.anchor.elapsed().as_nanos() as u64, Ordering::Relaxed);
         m.snapshot_publish_ns.record(t0.elapsed().as_nanos() as u64);
         m.snapshot_publishes.inc();
         m.snapshot_dirty_clusters.record(dirty.len() as u64);
         m.snapshot_compacted_rides.add(compacted);
-        m.snapshot_retired_freed.add(outcome.freed as u64);
-        // Each publish retires exactly one snapshot and frees `freed`;
-        // the gauge tracks the global not-yet-freed backlog.
-        m.snapshot_backlog.add(1 - outcome.freed as i64);
     }
 
     /// **Create** (operation O2): one write lock on the shard owning
     /// the offer's pick-up cluster; publishes the shard's refreshed
     /// search snapshot before releasing it, so the new ride is
-    /// immediately findable by lock-free searches.
+    /// immediately findable by searches.
     pub fn create_ride(&self, offer: &RideOffer) -> Result<RideId, XarError> {
         let region = &self.inner.region;
         let shard = region
@@ -548,7 +463,7 @@ impl ShardedXarEngine {
             .map_or(0, |c| self.shard_of_cluster(c));
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.create_ride(offer);
-        self.publish_shard(shard, &mut guard, false);
+        self.publish_shard(shard, &mut guard);
         res
     }
 
@@ -559,7 +474,7 @@ impl ShardedXarEngine {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.book(m);
-        self.publish_shard(shard, &mut guard, false);
+        self.publish_shard(shard, &mut guard);
         res
     }
 
@@ -569,13 +484,13 @@ impl ShardedXarEngine {
     /// owning shard's write lock, so the check and the booking are one
     /// atomic step — no other writer can invalidate the match between
     /// them. This is the entry point for callers whose matches come
-    /// from a lock-free snapshot and may have gone stale behind the
+    /// from a published snapshot and may have gone stale behind the
     /// searcher's back.
     pub fn book_checked(&self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.book_checked(m);
-        self.publish_shard(shard, &mut guard, false);
+        self.publish_shard(shard, &mut guard);
         res
     }
 
@@ -586,7 +501,7 @@ impl ShardedXarEngine {
         let shard = self.shard_of_ride(id);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.track_ride(id, now_s);
-        self.publish_shard(shard, &mut guard, true);
+        self.publish_shard(shard, &mut guard);
         res
     }
 
@@ -606,11 +521,7 @@ impl ShardedXarEngine {
             }
             let (mut guard, _hold) = self.write_shard(i);
             retired += guard.track_all(now_s);
-            // Forced: retirements must leave the searchable snapshot
-            // even mid-coalescing-window (an expired ride served from a
-            // stale snapshot would fail its commit-time re-validation,
-            // but the paper's freshness story is that tracking evicts).
-            self.publish_shard(i, &mut guard, true);
+            self.publish_shard(i, &mut guard);
         }
         retired
     }
@@ -621,12 +532,11 @@ impl ShardedXarEngine {
     /// exposed for tests and audits. Takes each shard's read lock
     /// briefly.
     pub fn snapshots_consistent(&self) -> bool {
-        let guard = snapshot::pin();
         (0..self.inner.shards.len()).all(|i| {
             let shard = &self.inner.shards[i];
             let (eng, _hold) = self.read_shard(i);
             shard.published_version.load(Ordering::Acquire) == eng.state_version()
-                && shard.snapshot.load(&guard).content_eq(&ShardSnapshot::build(&eng))
+                && shard.load().content_eq(&ShardSnapshot::build(&eng))
         })
     }
 
@@ -662,8 +572,7 @@ impl ShardedXarEngine {
     /// record per shard: live rides, engine state version vs. the
     /// version of the published search snapshot (a lag means a write
     /// path skipped the republish — by design only when nothing
-    /// searchable changed), the retired-snapshot backlog awaiting
-    /// epoch reclamation, and how many clusters the shard holds index
+    /// searchable changed) and how many clusters the shard holds index
     /// entries for. Takes each shard's read lock briefly, one at a
     /// time.
     pub fn shard_debug_json(&self) -> String {
@@ -693,8 +602,6 @@ impl ShardedXarEngine {
             w.number_u64(published);
             w.key("publish_lag");
             w.number_u64(state_version.saturating_sub(published));
-            w.key("retired_backlog");
-            w.number_u64(shard.snapshot.retired_len() as u64);
             w.key("occupied_clusters");
             w.number_u64(occupied as u64);
             w.end_object();
@@ -705,17 +612,16 @@ impl ShardedXarEngine {
     }
 
     /// Total heap bytes: the shared region tables once, plus every
-    /// shard's private runtime state (index + rides) and what its
-    /// published search snapshot keeps alive beyond that. A list shared
-    /// by the live index and the snapshot (every list, right after a
-    /// publish) is counted once.
+    /// shard's private runtime state (index + rides) and the directory
+    /// and ride table of its published search snapshot. Every write
+    /// publishes before it releases the shard lock, so under the read
+    /// lock the snapshot's lists are the index's own and are counted
+    /// once, with the index.
     pub fn heap_bytes(&self) -> usize {
-        let pin = snapshot::pin();
         let shards: usize = (0..self.inner.shards.len())
             .map(|i| {
                 let (guard, _hold) = self.read_shard(i);
-                let snap = self.inner.shards[i].snapshot.load(&pin);
-                guard.heap_bytes_runtime() + snap.heap_bytes_beyond(Some(guard.index()))
+                guard.heap_bytes_runtime() + self.inner.shards[i].load().own_heap_bytes()
             })
             .sum();
         self.inner.region.heap_bytes() + shards
@@ -844,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn search_takes_no_locks() {
+    fn search_takes_no_engine_lock() {
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let n = graph.node_count() as u32;
@@ -991,7 +897,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_publishes_are_partial_and_equivalent() {
+    fn every_publish_records_its_dirty_set() {
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let eng = ShardedXarEngine::new(region, EngineConfig::default(), 4);
@@ -999,56 +905,8 @@ mod tests {
             let _ = eng.create_ride(&offer(&graph, i));
         }
         let m = eng.metrics();
-        assert!(
-            m.snapshot_partial_publishes.get() > 0,
-            "steady-state creates must take the incremental path"
-        );
-        assert!(m.snapshot_dirty_clusters.count() >= m.snapshot_publishes.get());
-        assert!(eng.snapshots_consistent());
-        // Full-publish mode still converges to the same content.
-        eng.set_full_publish(true);
-        let partial_before = m.snapshot_partial_publishes.get();
-        let _ = eng.create_ride(&offer(&graph, 31));
-        assert_eq!(m.snapshot_partial_publishes.get(), partial_before);
-        assert!(eng.snapshots_consistent());
-    }
-
-    #[test]
-    fn publish_coalescing_defers_then_catches_up() {
-        let region = region(31);
-        let graph = Arc::clone(region.graph());
-        let n = graph.node_count() as u32;
-        let eng = ShardedXarEngine::new(region, EngineConfig::default(), 2);
-        eng.set_publish_coalesce_us(3_600_000_000); // one hour: everything defers
-        let m = eng.metrics();
-        let publishes_before = m.snapshot_publishes.get();
-        let mut created = 0;
-        for i in 0..20 {
-            created += eng.create_ride(&offer(&graph, i)).is_ok() as usize;
-        }
-        assert!(created > 5);
-        assert_eq!(
-            m.snapshot_publishes.get(),
-            publishes_before,
-            "inside the window every create must defer its publish"
-        );
-        let req = RideRequest {
-            source: graph.point(NodeId(n / 2)),
-            destination: graph.point(NodeId(n - 1)),
-            window_start_s: 7.5 * 3600.0,
-            window_end_s: 9.5 * 3600.0,
-            walk_limit_m: 800.0,
-        };
-        let stale = eng.search(&req, usize::MAX).unwrap_or_default();
-        assert!(stale.is_empty(), "deferred publishes must leave the old (empty) view");
-        // The catch-up drains all accumulated dirt in one publish per shard.
-        eng.publish_pending();
-        assert!(m.snapshot_publishes.get() > publishes_before);
-        assert!(eng.snapshots_consistent());
-        assert!(!eng.search(&req, usize::MAX).unwrap().is_empty());
-        // Back to 0: read-your-writes returns.
-        eng.set_publish_coalesce_us(0);
-        let _ = eng.create_ride(&offer(&graph, 50));
+        assert!(m.snapshot_publishes.get() > 0);
+        assert_eq!(m.snapshot_dirty_clusters.count(), m.snapshot_publishes.get());
         assert!(eng.snapshots_consistent());
     }
 
@@ -1111,7 +969,7 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_snapshot_stays_frozen_under_copy_on_write() {
+    fn a_held_snapshot_stays_frozen_under_copy_on_write() {
         use crate::search::IndexView;
         let region = region(31);
         let graph = Arc::clone(region.graph());
@@ -1121,9 +979,8 @@ mod tests {
         for i in 0..30 {
             let _ = eng.create_ride(&offer(&graph, i));
         }
-        // Pin the published view: every list's address and rows.
-        let pin = snapshot::pin();
-        let snap = eng.inner.shards[0].snapshot.load(&pin);
+        // Hold the published view: every list's address and rows.
+        let snap = eng.inner.shards[0].load();
         let frozen: Vec<_> = clusters().map(|c| (snap.rows(c).as_ptr(), snap.rows(c).to_vec())).collect();
         assert!(frozen.iter().filter(|(_, rows)| !rows.is_empty()).count() > 10);
         // 200 writes over the same clusters: creates, bookings, and
@@ -1143,16 +1000,79 @@ mod tests {
             }
         }
         // The writes did edit those lists...
-        let live = eng.inner.shards[0].snapshot.load(&pin);
+        let live = eng.inner.shards[0].load();
         let moved = clusters().filter(|&c| live.rows(c).as_ptr() != snap.rows(c).as_ptr()).count();
         assert!(moved > 10, "only {moved} lists were edited");
-        // ...and the pinned view never saw it: same addresses, same rows.
+        // ...and the held view never saw it: same addresses, same rows.
         for (c, (ptr, rows)) in clusters().zip(&frozen) {
-            assert_eq!(snap.rows(c).as_ptr(), *ptr, "cluster {c:?} moved under a pinned reader");
-            assert_eq!(snap.rows(c), &rows[..], "cluster {c:?} changed under a pinned reader");
+            assert_eq!(snap.rows(c).as_ptr(), *ptr, "cluster {c:?} moved under a reader");
+            assert_eq!(snap.rows(c), &rows[..], "cluster {c:?} changed under a reader");
         }
-        drop(pin);
+        // The reader held the last reference: dropping it frees the view.
+        let weak = Arc::downgrade(&snap);
+        drop(snap);
+        assert!(weak.upgrade().is_none(), "a superseded snapshot must die with its last reader");
         assert!(eng.snapshots_consistent());
+    }
+
+    #[test]
+    fn a_reader_that_panics_leaves_the_engine_serving() {
+        let region = region(31);
+        let graph = Arc::clone(region.graph());
+        let n = graph.node_count() as u32;
+        let eng = ShardedXarEngine::new(region, EngineConfig::default(), 1);
+        let req = RideRequest {
+            source: graph.point(NodeId(n / 2)),
+            destination: graph.point(NodeId(n - 1)),
+            window_start_s: 7.5 * 3600.0,
+            window_end_s: 9.5 * 3600.0,
+            walk_limit_m: 800.0,
+        };
+        let fill = |base: u32| (0..30).filter(|i| eng.create_ride(&offer(&graph, base + i)).is_ok()).count();
+        // Index plus snapshot in full: what a reader that never let go
+        // would keep growing. (`heap_bytes()` adds the ride map, whose
+        // reported capacity moves with the tombstones removals leave —
+        // hash-seed dependent — so it is held to 10 %, not to the byte.)
+        let lists = || {
+            eng.with_shard_read(0, |e| e.index().heap_bytes()) + eng.inner.shards[0].load().heap_bytes()
+        };
+        // One fill-and-sweep cycle sizes every buffer the second reuses.
+        assert!(fill(0) > 10);
+        eng.track_all(f64::INFINITY);
+        let (settled_lists, settled) = (lists(), eng.heap_bytes());
+
+        fill(0);
+        let (weak_tx, weak_rx) = std::sync::mpsc::channel();
+        let reader = {
+            let eng = eng.clone();
+            std::thread::spawn(move || {
+                let snap = eng.inner.shards[0].load();
+                weak_tx.send(Arc::downgrade(&snap)).unwrap();
+                panic!("reader dies holding {} rides", snap.ride_count());
+            })
+        };
+        let weak = weak_rx.recv().unwrap();
+        assert!(reader.join().is_err());
+        // A panic under the cell's own lock poisons it; the cell holds
+        // one pointer, so the next reader and writer go through.
+        let poisoner = {
+            let eng = eng.clone();
+            std::thread::spawn(move || {
+                let _cell = eng.inner.shards[0].snapshot.write().unwrap();
+                panic!("dies inside the swap");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(eng.inner.shards[0].snapshot.is_poisoned());
+
+        assert!(!eng.search(&req, usize::MAX).unwrap().is_empty());
+        eng.create_ride(&offer(&graph, 77)).unwrap();
+        assert!(weak.upgrade().is_none(), "the dead reader's snapshot was freed by its unwind");
+        assert!(eng.snapshots_consistent());
+        eng.track_all(f64::INFINITY);
+        assert!(eng.search(&req, usize::MAX).unwrap().is_empty());
+        assert_eq!(lists(), settled_lists, "nothing the dead reader held is still counted");
+        assert!(eng.heap_bytes().abs_diff(settled) * 10 <= settled, "{} vs {settled}", eng.heap_bytes());
     }
 
     #[test]
@@ -1162,11 +1082,10 @@ mod tests {
         let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 2);
         // (index + rides, snapshot in full, engine total) over both shards.
         let parts = || {
-            let pin = snapshot::pin();
             let (mut runtime, mut snap) = (0, 0);
             for (i, shard) in eng.inner.shards.iter().enumerate() {
                 runtime += eng.with_shard_read(i, |e| e.heap_bytes_runtime());
-                snap += shard.snapshot.load(&pin).heap_bytes();
+                snap += shard.load().heap_bytes();
             }
             (runtime, snap, eng.heap_bytes() - region.heap_bytes())
         };
@@ -1181,29 +1100,17 @@ mod tests {
                 }))
                 .sum()
         };
-        // A seeded write schedule with deferred publishes in it, so
-        // some lists are shared and some are not.
-        eng.set_publish_coalesce_us(3_600_000_000);
-        let (mut saw_shared, mut saw_unshared) = (false, false);
+        // Right after a publish — after every write — each snapshot
+        // list is the index's own.
         for i in 0..60u32 {
             let _ = eng.create_ride(&offer(&graph, i));
-            if i % 7 == 3 {
-                eng.publish_pending();
-            }
             if i % 11 == 5 {
                 eng.track_all(8.0 * 3600.0 + f64::from(i) * 90.0);
             }
             let (runtime, snap, counted) = parts();
-            assert!(runtime.max(snap) <= counted && counted <= runtime + snap, "{runtime} {snap} {counted}");
-            saw_shared |= counted < runtime + snap;
-            saw_unshared |= counted > runtime + snap - lists();
+            assert_eq!(counted, runtime + snap - lists(), "shared lists must be counted exactly once");
         }
-        assert!(saw_shared && saw_unshared, "schedule must mix shared and unshared lists");
-        // Right after a publish every snapshot list is the index's own.
-        eng.publish_pending();
-        let (runtime, snap, counted) = parts();
         assert!(lists() > 0);
-        assert_eq!(counted, runtime + snap - lists(), "shared lists must be counted exactly once");
     }
 
     #[test]

@@ -280,13 +280,15 @@ fn footprint(eng: &ShardedXarEngine, id: RideId) -> BTreeSet<ClusterId> {
 
 #[test]
 fn a_write_dirties_exactly_its_distinct_clusters() {
-    // One shard with publishes deferred: the pending dirt after a write
-    // is what that write mutated.
+    // One shard: every write publishes once, and the dirt it drained
+    // is the value that publish recorded into `snapshot.dirty_clusters`.
     let eng = ShardedXarEngine::new(Arc::clone(region()), EngineConfig::default(), 1);
-    eng.set_publish_coalesce_us(3_600_000_000);
-    let dirt = |eng: &ShardedXarEngine| {
-        let n = eng.with_shard_read(0, |e| e.dirty_cluster_count());
-        eng.publish_pending();
+    let mut seen = eng.metrics().snapshot_dirty_clusters.snapshot();
+    let mut dirt = |eng: &ShardedXarEngine| {
+        let now = eng.metrics().snapshot_dirty_clusters.snapshot();
+        assert_eq!(now.count - seen.count, 1, "one write, one publish");
+        let n = (now.sum - seen.sum) as usize;
+        seen = now;
         n
     };
     let mut booked = 0;

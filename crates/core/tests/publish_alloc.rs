@@ -7,16 +7,17 @@
 //! idiom as `tests/snapshot_alloc.rs`; one `#[global_allocator]` per
 //! test binary, hence this file):
 //!
-//! 1. **Publishing is pointer copies.** The publish after a booking
-//!    allocates at most one copied directory block per dirty block plus
-//!    a constant (directory vector, patched ride table, the snapshot
-//!    box) — independent of the rows per cluster and of the cluster
-//!    count. The publish is isolated from the booking by deferring it
-//!    (`set_publish_coalesce_us`) and counting `publish_pending` alone.
-//!    This file used to contrast that with a full rebuild whose count
-//!    climbed with the cluster count; the full build is now a walk that
-//!    clones pointers (one allocation per directory block), so that
-//!    contrast no longer exists and its assertion is gone.
+//! 1. **Publishing is pointer copies.** A serial `XarEngine` twin is
+//!    driven through the same schedule as a one-shard
+//!    `ShardedXarEngine`: it makes the same booking and publishes
+//!    nothing, so `allocs(sharded book_checked) − allocs(serial
+//!    book_checked)` is what publication cost that booking. That is at
+//!    most one list copy per dirty cluster (the write's first edit of a
+//!    list the previous snapshot still shares: an `Arc` and its row
+//!    vector), one copied directory block per dirty block, and a
+//!    constant (directory vector, patched
+//!    ride table, the snapshot's `Arc`, the drained dirt lists) —
+//!    independent of the rows per cluster and of the cluster count.
 //! 2. **Editing an unshared list is in place.** 1 000 remove/insert
 //!    edits of a 4 000-row list allocate nothing; growing it allocates
 //!    O(1) amortised.
@@ -103,37 +104,44 @@ fn request(g: &RoadGraph, i: u32) -> RideRequest {
     }
 }
 
-/// One shard, `rides` offers, publishes deferred: a booking leaves its
-/// dirt pending so the publish can be counted on its own.
-fn populated(region: &Arc<RegionIndex>, rides: u32) -> ShardedXarEngine {
+/// One shard holding `rides` offers, and a serial twin holding the
+/// same rides under the same ids.
+fn populated(region: &Arc<RegionIndex>, rides: u32) -> (ShardedXarEngine, XarEngine) {
     let eng = ShardedXarEngine::new(Arc::clone(region), EngineConfig::default(), 1);
+    let mut twin = XarEngine::new(Arc::clone(region), EngineConfig::default());
     let g = region.graph();
     for i in 0..rides {
-        let _ = eng.create_ride(&offer(g, i));
+        assert_eq!(eng.create_ride(&offer(g, i)).ok(), twin.create_ride(&offer(g, i)).ok());
     }
-    eng.set_publish_coalesce_us(3_600_000_000);
-    eng.publish_pending();
-    eng
+    (eng, twin)
 }
 
-/// Book `bookings` matches, publishing after each; returns the largest
-/// allocation count of one publish and the mean rows per non-empty
-/// cluster list.
-fn publish_allocs(eng: &ShardedXarEngine, bookings: u32) -> (u64, f64) {
+/// Book `bookings` matches on both engines; returns the largest
+/// allocation count one booking's publish added on the sharded side
+/// beyond one list copy per cluster it dirtied, and the mean rows per
+/// non-empty cluster list.
+fn publish_allocs((eng, twin): &mut (ShardedXarEngine, XarEngine), bookings: u32) -> (u64, f64) {
     let g = eng.region().graph();
     let (mut worst, mut done, mut seed) = (0, 0, 0);
+    let dirt = || eng.metrics().snapshot_dirty_clusters.snapshot().sum;
     while done < bookings {
         seed += 1;
         assert!(seed < 40_000, "ran out of bookable matches after {done} bookings");
         let Ok(ms) = eng.search(&request(g, seed), 4) else { continue };
-        if ms.iter().any(|m| eng.book_checked(m).is_ok()) {
-            let dirty = eng.with_shard_read(0, |e| e.dirty_cluster_count());
-            assert!(dirty > 0, "a booking must leave dirt behind the deferred publish");
-            let ((), count, _) = allocs_of(|| eng.publish_pending());
-            worst = worst.max(count);
-            done += 1;
+        for m in &ms {
+            let clean = dirt();
+            let (published, with_publish, _) = allocs_of(|| eng.book_checked(m));
+            let (serial, without, _) = allocs_of(|| twin.book_checked(m));
+            assert_eq!(published.is_ok(), serial.is_ok(), "the twins diverged on {m:?}");
+            if published.is_ok() {
+                let list_copies = 2 * (dirt() - clean); // an `Arc` and its row vector each
+                worst = worst.max(with_publish.saturating_sub(without + list_copies));
+                done += 1;
+                break;
+            }
         }
     }
+    assert!(eng.snapshots_consistent());
     let (rows, lists) = eng.with_shard_read(0, |e| {
         let idx = e.index();
         let lens = (0..idx.cluster_count() as u32).map(|c| idx.cluster_len(ClusterId(c)));
@@ -145,22 +153,23 @@ fn publish_allocs(eng: &ShardedXarEngine, bookings: u32) -> (u64, f64) {
 #[test]
 fn a_publish_allocates_per_dirty_block_not_per_row_or_cluster() {
     const BOOKINGS: u32 = 12;
-    /// Directory vector, ride-table patch (3 columns + `Arc`), snapshot
-    /// box, retired-list growth, with headroom.
-    const CONSTANT: u64 = 10;
+    /// Directory vector, ride-table patch (3 columns + `Arc`), the
+    /// snapshot's `Arc`, the drained dirt lists regrowing from empty
+    /// (one doubling per power of two of dirty clusters), with headroom.
+    const CONSTANT: u64 = 16;
     let small = region(14, 31);
     let large = region(40, 31);
     assert!(large.cluster_count() >= small.cluster_count() * 3);
     // Same region, 4x the rides: longer lists, same directory.
-    let sparse = populated(&large, 350);
-    let dense = populated(&large, 1_400);
-    let tiny = populated(&small, 220);
-    for eng in [&sparse, &dense, &tiny] {
-        let _ = publish_allocs(eng, 2); // warm scratch vectors and histograms
+    let mut sparse = populated(&large, 350);
+    let mut dense = populated(&large, 1_400);
+    let mut tiny = populated(&small, 220);
+    for twins in [&mut sparse, &mut dense, &mut tiny] {
+        let _ = publish_allocs(twins, 2); // warm scratch vectors and histograms
     }
-    let (sparse_allocs, sparse_rows) = publish_allocs(&sparse, BOOKINGS);
-    let (dense_allocs, dense_rows) = publish_allocs(&dense, BOOKINGS);
-    let (tiny_allocs, _) = publish_allocs(&tiny, BOOKINGS);
+    let (sparse_allocs, sparse_rows) = publish_allocs(&mut sparse, BOOKINGS);
+    let (dense_allocs, dense_rows) = publish_allocs(&mut dense, BOOKINGS);
+    let (tiny_allocs, _) = publish_allocs(&mut tiny, BOOKINGS);
     let ctx = format!(
         "allocs/publish: {sparse_allocs} at {sparse_rows:.1} rows/list, {dense_allocs} at \
          {dense_rows:.1} rows/list ({} clusters); {tiny_allocs} on {} clusters",

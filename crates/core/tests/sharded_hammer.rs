@@ -248,6 +248,60 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
     assert!(eng.snapshots_consistent(), "published snapshots drifted from shard state");
 }
 
+/// 80 reader threads search at once while one writer creates, books
+/// and tracks: every reader finishes (a reader holds a clone of a
+/// shard's snapshot `Arc`, so there is no per-thread slot to run out
+/// of), every match it saw is well-formed, and rides are conserved.
+#[test]
+fn eighty_concurrent_readers_all_finish_beside_a_writer() {
+    const READERS: u32 = 80;
+    const SEARCHES: u32 = 40;
+    const WRITES: u32 = 120;
+    let eng = ShardedXarEngine::new(Arc::clone(region()), EngineConfig::default(), 4);
+    for i in 0..24 {
+        let _ = eng.create_ride(&offer(i, 3));
+    }
+    let all_started = std::sync::Barrier::new(READERS as usize + 1);
+    let searched = AtomicU64::new(0);
+    let (mut created, mut retired) = (eng.ride_count() as u64, 0u64);
+    std::thread::scope(|scope| {
+        for t in 0..READERS {
+            let eng = eng.clone();
+            let (all_started, searched) = (&all_started, &searched);
+            scope.spawn(move || {
+                all_started.wait();
+                let mut out = Vec::new();
+                for j in 0..SEARCHES {
+                    let req = request(t * 1_000 + j);
+                    if eng.search_into(&req, 8, &mut out).is_ok() {
+                        for m in &out {
+                            assert!(m.walk_total_m() <= 2.0 * req.walk_limit_m + 1e-6);
+                            assert!(m.eta_dropoff_s > m.eta_pickup_s);
+                        }
+                    }
+                    searched.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        all_started.wait();
+        for j in 0..WRITES {
+            match j % 3 {
+                0 => created += u64::from(eng.create_ride(&offer(100 + j, 3)).is_ok()),
+                1 => {
+                    if let Ok(ms) = eng.search(&request(j), 1) {
+                        let _ = ms.first().map(|m| eng.book(m));
+                    }
+                }
+                _ => retired += eng.track_all(8.0 * 3600.0 + f64::from(j) * 20.0) as u64,
+            }
+        }
+    });
+    assert_eq!(searched.load(Ordering::Relaxed), u64::from(READERS * SEARCHES));
+    assert!(retired > 0, "the writer's sweeps must retire rides under the readers");
+    assert_eq!(created, retired + eng.ride_count() as u64, "ride conservation broke");
+    assert!(eng.snapshots_consistent());
+}
+
 /// Strip engine-assigned ride ids so result sets from engines with
 /// different id sequences (serial: 1,2,3…; sharded: striped) compare
 /// structurally. `ride_ord` maps each engine's id to the creation-order

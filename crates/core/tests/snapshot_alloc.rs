@@ -1,9 +1,9 @@
-//! Hot-path guards for the lock-free snapshot search.
+//! Hot-path guards for the snapshot search.
 //!
 //! Two contracts from DESIGN.md §5f, made hard tests:
 //!
-//! 1. **Zero allocations per search.** Once the thread-local scratch,
-//!    the caller's result buffer, and the epoch slot are warm,
+//! 1. **Zero allocations per search.** Once the thread-local scratch
+//!    and the caller's result buffer are warm,
 //!    [`xar_core::ShardedXarEngine::search_into`] must not touch the
 //!    allocator at all — the ring walk, the snapshot range queries, the
 //!    merge join and the unstable sort all run in place. A counting

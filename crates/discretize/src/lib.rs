@@ -41,6 +41,7 @@
 //! assert!(out.clustering.max_diameter(&metric) <= 4.0 * 2.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assoc;

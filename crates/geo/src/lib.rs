@@ -32,6 +32,7 @@
 //! assert!(grid.centroid(cell).haversine_m(&a) < 100.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bbox;

@@ -22,6 +22,7 @@
 //! assert_eq!(look_to_book_ratio(8, 3, 0.1), 480.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aider;

@@ -11,17 +11,15 @@
 //!   and `xar_alert_*` gauges mirroring the SLO engine.
 //! * `/snapshot` — the registry's cumulative JSON snapshot.
 //! * `/health` — `200 ok` when no alert is firing, `503` naming the
-//!   firing alerts otherwise (load-balancer / CI friendly). When
-//!   [`OpsPlane::max_backlog`] is set, a snapshot retire backlog above
-//!   it also turns health `503` (stuck epoch reader).
+//!   firing alerts otherwise (load-balancer / CI friendly).
 //! * `/alerts` — the SLO engine's status array as JSON.
 //! * `/debug/profile` — the aggregated span profile plus per-span
 //!   allocation attribution ([`crate::profile::debug_profile_json`]).
 //! * `/debug/events` — the wide-event sink's state and newest ring
 //!   events ([`crate::events::debug_events_json`]).
-//! * `/debug/epoch`, `/debug/shards` — live introspection JSON from
-//!   the embedding process via [`DebugHooks`] (the `xar-core` epoch
-//!   domain and shard map, without `xar-obs` depending on it).
+//! * `/debug/shards` — live introspection JSON from the embedding
+//!   process via [`DebugHooks`] (the `xar-core` shard map, without
+//!   `xar-obs` depending on it).
 //!
 //! A background ticker thread advances the window store and
 //! re-evaluates SLO rules every `window.tick_ms()` milliseconds, so
@@ -50,14 +48,11 @@ pub type DebugJsonFn = Arc<dyn Fn() -> String + Send + Sync>;
 
 /// Introspection callbacks the embedding process wires into the ops
 /// server. `xar-obs` sits below `xar-core`, so the server cannot reach
-/// the epoch domain or the shard map itself — the process hands it
-/// closures instead. Unset hooks answer `404`.
+/// the shard map itself — the process hands it a closure instead. An
+/// unset hook answers `404`.
 #[derive(Clone, Default)]
 pub struct DebugHooks {
-    /// `/debug/epoch` — epoch-reclamation domain state (e.g.
-    /// `xar_core::snapshot::epoch_debug`).
-    pub epoch: Option<DebugJsonFn>,
-    /// `/debug/shards` — per-shard occupancy / versions / backlogs
+    /// `/debug/shards` — per-shard occupancy / versions
     /// (e.g. `ShardedXarEngine::shard_debug_json`).
     pub shards: Option<DebugJsonFn>,
 }
@@ -65,7 +60,6 @@ pub struct DebugHooks {
 impl std::fmt::Debug for DebugHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DebugHooks")
-            .field("epoch", &self.epoch.is_some())
             .field("shards", &self.shards.is_some())
             .finish()
     }
@@ -83,17 +77,12 @@ pub struct OpsPlane {
     pub slo: Arc<SloEngine>,
     /// Live-introspection callbacks for the `/debug/*` routes.
     pub debug: DebugHooks,
-    /// When set, `/health` also reports `503` while the
-    /// `engine.snapshot_backlog` gauge exceeds this many retired,
-    /// unreclaimed snapshots — the signature of a reader stuck pinned
-    /// to an old epoch.
-    pub max_backlog: Option<i64>,
 }
 
 impl OpsPlane {
-    /// An ops plane with no debug hooks and no backlog threshold.
+    /// An ops plane with no debug hooks.
     pub fn new(registry: Arc<Registry>, window: Arc<WindowStore>, slo: Arc<SloEngine>) -> Self {
-        Self { registry, window, slo, debug: DebugHooks::default(), max_backlog: None }
+        Self { registry, window, slo, debug: DebugHooks::default() }
     }
 
     /// One tick: advance the window store and re-evaluate SLO rules.
@@ -172,10 +161,8 @@ impl OpsPlane {
     }
 
     /// The `/health` body and HTTP status: `(200, "ok")` when quiet,
-    /// `503` naming the firing alerts and/or a snapshot retire backlog
-    /// above [`OpsPlane::max_backlog`].
+    /// `503` naming the firing alerts.
     pub fn health(&self) -> (u16, String) {
-        let mut problems: Vec<String> = Vec::new();
         let firing: Vec<String> = self
             .slo
             .statuses()
@@ -183,25 +170,11 @@ impl OpsPlane {
             .filter(|s| s.firing)
             .map(|s| s.name)
             .collect();
-        if !firing.is_empty() {
-            problems.push(format!("firing: {}", firing.join(", ")));
-        }
-        if let Some(max) = self.max_backlog {
-            let backlog = self.registry.gauge("engine.snapshot_backlog").get();
-            if backlog > max {
-                problems.push(format!("snapshot backlog {backlog} > {max}"));
-            }
-        }
-        if problems.is_empty() {
+        if firing.is_empty() {
             (200, "ok\n".to_string())
         } else {
-            (503, format!("{}\n", problems.join("; ")))
+            (503, format!("firing: {}\n", firing.join(", ")))
         }
-    }
-
-    /// A `/debug/*` hook's document, or `None` when the hook is unset.
-    fn debug_json(&self, hook: &Option<DebugJsonFn>) -> Option<String> {
-        hook.as_ref().map(|f| f())
     }
 }
 
@@ -324,12 +297,8 @@ fn handle(stream: &mut TcpStream, plane: &OpsPlane) -> std::io::Result<()> {
             "/debug/events" => {
                 (200, "application/json", crate::events::debug_events_json(32))
             }
-            "/debug/epoch" => match plane.debug_json(&plane.debug.epoch) {
-                Some(body) => (200, "application/json", body),
-                None => (404, "text/plain", "epoch debug hook not wired\n".to_string()),
-            },
-            "/debug/shards" => match plane.debug_json(&plane.debug.shards) {
-                Some(body) => (200, "application/json", body),
+            "/debug/shards" => match &plane.debug.shards {
+                Some(hook) => (200, "application/json", hook()),
                 None => (404, "text/plain", "shards debug hook not wired\n".to_string()),
             },
             _ => (404, "text/plain", "not found\n".to_string()),
@@ -478,38 +447,16 @@ mod tests {
         assert_eq!(status, 200);
         let events = crate::json::parse(&body).expect("events JSON");
         assert!(events.get("emitted").is_some(), "{body}");
-        // Unwired hooks are a clean 404, not a panic.
-        let (status, _) = http_get(addr, "/debug/epoch");
-        assert_eq!(status, 404);
+        // An unwired hook is a clean 404, not a panic.
         let (status, _) = http_get(addr, "/debug/shards");
         assert_eq!(status, 404);
         drop(server);
-        // Wired hooks serve whatever the embedder produces.
-        plane.debug.epoch = Some(Arc::new(|| "{\"epoch\":7}".to_string()));
+        // A wired hook serves whatever the embedder produces.
         plane.debug.shards = Some(Arc::new(|| "{\"shards\":[]}".to_string()));
         let server = serve("127.0.0.1:0", plane).expect("bind");
-        let (status, body) = http_get(server.local_addr(), "/debug/epoch");
-        assert_eq!(status, 200);
-        assert_eq!(body, "{\"epoch\":7}");
         let (status, body) = http_get(server.local_addr(), "/debug/shards");
         assert_eq!(status, 200);
         assert_eq!(body, "{\"shards\":[]}");
-    }
-
-    #[test]
-    fn health_goes_503_when_snapshot_backlog_exceeds_threshold() {
-        let mut plane = plane_with(Vec::new(), 10_000);
-        plane.max_backlog = Some(2);
-        plane.registry.gauge("engine.snapshot_backlog").set(1);
-        let (status, _) = plane.health();
-        assert_eq!(status, 200, "backlog at or under the threshold is healthy");
-        plane.registry.gauge("engine.snapshot_backlog").set(3);
-        let (status, body) = plane.health();
-        assert_eq!(status, 503);
-        assert!(body.contains("snapshot backlog 3 > 2"), "{body}");
-        // No threshold configured: any backlog is tolerated.
-        plane.max_backlog = None;
-        assert_eq!(plane.health().0, 200);
     }
 
     #[test]

@@ -40,10 +40,10 @@
 //! assert_eq!(path.nodes.first(), Some(&NodeId(0)));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generators;
-pub mod geojson;
 pub mod graph;
 pub mod io;
 pub mod poi;

@@ -34,6 +34,7 @@
 //! assert!(plan.walk_time_s() + plan.wait_time_s() <= plan.travel_time_s() + 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generate;

@@ -47,6 +47,7 @@
 //! assert!(matches.iter().any(|m| m.taxi == taxi));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

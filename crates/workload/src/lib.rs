@@ -31,6 +31,7 @@
 //! assert!(trips.windows(2).all(|w| w[0].pickup_s <= w[1].pickup_s));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
@@ -39,7 +40,6 @@ pub mod parallel;
 pub mod report;
 pub mod searchbench;
 pub mod sim;
-pub mod writebench;
 pub mod trips;
 
 pub use backend::{ShardedXarBackend, TShareBackend, XarBackend};
@@ -49,5 +49,4 @@ pub use searchbench::{
     populated_engine, run_search_point, search_curve_json, SearchPoint,
 };
 pub use sim::{run_simulation, BookResult, RideBackend, SimConfig};
-pub use writebench::{run_write_point, write_curve_json, WritePoint};
 pub use trips::{generate_trips, Trip, TripGenConfig};

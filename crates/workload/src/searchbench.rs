@@ -7,10 +7,10 @@
 //! [`ShardedXarEngine`] is hammered by `N` searcher threads running
 //! [`ShardedXarEngine::search_into`] over a shared request set, while
 //! one background writer keeps snapshot publication live (a paced
-//! create / track mix). Because searches take no locks (see
+//! create / track mix). Because searches take no engine lock (see
 //! `xar-core`'s `snapshot` module), the latency distribution should be
 //! *flat in `N`* up to the core count — the before/after evidence for
-//! the lock-free read path lives in `results/BENCH_search.json`, schema
+//! the snapshot read path lives in `results/BENCH_search.json`, schema
 //! in EXPERIMENTS.md.
 //!
 //! Every searcher reuses one result buffer and its thread-local
@@ -48,7 +48,7 @@ pub fn populated_engine(
 }
 
 /// One measured point of the search micro-bench: latency percentiles of
-/// the lock-free search path at a fixed searcher-thread count.
+/// the snapshot search path at a fixed searcher-thread count.
 #[derive(Debug, Clone)]
 pub struct SearchPoint {
     /// Searcher threads (the background writer is extra).
@@ -142,7 +142,7 @@ pub fn run_search_point(
                     let mut out: Vec<RideMatch> = Vec::new();
                     let mut lats: Vec<u64> = Vec::with_capacity(per_thread);
                     let mut hits = 0u64;
-                    // Warm the scratch, the buffer and the epoch slot.
+                    // Warm the scratch and the buffer.
                     for req in reqs.iter().take(64) {
                         let _ = engine.search_into(req, usize::MAX, &mut out);
                     }

@@ -55,21 +55,13 @@
 //!           [--max-p50-us F] [--max-p99-ratio F] [--json FILE]
 //!           [--against FILE] [--tolerance F]
 //!     Search-path micro-bench: populate one engine from three quarters
-//!     of the trip day, then measure the lock-free `search_into`
+//!     of the trip day, then measure the `search_into`
 //!     latency at each searcher count (constant `--searches` total per
 //!     point) while a paced background writer keeps snapshot
 //!     publication live. `--max-p50-us F` gates the first point's
 //!     median and `--max-p99-ratio F` the last point's p99 relative to
 //!     the first's (tail flatness); either breach exits with code 7.
 //!     `--json` writes the `results/BENCH_search.json` schema.
-//!
-//! xar bench --write [--rows N] [--cols N] [--seed S] [--trips N]
-//!           [--storm N] [--shards N] [--json FILE] [--against FILE]
-//!           [--tolerance F]
-//!     Write-path micro-bench: a constant-density population sweep
-//!     timing `book_checked` and snapshot publication, incremental vs
-//!     forced full rebuild (`results/BENCH_write.json` schema). A
-//!     `--trips` value below 16 exits with code 9.
 //!
 //! xar logs --in events.jsonl [--outcome X] [--reason Y]
 //!          [--slower-than MS] [--request ID] [--top N]
@@ -94,7 +86,7 @@
 //!     `xar simulate --serve ADDR`: scrapes `/metrics`, renders rolling
 //!     p50/p99/throughput, per-cluster ride occupancy, the
 //!     rejection-reason breakdown, the snapshot publication plane
-//!     (publishes / freed / retire backlog), tail latency exemplars
+//!     (publishes, publish p99), tail latency exemplars
 //!     (trace ids of the slowest recent requests) and firing SLO
 //!     alerts. `--frames N` exits after N refreshes
 //!     (CI); `--plain` skips the ANSI screen clearing.
@@ -114,15 +106,12 @@
 //! Live operational flags on `simulate`: `--serve ADDR` starts the
 //! embedded ops-plane HTTP server (`/metrics` with OpenMetrics latency
 //! exemplars, `/snapshot`, `/health`, `/alerts`, `/debug/profile`,
-//! `/debug/epoch`, `/debug/shards`, `/debug/events`; `ADDR` may use
-//! port 0 — the bound
+//! `/debug/shards`, `/debug/events`; `ADDR` may use port 0 — the bound
 //! address is printed); `--slo RULE` (repeatable) installs burn-rate
 //! SLO rules (syntax in EXPERIMENTS.md); `--slo-fail` exits with code 8
 //! when any rule fired during the run; `--tick-ms N` sets the windowing
 //! tick; `--linger-s F` keeps the process (and server) alive after the
-//! simulation so scrapers can observe the final state; `--max-backlog N`
-//! turns `/health` 503 while the snapshot retire backlog exceeds `N`
-//! and exits with code 10 when it still does at the end of the run.
+//! simulation so scrapers can observe the final state.
 //!
 //! Every subcommand accepts only the flags listed for it here: any
 //! other `--flag` exits with code 1 before the command does any work.
@@ -148,13 +137,12 @@ use xhare_a_ride::tshare::{TShareConfig, TShareEngine};
 use xhare_a_ride::workload::backend::request_of;
 use xhare_a_ride::workload::{
     generate_trips, percentile_ns, populated_engine, run_parallel_dispatch, run_scaling_point,
-    run_search_point, run_simulation, run_write_point, scaling_curve_json, search_curve_json,
-    write_curve_json, ScalingPoint, SearchPoint, ShardedXarBackend, SimConfig, TShareBackend,
-    TripGenConfig, WritePoint, XarBackend,
+    run_search_point, run_simulation, scaling_curve_json, search_curve_json, ScalingPoint,
+    SearchPoint, ShardedXarBackend, SimConfig, TShareBackend, TripGenConfig, XarBackend,
 };
 
 /// Flags that take no value (presence alone means `true`).
-const SWITCHES: &[&str] = &["check", "slo-fail", "plain", "search", "write", "alloc"];
+const SWITCHES: &[&str] = &["check", "slo-fail", "plain", "search", "alloc"];
 
 /// Global allocator: the profiling pass-through. When `xar profile
 /// --alloc` is off (the default, and every other subcommand) the hook
@@ -247,7 +235,7 @@ impl Flags {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F] [--max-backlog N]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --write [--rows N] [--cols N] [--seed S] [--trips N] [--storm N] [--shards N] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
 }
 
 fn build_region(flags: &Flags) -> Result<(), CmdError> {
@@ -381,11 +369,10 @@ fn parse_tolerance_flag(flags: &Flags) -> Result<f64, CmdError> {
 /// `--against` regression gate: compare a freshly measured bench curve
 /// point-by-point against a committed baseline of the same kind.
 ///
-/// Points are joined on `point_key` — a workload-independent integer
-/// field (`"threads"` for the scaling/search curves, `"mult"` for the
-/// write curve), so a small CI smoke city still shares points with a
+/// Points are joined on `threads` — a workload-independent integer
+/// field, so a small CI smoke city still shares points with a
 /// baseline measured on the full bench city. `fresh` holds
-/// `(point key value, [(metric key, value)])` per fresh point;
+/// `(threads, [(metric key, value)])` per fresh point;
 /// `metrics` lists `(key, higher_is_worse)`. The tolerance is a ratio
 /// headroom symmetric in direction: latency (higher-is-worse) may grow
 /// to `base × (1 + tol)`, throughput may shrink to `base ÷ (1 + tol)` —
@@ -398,7 +385,6 @@ fn parse_tolerance_flag(flags: &Flags) -> Result<f64, CmdError> {
 fn gate_against_baseline(
     path: &str,
     kind: &str,
-    point_key: &str,
     tolerance: f64,
     fresh: &[(u64, Vec<(&'static str, f64)>)],
     metrics: &[(&'static str, bool)],
@@ -422,10 +408,10 @@ fn gate_against_baseline(
     let mut compared = 0usize;
     let mut breaches: Vec<String> = Vec::new();
     for bp in base_points {
-        let Some(at) = bp.get(point_key).and_then(|t| t.as_u64()) else { continue };
+        let Some(at) = bp.get("threads").and_then(|t| t.as_u64()) else { continue };
         let Some((_, values)) = fresh.iter().find(|(t, _)| *t == at) else {
             println!(
-                "against        : baseline point {point_key}={at} has no fresh match, skipped"
+                "against        : baseline point threads={at} has no fresh match, skipped"
             );
             continue;
         };
@@ -442,13 +428,13 @@ fn gate_against_baseline(
                 (base / (1.0 + tolerance), new < base / (1.0 + tolerance), "min")
             };
             println!(
-                "against        : {point_key}={at} {key} {new:.0} vs baseline {base:.0} \
+                "against        : threads={at} {key} {new:.0} vs baseline {base:.0} \
                  ({dir} {bound:.0}){}",
                 if breached { "  REGRESSION" } else { "" },
             );
             if breached {
                 breaches.push(format!(
-                    "{point_key}={at} {key} {new:.0} breaches {dir} {bound:.0} \
+                    "threads={at} {key} {new:.0} breaches {dir} {bound:.0} \
                      (baseline {base:.0}, tolerance {tolerance})"
                 ));
             }
@@ -548,12 +534,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     let slo_fail = flags.switch("slo-fail");
     let tick_ms: u64 = flags.get("tick-ms", 1_000)?;
     let linger_s: f64 = flags.get("linger-s", 0.0)?;
-    let max_backlog: Option<i64> = match flags.get_opt("max-backlog") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| {
-            CmdError::general(format!("invalid value '{v}' for --max-backlog"))
-        })?),
-    };
     if tick_ms == 0 {
         return Err(CmdError::general("--tick-ms must be positive"));
     }
@@ -573,11 +553,8 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
             Arc::new(WindowStore::new(WindowConfig { tick_ms, capacity })),
             Arc::new(SloEngine::new(rules)),
         );
-        plane.max_backlog = max_backlog;
-        // Live debug introspection: the epoch domain is process-global;
-        // the shard map exists only on the parallel driver.
-        plane.debug.epoch =
-            Some(Arc::new(|| xhare_a_ride::core::snapshot::epoch_debug().to_json()));
+        // Live debug introspection: the shard map exists only on the
+        // parallel driver.
         if let SimUnderTest::Parallel(b) = &sim {
             let engine = b.engine.clone();
             plane.debug.shards = Some(Arc::new(move || engine.shard_debug_json()));
@@ -744,23 +721,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
             println!("slo fired      : none");
         }
     }
-    if let Some(max) = max_backlog {
-        let registry = match &sim {
-            SimUnderTest::Serial(b) => b.engine.metrics().registry(),
-            SimUnderTest::Parallel(b) => b.engine.registry(),
-        };
-        let backlog = registry.gauge("engine.snapshot_backlog").get();
-        println!("backlog gate   : {backlog} retired snapshot(s) pending (gate {max})");
-        if backlog > max {
-            return Err(CmdError::coded(
-                10,
-                format!(
-                    "snapshot retire backlog {backlog} exceeds --max-backlog {max} — \
-                     a reader is stuck pinned to an old epoch"
-                ),
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -873,7 +833,6 @@ fn bench(flags: &Flags) -> Result<(), CmdError> {
         gate_against_baseline(
             base,
             "engine_scaling",
-            "threads",
             tol,
             &fresh,
             &[("requests_per_s", false), ("search_p50_ns", true), ("search_p99_ns", true)],
@@ -1004,159 +963,9 @@ fn bench_search(flags: &Flags) -> Result<(), CmdError> {
         gate_against_baseline(
             base,
             "search_microbench",
-            "threads",
             tol,
             &fresh,
             &[("search_p50_ns", true), ("search_p99_ns", true)],
-        )?;
-    }
-    Ok(())
-}
-
-/// `xar bench --write`: the write-path micro-bench. For each
-/// population multiplier a fresh sharded engine is filled with pure
-/// ride creates, then a fixed booking storm measures end-to-end
-/// `book_checked` latency and snapshot publish cost, replayed twice —
-/// incremental publication vs forced full rebuilds (DESIGN.md §5f).
-/// The sweep holds ride density constant (city side ∝ √mult): the
-/// shard grows 8× while the detour-bounded dirty set stays fixed, so
-/// incremental publish cost should stay flat-ish as full rebuilds
-/// climb.
-/// `--against` joins the committed `results/BENCH_write.json` baseline
-/// on the workload-independent `mult` field (same contract as the
-/// other bench gates: exit 2 bad baseline, exit 7 regression).
-fn bench_write(flags: &Flags) -> Result<(), CmdError> {
-    const POP_MULTS: [usize; 4] = [1, 2, 4, 8];
-    const MAX_MULT: usize = 8;
-    let shards = parse_shards_flag(flags)?;
-    let rows: usize = flags.get("rows", 30)?;
-    let cols: usize = flags.get("cols", 30)?;
-    let seed: u64 = flags.get("seed", 0xBE7C)?;
-    // The write path is the subject: a bad workload size is a bad
-    // invocation, same exit-9 contract as the other flags.
-    let trips_n: usize = match flags.get_opt("trips") {
-        None => 2_000,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 16 => n,
-            _ => {
-                return Err(CmdError::coded(
-                    9,
-                    format!("--trips must be an integer >= 16 for the write bench, got '{v}'"),
-                ))
-            }
-        },
-    };
-    let storm_n: usize = flags.get("storm", 500)?;
-
-    eprintln!(
-        "write bench base city: {rows}x{cols} (seed {seed}), {trips_n} trips, {shards} shards, \
-         storm {storm_n} — side scales with sqrt(mult), constant ride density"
-    );
-    // Tight detour budgets keep each booking's dirty set small relative
-    // to the region — the regime incremental publication exists for
-    // (matches `bench_write`'s standalone harness).
-    let cfg = SimConfig { detour_limit_m: 1_200.0, ..SimConfig::default() };
-    let engine_cfg = EngineConfig::default();
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut points: Vec<WritePoint> = Vec::new();
-    println!(
-        "{:>5} {:>8} {:>9} {:>9} {:>12} {:>12} {:>14} {:>14} {:>8}",
-        "mult", "rides", "clusters", "bookings", "book p50 µs", "pub p50 µs", "full pub p50",
-        "dirty/pub", "partial"
-    );
-    for m in POP_MULTS {
-        // Constant-density sweep: the city area grows with the
-        // population, so rides-per-cluster is fixed and incremental
-        // publish cost — bounded by the detour-budget dirty set — has
-        // no reason to grow with the shard.
-        let side_scale = (m as f64).sqrt();
-        let (r, c) =
-            ((rows as f64 * side_scale).round() as usize, (cols as f64 * side_scale).round() as usize);
-        let graph = Arc::new(CityConfig::manhattan(r, c, seed).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: r * c / 2, ..Default::default() });
-        let region = Arc::new(RegionIndex::build(
-            Arc::clone(&graph),
-            &pois,
-            RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
-        ));
-        // The trip-length cap is the other half of constant density:
-        // trips stay metropolitan-local as the map grows, so ride
-        // routes — and the dirty set a booking re-indexes — do not
-        // stretch with the city.
-        let trips = generate_trips(
-            &graph,
-            &TripGenConfig { count: trips_n, seed, max_trip_m: 2_500.0, ..Default::default() },
-        );
-
-        // Trips are time-sorted: populations and the storm are strided
-        // subsets so every one spans the whole day and the storm's
-        // request windows overlap live rides.
-        let evens: Vec<_> = trips.iter().step_by(2).copied().collect();
-        let odds: Vec<_> = trips.iter().skip(1).step_by(2).copied().collect();
-        let storm_len = storm_n.clamp(1, odds.len());
-        let storm: Vec<_> =
-            odds.iter().step_by((odds.len() / storm_len).max(1)).copied().collect();
-        let populate: Vec<_> = evens.iter().step_by(MAX_MULT / m).copied().collect();
-
-        let p = run_write_point(&region, &engine_cfg, &populate, &storm, &cfg, shards, m);
-        println!(
-            "{:>5} {:>8} {:>9} {:>9} {:>12.1} {:>12.1} {:>14.1} {:>14.1} {:>8}",
-            p.mult,
-            p.rides,
-            p.clusters,
-            p.bookings,
-            p.book_p50_ns / 1e3,
-            p.publish_p50_ns / 1e3,
-            p.full_publish_p50_ns / 1e3,
-            p.dirty_clusters_mean,
-            p.partial_publishes,
-        );
-        points.push(p);
-    }
-
-    if let Some(json) = flags.get_opt("json") {
-        let meta = [
-            ("base_rows", rows as f64),
-            ("base_cols", cols as f64),
-            ("seed", seed as f64),
-            ("trips", trips_n as f64),
-            ("storm", storm_n as f64),
-            ("shards", shards as f64),
-        ];
-        std::fs::write(json, write_curve_json(&meta, cores, &points))
-            .map_err(|e| format!("cannot write {json}: {e}"))?;
-        println!("curve          : {json} (cores {cores})");
-    }
-
-    if let Some(base) = flags.get_opt("against") {
-        let tol = parse_tolerance_flag(flags)?;
-        let fresh: Vec<(u64, Vec<(&'static str, f64)>)> = points
-            .iter()
-            .map(|p| {
-                (
-                    p.mult as u64,
-                    vec![
-                        ("book_p50_ns", p.book_p50_ns),
-                        ("book_p99_ns", p.book_p99_ns),
-                        ("publish_p50_ns", p.publish_p50_ns),
-                        ("publish_p99_ns", p.publish_p99_ns),
-                    ],
-                )
-            })
-            .collect();
-        gate_against_baseline(
-            base,
-            "write_microbench",
-            "mult",
-            tol,
-            &fresh,
-            &[
-                ("book_p50_ns", true),
-                ("book_p99_ns", true),
-                ("publish_p50_ns", true),
-                ("publish_p99_ns", true),
-            ],
         )?;
     }
     Ok(())
@@ -1639,23 +1448,18 @@ fn render_top_frame(p: &xar_obs::promtext::PromText) -> String {
         }
     }
 
-    // Snapshot-publication plane: write-path cost of the lock-free
-    // search path, plus the epoch-reclamation backlog.
-    let metric = |n: &str| {
-        p.with_name(n)
-            .find(|s| s.labels.is_empty())
-            .map(|s| s.value)
-    };
-    if let Some(publishes) = metric("engine_snapshot_publishes") {
-        let freed = metric("engine_snapshot_retired_freed").unwrap_or(0.0);
-        let backlog = metric("engine_snapshot_backlog").unwrap_or(0.0);
+    // Snapshot-publication plane: write-path cost of the search
+    // snapshots.
+    let publishes = p.with_name("engine_snapshot_publishes").find(|s| s.labels.is_empty());
+    if let Some(publishes) = publishes {
         let p99 = p
             .find("engine_snapshot_publish_ns", &[("quantile", "0.99")])
             .map(|s| s.value)
             .unwrap_or(0.0);
         let _ = writeln!(
             out,
-            "\nsnapshots: published {publishes:.0}   freed {freed:.0}   backlog {backlog:.0}   publish p99 {:.1} µs",
+            "\nsnapshots: published {:.0}   publish p99 {:.1} µs",
+            publishes.value,
             p99 / 1e3,
         );
     }
@@ -1770,7 +1574,6 @@ const COMMANDS: &[Command] = &[
             "region", "trips", "seed", "k", "walk", "window", "detour", "threads", "shards",
             "json", "metrics-out", "trace-out", "trace-slow-ms", "trace-sample", "trace-buffer",
             "events-out", "baseline", "serve", "slo", "slo-fail", "tick-ms", "linger-s",
-            "max-backlog",
         ],
         run: simulate,
     },
@@ -1789,14 +1592,6 @@ const COMMANDS: &[Command] = &[
             "max-p50-us", "max-p99-ratio", "json", "against", "tolerance",
         ],
         run: bench_search,
-    },
-    Command {
-        name: "bench --write",
-        flags: &[
-            "write", "rows", "cols", "seed", "trips", "storm", "shards", "json", "against",
-            "tolerance",
-        ],
-        run: bench_write,
     },
     Command {
         name: "logs",
@@ -1822,8 +1617,8 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    // `bench` has three modes with their own flags, picked by a switch.
-    let mode = rest.iter().find(|a| cmd == "bench" && matches!(a.as_str(), "--search" | "--write"));
+    // `bench` has two modes with their own flags, picked by a switch.
+    let mode = rest.iter().find(|a| cmd == "bench" && a.as_str() == "--search");
     let name = mode.map_or(cmd.clone(), |m| format!("{cmd} {m}"));
     let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
         eprintln!("error: unknown command '{cmd}'\n{}", usage());

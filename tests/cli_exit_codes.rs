@@ -5,9 +5,8 @@
 //! JSON, 3 = trace with no complete request timeline, 4 = trace
 //! missing the drop counter, 7 = `bench` capacity/scaling/`--against`
 //! gate, 8 = `--slo-fail` with a fired SLO, 9 = invalid `--threads` /
-//! `--shards` / `--tolerance` / `bench --write` workload /
-//! `xar logs` filter value, 10 = `--max-backlog` snapshot
-//! retire-backlog gate. `xar logs` reuses 2 (unreadable / invalid
+//! `--shards` / `--tolerance` / `xar logs` filter value. `xar logs`
+//! reuses 2 (unreadable / invalid
 //! events file) and 3 (no events, or none matching the filters). The
 //! full table lives in README.md § Exit codes.
 
@@ -208,43 +207,6 @@ fn top_renders_one_plain_frame_from_a_served_simulation() {
 }
 
 #[test]
-fn simulate_max_backlog_gate_exits_10() {
-    let dir = scratch("backlog_gate");
-    let region = dir.join("region.xarr");
-    let out = xar(&[
-        "build-region", "--rows", "14", "--cols", "14", "--seed", "3", "--clusters", "10",
-        "--out", region.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "build-region failed: {out:?}");
-
-    // A healthy run drains its backlog to 0 by exit, so any sane gate
-    // passes…
-    let out = xar(&[
-        "simulate", "--region", region.to_str().unwrap(), "--trips", "200",
-        "--max-backlog", "64",
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("backlog gate   :"), "{stdout}");
-
-    // …and an impossible gate (-1 < the drained backlog of 0) pins the
-    // exit code deterministically without needing a stuck reader.
-    let out = xar(&[
-        "simulate", "--region", region.to_str().unwrap(), "--trips", "200",
-        "--max-backlog", "-1",
-    ]);
-    assert_eq!(code(&out), 10, "{out:?}");
-    let msg = String::from_utf8_lossy(&out.stderr);
-    assert!(msg.contains("exceeds --max-backlog"), "{msg}");
-
-    // Unparseable gate value is a generic CLI error, not code 10.
-    let out = xar(&[
-        "simulate", "--region", region.to_str().unwrap(), "--max-backlog", "soon",
-    ]);
-    assert_eq!(code(&out), 1, "{out:?}");
-}
-
-#[test]
 fn profile_writes_validated_artifacts_in_both_formats() {
     let dir = scratch("profile_cli");
 
@@ -370,23 +332,6 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
     assert!(record.contains("req 0"), "{record}");
 }
 
-#[test]
-fn write_bench_flags_validate_with_exit_9() {
-    // Invalid values fail fast, before any region or workload is
-    // built, each naming the offending flag.
-    for args in [
-        &["bench", "--write", "--trips", "nope"][..],
-        &["bench", "--write", "--trips", "4"][..],
-        &["bench", "--write", "--shards", "0"][..],
-    ] {
-        let out = xar(args);
-        assert_eq!(code(&out), 9, "{args:?} -> {out:?}");
-        let msg = String::from_utf8_lossy(&out.stderr);
-        let flag = args.iter().find(|a| a.starts_with("--") && *a != &"--write").unwrap();
-        assert!(msg.contains(flag.trim_start_matches('-')), "{args:?}: {msg}");
-    }
-}
-
 /// The flags of one subcommand as `xar help` lists them: every
 /// `--flag` token on the usage line that starts with `xar <cmd>`.
 fn usage_flags(usage: &str, cmd: &str) -> Vec<String> {
@@ -403,27 +348,30 @@ fn usage_flags(usage: &str, cmd: &str) -> Vec<String> {
 
 #[test]
 fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
-    // The three options removed with batch dispatch, and a typo of a
-    // live one: each fails with exit 1 and names flag and subcommand —
-    // before the (missing) region file would be looked at.
-    for flag in ["--dispatch", "--compress-day-s", "--publish-coalesce-us", "--trps"] {
+    // The three options removed with batch dispatch, the gate removed
+    // with the retire backlog it watched, and a typo of a live one:
+    // each fails with exit 1 and names flag and subcommand — before the
+    // (missing) region file would be looked at.
+    for flag in ["--dispatch", "--compress-day-s", "--publish-coalesce-us", "--max-backlog", "--trps"] {
         let out = xar(&["simulate", "--region", "/nonexistent.xarr", flag, "100"]);
         assert_eq!(code(&out), 1, "{flag} -> {out:?}");
         let msg = String::from_utf8_lossy(&out.stderr);
         assert!(msg.contains(&format!("unknown flag {flag} for `xar simulate`")), "{flag}: {msg}");
         assert!(!msg.contains("cannot read"), "{flag} was checked after the region load: {msg}");
     }
-    // A flag of one subcommand is not a flag of another, and `bench`
-    // modes keep their own lists.
-    for (args, cmd) in [
-        (&["inspect", "--trips", "5"][..], "inspect"),
-        (&["bench", "--write", "--min-scaling", "2"][..], "bench --write"),
-        (&["bench", "--searches", "10"][..], "bench"),
+    // A flag of one subcommand is not a flag of another, `bench`
+    // modes keep their own lists, and the removed write mode is an
+    // unknown flag of `bench`.
+    for (args, flag, cmd) in [
+        (&["inspect", "--trips", "5"][..], "--trips", "inspect"),
+        (&["bench", "--search", "--min-scaling", "2"][..], "--min-scaling", "bench --search"),
+        (&["bench", "--searches", "10"][..], "--searches", "bench"),
+        (&["bench", "--write"][..], "--write", "bench"),
     ] {
         let out = xar(args);
         assert_eq!(code(&out), 1, "{args:?} -> {out:?}");
         let msg = String::from_utf8_lossy(&out.stderr);
-        assert!(msg.contains(&format!("for `xar {cmd}`")), "{args:?}: {msg}");
+        assert!(msg.contains(&format!("unknown flag {flag} for `xar {cmd}`")), "{args:?}: {msg}");
     }
 
     // Every flag `xar help` documents is still accepted: pass them all
@@ -432,10 +380,10 @@ fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
     let help = xar(&["help"]);
     assert_eq!(code(&help), 0, "{help:?}");
     let usage = String::from_utf8_lossy(&help.stdout).into_owned();
-    const SWITCHES: [&str; 6] = ["check", "slo-fail", "plain", "search", "write", "alloc"];
+    const SWITCHES: [&str; 5] = ["check", "slo-fail", "plain", "search", "alloc"];
     for cmd in [
-        "build-region", "inspect", "simulate", "bench", "bench --search", "bench --write",
-        "logs", "trace", "top", "profile",
+        "build-region", "inspect", "simulate", "bench", "bench --search", "logs", "trace", "top",
+        "profile",
     ] {
         let flags = usage_flags(&usage, cmd);
         assert!(!flags.is_empty(), "`xar {cmd}` documents no flags");
@@ -504,67 +452,6 @@ fn serial_driver_says_when_it_ignores_shards() {
 }
 
 #[test]
-fn write_bench_against_gate_exit_codes() {
-    let dir = scratch("write_bench_against");
-
-    // 2: missing baseline.
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", dir.join("missing.json").to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2, "{out:?}");
-
-    // 9: invalid tolerance is rejected before the baseline is read.
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", dir.join("missing.json").to_str().unwrap(), "--tolerance", "nope",
-    ]);
-    assert_eq!(code(&out), 9, "{out:?}");
-
-    // 2: a baseline of the wrong bench kind (points join on `mult`,
-    // but the kind check fires first).
-    let wrong_kind = dir.join("wrong_kind.json");
-    write(
-        &wrong_kind,
-        r#"{"bench":"engine_scaling","points":[{"threads":1,"search_p50_ns":1}]}"#,
-    );
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", wrong_kind.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 2, "{out:?}");
-
-    // Self-comparison passes (exit 0) — the curve written by --json is
-    // a valid baseline for the identical run.
-    let json = dir.join("self.json");
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--json", json.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", json.to_str().unwrap(), "--tolerance", "10",
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-
-    // 7: an impossible baseline (publish must beat a fraction of a
-    // nanosecond) trips the regression gate.
-    let impossible = dir.join("impossible.json");
-    write(
-        &impossible,
-        r#"{"bench":"write_microbench","points":[{"mult":1,"book_p50_ns":0.001,"book_p99_ns":0.001,"publish_p50_ns":0.001,"publish_p99_ns":0.001}]}"#,
-    );
-    let out = xar(&[
-        "bench", "--write", "--rows", "10", "--cols", "10", "--trips", "64",
-        "--against", impossible.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 7, "{out:?}");
-    let msg = String::from_utf8_lossy(&out.stderr);
-    assert!(msg.contains("regression"), "{msg}");
-}
-
-#[test]
 fn bench_against_gate_exit_codes() {
     let dir = scratch("bench_against");
 
@@ -582,6 +469,18 @@ fn bench_against_gate_exit_codes() {
         "--against", dir.join("missing.json").to_str().unwrap(), "--tolerance", "nope",
     ]);
     assert_eq!(code(&out), 9, "{out:?}");
+
+    // 2: a baseline of the other bench kind, on the search mode.
+    let wrong_kind = dir.join("wrong_kind.json");
+    write(
+        &wrong_kind,
+        r#"{"bench":"engine_scaling","points":[{"threads":1,"search_p50_ns":1}]}"#,
+    );
+    let out = xar(&[
+        "bench", "--search", "--rows", "10", "--cols", "10", "--trips", "60", "--threads", "1",
+        "--searches", "200", "--against", wrong_kind.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 2, "{out:?}");
 
     // Self-comparison: a fresh curve written then compared against
     // itself passes any tolerance (exit 0), and an absurdly tight

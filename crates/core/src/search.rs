@@ -14,6 +14,12 @@
 //! both ends within the ride's remaining detour limit — plus pick-up
 //! strictly preceding drop-off and a free seat. **No shortest paths are
 //! computed anywhere on this path.**
+//!
+//! **How the two steps run here.** "Identify the grid" is
+//! [`RegionIndex::snap`], one read of the grid → way-point table; the
+//! walkable clusters are one read of that way-point's list; and the
+//! intersection is one pass per side over a per-thread hash table keyed
+//! by ride — no id-sorted list, no tuples, no sort (DESIGN.md §5f).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -280,9 +286,9 @@ fn sort_matches(out: &mut [RideMatch]) {
 /// only in where a list and a ride's state come from.
 ///
 /// The contract that makes results bit-identical across views: a list
-/// is in **`(eta, ride)` order**, so the per-ride hit lists — and
-/// therefore which of several equally good pairings wins — are built
-/// in the same order everywhere.
+/// is in **`(eta, ride)` order**, so a row's rank (walkable order × list
+/// order) — which decides between equally good pairings — is the same
+/// everywhere.
 pub(crate) trait IndexView {
     /// `cluster`'s potential-rides list (empty when it lists no ride).
     fn rows(&self, cluster: ClusterId) -> &[PotentialRide];
@@ -303,78 +309,145 @@ impl IndexView for XarEngine {
     }
 }
 
-/// One side-candidate: a walkable cluster paired with one
-/// potential-ride entry found there.
+/// One source-side hit. A ride's hits are chained through `next` in
+/// discovery order (walkable order × ETA order); a hit's position in
+/// the scratch vector is its *source rank*.
 #[derive(Debug, Clone, Copy)]
-struct Hit {
-    cluster: ClusterId,
-    landmark: LandmarkId,
-    walk_m: f64,
-    eta_s: f64,
-    detour_m: f64,
-    seg: u32,
-    pass_route_idx: u32,
+struct SrcHit {
+    row: PotentialRide,
+    /// Index of the walkable cluster in `src_walkable`.
+    walk: u32,
+    /// The ride's next hit, or [`NIL`].
+    next: u32,
 }
 
-/// One side's candidate list: `(ride, discovery order, hit)`, sorted by
-/// `(ride, discovery order)`.
-type Hits = Vec<(RideId, u32, Hit)>;
+/// End of a hit chain.
+const NIL: u32 = u32::MAX;
 
-/// Reusable per-thread candidate buffers (source side, destination
-/// side): grown on the first few searches, then allocation-free forever
-/// after.
+/// What the destination side has learnt about a candidate ride: no
+/// destination row seen (`R1 \ R2`); listed but no longer live in this
+/// view; live without a free seat; or open, with its detour budget.
+#[derive(Debug, Clone, Copy)]
+enum Pairing {
+    Unseen,
+    Gone,
+    Full,
+    Open { budget_m: f64 },
+}
+
+/// One ride of `R1`.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// First and last hit of the ride's source chain.
+    head: u32,
+    tail: u32,
+    pairing: Pairing,
+    /// Deepest check any pairing reached: 1 ordering, 2 walk, 3 detour
+    /// (checks run in that order).
+    deepest: u8,
+    /// The best feasible pairing so far and its source rank.
+    best: Option<(RideMatch, u32)>,
+}
+
+/// One `ride → candidate` slot, live while its stamp is the generation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    stamp: u32,
+    cand: u32,
+    ride: u64,
+}
+
+/// Slots the table starts with; it doubles when half are live.
+const INITIAL_SLOTS: usize = 64;
+
+/// Reusable per-thread search state: an open-addressed, linearly probed
+/// `ride → candidate` table emptied by a counter increment (the stamp
+/// idiom of `xar_roadnet`'s scratch and [`crate::footprint`]), the
+/// candidates and the source hits. All grow to their high-water mark on
+/// a thread's first searches and are allocation-free after.
 #[derive(Default)]
 struct SearchScratch {
-    r1: Hits,
-    r2: Hits,
+    /// Power-of-two sized, at most half live.
+    slots: Vec<Slot>,
+    generation: u32,
+    cands: Vec<Candidate>,
+    hits: Vec<SrcHit>,
+}
+
+impl SearchScratch {
+    /// Forget every ride. Touches the slots only on first use and when
+    /// the 32-bit generation wraps (then stamps of the previous cycle
+    /// must not read as live again).
+    fn begin(&mut self) {
+        if self.slots.is_empty() {
+            self.slots.resize(INITIAL_SLOTS, Slot::default());
+        }
+        if self.generation == u32::MAX {
+            self.slots.iter_mut().for_each(|s| s.stamp = 0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.cands.clear();
+        self.hits.clear();
+    }
+
+    /// The slot holding `ride`, or the stale slot that ends its probe
+    /// sequence (one always exists: at most half the slots are live).
+    /// Ride ids are `start + k · stride` per shard, so the
+    /// multiplicative hash is what spreads them over the slots.
+    #[inline]
+    fn probe(&self, ride: RideId) -> usize {
+        let mask = self.slots.len() - 1;
+        let bits = self.slots.len().trailing_zeros();
+        let mut i = (ride.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize;
+        while self.slots[i].stamp == self.generation && self.slots[i].ride != ride.0 {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The candidate index of `ride`, if it is in `R1`.
+    #[inline]
+    fn find(&self, ride: RideId) -> Option<usize> {
+        let slot = self.slots[self.probe(ride)];
+        (slot.stamp == self.generation).then_some(slot.cand as usize)
+    }
+
+    /// Chain one source hit to its ride's candidate, creating the
+    /// candidate on the ride's first hit.
+    #[inline]
+    fn add_source(&mut self, row: &PotentialRide, walk: u32) {
+        let hit = self.hits.len() as u32;
+        self.hits.push(SrcHit { row: *row, walk, next: NIL });
+        let mut i = self.probe(row.ride);
+        if self.slots[i].stamp == self.generation {
+            let cand = &mut self.cands[self.slots[i].cand as usize];
+            self.hits[cand.tail as usize].next = hit;
+            cand.tail = hit;
+            return;
+        }
+        if (self.cands.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+            i = self.probe(row.ride);
+        }
+        self.slots[i] = Slot { stamp: self.generation, cand: self.cands.len() as u32, ride: row.ride.0 };
+        let fresh = Candidate { head: hit, tail: hit, pairing: Pairing::Unseen, deepest: 1, best: None };
+        self.cands.push(fresh);
+    }
+
+    /// Double the table and re-seat its live slots (warm-up only).
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots.resize(old.len() * 2, Slot::default());
+        for slot in old.into_iter().filter(|s| s.stamp == self.generation) {
+            let i = self.probe(RideId(slot.ride));
+            self.slots[i] = slot;
+        }
+    }
 }
 
 thread_local! {
     static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::default());
-}
-
-/// One enumeration step (`span` names it in the trace; `None` when the
-/// search is not being traced): every entry of `walkable`'s clusters
-/// with ETA in `[from_s, to_s]` (both ends inclusive) whose ride `keep`
-/// admits, collected into `hits` and sorted by ride, then by discovery
-/// order (walkable order × ETA order) so the per-ride pairing iterates
-/// deterministically. A ride may be reachable through several walkable
-/// clusters; all its hits are kept (the walkable lists are short) —
-/// greedy per-side pruning can discard the only *jointly* feasible
-/// combination.
-fn enumerate<V: IndexView>(
-    span: Option<&'static str>,
-    view: &V,
-    walkable: &[WalkEntry],
-    (from_s, to_s): (f64, f64),
-    keep: impl Fn(RideId) -> bool,
-    hits: &mut Hits,
-) {
-    let mut espan = span.map(xar_obs::trace::span);
-    hits.clear();
-    let mut seq = 0u32;
-    for w in walkable {
-        for e in eta_range(view.rows(w.cluster), from_s, to_s) {
-            if keep(e.ride) {
-                let hit = Hit {
-                    cluster: w.cluster,
-                    landmark: w.landmark,
-                    walk_m: f64::from(w.walk_m),
-                    eta_s: e.eta_s,
-                    detour_m: e.detour_m,
-                    seg: e.seg,
-                    pass_route_idx: e.pass_route_idx,
-                };
-                hits.push((e.ride, seq, hit));
-                seq += 1;
-            }
-        }
-    }
-    hits.sort_unstable_by_key(|&(ride, seq, _)| (ride, seq));
-    if let Some(espan) = &mut espan {
-        espan.attr("clusters", walkable.len());
-        espan.attr("candidates", hits.chunk_by(|a, b| a.0 == b.0).count());
-    }
 }
 
 /// One search in flight: the request's resolved walkable clusters plus
@@ -400,77 +473,72 @@ pub(crate) struct SearchRun<'a> {
 
 impl SearchRun<'_> {
     /// The candidate-generation and feasibility core of search over one
-    /// index: Steps 1 and 2 (per-cluster ETA range queries on both
-    /// sides), the `R1 ∩ R2` intersection, and the final ordering /
-    /// walking / detour / seat checks, least-walk best per ride.
-    /// Feasible matches are appended to the run's output buffer and
-    /// `|R1|` is added to `explain.candidates`.
+    /// index, one pass per side. **Step 1**: every source-side row in
+    /// the departure window finds or creates its ride's candidate and is
+    /// chained to it — the candidates are `R1`. **Step 2**: every
+    /// destination-side row at or after the window's start looks its
+    /// ride up; a hit is a ride of `R1 ∩ R2`, whose seats and budget are
+    /// fetched on its first row, and the row is paired at once against
+    /// the ride's source chain (ordering, then walking, then detour). A
+    /// walk over the candidates then emits each ride's best pairing or
+    /// files it under exactly one explain class — the conservation the
+    /// reason taxonomy depends on.
+    ///
+    /// A ride's best pairing is the least under the total order
+    /// *(combined walk, combined detour, source rank, destination
+    /// rank)*, rank being discovery order (walkable order × ETA order):
+    /// what a source-major loop that keeps the first of equals returns
+    /// (`tests/properties.rs` holds that loop as the oracle), whatever
+    /// order the pairings are evaluated in.
     ///
     /// A ride's index entries live wholly within one index (its owning
     /// shard), so probing several indexes and sorting once afterwards
-    /// is equivalent to searching their union.
-    ///
-    /// Allocation-free in steady state: candidates go through the
-    /// thread's scratch, grouping uses `sort_unstable` + merge-join
-    /// instead of hash maps, and the output is the caller's buffer.
+    /// is equivalent to searching their union. Allocation-free in
+    /// steady state: the scratch is reused and `out` is the caller's.
     pub(crate) fn collect_matches<V: IndexView>(&mut self, view: &V) {
         self.probed += 1;
         let req = self.req;
-        let SearchScratch { r1, r2 } = &mut *self.scratch;
+        let scratch = &mut *self.scratch;
+        scratch.begin();
 
-        // Step 1: R1 from the source side, ETA within the departure
-        // window.
-        let window = (req.window_start_s, req.window_end_s);
-        let span = self.traced.then_some("enumerate_src");
-        enumerate(span, view, self.src_walkable, window, |_| true, r1);
-        if r1.is_empty() {
+        let span = self.traced.then(|| xar_obs::trace::span("enumerate_src"));
+        for (walk, w) in self.src_walkable.iter().enumerate() {
+            for row in eta_range(view.rows(w.cluster), req.window_start_s, req.window_end_s) {
+                scratch.add_source(row, walk as u32);
+            }
+        }
+        if let Some(mut span) = span {
+            span.attr("clusters", self.src_walkable.len());
+            span.attr("candidates", scratch.cands.len());
+        }
+        if scratch.cands.is_empty() {
             return;
         }
+        self.explain.candidates += scratch.cands.len() as u32;
 
-        // Step 2: R2 from the destination side, pre-filtered to rides
-        // present in R1 (binary search over the sorted R1). Drop-off
-        // can happen any time after the window opens; the
-        // pick-up-before-drop-off ordering is enforced per pair below.
-        let in_r1 =
-            |ride| r1.get(r1.partition_point(|e| e.0 < ride)).is_some_and(|e| e.0 == ride);
-        let after = (req.window_start_s, f64::INFINITY);
-        let span = self.traced.then_some("enumerate_dst");
-        enumerate(span, view, self.dst_walkable, after, in_r1, r2);
-
-        // Intersection + final feasibility: merge-join the two sorted
-        // runs (R2 holds only rides of R1, so its groups arrive in R1's
-        // order); per ride, the best (least-walk, then least-detour,
-        // first-found) feasible (source, destination) pair wins. Each
-        // R1 ride lands in exactly one explain class (matched, seat,
-        // deepest pairing check, or unpaired) — the conservation the
-        // reason taxonomy depends on.
-        let mut j = 0usize;
-        for srcs in r1.chunk_by(|a, b| a.0 == b.0) {
-            let ride = srcs[0].0;
-            self.explain.candidates += 1;
-            let j0 = j;
-            while j < r2.len() && r2[j].0 == ride {
-                j += 1;
-            }
-            let dsts = &r2[j0..j];
-            if dsts.is_empty() {
-                self.explain.unpaired += 1;
-                continue;
-            }
-            let Some((seats, budget)) = view.ride_state(ride) else {
-                self.explain.unpaired += 1;
-                continue;
-            };
-            if seats == 0 {
-                self.explain.seat_rejected += 1;
-                continue;
-            }
-            let mut best: Option<RideMatch> = None;
-            // Deepest check any pairing reached: 1 ordering, 2 walk,
-            // 3 detour (checks run in that order).
-            let mut deepest = 1u8;
-            for &(_, _, src) in srcs {
-                for &(_, _, dst) in dsts {
+        // Drop-off can happen any time after the window opens; that
+        // pick-up precedes it is checked per pairing.
+        let span = self.traced.then(|| xar_obs::trace::span("enumerate_dst"));
+        let mut paired = 0usize;
+        for wd in self.dst_walkable {
+            for dst in eta_range(view.rows(wd.cluster), req.window_start_s, f64::INFINITY) {
+                let Some(c) = scratch.find(dst.ride) else { continue };
+                let cand = &mut scratch.cands[c];
+                if let Pairing::Unseen = cand.pairing {
+                    paired += 1;
+                    cand.pairing = match view.ride_state(dst.ride) {
+                        None => Pairing::Gone,
+                        Some((0, _)) => Pairing::Full,
+                        Some((_, budget_m)) => Pairing::Open { budget_m },
+                    };
+                }
+                let Pairing::Open { budget_m } = cand.pairing else { continue };
+                let mut at = cand.head;
+                while at != NIL {
+                    let rank = at;
+                    let SrcHit { row: src, walk, next } = scratch.hits[at as usize];
+                    at = next;
+                    let ws = &self.src_walkable[walk as usize];
                     // Pick-up must strictly precede drop-off along the
                     // ride: different clusters, increasing ETA and
                     // segment, and non-decreasing position of the
@@ -478,7 +546,7 @@ impl SearchRun<'_> {
                     // (estimated times alone can mis-order detours
                     // hanging off nearby pass points, which would force
                     // the ride to backtrack at booking time).
-                    if src.cluster == dst.cluster
+                    if ws.cluster == wd.cluster
                         || dst.eta_s <= src.eta_s
                         || dst.seg < src.seg
                         || dst.pass_route_idx < src.pass_route_idx
@@ -486,44 +554,281 @@ impl SearchRun<'_> {
                         continue;
                     }
                     // (a) combined walking within the rider's limit.
-                    let walk_total = src.walk_m + dst.walk_m;
+                    let (walk_src, walk_dst) = (f64::from(ws.walk_m), f64::from(wd.walk_m));
+                    let walk_total = walk_src + walk_dst;
                     if walk_total > req.walk_limit_m {
-                        deepest = deepest.max(2);
+                        cand.deepest = cand.deepest.max(2);
                         continue;
                     }
                     // (b) combined detour within the ride's budget.
                     let detour_total = src.detour_m + dst.detour_m;
-                    if detour_total > budget {
-                        deepest = deepest.max(3);
+                    if detour_total > budget_m {
+                        cand.deepest = cand.deepest.max(3);
                         continue;
                     }
-                    let better = best.as_ref().is_none_or(|b| {
-                        walk_total < b.walk_total_m()
-                            || (walk_total == b.walk_total_m() && detour_total < b.detour_est_m)
+                    // Destination rows arrive in rank order, so among
+                    // equals only a lower source rank displaces.
+                    let better = cand.best.as_ref().is_none_or(|(b, b_rank)| {
+                        let (b_walk, b_detour) = (b.walk_total_m(), b.detour_est_m);
+                        walk_total < b_walk
+                            || (walk_total == b_walk
+                                && (detour_total < b_detour
+                                    || (detour_total == b_detour && rank < *b_rank)))
                     });
                     if better {
-                        best = Some(RideMatch {
-                            ride,
-                            pickup_cluster: src.cluster,
-                            pickup_landmark: src.landmark,
-                            dropoff_cluster: dst.cluster,
-                            dropoff_landmark: dst.landmark,
-                            walk_pickup_m: src.walk_m,
-                            walk_dropoff_m: dst.walk_m,
+                        let m = RideMatch {
+                            ride: dst.ride,
+                            pickup_cluster: ws.cluster,
+                            pickup_landmark: ws.landmark,
+                            dropoff_cluster: wd.cluster,
+                            dropoff_landmark: wd.landmark,
+                            walk_pickup_m: walk_src,
+                            walk_dropoff_m: walk_dst,
                             eta_pickup_s: src.eta_s,
                             eta_dropoff_s: dst.eta_s,
                             detour_est_m: detour_total,
                             pickup_seg: src.seg as usize,
                             dropoff_seg: dst.seg as usize,
-                        });
+                        };
+                        cand.best = Some((m, rank));
                     }
                 }
             }
-            if let Some(m) = best {
-                self.out.push(m);
-            } else {
-                self.explain.reject_at_depth(deepest);
+        }
+        if let Some(mut span) = span {
+            span.attr("clusters", self.dst_walkable.len());
+            span.attr("candidates", paired);
+        }
+
+        for cand in &scratch.cands {
+            match (cand.pairing, &cand.best) {
+                (Pairing::Unseen | Pairing::Gone, _) => self.explain.unpaired += 1,
+                (Pairing::Full, _) => self.explain.seat_rejected += 1,
+                (Pairing::Open { .. }, Some((m, _))) => self.out.push(*m),
+                (Pairing::Open { .. }, None) => self.explain.reject_at_depth(cand.deepest),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xar_geo::GeoPoint;
+
+    /// Hand-built lists and ride states.
+    struct FakeView {
+        lists: Vec<Vec<PotentialRide>>,
+        rides: Vec<(RideId, u8, f64)>,
+    }
+
+    impl IndexView for FakeView {
+        fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
+            &self.lists[cluster.index()]
+        }
+
+        fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
+            self.rides.iter().find(|r| r.0 == ride).map(|&(_, seats, budget)| (seats, budget))
+        }
+    }
+
+    fn row(ride: u64, eta_s: f64, detour_m: f64) -> PotentialRide {
+        PotentialRide { ride: RideId(ride), eta_s, detour_m, seg: 0, pass_route_idx: 0 }
+    }
+
+    fn walk(cluster: u32, walk_m: f32) -> WalkEntry {
+        WalkEntry { cluster: ClusterId(cluster), landmark: LandmarkId(cluster + 10), walk_m }
+    }
+
+    /// One `collect_matches` over `view` on a fresh scratch.
+    fn collect(view: &FakeView, src: &[WalkEntry], dst: &[WalkEntry]) -> (Vec<RideMatch>, SearchExplain) {
+        let origin = GeoPoint::new(0.0, 0.0);
+        let req = RideRequest {
+            source: origin,
+            destination: origin,
+            window_start_s: 0.0,
+            window_end_s: 1_000.0,
+            walk_limit_m: 350.0,
+        };
+        let (mut out, mut explain) = (Vec::new(), SearchExplain::default());
+        let mut run = SearchRun {
+            src_walkable: src,
+            dst_walkable: dst,
+            req: &req,
+            scratch: &mut SearchScratch::default(),
+            out: &mut out,
+            explain: &mut explain,
+            traced: false,
+            probed: 0,
+        };
+        run.collect_matches(view);
+        (out, explain)
+    }
+
+    /// Two pairings of one ride tie exactly on (walk, detour): source 0
+    /// with destination 3, and source 1 with destination 2. Source rank
+    /// decides — the source-major loop's "first of equals" — although
+    /// the destination-side pass meets the other pairing first.
+    #[test]
+    fn an_exact_tie_goes_to_the_lower_source_rank() {
+        let view = FakeView {
+            lists: vec![
+                vec![row(7, 50.0, 10.0)],
+                vec![row(7, 10.0, 20.0)],
+                // Before source 0's ETA: pairs with source 1 only.
+                vec![row(7, 30.0, 10.0)],
+                vec![row(7, 100.0, 20.0)],
+            ],
+            rides: vec![(RideId(7), 1, 30.0)],
+        };
+        let src = [walk(0, 100.0), walk(1, 200.0)];
+        let dst = [walk(2, 100.0), walk(3, 200.0)];
+        let (out, explain) = collect(&view, &src, &dst);
+        let want = RideMatch {
+            ride: RideId(7),
+            pickup_cluster: ClusterId(0),
+            pickup_landmark: LandmarkId(10),
+            dropoff_cluster: ClusterId(3),
+            dropoff_landmark: LandmarkId(13),
+            walk_pickup_m: 100.0,
+            walk_dropoff_m: 200.0,
+            eta_pickup_s: 50.0,
+            eta_dropoff_s: 100.0,
+            detour_est_m: 30.0,
+            pickup_seg: 0,
+            dropoff_seg: 0,
+        };
+        assert_eq!(out, vec![want]);
+        assert_eq!(explain, SearchExplain { candidates: 1, ..Default::default() });
+
+        // The mirror image: the tie is between (0, 2) and (1, 3) — the
+        // closer (0, 3) is over budget — and the pass meets the winner
+        // first; a later equal must not displace it.
+        let view = FakeView {
+            lists: vec![
+                vec![row(7, 10.0, 10.0)],
+                vec![row(7, 20.0, 5.0)],
+                vec![row(7, 100.0, 20.0)],
+                vec![row(7, 110.0, 25.0)],
+            ],
+            rides: vec![(RideId(7), 1, 30.0)],
+        };
+        let dst = [walk(2, 200.0), walk(3, 100.0)];
+        let (out, _) = collect(&view, &src, &dst);
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].pickup_cluster, out[0].dropoff_cluster), (ClusterId(0), ClusterId(2)));
+        assert_eq!((out[0].walk_total_m(), out[0].detour_est_m), (300.0, 30.0));
+
+        // One source, two equal destinations: destination rank decides.
+        let dst = [walk(2, 200.0), walk(3, 200.0)];
+        let lists = vec![vec![row(7, 10.0, 0.0)], vec![], vec![row(7, 90.0, 5.0)], vec![row(7, 80.0, 5.0)]];
+        let view = FakeView { lists, ..view };
+        let (out, _) = collect(&view, &src, &dst);
+        assert_eq!((out[0].dropoff_cluster, out[0].eta_dropoff_s), (ClusterId(2), 90.0));
+    }
+
+    #[test]
+    fn every_candidate_lands_in_exactly_one_class() {
+        let view = FakeView {
+            lists: vec![
+                // Source cluster: six rides in the window, one outside it.
+                vec![
+                    row(1, 10.0, 0.0),
+                    row(2, 11.0, 0.0),
+                    row(3, 12.0, 0.0),
+                    row(4, 13.0, 0.0),
+                    row(5, 14.0, 0.0),
+                    row(6, 15.0, 500.0),
+                    row(9, 2_000.0, 0.0),
+                ],
+                // Destination cluster: ride 1 is never listed, ride 2 is
+                // listed but gone, ride 3 is full, ride 4 arrives before
+                // its pick-up, ride 5 matches, ride 6 exceeds its budget.
+                vec![
+                    row(4, 5.0, 0.0),
+                    row(2, 50.0, 0.0),
+                    row(3, 51.0, 0.0),
+                    row(5, 52.0, 0.0),
+                    row(6, 53.0, 0.0),
+                    row(9, 3_000.0, 0.0),
+                ],
+            ],
+            rides: vec![
+                (RideId(3), 0, 100.0),
+                (RideId(4), 1, 100.0),
+                (RideId(5), 1, 100.0),
+                (RideId(6), 1, 100.0),
+            ],
+        };
+        let (out, explain) = collect(&view, &[walk(0, 100.0)], &[walk(1, 100.0)]);
+        assert_eq!(out.iter().map(|m| m.ride.0).collect::<Vec<_>>(), vec![5]);
+        let want = SearchExplain {
+            candidates: 6,
+            unpaired: 2,
+            seat_rejected: 1,
+            ordering_rejected: 1,
+            detour_rejected: 1,
+            ..Default::default()
+        };
+        assert_eq!(explain, want);
+        // A walk limit below the only pairing's walk: every open ride
+        // is turned away at the walk check.
+        let (out, explain) = collect(&view, &[walk(0, 100.0)], &[walk(1, 300.0)]);
+        assert!(out.is_empty());
+        assert_eq!((explain.walk_rejected, explain.ordering_rejected), (2, 1));
+    }
+
+    #[test]
+    fn table_doubles_under_load_and_finds_only_what_it_holds() {
+        let mut s = SearchScratch::default();
+        s.begin();
+        // Ride ids as a shard hands them out: start + k · stride.
+        let ids = |n: u64| (0..n).map(|k| RideId(3 + 8 * k));
+        for (k, ride) in ids(INITIAL_SLOTS as u64 / 2).enumerate() {
+            s.add_source(&row(ride.0, k as f64, 0.0), 0);
+        }
+        // At the load limit: half the slots live, not yet doubled. An
+        // absent ride's probe still ends at a stale slot.
+        assert_eq!((s.slots.len(), s.cands.len()), (INITIAL_SLOTS, INITIAL_SLOTS / 2));
+        for absent in [0u64, 4, 3 + 8 * 1_000, u64::MAX] {
+            assert_eq!(s.find(RideId(absent)), None);
+        }
+        // One more ride doubles it; every ride keeps its candidate, and
+        // a second hit of a ride extends its chain.
+        for ride in ids(200) {
+            s.add_source(&row(ride.0, 0.0, 0.0), 1);
+        }
+        assert_eq!(s.cands.len(), 200);
+        assert!(s.slots.len() >= 400 && s.slots.len().is_power_of_two());
+        for (k, ride) in ids(200).enumerate() {
+            assert_eq!(s.find(ride), Some(k));
+            let cand = s.cands[k];
+            assert_eq!(s.hits[cand.head as usize].row.ride, ride);
+            assert_eq!(cand.head == cand.tail, k >= INITIAL_SLOTS / 2);
+        }
+        assert_eq!(s.find(RideId(4)), None);
+        // The next search starts empty at the grown size.
+        let slots = s.slots.len();
+        s.begin();
+        assert_eq!((s.slots.len(), s.cands.len(), s.hits.len()), (slots, 0, 0));
+        assert!(ids(200).all(|ride| s.find(ride).is_none()));
+    }
+
+    #[test]
+    fn generation_wraps_to_one_and_clears_the_stamps() {
+        let mut s = SearchScratch::default();
+        // A slot stamped by generation 1 of this cycle …
+        s.begin();
+        s.add_source(&row(42, 0.0, 0.0), 0);
+        assert_eq!((s.generation, s.find(RideId(42))), (1, Some(0)));
+        // … must not read as live in generation 1 of the next.
+        s.generation = u32::MAX - 1;
+        s.begin();
+        assert_eq!(s.generation, u32::MAX);
+        s.add_source(&row(43, 0.0, 0.0), 0);
+        s.begin();
+        assert_eq!(s.generation, 1);
+        assert_eq!((s.find(RideId(42)), s.find(RideId(43))), (None, None));
+        assert!(s.slots.iter().all(|slot| slot.stamp == 0));
     }
 }

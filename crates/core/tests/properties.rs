@@ -1,15 +1,17 @@
 //! Property-based tests of the runtime unit: search results are always
-//! feasible and complete w.r.t. an index oracle, arbitrary operation
-//! sequences preserve the engine invariants, and the search's rejection
-//! attribution obeys one law on every storage layout.
+//! feasible, search equals a brute-force reference — every match field
+//! and every attribution counter — on every storage layout, arbitrary
+//! operation sequences preserve the engine invariants, and the search's
+//! rejection attribution obeys one law on every storage layout.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use xar_core::{
-    EngineConfig, RideMatch, RideOffer, RideRequest, SearchExplain, ShardedXarEngine, XarEngine,
+    EngineConfig, EngineMetrics, Reason, RideMatch, RideOffer, RideRequest, SearchExplain,
+    ShardedXarEngine, XarEngine,
 };
-use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};
+use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex, WalkEntry};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
 /// One shared region per test binary: building it is the expensive part
@@ -104,6 +106,203 @@ impl AnyEngine {
             AnyEngine::Sharded(e) => e.track_all(now_s),
         }
     }
+
+    /// Visit every index a search of this engine probes: the engine's
+    /// own, or each shard's (a quiescent shard's published snapshot is
+    /// its live state).
+    fn for_each_index(&self, mut f: impl FnMut(&XarEngine)) {
+        match self {
+            AnyEngine::Serial(e) => f(e),
+            AnyEngine::Sharded(e) => {
+                (0..e.shard_count()).for_each(|i| e.with_shard_read(i, &mut f));
+            }
+        }
+    }
+}
+
+/// The serial engine, a 1-shard and a `shards`-shard engine over one
+/// region, driven through one schedule. `check` sees every search: the
+/// request and, per layout, the engine and what it answered. A booking
+/// op then books the serial engine's best match in all three, locating
+/// each twin by creation ordinal (id sequences differ between layouts
+/// by design).
+fn run_layouts(
+    ops: Vec<Op>,
+    shards: usize,
+    mut check: impl FnMut(
+        &RideRequest,
+        &[AnyEngine; 3],
+        &[(Vec<RideMatch>, SearchExplain); 3],
+    ) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let g = graph();
+    let n = g.node_count() as u32;
+    let cfg = EngineConfig::default;
+    let mut engines = [
+        AnyEngine::Serial(Box::new(XarEngine::new(Arc::clone(region()), cfg()))),
+        AnyEngine::Sharded(ShardedXarEngine::new(Arc::clone(region()), cfg(), 1)),
+        AnyEngine::Sharded(ShardedXarEngine::new(Arc::clone(region()), cfg(), shards)),
+    ];
+    let mut ords = [(); 3].map(|_| std::collections::HashMap::new());
+    let mut created = 0usize;
+    for op in ops {
+        match op {
+            Op::Create { src, dst, depart_min, seats, detour_km } => {
+                let offer = RideOffer {
+                    source: g.point(NodeId(src % n)),
+                    destination: g.point(NodeId(dst % n)),
+                    departure_s: f64::from(depart_min) * 60.0,
+                    seats,
+                    detour_limit_m: f64::from(detour_km) * 1_000.0,
+                    driver: None,
+                    via: Vec::new(),
+                };
+                let ids = engines.each_mut().map(|e| e.create(&offer));
+                prop_assert!(ids.iter().all(|id| id.is_some() == ids[0].is_some()));
+                if ids[0].is_some() {
+                    for (ord, id) in ords.iter_mut().zip(ids) {
+                        ord.insert(id.unwrap(), created);
+                    }
+                    created += 1;
+                }
+            }
+            Op::SearchAndMaybeBook { src, dst, at_min, walk_m, book } => {
+                let req = RideRequest {
+                    source: g.point(NodeId(src % n)),
+                    destination: g.point(NodeId(dst % n)),
+                    window_start_s: f64::from(at_min) * 60.0,
+                    window_end_s: f64::from(at_min) * 60.0 + 3_600.0,
+                    walk_limit_m: f64::from(walk_m),
+                };
+                let results = engines.each_ref().map(|e| e.search(&req));
+                check(&req, &engines, &results)?;
+                if let (true, Some(best)) = (book, results[0].0.first()) {
+                    let ord = ords[0][&best.ride.0];
+                    let mut booked = [false; 3];
+                    for i in 0..3 {
+                        let twin = results[i].0.iter().find(|m| ords[i][&m.ride.0] == ord);
+                        prop_assert!(twin.is_some(), "layout {} lost the serial best ride", i);
+                        booked[i] = engines[i].book(twin.unwrap());
+                    }
+                    prop_assert!(booked.iter().all(|&b| b == booked[0]));
+                }
+            }
+            Op::Track { at_min } => {
+                let retired = engines.each_mut().map(|e| e.track(f64::from(at_min) * 60.0));
+                prop_assert!(retired.iter().all(|&r| r == retired[0]));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The reference search — the algorithm `core::search` replaced, kept
+/// as the oracle: per probed index, a brute-force loop over (source
+/// walkable cluster, destination walkable cluster, ride) triples run
+/// **source-major**, a strictly better (walk, detour) displacing the
+/// pairing held, so the first of equals wins. It reads the index one
+/// `(cluster, ride)` entry at a time and shares no code with the
+/// search. `None` when an end-point has no walkable cluster.
+fn reference_search(engine: &AnyEngine, req: &RideRequest) -> Option<(Vec<RideMatch>, SearchExplain)> {
+    let reg = region();
+    let src_w = reg.walkable_within(reg.snap(&req.source), req.walk_limit_m);
+    let dst_w = reg.walkable_within(reg.snap(&req.destination), req.walk_limit_m);
+    if src_w.is_empty() || dst_w.is_empty() {
+        return None;
+    }
+    let mut ex = SearchExplain {
+        tier: EngineMetrics::tier_index(src_w.len()) as u8 + 1,
+        ..Default::default()
+    };
+    let mut out = Vec::new();
+    // A sharded search never loads a shard that lists nothing in every
+    // source cluster or in every destination cluster (the occupancy
+    // mask), so such a shard's `R1` rides go uncounted; the serial
+    // engine always probes its one index and files them as unpaired.
+    let prunes = matches!(engine, AnyEngine::Sharded(_));
+    engine.for_each_index(|eng| {
+        let listed = |side: &[_]| side.iter().any(|w: &WalkEntry| eng.index().cluster_len(w.cluster) > 0);
+        if prunes && !(listed(src_w) && listed(dst_w)) {
+            return;
+        }
+        for ride in eng.rides() {
+            let entry = |c| eng.index().get(c, ride.id);
+            let srcs: Vec<_> = src_w
+                .iter()
+                .filter_map(|w| Some((w, entry(w.cluster)?)))
+                .filter(|(_, e)| req.window_start_s <= e.eta_s && e.eta_s <= req.window_end_s)
+                .collect();
+            if srcs.is_empty() {
+                continue;
+            }
+            ex.candidates += 1;
+            let dsts: Vec<_> = dst_w
+                .iter()
+                .filter_map(|w| Some((w, entry(w.cluster)?)))
+                .filter(|(_, e)| req.window_start_s <= e.eta_s)
+                .collect();
+            if dsts.is_empty() {
+                ex.unpaired += 1;
+                continue;
+            }
+            if ride.seats_available == 0 {
+                ex.seat_rejected += 1;
+                continue;
+            }
+            let mut best: Option<RideMatch> = None;
+            let mut deepest = 1;
+            for (ws, se) in &srcs {
+                for (wd, de) in &dsts {
+                    if ws.cluster == wd.cluster
+                        || de.eta_s <= se.eta_s
+                        || de.seg < se.seg
+                        || de.pass_route_idx < se.pass_route_idx
+                    {
+                        continue;
+                    }
+                    let (walk_s, walk_d) = (f64::from(ws.walk_m), f64::from(wd.walk_m));
+                    if walk_s + walk_d > req.walk_limit_m {
+                        deepest = deepest.max(2);
+                        continue;
+                    }
+                    let detour = se.detour_m + de.detour_m;
+                    if detour > ride.detour_remaining_m() {
+                        deepest = deepest.max(3);
+                        continue;
+                    }
+                    let key = (walk_s + walk_d, detour);
+                    if best.as_ref().is_none_or(|b| key < (b.walk_total_m(), b.detour_est_m)) {
+                        best = Some(RideMatch {
+                            ride: ride.id,
+                            pickup_cluster: ws.cluster,
+                            pickup_landmark: ws.landmark,
+                            dropoff_cluster: wd.cluster,
+                            dropoff_landmark: wd.landmark,
+                            walk_pickup_m: walk_s,
+                            walk_dropoff_m: walk_d,
+                            eta_pickup_s: se.eta_s,
+                            eta_dropoff_s: de.eta_s,
+                            detour_est_m: detour,
+                            pickup_seg: se.seg as usize,
+                            dropoff_seg: de.seg as usize,
+                        });
+                    }
+                }
+            }
+            match (best, deepest) {
+                (Some(m), _) => out.push(m),
+                (None, 1) => ex.ordering_rejected += 1,
+                (None, 2) => ex.walk_rejected += 1,
+                (None, _) => ex.detour_rejected += 1,
+            }
+        }
+    });
+    out.sort_by(|a, b| {
+        (a.walk_total_m(), a.detour_est_m, a.ride)
+            .partial_cmp(&(b.walk_total_m(), b.detour_est_m, b.ride))
+            .expect("no NaN in a match")
+    });
+    Some((out, ex))
 }
 
 /// Check every cross-structure invariant of the engine.
@@ -194,80 +393,30 @@ proptest! {
         prop_assert_eq!(matches, again);
     }
 
-    /// Search is complete w.r.t. the index oracle: any ride with a
-    /// window-compatible entry in a walkable source cluster AND a later
-    /// entry in a walkable destination cluster that passes the final
-    /// checks must be returned.
+    /// Search **is** the reference: over random create / book / track /
+    /// search schedules, every field of every returned `RideMatch`, their
+    /// order, and every `SearchExplain` field equal what the brute-force
+    /// source-major loop computes from the same engine's state — for
+    /// the serial engine, a 1-shard and an 8-shard sharded engine.
     #[test]
     fn search_is_complete_against_oracle(
-        seeds in proptest::collection::vec((0u32..625, 0u32..625, 430u16..520), 1..10),
-        q_src in 0u32..625,
-        q_dst in 0u32..625,
+        ops in proptest::collection::vec(op_strategy(625), 1..40)
     ) {
-        let g = graph();
-        let n = g.node_count() as u32;
-        let reg = region();
-        let mut eng = XarEngine::new(Arc::clone(reg), EngineConfig::default());
-        for (s, d, m) in seeds {
-            let _ = eng.create_ride(&RideOffer {
-                source: g.point(NodeId(s % n)),
-                destination: g.point(NodeId(d % n)),
-                departure_s: f64::from(m) * 60.0,
-                seats: 3,
-                detour_limit_m: 3_000.0, driver: None, via: Vec::new(),
-            });
-        }
-        let req = RideRequest {
-            source: g.point(NodeId(q_src % n)),
-            destination: g.point(NodeId(q_dst % n)),
-            window_start_s: 430.0 * 60.0,
-            window_end_s: 540.0 * 60.0,
-            walk_limit_m: 700.0,
-        };
-        let Ok(matches) = eng.search(&req, usize::MAX) else { return Ok(()) };
-        let returned: std::collections::HashSet<_> = matches.iter().map(|m| m.ride).collect();
-
-        // Oracle: brute-force over (src walkable cluster, dst walkable
-        // cluster, ride) triples.
-        let src_node = reg.snap(&req.source);
-        let dst_node = reg.snap(&req.destination);
-        for ride in eng.rides() {
-            let mut feasible = false;
-            'outer: for ws in reg.walkable_within(src_node, req.walk_limit_m) {
-                let Some(se) = eng.index().get(ws.cluster, ride.id) else { continue };
-                if se.eta_s < req.window_start_s || se.eta_s > req.window_end_s {
-                    continue;
-                }
-                for wd in reg.walkable_within(dst_node, req.walk_limit_m) {
-                    if wd.cluster == ws.cluster {
-                        continue;
+        run_layouts(ops, 8, |req, engines, results| {
+            for (i, (engine, (matches, explain))) in engines.iter().zip(results).enumerate() {
+                match reference_search(engine, req) {
+                    Some((want, want_explain)) => {
+                        prop_assert_eq!(matches, &want, "layout {}: matches differ", i);
+                        prop_assert_eq!(explain, &want_explain, "layout {}: attribution differs", i);
                     }
-                    let Some(de) = eng.index().get(wd.cluster, ride.id) else { continue };
-                    if de.eta_s <= se.eta_s
-                        || de.eta_s < req.window_start_s
-                        || de.seg < se.seg
-                        || de.pass_route_idx < se.pass_route_idx
-                    {
-                        continue;
+                    None => {
+                        prop_assert!(matches.is_empty());
+                        prop_assert_eq!(explain.hard, Some(Reason::NotServable));
                     }
-                    if f64::from(ws.walk_m) + f64::from(wd.walk_m) > req.walk_limit_m {
-                        continue;
-                    }
-                    if se.detour_m + de.detour_m > ride.detour_remaining_m() {
-                        continue;
-                    }
-                    feasible = true;
-                    break 'outer;
                 }
             }
-            if feasible {
-                prop_assert!(
-                    returned.contains(&ride.id),
-                    "oracle says ride {:?} is feasible but search missed it",
-                    ride.id
-                );
-            }
-        }
+            Ok(())
+        })?;
     }
 
     /// Arbitrary create/search-book/track sequences preserve every
@@ -323,83 +472,25 @@ proptest! {
     fn explain_conserves_and_agrees_across_layouts(
         ops in proptest::collection::vec(op_strategy(625), 1..30)
     ) {
-        let g = graph();
-        let n = g.node_count() as u32;
-        let cfg = EngineConfig::default;
-        let mut engines = [
-            AnyEngine::Serial(Box::new(XarEngine::new(Arc::clone(region()), cfg()))),
-            AnyEngine::Sharded(ShardedXarEngine::new(Arc::clone(region()), cfg(), 1)),
-            AnyEngine::Sharded(ShardedXarEngine::new(Arc::clone(region()), cfg(), 4)),
-        ];
-        // Per engine: its ride id → creation ordinal (id sequences
-        // differ between layouts by design).
-        let mut ords = [(); 3].map(|_| std::collections::HashMap::new());
-        let mut created = 0usize;
-        for op in ops {
-            match op {
-                Op::Create { src, dst, depart_min, seats, detour_km } => {
-                    let offer = RideOffer {
-                        source: g.point(NodeId(src % n)),
-                        destination: g.point(NodeId(dst % n)),
-                        departure_s: f64::from(depart_min) * 60.0,
-                        seats,
-                        detour_limit_m: f64::from(detour_km) * 1_000.0,
-                        driver: None,
-                        via: Vec::new(),
-                    };
-                    let ids = engines.each_mut().map(|e| e.create(&offer));
-                    prop_assert!(ids.iter().all(|id| id.is_some() == ids[0].is_some()));
-                    if ids[0].is_some() {
-                        for (ord, id) in ords.iter_mut().zip(ids) {
-                            ord.insert(id.unwrap(), created);
-                        }
-                        created += 1;
-                    }
-                }
-                Op::SearchAndMaybeBook { src, dst, at_min, walk_m, book } => {
-                    let req = RideRequest {
-                        source: g.point(NodeId(src % n)),
-                        destination: g.point(NodeId(dst % n)),
-                        window_start_s: f64::from(at_min) * 60.0,
-                        window_end_s: f64::from(at_min) * 60.0 + 3_600.0,
-                        walk_limit_m: f64::from(walk_m),
-                    };
-                    let results = engines.each_ref().map(|e| e.search(&req));
-                    for (ms, ex) in &results {
-                        prop_assert_eq!(
-                            ms.len() as u32
-                                + ex.seat_rejected
-                                + ex.unpaired
-                                + ex.ordering_rejected
-                                + ex.walk_rejected
-                                + ex.detour_rejected,
-                            ex.candidates,
-                            "an R1 ride left unclassified or counted twice: {:?}", ex
-                        );
-                        prop_assert_eq!(ex, &results[0].1, "layouts attribute differently");
-                        prop_assert_eq!(
-                            ex.dominant_reason(ms.len()),
-                            results[0].1.dominant_reason(results[0].0.len())
-                        );
-                    }
-                    // Book the serial engine's best match in all three,
-                    // locating each twin by creation ordinal.
-                    if let (true, Some(best)) = (book, results[0].0.first()) {
-                        let ord = ords[0][&best.ride.0];
-                        let mut booked = [false; 3];
-                        for i in 0..3 {
-                            let twin = results[i].0.iter().find(|m| ords[i][&m.ride.0] == ord);
-                            prop_assert!(twin.is_some(), "layout {} lost the serial best ride", i);
-                            booked[i] = engines[i].book(twin.unwrap());
-                        }
-                        prop_assert!(booked.iter().all(|&b| b == booked[0]));
-                    }
-                }
-                Op::Track { at_min } => {
-                    let retired = engines.each_mut().map(|e| e.track(f64::from(at_min) * 60.0));
-                    prop_assert!(retired.iter().all(|&r| r == retired[0]));
-                }
+        run_layouts(ops, 4, |_, _, results| {
+            for (ms, ex) in results {
+                prop_assert_eq!(
+                    ms.len() as u32
+                        + ex.seat_rejected
+                        + ex.unpaired
+                        + ex.ordering_rejected
+                        + ex.walk_rejected
+                        + ex.detour_rejected,
+                    ex.candidates,
+                    "an R1 ride left unclassified or counted twice: {:?}", ex
+                );
+                prop_assert_eq!(ex, &results[0].1, "layouts attribute differently");
+                prop_assert_eq!(
+                    ex.dominant_reason(ms.len()),
+                    results[0].1.dominant_reason(results[0].0.len())
+                );
             }
-        }
+            Ok(())
+        })?;
     }
 }

@@ -5,8 +5,9 @@
 //! 1. **Zero allocations per search.** Once the thread-local scratch
 //!    and the caller's result buffer are warm,
 //!    [`xar_core::ShardedXarEngine::search_into`] must not touch the
-//!    allocator at all — the ring walk, the snapshot range queries, the
-//!    merge join and the unstable sort all run in place. A counting
+//!    allocator at all — the grid-table read, the snapshot range
+//!    queries, the scratch-table join and the unstable sort of the
+//!    matches all run in place. A counting
 //!    global allocator (same idiom as `xar-obs/tests/overhead.rs`)
 //!    turns that into an exact `== 0` assertion.
 //! 2. **No torn reads under write pressure.** While 8 writer threads
@@ -20,6 +21,10 @@
 //! state carries over; the counter is per-thread so neither the libtest
 //! harness's main thread nor the phase-2 writers pollute the
 //! zero-allocation window.
+//!
+//! A second test takes contract 1 past the scratch table's initial
+//! size: a search with more `R1` rides than the table starts with room
+//! for grows it while warming up, and never again.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,7 +32,9 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use xar_core::{EngineConfig, RideMatch, RideOffer, RideRequest, ShardedXarEngine};
+use xar_core::{
+    EngineConfig, RideMatch, RideOffer, RideRequest, SearchExplain, ShardedXarEngine,
+};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
@@ -237,4 +244,38 @@ fn search_path_is_allocation_free_and_tear_free() {
         read_holds,
         "search acquired a shard read lock"
     );
+}
+
+/// Its own test, so its own thread and a scratch table still at its
+/// initial size (`INITIAL_SLOTS / 2` = 32 rides in `core::search`).
+#[test]
+fn a_search_wider_than_the_scratch_table_grows_it_only_while_warming() {
+    let region = region();
+    let graph = Arc::clone(region.graph());
+    // One shard, so one probed index holds every ride.
+    let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 1);
+    for i in 0..400u32 {
+        let _ = eng.create_ride(&offer(&graph, i, 4));
+    }
+    let mut out: Vec<RideMatch> = Vec::new();
+    let mut explain = SearchExplain::default();
+    let mut candidates_of = |req: &RideRequest| {
+        let _ = eng.search_into_explained(req, usize::MAX, &mut out, &mut explain);
+        explain.candidates
+    };
+    let widest = (0..64u32)
+        .map(|i| request(&graph, i * 7 + 1))
+        .max_by_key(&mut candidates_of)
+        .expect("64 requests");
+    let candidates = candidates_of(&widest);
+    assert!(candidates > 32, "widest search has |R1| = {candidates}: the table never grew");
+    let matches = out.len();
+
+    let before = thread_allocs();
+    for _ in 0..1_000 {
+        let _ = eng.search_into_explained(&widest, usize::MAX, &mut out, &mut explain);
+        black_box(&out);
+    }
+    assert_eq!(thread_allocs() - before, 0, "warmed wide search allocated");
+    assert_eq!((explain.candidates, out.len()), (candidates, matches));
 }

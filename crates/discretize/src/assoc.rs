@@ -13,7 +13,9 @@
 //! cell: every grid cell is represented by its centroid (§IV), and the
 //! centroid snaps to its nearest way-point, so node-level tables are the
 //! natural dense encoding — the snap error is below the grid
-//! discretization error already accepted by the paper's model.
+//! discretization error already accepted by the paper's model. Only
+//! the cell → way-point step is kept per cell (4 B in `RegionIndex`'s
+//! grid table), so a request reaches these lists by `grid_of` + 2 reads.
 
 use crate::landmarks::{Landmark, LandmarkId};
 use crate::region::ClusterId;

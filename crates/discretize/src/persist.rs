@@ -9,8 +9,9 @@
 //! region.
 //!
 //! The derived structures that are cheap to rebuild (the implicit
-//! grid, the nearest-node locator and the router's landmark table) are
-//! reconstructed at load time from the stored graph and configuration.
+//! grid and its grid → way-point table, the nearest-node locator and
+//! the router's landmark table) are reconstructed at load time from the
+//! stored graph and configuration.
 
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -24,7 +25,7 @@ use xar_roadnet::{NodeId, NodeLocator, Router};
 use crate::assoc::{NodeAssociation, WalkEntry};
 use crate::cluster_distance::ClusterDistances;
 use crate::landmarks::{Landmark, LandmarkId};
-use crate::region::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};
+use crate::region::{cell_nodes, ClusterGoal, ClusterId, RegionConfig, RegionIndex};
 
 /// Magic bytes prefixing a serialized region index.
 pub const REGION_MAGIC: &[u8; 4] = b"XARR";
@@ -296,12 +297,14 @@ impl RegionIndex {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty graph"))?
             .expanded(1e-3);
         let grid = GridSpec::new(bbox, config.grid_cell_m);
-        let locator = NodeLocator::new(&graph, (config.grid_cell_m * 4.0).max(200.0));
+        let locator = NodeLocator::new(&graph, config.grid_cell_m);
         let router = Router::new(Arc::clone(&graph));
+        let cell_node = cell_nodes(&grid, &locator, &graph);
 
         Ok(RegionIndex {
             graph,
             grid,
+            cell_node,
             locator,
             router,
             landmarks,
@@ -388,6 +391,52 @@ mod tests {
         let (a, b) = (NodeId(0), NodeId(original.graph().node_count() as u32 - 1));
         assert!(original.router().path(a, b).is_some());
         assert_eq!(original.router().path(a, b), loaded.router().path(a, b));
+    }
+
+    /// Tier 1 on every cell of every topology, built and reloaded: the
+    /// table holds exactly what the nearest-node search would answer
+    /// for the cell's centroid, and no point — NaN, ±∞, another
+    /// continent — falls outside it.
+    #[test]
+    fn snap_is_the_cell_table_everywhere_and_total() {
+        let cities = [
+            CityConfig::manhattan(14, 12, 5),
+            CityConfig::radial(6, 10, 5),
+            CityConfig::random_geometric(150, 5),
+        ];
+        for city in cities {
+            let graph = Arc::new(city.generate());
+            let pois = sample_pois(&graph, &PoiConfig { count: 150, ..Default::default() });
+            let built = RegionIndex::build(graph, &pois, RegionConfig::default());
+            let mut buf = Vec::new();
+            built.write_to(&mut buf).unwrap();
+            let loaded = RegionIndex::read_from(&mut buf.as_slice()).unwrap();
+            assert_eq!(built.cell_node, loaded.cell_node, "{:?}", city.kind);
+            for r in [&built, &loaded] {
+                assert_eq!(r.cell_node.len() as u64, r.grid.cell_count());
+                for cell in r.grid.iter_cells() {
+                    let centroid = r.grid.centroid(cell);
+                    assert_eq!(r.grid_of(&centroid), cell);
+                    let want = r.locator.nearest(&r.graph, &centroid).0;
+                    assert_eq!(r.snap(&centroid), want, "{:?} {cell:?}", city.kind);
+                }
+                let hostile = [
+                    (f64::NAN, f64::NAN),
+                    (f64::NAN, -74.0),
+                    (40.7, f64::NAN),
+                    (f64::INFINITY, f64::NEG_INFINITY),
+                    (f64::NEG_INFINITY, f64::INFINITY),
+                    (-89.0, 179.0),
+                    (89.0, -179.0),
+                    (0.0, 0.0),
+                ];
+                for (lat, lon) in hostile {
+                    // Not `GeoPoint::new`: it debug-asserts the range.
+                    let node = r.snap(&xar_geo::GeoPoint { lat, lon });
+                    assert!(node.index() < r.graph.node_count(), "({lat}, {lon}) -> {node:?}");
+                }
+            }
+        }
     }
 
     #[test]

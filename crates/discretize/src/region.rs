@@ -89,6 +89,11 @@ impl Default for RegionConfig {
 pub struct RegionIndex {
     pub(crate) graph: Arc<RoadGraph>,
     pub(crate) grid: GridSpec,
+    /// Tier 1 as the paper stores it: the way-point each grid cell
+    /// stands for (nearest to its centroid), at `row * cols + col` — a
+    /// constant of the cell, so [`Self::snap`] is one read. Derived from
+    /// the graph and the grid: rebuilt on load, not persisted.
+    pub(crate) cell_node: Vec<NodeId>,
     pub(crate) locator: NodeLocator,
     /// Point-to-point router over `graph` for ride creation and
     /// booking. Derived from the graph alone, so it is rebuilt on load
@@ -117,7 +122,7 @@ impl RegionIndex {
             .expect("non-empty graph")
             .expanded(1e-3);
         let grid = GridSpec::new(bbox, config.grid_cell_m);
-        let locator = NodeLocator::new(&graph, (config.grid_cell_m * 4.0).max(200.0));
+        let locator = NodeLocator::new(&graph, config.grid_cell_m);
         let router = Router::new(Arc::clone(&graph));
 
         let landmarks = filter_landmarks(&graph, pois, config.landmark_separation_m);
@@ -152,9 +157,12 @@ impl RegionIndex {
             config.cluster_distance_bound_m,
         );
 
+        // Last: beneath the build's temporaries it would pin their memory.
+        let cell_node = cell_nodes(&grid, &locator, &graph);
         Self {
             graph,
             grid,
+            cell_node,
             locator,
             router,
             landmarks,
@@ -245,10 +253,12 @@ impl RegionIndex {
 
     /// Snap a point location to the road network: nearest way-point to
     /// the centroid of the point's grid cell (grids are identified by
-    /// their centroids, §IV).
+    /// their centroids, §IV) — "identify the grid", then one table
+    /// read. Total: `grid_of` clamps any point, NaN included, to a cell.
+    #[inline]
     pub fn snap(&self, p: &GeoPoint) -> NodeId {
-        let centroid = self.grid.centroid(self.grid.grid_of(p));
-        self.locator.nearest(&self.graph, &centroid).0
+        let cell = self.grid.grid_of(p);
+        self.cell_node[cell.row as usize * self.grid.cols() as usize + cell.col as usize]
     }
 
     /// Snap a point directly to the nearest way-point (no grid
@@ -300,19 +310,28 @@ impl RegionIndex {
         self.cluster_dist.column(b)
     }
 
-    /// Heap bytes of the discretization tables (landmarks, associations,
-    /// cluster distances) — the static part of Figure 3c's index size.
-    /// The routing substrate is not part of that index and is not
-    /// counted here: neither the road graph nor the router's landmark
-    /// table ([`Router::heap_bytes`]).
+    /// Heap bytes of the discretization tables (grid table, landmarks,
+    /// associations, cluster distances) — the static part of Figure
+    /// 3c's index size. The routing substrate is not part of that index
+    /// and is not counted here: neither the road graph and its node
+    /// locator nor the router's landmark table ([`Router::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.landmarks.capacity() * std::mem::size_of::<Landmark>()
+        self.cell_node.capacity() * std::mem::size_of::<NodeId>()
+            + self.landmarks.capacity() * std::mem::size_of::<Landmark>()
             + self.cluster_of.capacity() * std::mem::size_of::<ClusterId>()
             + self.members.capacity() * std::mem::size_of::<Vec<LandmarkId>>()
             + self.members.iter().map(|m| m.capacity() * std::mem::size_of::<LandmarkId>()).sum::<usize>()
             + self.assoc.heap_bytes()
             + self.cluster_dist.heap_bytes()
     }
+}
+
+/// The grid → way-point table: for every cell, row-major, the way-point
+/// nearest to its centroid. Sized exactly (4 B per cell).
+pub(crate) fn cell_nodes(grid: &GridSpec, locator: &NodeLocator, graph: &RoadGraph) -> Vec<NodeId> {
+    let mut table = Vec::with_capacity(grid.cell_count() as usize);
+    table.extend(grid.iter_cells().map(|cell| locator.nearest(graph, &grid.centroid(cell)).0));
+    table
 }
 
 #[cfg(test)]

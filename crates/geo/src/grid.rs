@@ -11,6 +11,13 @@
 //! numerically, and [`GridSpec::centroid`] recovers the cell centroid
 //! that stands in for the cell in all distance computations ("we
 //! identify a grid by its centroid", §IV).
+//!
+//! What the paper *stores* per grid — its landmark and walkable
+//! clusters — hangs off the way-point nearest the cell's centroid, a
+//! constant of the cell. `xar_discretize`'s `RegionIndex` therefore
+//! keeps one 4-byte way-point id per cell beside its `GridSpec`, so
+//! "identify the grid" at search time is `grid_of` plus one read, not
+//! a nearest-node search per end-point.
 
 use crate::{BoundingBox, GeoPoint, LocalProjection};
 
@@ -164,8 +171,8 @@ impl GridSpec {
     }
 
     /// Visit the cells of [`GridSpec::ring`] without allocating — hot
-    /// paths (the spatial locator's nearest-node search runs on every
-    /// engine search) use this to stay allocation-free.
+    /// paths (the spatial locator's nearest-node search runs for every
+    /// stop of every ride offer) use this to stay allocation-free.
     pub fn for_ring(&self, center: GridId, radius: u32, mut visit: impl FnMut(GridId)) {
         if radius == 0 {
             if self.is_valid(center) {

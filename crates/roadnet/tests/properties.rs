@@ -5,7 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use xar_geo::GeoPoint;
 use xar_roadnet::{
-    CityConfig, NodeId, RoadClass, RoadGraph, RoadGraphBuilder, Route, Router, ShortestPaths,
+    CityConfig, NodeId, NodeLocator, RoadClass, RoadGraph, RoadGraphBuilder, Route, Router,
+    ShortestPaths,
 };
 
 fn graph() -> &'static RoadGraph {
@@ -119,6 +120,41 @@ proptest! {
                     "{:?}->{:?}: reachability differs: {:?} vs {:?}", src, dst, want, got
                 ),
             }
+        }
+    }
+
+    /// `NodeLocator::nearest` is `argmin (haversine, id)` over the whole
+    /// graph — for every bucket size, on all three topologies, for
+    /// queries inside the city, on its edge and well outside its
+    /// bounding box (where the query is clamped to a boundary cell).
+    #[test]
+    fn nearest_equals_brute_force(
+        kind in 0usize..3,
+        seed in 0u64..10_000,
+        cell_m in 40.0f64..900.0,
+        queries in proptest::collection::vec((-0.6f64..1.6, -0.6f64..1.6), 1..24),
+    ) {
+        let config = match kind {
+            0 => CityConfig::manhattan(12, 14, seed),
+            1 => CityConfig::radial(6, 10, seed),
+            _ => CityConfig::random_geometric(150, seed),
+        };
+        let g = config.generate();
+        let locator = NodeLocator::new(&g, cell_m);
+        let (mut lo, mut hi) = (g.point(NodeId(0)), g.point(NodeId(0)));
+        for n in g.node_ids() {
+            let p = g.point(n);
+            lo = GeoPoint::new(lo.lat.min(p.lat), lo.lon.min(p.lon));
+            hi = GeoPoint::new(hi.lat.max(p.lat), hi.lon.max(p.lon));
+        }
+        for (fy, fx) in queries {
+            let q = GeoPoint::new(lo.lat + fy * (hi.lat - lo.lat), lo.lon + fx * (hi.lon - lo.lon));
+            let want = g
+                .node_ids()
+                .map(|n| (n, g.point(n).haversine_m(&q)))
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                .unwrap();
+            prop_assert_eq!(locator.nearest(&g, &q), want, "query {:?}, cells {} m", q, cell_m);
         }
     }
 

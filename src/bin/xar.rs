@@ -285,6 +285,9 @@ fn inspect(flags: &Flags) -> Result<(), CmdError> {
         "router table   : {:.1} MiB (rebuilt on load, not in the file)",
         region.router().heap_bytes() as f64 / (1024.0 * 1024.0)
     );
+    let cells = region.grid().cell_count();
+    let bytes = cells * std::mem::size_of::<xhare_a_ride::roadnet::NodeId>() as u64;
+    println!("grid table     : {cells} cells, {bytes} B (tier 1 of the tables; rebuilt on load)");
     let sizes: Vec<usize> = (0..region.cluster_count() as u32)
         .map(|c| region.cluster_members(xhare_a_ride::discretize::ClusterId(c)).len())
         .collect();

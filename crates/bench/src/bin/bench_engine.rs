@@ -1,16 +1,16 @@
 //! Engine scaling curve — `results/BENCH_engine.json`.
 //!
 //! Replays the same trip day through a fresh
-//! [`xar_core::ShardedXarEngine`] at
-//! 1, 2, 4, and 8 worker threads and records throughput plus search
-//! latency percentiles per point (DESIGN.md §5e). This is the
+//! [`xar_core::ShardedXarEngine`] at 1 and 2 worker threads (the host's
+//! core count: more workers than cores measure the scheduler) and
+//! records throughput plus search latency percentiles per point
+//! (DESIGN.md §5e). This is the
 //! machine-readable counterpart of `xar bench`: CI diffs the curve
 //! across commits without scraping stdout.
 //!
 //! The curve is only meaningful relative to the recorded `"cores"`
-//! field — on a single-core container every point above 1 thread
-//! measures lock overhead, not parallel speed-up (EXPERIMENTS.md
-//! discusses how to read it).
+//! field — every point above the core count measures lock overhead,
+//! not parallel speed-up (EXPERIMENTS.md discusses how to read it).
 //!
 //! Usage:
 //!
@@ -22,7 +22,7 @@ use xar_bench::{scale_arg, BenchCity};
 use xar_core::EngineConfig;
 use xar_workload::{run_scaling_point, scaling_curve_json, ScalingPoint, SimConfig};
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const THREAD_COUNTS: [usize; 2] = [1, 2];
 const SHARDS: usize = 8;
 const BASE_TRIPS: usize = 4_000;
 

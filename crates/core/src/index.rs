@@ -14,7 +14,8 @@
 //! ETA-sorted list's job — the departure-window range query of search
 //! Step 1 — is two binary searches on it. The id-sorted list had two
 //! jobs: membership for the `R1 ∩ R2` intersection, which search does
-//! by sorting both sides' candidates by ride and merge-joining them
+//! in one pass per side over a per-thread `ride → candidate` table
+//! emptied by bumping a generation stamp, with no sort
 //! (`search::SearchRun::collect_matches`), and locating a ride's entry
 //! to delete it, which is a linear scan of the rows' ride field — 3
 //! rows on average per shard list on the benchmark day (p99 20), 47 on

@@ -39,7 +39,7 @@
 //! (PR-1 names, preserved) and into a per-shard labeled series
 //! `lock.read_hold_ns{shard="sK"}` / `lock.write_hold_ns{shard="sK"}`
 //! (PR-3 label machinery), so shard imbalance is visible in `/metrics`
-//! and `xar top` without a profiler. Search takes no engine lock, so
+//! without a profiler. Search takes no engine lock, so
 //! `lock.read_hold_ns` records only maintenance reads (the `track_all`
 //! emptiness probes, audits, memory accounting).
 

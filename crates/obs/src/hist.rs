@@ -134,26 +134,8 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Merge another live histogram into this one. Both sides may be
-    /// recorded into concurrently; the merge is weakly consistent the
-    /// same way [`Histogram::snapshot`] is (it may miss in-flight
-    /// increments on `other`, never corrupt either side).
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let c = theirs.load(Ordering::Relaxed);
-            if c != 0 {
-                mine.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A weakly consistent snapshot with percentile estimates and the
-    /// (sparse) bucket cells, so snapshots can be subtracted
-    /// ([`HistogramSnapshot::delta`]) and merged
-    /// ([`HistogramSnapshot::merge`]) after the fact.
+    /// (sparse) bucket cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut cells: Vec<(u16, u64)> = Vec::new();
         for (i, b) in self.buckets.iter().enumerate() {
@@ -170,11 +152,8 @@ impl Histogram {
 
 /// Point-in-time summary of a [`Histogram`]: percentile estimates plus
 /// the sparse non-empty bucket cells `(bucket index, count)`, sorted by
-/// bucket index. Carrying the cells makes snapshots *algebraic*: two
-/// snapshots of the same histogram taken at different times can be
-/// subtracted into an interval delta, and snapshots of different
-/// histograms can be merged into an aggregate — both with honest
-/// percentiles recomputed from the combined cells.
+/// bucket index, from which [`HistogramSnapshot::quantile`] reads any
+/// other percentile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
@@ -189,8 +168,7 @@ pub struct HistogramSnapshot {
     pub p90: u64,
     /// 99th-percentile estimate.
     pub p99: u64,
-    /// Maximum recorded value (exact for live snapshots; for deltas, the
-    /// tightest bucket upper bound).
+    /// Maximum recorded value (exact).
     pub max: u64,
     /// Non-empty buckets as `(bucket index, count)`, ascending index.
     pub cells: Vec<(u16, u64)>,
@@ -203,31 +181,15 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Build a snapshot from sparse cells plus exact `sum` and `max`.
-    /// `count`, `mean` and the percentile fields are derived from the
-    /// cells. Cells must be sorted by bucket index (they are whenever
-    /// they come from [`Histogram::snapshot`], `delta` or `merge`).
-    pub fn from_cells(cells: Vec<(u16, u64)>, sum: u64, max: u64) -> Self {
-        debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0), "cells not sorted");
+    /// Build a snapshot from sparse cells sorted by bucket index plus
+    /// exact `sum` and `max`; `count`, `mean` and the percentile fields
+    /// are derived from the cells.
+    fn from_cells(cells: Vec<(u16, u64)>, sum: u64, max: u64) -> Self {
         let count: u64 = cells.iter().map(|&(_, c)| c).sum();
         let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
-        let q = |p: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let rank = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for &(i, c) in &cells {
-                seen += c;
-                if seen >= rank {
-                    let (lo, hi) = bucket_bounds(i as usize);
-                    return (lo + (hi - lo) / 2).min(max);
-                }
-            }
-            max
-        };
-        let (p50, p90, p99) = (q(50.0), q(90.0), q(99.0));
-        Self { count, sum, mean, p50, p90, p99, max, cells }
+        let mut s = Self { count, sum, mean, p50: 0, p90: 0, p99: 0, max, cells };
+        (s.p50, s.p90, s.p99) = (s.quantile(50.0), s.quantile(90.0), s.quantile(99.0));
+        s
     }
 
     /// Arbitrary quantile estimate (`p` in 0–100) from the cells.
@@ -247,93 +209,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Fraction of samples whose bucket midpoint exceeds `threshold`
-    /// (0.0 when empty). This is the SLI the SLO engine uses: with a
-    /// latency objective "99 % of searches under 250 µs", the error
-    /// rate of a window is `frac_above(250_000)`.
-    pub fn frac_above(&self, threshold: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mut above = 0u64;
-        for &(i, c) in &self.cells {
-            let (lo, hi) = bucket_bounds(i as usize);
-            if lo + (hi - lo) / 2 > threshold {
-                above += c;
-            }
-        }
-        above as f64 / self.count as f64
-    }
-
-    /// The interval delta `self − earlier`, where `earlier` is an older
-    /// snapshot of the *same* histogram: what was recorded between the
-    /// two snapshot instants. Per-bucket counts subtract saturating (a
-    /// concurrent writer can make one bucket appear to run slightly
-    /// ahead), `sum` subtracts saturating, and `max` is the tightest
-    /// bucket upper bound of the delta (the live max covers all time,
-    /// not the interval).
-    pub fn delta(&self, earlier: &Self) -> Self {
-        let mut cells: Vec<(u16, u64)> = Vec::with_capacity(self.cells.len());
-        let mut old = earlier.cells.iter().peekable();
-        for &(i, c) in &self.cells {
-            let mut prev = 0u64;
-            while let Some(&&(oi, oc)) = old.peek() {
-                match oi.cmp(&i) {
-                    std::cmp::Ordering::Less => {
-                        old.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        prev = oc;
-                        old.next();
-                        break;
-                    }
-                    std::cmp::Ordering::Greater => break,
-                }
-            }
-            let d = c.saturating_sub(prev);
-            if d != 0 {
-                cells.push((i, d));
-            }
-        }
-        let max = cells.last().map_or(0, |&(i, _)| bucket_bounds(i as usize).1.min(self.max));
-        Self::from_cells(cells, self.sum.saturating_sub(earlier.sum), max)
-    }
-
-    /// The merge of two snapshots (cells add, sums add, max is the
-    /// larger) — aggregating shards or windows into one distribution.
-    pub fn merge(&self, other: &Self) -> Self {
-        let mut cells: Vec<(u16, u64)> = Vec::with_capacity(self.cells.len() + other.cells.len());
-        let (mut a, mut b) = (self.cells.iter().peekable(), other.cells.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ai, ac)), Some(&&(bi, bc))) => match ai.cmp(&bi) {
-                    std::cmp::Ordering::Less => {
-                        cells.push((ai, ac));
-                        a.next();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        cells.push((bi, bc));
-                        b.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        cells.push((ai, ac + bc));
-                        a.next();
-                        b.next();
-                    }
-                },
-                (Some(&&(ai, ac)), None) => {
-                    cells.push((ai, ac));
-                    a.next();
-                }
-                (None, Some(&&(bi, bc))) => {
-                    cells.push((bi, bc));
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        Self::from_cells(cells, self.sum.saturating_add(other.sum), self.max.max(other.max))
-    }
     /// Render a nanosecond-valued snapshot as human-readable text.
     pub fn format_ns(&self) -> String {
         fn t(ns: u64) -> String {
@@ -425,77 +300,6 @@ mod tests {
             (0, 0, 0, 0, 0, 0)
         );
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn live_merge_matches_recording_into_one() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let all = Histogram::new();
-        for v in [3u64, 70, 9_000] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [5u64, 1_000_000] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), all.snapshot());
-    }
-
-    #[test]
-    fn delta_isolates_the_interval() {
-        let h = Histogram::new();
-        h.record(100);
-        h.record(5_000);
-        let before = h.snapshot();
-        h.record(200);
-        h.record(200);
-        h.record(9_999_999);
-        let after = h.snapshot();
-        let d = after.delta(&before);
-        assert_eq!(d.count, 3);
-        assert_eq!(d.sum, 200 + 200 + 9_999_999);
-        // Only the interval's samples contribute to percentiles.
-        assert!(d.p50 >= 150 && d.p50 <= 250, "p50 {}", d.p50);
-        // Interval max is a bucket upper bound containing the true max.
-        assert!(d.max >= 9_999_999);
-        // Full-history snapshot deltas to itself as empty.
-        let zero = after.delta(&after);
-        assert_eq!(zero.count, 0);
-        assert_eq!(zero.sum, 0);
-    }
-
-    #[test]
-    fn snapshot_merge_conserves_count_and_sum() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 1..=100u64 {
-            a.record(v);
-        }
-        for v in 1_000..=1_050u64 {
-            b.record(v * 97);
-        }
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        let m = sa.merge(&sb);
-        assert_eq!(m.count, sa.count + sb.count);
-        assert_eq!(m.sum, sa.sum + sb.sum);
-        assert_eq!(m.max, sa.max.max(sb.max));
-        assert!(m.p50 <= m.p90 && m.p90 <= m.p99 && m.p99 <= m.max);
-    }
-
-    #[test]
-    fn frac_above_and_quantile_agree() {
-        let h = Histogram::new();
-        for v in 1..=1_000u64 {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let f = s.frac_above(s.quantile(90.0));
-        assert!(f > 0.02 && f < 0.2, "frac above p90 was {f}");
-        assert_eq!(s.frac_above(u64::MAX), 0.0);
-        assert!(s.frac_above(0) > 0.99);
     }
 
     #[test]

@@ -30,6 +30,9 @@
 //!   hierarchical self/total-time aggregation, collapsed-stack and
 //!   speedscope artifacts, per-span allocation attribution, and
 //!   latency exemplars linking `/metrics` back to trace ids.
+//! * [`serve`] — the live plane: an embedded HTTP server exposing the
+//!   registry as Prometheus text ([`promtext`]) and JSON, plus the
+//!   `/debug/*` introspection routes.
 //!
 //! ```
 //! use xar_obs::Registry;
@@ -57,10 +60,8 @@ pub mod profile;
 pub mod promtext;
 pub mod registry;
 pub mod serve;
-pub mod slo;
 pub mod span;
 pub mod trace;
-pub mod window;
 
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{global, Counter, Gauge, MetricSnapshot, Registry, SeriesSnapshot};

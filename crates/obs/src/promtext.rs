@@ -14,11 +14,10 @@
 //! `engine_search_ns`); label values are escaped per the exposition
 //! format (`\\`, `\"`, `\n`).
 //!
-//! [`parse`] is the matching reader. It exists so the repo can
-//! validate its own exposition in CI and so `xar top` can scrape a
-//! live process without any HTTP/metrics dependency — it accepts
-//! exactly the subset `render` emits plus unknown comment lines, and
-//! round-trips sample values.
+//! [`parse`] is the matching reader. It exists so the repo's tests can
+//! validate its own exposition without any HTTP/metrics dependency —
+//! it accepts exactly the subset `render` emits plus unknown comment
+//! lines, and round-trips sample values.
 //!
 //! [`render_with_exemplars`] additionally annotates histogram `_max`
 //! and `quantile="0.99"` samples with OpenMetrics exemplar syntax
@@ -54,7 +53,7 @@ pub fn sanitize_name(name: &str) -> String {
 }
 
 /// Escape a label value per the exposition format (`\\`, `\"`, `\n`).
-pub fn escape_label_value(v: &str) -> String {
+fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {

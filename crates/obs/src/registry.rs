@@ -127,7 +127,7 @@ impl SeriesSnapshot {
 }
 
 /// Render `name{k="v",...}` (or just `name` for no labels); the form
-/// used as the JSON snapshot key and the window-store series key.
+/// used as the JSON snapshot key.
 pub fn render_series_name(name: &str, labels: &[(String, String)]) -> String {
     if labels.is_empty() {
         return name.to_string();

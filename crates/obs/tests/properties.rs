@@ -72,65 +72,6 @@ proptest! {
         let true_sum: u64 = vals.iter().sum();
         prop_assert_eq!(s.sum, true_sum);
     }
-
-    /// Snapshot algebra conserves mass: for any split of a sample
-    /// stream into "earlier" and "later", `later ∪ earlier` recorded
-    /// into one histogram equals `snapshot.delta(earlier_snapshot)`
-    /// merged back with the earlier snapshot — counts and sums add up
-    /// exactly on both sides.
-    #[test]
-    fn delta_and_merge_conserve_count_and_sum(
-        earlier in proptest::collection::vec(0u64..1 << 40, 0..100),
-        later in proptest::collection::vec(0u64..1 << 40, 0..100),
-    ) {
-        let h = Histogram::new();
-        for &v in &earlier {
-            h.record(v);
-        }
-        let s_earlier = h.snapshot();
-        for &v in &later {
-            h.record(v);
-        }
-        let s_total = h.snapshot();
-
-        let d = s_total.delta(&s_earlier);
-        prop_assert_eq!(d.count, later.len() as u64, "delta isolates the interval");
-        prop_assert_eq!(d.sum, later.iter().sum::<u64>());
-
-        let merged = d.merge(&s_earlier);
-        prop_assert_eq!(merged.count, s_total.count);
-        prop_assert_eq!(merged.sum, s_total.sum);
-        prop_assert_eq!(merged.p50, s_total.p50, "same cells ⇒ same percentiles");
-        prop_assert_eq!(merged.p99, s_total.p99);
-    }
-
-    /// Delta and merge keep percentiles monotone and bounded: p50 ≤
-    /// p90 ≤ p99 ≤ max holds for any interval delta and any merge.
-    #[test]
-    fn delta_and_merge_percentiles_stay_monotone(
-        a in proptest::collection::vec(0u64..1 << 40, 1..80),
-        b in proptest::collection::vec(0u64..1 << 40, 1..80),
-    ) {
-        let h = Histogram::new();
-        for &v in &a {
-            h.record(v);
-        }
-        let s_a = h.snapshot();
-        for &v in &b {
-            h.record(v);
-        }
-        let d = h.snapshot().delta(&s_a);
-        for s in [&d, &d.merge(&s_a)] {
-            prop_assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max,
-                "p50={} p90={} p99={} max={}", s.p50, s.p90, s.p99, s.max);
-        }
-        // The interval max is never above the cumulative max, and no
-        // interval mass sits above its bucket's upper bound (frac_above
-        // works on bucket midpoints, so compare at bucket resolution).
-        prop_assert!(d.max <= h.snapshot().max);
-        let (_, hi) = bucket_bounds(bucket_index(d.max));
-        prop_assert_eq!(d.frac_above(hi), 0.0, "no mass above the interval max bucket");
-    }
 }
 
 /// 8 concurrent writers, no lost increments: the wait-free record path

@@ -14,7 +14,7 @@
 //!              [--metrics-out FILE] [--trace-out FILE]
 //!              [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N]
 //!              [--events-out FILE] [--baseline tshare] [--threads N]
-//!              [--shards N]
+//!              [--shards N] [--serve ADDR] [--linger-s F]
 //!     Run the paper's §X.A.2 ride-sharing simulation over a synthetic
 //!     taxi day and report outcome + latency statistics. `--json` dumps
 //!     the full report (counters, percentiles, metrics) as JSON;
@@ -81,16 +81,6 @@
 //!     failure class: 2 = unreadable / invalid JSON, 3 = no complete
 //!     request timeline, 4 = missing drop counter.
 //!
-//! xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]
-//!     Live terminal dashboard over a process started with
-//!     `xar simulate --serve ADDR`: scrapes `/metrics`, renders rolling
-//!     p50/p99/throughput, per-cluster ride occupancy, the
-//!     rejection-reason breakdown, the snapshot publication plane
-//!     (publishes, publish p99), tail latency exemplars
-//!     (trace ids of the slowest recent requests) and firing SLO
-//!     alerts. `--frames N` exits after N refreshes
-//!     (CI); `--plain` skips the ANSI screen clearing.
-//!
 //! xar profile --out FILE [--format collapsed|speedscope] [--alloc]
 //!             [--rows N] [--cols N] [--seed S] [--trips N] [--top N]
 //!     Continuous-profiling artifact: run an in-process simulation with
@@ -105,25 +95,21 @@
 //!
 //! Live operational flags on `simulate`: `--serve ADDR` starts the
 //! embedded ops-plane HTTP server (`/metrics` with OpenMetrics latency
-//! exemplars, `/snapshot`, `/health`, `/alerts`, `/debug/profile`,
-//! `/debug/shards`, `/debug/events`; `ADDR` may use port 0 — the bound
-//! address is printed); `--slo RULE` (repeatable) installs burn-rate
-//! SLO rules (syntax in EXPERIMENTS.md); `--slo-fail` exits with code 8
-//! when any rule fired during the run; `--tick-ms N` sets the windowing
-//! tick; `--linger-s F` keeps the process (and server) alive after the
-//! simulation so scrapers can observe the final state.
+//! exemplars, `/snapshot`, `/debug/profile`, `/debug/shards`,
+//! `/debug/events`; `ADDR` may use port 0 — the bound address is
+//! printed); `--linger-s F` keeps the process (and server) alive after
+//! the simulation so scrapers can observe the final state, and without
+//! `--serve` exits with code 1 before any work.
 //!
 //! Every subcommand accepts only the flags listed for it here: any
 //! other `--flag` exits with code 1 before the command does any work.
 
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use xar_obs::serve::OpsPlane;
-use xar_obs::slo::{SloEngine, SloRule};
-use xar_obs::window::{WindowConfig, WindowStore};
 
 use xar_obs::chrome::{export_chrome, parse_chrome, Attrs, Timeline};
 use xar_obs::json::JsonValue;
@@ -142,7 +128,7 @@ use xhare_a_ride::workload::{
 };
 
 /// Flags that take no value (presence alone means `true`).
-const SWITCHES: &[&str] = &["check", "slo-fail", "plain", "search", "alloc"];
+const SWITCHES: &[&str] = &["check", "search", "alloc"];
 
 /// Global allocator: the profiling pass-through. When `xar profile
 /// --alloc` is off (the default, and every other subcommand) the hook
@@ -178,10 +164,9 @@ impl From<String> for CmdError {
 }
 
 /// Minimal `--key value` flag parser (with a fixed set of valueless
-/// switches). Repeated flags accumulate: `get`/`get_opt` read the last
-/// occurrence, [`Flags::get_all`] returns every one (`--slo` rules).
+/// switches). A repeated flag keeps its last value.
 struct Flags {
-    values: HashMap<String, Vec<String>>,
+    values: HashMap<String, String>,
 }
 
 impl Flags {
@@ -189,7 +174,7 @@ impl Flags {
     /// `accepted`: any other flag is an error, so a typo or a removed
     /// option cannot silently run with defaults.
     fn parse(cmd: &str, accepted: &[&str], args: &[String]) -> Result<Self, String> {
-        let mut values: HashMap<String, Vec<String>> = HashMap::new();
+        let mut values: HashMap<String, String> = HashMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
@@ -199,13 +184,13 @@ impl Flags {
                 return Err(format!("unknown flag --{key} for `xar {cmd}`"));
             }
             if SWITCHES.contains(&key) {
-                values.entry(key.to_string()).or_default().push("true".to_string());
+                values.insert(key.to_string(), "true".to_string());
                 continue;
             }
             let Some(v) = it.next() else {
                 return Err(format!("flag --{key} is missing a value"));
             };
-            values.entry(key.to_string()).or_default().push(v.clone());
+            values.insert(key.to_string(), v.clone());
         }
         Ok(Self { values })
     }
@@ -222,11 +207,7 @@ impl Flags {
     }
 
     fn get_opt(&self, key: &str) -> Option<&str> {
-        self.values.get(key).and_then(|v| v.last()).map(String::as_str)
-    }
-
-    fn get_all(&self, key: &str) -> &[String] {
-        self.values.get(key).map(Vec::as_slice).unwrap_or_default()
+        self.values.get(key).map(String::as_str)
     }
 
     fn require(&self, key: &str) -> Result<&str, String> {
@@ -235,7 +216,7 @@ impl Flags {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--slo RULE]... [--slo-fail] [--tick-ms N] [--linger-s F]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar top --connect ADDR [--interval-ms N] [--frames N] [--plain]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--linger-s F]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
 }
 
 fn build_region(flags: &Flags) -> Result<(), CmdError> {
@@ -473,6 +454,13 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     // its distinct exit code.
     let threads = parse_threads_flag(flags)?;
     let shards = parse_shards_flag(flags)?;
+    let serve_addr = flags.get_opt("serve");
+    let linger_s: f64 = flags.get("linger-s", 0.0)?;
+    if serve_addr.is_none() && flags.get_opt("linger-s").is_some() {
+        return Err(CmdError::general(
+            "--linger-s keeps the --serve ADDR server up after the run; without --serve it would do nothing",
+        ));
+    }
     let path = flags.require("region")?;
     let trips_n: usize = flags.get("trips", 10_000)?;
     let seed: u64 = flags.get("seed", 0x7A11)?;
@@ -531,74 +519,31 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     };
     let cfg = SimConfig { walk_limit_m: walk, window_s: window, detour_limit_m: detour, k, ..Default::default() };
 
-    // Live operational plane: windowed series + SLO rules + optionally
-    // the embedded HTTP server, all over the backend's own registry.
-    let serve_addr = flags.get_opt("serve").map(str::to_string);
-    let slo_fail = flags.switch("slo-fail");
-    let tick_ms: u64 = flags.get("tick-ms", 1_000)?;
-    let linger_s: f64 = flags.get("linger-s", 0.0)?;
-    if tick_ms == 0 {
-        return Err(CmdError::general("--tick-ms must be positive"));
-    }
-    let mut rules = Vec::new();
-    for spec in flags.get_all("slo") {
-        rules.push(SloRule::parse(spec).map_err(|e| format!("--slo '{spec}': {e}"))?);
-    }
-    let plane = if serve_addr.is_some() || !rules.is_empty() || slo_fail {
-        let registry = match &sim {
-            SimUnderTest::Serial(b) => b.engine.metrics().registry(),
-            SimUnderTest::Parallel(b) => b.engine.registry(),
-        };
-        // Ring capacity: enough ticks to cover the 60 s rolling window.
-        let capacity = (60_000_u64.div_ceil(tick_ms) as usize + 1).clamp(8, 4_096);
-        let mut plane = OpsPlane::new(
-            registry,
-            Arc::new(WindowStore::new(WindowConfig { tick_ms, capacity })),
-            Arc::new(SloEngine::new(rules)),
-        );
-        // Live debug introspection: the shard map exists only on the
-        // parallel driver.
-        if let SimUnderTest::Parallel(b) = &sim {
-            let engine = b.engine.clone();
-            plane.debug.shards = Some(Arc::new(move || engine.shard_debug_json()));
-        }
-        Some(plane)
-    } else {
-        None
-    };
-    let mut server = None;
-    let mut inline_ticker = None;
-    if let Some(plane) = &plane {
-        if let Some(addr) = &serve_addr {
-            let s = xar_obs::serve::serve(addr.as_str(), plane.clone())
+    // Live operational plane: the embedded HTTP server over the
+    // backend's own registry.
+    let server = match serve_addr {
+        None => None,
+        Some(addr) => {
+            let registry = match &sim {
+                SimUnderTest::Serial(b) => b.engine.metrics().registry(),
+                SimUnderTest::Parallel(b) => b.engine.registry(),
+            };
+            let mut plane = OpsPlane::new(registry);
+            // Live debug introspection: the shard map exists only on the
+            // parallel driver.
+            if let SimUnderTest::Parallel(b) = &sim {
+                let engine = b.engine.clone();
+                plane.debug.shards = Some(Arc::new(move || engine.shard_debug_json()));
+            }
+            let s = xar_obs::serve::serve(addr, plane)
                 .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-            // The bound address line is machine-read (CI, `xar top`
-            // scripts) — keep its shape stable and flush it promptly.
+            // The bound address line is machine-read (CI, scripts) —
+            // keep its shape stable and flush it promptly.
             println!("ops plane      : http://{}", s.local_addr());
             std::io::stdout().flush().ok();
-            server = Some(s);
-        } else {
-            // SLO rules without a server still need a ticker so the
-            // burn-rate windows advance during the run.
-            let plane = plane.clone();
-            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let stop2 = Arc::clone(&stop);
-            let handle = std::thread::spawn(move || {
-                let tick = std::time::Duration::from_millis(plane.window.tick_ms());
-                let slice = tick.min(std::time::Duration::from_millis(25));
-                let mut elapsed = std::time::Duration::ZERO;
-                while !stop2.load(std::sync::atomic::Ordering::SeqCst) {
-                    std::thread::sleep(slice);
-                    elapsed += slice;
-                    if elapsed >= tick {
-                        elapsed = std::time::Duration::ZERO;
-                        plane.tick();
-                    }
-                }
-            });
-            inline_ticker = Some((stop, handle));
+            Some(s)
         }
-    }
+    };
 
     let report = match &mut sim {
         SimUnderTest::Serial(b) => run_simulation(b.as_mut(), &trips, &cfg),
@@ -692,37 +637,14 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
         );
     }
 
-    if let Some(plane) = &plane {
+    if let Some(mut server) = server {
         // Keep the process (and server) alive so scrapers can observe
-        // the post-run state, then fold the final partial interval into
-        // the windows before the SLO verdict.
+        // the post-run state.
         if linger_s > 0.0 {
             eprintln!("lingering {linger_s} s for scrapers...");
             std::thread::sleep(std::time::Duration::from_secs_f64(linger_s));
         }
-        plane.tick();
-        if let Some(mut s) = server.take() {
-            s.shutdown();
-        }
-        if let Some((stop, handle)) = inline_ticker.take() {
-            stop.store(true, std::sync::atomic::Ordering::SeqCst);
-            let _ = handle.join();
-        }
-        let fired: Vec<String> = plane
-            .slo
-            .statuses()
-            .into_iter()
-            .filter(|s| s.ever_fired)
-            .map(|s| s.name)
-            .collect();
-        if !fired.is_empty() {
-            println!("slo fired      : {}", fired.join(", "));
-            if slo_fail {
-                return Err(CmdError::coded(8, format!("SLO burn-rate alert(s) fired: {}", fired.join(", "))));
-            }
-        } else if !plane.slo.rules().is_empty() {
-            println!("slo fired      : none");
-        }
+        server.shutdown();
     }
     Ok(())
 }
@@ -1337,225 +1259,6 @@ fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// One HTTP GET over a plain `TcpStream` (the dashboard needs no HTTP
-/// client). Returns the response body; errors on any non-200 status.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = std::net::TcpStream::connect(addr)
-        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).ok();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-        .map_err(|e| format!("cannot write to {addr}: {e}"))?;
-    let mut buf = String::new();
-    stream
-        .read_to_string(&mut buf)
-        .map_err(|e| format!("cannot read from {addr}: {e}"))?;
-    let (head, body) = buf
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{addr}{path}: malformed HTTP response"))?;
-    let status = head.lines().next().unwrap_or_default();
-    if !status.contains(" 200 ") {
-        return Err(format!("{addr}{path}: {status}"));
-    }
-    Ok(body.to_string())
-}
-
-/// Render one `xar top` dashboard frame from a parsed `/metrics`
-/// scrape: request counts by outcome, the rolling-window table,
-/// per-cluster ride occupancy, and SLO alert state.
-fn render_top_frame(p: &xar_obs::promtext::PromText) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-
-    // Request outcomes (cumulative counters from the simulation).
-    let total = p.with_name("sim_requests_total").next().map(|s| s.value).unwrap_or(0.0);
-    let mut outcomes: Vec<(String, f64)> = p
-        .with_name("sim_requests")
-        .filter_map(|s| s.label("outcome").map(|o| (o.to_string(), s.value)))
-        .collect();
-    outcomes.sort_by(|a, b| a.0.cmp(&b.0));
-    let _ = write!(out, "requests: {total:.0}");
-    for (o, v) in &outcomes {
-        let _ = write!(out, "   {o} {v:.0}");
-    }
-    out.push('\n');
-
-    // Rejection-reason breakdown (the wide-event taxonomy, counted by
-    // the replay driver into sim_reject_reason{reason=...}).
-    let mut rejects: Vec<(String, f64)> = p
-        .with_name("sim_reject_reason")
-        .filter_map(|s| s.label("reason").map(|r| (r.to_string(), s.value)))
-        .filter(|&(_, v)| v > 0.0)
-        .collect();
-    rejects.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    if !rejects.is_empty() {
-        out.push_str("rejections:");
-        for (r, v) in &rejects {
-            let _ = write!(out, "  {r}={v:.0}");
-        }
-        out.push('\n');
-    }
-
-    // Rolling windows: group xar_rolling samples by (metric, window).
-    let mut metrics: Vec<String> = Vec::new();
-    let mut table: HashMap<(String, String), HashMap<String, f64>> = HashMap::new();
-    for s in p.with_name("xar_rolling") {
-        let (Some(m), Some(w), Some(st)) = (s.label("metric"), s.label("window"), s.label("stat"))
-        else {
-            continue;
-        };
-        if !metrics.iter().any(|x| x == m) {
-            metrics.push(m.to_string());
-        }
-        table
-            .entry((m.to_string(), w.to_string()))
-            .or_default()
-            .insert(st.to_string(), s.value);
-    }
-    metrics.sort();
-    if !metrics.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<46} {:>6} {:>12} {:>12} {:>12}",
-            "rolling series", "window", "rate/s", "p50", "p99"
-        );
-        for m in &metrics {
-            // Latency histograms record nanoseconds; show them in µs.
-            let (scale, unit) = if m.contains("_ns") { (1e3, " µs") } else { (1.0, "") };
-            let mut first = true;
-            for &(w, _) in xar_obs::serve::ROLLING_WINDOWS {
-                let Some(stats) = table.get(&(m.clone(), w.to_string())) else { continue };
-                let fmt = |k: &str| {
-                    stats
-                        .get(k)
-                        .map(|v| format!("{:.1}{unit}", v / scale))
-                        .unwrap_or_else(|| "-".into())
-                };
-                let rate = stats
-                    .get("rate_per_s")
-                    .map(|v| format!("{v:.1}"))
-                    .unwrap_or_else(|| "-".into());
-                let name_col = if first { m.as_str() } else { "" };
-                first = false;
-                let _ = writeln!(
-                    out,
-                    "{:<46} {:>6} {:>12} {:>12} {:>12}",
-                    name_col,
-                    w,
-                    rate,
-                    fmt("p50"),
-                    fmt("p99")
-                );
-            }
-        }
-    }
-
-    // Snapshot-publication plane: write-path cost of the search
-    // snapshots.
-    let publishes = p.with_name("engine_snapshot_publishes").find(|s| s.labels.is_empty());
-    if let Some(publishes) = publishes {
-        let p99 = p
-            .find("engine_snapshot_publish_ns", &[("quantile", "0.99")])
-            .map(|s| s.value)
-            .unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "\nsnapshots: published {:.0}   publish p99 {:.1} µs",
-            publishes.value,
-            p99 / 1e3,
-        );
-    }
-
-    // Tail exemplars: trace ids of the slowest recent samples, straight
-    // from the OpenMetrics `# {trace_id=...}` annotations.
-    let mut exemplars: Vec<(String, String, f64)> = p
-        .samples
-        .iter()
-        .filter_map(|s| {
-            let e = s.exemplar.as_ref()?;
-            let trace = e.trace_id()?.to_string();
-            let mut series = s.name.clone();
-            if let Some(tier) = s.label("tier") {
-                series.push_str(&format!("{{tier={tier}}}"));
-            }
-            Some((series, trace, e.value))
-        })
-        .collect();
-    exemplars.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-    exemplars.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-    if !exemplars.is_empty() {
-        out.push_str("\nslow exemplars:\n");
-        for (series, trace, value) in exemplars.iter().take(6) {
-            let _ = writeln!(out, "  {series:<40} trace {trace:<20} {:.1} µs", value / 1e3);
-        }
-    }
-
-    // Per-cluster live-ride occupancy.
-    let mut occ: Vec<(String, f64)> = p
-        .with_name("engine_cluster_rides")
-        .filter_map(|s| s.label("cluster").map(|c| (c.to_string(), s.value)))
-        .collect();
-    occ.sort_by(|a, b| a.0.cmp(&b.0));
-    if !occ.is_empty() {
-        out.push_str("\nrides/cluster:");
-        for (c, v) in &occ {
-            let _ = write!(out, "  {c}={v:.0}");
-        }
-        out.push('\n');
-    }
-
-    // SLO alert state with burn rates.
-    let mut alerts = String::new();
-    for s in p.with_name("xar_alert_firing") {
-        let Some(name) = s.label("name") else { continue };
-        let burn = |fam: &str| {
-            p.find(fam, &[("name", name)]).map(|b| b.value).unwrap_or(0.0)
-        };
-        let state = if s.value >= 1.0 { "FIRING" } else { "ok" };
-        let _ = writeln!(
-            alerts,
-            "  {name:<28} {state:<8} fast burn {:.2}   slow burn {:.2}",
-            burn("xar_alert_fast_burn"),
-            burn("xar_alert_slow_burn"),
-        );
-    }
-    if !alerts.is_empty() {
-        out.push_str("\nalerts:\n");
-        out.push_str(&alerts);
-    }
-    out
-}
-
-/// `xar top`: poll a live ops plane's `/metrics` and render a terminal
-/// dashboard every `--interval-ms`.
-fn top_cmd(flags: &Flags) -> Result<(), CmdError> {
-    let addr = flags.require("connect")?;
-    let addr = addr.strip_prefix("http://").unwrap_or(addr).trim_end_matches('/').to_string();
-    let interval_ms: u64 = flags.get("interval-ms", 1_000)?;
-    let frames: u64 = flags.get("frames", 0)?;
-    let plain = flags.switch("plain");
-    let mut shown = 0u64;
-    loop {
-        let body = http_get(&addr, "/metrics").map_err(CmdError::general)?;
-        let parsed = xar_obs::promtext::parse(&body)
-            .map_err(|e| CmdError::general(format!("{addr}/metrics does not parse: {e}")))?;
-        let frame = render_top_frame(&parsed);
-        if !plain {
-            // ANSI clear-screen + home, so the frame repaints in place.
-            print!("\x1b[2J\x1b[H");
-        }
-        println!("xar top — {addr}  (refresh {interval_ms} ms)\n");
-        print!("{frame}");
-        std::io::stdout().flush().ok();
-        shown += 1;
-        if frames != 0 && shown >= frames {
-            return Ok(());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms));
-    }
-}
-
 /// One subcommand (or `bench` mode): its name as typed, the flags it
 /// reads and its entry point. The flag lists mirror `usage()`.
 struct Command {
@@ -1576,7 +1279,7 @@ const COMMANDS: &[Command] = &[
         flags: &[
             "region", "trips", "seed", "k", "walk", "window", "detour", "threads", "shards",
             "json", "metrics-out", "trace-out", "trace-slow-ms", "trace-sample", "trace-buffer",
-            "events-out", "baseline", "serve", "slo", "slo-fail", "tick-ms", "linger-s",
+            "events-out", "baseline", "serve", "linger-s",
         ],
         run: simulate,
     },
@@ -1602,7 +1305,6 @@ const COMMANDS: &[Command] = &[
         run: logs_cmd,
     },
     Command { name: "trace", flags: &["in", "top", "check"], run: trace_cmd },
-    Command { name: "top", flags: &["connect", "interval-ms", "frames", "plain"], run: top_cmd },
     Command {
         name: "profile",
         flags: &["out", "format", "alloc", "rows", "cols", "seed", "trips", "top"],

@@ -1,14 +1,13 @@
-//! Pin the `xar` binary's exit-code contract (ISSUE 4 satellite): CI
-//! and operators branch on these, so a renumbering is a breaking
-//! change. 0 = ok, 1 = generic error (including a flag the subcommand
-//! does not read), 2 = unreadable / invalid trace
-//! JSON, 3 = trace with no complete request timeline, 4 = trace
-//! missing the drop counter, 7 = `bench` capacity/scaling/`--against`
-//! gate, 8 = `--slo-fail` with a fired SLO, 9 = invalid `--threads` /
-//! `--shards` / `--tolerance` / `xar logs` filter value. `xar logs`
-//! reuses 2 (unreadable / invalid
-//! events file) and 3 (no events, or none matching the filters). The
-//! full table lives in README.md § Exit codes.
+//! Pin the `xar` binary's exit-code contract: CI and operators branch
+//! on these, so a renumbering is a breaking change. 0 = ok, 1 = generic
+//! error (including a flag the subcommand does not read, or one it
+//! reads only beside another), 2 = unreadable / invalid trace JSON,
+//! 3 = trace with no complete request timeline, 4 = trace missing the
+//! drop counter, 7 = `bench` capacity/scaling/`--against` gate,
+//! 9 = invalid `--threads` / `--shards` / `--tolerance` / `xar logs`
+//! filter value. `xar logs` reuses 2 (unreadable / invalid events file)
+//! and 3 (no events, or none matching the filters). The full table
+//! lives in README.md § Exit codes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -67,6 +66,22 @@ fn trace_check_exit_codes_are_distinct_per_failure_class() {
     // 1: generic CLI error (missing required flag).
     let out = xar(&["trace", "--check"]);
     assert_eq!(code(&out), 1, "{out:?}");
+
+    // 0: the healthy path — a real `simulate` trace passes --check.
+    let region = dir.join("region.xarr");
+    let out = xar(&[
+        "build-region", "--rows", "14", "--cols", "14", "--seed", "5", "--clusters", "10",
+        "--out", region.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "build-region failed: {out:?}");
+    let trace = dir.join("trace.json");
+    let out = xar(&[
+        "simulate", "--region", region.to_str().unwrap(), "--trips", "300",
+        "--trace-out", trace.to_str().unwrap(), "--trace-sample", "1.0",
+    ]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let out = xar(&["trace", "--check", "--in", trace.to_str().unwrap()]);
+    assert_eq!(code(&out), 0, "{out:?}");
 }
 
 #[test]
@@ -109,101 +124,6 @@ fn bench_scaling_gate_failure_exits_7() {
     assert_eq!(code(&out), 7, "{out:?}");
     let msg = String::from_utf8_lossy(&out.stderr);
     assert!(msg.contains("below the 1000x gate"), "{msg}");
-}
-
-#[test]
-fn simulate_slo_fail_exits_8_and_trace_check_passes_on_real_output() {
-    let dir = scratch("slo_fail");
-    let region = dir.join("region.xarr");
-    let out = xar(&[
-        "build-region", "--rows", "14", "--cols", "14", "--seed", "5", "--clusters", "10",
-        "--out", region.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "build-region failed: {out:?}");
-
-    // An unmeetable SLO (1 ns search budget, tiny error allowance, tiny
-    // burn threshold) must fire and, under --slo-fail, exit 8.
-    let trace = dir.join("trace.json");
-    let out = xar(&[
-        "simulate", "--region", region.to_str().unwrap(), "--trips", "300",
-        "--trace-out", trace.to_str().unwrap(), "--trace-sample", "1.0",
-        "--tick-ms", "20", "--slo-fail",
-        "--slo", "name=impossible hist=sim.search_ns max_ns=1 target=0.999 fast=1 slow=1 burn=0.001",
-    ]);
-    assert_eq!(code(&out), 8, "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("slo fired      : impossible"), "{stdout}");
-
-    // The same run's trace file passes --check (exit 0) — the healthy
-    // path for the codes pinned above.
-    let out = xar(&["trace", "--check", "--in", trace.to_str().unwrap()]);
-    assert_eq!(code(&out), 0, "{out:?}");
-
-    // And the same simulation with a generous SLO exits 0.
-    let out = xar(&[
-        "simulate", "--region", region.to_str().unwrap(), "--trips", "300",
-        "--tick-ms", "20", "--slo-fail",
-        "--slo", "name=relaxed hist=sim.search_ns max_ms=60000 target=0.5 fast=1 slow=1",
-    ]);
-    assert_eq!(code(&out), 0, "{out:?}");
-}
-
-#[test]
-fn top_renders_one_plain_frame_from_a_served_simulation() {
-    let dir = scratch("top_frame");
-    let region = dir.join("region.xarr");
-    let out = xar(&[
-        "build-region", "--rows", "14", "--cols", "14", "--seed", "9", "--clusters", "10",
-        "--out", region.to_str().unwrap(),
-    ]);
-    assert_eq!(code(&out), 0, "build-region failed: {out:?}");
-
-    // Serve on an ephemeral port, lingering long enough for `xar top`
-    // to scrape one frame; read the bound address off stdout.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_xar"))
-        .args([
-            "simulate", "--region", region.to_str().unwrap(), "--trips", "300",
-            "--serve", "127.0.0.1:0", "--tick-ms", "50", "--linger-s", "20",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn simulate --serve");
-    let addr = {
-        use std::io::{BufRead, BufReader};
-        let stdout = child.stdout.take().expect("child stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let line = loop {
-            match lines.next() {
-                Some(Ok(l)) if l.contains("http://") => break l,
-                Some(Ok(_)) => continue,
-                other => panic!("no ops-plane line before stdout closed: {other:?}"),
-            }
-        };
-        // Keep draining stdout so the child never blocks on a full pipe.
-        std::thread::spawn(move || for _ in lines {});
-        line.split("http://").nth(1).expect("address").trim().to_string()
-    };
-
-    // The first window tick lands ~tick-ms after startup; retry until
-    // the frame carries rolling data (bounded by the linger window).
-    let mut frame = String::new();
-    let mut ok = false;
-    for _ in 0..40 {
-        let out = xar(&["top", "--connect", &addr, "--frames", "1", "--plain"]);
-        assert_eq!(code(&out), 0, "{out:?}");
-        frame = String::from_utf8_lossy(&out.stdout).into_owned();
-        if frame.contains("rolling series") {
-            ok = true;
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    let _ = child.kill();
-    let _ = child.wait();
-    assert!(ok, "no rolling data ever appeared:\n{frame}");
-    assert!(frame.contains("requests:"), "{frame}");
-    assert!(!frame.contains('\x1b'), "--plain must not emit ANSI escapes: {frame}");
 }
 
 #[test]
@@ -349,10 +269,14 @@ fn usage_flags(usage: &str, cmd: &str) -> Vec<String> {
 #[test]
 fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
     // The three options removed with batch dispatch, the gate removed
-    // with the retire backlog it watched, and a typo of a live one:
+    // with the retire backlog it watched, the three removed with the
+    // SLO engine and its rolling windows, and a typo of a live one:
     // each fails with exit 1 and names flag and subcommand — before the
     // (missing) region file would be looked at.
-    for flag in ["--dispatch", "--compress-day-s", "--publish-coalesce-us", "--max-backlog", "--trps"] {
+    for flag in [
+        "--dispatch", "--compress-day-s", "--publish-coalesce-us", "--max-backlog", "--slo",
+        "--slo-fail", "--tick-ms", "--trps",
+    ] {
         let out = xar(&["simulate", "--region", "/nonexistent.xarr", flag, "100"]);
         assert_eq!(code(&out), 1, "{flag} -> {out:?}");
         let msg = String::from_utf8_lossy(&out.stderr);
@@ -373,6 +297,10 @@ fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
         let msg = String::from_utf8_lossy(&out.stderr);
         assert!(msg.contains(&format!("unknown flag {flag} for `xar {cmd}`")), "{args:?}: {msg}");
     }
+    // The dashboard went with the rolling windows it drew.
+    let out = xar(&["top", "--connect", "127.0.0.1:1"]);
+    assert_eq!(code(&out), 1, "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command 'top'"), "{out:?}");
 
     // Every flag `xar help` documents is still accepted: pass them all
     // (dummy values) followed by one bogus flag — the validator walks
@@ -380,11 +308,8 @@ fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
     let help = xar(&["help"]);
     assert_eq!(code(&help), 0, "{help:?}");
     let usage = String::from_utf8_lossy(&help.stdout).into_owned();
-    const SWITCHES: [&str; 5] = ["check", "slo-fail", "plain", "search", "alloc"];
-    for cmd in [
-        "build-region", "inspect", "simulate", "bench", "bench --search", "logs", "trace", "top",
-        "profile",
-    ] {
+    const SWITCHES: [&str; 3] = ["check", "search", "alloc"];
+    for cmd in ["build-region", "inspect", "simulate", "bench", "bench --search", "logs", "trace", "profile"] {
         let flags = usage_flags(&usage, cmd);
         assert!(!flags.is_empty(), "`xar {cmd}` documents no flags");
         let mut args: Vec<String> = cmd.split(' ').map(str::to_string).collect();
@@ -404,6 +329,18 @@ fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
             "`xar {cmd}` rejected a documented flag: {msg}"
         );
     }
+}
+
+#[test]
+fn linger_without_serve_is_rejected_before_any_work() {
+    // `--linger-s` only keeps the `--serve` server up; alone it would
+    // do nothing, so it fails with exit 1 naming both flags — before
+    // the (missing) region file would be looked at.
+    let out = xar(&["simulate", "--region", "/nonexistent.xarr", "--linger-s", "5"]);
+    assert_eq!(code(&out), 1, "{out:?}");
+    let msg = String::from_utf8_lossy(&out.stderr);
+    assert!(msg.contains("--linger-s") && msg.contains("--serve"), "{msg}");
+    assert!(!msg.contains("cannot read"), "checked after the region load: {msg}");
 }
 
 #[test]

@@ -1,17 +1,14 @@
-//! Integration test of the live debug/profiling plane (ISSUE 7):
-//! OpenMetrics latency exemplars on `/metrics` under real load, the
-//! `/debug/shards` introspection route, and the `/debug/profile`
-//! aggregated span profile. The epoch-reclamation half of the plane
-//! went with the reclamation (ISSUE 22): `/debug/epoch` is an unknown
-//! route.
+//! Integration test of the live debug/profiling plane: OpenMetrics
+//! latency exemplars on `/metrics` under real load, the
+//! `/debug/shards` introspection route, the `/debug/profile`
+//! aggregated span profile and the `/debug/events` tail. Routes of
+//! removed planes (`/debug/epoch`, `/alerts`, `/health`) are unknown.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use xar_obs::serve::{serve, OpsPlane};
-use xar_obs::slo::SloEngine;
-use xar_obs::window::{WindowConfig, WindowStore};
 use xhare_a_ride::core::{EngineConfig, RideOffer, RideRequest, ShardedXarEngine};
 use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
@@ -39,7 +36,8 @@ fn offer(graph: &Arc<RoadGraph>, i: u32) -> RideOffer {
     )
 }
 
-// The name predates ISSUE 22 and is listed in the tier-1 floor.
+// The name predates the removal of epoch reclamation and is listed in
+// the tier-1 floor.
 #[test]
 fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     let graph = Arc::new(CityConfig::manhattan(16, 16, 7).generate());
@@ -52,13 +50,8 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     let engine = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 4);
 
     // Ops plane over the engine's registry, debug hooks wired exactly
-    // as `xar simulate --serve` wires them; huge tick keeps the
-    // background ticker idle (deterministic test).
-    let mut plane = OpsPlane::new(
-        engine.registry(),
-        Arc::new(WindowStore::new(WindowConfig { tick_ms: 600_000, capacity: 8 })),
-        Arc::new(SloEngine::new(Vec::new())),
-    );
+    // as `xar simulate --serve` wires them.
+    let mut plane = OpsPlane::new(engine.registry());
     let hook_engine = engine.clone();
     plane.debug.shards = Some(Arc::new(move || hook_engine.shard_debug_json()));
     let server = serve("127.0.0.1:0", plane).expect("bind ops server");
@@ -118,9 +111,14 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
         assert_eq!(s.get("publish_lag").and_then(|v| v.as_u64()), Some(0), "{body}");
     }
 
-    // There is no reclamation state to introspect.
-    let (status, _) = http_get(&addr, "/debug/epoch");
-    assert_eq!(status, 404);
-    let (status, body) = http_get(&addr, "/health");
-    assert_eq!(status, 200, "{body}");
+    // /debug/events answers with the sink's state even when it is off.
+    let (status, body) = http_get(&addr, "/debug/events");
+    assert_eq!(status, 200);
+    let doc = xar_obs::json::parse(&body).expect("events JSON parses");
+    assert!(doc.get("emitted").is_some() && doc.get("tail").is_some(), "{body}");
+
+    // No reclamation state to introspect, no alerts to report.
+    for path in ["/debug/epoch", "/alerts", "/health"] {
+        assert_eq!(http_get(&addr, path).0, 404, "{path}");
+    }
 }

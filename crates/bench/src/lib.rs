@@ -19,6 +19,8 @@
 //! can smoke-run them cheaply while `--scale 10` approaches the paper's
 //! volumes.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use xar_core::{EngineConfig, XarEngine};

@@ -283,8 +283,8 @@ impl XarEngine {
         self.metrics.bookings_cluster[bucket].inc();
         // Latency exemplar: remember which trace produced a slow
         // booking so /metrics links back to the flight recorder.
-        if let Some(ctx) = xar_obs::trace::current_ctx() {
-            self.metrics.book_exemplar.offer(elapsed_ns, ctx.trace);
+        if let Some(trace) = xar_obs::trace::current_trace() {
+            self.metrics.book_exemplar.offer(elapsed_ns, trace);
         }
         tspan.attr("ride", m.ride.0);
         tspan.attr("shortest_paths", sp_count);

@@ -259,8 +259,8 @@ pub(crate) fn run_search(
     // Latency exemplar per tier: retain the trace ids behind the
     // slowest recent searches (atomics only — the warmed search path
     // stays allocation-free; skipped when tracing is off).
-    if let Some(ctx) = xar_obs::trace::current_ctx() {
-        metrics.search_exemplar_tier[tier].offer(elapsed_ns, ctx.trace);
+    if let Some(trace) = xar_obs::trace::current_trace() {
+        metrics.search_exemplar_tier[tier].offer(elapsed_ns, trace);
     }
     Ok(())
 }

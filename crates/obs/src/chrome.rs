@@ -119,8 +119,6 @@ pub fn export_chrome(snap: &TraceSnapshot) -> String {
     w.number_u64(st.kept_traces);
     w.key("sampled_out_traces");
     w.number_u64(st.sampled_out_traces);
-    w.key("adopted_segments");
-    w.number_u64(st.adopted_segments);
     w.key("dropped_events");
     w.number_u64(st.dropped_events);
     w.key("slow_threshold_ns");

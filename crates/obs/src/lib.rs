@@ -27,9 +27,9 @@
 //!   no locks per event, conserved drop accounting — exported as
 //!   segmented JSONL for the `xar logs` forensics CLI.
 //! * [`profile`] — continuous profiling over the flight recorder:
-//!   hierarchical self/total-time aggregation, collapsed-stack and
-//!   speedscope artifacts, per-span allocation attribution, and
-//!   latency exemplars linking `/metrics` back to trace ids.
+//!   hierarchical self/total-time aggregation of the recorded spans,
+//!   a collapsed-stack artifact (flamegraph.pl, inferno, speedscope),
+//!   and latency exemplars linking `/metrics` back to trace ids.
 //! * [`serve`] — the live plane: an embedded HTTP server exposing the
 //!   registry as Prometheus text ([`promtext`]) and JSON, plus the
 //!   `/debug/*` introspection routes.
@@ -50,6 +50,7 @@
 //! assert!(registry.snapshot_json().contains("\"searches\""));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;
@@ -66,4 +67,4 @@ pub mod trace;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{global, Counter, Gauge, MetricSnapshot, Registry, SeriesSnapshot};
 pub use span::SpanTimer;
-pub use trace::{AttrList, AttrValue, Recorder, TraceConfig, TraceCtx};
+pub use trace::{AttrList, AttrValue, Recorder, TraceConfig};

@@ -1,23 +1,16 @@
 //! Continuous profiling on top of the flight recorder.
 //!
 //! The [`trace`](crate::trace) module answers "what happened inside
-//! *this* request"; this module answers "where does time and memory go
-//! across *all* requests". It has four parts:
+//! *this* request"; this module answers "where does time go across
+//! *all* requests". It has three parts:
 //!
 //! * [`Profile`] — aggregates kept span trees into a hierarchical
 //!   self/total-time profile (one node per distinct span *stack path*,
-//!   merged across traces and threads).
+//!   merged across traces).
 //! * Artifact export/import — [`Profile::to_collapsed`] emits
-//!   flamegraph.pl / inferno-compatible collapsed stacks and
-//!   [`Profile::to_speedscope`] emits a speedscope "sampled" JSON
-//!   document; [`parse_collapsed`] / [`parse_speedscope`] read both
-//!   back so artifacts are self-validating (round-trip tested).
-//! * Allocation attribution — an installable [`ProfilingAlloc`]
-//!   global-allocator wrapper that, while [`set_alloc_profiling`] is
-//!   on, attributes every allocation to the innermost open trace span
-//!   on the allocating thread (a lock-free fixed-size table; the
-//!   disabled path is one relaxed load). [`alloc_profile`] reads the
-//!   attribution back.
+//!   collapsed stacks (flamegraph.pl, inferno and speedscope all load
+//!   them) and [`parse_collapsed`] reads them back, so artifacts are
+//!   self-validating (round-trip tested).
 //! * Exemplars — per-series retention of the trace ids behind the
 //!   highest-latency samples ([`exemplar_handle`] / [`ExemplarSlot`]),
 //!   rendered by [`promtext`](crate::promtext) in OpenMetrics exemplar
@@ -38,14 +31,12 @@
 //! assert_eq!(parse_collapsed(&collapsed).unwrap().len(), 2);
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::json::{JsonValue, JsonWriter};
+use crate::json::JsonWriter;
 use crate::trace::{EventKind, TraceSnapshot};
 
 // ---------------------------------------------------------------------------
@@ -140,13 +131,10 @@ impl Profile {
         let mut arena = Arena { nodes: Vec::new(), roots: Vec::new() };
         let mut spans = 0_u64;
         for trace in &snap.traces {
-            // Events within one kept trace are in per-thread recording
-            // order with balanced Begin/End pairs; adopted cross-thread
-            // segments arrive as separate kept traces. Stacks are still
-            // keyed by tid defensively.
-            let mut stacks: HashMap<u64, Vec<(usize, u64)>> = HashMap::new();
+            // A kept trace is one thread's buffer: its events are in
+            // recording order with balanced Begin/End pairs.
+            let mut stack: Vec<(usize, u64)> = Vec::new();
             for ev in &trace.events {
-                let stack = stacks.entry(ev.tid).or_default();
                 match ev.kind {
                     EventKind::Begin => {
                         let parent = stack.last().map(|&(idx, _)| idx);
@@ -215,7 +203,7 @@ impl Profile {
 
     /// The canonical `(stack path, self time)` entry list: one entry
     /// per node with non-zero self time, in deterministic DFS order.
-    /// Both artifact formats serialize exactly this.
+    /// The collapsed artifact serializes exactly this.
     pub fn collapsed_entries(&self) -> Vec<(Vec<String>, u64)> {
         fn walk(
             node: &ProfileNode,
@@ -255,78 +243,6 @@ impl Profile {
             out.push('\n');
         }
         out
-    }
-
-    /// Render as a speedscope ("sampled" profile, nanosecond unit)
-    /// JSON document: one sample per entry with its self time as the
-    /// weight.
-    pub fn to_speedscope(&self) -> String {
-        let entries = self.collapsed_entries();
-        let mut frames: Vec<&str> = Vec::new();
-        let mut frame_idx: HashMap<&str, usize> = HashMap::new();
-        for (path, _) in &entries {
-            for frame in path {
-                let frame = frame.as_str();
-                if !frame_idx.contains_key(frame) {
-                    frame_idx.insert(frame, frames.len());
-                    frames.push(frame);
-                }
-            }
-        }
-        let total: u64 = entries.iter().map(|&(_, v)| v).sum();
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("$schema");
-        w.string("https://www.speedscope.app/file-format-schema.json");
-        w.key("name");
-        w.string("xar profile");
-        w.key("activeProfileIndex");
-        w.number_u64(0);
-        w.key("shared");
-        w.begin_object();
-        w.key("frames");
-        w.begin_array();
-        for frame in &frames {
-            w.begin_object();
-            w.key("name");
-            w.string(frame);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.key("profiles");
-        w.begin_array();
-        w.begin_object();
-        w.key("type");
-        w.string("sampled");
-        w.key("name");
-        w.string("wall");
-        w.key("unit");
-        w.string("nanoseconds");
-        w.key("startValue");
-        w.number_u64(0);
-        w.key("endValue");
-        w.number_u64(total);
-        w.key("samples");
-        w.begin_array();
-        for (path, _) in &entries {
-            w.begin_array();
-            for frame in path {
-                w.number_u64(frame_idx[frame.as_str()] as u64);
-            }
-            w.end_array();
-        }
-        w.end_array();
-        w.key("weights");
-        w.begin_array();
-        for &(_, v) in &entries {
-            w.number_u64(v);
-        }
-        w.end_array();
-        w.end_object();
-        w.end_array();
-        w.end_object();
-        w.finish()
     }
 
     /// The `n` heaviest paths by self time, as `(path, self_ns, count)`
@@ -426,353 +342,6 @@ pub fn parse_collapsed(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
         out.push((path, value));
     }
     Ok(out)
-}
-
-/// Parse a speedscope "sampled" document (as written by
-/// [`Profile::to_speedscope`]) back into `(path, weight)` entries.
-pub fn parse_speedscope(text: &str) -> Result<Vec<(Vec<String>, u64)>, String> {
-    let doc = crate::json::parse(text)?;
-    let frames = doc
-        .get("shared")
-        .and_then(|s| s.get("frames"))
-        .and_then(JsonValue::as_array)
-        .ok_or("missing shared.frames")?;
-    let names: Vec<&str> = frames
-        .iter()
-        .map(|f| f.get("name").and_then(JsonValue::as_str).ok_or("frame without name"))
-        .collect::<Result<_, _>>()?;
-    let profile = doc
-        .get("profiles")
-        .and_then(JsonValue::as_array)
-        .and_then(|p| p.first())
-        .ok_or("missing profiles[0]")?;
-    if profile.get("type").and_then(JsonValue::as_str) != Some("sampled") {
-        return Err("profiles[0].type is not 'sampled'".to_string());
-    }
-    let samples = profile
-        .get("samples")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing samples")?;
-    let weights = profile
-        .get("weights")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing weights")?;
-    if samples.len() != weights.len() {
-        return Err(format!(
-            "samples/weights length mismatch: {} vs {}",
-            samples.len(),
-            weights.len()
-        ));
-    }
-    let mut out = Vec::with_capacity(samples.len());
-    for (sample, weight) in samples.iter().zip(weights) {
-        let stack = sample.as_array().ok_or("sample is not an array")?;
-        let mut path = Vec::with_capacity(stack.len());
-        for idx in stack {
-            let idx = idx.as_u64().ok_or("non-integer frame index")? as usize;
-            let name = names.get(idx).ok_or("frame index out of range")?;
-            path.push((*name).to_string());
-        }
-        let weight = weight.as_u64().ok_or("non-integer weight")?;
-        out.push((path, weight));
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Allocation attribution
-// ---------------------------------------------------------------------------
-
-/// Span-name frames the allocator hook may read concurrently with
-/// normal span entry/exit on the same thread (never cross-thread), so
-/// plain stores via `UnsafeCell` are sufficient; the entry is written
-/// before the depth that exposes it.
-struct SpanStack {
-    frames: [(*const u8, usize); SPAN_STACK_DEPTH],
-    depth: usize,
-}
-
-const SPAN_STACK_DEPTH: usize = 32;
-
-thread_local! {
-    static SPAN_STACK: UnsafeCell<SpanStack> = const {
-        UnsafeCell::new(SpanStack {
-            frames: [(std::ptr::null(), 0); SPAN_STACK_DEPTH],
-            depth: 0,
-        })
-    };
-}
-
-/// Track span entry for allocation attribution. Called by the trace
-/// guards on the armed path only (tracing disabled ⇒ zero cost here).
-#[inline]
-pub(crate) fn span_stack_push(name: &'static str) {
-    let _ = SPAN_STACK.try_with(|s| {
-        // SAFETY: the cell is thread-local and only accessed from this
-        // thread; the allocator hook reads (never writes) it, and the
-        // frame is stored before `depth` makes it visible.
-        let stack = unsafe { &mut *s.get() };
-        if stack.depth < SPAN_STACK_DEPTH {
-            stack.frames[stack.depth] = (name.as_ptr(), name.len());
-        }
-        stack.depth += 1;
-    });
-}
-
-/// Track span exit (mirror of [`span_stack_push`]).
-#[inline]
-pub(crate) fn span_stack_pop() {
-    let _ = SPAN_STACK.try_with(|s| {
-        // SAFETY: see `span_stack_push`.
-        let stack = unsafe { &mut *s.get() };
-        stack.depth = stack.depth.saturating_sub(1);
-    });
-}
-
-/// The name under which allocations outside any open span are
-/// attributed.
-pub const UNTRACKED_SPAN: &str = "(untracked)";
-
-static ALLOC_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turn allocation attribution on or off. Off (the default) makes the
-/// allocator hook a single relaxed load and a branch. Enable *before*
-/// the traced work starts so span entry/exit pairs stay balanced.
-pub fn set_alloc_profiling(on: bool) {
-    ALLOC_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether allocation attribution is currently on.
-pub fn alloc_profiling_enabled() -> bool {
-    ALLOC_ENABLED.load(Ordering::Relaxed)
-}
-
-/// One attribution bucket: a span name (as raw parts of the `'static`
-/// string) plus byte/allocation counters. Slots are claimed once by
-/// compare-and-swap and never released.
-struct AllocCell {
-    key: AtomicPtr<u8>,
-    key_len: AtomicUsize,
-    bytes: AtomicU64,
-    allocs: AtomicU64,
-}
-
-impl AllocCell {
-    const fn new() -> Self {
-        Self {
-            key: AtomicPtr::new(std::ptr::null_mut()),
-            key_len: AtomicUsize::new(0),
-            bytes: AtomicU64::new(0),
-            allocs: AtomicU64::new(0),
-        }
-    }
-}
-
-const ALLOC_TABLE_SLOTS: usize = 256;
-const ALLOC_PROBE_LIMIT: usize = 8;
-
-static ALLOC_TABLE: [AllocCell; ALLOC_TABLE_SLOTS] =
-    [const { AllocCell::new() }; ALLOC_TABLE_SLOTS];
-
-/// Catch-all bucket when linear probing gives up (pathological name
-/// count); conservation holds: every recorded byte lands somewhere.
-static ALLOC_OVERFLOW: AllocCell = AllocCell::new();
-
-/// The span name reported for the overflow bucket.
-pub const OVERFLOW_SPAN: &str = "(table-overflow)";
-
-fn alloc_hash(ptr: *const u8) -> usize {
-    // SplitMix64 over the address; distinct `&'static str` literals
-    // have distinct, stable addresses.
-    let mut x = ptr as u64;
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (x ^ (x >> 31)) as usize
-}
-
-/// Record `size` bytes against the span name at (`ptr`, `len`).
-/// Lock-free and allocation-free: at most `ALLOC_PROBE_LIMIT` probes
-/// of relaxed atomics.
-fn alloc_table_record(ptr: *const u8, len: usize, size: usize) {
-    let start = alloc_hash(ptr);
-    for probe in 0..ALLOC_PROBE_LIMIT {
-        let cell = &ALLOC_TABLE[(start + probe) % ALLOC_TABLE_SLOTS];
-        let key = cell.key.load(Ordering::Acquire);
-        if key.is_null() {
-            match cell.key.compare_exchange(
-                std::ptr::null_mut(),
-                ptr.cast_mut(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    cell.key_len.store(len, Ordering::Release);
-                }
-                Err(winner) if winner != ptr.cast_mut() => continue,
-                Err(_) => {}
-            }
-        } else if key != ptr.cast_mut() {
-            continue;
-        }
-        cell.bytes.fetch_add(size as u64, Ordering::Relaxed);
-        cell.allocs.fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    ALLOC_OVERFLOW.bytes.fetch_add(size as u64, Ordering::Relaxed);
-    ALLOC_OVERFLOW.allocs.fetch_add(1, Ordering::Relaxed);
-}
-
-/// The allocator-side record hook: attribute `size` bytes to the
-/// innermost open span on this thread (or [`UNTRACKED_SPAN`]).
-#[inline]
-fn record_alloc(size: usize) {
-    if !ALLOC_ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let frame = SPAN_STACK
-        .try_with(|s| {
-            // SAFETY: read-only access; same-thread writers order the
-            // frame store before the depth store (see SpanStack).
-            let stack = unsafe { &*s.get() };
-            if stack.depth == 0 {
-                None
-            } else {
-                Some(stack.frames[stack.depth.min(SPAN_STACK_DEPTH) - 1])
-            }
-        })
-        .ok()
-        .flatten();
-    let (ptr, len) = frame.unwrap_or((UNTRACKED_SPAN.as_ptr(), UNTRACKED_SPAN.len()));
-    alloc_table_record(ptr, len, size);
-}
-
-/// A global-allocator wrapper that feeds the allocation profiler.
-///
-/// Install it in a binary's root:
-///
-/// ```ignore
-/// #[global_allocator]
-/// static ALLOC: xar_obs::profile::ProfilingAlloc = xar_obs::profile::ProfilingAlloc::system();
-/// ```
-///
-/// While profiling is off (the default) each allocation pays one
-/// relaxed atomic load and a branch on top of the wrapped allocator;
-/// deallocation is entirely pass-through. The profiler attributes
-/// *allocation volume* (bytes requested, call count), not live bytes.
-#[derive(Debug, Default)]
-pub struct ProfilingAlloc<A = System> {
-    inner: A,
-}
-
-impl ProfilingAlloc<System> {
-    /// Wrap the system allocator.
-    pub const fn system() -> Self {
-        Self { inner: System }
-    }
-}
-
-impl<A> ProfilingAlloc<A> {
-    /// Wrap an arbitrary inner allocator.
-    pub const fn with(inner: A) -> Self {
-        Self { inner }
-    }
-}
-
-// SAFETY: defers every allocator obligation to the wrapped allocator;
-// the added hook neither allocates nor panics.
-unsafe impl<A: GlobalAlloc> GlobalAlloc for ProfilingAlloc<A> {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { self.inner.alloc(layout) };
-        if !p.is_null() {
-            record_alloc(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { self.inner.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { self.inner.alloc_zeroed(layout) };
-        if !p.is_null() {
-            record_alloc(layout.size());
-        }
-        p
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = unsafe { self.inner.realloc(ptr, layout, new_size) };
-        if !p.is_null() && new_size > layout.size() {
-            record_alloc(new_size - layout.size());
-        }
-        p
-    }
-}
-
-/// Bytes and allocation counts attributed to one span name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanAlloc {
-    /// Span name ([`UNTRACKED_SPAN`] for allocations outside spans).
-    pub name: String,
-    /// Total bytes requested while this span was innermost.
-    pub bytes: u64,
-    /// Number of allocation calls.
-    pub allocs: u64,
-}
-
-/// Read the current allocation attribution, aggregated by span name
-/// (distinct `&'static str` addresses with equal text merge), sorted
-/// by descending bytes.
-pub fn alloc_profile() -> Vec<SpanAlloc> {
-    let mut by_name: HashMap<String, (u64, u64)> = HashMap::new();
-    let mut fold = |name: &str, bytes: u64, allocs: u64| {
-        if allocs > 0 {
-            let e = by_name.entry(name.to_string()).or_insert((0, 0));
-            e.0 += bytes;
-            e.1 += allocs;
-        }
-    };
-    for cell in &ALLOC_TABLE {
-        let key = cell.key.load(Ordering::Acquire);
-        if key.is_null() {
-            continue;
-        }
-        let len = cell.key_len.load(Ordering::Acquire);
-        // SAFETY: (key, len) were captured from a `&'static str` in
-        // `record_alloc`, so the bytes are live and valid UTF-8. A
-        // racing claim may expose len 0 briefly; that yields "".
-        let name = unsafe {
-            std::str::from_utf8_unchecked(std::slice::from_raw_parts(key, len))
-        };
-        fold(
-            if name.is_empty() { UNTRACKED_SPAN } else { name },
-            cell.bytes.load(Ordering::Relaxed),
-            cell.allocs.load(Ordering::Relaxed),
-        );
-    }
-    fold(
-        OVERFLOW_SPAN,
-        ALLOC_OVERFLOW.bytes.load(Ordering::Relaxed),
-        ALLOC_OVERFLOW.allocs.load(Ordering::Relaxed),
-    );
-    let mut out: Vec<SpanAlloc> = by_name
-        .into_iter()
-        .map(|(name, (bytes, allocs))| SpanAlloc { name, bytes, allocs })
-        .collect();
-    out.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.name.cmp(&b.name)));
-    out
-}
-
-/// Zero every attribution counter (slot keys are kept).
-pub fn reset_alloc_profile() {
-    for cell in &ALLOC_TABLE {
-        cell.bytes.store(0, Ordering::Relaxed);
-        cell.allocs.store(0, Ordering::Relaxed);
-    }
-    ALLOC_OVERFLOW.bytes.store(0, Ordering::Relaxed);
-    ALLOC_OVERFLOW.allocs.store(0, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -947,32 +516,14 @@ pub fn exemplar_snapshot() -> Vec<ExemplarSeries> {
 // /debug/profile payload
 // ---------------------------------------------------------------------------
 
-/// Aggregate the global recorder's kept traces and the allocation
-/// attribution into the `/debug/profile` JSON document.
+/// Aggregate the global recorder's kept traces into the
+/// `/debug/profile` JSON document.
 pub fn debug_profile_json() -> String {
     let profile = Profile::from_snapshot(&crate::trace::recorder().snapshot());
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("profile");
     profile.write_json(&mut w);
-    w.key("alloc");
-    w.begin_object();
-    w.key("enabled");
-    w.boolean(alloc_profiling_enabled());
-    w.key("by_span");
-    w.begin_array();
-    for entry in alloc_profile() {
-        w.begin_object();
-        w.key("name");
-        w.string(&entry.name);
-        w.key("bytes");
-        w.number_u64(entry.bytes);
-        w.key("allocs");
-        w.number_u64(entry.allocs);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
     w.end_object();
     w.finish()
 }
@@ -1018,13 +569,6 @@ mod tests {
     fn collapsed_round_trips() {
         let p = sample_profile();
         let entries = parse_collapsed(&p.to_collapsed()).unwrap();
-        assert_eq!(entries, p.collapsed_entries());
-    }
-
-    #[test]
-    fn speedscope_round_trips() {
-        let p = sample_profile();
-        let entries = parse_speedscope(&p.to_speedscope()).unwrap();
         assert_eq!(entries, p.collapsed_entries());
     }
 
@@ -1087,31 +631,8 @@ mod tests {
     }
 
     #[test]
-    fn alloc_attribution_lands_on_innermost_span() {
-        // Serialize against other tests that toggle the global flag.
-        static GATE: Mutex<()> = Mutex::new(());
-        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        reset_alloc_profile();
-        span_stack_push("test.alloc.outer");
-        span_stack_push("test.alloc.inner");
-        set_alloc_profiling(true);
-        record_alloc(100);
-        record_alloc(28);
-        span_stack_pop();
-        record_alloc(7);
-        set_alloc_profiling(false);
-        span_stack_pop();
-        let profile = alloc_profile();
-        let inner = profile.iter().find(|s| s.name == "test.alloc.inner").unwrap();
-        assert_eq!((inner.bytes, inner.allocs), (128, 2));
-        let outer = profile.iter().find(|s| s.name == "test.alloc.outer").unwrap();
-        assert_eq!((outer.bytes, outer.allocs), (7, 1));
-    }
-
-    #[test]
     fn debug_profile_json_parses() {
         let doc = crate::json::parse(&debug_profile_json()).unwrap();
         assert!(doc.get("profile").is_some());
-        assert!(doc.get("alloc").and_then(|a| a.get("enabled")).is_some());
     }
 }

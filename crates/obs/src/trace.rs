@@ -190,9 +190,6 @@ pub struct KeptTrace {
     /// Whether the trace ran longer than the slow threshold (kept
     /// unconditionally) rather than being probabilistically sampled.
     pub slow: bool,
-    /// Whether this is an adopted cross-thread segment (published
-    /// unconditionally; shares its trace id with a root elsewhere).
-    pub adopted: bool,
     /// The events, in per-thread recording order.
     pub events: Vec<TraceEvent>,
 }
@@ -239,8 +236,6 @@ pub struct TraceStats {
     pub kept_traces: u64,
     /// Traces discarded by tail sampling.
     pub sampled_out_traces: u64,
-    /// Adopted cross-thread segments published.
-    pub adopted_segments: u64,
     /// Events lost to ring eviction, per-trace overflow, or lifecycle
     /// eviction. `Σ events-in-ring + dropped_events` equals every event
     /// ever published or overflowed.
@@ -281,7 +276,6 @@ pub struct Recorder {
     started: AtomicU64,
     kept: AtomicU64,
     sampled_out: AtomicU64,
-    adopted: AtomicU64,
     dropped_events: AtomicU64,
     epoch: Instant,
     ring: Mutex<Ring>,
@@ -294,17 +288,6 @@ impl std::fmt::Debug for Recorder {
             .field("stats", &self.stats())
             .finish()
     }
-}
-
-/// A portable handle to the current trace position: the trace id and
-/// the innermost open span. Capture with [`current_ctx`], move it to
-/// another thread, and continue the same trace there with [`adopt`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// Trace id.
-    pub trace: u64,
-    /// Span id the adopted segment should parent under.
-    pub span: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -325,7 +308,6 @@ struct Active {
     overflow_depth: usize,
     overflow: u64,
     max_events: usize,
-    adopted: bool,
     tid: u64,
 }
 
@@ -370,7 +352,6 @@ impl Recorder {
             started: AtomicU64::new(0),
             kept: AtomicU64::new(0),
             sampled_out: AtomicU64::new(0),
-            adopted: AtomicU64::new(0),
             dropped_events: AtomicU64::new(0),
             epoch: Instant::now(),
             ring: Mutex::new(Ring {
@@ -441,7 +422,6 @@ impl Recorder {
                 overflow_depth: 0,
                 overflow: 0,
                 max_events: self.max_events_per_trace.load(Ordering::Relaxed),
-                adopted: false,
                 tid,
             };
             active.push(TraceEvent {
@@ -455,53 +435,6 @@ impl Recorder {
                 tid,
             });
             *slot = Some(active);
-            crate::profile::span_stack_push(name);
-            RootSpan { armed: true, attrs: AttrList::new() }
-        })
-    }
-
-    /// Continue trace `ctx` on this thread (cross-thread propagation).
-    /// The segment is published unconditionally when the guard drops —
-    /// the root's tail-sampling verdict is made elsewhere, so adopted
-    /// segments opt out of it (documented flight-recorder semantics).
-    pub fn adopt(self: &Arc<Self>, ctx: TraceCtx, name: &'static str) -> RootSpan {
-        if !self.enabled() {
-            return RootSpan { armed: false, attrs: AttrList::new() };
-        }
-        ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            if slot.is_some() {
-                return RootSpan { armed: false, attrs: AttrList::new() };
-            }
-            let span = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let start_ns = self.now_ns();
-            let tid = thread_idx();
-            let mut active = Active {
-                rec: Arc::clone(self),
-                trace: ctx.trace,
-                root_span: span,
-                root_name: name,
-                start_ns,
-                stack: vec![span],
-                events: Vec::with_capacity(16),
-                overflow_depth: 0,
-                overflow: 0,
-                max_events: self.max_events_per_trace.load(Ordering::Relaxed),
-                adopted: true,
-                tid,
-            };
-            active.push(TraceEvent {
-                ts_ns: start_ns,
-                trace: ctx.trace,
-                span,
-                parent: ctx.span,
-                kind: EventKind::Begin,
-                name,
-                attrs: AttrList::new(),
-                tid,
-            });
-            *slot = Some(active);
-            crate::profile::span_stack_push(name);
             RootSpan { armed: true, attrs: AttrList::new() }
         })
     }
@@ -521,7 +454,6 @@ impl Recorder {
                 return Span { armed: false, name, attrs: AttrList::new() };
             }
             active.begin_child(name);
-            crate::profile::span_stack_push(name);
             Span { armed: true, name, attrs: AttrList::new() }
         })
     }
@@ -582,15 +514,10 @@ impl Recorder {
         }
     }
 
-    /// The trace id and innermost span on this thread, if a trace is
-    /// active (capture for [`Recorder::adopt`] / [`Recorder::lifecycle`]).
-    pub fn current_ctx(&self) -> Option<TraceCtx> {
-        ACTIVE.with(|a| {
-            a.borrow().as_ref().map(|active| TraceCtx {
-                trace: active.trace,
-                span: *active.stack.last().expect("root always open"),
-            })
-        })
+    /// The id of the trace active on this thread, if any (capture for
+    /// [`Recorder::lifecycle`] and latency exemplars).
+    pub fn current_trace(&self) -> Option<u64> {
+        ACTIVE.with(|a| a.borrow().as_ref().map(|active| active.trace))
     }
 
     fn publish(&self, kept: KeptTrace, overflowed: u64) {
@@ -624,7 +551,6 @@ impl Recorder {
             started_traces: self.started.load(Ordering::Relaxed),
             kept_traces: self.kept.load(Ordering::Relaxed),
             sampled_out_traces: self.sampled_out.load(Ordering::Relaxed),
-            adopted_segments: self.adopted.load(Ordering::Relaxed),
             dropped_events: self.dropped_events.load(Ordering::Relaxed),
             slow_threshold_ns: self.slow_ns.load(Ordering::Relaxed),
             sample_per_mille: self.sample_per_mille.load(Ordering::Relaxed),
@@ -703,9 +629,8 @@ impl Active {
 // Guards
 // ---------------------------------------------------------------------------
 
-/// Guard for a trace root (or an adopted cross-thread segment). On
-/// drop the trace completes and the tail-sampling verdict publishes or
-/// discards it.
+/// Guard for a trace root. On drop the trace completes and the
+/// tail-sampling verdict publishes or discards it.
 #[derive(Debug)]
 #[must_use = "dropping the guard ends the trace"]
 pub struct RootSpan {
@@ -732,7 +657,6 @@ impl Drop for RootSpan {
         if !self.armed {
             return;
         }
-        crate::profile::span_stack_pop();
         let attrs = self.attrs;
         ACTIVE.with(|a| {
             let Some(mut active) = a.borrow_mut().take() else { return };
@@ -756,21 +680,14 @@ impl Drop for RootSpan {
             };
             active.events.push(root_ev);
             let slow = dur_ns >= rec.slow_ns.load(Ordering::Relaxed);
-            let keep = active.adopted || slow || rec.would_sample(active.trace);
-            if active.adopted {
-                rec.adopted.fetch_add(1, Ordering::Relaxed);
-            }
-            if keep {
-                if !active.adopted {
-                    rec.kept.fetch_add(1, Ordering::Relaxed);
-                }
+            if slow || rec.would_sample(active.trace) {
+                rec.kept.fetch_add(1, Ordering::Relaxed);
                 let kept = KeptTrace {
                     trace: active.trace,
                     root_name: active.root_name,
                     start_ns: active.start_ns,
                     dur_ns,
                     slow,
-                    adopted: active.adopted,
                     events: std::mem::take(&mut active.events),
                 };
                 rec.publish(kept, active.overflow);
@@ -815,7 +732,6 @@ impl Drop for Span {
         if !self.armed {
             return;
         }
-        crate::profile::span_stack_pop();
         let (name, attrs) = (self.name, self.attrs);
         ACTIVE.with(|a| {
             if let Some(active) = a.borrow_mut().as_mut() {
@@ -872,20 +788,14 @@ pub fn instant(name: &'static str, attrs: AttrList) {
     }
 }
 
-/// Capture the current trace position on the global recorder.
+/// The id of the trace active on this thread (global recorder).
 #[inline]
-pub fn current_ctx() -> Option<TraceCtx> {
+pub fn current_trace() -> Option<u64> {
     let rec = recorder();
     if !rec.enabled() {
         return None;
     }
-    rec.current_ctx()
-}
-
-/// Continue a captured trace on this thread (global recorder).
-#[inline]
-pub fn adopt(ctx: TraceCtx, name: &'static str) -> RootSpan {
-    recorder().adopt(ctx, name)
+    rec.current_trace()
 }
 
 /// Out-of-band lifecycle instant on the global recorder (see
@@ -1046,34 +956,11 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_adoption_links_the_trace() {
-        let rec = Recorder::new(TraceConfig::keep_all());
-        let ctx = {
-            let _root = rec.start_root("request");
-            let ctx = rec.current_ctx().expect("trace active");
-            let rec2 = Arc::clone(&rec);
-            std::thread::scope(|scope| {
-                scope.spawn(move || {
-                    let _seg = rec2.adopt(ctx, "worker");
-                    let _s = rec2.child_span("subtask");
-                });
-            });
-            ctx
-        };
-        let snap = rec.snapshot();
-        assert_eq!(snap.traces.len(), 2);
-        let adopted = snap.traces.iter().find(|t| t.adopted).expect("adopted segment");
-        assert_eq!(adopted.trace, ctx.trace);
-        assert_eq!(adopted.events[0].parent, ctx.span);
-        assert_eq!(snap.stats.adopted_segments, 1);
-    }
-
-    #[test]
     fn lifecycle_only_for_kept_traces() {
         let rec = Recorder::new(TraceConfig::keep_all());
         let trace_id = {
             let _root = rec.start_root("request");
-            rec.current_ctx().expect("active").trace
+            rec.current_trace().expect("active")
         };
         rec.lifecycle(trace_id, "picked_up", AttrList::new().with("sim_t_s", 1.0));
         rec.lifecycle(9_999_999, "picked_up", AttrList::new()); // unknown trace

@@ -89,7 +89,7 @@ fn disabled_emit_adds_zero_allocations_and_stays_cheap() {
     let per_emit = emit_ns / ITERS;
     // The 50 ns acceptance bound is a release-build property; debug
     // builds don't inline the disabled check, so there the guard is a
-    // loose multiple of the empty loop (same shape as profile_overhead).
+    // loose multiple of the empty loop (same shape as tests/overhead.rs).
     if cfg!(debug_assertions) {
         assert!(
             emit_ns < empty_ns.saturating_mul(400),

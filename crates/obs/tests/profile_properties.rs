@@ -1,14 +1,11 @@
-//! Property tests for the profile export formats: any profile built
+//! Property tests for the profile export format: any profile built
 //! from arbitrary stack-path entries must round-trip **exactly**
-//! through both its own serializers and its own parsers — collapsed
-//! stacks (flamegraph.pl / inferno) and speedscope's sampled JSON.
-//! (ISSUE 7 acceptance: both formats round-trip through our own
-//! parsers, property-tested.)
+//! through its own collapsed-stack serializer and parser.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use xar_obs::profile::{parse_collapsed, parse_speedscope, Profile};
+use xar_obs::profile::{parse_collapsed, Profile};
 
 /// Frame-name strategy: plain identifier-ish names (real span names are
 /// `&'static str` literals like `search` / `snapshot.publish`), plus a
@@ -66,34 +63,6 @@ proptest! {
         let text = profile.to_collapsed();
         let parsed = parse_collapsed(&text).expect("own exposition parses");
         prop_assert_eq!(canon(&parsed), canon(&entries));
-    }
-
-    /// speedscope: serialize → parse reproduces the exact per-path
-    /// self-time multiset.
-    #[test]
-    fn speedscope_round_trips_exactly(entries in entries()) {
-        let profile = Profile::from_entries(&entries);
-        let json = profile.to_speedscope();
-        let parsed = parse_speedscope(&json).expect("own speedscope parses");
-        prop_assert_eq!(canon(&parsed), canon(&entries));
-    }
-
-    /// The two formats agree with each other: exporting the same
-    /// profile both ways and re-importing yields identical profiles
-    /// (total and per-path weights).
-    #[test]
-    fn formats_agree(entries in entries()) {
-        let profile = Profile::from_entries(&entries);
-        let via_collapsed =
-            Profile::from_entries(&parse_collapsed(&profile.to_collapsed()).unwrap());
-        let via_speedscope =
-            Profile::from_entries(&parse_speedscope(&profile.to_speedscope()).unwrap());
-        prop_assert_eq!(via_collapsed.total_ns(), via_speedscope.total_ns());
-        prop_assert_eq!(profile.total_ns(), via_collapsed.total_ns());
-        prop_assert_eq!(
-            canon(&via_collapsed.collapsed_entries()),
-            canon(&via_speedscope.collapsed_entries())
-        );
     }
 
     /// Totals are conserved: the profile's total self-time equals the

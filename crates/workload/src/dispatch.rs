@@ -199,7 +199,7 @@ fn record_booked(
     pending: &mut Vec<PendingLifecycle>,
     trip: &Trip,
     res: BookResult,
-    ctx: Option<xar_obs::TraceCtx>,
+    trace: Option<u64>,
     ev: &mut EventRecord,
 ) {
     let BookResult::Booked {
@@ -240,9 +240,9 @@ fn record_booked(
             .with("detour_m", actual_detour_m)
             .with("pickup_eta_s", pickup_eta_s),
     );
-    if let Some(ctx) = ctx {
+    if let Some(trace) = trace {
         if pickup_eta_s.is_finite() || dropoff_eta_s.is_finite() {
-            pending.push((ctx.trace, pickup_eta_s, dropoff_eta_s));
+            pending.push((trace, pickup_eta_s, dropoff_eta_s));
         }
     }
 }
@@ -294,7 +294,7 @@ fn dispatch_request<B: RideBackend>(
     troot.attr("idx", idx as u64);
     troot.attr("sim_t_s", trip.pickup_s);
     troot.attr("system", system);
-    let ctx = xar_obs::trace::current_ctx();
+    let trace = xar_obs::trace::current_trace();
     xar_obs::trace::instant("request.born", AttrList::new().with("sim_t_s", trip.pickup_s));
     let mut ev = EventRecord::new(trip.id);
     ev.sim_t_s = trip.pickup_s;
@@ -325,7 +325,7 @@ fn dispatch_request<B: RideBackend>(
         match res {
             BookResult::Booked { .. } => {
                 ev.book_ns = ns;
-                record_booked(report, pm, pending, trip, res, ctx, &mut ev);
+                record_booked(report, pm, pending, trip, res, trace, &mut ev);
                 booked = true;
                 troot.attr("outcome", "booked");
                 break;

@@ -81,16 +81,15 @@
 //!     failure class: 2 = unreadable / invalid JSON, 3 = no complete
 //!     request timeline, 4 = missing drop counter.
 //!
-//! xar profile --out FILE [--format collapsed|speedscope] [--alloc]
-//!             [--rows N] [--cols N] [--seed S] [--trips N] [--top N]
+//! xar profile --out FILE [--rows N] [--cols N] [--seed S] [--trips N]
+//!             [--top N]
 //!     Continuous-profiling artifact: run an in-process simulation with
 //!     the flight recorder keeping every trace, fold the span trees
 //!     into a hierarchical self/total-time profile, and write it as
-//!     collapsed stacks (flamegraph.pl / inferno) or speedscope JSON.
-//!     The written artifact is re-parsed with the in-repo reader before
-//!     the command reports success. `--alloc` additionally attributes
-//!     heap bytes/allocations to the innermost open span and prints the
-//!     per-span table. A top-N self-time summary is always printed.
+//!     collapsed stacks (flamegraph.pl, inferno and speedscope load
+//!     them). The written artifact is re-parsed with the in-repo reader
+//!     before the command reports success. A top-N self-time summary is
+//!     always printed.
 //! ```
 //!
 //! Live operational flags on `simulate`: `--serve ADDR` starts the
@@ -103,6 +102,8 @@
 //!
 //! Every subcommand accepts only the flags listed for it here: any
 //! other `--flag` exits with code 1 before the command does any work.
+
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -128,15 +129,7 @@ use xhare_a_ride::workload::{
 };
 
 /// Flags that take no value (presence alone means `true`).
-const SWITCHES: &[&str] = &["check", "search", "alloc"];
-
-/// Global allocator: the profiling pass-through. When `xar profile
-/// --alloc` is off (the default, and every other subcommand) the hook
-/// is one relaxed atomic load per allocation — the disabled-path cost
-/// is pinned to zero extra allocations by `crates/obs/tests/
-/// profile_overhead.rs`.
-#[global_allocator]
-static GLOBAL_ALLOC: xar_obs::profile::ProfilingAlloc = xar_obs::profile::ProfilingAlloc::system();
+const SWITCHES: &[&str] = &["check", "search"];
 
 /// A command error carrying its process exit code, so callers (CI, the
 /// smoke tests) can branch on the failure class.
@@ -216,7 +209,7 @@ impl Flags {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--linger-s F]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar profile --out FILE [--format collapsed|speedscope] [--alloc] [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--linger-s F]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar profile --out FILE [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
 }
 
 fn build_region(flags: &Flags) -> Result<(), CmdError> {
@@ -1152,35 +1145,24 @@ fn logs_cmd(flags: &Flags) -> Result<(), CmdError> {
 
 /// `xar profile`: run an in-process simulation with the flight recorder
 /// keeping every trace, fold the recorded span trees into a
-/// hierarchical self/total-time profile, and write a flamegraph
-/// artifact (collapsed stacks or speedscope JSON). The written file is
+/// hierarchical self/total-time profile, and write it as collapsed
+/// stacks. The written file is
 /// re-parsed with the in-repo reader and its total self-time compared
 /// against the in-memory profile before success is reported — CI greps
 /// the `validated` line.
 fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
     let out = flags.require("out")?.to_string();
-    let format = flags.get_opt("format").unwrap_or("collapsed").to_string();
-    if format != "collapsed" && format != "speedscope" {
-        return Err(CmdError::general(format!(
-            "unknown --format '{format}' (expected 'collapsed' or 'speedscope')"
-        )));
-    }
     let rows: usize = flags.get("rows", 24)?;
     let cols: usize = flags.get("cols", 24)?;
     let seed: u64 = flags.get("seed", 0x9F0F)?;
     let trips_n: usize = flags.get("trips", 2_000)?;
     let top: usize = flags.get("top", 10)?;
-    let alloc = flags.switch("alloc");
 
     // Keep every trace: the profile wants the whole run, not the
     // tail-sampled slice the flight recorder defaults to.
     let rec = xar_obs::trace::recorder();
     rec.configure(TraceConfig::keep_all());
     rec.set_enabled(true);
-    if alloc {
-        xar_obs::profile::reset_alloc_profile();
-        xar_obs::profile::set_alloc_profiling(true);
-    }
 
     eprintln!("profile city: {rows}x{cols} (seed {seed}), {trips_n} trips");
     let graph = Arc::new(CityConfig::manhattan(rows, cols, seed).generate());
@@ -1196,9 +1178,6 @@ fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
         XarBackend::new(XarEngine::new(Arc::clone(&region), EngineConfig::default()));
     let report = run_simulation(&mut backend, &trips, &SimConfig::default());
 
-    if alloc {
-        xar_obs::profile::set_alloc_profiling(false);
-    }
     rec.set_enabled(false);
     let profile = xar_obs::profile::Profile::from_snapshot(&rec.snapshot());
     if profile.spans == 0 {
@@ -1206,14 +1185,10 @@ fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
     }
     println!("simulated      : {} trips ({} booked, {} created)", trips.len(), report.booked, report.created);
 
-    let doc = if format == "collapsed" {
-        profile.to_collapsed()
-    } else {
-        profile.to_speedscope()
-    };
+    let doc = profile.to_collapsed();
     std::fs::write(&out, &doc).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
-        "profile        : {out} ({format}, {} traces, {} spans, {:.1} ms total)",
+        "profile        : {out} (collapsed, {} traces, {} spans, {:.1} ms total)",
         profile.traces,
         profile.spans,
         profile.total_ns() as f64 / 1e6,
@@ -1221,12 +1196,9 @@ fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
 
     // Self-validation: what we just wrote must round-trip through the
     // in-repo parser and reconstruct the same total self-time.
-    let entries = if format == "collapsed" {
-        xar_obs::profile::parse_collapsed(&doc)
-    } else {
-        xar_obs::profile::parse_speedscope(&doc)
-    }
-    .map_err(|e| CmdError::general(format!("{out}: written artifact does not re-parse: {e}")))?;
+    let entries = xar_obs::profile::parse_collapsed(&doc).map_err(|e| {
+        CmdError::general(format!("{out}: written artifact does not re-parse: {e}"))
+    })?;
     let reparsed = xar_obs::profile::Profile::from_entries(&entries);
     if reparsed.total_ns() != profile.total_ns() {
         return Err(CmdError::general(format!(
@@ -1244,17 +1216,6 @@ fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
     println!("\n{:<28} {:>12} {:>10}", "span (self-time)", "self ms", "count");
     for (name, self_ns, count) in profile.top_self(top) {
         println!("{:<28} {:>12.2} {:>10}", name, self_ns as f64 / 1e6, count);
-    }
-
-    if alloc {
-        let by_span = xar_obs::profile::alloc_profile();
-        println!("\n{:<28} {:>14} {:>12}", "span (allocations)", "bytes", "allocs");
-        for a in by_span.iter().take(top) {
-            println!("{:<28} {:>14} {:>12}", a.name, a.bytes, a.allocs);
-        }
-        if by_span.is_empty() {
-            println!("(no allocations attributed — allocator hook saw no traffic)");
-        }
     }
     Ok(())
 }
@@ -1307,7 +1268,7 @@ const COMMANDS: &[Command] = &[
     Command { name: "trace", flags: &["in", "top", "check"], run: trace_cmd },
     Command {
         name: "profile",
-        flags: &["out", "format", "alloc", "rows", "cols", "seed", "trips", "top"],
+        flags: &["out", "rows", "cols", "seed", "trips", "top"],
         run: profile_cmd,
     },
 ];

@@ -5,6 +5,8 @@
 //! and so that the repository-level `examples/` and `tests/` have a
 //! single coherent API surface.
 
+#![forbid(unsafe_code)]
+
 pub use xar_core as core;
 pub use xar_discretize as discretize;
 pub use xar_geo as geo;

@@ -92,11 +92,12 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     assert!(exemplar.0.starts_with("engine_search_ns"), "exemplar on {}", exemplar.0);
     assert!(exemplar.1.trace_id().is_some_and(|t| t.starts_with("0x")));
 
-    // /debug/profile serves the aggregated span profile of the load.
+    // /debug/profile serves the aggregated span profile of the load,
+    // and nothing else.
     let (status, body) = http_get(&addr, "/debug/profile");
     assert_eq!(status, 200);
     let doc = xar_obs::json::parse(&body).expect("profile JSON parses");
-    assert!(doc.get("profile").is_some(), "{body}");
+    assert!(doc.get("profile").is_some() && doc.get("alloc").is_none(), "{body}");
 
     // /debug/shards: one record per shard, publishes kept up with
     // writes (no searchable-state lag).

@@ -7,7 +7,8 @@
 //! experience"), the detour budget and seat count are decremented, and
 //! the pass-through / reachable clusters of the ride are recomputed —
 //! "such an update may render some of the earlier pass through and
-//! reachable clusters invalid".
+//! reachable clusters invalid". The booking that sells the last seat
+//! only de-lists the ride.
 
 use xar_roadnet::{NodeId, Route};
 
@@ -259,18 +260,19 @@ impl XarEngine {
             dropoff_eta = ride.eta_at_route_idx(dropoff_idx);
         }
 
-        // Refresh the index: remove every stale entry, recompute the
-        // pass-through and reachable clusters for the updated route and
-        // the reduced detour budget.
+        // Refresh the index: remove every stale entry, then recompute
+        // the pass-through and reachable clusters for the updated route
+        // and the reduced detour budget — none if this booking sold the
+        // last seat.
         let (region, config) = (std::sync::Arc::clone(self.region()), self.config().clone());
         self.with_index_and_ride(m.ride, |ride, index| {
             XarEngine::deindex_ride(ride, index);
             let from = ride.progress_idx;
             XarEngine::index_ride(&region, &config, ride, index, from);
         });
-        // Seats and remaining detour budget changed but the ride set
-        // did not: the next publish can patch this ride's row in the
-        // snapshot table instead of rebuilding it.
+        // The remaining detour budget changed but the ride set did not:
+        // the next publish can patch this ride's row in the snapshot
+        // table instead of rebuilding it.
         self.mark_ride_updated(m.ride);
         self.bump_state_version();
         self.stats.bookings.inc();

@@ -165,7 +165,7 @@ pub struct XarEngine {
     /// Cleared by [`XarEngine::drain_publish_dirt`]. Cluster-level dirt
     /// lives in the index's dirty set.
     rides_structural: bool,
-    /// Rides whose seats / detour budget changed since the last publish
+    /// Rides whose detour budget changed since the last publish
     /// while the ride set stayed fixed (bookings): the snapshot's ride
     /// table can be patched in place instead of rebuilt, keeping the
     /// publish cost independent of the shard's ride count. Superseded
@@ -185,11 +185,11 @@ pub struct XarEngine {
 /// valid way of producing the next snapshot's ride table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RideDirt {
-    /// No ride's seats / budget / liveness changed (tracking-only
-    /// publish): share the previous table by `Arc`.
+    /// No ride's budget / liveness changed (tracking-only publish):
+    /// share the previous table by `Arc`.
     Clean,
-    /// The ride *set* is unchanged but these rides' seats / detour
-    /// budget moved (bookings): patch the previous table's columns in
+    /// The ride *set* is unchanged but these rides' detour budget
+    /// moved (bookings): patch the previous table's columns in
     /// place — O(updated) lookups plus per-column memcpys, no
     /// collect-and-sort over the whole shard.
     Updated(Vec<RideId>),
@@ -239,7 +239,7 @@ impl XarEngine {
         self.state_version += 1;
     }
 
-    /// Record that `id`'s seats / detour budget changed while the ride
+    /// Record that `id`'s detour budget changed while the ride
     /// set stayed fixed (see the `rides_updated` field). Booking calls
     /// this from its own module. A no-op once structural dirt is
     /// pending — the table is rebuilt from scratch then anyway.
@@ -344,7 +344,7 @@ impl XarEngine {
     /// is creation, not search), derives the pass-through clusters of
     /// its single initial segment and the reachable clusters within the
     /// detour limit, and inserts the ride into every such cluster's
-    /// potential-rides lists.
+    /// potential-rides lists — none when the offer has no seat.
     pub fn create_ride(&mut self, offer: &RideOffer) -> Result<RideId, XarError> {
         let _span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.create_ns));
         let mut tspan = xar_obs::trace::span("create");
@@ -447,6 +447,10 @@ impl XarEngine {
     /// entries into the cluster index. The ride's `pass_clusters` is
     /// replaced.
     ///
+    /// A ride is listed only while it has a free seat (§VII's last
+    /// check): a full ride gets an empty footprint, so search never
+    /// meets it and tracking only advances its progress.
+    ///
     /// Shared by creation (whole route) and booking (route changed;
     /// re-index from current progress).
     pub(crate) fn index_ride(
@@ -456,6 +460,12 @@ impl XarEngine {
         index: &mut ClusterIndex,
         from_idx: usize,
     ) {
+        if ride.seats_available == 0 {
+            // A new `Vec`, not `clear()`: the old footprint's capacity
+            // goes back to the allocator.
+            ride.pass_clusters = Vec::new();
+            return;
+        }
         let _tspan = xar_obs::trace::span("index_ride");
         let nodes = ride.route.nodes();
         // Run-length scan: maximal runs of way-points mapping to the

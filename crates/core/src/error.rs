@@ -34,8 +34,9 @@ pub enum Reason {
     /// detour the match would cause — at search time or when booking
     /// re-checked it.
     DetourBudgetExceeded,
-    /// A candidate ride had no free seats — at search time or when
-    /// booking re-checked it.
+    /// The ride had no free seat left when booking checked it (a book
+    /// failure only: search never meets a full ride, which is listed
+    /// nowhere).
     CapacityFull,
     /// The ride the match was searched against was gone by the time
     /// booking was attempted (retired between search and commit —

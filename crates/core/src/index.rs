@@ -22,6 +22,10 @@
 //! the serial engine at twice NYC density (p99 470), where it still
 //! beats the `BTreeMap` + `HashMap` pair it replaced (DESIGN.md §5f,
 //! "One layout": measurements, copy-on-write rule, stated limit).
+//!
+//! **Listing rule.** A ride is listed only while it has a free seat:
+//! `XarEngine::index_ride` gives a full ride an empty footprint, so no
+//! list carries a row that search's free-seat check would reject.
 
 use std::sync::Arc;
 

@@ -4,7 +4,8 @@
 //! * **Create** (operation O2, §VI) — register a ride offer: compute its
 //!   route, derive its pass-through clusters and, per segment, the
 //!   reachable clusters within the detour limit, and insert the ride
-//!   into every such cluster's *potential rides* lists.
+//!   into every such cluster's *potential rides* lists. A ride is
+//!   listed only while it has a free seat.
 //! * **Search** (operation O1, §VII) — the two-step candidate
 //!   generation (walkable clusters at the source and destination,
 //!   logarithmic ETA range queries on the per-cluster lists, set

@@ -12,8 +12,10 @@
 //! Finally, each candidate is checked for (a) combined walking at both
 //! ends within the rider's limit, and (b) combined estimated detour at
 //! both ends within the ride's remaining detour limit — plus pick-up
-//! strictly preceding drop-off and a free seat. **No shortest paths are
-//! computed anywhere on this path.**
+//! strictly preceding drop-off. The paper's last check, a free seat, is
+//! a listing rule here: a full ride is in no list
+//! (`XarEngine::index_ride`), so search never meets one. **No shortest
+//! paths are computed anywhere on this path.**
 //!
 //! **How the two steps run here.** "Identify the grid" is
 //! [`RegionIndex::snap`], one read of the grid → way-point table; the
@@ -45,7 +47,6 @@ use crate::ride::RideId;
 /// destination) pairings reached — checks run ordering → walk →
 /// detour, so e.g. `detour_rejected` means some pairing passed
 /// ordering and walking and failed only on the detour budget. Rides
-/// with no free seat count as `seat_rejected` before pairing; rides
 /// never seen on the destination side count as `unpaired`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchExplain {
@@ -54,8 +55,6 @@ pub struct SearchExplain {
     pub tier: u8,
     /// `|R1|` — candidate rides on the source side.
     pub candidates: u32,
-    /// Candidates turned away because no seat was free.
-    pub seat_rejected: u32,
     /// Candidates whose every viable pairing failed only the
     /// detour-budget check.
     pub detour_rejected: u32,
@@ -89,9 +88,8 @@ impl SearchExplain {
             return Reason::NoClusterCandidates;
         }
         // Largest class wins; ties break toward the scarcer resource
-        // (seats, then detour budget) so the answer is deterministic.
+        // (the detour budget) so the answer is deterministic.
         let classes = [
-            (self.seat_rejected, Reason::CapacityFull),
             (self.detour_rejected, Reason::DetourBudgetExceeded),
             (self.walk_rejected, Reason::WalkLimitExceeded),
             (self.ordering_rejected, Reason::OrderingInfeasible),
@@ -293,9 +291,9 @@ pub(crate) trait IndexView {
     /// `cluster`'s potential-rides list (empty when it lists no ride).
     fn rows(&self, cluster: ClusterId) -> &[PotentialRide];
 
-    /// `(free seats, remaining detour budget)` of `ride`, if it is live
-    /// in this view.
-    fn ride_state(&self, ride: RideId) -> Option<(u8, f64)>;
+    /// The remaining detour budget of `ride`, if it is live in this
+    /// view. A listed ride has a free seat, so that is all search needs.
+    fn ride_state(&self, ride: RideId) -> Option<f64>;
 }
 
 impl IndexView for XarEngine {
@@ -304,8 +302,8 @@ impl IndexView for XarEngine {
         self.index().rows(cluster)
     }
 
-    fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
-        self.ride(ride).map(|r| (r.seats_available, r.detour_remaining_m()))
+    fn ride_state(&self, ride: RideId) -> Option<f64> {
+        self.ride(ride).map(|r| r.detour_remaining_m())
     }
 }
 
@@ -326,12 +324,11 @@ const NIL: u32 = u32::MAX;
 
 /// What the destination side has learnt about a candidate ride: no
 /// destination row seen (`R1 \ R2`); listed but no longer live in this
-/// view; live without a free seat; or open, with its detour budget.
+/// view; or open, with its detour budget.
 #[derive(Debug, Clone, Copy)]
 enum Pairing {
     Unseen,
     Gone,
-    Full,
     Open { budget_m: f64 },
 }
 
@@ -477,8 +474,8 @@ impl SearchRun<'_> {
     /// the departure window finds or creates its ride's candidate and is
     /// chained to it — the candidates are `R1`. **Step 2**: every
     /// destination-side row at or after the window's start looks its
-    /// ride up; a hit is a ride of `R1 ∩ R2`, whose seats and budget are
-    /// fetched on its first row, and the row is paired at once against
+    /// ride up; a hit is a ride of `R1 ∩ R2`, whose budget is fetched on
+    /// its first row, and the row is paired at once against
     /// the ride's source chain (ordering, then walking, then detour). A
     /// walk over the candidates then emits each ride's best pairing or
     /// files it under exactly one explain class — the conservation the
@@ -528,8 +525,7 @@ impl SearchRun<'_> {
                     paired += 1;
                     cand.pairing = match view.ride_state(dst.ride) {
                         None => Pairing::Gone,
-                        Some((0, _)) => Pairing::Full,
-                        Some((_, budget_m)) => Pairing::Open { budget_m },
+                        Some(budget_m) => Pairing::Open { budget_m },
                     };
                 }
                 let Pairing::Open { budget_m } = cand.pairing else { continue };
@@ -603,7 +599,6 @@ impl SearchRun<'_> {
         for cand in &scratch.cands {
             match (cand.pairing, &cand.best) {
                 (Pairing::Unseen | Pairing::Gone, _) => self.explain.unpaired += 1,
-                (Pairing::Full, _) => self.explain.seat_rejected += 1,
                 (Pairing::Open { .. }, Some((m, _))) => self.out.push(*m),
                 (Pairing::Open { .. }, None) => self.explain.reject_at_depth(cand.deepest),
             }
@@ -616,10 +611,10 @@ mod tests {
     use super::*;
     use xar_geo::GeoPoint;
 
-    /// Hand-built lists and ride states.
+    /// Hand-built lists and ride budgets.
     struct FakeView {
         lists: Vec<Vec<PotentialRide>>,
-        rides: Vec<(RideId, u8, f64)>,
+        rides: Vec<(RideId, f64)>,
     }
 
     impl IndexView for FakeView {
@@ -627,8 +622,8 @@ mod tests {
             &self.lists[cluster.index()]
         }
 
-        fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
-            self.rides.iter().find(|r| r.0 == ride).map(|&(_, seats, budget)| (seats, budget))
+        fn ride_state(&self, ride: RideId) -> Option<f64> {
+            self.rides.iter().find(|r| r.0 == ride).map(|r| r.1)
         }
     }
 
@@ -679,7 +674,7 @@ mod tests {
                 vec![row(7, 30.0, 10.0)],
                 vec![row(7, 100.0, 20.0)],
             ],
-            rides: vec![(RideId(7), 1, 30.0)],
+            rides: vec![(RideId(7), 30.0)],
         };
         let src = [walk(0, 100.0), walk(1, 200.0)];
         let dst = [walk(2, 100.0), walk(3, 200.0)];
@@ -711,7 +706,7 @@ mod tests {
                 vec![row(7, 100.0, 20.0)],
                 vec![row(7, 110.0, 25.0)],
             ],
-            rides: vec![(RideId(7), 1, 30.0)],
+            rides: vec![(RideId(7), 30.0)],
         };
         let dst = [walk(2, 200.0), walk(3, 100.0)];
         let (out, _) = collect(&view, &src, &dst);
@@ -731,41 +726,33 @@ mod tests {
     fn every_candidate_lands_in_exactly_one_class() {
         let view = FakeView {
             lists: vec![
-                // Source cluster: six rides in the window, one outside it.
+                // Source cluster: five rides in the window, one outside it.
                 vec![
                     row(1, 10.0, 0.0),
                     row(2, 11.0, 0.0),
-                    row(3, 12.0, 0.0),
                     row(4, 13.0, 0.0),
                     row(5, 14.0, 0.0),
                     row(6, 15.0, 500.0),
                     row(9, 2_000.0, 0.0),
                 ],
                 // Destination cluster: ride 1 is never listed, ride 2 is
-                // listed but gone, ride 3 is full, ride 4 arrives before
-                // its pick-up, ride 5 matches, ride 6 exceeds its budget.
+                // listed but gone, ride 4 arrives before its pick-up,
+                // ride 5 matches, ride 6 exceeds its budget.
                 vec![
                     row(4, 5.0, 0.0),
                     row(2, 50.0, 0.0),
-                    row(3, 51.0, 0.0),
                     row(5, 52.0, 0.0),
                     row(6, 53.0, 0.0),
                     row(9, 3_000.0, 0.0),
                 ],
             ],
-            rides: vec![
-                (RideId(3), 0, 100.0),
-                (RideId(4), 1, 100.0),
-                (RideId(5), 1, 100.0),
-                (RideId(6), 1, 100.0),
-            ],
+            rides: vec![(RideId(4), 100.0), (RideId(5), 100.0), (RideId(6), 100.0)],
         };
         let (out, explain) = collect(&view, &[walk(0, 100.0)], &[walk(1, 100.0)]);
         assert_eq!(out.iter().map(|m| m.ride.0).collect::<Vec<_>>(), vec![5]);
         let want = SearchExplain {
-            candidates: 6,
+            candidates: 5,
             unpaired: 2,
-            seat_rejected: 1,
             ordering_rejected: 1,
             detour_rejected: 1,
             ..Default::default()

@@ -469,7 +469,8 @@ impl ShardedXarEngine {
 
     /// **Book**: one write lock on the ride's owning shard (recovered
     /// from the id — no probing), then a snapshot republish so the
-    /// consumed seat / reduced budget are visible to searches at once.
+    /// reduced budget — or, for the last seat, the de-listed ride — is
+    /// visible to searches at once.
     pub fn book(&self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);

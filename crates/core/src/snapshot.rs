@@ -30,48 +30,37 @@ use crate::index::{PotentialRide, Segment};
 use crate::ride::RideId;
 use crate::search::IndexView;
 
-/// The per-ride feasibility columns, sorted by ride id for binary
-/// search. `Arc`-shared with the previous snapshot when a publish
-/// changed no ride's seats / budget / liveness (tracking-only
-/// publishes).
+/// The per-ride remaining detour budgets, sorted by ride id for binary
+/// search. No seat column: a listed ride has a free seat. `Arc`-shared
+/// with the previous snapshot when a publish changed no ride's budget
+/// or liveness (tracking-only publishes).
+#[derive(Clone, Default)]
 struct RideTable {
     ids: Vec<RideId>,
-    seats: Vec<u8>,
     budget_m: Vec<f64>,
 }
 
 impl RideTable {
     fn build(engine: &XarEngine) -> Self {
-        let mut rides: Vec<_> =
-            engine.rides().map(|r| (r.id, r.seats_available, r.detour_remaining_m())).collect();
-        rides.sort_unstable_by_key(|&(id, _, _)| id);
-        let mut t = Self {
-            ids: Vec::with_capacity(rides.len()),
-            seats: Vec::with_capacity(rides.len()),
-            budget_m: Vec::with_capacity(rides.len()),
-        };
-        for (id, seats, budget) in rides {
-            t.ids.push(id);
-            t.seats.push(seats);
-            t.budget_m.push(budget);
-        }
-        t
+        let mut rides: Vec<_> = engine
+            .rides()
+            .map(|r| (r.id, r.detour_remaining_m()))
+            .collect();
+        rides.sort_unstable_by_key(|&(id, _)| id);
+        let (ids, budget_m) = rides.into_iter().unzip();
+        Self { ids, budget_m }
     }
 
-    /// Copy `prev` and overwrite the seats / budget rows of `updated`
-    /// rides with the engine's current values. Valid only when the ride
-    /// *set* is unchanged since `prev` was built — [`RideDirt`] tracking
+    /// Copy `prev` and overwrite the budget rows of `updated` rides with
+    /// the engine's current values. Valid only when the ride *set* is
+    /// unchanged since `prev` was built — [`RideDirt`] tracking
     /// guarantees any create / retire escalates to `Structural` before
     /// this path is taken, so every updated id resolves in both the
-    /// previous table and the live engine. Three column memcpys plus a
+    /// previous table and the live engine. Two column memcpys plus a
     /// binary search per updated ride: allocation count and lookup work
     /// are independent of the shard's ride count.
     fn patch(prev: &RideTable, engine: &XarEngine, updated: &[RideId]) -> Self {
-        let mut t = Self {
-            ids: prev.ids.clone(),
-            seats: prev.seats.clone(),
-            budget_m: prev.budget_m.clone(),
-        };
+        let mut t = prev.clone();
         for &id in updated {
             let i = t
                 .ids
@@ -80,7 +69,6 @@ impl RideTable {
             let r = engine
                 .ride(id)
                 .expect("updated ride missing from engine despite non-structural dirt");
-            t.seats[i] = r.seats_available;
             t.budget_m[i] = r.detour_remaining_m();
         }
         t
@@ -88,15 +76,13 @@ impl RideTable {
 
     fn heap_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<RideId>()
-            + self.seats.capacity()
             + self.budget_m.capacity() * std::mem::size_of::<f64>()
     }
 }
 
 /// An immutable, point-in-time copy of everything search reads from one
 /// shard: the per-cluster potential-rides lists, `Arc`-shared with the
-/// live index, plus the per-ride feasibility table (free seats,
-/// remaining detour budget).
+/// live index, plus the per-ride remaining detour budgets.
 ///
 /// Built either from scratch ([`ShardSnapshot::build`]) or by patching
 /// the previous snapshot ([`ShardSnapshot::build_incremental`]), which
@@ -140,7 +126,7 @@ impl ShardSnapshot {
                 .map(|b| Arc::new(vec![None; SEG_BLOCK.min(cluster_count - b * SEG_BLOCK)]))
                 .collect(),
             cluster_count,
-            rides: Arc::new(RideTable { ids: Vec::new(), seats: Vec::new(), budget_m: Vec::new() }),
+            rides: Arc::default(),
             entries: 0,
         }
     }
@@ -211,7 +197,6 @@ impl ShardSnapshot {
         self.entries == other.entries
             && self.cluster_count == other.cluster_count
             && self.rides.ids == other.rides.ids
-            && self.rides.seats == other.rides.seats
             && self.rides.budget_m == other.rides.budget_m
             && (0..self.cluster_count as u32).all(|c| self.rows(ClusterId(c)) == other.rows(ClusterId(c)))
     }
@@ -260,12 +245,8 @@ impl IndexView for ShardSnapshot {
     }
 
     #[inline]
-    fn ride_state(&self, ride: RideId) -> Option<(u8, f64)> {
-        self.rides
-            .ids
-            .binary_search(&ride)
-            .ok()
-            .map(|i| (self.rides.seats[i], self.rides.budget_m[i]))
+    fn ride_state(&self, ride: RideId) -> Option<f64> {
+        self.rides.ids.binary_search(&ride).ok().map(|i| self.rides.budget_m[i])
     }
 }
 

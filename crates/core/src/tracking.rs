@@ -101,7 +101,7 @@ impl XarEngine {
             });
         });
         // progress_idx alone is invisible to search (snapshots carry
-        // index entries, seats and detour budget); only an index rewrite
+        // index entries and detour budgets); only an index rewrite
         // invalidates published snapshots.
         if index_changed {
             self.bump_state_version();

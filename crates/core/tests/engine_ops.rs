@@ -3,8 +3,11 @@
 
 use std::sync::Arc;
 
-use xar_core::{EngineConfig, RideOffer, RideRequest, RideStatus, XarEngine, XarError};
-use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
+use xar_core::{
+    EngineConfig, RideMatch, RideOffer, RideRequest, RideStatus, SearchExplain, ShardedXarEngine,
+    XarEngine, XarError,
+};
+use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};
 use xar_geo::GeoPoint;
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
@@ -220,10 +223,98 @@ fn booking_consumes_seats_until_full() {
     let matches = eng.search(&req, usize::MAX).unwrap();
     let m = *matches.iter().find(|m| m.ride == id).expect("match");
     eng.book(&m).unwrap();
+    // The filling booking de-lists the ride from every cluster.
+    assert!(eng.ride(id).unwrap().pass_clusters.is_empty());
+    let mut clusters = (0..eng.region().cluster_count() as u32).map(ClusterId);
+    assert!(clusters.all(|c| eng.index().get(c, id).is_none()));
     // Ride is now full: stale match must fail, and search must skip it.
     assert!(matches!(eng.book(&m), Err(XarError::NoSeats(_))));
     let again = eng.search(&req, usize::MAX).unwrap();
     assert!(again.iter().all(|x| x.ride != id), "full ride still returned by search");
+}
+
+/// All matches of `req` on `eng` and their attribution.
+fn search_explained(eng: &ShardedXarEngine, req: &RideRequest) -> (Vec<RideMatch>, SearchExplain) {
+    let (mut out, mut explain) = (Vec::new(), SearchExplain::default());
+    let found = eng.search_into_explained(req, usize::MAX, &mut out, &mut explain);
+    found.unwrap();
+    (out, explain)
+}
+
+/// The booking that sells a ride's last seat de-lists it before the
+/// shard lock is released: the search that found the ride, run again
+/// after the filling `book_checked`, counts one candidate fewer and
+/// returns everything else unchanged, so no published snapshot lists it.
+#[test]
+fn the_filling_booking_leaves_every_published_snapshot() {
+    let region = region();
+    let g = Arc::clone(region.graph());
+    let eng = ShardedXarEngine::new(region, EngineConfig::default(), 4);
+    // Three rides on one route, so one shard: the middle one has one seat.
+    let mut offer = cross_city_offer(&g);
+    eng.create_ride(&offer).unwrap();
+    (offer.departure_s, offer.seats) = (offer.departure_s + 60.0, 1);
+    let id = eng.create_ride(&offer).unwrap();
+    (offer.departure_s, offer.seats) = (offer.departure_s + 60.0, 3);
+    eng.create_ride(&offer).unwrap();
+    let req = mid_to_corner_request(&g);
+
+    let (before, explain) = search_explained(&eng, &req);
+    let m = *before.iter().find(|m| m.ride == id).expect("match");
+    eng.book_checked(&m).unwrap();
+    let (after, explain_after) = search_explained(&eng, &req);
+    let others: Vec<RideMatch> = before.into_iter().filter(|m| m.ride != id).collect();
+    assert_eq!((after.len(), &after), (2, &others));
+    let mut want = explain;
+    want.candidates -= 1;
+    assert_eq!(explain_after, want);
+    let shard = eng.shard_of_ride(id);
+    assert!(eng.with_shard_read(shard, |e| e.ride(id).unwrap().pass_clusters.is_empty()));
+}
+
+/// An offer with no seat is created but listed nowhere, on both
+/// engines: searches never count or return it, and booking it fails.
+#[test]
+fn a_zero_seat_offer_is_created_but_never_listed() {
+    let region = region();
+    let g = Arc::clone(region.graph());
+    let open_offer = cross_city_offer(&g);
+    let mut zero_offer = open_offer.clone();
+    zero_offer.seats = 0;
+    let req = mid_to_corner_request(&g);
+    let rides = |ms: &[RideMatch]| ms.iter().map(|m| m.ride).collect::<Vec<_>>();
+
+    let mut eng = XarEngine::new(Arc::clone(&region), EngineConfig::default());
+    let zero = eng.create_ride(&zero_offer).unwrap();
+    assert!(eng.ride(zero).unwrap().pass_clusters.is_empty());
+    assert!(eng.index().is_empty(), "a zero-seat offer is listed");
+    let open = eng.create_ride(&open_offer).unwrap();
+    let mut explain = SearchExplain::default();
+    let found = eng.search_explained(&req, usize::MAX, &mut explain);
+    let ms = found.unwrap();
+    assert_eq!((rides(&ms), explain.candidates), (vec![open], 1));
+    let mut stale = ms[0];
+    stale.ride = zero;
+    assert!(matches!(eng.book(&stale), Err(XarError::NoSeats(_))));
+    // Tracking advances it and lists it nowhere.
+    let halfway = zero_offer.departure_s + 0.5 * eng.ride(zero).unwrap().route.duration_s();
+    let entries = eng.index().len();
+    assert_eq!(eng.track_ride(zero, halfway).unwrap(), RideStatus::Active);
+    assert!(eng.ride(zero).unwrap().progress_idx > 0);
+    assert_eq!(eng.index().len(), entries);
+
+    let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 4);
+    let occupied = || eng.occupancy().mask_for(0..region.cluster_count());
+    let zero = eng.create_ride(&zero_offer).unwrap();
+    assert_eq!(occupied(), 0, "a zero-seat offer is listed");
+    let open = eng.create_ride(&open_offer).unwrap();
+    assert_eq!(occupied(), 1 << eng.shard_of_ride(open));
+    let (ms, explain) = search_explained(&eng, &req);
+    assert_eq!((rides(&ms), explain.candidates), (vec![open], 1));
+    stale = ms[0];
+    stale.ride = zero;
+    let refused = eng.book_checked(&stale);
+    assert!(matches!(refused, Err(XarError::NoSeats(_))));
 }
 
 #[test]
@@ -388,7 +479,6 @@ fn heap_bytes_grow_with_rides() {
 /// route.
 #[test]
 fn failed_booking_still_counts_its_shortest_paths() {
-    use xar_core::RideMatch;
     use xar_roadnet::{Poi, PoiKind, RoadClass, RoadGraphBuilder};
 
     const SIDE: usize = 6;

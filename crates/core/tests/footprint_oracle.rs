@@ -11,8 +11,10 @@
 //! sets recomputed through `RegionIndex::cluster_distance` — and
 //! requires, after every operation of a random schedule on a real
 //! region, that each cluster's list in the engine equals the oracle's
-//! bit for bit, with and without reachable-cluster indexing. A second
-//! test pins the other half of the claim: the clusters one write
+//! bit for bit, with and without reachable-cluster indexing. A ride with
+//! no free seat is listed nowhere, so the oracle gives it no pairs and
+//! no list may hold it. A second test pins the other half of the
+//! claim: the clusters one write
 //! dirties are exactly the distinct clusters of the old and new
 //! footprints (the per-call count is asserted where the counter is
 //! visible, in `sharded.rs`'s unit tests).
@@ -45,6 +47,8 @@ fn graph() -> &'static Arc<RoadGraph> {
     region().graph()
 }
 
+/// Offer `i`: 0 to 3 seats, so schedules meet unlisted offers and
+/// bookings that sell the last seat.
 fn offer(i: u32) -> RideOffer {
     let g = graph();
     let n = g.node_count() as u32;
@@ -52,7 +56,7 @@ fn offer(i: u32) -> RideOffer {
         g.point(NodeId((i * 97) % n)),
         g.point(NodeId((i * 181 + n / 2) % n)),
         8.0 * 3600.0 + f64::from(i % 40) * 45.0,
-        3,
+        (i % 4) as u8,
         2_500.0,
     )
 }
@@ -130,13 +134,18 @@ impl Oracle {
     /// Old `deindex_ride` + `index_ride` after a create or a booking:
     /// drop the ride's previous pairs, then insert its current ones
     /// (with the reachable sets recomputed the old way and required to
-    /// equal the engine's).
+    /// equal the engine's) — none for a ride with no free seat, which is
+    /// listed nowhere.
     fn reindex(&mut self, config: &EngineConfig, ride: &Ride) {
         for p in self.pass.remove(&ride.id).unwrap_or_default() {
             self.lists[p.cluster.index()].remove(&ride.id);
             for (c, _, _) in p.reachable {
                 self.lists[c.index()].remove(&ride.id);
             }
+        }
+        if ride.seats_available == 0 {
+            self.pass.insert(ride.id, Vec::new());
+            return;
         }
         for p in &ride.pass_clusters {
             assert_eq!(p.reachable, Self::reachable(config, ride, p), "reachable set of {:?}", p.cluster);
@@ -205,6 +214,8 @@ impl Oracle {
             want.sort_unstable(); // non-negative ETAs: bit order is numeric order
             let got: Vec<_> = eng.index().entries_of(ClusterId(c as u32)).map(|e| bits(&e)).collect();
             assert_eq!(got, want, "cluster {c} after {what}");
+            let open = |r: RideId| eng.ride(r).is_some_and(|r| r.seats_available > 0);
+            assert!(got.iter().all(|e| open(e.1)), "full ride in {c}, {what}");
         }
         for (id, pass) in &self.pass {
             let live = &eng.ride(*id).expect("oracle ride is live").pass_clusters;

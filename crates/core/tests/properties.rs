@@ -44,7 +44,7 @@ enum Op {
 
 fn op_strategy(n_nodes: u32) -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0..n_nodes, 0..n_nodes, 400u16..900, 1u8..=3, 1u8..=5).prop_map(
+        3 => (0..n_nodes, 0..n_nodes, 400u16..900, 0u8..=3, 1u8..=5).prop_map(
             |(src, dst, depart_min, seats, detour_km)| Op::Create {
                 src,
                 dst,
@@ -125,7 +125,8 @@ impl AnyEngine {
 /// request and, per layout, the engine and what it answered. A booking
 /// op then books the serial engine's best match in all three, locating
 /// each twin by creation ordinal (id sequences differ between layouts
-/// by design).
+/// by design). Every index of every layout passes [`assert_invariants`]
+/// after every operation.
 fn run_layouts(
     ops: Vec<Op>,
     shards: usize,
@@ -192,6 +193,9 @@ fn run_layouts(
                 prop_assert!(retired.iter().all(|&r| r == retired[0]));
             }
         }
+        for e in &engines {
+            e.for_each_index(assert_invariants);
+        }
     }
     Ok(())
 }
@@ -236,6 +240,8 @@ fn reference_search(engine: &AnyEngine, req: &RideRequest) -> Option<(Vec<RideMa
             if srcs.is_empty() {
                 continue;
             }
+            // No seat check: a full ride is listed nowhere.
+            assert_ne!(ride.seats_available, 0, "a full ride is listed");
             if skipped {
                 skipped_r1 += 1;
                 continue;
@@ -248,10 +254,6 @@ fn reference_search(engine: &AnyEngine, req: &RideRequest) -> Option<(Vec<RideMa
                 .collect();
             if dsts.is_empty() {
                 ex.unpaired += 1;
-                continue;
-            }
-            if ride.seats_available == 0 {
-                ex.seat_rejected += 1;
                 continue;
             }
             let mut best: Option<RideMatch> = None;
@@ -329,6 +331,11 @@ fn assert_invariants(eng: &XarEngine) {
         for p in &ride.pass_clusters {
             assert!(p.route_idx <= p.exit_idx);
             assert!(p.exit_idx < ride.route.len());
+        }
+        // A ride is listed only while it has a free seat; the row check
+        // follows from the index <-> ride-state agreement below.
+        if ride.seats_available == 0 {
+            assert!(ride.pass_clusters.is_empty(), "full ride listed");
         }
     }
     // Index <-> ride-state agreement.
@@ -502,7 +509,6 @@ fn explain_law(
     for (engine, (ms, ex)) in engines.iter().zip(results) {
         prop_assert_eq!(
             ms.len() as u32
-                + ex.seat_rejected
                 + ex.unpaired
                 + ex.ordering_rejected
                 + ex.walk_rejected

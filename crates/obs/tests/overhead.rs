@@ -94,9 +94,8 @@ fn disabled_path_is_allocation_free_and_cheap() {
     // Timing guard, deliberately loose (CI machines are noisy; debug
     // builds do not inline the disabled check). The point is to catch a
     // regression that makes the disabled path do real work — a lock, a
-    // syscall, a clock read — not to benchmark it; the criterion
-    // harness (`cargo bench -p xar-bench --bench trace_overhead`) does
-    // the precise measurement.
+    // syscall, a clock read — not to benchmark it; the request-path
+    // benchmark's `obs.span_disabled.ns` is the precise measurement.
     let factor = if cfg!(debug_assertions) { 400 } else { 50 };
     assert!(
         span_ns < empty_ns.saturating_mul(factor),

@@ -148,8 +148,11 @@ impl RideBackend for ShardedXarBackend {
         (out, explain)
     }
 
+    /// Books through the commit-time re-check: the match came from a
+    /// published snapshot, and another worker may have spent the
+    /// ride's detour budget since.
     fn book(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
-        book_result(self.engine.book(m))
+        book_result(self.engine.book_checked(m))
     }
 
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
@@ -240,7 +243,7 @@ mod tests {
     use crate::trips::{generate_trips, TripGenConfig};
     use xar_core::EngineConfig;
     use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
-    use xar_roadnet::{sample_pois, CityConfig, PoiConfig};
+    use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig};
     use xar_tshare::TShareConfig;
 
     fn city() -> Arc<xar_roadnet::RoadGraph> {
@@ -315,5 +318,66 @@ mod tests {
         let rt = run_simulation(&mut ts, &trips, &SimConfig::default());
         assert!(rx.share_rate() > 0.02);
         assert!(rt.share_rate() > 0.02);
+    }
+
+    /// A match made before another booking spent the ride's detour
+    /// budget is refused by the sharded backend, and the refusal leaves
+    /// the ride as it was. The unchecked `book` would honour it: the
+    /// second insertion realises 16 m of detour against the 580 m left,
+    /// while its 798 m estimate was made against the full 1 000 m.
+    #[test]
+    fn sharded_backend_refuses_a_match_made_against_a_spent_budget() {
+        let graph = city();
+        let n = graph.node_count() as u32;
+        let mut backend = ShardedXarBackend::new(ShardedXarEngine::new(
+            region(&graph),
+            EngineConfig::default(),
+            2,
+        ));
+        let offer = RideOffer {
+            source: graph.point(NodeId(0)),
+            destination: graph.point(NodeId(n - 1)),
+            departure_s: 0.0,
+            seats: 3,
+            detour_limit_m: 1_000.0,
+            driver: None,
+            via: Vec::new(),
+        };
+        let id = backend.engine.create_ride(&offer).unwrap();
+        let found = |src: u32, dst: u32| {
+            let req = RideRequest {
+                source: graph.point(NodeId(src)),
+                destination: graph.point(NodeId(dst)),
+                window_start_s: 0.0,
+                window_end_s: 3_600.0,
+                walk_limit_m: 200.0,
+            };
+            let ms = backend.engine.search(&req, usize::MAX).unwrap();
+            *ms.iter().find(|m| m.ride == id).expect("the ride matches")
+        };
+        // Two matches on the one ride, from the same engine state.
+        let (first, stale) = (found(608, 589), found(380, 558));
+        let cfg = SimConfig::default();
+        assert!(matches!(
+            backend.book(&first, &cfg),
+            BookResult::Booked { .. }
+        ));
+        let ride = |b: &ShardedXarBackend| {
+            b.engine
+                .with_shard_read(b.engine.shard_of_ride(id), |e| e.ride(id).unwrap().clone())
+        };
+        let before = ride(&backend);
+        assert!(
+            stale.detour_est_m > before.detour_remaining_m(),
+            "the second match is not stale"
+        );
+        let refused = backend.book(&stale, &cfg);
+        assert!(
+            matches!(refused, BookResult::Failed(Reason::DetourBudgetExceeded)),
+            "{refused:?}"
+        );
+        let after = ride(&backend);
+        assert_eq!(after.detour_used_m, before.detour_used_m);
+        assert_eq!(after.bookings.len(), 1);
     }
 }

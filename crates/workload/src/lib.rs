@@ -38,15 +38,11 @@ pub mod backend;
 mod dispatch;
 pub mod parallel;
 pub mod report;
-pub mod searchbench;
 pub mod sim;
 pub mod trips;
 
 pub use backend::{ShardedXarBackend, TShareBackend, XarBackend};
-pub use parallel::{run_parallel_dispatch, run_scaling_point, scaling_curve_json, ScalingPoint};
+pub use parallel::run_parallel_dispatch;
 pub use report::{percentile, percentile_ns, Decision, DecisionOutcome, SimReport};
-pub use searchbench::{
-    populated_engine, run_search_point, search_curve_json, SearchPoint,
-};
 pub use sim::{run_simulation, BookResult, RideBackend, SimConfig};
 pub use trips::{generate_trips, Trip, TripGenConfig};

@@ -1,14 +1,19 @@
 //! Multi-threaded closed-loop simulation driver.
 //!
 //! The serial driver ([`crate::sim::run_simulation`]) replays trips
-//! from one thread — fine for measuring algorithmic latencies, useless
-//! for measuring engine *scaling*. This module runs the same replay
-//! loop from `N` closed-loop worker threads at once:
+//! from one thread. This module runs the same replay loop from `N`
+//! closed-loop worker threads at once, so that concurrent searches,
+//! bookings and sweeps meet on one engine. It is a correctness mode,
+//! not a throughput one: on two cores a second worker adds no
+//! throughput (EXPERIMENTS.md, "Engine scaling"), and what it checks —
+//! no ride overbooked, every request resolved exactly once — is pinned
+//! by `tests/parallel.rs`.
 //!
 //! * Every worker drives its own **clone** of the backend, so the one
 //!   [`RideBackend`] trait serves both drivers. The clones must share
-//!   the system under test — [`ShardedXarBackend`] clones an engine
-//!   *handle* — or the workers would replay into `N` separate worlds.
+//!   the system under test — [`crate::ShardedXarBackend`] clones an
+//!   engine *handle* — or the workers would replay into `N` separate
+//!   worlds.
 //! * Trips are dealt **round-robin** (thread `t` replays trips
 //!   `t, t+N, t+2N, …`), so each thread's private stream stays sorted
 //!   by request time and the interleaving across threads approximates
@@ -26,12 +31,9 @@
 //!   request traffic.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use xar_core::ShardedXarEngine;
 use xar_obs::Registry;
 
-use crate::backend::ShardedXarBackend;
 use crate::report::SimReport;
 use crate::sim::{RideBackend, SimConfig};
 use crate::trips::Trip;
@@ -79,142 +81,6 @@ pub fn run_parallel_dispatch<B: RideBackend + Clone + Send>(
     }
     report.registry = Some(registry);
     report
-}
-
-/// One measured point of the engine scaling curve: a full closed-loop
-/// replay at a fixed worker count, with throughput, latency tails and a
-/// post-run capacity audit. Produced by [`run_scaling_point`]; consumed
-/// by `xar bench` and the `bench_engine` harness
-/// (`results/BENCH_engine.json`, schema in EXPERIMENTS.md).
-#[derive(Debug, Clone)]
-pub struct ScalingPoint {
-    /// Worker threads driving the closed loop.
-    pub threads: usize,
-    /// Shards in the engine under test.
-    pub shards: usize,
-    /// Wall-clock seconds for the whole replay.
-    pub wall_s: f64,
-    /// Requests resolved per wall-clock second.
-    pub requests_per_s: f64,
-    /// Searches issued per wall-clock second (the paper's dominant
-    /// operation under a high look-to-book ratio).
-    pub searches_per_s: f64,
-    /// Median search latency, nanoseconds.
-    pub search_p50_ns: f64,
-    /// Tail search latency, nanoseconds.
-    pub search_p99_ns: f64,
-    /// Requests served by sharing an existing ride.
-    pub booked: u64,
-    /// Requests that created a new ride.
-    pub created: u64,
-    /// Requests that could do neither.
-    pub unservable: u64,
-    /// Rides whose bookings exceed their offered seats — must be 0;
-    /// non-zero means the engine lost a seat update under concurrency.
-    pub overbooked_rides: u64,
-}
-
-impl ScalingPoint {
-    /// This point as one JSON object (the element schema of the
-    /// `points` array in `results/BENCH_engine.json`, see
-    /// EXPERIMENTS.md).
-    pub fn to_json(&self) -> String {
-        let mut w = xar_obs::json::JsonWriter::new();
-        w.begin_object();
-        w.key("threads");
-        w.number_u64(self.threads as u64);
-        w.key("shards");
-        w.number_u64(self.shards as u64);
-        w.key("wall_s");
-        w.number_f64(self.wall_s);
-        w.key("requests_per_s");
-        w.number_f64(self.requests_per_s);
-        w.key("searches_per_s");
-        w.number_f64(self.searches_per_s);
-        w.key("search_p50_ns");
-        w.number_f64(self.search_p50_ns);
-        w.key("search_p99_ns");
-        w.number_f64(self.search_p99_ns);
-        w.key("booked");
-        w.number_u64(self.booked);
-        w.key("created");
-        w.number_u64(self.created);
-        w.key("unservable");
-        w.number_u64(self.unservable);
-        w.key("overbooked_rides");
-        w.number_u64(self.overbooked_rides);
-        w.end_object();
-        w.finish()
-    }
-}
-
-/// Assemble a full engine-scaling curve document (the
-/// `results/BENCH_engine.json` schema): run parameters, the measuring
-/// host's core count, and one [`ScalingPoint`] object per worker count.
-pub fn scaling_curve_json(
-    meta: &[(&str, f64)],
-    cores: usize,
-    points: &[ScalingPoint],
-) -> String {
-    let mut w = xar_obs::json::JsonWriter::new();
-    w.begin_object();
-    w.key("bench");
-    w.string("engine_scaling");
-    for (k, v) in meta {
-        w.key(k);
-        w.number_f64(*v);
-    }
-    w.key("cores");
-    w.number_u64(cores as u64);
-    w.key("points");
-    w.begin_array();
-    for p in points {
-        w.raw(&p.to_json());
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
-/// Replay `trips` through a fresh `shards`-shard engine with `threads`
-/// closed-loop workers and measure one [`ScalingPoint`]. The engine is
-/// built inside so successive points (1/2/4/8 threads) start from
-/// identical empty state.
-pub fn run_scaling_point(
-    region: &Arc<xar_discretize::RegionIndex>,
-    engine_cfg: &xar_core::EngineConfig,
-    trips: &[Trip],
-    cfg: &SimConfig,
-    threads: usize,
-    shards: usize,
-) -> ScalingPoint {
-    let backend = ShardedXarBackend::new(ShardedXarEngine::new(
-        Arc::clone(region),
-        engine_cfg.clone(),
-        shards,
-    ));
-    let t0 = Instant::now();
-    let report = run_parallel_dispatch(&backend, trips, cfg, threads);
-    let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-    let mut overbooked = 0u64;
-    backend.engine.for_each_ride(|r| {
-        if r.bookings.len() > usize::from(cfg.seats) {
-            overbooked += 1;
-        }
-    });
-    ScalingPoint {
-        threads: threads.max(1),
-        shards: backend.engine.shard_count(),
-        wall_s,
-        requests_per_s: (report.booked + report.created + report.unservable) as f64 / wall_s,
-        searches_per_s: report.looks as f64 / wall_s,
-        search_p50_ns: crate::report::percentile_ns(&report.search_ns, 50.0),
-        search_p99_ns: crate::report::percentile_ns(&report.search_ns, 99.0),
-        booked: report.booked,
-        created: report.created,
-        unservable: report.unservable,
-        overbooked_rides: overbooked,
-    }
 }
 
 #[cfg(test)]

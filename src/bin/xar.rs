@@ -28,40 +28,14 @@
 //!     both systems. `--threads N` (default 1) drives the replay from
 //!     N closed-loop workers against the cluster-sharded engine
 //!     (`--shards`, default 8); an invalid `--threads` or `--shards`
-//!     value exits with code 9.
+//!     value exits with code 9. It is a concurrency-correctness mode:
+//!     on two cores a second worker adds no throughput (EXPERIMENTS.md,
+//!     "Engine scaling"), and the request-path benchmark in
+//!     `benchmark/` is where performance is measured.
 //!     `--events-out FILE` turns on the wide-event sink and writes one
 //!     structured decision record per request (outcome, typed rejection
 //!     reason, search tier, candidate count, latencies) as segmented
 //!     JSONL — the input of `xar logs`.
-//!
-//! xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N]
-//!           [--threads LIST] [--min-scaling F] [--json FILE]
-//!           [--against FILE] [--tolerance F]
-//!     Engine scaling bench: build a small city in-process and replay
-//!     the same trip day through a fresh sharded engine at each worker
-//!     count in `--threads` (comma-separated, default `1,2,4,8`),
-//!     printing throughput and search p50/p99 per point. Any overbooked
-//!     ride, or — with `--min-scaling F` — a final-point search
-//!     throughput below `F ×` the first point's, exits with code 7.
-//!     `--json` writes the curve machine-readably (the
-//!     `results/BENCH_engine.json` schema, see EXPERIMENTS.md).
-//!     `--against FILE` compares the fresh curve point-by-point against
-//!     a committed baseline curve of the same kind: any throughput drop
-//!     or latency growth beyond `--tolerance F` (fractional, default
-//!     0.5) exits with code 7; a missing/invalid baseline exits 2.
-//!
-//! xar bench --search [--rows N] [--cols N] [--seed S] [--trips N]
-//!           [--shards N] [--threads LIST] [--searches N]
-//!           [--max-p50-us F] [--max-p99-ratio F] [--json FILE]
-//!           [--against FILE] [--tolerance F]
-//!     Search-path micro-bench: populate one engine from three quarters
-//!     of the trip day, then measure the `search_into`
-//!     latency at each searcher count (constant `--searches` total per
-//!     point) while a paced background writer keeps snapshot
-//!     publication live. `--max-p50-us F` gates the first point's
-//!     median and `--max-p99-ratio F` the last point's p99 relative to
-//!     the first's (tail flatness); either breach exits with code 7.
-//!     `--json` writes the `results/BENCH_search.json` schema.
 //!
 //! xar logs --in events.jsonl [--outcome X] [--reason Y]
 //!          [--slower-than MS] [--request ID] [--top N]
@@ -121,15 +95,13 @@ use xhare_a_ride::core::{
 use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::tshare::{TShareConfig, TShareEngine};
-use xhare_a_ride::workload::backend::request_of;
 use xhare_a_ride::workload::{
-    generate_trips, percentile_ns, populated_engine, run_parallel_dispatch, run_scaling_point,
-    run_search_point, run_simulation, scaling_curve_json, search_curve_json, ScalingPoint,
-    SearchPoint, ShardedXarBackend, SimConfig, TShareBackend, TripGenConfig, XarBackend,
+    generate_trips, percentile_ns, run_parallel_dispatch, run_simulation, ShardedXarBackend,
+    SimConfig, TShareBackend, TripGenConfig, XarBackend,
 };
 
 /// Flags that take no value (presence alone means `true`).
-const SWITCHES: &[&str] = &["check", "search"];
+const SWITCHES: &[&str] = &["check"];
 
 /// A command error carrying its process exit code, so callers (CI, the
 /// smoke tests) can branch on the failure class.
@@ -209,7 +181,7 @@ impl Flags {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--linger-s F]\n  xar bench [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--min-scaling F] [--json FILE] [--against FILE] [--tolerance F]\n  xar bench --search [--rows N] [--cols N] [--seed S] [--trips N] [--shards N] [--threads LIST] [--searches N] [--max-p50-us F] [--max-p99-ratio F] [--json FILE] [--against FILE] [--tolerance F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar profile --out FILE [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--linger-s F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar profile --out FILE [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
 }
 
 fn build_region(flags: &Flags) -> Result<(), CmdError> {
@@ -290,29 +262,6 @@ fn parse_threads_flag(flags: &Flags) -> Result<usize, CmdError> {
     }
 }
 
-/// Parse `--threads` as a comma-separated sweep list (`xar bench`;
-/// default `1,2,4,8`). Shares the exit-code-9 contract of
-/// [`parse_threads_flag`].
-fn parse_threads_list(flags: &Flags) -> Result<Vec<usize>, CmdError> {
-    let Some(v) = flags.get_opt("threads") else { return Ok(vec![1, 2, 4, 8]) };
-    let mut out = Vec::new();
-    for part in v.split(',') {
-        match part.trim().parse::<usize>() {
-            Ok(n) if (1..=256).contains(&n) => out.push(n),
-            _ => {
-                return Err(CmdError::coded(
-                    9,
-                    format!(
-                        "--threads expects a comma-separated list of integers in 1..=256, \
-                         got '{v}'"
-                    ),
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Parse `--shards` (default [`DEFAULT_SHARDS`]); out-of-range values
 /// share the exit-code-9 contract.
 fn parse_shards_flag(flags: &Flags) -> Result<usize, CmdError> {
@@ -326,111 +275,6 @@ fn parse_shards_flag(flags: &Flags) -> Result<usize, CmdError> {
             )),
         },
     }
-}
-
-/// Parse `--tolerance` (fractional headroom for `--against`, default
-/// 0.5 = 50%); invalid values share the exit-code-9 contract.
-fn parse_tolerance_flag(flags: &Flags) -> Result<f64, CmdError> {
-    match flags.get_opt("tolerance") {
-        None => Ok(0.5),
-        Some(v) => match v.parse::<f64>() {
-            Ok(f) if f.is_finite() && f > 0.0 => Ok(f),
-            _ => Err(CmdError::coded(
-                9,
-                format!("--tolerance must be a positive fraction (e.g. 0.5), got '{v}'"),
-            )),
-        },
-    }
-}
-
-/// `--against` regression gate: compare a freshly measured bench curve
-/// point-by-point against a committed baseline of the same kind.
-///
-/// Points are joined on `threads` — a workload-independent integer
-/// field, so a small CI smoke city still shares points with a
-/// baseline measured on the full bench city. `fresh` holds
-/// `(threads, [(metric key, value)])` per fresh point;
-/// `metrics` lists `(key, higher_is_worse)`. The tolerance is a ratio
-/// headroom symmetric in direction: latency (higher-is-worse) may grow
-/// to `base × (1 + tol)`, throughput may shrink to `base ÷ (1 + tol)` —
-/// well-defined for any positive tolerance, including the generous
-/// multiples CI uses to absorb cross-machine variance. Baseline points
-/// without a matching fresh `threads` value are skipped. Exit 2 = the
-/// baseline is unreadable, invalid, the wrong bench kind, or shares no
-/// point with the fresh curve; exit 7 = any metric regressed beyond
-/// the tolerance.
-fn gate_against_baseline(
-    path: &str,
-    kind: &str,
-    tolerance: f64,
-    fresh: &[(u64, Vec<(&'static str, f64)>)],
-    metrics: &[(&'static str, bool)],
-) -> Result<(), CmdError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CmdError::coded(2, format!("cannot read baseline {path}: {e}")))?;
-    let doc = xar_obs::json::parse(&text)
-        .map_err(|e| CmdError::coded(2, format!("{path}: invalid baseline JSON: {e}")))?;
-    let bench = doc.get("bench").and_then(|b| b.as_str()).unwrap_or_default();
-    if bench != kind {
-        return Err(CmdError::coded(
-            2,
-            format!("{path}: baseline bench kind is '{bench}', this run produces '{kind}'"),
-        ));
-    }
-    let base_points = doc
-        .get("points")
-        .and_then(|p| p.as_array())
-        .ok_or_else(|| CmdError::coded(2, format!("{path}: baseline has no points array")))?;
-
-    let mut compared = 0usize;
-    let mut breaches: Vec<String> = Vec::new();
-    for bp in base_points {
-        let Some(at) = bp.get("threads").and_then(|t| t.as_u64()) else { continue };
-        let Some((_, values)) = fresh.iter().find(|(t, _)| *t == at) else {
-            println!(
-                "against        : baseline point threads={at} has no fresh match, skipped"
-            );
-            continue;
-        };
-        for &(key, higher_is_worse) in metrics {
-            let Some(base) = bp.get(key).and_then(|v| v.as_f64()) else { continue };
-            let Some(&(_, new)) = values.iter().find(|(k, _)| *k == key) else { continue };
-            if base <= 0.0 {
-                continue;
-            }
-            compared += 1;
-            let (bound, breached, dir) = if higher_is_worse {
-                (base * (1.0 + tolerance), new > base * (1.0 + tolerance), "max")
-            } else {
-                (base / (1.0 + tolerance), new < base / (1.0 + tolerance), "min")
-            };
-            println!(
-                "against        : threads={at} {key} {new:.0} vs baseline {base:.0} \
-                 ({dir} {bound:.0}){}",
-                if breached { "  REGRESSION" } else { "" },
-            );
-            if breached {
-                breaches.push(format!(
-                    "threads={at} {key} {new:.0} breaches {dir} {bound:.0} \
-                     (baseline {base:.0}, tolerance {tolerance})"
-                ));
-            }
-        }
-    }
-    if compared == 0 {
-        return Err(CmdError::coded(
-            2,
-            format!("{path}: baseline shares no comparable point with this run"),
-        ));
-    }
-    if !breaches.is_empty() {
-        return Err(CmdError::coded(
-            7,
-            format!("bench regression vs {path}: {}", breaches.join("; ")),
-        ));
-    }
-    println!("against        : {path} ok ({compared} comparisons within {tolerance}x headroom)");
-    Ok(())
 }
 
 /// The simulation's system under test: the serial single-engine
@@ -638,253 +482,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
             std::thread::sleep(std::time::Duration::from_secs_f64(linger_s));
         }
         server.shutdown();
-    }
-    Ok(())
-}
-
-/// `xar bench`: the engine scaling bench. Builds a small city
-/// in-process, replays the same trip day through a fresh sharded
-/// engine at each worker count, and gates on capacity safety (any
-/// overbooked ride ⇒ exit 7) and — with `--min-scaling F` — on the
-/// final point's search throughput being at least `F ×` the first
-/// point's (anti-regression, exit 7).
-fn bench(flags: &Flags) -> Result<(), CmdError> {
-    let thread_counts = parse_threads_list(flags)?;
-    let shards = parse_shards_flag(flags)?;
-    let rows: usize = flags.get("rows", 30)?;
-    let cols: usize = flags.get("cols", 30)?;
-    let seed: u64 = flags.get("seed", 0xBE7C)?;
-    let trips_n: usize = flags.get("trips", 2_000)?;
-    let min_scaling: f64 = flags.get("min-scaling", 0.0)?;
-
-    eprintln!("bench city: {rows}x{cols} (seed {seed}), {trips_n} trips, {shards} shards");
-    let graph = Arc::new(CityConfig::manhattan(rows, cols, seed).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: rows * cols / 2, ..Default::default() });
-    let region = Arc::new(RegionIndex::build(
-        Arc::clone(&graph),
-        &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
-    ));
-    let trips =
-        generate_trips(&graph, &TripGenConfig { count: trips_n, seed, ..Default::default() });
-    let cfg = SimConfig::default();
-    let engine_cfg = EngineConfig::default();
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut points: Vec<ScalingPoint> = Vec::new();
-    println!(
-        "{:>7} {:>9} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "threads", "wall s", "req/s", "searches/s", "p50 µs", "p99 µs", "overbooked"
-    );
-    for &t in &thread_counts {
-        let p = run_scaling_point(&region, &engine_cfg, &trips, &cfg, t, shards);
-        println!(
-            "{:>7} {:>9.3} {:>12.0} {:>12.0} {:>12.1} {:>12.1} {:>10}",
-            p.threads,
-            p.wall_s,
-            p.requests_per_s,
-            p.searches_per_s,
-            p.search_p50_ns / 1e3,
-            p.search_p99_ns / 1e3,
-            p.overbooked_rides,
-        );
-        points.push(p);
-    }
-
-    if let Some(json) = flags.get_opt("json") {
-        let meta = [
-            ("rows", rows as f64),
-            ("cols", cols as f64),
-            ("seed", seed as f64),
-            ("trips", trips_n as f64),
-        ];
-        std::fs::write(json, scaling_curve_json(&meta, cores, &points))
-            .map_err(|e| format!("cannot write {json}: {e}"))?;
-        println!("curve          : {json} (cores {cores})");
-    }
-
-    // Gates — capacity safety first (always on), then the scaling
-    // anti-regression when requested.
-    if let Some(p) = points.iter().find(|p| p.overbooked_rides > 0) {
-        return Err(CmdError::coded(
-            7,
-            format!(
-                "{} ride(s) overbooked at {} threads — the engine lost seat updates",
-                p.overbooked_rides, p.threads
-            ),
-        ));
-    }
-    if min_scaling > 0.0 && points.len() >= 2 {
-        let first = &points[0];
-        let last = &points[points.len() - 1];
-        let ratio = last.searches_per_s / first.searches_per_s.max(1e-9);
-        println!(
-            "scaling        : {} threads at {:.2}x the {}-thread search throughput (gate {min_scaling}x)",
-            last.threads, ratio, first.threads
-        );
-        if ratio < min_scaling {
-            return Err(CmdError::coded(
-                7,
-                format!(
-                    "search throughput at {} threads is {ratio:.2}x the {}-thread run, \
-                     below the {min_scaling}x gate",
-                    last.threads, first.threads
-                ),
-            ));
-        }
-    }
-    if let Some(base) = flags.get_opt("against") {
-        let tol = parse_tolerance_flag(flags)?;
-        let fresh: Vec<(u64, Vec<(&'static str, f64)>)> = points
-            .iter()
-            .map(|p| {
-                (
-                    p.threads as u64,
-                    vec![
-                        ("requests_per_s", p.requests_per_s),
-                        ("search_p50_ns", p.search_p50_ns),
-                        ("search_p99_ns", p.search_p99_ns),
-                    ],
-                )
-            })
-            .collect();
-        gate_against_baseline(
-            base,
-            "engine_scaling",
-            tol,
-            &fresh,
-            &[("requests_per_s", false), ("search_p50_ns", true), ("search_p99_ns", true)],
-        )?;
-    }
-    Ok(())
-}
-
-/// `xar bench --search`: the search-path micro-bench. Populates one
-/// engine by replaying three quarters of the trip day, then measures
-/// lock-free `search_into` latency percentiles at each searcher count
-/// (constant total searches per point) while a paced background writer
-/// keeps snapshot publication live. Gates (exit 7): `--max-p50-us F`
-/// bounds the first point's median; `--max-p99-ratio F` bounds the last
-/// point's p99 relative to the first's (tail flatness — the lock-free
-/// read path's defining property).
-fn bench_search(flags: &Flags) -> Result<(), CmdError> {
-    let thread_counts = parse_threads_list(flags)?;
-    let shards = parse_shards_flag(flags)?;
-    let rows: usize = flags.get("rows", 30)?;
-    let cols: usize = flags.get("cols", 30)?;
-    let seed: u64 = flags.get("seed", 0xBE7C)?;
-    let trips_n: usize = flags.get("trips", 2_000)?;
-    let searches: usize = flags.get("searches", 10_000)?;
-    let max_p50_us: f64 = flags.get("max-p50-us", 0.0)?;
-    let max_p99_ratio: f64 = flags.get("max-p99-ratio", 0.0)?;
-
-    eprintln!(
-        "search bench city: {rows}x{cols} (seed {seed}), {trips_n} trips, {shards} shards, \
-         {searches} searches/point"
-    );
-    let graph = Arc::new(CityConfig::manhattan(rows, cols, seed).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: rows * cols / 2, ..Default::default() });
-    let region = Arc::new(RegionIndex::build(
-        Arc::clone(&graph),
-        &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
-    ));
-    let trips =
-        generate_trips(&graph, &TripGenConfig { count: trips_n, seed, ..Default::default() });
-    let cfg = SimConfig::default();
-    let engine_cfg = EngineConfig::default();
-    let split = trips.len() * 3 / 4;
-    let reqs: Vec<_> = trips.iter().map(|t| request_of(t, &cfg)).collect();
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut points: Vec<SearchPoint> = Vec::new();
-    println!(
-        "{:>8} {:>10} {:>12} {:>12} {:>10}",
-        "threads", "searches", "p50 µs", "p99 µs", "matches"
-    );
-    for &t in &thread_counts {
-        // Fresh engine per point: the writer mutates state, so points
-        // must not inherit each other's churn.
-        let engine = populated_engine(&region, &engine_cfg, &trips[..split], &cfg, shards);
-        let p = run_search_point(&engine, &reqs, &trips[split..], &cfg, t, searches);
-        println!(
-            "{:>8} {:>10} {:>12.1} {:>12.1} {:>10}",
-            p.threads,
-            p.searches,
-            p.p50_ns / 1e3,
-            p.p99_ns / 1e3,
-            p.matches,
-        );
-        points.push(p);
-    }
-
-    if let Some(json) = flags.get_opt("json") {
-        let meta = [
-            ("rows", rows as f64),
-            ("cols", cols as f64),
-            ("seed", seed as f64),
-            ("trips", trips_n as f64),
-            ("shards", shards as f64),
-        ];
-        std::fs::write(json, search_curve_json(&meta, cores, &points))
-            .map_err(|e| format!("cannot write {json}: {e}"))?;
-        println!("curve          : {json} (cores {cores})");
-    }
-
-    if max_p50_us > 0.0 {
-        let p50_us = points[0].p50_ns / 1e3;
-        println!(
-            "p50 gate       : {} thread(s) at {p50_us:.1} µs (gate {max_p50_us} µs)",
-            points[0].threads
-        );
-        if p50_us > max_p50_us {
-            return Err(CmdError::coded(
-                7,
-                format!(
-                    "search p50 at {} thread(s) is {p50_us:.1} µs, above the \
-                     {max_p50_us} µs gate",
-                    points[0].threads
-                ),
-            ));
-        }
-    }
-    if max_p99_ratio > 0.0 && points.len() >= 2 {
-        let first = &points[0];
-        let last = &points[points.len() - 1];
-        let ratio = last.p99_ns / first.p99_ns.max(1e-9);
-        println!(
-            "p99 flatness   : {} threads at {ratio:.2}x the {}-thread p99 (gate {max_p99_ratio}x)",
-            last.threads, first.threads
-        );
-        if ratio > max_p99_ratio {
-            return Err(CmdError::coded(
-                7,
-                format!(
-                    "search p99 at {} threads is {ratio:.2}x the {}-thread value, above \
-                     the {max_p99_ratio}x gate — the read path is blocking somewhere",
-                    last.threads, first.threads
-                ),
-            ));
-        }
-    }
-    if let Some(base) = flags.get_opt("against") {
-        let tol = parse_tolerance_flag(flags)?;
-        let fresh: Vec<(u64, Vec<(&'static str, f64)>)> = points
-            .iter()
-            .map(|p| {
-                (
-                    p.threads as u64,
-                    vec![("search_p50_ns", p.p50_ns), ("search_p99_ns", p.p99_ns)],
-                )
-            })
-            .collect();
-        gate_against_baseline(
-            base,
-            "search_microbench",
-            tol,
-            &fresh,
-            &[("search_p50_ns", true), ("search_p99_ns", true)],
-        )?;
     }
     Ok(())
 }
@@ -1220,7 +817,7 @@ fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// One subcommand (or `bench` mode): its name as typed, the flags it
+/// One subcommand: its name as typed, the flags it
 /// reads and its entry point. The flag lists mirror `usage()`.
 struct Command {
     name: &'static str,
@@ -1245,22 +842,6 @@ const COMMANDS: &[Command] = &[
         run: simulate,
     },
     Command {
-        name: "bench",
-        flags: &[
-            "rows", "cols", "seed", "trips", "shards", "threads", "min-scaling", "json",
-            "against", "tolerance",
-        ],
-        run: bench,
-    },
-    Command {
-        name: "bench --search",
-        flags: &[
-            "search", "rows", "cols", "seed", "trips", "shards", "threads", "searches",
-            "max-p50-us", "max-p99-ratio", "json", "against", "tolerance",
-        ],
-        run: bench_search,
-    },
-    Command {
         name: "logs",
         flags: &["in", "outcome", "reason", "slower-than", "request", "top"],
         run: logs_cmd,
@@ -1283,10 +864,7 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    // `bench` has two modes with their own flags, picked by a switch.
-    let mode = rest.iter().find(|a| cmd == "bench" && a.as_str() == "--search");
-    let name = mode.map_or(cmd.clone(), |m| format!("{cmd} {m}"));
-    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
         eprintln!("error: unknown command '{cmd}'\n{}", usage());
         return ExitCode::FAILURE;
     };

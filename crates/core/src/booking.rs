@@ -102,7 +102,6 @@ impl XarEngine {
     /// point, or no longer has the detour budget for the realised
     /// route change.
     pub fn book(&mut self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
-        let t0 = std::time::Instant::now();
         let _span = xar_obs::SpanTimer::new(std::sync::Arc::clone(&self.metrics.book_ns));
         let mut tspan = xar_obs::trace::span("book");
         let region = std::sync::Arc::clone(self.region());
@@ -276,18 +275,6 @@ impl XarEngine {
         self.mark_ride_updated(m.ride);
         self.bump_state_version();
         self.stats.bookings.inc();
-        // Per-cluster labeled series (successful bookings only): the
-        // pick-up cluster folded into a fixed bucket keeps cardinality
-        // bounded while still exposing spatial skew.
-        let bucket = crate::metrics::EngineMetrics::cluster_bucket(m.pickup_cluster.0);
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
-        self.metrics.book_ns_cluster[bucket].record(elapsed_ns);
-        self.metrics.bookings_cluster[bucket].inc();
-        // Latency exemplar: remember which trace produced a slow
-        // booking so /metrics links back to the flight recorder.
-        if let Some(trace) = xar_obs::trace::current_trace() {
-            self.metrics.book_exemplar.offer(elapsed_ns, trace);
-        }
         tspan.attr("ride", m.ride.0);
         tspan.attr("shortest_paths", sp_count);
         tspan.attr("detour_m", actual_detour);

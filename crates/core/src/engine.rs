@@ -431,12 +431,6 @@ impl XarEngine {
         self.rides_structural = true;
         self.bump_state_version();
         self.stats.creates.inc();
-        // Occupancy gauge: the ride lives in its source's cluster
-        // bucket until retired (the source via-point never moves, so
-        // retire decrements the same bucket).
-        if let Some(c) = self.region.cluster_of_node(stop_nodes[0]) {
-            self.metrics.cluster_rides[EngineMetrics::cluster_bucket(c.0)].add(1);
-        }
         tspan.attr("ride", id.0);
         tspan.attr("legs", stop_nodes.len() as u64 - 1);
         Ok(id)
@@ -582,14 +576,11 @@ impl XarEngine {
     }
 
     /// Remove a retired ride from the table entirely (tracking, once
-    /// completed), releasing its slot in the occupancy gauge.
+    /// completed).
     pub(crate) fn retire_ride(&mut self, id: RideId) {
-        if let Some(ride) = self.rides.remove(&id) {
+        if self.rides.remove(&id).is_some() {
             self.rides_structural = true;
             self.pending_compactions += 1;
-            if let Some(c) = self.region.cluster_of_node(ride.via_points[0].node) {
-                self.metrics.cluster_rides[EngineMetrics::cluster_bucket(c.0)].add(-1);
-            }
         }
     }
 

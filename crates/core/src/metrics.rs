@@ -31,29 +31,14 @@
 //! | series | type | meaning |
 //! |--------|------|---------|
 //! | `engine.search_ns{tier="t1\|t2\|t3"}` | histogram | search latency by source fan-out: t1 ≤ 2 walkable clusters, t2 3–6, t3 ≥ 7 (unservable searches carry no tier) |
-//! | `engine.book_ns{cluster="bK"}` | histogram | booking latency by pick-up cluster bucket (`K = cluster id mod 8`) |
-//! | `engine.bookings{cluster="bK"}` | counter | bookings per pick-up cluster bucket |
-//! | `engine.cluster_rides{cluster="bK"}` | gauge | live rides whose source lies in cluster bucket `K` (+1 on create, −1 on retire) |
 //!
-//! The `engine.search_ns{tier=…}` and `engine.book_ns` families also
-//! retain latency **exemplars** (trace ids of the slowest recent
-//! requests, captured when a trace is active) via
-//! [`xar_obs::profile::exemplar_handle`]; `/metrics` renders them in
-//! OpenMetrics exemplar syntax.
+//! Which request was slow is answered from files, not from these
+//! series: `xar trace --top` over a `--trace-out` file and `xar logs
+//! --slower-than` over an `--events-out` file.
 
 use std::sync::Arc;
 
-use xar_obs::profile::{exemplar_handle, ExemplarSlot};
-use xar_obs::{Counter, Gauge, Histogram, Registry};
-
-/// Number of cluster buckets for per-cluster labels. Cluster ids are
-/// folded modulo this (the label cardinality budget caps at 8 series
-/// per family, far under the registry's 64-series overflow cap).
-pub const CLUSTER_BUCKETS: usize = 8;
-
-/// The `cluster` label values, index-aligned with the bucket arrays.
-pub const CLUSTER_BUCKET_NAMES: [&str; CLUSTER_BUCKETS] =
-    ["b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"];
+use xar_obs::{Counter, Histogram, Registry};
 
 /// The `tier` label values for search fan-out (source walkable-cluster
 /// count: t1 ≤ 2, t2 3–6, t3 ≥ 7).
@@ -80,15 +65,6 @@ pub struct EngineMetrics {
     /// `engine.search_ns{tier=…}` — search latency by source fan-out,
     /// index-aligned with [`SEARCH_TIERS`].
     pub search_ns_tier: [Arc<Histogram>; 3],
-    /// `engine.book_ns{cluster=…}` — booking latency by pick-up cluster
-    /// bucket, index-aligned with [`CLUSTER_BUCKET_NAMES`].
-    pub book_ns_cluster: [Arc<Histogram>; CLUSTER_BUCKETS],
-    /// `engine.bookings{cluster=…}` — bookings per pick-up cluster
-    /// bucket.
-    pub bookings_cluster: [Arc<Counter>; CLUSTER_BUCKETS],
-    /// `engine.cluster_rides{cluster=…}` — live-ride occupancy per
-    /// source cluster bucket.
-    pub cluster_rides: [Arc<Gauge>; CLUSTER_BUCKETS],
     /// Time to build and publish one shard search snapshot, nanoseconds
     /// (write-path cost of the snapshot read path).
     pub snapshot_publish_ns: Arc<Histogram>,
@@ -100,13 +76,6 @@ pub struct EngineMetrics {
     /// Retired (completed/expired) rides compacted out of the published
     /// ride table — the memory-bound half of ROADMAP item 5.
     pub snapshot_compacted_rides: Arc<Counter>,
-    /// Latency exemplars for `engine.search_ns{tier=…}` — the trace ids
-    /// behind the slowest recent searches per tier, index-aligned with
-    /// [`SEARCH_TIERS`]. Process-global (exemplars link to the
-    /// process-global flight recorder's trace ids).
-    pub search_exemplar_tier: [Arc<ExemplarSlot>; 3],
-    /// Latency exemplars for the aggregate `engine.book_ns` series.
-    pub book_exemplar: Arc<ExemplarSlot>,
 }
 
 impl EngineMetrics {
@@ -126,19 +95,10 @@ impl EngineMetrics {
         let sp_ns = registry.histogram("engine.sp_ns");
         let search_ns_tier =
             SEARCH_TIERS.map(|t| registry.histogram_with("engine.search_ns", &[("tier", t)]));
-        let book_ns_cluster = CLUSTER_BUCKET_NAMES
-            .map(|b| registry.histogram_with("engine.book_ns", &[("cluster", b)]));
-        let bookings_cluster = CLUSTER_BUCKET_NAMES
-            .map(|b| registry.counter_with("engine.bookings", &[("cluster", b)]));
-        let cluster_rides = CLUSTER_BUCKET_NAMES
-            .map(|b| registry.gauge_with("engine.cluster_rides", &[("cluster", b)]));
         let snapshot_publish_ns = registry.histogram("engine.snapshot_publish_ns");
         let snapshot_publishes = registry.counter("engine.snapshot_publishes");
         let snapshot_dirty_clusters = registry.histogram("snapshot.dirty_clusters");
         let snapshot_compacted_rides = registry.counter("snapshot.compacted_rides");
-        let search_exemplar_tier =
-            SEARCH_TIERS.map(|t| exemplar_handle("engine.search_ns", &[("tier", t)]));
-        let book_exemplar = exemplar_handle("engine.book_ns", &[]);
         Self {
             registry,
             search_ns,
@@ -148,15 +108,10 @@ impl EngineMetrics {
             search_candidates,
             sp_ns,
             search_ns_tier,
-            book_ns_cluster,
-            bookings_cluster,
-            cluster_rides,
             snapshot_publish_ns,
             snapshot_publishes,
             snapshot_dirty_clusters,
             snapshot_compacted_rides,
-            search_exemplar_tier,
-            book_exemplar,
         }
     }
 
@@ -174,12 +129,6 @@ impl EngineMetrics {
             3..=6 => 1,
             _ => 2,
         }
-    }
-
-    /// Index into the per-cluster bucket arrays for a cluster id.
-    #[inline]
-    pub fn cluster_bucket(cluster: u32) -> usize {
-        cluster as usize % CLUSTER_BUCKETS
     }
 }
 
@@ -207,15 +156,11 @@ mod tests {
         let m = EngineMetrics::new();
         m.search_ns_tier[0].record(10);
         m.search_ns_tier[2].record(99);
-        m.bookings_cluster[3].inc();
-        m.cluster_rides[3].add(1);
         // Series keys carry their labels; the inner quotes arrive
         // JSON-escaped in the document text.
         let json = m.registry().snapshot_json();
         assert!(json.contains("engine.search_ns{tier=\\\"t1\\\"}"), "{json}");
         assert!(json.contains("engine.search_ns{tier=\\\"t3\\\"}"), "{json}");
-        assert!(json.contains("engine.bookings{cluster=\\\"b3\\\"}"), "{json}");
-        assert!(json.contains("engine.cluster_rides{cluster=\\\"b3\\\"}"), "{json}");
         // The unlabeled aggregate family still coexists.
         m.search_ns.record(7);
         assert!(m.registry().snapshot_json().contains("\"engine.search_ns\""));
@@ -229,9 +174,6 @@ mod tests {
         assert_eq!(EngineMetrics::tier_index(6), 1);
         assert_eq!(EngineMetrics::tier_index(7), 2);
         assert_eq!(EngineMetrics::tier_index(1_000), 2);
-        assert_eq!(EngineMetrics::cluster_bucket(0), 0);
-        assert_eq!(EngineMetrics::cluster_bucket(8), 0);
-        assert_eq!(EngineMetrics::cluster_bucket(13), 5);
     }
 
     #[test]

@@ -252,14 +252,7 @@ pub(crate) fn run_search(
     sort_matches(out);
     out.truncate(limit);
     tspan.attr("matches", out.len());
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    metrics.search_ns_tier[tier].record(elapsed_ns);
-    // Latency exemplar per tier: retain the trace ids behind the
-    // slowest recent searches (atomics only — the warmed search path
-    // stays allocation-free; skipped when tracing is off).
-    if let Some(trace) = xar_obs::trace::current_trace() {
-        metrics.search_exemplar_tier[tier].offer(elapsed_ns, trace);
-    }
+    metrics.search_ns_tier[tier].record(t0.elapsed().as_nanos() as u64);
     Ok(())
 }
 

@@ -18,7 +18,10 @@
 //! [`parse_chrome`] + [`Timeline::build`] invert the export: they
 //! re-match `B`/`E` pairs per thread and rebuild span trees with
 //! per-span self-time. Export → parse is round-trip property-tested in
-//! `tests/trace_properties.rs`.
+//! `tests/trace_properties.rs`. [`collapse`] folds those trees into
+//! collapsed stacks (`request;sim.search;search 8123`), the input
+//! format of flamegraph.pl, inferno and speedscope: a profile is a fold
+//! of the trace file, not a second recorder.
 //!
 //! ```
 //! use xar_obs::trace::{Recorder, TraceConfig};
@@ -36,6 +39,8 @@
 //! assert_eq!(timelines[0].root.name, "request");
 //! assert_eq!(timelines[0].root.children[0].name, "search");
 //! ```
+
+use std::collections::BTreeMap;
 
 use crate::json::{parse, JsonValue, JsonWriter};
 use crate::trace::{AttrValue, EventKind, TraceSnapshot};
@@ -358,6 +363,51 @@ impl Timeline {
     }
 }
 
+/// Fold span trees into collapsed stacks: one `frame;frame;… self_ns`
+/// line per distinct stack path, where `self_ns` sums
+/// `round(self_us × 1000)` over every span on that path. Paths whose
+/// weight is zero are dropped, and lines come out sorted by path, so
+/// the weights sum to the timelines' root durations (within the 1 ns
+/// rounding of each span) and equal inputs give byte-equal output.
+/// `;` and whitespace in span names become `_`, so every line splits
+/// back into frames and a weight.
+pub fn collapse(timelines: &[Timeline]) -> String {
+    fn fold(node: &SpanNode, path: &mut String, out: &mut BTreeMap<String, u64>) {
+        let len = path.len();
+        if len > 0 {
+            path.push(';');
+        }
+        for c in node.name.chars() {
+            path.push(if c == ';' || c.is_whitespace() {
+                '_'
+            } else {
+                c
+            });
+        }
+        let self_ns = (node.self_us * 1000.0).round() as u64;
+        if self_ns > 0 {
+            *out.entry(path.clone()).or_default() += self_ns;
+        }
+        for child in &node.children {
+            fold(child, path, out);
+        }
+        path.truncate(len);
+    }
+    let mut stacks = BTreeMap::new();
+    let mut path = String::new();
+    for t in timelines {
+        fold(&t.root, &mut path, &mut stacks);
+    }
+    let mut out = String::new();
+    for (stack, ns) in stacks {
+        out.push_str(&stack);
+        out.push(' ');
+        out.push_str(&ns.to_string());
+        out.push('\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,6 +472,48 @@ mod tests {
         assert!(t.root.instants.iter().any(|(n, _, _)| n == "offered"));
         assert!(t.lifecycle.iter().any(|(n, _, _)| n == "picked_up"));
         assert_eq!(t.span_count(), 6);
+    }
+
+    #[test]
+    fn collapse_folds_self_time_by_stack_path() {
+        let node = |name: &str, dur_us: f64, self_us: f64, children: Vec<SpanNode>| SpanNode {
+            name: name.into(),
+            start_us: 0.0,
+            dur_us,
+            self_us,
+            attrs: Vec::new(),
+            children,
+            instants: Vec::new(),
+        };
+        let timeline = |root: SpanNode| Timeline {
+            trace: 1,
+            root,
+            lifecycle: Vec::new(),
+        };
+        let timelines = [
+            timeline(node(
+                "request",
+                10.0,
+                2.0,
+                vec![
+                    node("search", 5.0, 5.0, vec![]),
+                    node("bad name;x", 3.0, 3.0, vec![]),
+                ],
+            )),
+            // A second request merges into the same paths; its zero-self
+            // `book` span leaves no line of its own.
+            timeline(node(
+                "request",
+                4.0,
+                1.0,
+                vec![node("book", 3.0, 0.0, vec![node("sp", 3.0, 3.0, vec![])])],
+            )),
+        ];
+        assert_eq!(
+            collapse(&timelines),
+            "request 3000\nrequest;bad_name_x 3000\nrequest;book;sp 3000\nrequest;search 5000\n"
+        );
+        assert!(collapse(&[]).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   over `u64` samples. The record path is a handful of relaxed
 //!   atomic operations (no locks, no allocation); relative bucket
 //!   error is bounded by 1/16 ≈ 6.25 %.
-//! * [`Counter`] / [`Gauge`] — relaxed atomic scalars.
+//! * [`Counter`] — a relaxed atomic counter.
 //! * [`Registry`] — a named-metric table handing out `Arc` handles, so
 //!   hot paths never touch the registry lock after setup, with
 //!   deterministic [`Registry::snapshot_json`] export.
@@ -20,16 +20,14 @@
 //!   emit reports without a serde dependency.
 //! * [`trace`] — a bounded flight recorder for request-scoped causal
 //!   span timelines with tail sampling; [`chrome`] exports its
-//!   snapshots as Perfetto-loadable Chrome trace-event JSON.
+//!   snapshots as Perfetto-loadable Chrome trace-event JSON, reads the
+//!   file back into span trees, and folds those trees into collapsed
+//!   stacks — the trace file is the profile.
 //! * [`events`] — the wide-event plane: one canonical per-request
 //!   decision record (outcome, typed rejection reason, tier,
 //!   latencies) with the recorder's discipline — free when disabled,
 //!   no locks per event, conserved drop accounting — exported as
 //!   segmented JSONL for the `xar logs` forensics CLI.
-//! * [`profile`] — continuous profiling over the flight recorder:
-//!   hierarchical self/total-time aggregation of the recorded spans,
-//!   a collapsed-stack artifact (flamegraph.pl, inferno, speedscope),
-//!   and latency exemplars linking `/metrics` back to trace ids.
 //! * [`serve`] — the live plane: an embedded HTTP server exposing the
 //!   registry as Prometheus text ([`promtext`]) and JSON, plus the
 //!   `/debug/*` introspection routes.
@@ -57,7 +55,6 @@ pub mod chrome;
 pub mod events;
 pub mod hist;
 pub mod json;
-pub mod profile;
 pub mod promtext;
 pub mod registry;
 pub mod serve;
@@ -65,6 +62,6 @@ pub mod span;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{global, Counter, Gauge, MetricSnapshot, Registry, SeriesSnapshot};
+pub use registry::{global, Counter, MetricSnapshot, Registry, SeriesSnapshot};
 pub use span::SpanTimer;
 pub use trace::{AttrList, AttrValue, Recorder, TraceConfig};

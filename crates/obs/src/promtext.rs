@@ -4,7 +4,6 @@
 //! Prometheus text format (version 0.0.4) served on `/metrics`:
 //!
 //! * counters → `# TYPE <name> counter` + one sample per series,
-//! * gauges → `# TYPE <name> gauge` likewise,
 //! * histograms → `# TYPE <name> summary`: per-series `{quantile="…"}`
 //!   samples plus `<name>_sum` / `<name>_count` / `<name>_max`
 //!   (the max is exported as a separate gauge family, since the
@@ -18,17 +17,9 @@
 //! validate its own exposition without any HTTP/metrics dependency —
 //! it accepts exactly the subset `render` emits plus unknown comment
 //! lines, and round-trips sample values.
-//!
-//! [`render_with_exemplars`] additionally annotates histogram `_max`
-//! and `quantile="0.99"` samples with OpenMetrics exemplar syntax
-//! (` # {trace_id="0x…"} <value>`) from the profiling plane's
-//! [`exemplar_snapshot`](crate::profile::exemplar_snapshot), closing
-//! the metrics→trace loop; the parser reads the annotation back into
-//! [`PromSample::exemplar`].
 
 use std::fmt::Write as _;
 
-use crate::profile::ExemplarSeries;
 use crate::registry::{MetricSnapshot, SeriesSnapshot};
 
 /// The quantiles exported for every histogram series.
@@ -92,34 +83,12 @@ fn write_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&s
 /// by family (they are, coming from `Registry::series`); each family
 /// gets one `# TYPE` line.
 pub fn render(series: &[SeriesSnapshot]) -> String {
-    render_with_exemplars(series, &[])
-}
-
-/// Look up the exemplar series matching one metric series (family name
-/// and label pairs both pre-sanitization, both sorted).
-fn exemplars_for<'a>(
-    exemplars: &'a [ExemplarSeries],
-    s: &SeriesSnapshot,
-) -> Option<&'a ExemplarSeries> {
-    exemplars.iter().find(|e| e.family == s.name && e.labels == s.labels)
-}
-
-fn write_exemplar(out: &mut String, e: &crate::profile::Exemplar) {
-    let _ = write!(out, " # {{trace_id=\"{:#x}\"}} {}", e.trace, e.value);
-}
-
-/// Like [`render`], but annotates histogram samples with exemplars:
-/// each matching series gets its largest retained exemplar on the
-/// `_max` sample and its second-largest (when present) on the
-/// `quantile="0.99"` sample, in OpenMetrics exemplar syntax.
-pub fn render_with_exemplars(series: &[SeriesSnapshot], exemplars: &[ExemplarSeries]) -> String {
     let mut out = String::new();
     let mut last_family: Option<(String, &'static str)> = None;
     for s in series {
         let fam = sanitize_name(&s.name);
         let kind = match &s.value {
             MetricSnapshot::Counter(_) => "counter",
-            MetricSnapshot::Gauge(_) => "gauge",
             MetricSnapshot::Histogram(_) => "summary",
         };
         if last_family.as_ref().is_none_or(|(f, _)| *f != fam) {
@@ -135,23 +104,11 @@ pub fn render_with_exemplars(series: &[SeriesSnapshot], exemplars: &[ExemplarSer
                 write_labels(&mut out, &s.labels, None);
                 let _ = writeln!(out, " {v}");
             }
-            MetricSnapshot::Gauge(v) => {
-                out.push_str(&fam);
-                write_labels(&mut out, &s.labels, None);
-                let _ = writeln!(out, " {v}");
-            }
             MetricSnapshot::Histogram(h) => {
-                let ex = exemplars_for(exemplars, s);
                 for &(q, p) in QUANTILES {
                     out.push_str(&fam);
                     write_labels(&mut out, &s.labels, Some(("quantile", q)));
-                    let _ = write!(out, " {}", h.quantile(p));
-                    if q == "0.99" {
-                        if let Some(e) = ex.and_then(|e| e.exemplars.get(1)) {
-                            write_exemplar(&mut out, e);
-                        }
-                    }
-                    out.push('\n');
+                    let _ = writeln!(out, " {}", h.quantile(p));
                 }
                 let _ = write!(out, "{fam}_sum");
                 write_labels(&mut out, &s.labels, None);
@@ -161,11 +118,7 @@ pub fn render_with_exemplars(series: &[SeriesSnapshot], exemplars: &[ExemplarSer
                 let _ = writeln!(out, " {}", h.count);
                 let _ = write!(out, "{fam}_max");
                 write_labels(&mut out, &s.labels, None);
-                let _ = write!(out, " {}", h.max);
-                if let Some(e) = ex.and_then(|e| e.exemplars.first()) {
-                    write_exemplar(&mut out, e);
-                }
-                out.push('\n');
+                let _ = writeln!(out, " {}", h.max);
             }
         }
     }
@@ -183,31 +136,12 @@ pub struct PromSample {
     pub labels: Vec<(String, String)>,
     /// The sample value.
     pub value: f64,
-    /// The OpenMetrics exemplar annotation, if the line carried one.
-    pub exemplar: Option<PromExemplar>,
 }
 
 impl PromSample {
     /// The value of label `key`, if present.
     pub fn label(&self, key: &str) -> Option<&str> {
         self.labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-}
-
-/// A parsed OpenMetrics exemplar annotation
-/// (` # {trace_id="0x2a"} 1234567`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromExemplar {
-    /// Exemplar label pairs (`trace_id` for this repo's exposition).
-    pub labels: Vec<(String, String)>,
-    /// The exemplar's observed value.
-    pub value: f64,
-}
-
-impl PromExemplar {
-    /// The `trace_id` label, if present.
-    pub fn trace_id(&self) -> Option<&str> {
-        self.labels.iter().find(|(k, _)| k == "trace_id").map(|(_, v)| v.as_str())
     }
 }
 
@@ -299,12 +233,6 @@ fn parse_sample(line: &str) -> Result<PromSample, String> {
             (nl, rest.trim())
         }
     };
-    // An OpenMetrics exemplar rides after the value as
-    // ` # {labels} exemplar-value`; split it off before parsing.
-    let (value_str, exemplar) = match value_str.split_once(" # ") {
-        Some((v, ex)) => (v.trim(), Some(parse_exemplar(ex.trim())?)),
-        None => (value_str, None),
-    };
     let value: f64 = value_str
         .split_whitespace()
         .next()
@@ -330,20 +258,7 @@ fn parse_sample(line: &str) -> Result<PromSample, String> {
     {
         return Err(format!("invalid metric name '{name}'"));
     }
-    Ok(PromSample { name, labels, value, exemplar })
-}
-
-fn parse_exemplar(text: &str) -> Result<PromExemplar, String> {
-    let body = text.strip_prefix('{').ok_or("exemplar without label block")?;
-    let (labels, rest) = body.split_once('}').ok_or("unterminated exemplar labels")?;
-    let labels = parse_labels(labels)?;
-    let value: f64 = rest
-        .split_whitespace()
-        .next()
-        .ok_or("exemplar without value")?
-        .parse()
-        .map_err(|_| format!("bad exemplar value '{rest}'"))?;
-    Ok(PromExemplar { labels, value })
+    Ok(PromSample { name, labels, value })
 }
 
 fn parse_labels(body: &str) -> Result<Vec<(String, String)>, String> {
@@ -408,7 +323,6 @@ mod tests {
         r.counter("engine.searches").add(42);
         r.counter_with("sim.requests", &[("outcome", "booked")]).add(7);
         r.counter_with("sim.requests", &[("outcome", "created")]).add(3);
-        r.gauge_with("engine.cluster_rides", &[("cluster", "b2")]).set(5);
         let h = r.histogram_with("engine.search_ns", &[("tier", "t2")]);
         for v in [100u64, 2_000, 50_000] {
             h.record(v);
@@ -426,7 +340,6 @@ mod tests {
         assert!(text.contains("engine_search_ns{tier=\"t2\",quantile=\"0.99\"}"), "{text}");
         assert!(text.contains("engine_search_ns_count{tier=\"t2\"} 3"), "{text}");
         assert!(text.contains("engine_search_ns_sum{tier=\"t2\"} 52100"), "{text}");
-        assert!(text.contains("engine_cluster_rides{cluster=\"b2\"} 5"), "{text}");
         // Exactly one TYPE line per family.
         assert_eq!(text.matches("# TYPE sim_requests counter").count(), 1);
     }
@@ -478,50 +391,5 @@ mod tests {
         assert_eq!(sanitize_name("engine.search_ns"), "engine_search_ns");
         assert_eq!(sanitize_name("9x"), "_9x");
         assert_eq!(sanitize_name("a-b c"), "a_b_c");
-    }
-
-    #[test]
-    fn exemplars_render_and_round_trip() {
-        let r = Registry::new();
-        let h = r.histogram_with("promtext.exemplar_ns", &[("tier", "t1")]);
-        for v in [100u64, 2_000, 900_000] {
-            h.record(v);
-        }
-        let slot =
-            crate::profile::exemplar_handle("promtext.exemplar_ns", &[("tier", "t1")]);
-        slot.offer(900_000, 0x2a);
-        slot.offer(750_000, 0x1b);
-        let text = render_with_exemplars(&r.series(), &crate::profile::exemplar_snapshot());
-        assert!(
-            text.contains("promtext_exemplar_ns_max{tier=\"t1\"} 900000 # {trace_id=\"0x2a\"} 900000"),
-            "{text}"
-        );
-        let parsed = parse(&text).expect("exemplar exposition parses");
-        let max = parsed.find("promtext_exemplar_ns_max", &[("tier", "t1")]).unwrap();
-        assert_eq!(max.value, 900_000.0);
-        let ex = max.exemplar.as_ref().expect("max carries exemplar");
-        assert_eq!(ex.trace_id(), Some("0x2a"));
-        assert_eq!(ex.value, 900_000.0);
-        // Second-largest rides on the 0.99 quantile sample.
-        let p99 = parsed
-            .find("promtext_exemplar_ns", &[("tier", "t1"), ("quantile", "0.99")])
-            .unwrap();
-        assert_eq!(
-            p99.exemplar.as_ref().and_then(|e| e.trace_id()),
-            Some("0x1b")
-        );
-        // Samples without exemplars parse with None.
-        assert!(parsed
-            .find("promtext_exemplar_ns_count", &[("tier", "t1")])
-            .unwrap()
-            .exemplar
-            .is_none());
-    }
-
-    #[test]
-    fn rejects_malformed_exemplars() {
-        assert!(parse("x 1 # notabrace 2").is_err());
-        assert!(parse("x 1 # {k=\"v\"}").is_err());
-        assert!(parse("x 1 # {k=\"v\"} notanumber").is_err());
     }
 }

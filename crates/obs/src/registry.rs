@@ -1,7 +1,6 @@
 //! The named-metric registry.
 //!
-//! A [`Registry`] hands out `Arc` handles to counters, gauges and
-//! histograms. Hot paths clone the handle once at setup and then
+//! A [`Registry`] hands out `Arc` handles to counters and histograms. Hot paths clone the handle once at setup and then
 //! record through relaxed atomics — the registry lock is only touched
 //! at registration and snapshot time.
 //!
@@ -17,15 +16,14 @@
 //! can (the normal case) holds plain `Arc`s and records lock-free.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::json::JsonWriter;
 
 /// Upper bound on distinct labeled series per family. Labels are for
-/// low-cardinality dimensions (a tier, a bucketed cluster id, an
-/// outcome); once a family reaches the cap, further *new* label sets
+/// low-cardinality dimensions (a tier, an outcome); once a family reaches the cap, further *new* label sets
 /// all collapse into one reserved `{overflow="true"}` series so a
 /// cardinality bug degrades a dashboard instead of eating the heap.
 pub const MAX_SERIES_PER_FAMILY: usize = 64;
@@ -56,33 +54,9 @@ impl Counter {
     }
 }
 
-/// A last-write-wins signed gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add to the value (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 #[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -90,7 +64,6 @@ impl Metric {
     fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
@@ -101,8 +74,6 @@ impl Metric {
 pub enum MetricSnapshot {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
     /// Histogram percentile summary (with bucket cells).
     Histogram(HistogramSnapshot),
 }
@@ -178,7 +149,7 @@ impl Family {
     }
 }
 
-/// A named-metric table: counters, gauges and histograms keyed by a
+/// A named-metric table: counters and histograms keyed by a
 /// dotted name (convention: `<subsystem>.<metric>_<unit>`, e.g.
 /// `engine.search_ns`), each optionally fanned out into labeled series.
 ///
@@ -350,31 +321,6 @@ impl Registry {
         )
     }
 
-    /// Get or create the gauge named `name` (the unlabeled series).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric
-    /// type.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.gauge_with(name, &[])
-    }
-
-    /// Get or create the gauge series `name{labels}` (see
-    /// [`Registry::counter_with`] for the label contract).
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.series_with(
-            name,
-            labels,
-            "gauge",
-            || Metric::Gauge(Arc::new(Gauge::default())),
-            |m| match m {
-                Metric::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-        )
-    }
-
     /// Get or create the histogram named `name` (the unlabeled series).
     ///
     /// # Panics
@@ -449,8 +395,7 @@ impl Registry {
 
     /// Snapshot every metric as a deterministic JSON object.
     ///
-    /// Schema: `{"<name>": <u64>}` for counters, `{"<name>": <i64>}`
-    /// for gauges, and for histograms
+    /// Schema: `{"<name>": <u64>}` for counters, and for histograms
     /// `{"<name>": {"count":u64,"sum":u64,"mean":f64,"p50":u64,
     /// "p90":u64,"p99":u64,"max":u64}}`. Labeled series appear under
     /// keys of the form `name{k="v",...}`.
@@ -461,7 +406,6 @@ impl Registry {
             w.key(&name);
             match snap {
                 MetricSnapshot::Counter(v) => w.number_u64(v),
-                MetricSnapshot::Gauge(v) => w.number_i64(v),
                 MetricSnapshot::Histogram(h) => write_hist_json(&mut w, &h),
             }
         }
@@ -473,7 +417,6 @@ impl Registry {
 fn snap_metric(m: &Metric) -> MetricSnapshot {
     match m {
         Metric::Counter(c) => MetricSnapshot::Counter(c.get()),
-        Metric::Gauge(g) => MetricSnapshot::Gauge(g.get()),
         Metric::Histogram(h) => MetricSnapshot::Histogram(h.snapshot()),
     }
 }
@@ -519,10 +462,6 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(r.counter("ops").get(), 3);
-        let g = r.gauge("depth");
-        g.set(-4);
-        g.add(1);
-        assert_eq!(r.gauge("depth").get(), -3);
     }
 
     #[test]
@@ -601,13 +540,11 @@ mod tests {
     fn snapshot_json_is_sorted_and_complete() {
         let r = Registry::new();
         r.counter("b.count").add(7);
-        r.gauge("c.level").set(-1);
         r.histogram("a.lat_ns").record(100);
         let json = r.snapshot_json();
         let a = json.find("\"a.lat_ns\"").expect("histogram present");
         let b = json.find("\"b.count\":7").expect("counter present");
-        let c = json.find("\"c.level\":-1").expect("gauge present");
-        assert!(a < b && b < c, "keys not sorted: {json}");
+        assert!(a < b, "keys not sorted: {json}");
         assert!(json.contains("\"p99\":"));
     }
 

@@ -4,12 +4,8 @@
 //! process over a handful of GET routes:
 //!
 //! * `/metrics` — Prometheus text ([`crate::promtext::render`]) of
-//!   every registry series; latency families carry OpenMetrics
-//!   **exemplars** linking slow samples to flight-recorder trace ids
-//!   ([`crate::profile::exemplar_snapshot`]).
+//!   every registry series.
 //! * `/snapshot` — the registry's cumulative JSON snapshot.
-//! * `/debug/profile` — the aggregated span profile plus per-span
-//!   allocation attribution ([`crate::profile::debug_profile_json`]).
 //! * `/debug/events` — the wide-event sink's state and newest ring
 //!   events ([`crate::events::debug_events_json`]).
 //! * `/debug/shards` — live introspection JSON from the embedding
@@ -67,11 +63,6 @@ impl OpsPlane {
     /// An ops plane with no debug hooks.
     pub fn new(registry: Arc<Registry>) -> Self {
         Self { registry, debug: DebugHooks::default() }
-    }
-
-    /// The `/metrics` document: every series, with exemplars.
-    pub fn metrics_text(&self) -> String {
-        promtext::render_with_exemplars(&self.registry.series(), &crate::profile::exemplar_snapshot())
     }
 }
 
@@ -162,11 +153,8 @@ fn handle(stream: &mut TcpStream, plane: &OpsPlane) -> std::io::Result<()> {
         (405, "text/plain", "method not allowed\n".to_string())
     } else {
         match path {
-            "/metrics" => (200, "text/plain; version=0.0.4", plane.metrics_text()),
+            "/metrics" => (200, "text/plain; version=0.0.4", promtext::render(&plane.registry.series())),
             "/snapshot" => (200, "application/json", plane.registry.snapshot_json()),
-            "/debug/profile" => {
-                (200, "application/json", crate::profile::debug_profile_json())
-            }
             "/debug/events" => {
                 (200, "application/json", crate::events::debug_events_json(32))
             }
@@ -248,10 +236,6 @@ mod tests {
         let mut plane = OpsPlane::new(Arc::new(Registry::new()));
         let server = serve("127.0.0.1:0", plane.clone()).expect("bind");
         let addr = server.local_addr();
-        // Built-in: the profile route always answers.
-        let (status, body) = http_get(addr, "/debug/profile");
-        assert_eq!(status, 200);
-        assert!(crate::json::parse(&body).is_ok(), "{body}");
         // Built-in: the wide-event tail answers even with an empty sink.
         let (status, body) = http_get(addr, "/debug/events");
         assert_eq!(status, 200);

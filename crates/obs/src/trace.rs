@@ -515,7 +515,7 @@ impl Recorder {
     }
 
     /// The id of the trace active on this thread, if any (capture for
-    /// [`Recorder::lifecycle`] and latency exemplars).
+    /// [`Recorder::lifecycle`]).
     pub fn current_trace(&self) -> Option<u64> {
         ACTIVE.with(|a| a.borrow().as_ref().map(|active| active.trace))
     }

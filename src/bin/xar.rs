@@ -48,45 +48,43 @@
 //!     3 = no events (or none matching the filters), 9 = invalid
 //!     filter value.
 //!
-//! xar trace --in trace.json [--top N] [--check]
+//! xar trace --in trace.json [--top N] [--check] [--collapsed FILE]
 //!     Print the N slowest request timelines (per-span self-time,
 //!     lifecycle milestones) from a `--trace-out` file — or, with
 //!     `--check`, validate the file and exit with a distinct code per
 //!     failure class: 2 = unreadable / invalid JSON, 3 = no complete
-//!     request timeline, 4 = missing drop counter.
-//!
-//! xar profile --out FILE [--rows N] [--cols N] [--seed S] [--trips N]
-//!             [--top N]
-//!     Continuous-profiling artifact: run an in-process simulation with
-//!     the flight recorder keeping every trace, fold the span trees
-//!     into a hierarchical self/total-time profile, and write it as
-//!     collapsed stacks (flamegraph.pl, inferno and speedscope load
-//!     them). The written artifact is re-parsed with the in-repo reader
-//!     before the command reports success. A top-N self-time summary is
-//!     always printed.
+//!     request timeline, 4 = missing drop counter. `--collapsed FILE`
+//!     also folds every complete timeline into collapsed stacks
+//!     (`frame;frame;… self_ns`, the input of flamegraph.pl, inferno
+//!     and speedscope): the trace file is the profile. Record one with
+//!     `simulate --trace-out F --trace-sample 1 --trace-slow-ms 0`.
 //! ```
 //!
 //! Live operational flags on `simulate`: `--serve ADDR` starts the
-//! embedded ops-plane HTTP server (`/metrics` with OpenMetrics latency
-//! exemplars, `/snapshot`, `/debug/profile`, `/debug/shards`,
-//! `/debug/events`; `ADDR` may use port 0 — the bound address is
-//! printed); `--linger-s F` keeps the process (and server) alive after
-//! the simulation so scrapers can observe the final state, and without
-//! `--serve` exits with code 1 before any work.
+//! embedded ops-plane HTTP server (`/metrics`, `/snapshot`,
+//! `/debug/shards`, `/debug/events`; `ADDR` may use port 0 — the bound
+//! address is printed); `--linger-s F` keeps the process (and server)
+//! alive after the simulation so scrapers can observe the final state,
+//! and without `--serve` exits with code 1 before any work.
 //!
 //! Every subcommand accepts only the flags listed for it here: any
-//! other `--flag` exits with code 1 before the command does any work.
+//! other `--flag` exits with code 1 before the command does any work,
+//! and so does a `simulate` number that cannot mean anything (a
+//! negative or non-finite distance, window or time, or `--k 0`).
+//! Everything a command prints to stdout goes through one writer: when
+//! its reader exits early (`xar logs … | head`), the command stops
+//! quietly with exit 0.
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use xar_obs::serve::OpsPlane;
 
-use xar_obs::chrome::{export_chrome, parse_chrome, Attrs, Timeline};
+use xar_obs::chrome::{collapse, export_chrome, parse_chrome, Attrs, Timeline};
 use xar_obs::json::JsonValue;
 use xar_obs::TraceConfig;
 use xhare_a_ride::core::{
@@ -125,6 +123,20 @@ impl CmdError {
 impl From<String> for CmdError {
     fn from(msg: String) -> Self {
         CmdError::general(msg)
+    }
+}
+
+/// A failed write to stdout. A closed pipe means the reader has all it
+/// wanted, so it carries code 0 and no message; `main` exits quietly.
+impl From<io::Error> for CmdError {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Self {
+                code: 0,
+                msg: String::new(),
+            },
+            _ => CmdError::general(format!("cannot write to stdout: {e}")),
+        }
     }
 }
 
@@ -178,17 +190,25 @@ impl Flags {
     fn require(&self, key: &str) -> Result<&str, String> {
         self.get_opt(key).ok_or_else(|| format!("missing required flag --{key}"))
     }
+
+    /// A distance, window or time: finite and non-negative.
+    fn non_negative(&self, key: &str, default: f64) -> Result<f64, String> {
+        match self.get(key, default)? {
+            v if v.is_finite() && v >= 0.0 => Ok(v),
+            v => Err(format!("--{key} must be a finite number >= 0, got '{v}'")),
+        }
+    }
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--linger-s F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check]\n  xar profile --out FILE [--rows N] [--cols N] [--seed S] [--trips N] [--top N]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--linger-s F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check] [--collapsed FILE]"
 }
 
-fn build_region(flags: &Flags) -> Result<(), CmdError> {
+fn build_region(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let rows: usize = flags.get("rows", 60)?;
     let cols: usize = flags.get("cols", 60)?;
     let seed: u64 = flags.get("seed", 1)?;
-    let out = flags.require("out")?;
+    let file = flags.require("out")?;
     let goal = if let Some(c) = flags.get_opt("clusters") {
         ClusterGoal::FixedCount(c.parse().map_err(|_| "invalid --clusters".to_string())?)
     } else {
@@ -205,41 +225,43 @@ fn build_region(flags: &Flags) -> Result<(), CmdError> {
     );
     let region =
         RegionIndex::build(graph, &pois, RegionConfig { cluster_goal: goal, ..Default::default() });
-    region.save(out).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "region saved to {out}: {} landmarks, {} clusters, epsilon {:.0} m, tables {:.1} MiB",
+    region.save(file).map_err(|e| format!("cannot write {file}: {e}"))?;
+    writeln!(
+        out,
+        "region saved to {file}: {} landmarks, {} clusters, epsilon {:.0} m, tables {:.1} MiB",
         region.landmark_count(),
         region.cluster_count(),
         region.epsilon_m(),
         region.heap_bytes() as f64 / (1024.0 * 1024.0),
-    );
+    )?;
     Ok(())
 }
 
-fn inspect(flags: &Flags) -> Result<(), CmdError> {
+fn inspect(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let path = flags.require("region")?;
     let region = RegionIndex::load(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let g = region.graph();
-    println!("region file    : {path}");
-    println!("road network   : {} way-points, {} segments", g.node_count(), g.edge_count());
-    println!("grid           : {} x {} cells of {:.0} m", region.grid().cols(), region.grid().rows(), region.grid().cell_m());
-    println!("landmarks      : {}", region.landmark_count());
-    println!("clusters       : {}", region.cluster_count());
-    println!("epsilon        : {:.0} m (worst intra-cluster driving distance)", region.epsilon_m());
-    println!("tables in RAM  : {:.1} MiB", region.heap_bytes() as f64 / (1024.0 * 1024.0));
-    println!(
+    writeln!(out, "region file    : {path}")?;
+    writeln!(out, "road network   : {} way-points, {} segments", g.node_count(), g.edge_count())?;
+    writeln!(out, "grid           : {} x {} cells of {:.0} m", region.grid().cols(), region.grid().rows(), region.grid().cell_m())?;
+    writeln!(out, "landmarks      : {}", region.landmark_count())?;
+    writeln!(out, "clusters       : {}", region.cluster_count())?;
+    writeln!(out, "epsilon        : {:.0} m (worst intra-cluster driving distance)", region.epsilon_m())?;
+    writeln!(out, "tables in RAM  : {:.1} MiB", region.heap_bytes() as f64 / (1024.0 * 1024.0))?;
+    writeln!(
+        out,
         "router table   : {:.1} MiB (rebuilt on load, not in the file)",
         region.router().heap_bytes() as f64 / (1024.0 * 1024.0)
-    );
+    )?;
     let cells = region.grid().cell_count();
     let bytes = cells * std::mem::size_of::<xhare_a_ride::roadnet::NodeId>() as u64;
-    println!("grid table     : {cells} cells, {bytes} B (tier 1 of the tables; rebuilt on load)");
+    writeln!(out, "grid table     : {cells} cells, {bytes} B (tier 1 of the tables; rebuilt on load)")?;
     let sizes: Vec<usize> = (0..region.cluster_count() as u32)
         .map(|c| region.cluster_members(xhare_a_ride::discretize::ClusterId(c)).len())
         .collect();
     let max = sizes.iter().max().copied().unwrap_or(0);
     let avg = sizes.iter().sum::<usize>() as f64 / sizes.len().max(1) as f64;
-    println!("cluster sizes  : avg {avg:.1} landmarks, max {max}");
+    writeln!(out, "cluster sizes  : avg {avg:.1} landmarks, max {max}")?;
     Ok(())
 }
 
@@ -286,13 +308,13 @@ enum SimUnderTest {
     Parallel(ShardedXarBackend),
 }
 
-fn simulate(flags: &Flags) -> Result<(), CmdError> {
+fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     // Validated before any heavy work so a bad value fails fast with
     // its distinct exit code.
     let threads = parse_threads_flag(flags)?;
     let shards = parse_shards_flag(flags)?;
     let serve_addr = flags.get_opt("serve");
-    let linger_s: f64 = flags.get("linger-s", 0.0)?;
+    let linger_s = flags.non_negative("linger-s", 0.0)?;
     if serve_addr.is_none() && flags.get_opt("linger-s").is_some() {
         return Err(CmdError::general(
             "--linger-s keeps the --serve ADDR server up after the run; without --serve it would do nothing",
@@ -302,9 +324,13 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     let trips_n: usize = flags.get("trips", 10_000)?;
     let seed: u64 = flags.get("seed", 0x7A11)?;
     let k: usize = flags.get("k", usize::MAX)?;
-    let walk: f64 = flags.get("walk", 800.0)?;
-    let window: f64 = flags.get("window", 1_200.0)?;
-    let detour: f64 = flags.get("detour", 4_000.0)?;
+    if k == 0 {
+        return Err(CmdError::general("--k must be at least 1, got '0'"));
+    }
+    let walk = flags.non_negative("walk", 800.0)?;
+    let window = flags.non_negative("window", 1_200.0)?;
+    let detour = flags.non_negative("detour", 4_000.0)?;
+    let slow_ms = flags.non_negative("trace-slow-ms", 1.0)?;
 
     let events_out = flags.get_opt("events-out").map(str::to_string);
     if events_out.is_some() {
@@ -313,7 +339,6 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
     }
     let trace_out = flags.get_opt("trace-out").map(str::to_string);
     if trace_out.is_some() {
-        let slow_ms: f64 = flags.get("trace-slow-ms", 1.0)?;
         let sample: f64 = flags.get("trace-sample", 0.01)?;
         let buffer: usize = flags.get("trace-buffer", 262_144)?;
         if !(0.0..=1.0).contains(&sample) {
@@ -321,7 +346,7 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
         }
         let rec = xar_obs::trace::recorder();
         rec.configure(TraceConfig {
-            slow_threshold_ns: (slow_ms * 1e6).max(0.0) as u64,
+            slow_threshold_ns: (slow_ms * 1e6) as u64,
             sample_per_mille: (sample * 1000.0).round() as u32,
             capacity_events: buffer,
             ..TraceConfig::default()
@@ -376,8 +401,8 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
                 .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
             // The bound address line is machine-read (CI, scripts) —
             // keep its shape stable and flush it promptly.
-            println!("ops plane      : http://{}", s.local_addr());
-            std::io::stdout().flush().ok();
+            writeln!(out, "ops plane      : http://{}", s.local_addr())?;
+            out.flush()?;
             Some(s)
         }
     };
@@ -394,29 +419,32 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
         let snap = xar_obs::events::snapshot();
         std::fs::write(path, xar_obs::events::to_jsonl(&snap))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "events         : {path} ({} of {} events kept, {} dropped)",
             snap.kept(),
             snap.emitted,
             snap.dropped,
-        );
+        )?;
     }
 
-    println!("trips          : {}", trips.len());
-    println!("booked         : {} ({:.1}% share rate)", report.booked, report.share_rate() * 100.0);
-    println!("created        : {}", report.created);
-    println!("unservable     : {}", report.unservable);
-    println!(
+    writeln!(out, "trips          : {}", trips.len())?;
+    writeln!(out, "booked         : {} ({:.1}% share rate)", report.booked, report.share_rate() * 100.0)?;
+    writeln!(out, "created        : {}", report.created)?;
+    writeln!(out, "unservable     : {}", report.unservable)?;
+    writeln!(
+        out,
         "search latency : avg {:.1} µs, p95 {:.1} µs, p99 {:.1} µs",
         report.mean_search_ms() * 1e3,
         percentile_ns(&report.search_ns, 95.0) / 1e3,
         percentile_ns(&report.search_ns, 99.0) / 1e3,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "create latency : p50 {:.1} µs   book latency: p50 {:.1} µs",
         percentile_ns(&report.create_ns, 50.0) / 1e3,
         percentile_ns(&report.book_ns, 50.0) / 1e3,
-    );
+    )?;
     let (sps, heap_bytes) = match &sim {
         SimUnderTest::Serial(b) => {
             (b.engine.stats().snapshot().shortest_paths, b.engine.heap_bytes())
@@ -425,21 +453,21 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
             (b.engine.stats().snapshot().shortest_paths, b.engine.heap_bytes())
         }
     };
-    println!("shortest paths : {sps} (never during search)");
-    println!("runtime memory : {:.1} MiB", heap_bytes as f64 / (1024.0 * 1024.0));
+    writeln!(out, "shortest paths : {sps} (never during search)")?;
+    writeln!(out, "runtime memory : {:.1} MiB", heap_bytes as f64 / (1024.0 * 1024.0))?;
     for line in report.phase_summary() {
-        println!("phase          : {line}");
+        writeln!(out, "phase          : {line}")?;
     }
     if let Some(json) = flags.get_opt("json") {
         std::fs::write(json, report.to_json())
             .map_err(|e| format!("cannot write {json}: {e}"))?;
-        println!("raw report     : {json}");
+        writeln!(out, "raw report     : {json}")?;
     }
     if let Some(path) = flags.get_opt("metrics-out") {
         let registry = report.registry.as_ref().expect("simulation attaches a registry");
         std::fs::write(path, registry.snapshot_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("metrics        : {path}");
+        writeln!(out, "metrics        : {path}")?;
     }
 
     if let Some(baseline) = flags.get_opt("baseline") {
@@ -454,12 +482,13 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
             TShareConfig::default(),
         ));
         let tr = run_simulation(&mut ts, &trips, &cfg);
-        println!(
+        writeln!(
+            out,
             "baseline       : tshare booked {} ({:.1}% share rate), search p95 {:.1} µs",
             tr.booked,
             tr.share_rate() * 100.0,
             percentile_ns(&tr.search_ns, 95.0) / 1e3,
-        );
+        )?;
     }
 
     if let Some(path) = trace_out {
@@ -468,10 +497,11 @@ fn simulate(flags: &Flags) -> Result<(), CmdError> {
         std::fs::write(&path, export_chrome(&rec.snapshot()))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let st = rec.stats();
-        println!(
+        writeln!(
+            out,
             "trace          : {path} ({} of {} traces kept, {} sampled out, {} events dropped)",
             st.kept_traces, st.started_traces, st.sampled_out_traces, st.dropped_events,
-        );
+        )?;
     }
 
     if let Some(mut server) = server {
@@ -507,34 +537,44 @@ fn attr_line(attrs: &Attrs) -> String {
 
 /// Recursive span printer: duration, self-time, attrs, then nested
 /// spans and the instants that fired while this span was innermost.
-fn print_span(node: &xar_obs::chrome::SpanNode, root_start_us: f64, depth: usize) {
+fn print_span(
+    out: &mut dyn Write,
+    node: &xar_obs::chrome::SpanNode,
+    root_start_us: f64,
+    depth: usize,
+) -> io::Result<()> {
     let indent = "  ".repeat(depth);
-    println!(
+    writeln!(
+        out,
         "  {indent}{:<24} +{:9.1} µs  dur {:9.1} µs  self {:9.1} µs{}",
         node.name,
         node.start_us - root_start_us,
         node.dur_us,
         node.self_us,
         attr_line(&node.attrs),
-    );
+    )?;
     for (name, ts_us, attrs) in &node.instants {
-        println!(
+        writeln!(
+            out,
             "  {indent}  * {:<20} +{:9.1} µs{}",
             name,
             ts_us - root_start_us,
             attr_line(attrs),
-        );
+        )?;
     }
     for child in &node.children {
-        print_span(child, root_start_us, depth + 1);
+        print_span(out, child, root_start_us, depth + 1)?;
     }
+    Ok(())
 }
 
 /// `xar trace`: inspect (or, with `--check`, validate) a Chrome trace
-/// file written by `xar simulate --trace-out`. Check failures exit
-/// with a distinct code per class: 2 = unreadable / invalid JSON,
-/// 3 = no complete request timeline, 4 = missing drop counter.
-fn trace_cmd(flags: &Flags) -> Result<(), CmdError> {
+/// file written by `xar simulate --trace-out`, and with `--collapsed`
+/// also fold it into collapsed stacks. Failures exit with a distinct
+/// code per class: 2 = unreadable / invalid JSON, 3 = no complete
+/// request timeline (for `--collapsed`: no complete timeline at all),
+/// 4 = missing drop counter.
+fn trace_cmd(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let path = flags.require("in")?;
     let top: usize = flags.get("top", 10)?;
     let text = std::fs::read_to_string(path)
@@ -542,6 +582,21 @@ fn trace_cmd(flags: &Flags) -> Result<(), CmdError> {
     let parsed =
         parse_chrome(&text).map_err(|e| CmdError::coded(2, format!("{path}: {e}")))?;
     let timelines = Timeline::build(&parsed);
+
+    if let Some(file) = flags.get_opt("collapsed") {
+        if timelines.is_empty() {
+            return Err(CmdError::coded(3, format!("{path}: no complete timeline to fold")));
+        }
+        let doc = collapse(&timelines);
+        std::fs::write(file, &doc).map_err(|e| format!("cannot write {file}: {e}"))?;
+        writeln!(
+            out,
+            "collapsed      : {file} ({} timelines, {} stacks)",
+            timelines.len(),
+            doc.lines().count(),
+        )?;
+    }
+
     let requests: Vec<&Timeline> =
         timelines.iter().filter(|t| t.root.name == "request").collect();
 
@@ -556,7 +611,8 @@ fn trace_cmd(flags: &Flags) -> Result<(), CmdError> {
         if !parsed.has_drop_counter {
             return Err(CmdError::coded(4, format!("{path}: missing 'xar' drop-counter block")));
         }
-        println!(
+        writeln!(
+            out,
             "ok: {} events, {} timelines ({} requests), {}/{} traces kept, {} events dropped",
             parsed.events.len(),
             timelines.len(),
@@ -564,40 +620,43 @@ fn trace_cmd(flags: &Flags) -> Result<(), CmdError> {
             parsed.kept_traces,
             parsed.started_traces,
             parsed.dropped_events,
-        );
+        )?;
         return Ok(());
     }
 
-    println!(
+    writeln!(
+        out,
         "{path}: {} events, {} traces kept of {} started ({} sampled out), {} events dropped",
         parsed.events.len(),
         parsed.kept_traces,
         parsed.started_traces,
         parsed.sampled_out_traces,
         parsed.dropped_events,
-    );
+    )?;
     let mut slowest = requests;
     slowest.sort_by(|a, b| {
         b.root.dur_us.partial_cmp(&a.root.dur_us).unwrap_or(std::cmp::Ordering::Equal)
     });
-    println!("{} request timelines; {} slowest:", slowest.len(), top.min(slowest.len()));
+    writeln!(out, "{} request timelines; {} slowest:", slowest.len(), top.min(slowest.len()))?;
     for (i, t) in slowest.iter().take(top).enumerate() {
-        println!(
+        writeln!(
+            out,
             "\n#{:<2} trace {}  {:.1} µs  {} spans{}",
             i + 1,
             t.trace,
             t.root.dur_us,
             t.span_count(),
             attr_line(&t.root.attrs),
-        );
-        print_span(&t.root, t.root.start_us, 0);
+        )?;
+        print_span(out, &t.root, t.root.start_us, 0)?;
         for (name, ts_us, attrs) in &t.lifecycle {
-            println!(
+            writeln!(
+                out,
                 "    ~ {:<20} +{:9.1} µs{}",
                 name,
                 ts_us - t.root.start_us,
                 attr_line(attrs),
-            );
+            )?;
         }
     }
     Ok(())
@@ -633,7 +692,7 @@ fn event_line(e: &xar_obs::events::ParsedEvent) -> String {
 /// (search + book time) first. Exit codes: 2 = unreadable / invalid
 /// file, 3 = no events (or none matching the filters), 9 = invalid
 /// filter value.
-fn logs_cmd(flags: &Flags) -> Result<(), CmdError> {
+fn logs_cmd(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let path = flags.require("in")?;
 
     // Validate filters before touching the file so a bad invocation
@@ -701,23 +760,24 @@ fn logs_cmd(flags: &Flags) -> Result<(), CmdError> {
         return Err(CmdError::coded(3, format!("{path}: no events recorded")));
     }
 
-    println!(
+    writeln!(
+        out,
         "{path}: {} events kept of {} emitted ({} dropped)",
         log.events.len(),
         log.emitted,
         log.dropped,
-    );
+    )?;
     let fmt_hist = |hist: &[(String, u64)]| {
         hist.iter().map(|(k, n)| format!("{k} {n}")).collect::<Vec<_>>().join("   ")
     };
-    println!("outcomes       : {}", fmt_hist(&log.outcome_histogram()));
+    writeln!(out, "outcomes       : {}", fmt_hist(&log.outcome_histogram()))?;
     let rejections: Vec<(String, u64)> = log
         .reason_histogram()
         .into_iter()
         .filter(|(r, _)| r != Reason::Served.code())
         .collect();
     if !rejections.is_empty() {
-        println!("rejections     : {}", fmt_hist(&rejections));
+        writeln!(out, "rejections     : {}", fmt_hist(&rejections))?;
     }
 
     let mut matched: Vec<&xar_obs::events::ParsedEvent> = log
@@ -733,86 +793,9 @@ fn logs_cmd(flags: &Flags) -> Result<(), CmdError> {
     }
     matched.sort_by_key(|e| std::cmp::Reverse(e.search_ns + e.book_ns));
     let shown = if top == 0 { matched.len() } else { top.min(matched.len()) };
-    println!("matched        : {} event(s), showing {shown} (slowest first)", matched.len());
+    writeln!(out, "matched        : {} event(s), showing {shown} (slowest first)", matched.len())?;
     for e in matched.iter().take(shown) {
-        println!("  {}", event_line(e));
-    }
-    Ok(())
-}
-
-/// `xar profile`: run an in-process simulation with the flight recorder
-/// keeping every trace, fold the recorded span trees into a
-/// hierarchical self/total-time profile, and write it as collapsed
-/// stacks. The written file is
-/// re-parsed with the in-repo reader and its total self-time compared
-/// against the in-memory profile before success is reported — CI greps
-/// the `validated` line.
-fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
-    let out = flags.require("out")?.to_string();
-    let rows: usize = flags.get("rows", 24)?;
-    let cols: usize = flags.get("cols", 24)?;
-    let seed: u64 = flags.get("seed", 0x9F0F)?;
-    let trips_n: usize = flags.get("trips", 2_000)?;
-    let top: usize = flags.get("top", 10)?;
-
-    // Keep every trace: the profile wants the whole run, not the
-    // tail-sampled slice the flight recorder defaults to.
-    let rec = xar_obs::trace::recorder();
-    rec.configure(TraceConfig::keep_all());
-    rec.set_enabled(true);
-
-    eprintln!("profile city: {rows}x{cols} (seed {seed}), {trips_n} trips");
-    let graph = Arc::new(CityConfig::manhattan(rows, cols, seed).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: rows * cols / 2, ..Default::default() });
-    let region = Arc::new(RegionIndex::build(
-        Arc::clone(&graph),
-        &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
-    ));
-    let trips =
-        generate_trips(&graph, &TripGenConfig { count: trips_n, seed, ..Default::default() });
-    let mut backend =
-        XarBackend::new(XarEngine::new(Arc::clone(&region), EngineConfig::default()));
-    let report = run_simulation(&mut backend, &trips, &SimConfig::default());
-
-    rec.set_enabled(false);
-    let profile = xar_obs::profile::Profile::from_snapshot(&rec.snapshot());
-    if profile.spans == 0 {
-        return Err(CmdError::general("the run recorded no spans — nothing to profile"));
-    }
-    println!("simulated      : {} trips ({} booked, {} created)", trips.len(), report.booked, report.created);
-
-    let doc = profile.to_collapsed();
-    std::fs::write(&out, &doc).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
-        "profile        : {out} (collapsed, {} traces, {} spans, {:.1} ms total)",
-        profile.traces,
-        profile.spans,
-        profile.total_ns() as f64 / 1e6,
-    );
-
-    // Self-validation: what we just wrote must round-trip through the
-    // in-repo parser and reconstruct the same total self-time.
-    let entries = xar_obs::profile::parse_collapsed(&doc).map_err(|e| {
-        CmdError::general(format!("{out}: written artifact does not re-parse: {e}"))
-    })?;
-    let reparsed = xar_obs::profile::Profile::from_entries(&entries);
-    if reparsed.total_ns() != profile.total_ns() {
-        return Err(CmdError::general(format!(
-            "{out}: re-parsed total {} ns != profiled total {} ns",
-            reparsed.total_ns(),
-            profile.total_ns(),
-        )));
-    }
-    println!(
-        "validated      : round-trip ok ({} stacks, {} ns total self-time)",
-        reparsed.collapsed_entries().len(),
-        reparsed.total_ns(),
-    );
-
-    println!("\n{:<28} {:>12} {:>10}", "span (self-time)", "self ms", "count");
-    for (name, self_ns, count) in profile.top_self(top) {
-        println!("{:<28} {:>12.2} {:>10}", name, self_ns as f64 / 1e6, count);
+        writeln!(out, "  {}", event_line(e))?;
     }
     Ok(())
 }
@@ -822,7 +805,7 @@ fn profile_cmd(flags: &Flags) -> Result<(), CmdError> {
 struct Command {
     name: &'static str,
     flags: &'static [&'static str],
-    run: fn(&Flags) -> Result<(), CmdError>,
+    run: fn(&Flags, &mut dyn Write) -> Result<(), CmdError>,
 }
 
 const COMMANDS: &[Command] = &[
@@ -846,12 +829,7 @@ const COMMANDS: &[Command] = &[
         flags: &["in", "outcome", "reason", "slower-than", "request", "top"],
         run: logs_cmd,
     },
-    Command { name: "trace", flags: &["in", "top", "check"], run: trace_cmd },
-    Command {
-        name: "profile",
-        flags: &["out", "rows", "cols", "seed", "trips", "top"],
-        run: profile_cmd,
-    },
+    Command { name: "trace", flags: &["in", "top", "check", "collapsed"], run: trace_cmd },
 ];
 
 fn main() -> ExitCode {
@@ -860,8 +838,9 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
+    let mut out = io::stdout();
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        println!("{}", usage());
+        let _ = writeln!(out, "{}", usage());
         return ExitCode::SUCCESS;
     }
     let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
@@ -875,11 +854,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match (command.run)(&flags) {
+    let run = (command.run)(&flags, &mut out).and_then(|()| out.flush().map_err(CmdError::from));
+    match run {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader of stdout exited: it has everything it asked for.
+        Err(e) if e.code == 0 => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.msg);
-            ExitCode::from(e.code.max(1))
+            ExitCode::from(e.code)
         }
     }
 }

@@ -1,15 +1,20 @@
 //! Pin the `xar` binary's exit-code contract: CI and operators branch
-//! on these, so a renumbering is a breaking change. 0 = ok, 1 = generic
-//! error (including a flag the subcommand does not read, or one it
-//! reads only beside another), 2 = unreadable / invalid trace JSON,
+//! on these, so a renumbering is a breaking change. 0 = ok (also when
+//! the reader of stdout exits early), 1 = generic error (including a
+//! flag the subcommand does not read, one it reads only beside
+//! another, or a number that cannot mean anything), 2 = unreadable /
+//! invalid trace JSON,
 //! 3 = trace with no complete request timeline, 4 = trace missing the
 //! drop counter, 9 = invalid `--threads` / `--shards` / `xar logs`
 //! filter value. `xar logs` reuses 2 (unreadable / invalid events file)
 //! and 3 (no events, or none matching the filters). The full table
 //! lives in README.md § Exit codes.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+
+use xar_obs::chrome::{parse_chrome, Timeline};
 
 fn xar(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_xar")).args(args).output().expect("spawn xar")
@@ -116,39 +121,71 @@ fn invalid_threads_or_shards_exit_9_with_a_clear_message() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"), "{out:?}");
 }
 
+// The name predates the removal of `xar profile` and is listed in the
+// tier-1 floor. A profile is now a fold of a trace file: record every
+// request, then `xar trace --collapsed`.
 #[test]
 fn profile_writes_validated_artifacts_in_both_formats() {
     let dir = scratch("profile_cli");
-
-    // Collapsed stacks: the command must self-validate (re-parse its
-    // own artifact) and say so.
-    let collapsed = dir.join("xar.collapsed");
+    let region = dir.join("region.xarr");
     let out = xar(&[
-        "profile", "--out", collapsed.to_str().unwrap(), "--rows", "14", "--cols", "14",
-        "--trips", "300", "--seed", "11",
+        "build-region", "--rows", "14", "--cols", "14", "--seed", "11", "--clusters", "10",
+        "--out", region.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "build-region failed: {out:?}");
+    let trace = dir.join("trace.json");
+    let out = xar(&[
+        "simulate", "--region", region.to_str().unwrap(), "--trips", "300",
+        "--trace-out", trace.to_str().unwrap(), "--trace-sample", "1", "--trace-slow-ms", "0",
     ]);
     assert_eq!(code(&out), 0, "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("validated      : round-trip ok"), "{stdout}");
-    let text = std::fs::read_to_string(&collapsed).expect("collapsed artifact");
-    // Every line is `frame;frame;... weight` — spot-check the shape and
-    // that engine spans made it into the stacks.
-    assert!(text.lines().all(|l| l.rsplit_once(' ').is_some_and(
-        |(stack, w)| !stack.is_empty() && w.parse::<u64>().is_ok()
-    )), "malformed collapsed output:\n{text}");
-    assert!(text.contains("request;"), "no request root frames:\n{text}");
 
-    // Collapsed stacks are the only format (speedscope loads them):
-    // `--format` and `--alloc` are rejected before any simulation runs.
-    for args in [&["--format", "speedscope"][..], &["--alloc"][..]] {
-        let mut argv = vec!["profile", "--out", collapsed.to_str().unwrap()];
-        argv.extend(args);
-        let out = xar(&argv);
-        assert_eq!(code(&out), 1, "{args:?} -> {out:?}");
-        let msg = String::from_utf8_lossy(&out.stderr);
-        assert!(msg.contains(&format!("unknown flag {} for `xar profile`", args[0])), "{msg}");
-        assert!(!msg.contains("profile city"), "{args:?} ran a simulation: {msg}");
-    }
+    let collapsed = dir.join("xar.collapsed");
+    let out = xar(&[
+        "trace", "--in", trace.to_str().unwrap(), "--collapsed", collapsed.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("collapsed      : "), "{out:?}");
+    let text = std::fs::read_to_string(&collapsed).expect("collapsed artifact");
+    // Every line is `frame;frame;... weight` with a positive weight.
+    let weights: Vec<u64> = text
+        .lines()
+        .map(|l| {
+            let (stack, w) = l.rsplit_once(' ').unwrap_or_else(|| panic!("no weight: {l}"));
+            assert!(!stack.split(';').any(str::is_empty), "empty frame: {l}");
+            w.parse().unwrap_or_else(|_| panic!("bad weight: {l}"))
+        })
+        .collect();
+    assert!(weights.iter().all(|&w| w > 0), "zero weight kept:\n{text}");
+    assert!(
+        text.lines().any(|l| l.starts_with("request;sim.search;search ")),
+        "no search stack:\n{text}"
+    );
+
+    // The fold conserves time: the weights add up to the timelines'
+    // root durations, within the 1 ns rounding of each span.
+    let timelines =
+        Timeline::build(&parse_chrome(&std::fs::read_to_string(&trace).unwrap()).unwrap());
+    let spans: usize = timelines.iter().map(Timeline::span_count).sum();
+    let root_ns: f64 = timelines.iter().map(|t| t.root.dur_us * 1000.0).sum();
+    let folded: u64 = weights.iter().sum();
+    assert!(
+        (folded as f64 - root_ns).abs() <= spans as f64,
+        "folded {folded} ns vs roots {root_ns} ns over {spans} spans"
+    );
+
+    // An unreadable trace exits 2, as under --check.
+    let missing = dir.join("missing.json");
+    let out = xar(&[
+        "trace", "--in", missing.to_str().unwrap(), "--collapsed", collapsed.to_str().unwrap(),
+    ]);
+    assert_eq!(code(&out), 2, "{out:?}");
+
+    // The private profiling run is gone with its command.
+    let out = xar(&["profile", "--out", collapsed.to_str().unwrap()]);
+    assert_eq!(code(&out), 1, "{out:?}");
+    let msg = String::from_utf8_lossy(&out.stderr);
+    assert!(msg.contains("unknown command 'profile'"), "{msg}");
 }
 
 #[test]
@@ -211,7 +248,7 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
     // conserved accounting on stdout.
     let events = dir.join("events.jsonl");
     let out = xar(&[
-        "simulate", "--region", region.to_str().unwrap(), "--trips", "400",
+        "simulate", "--region", region.to_str().unwrap(), "--trips", "1500",
         "--events-out", events.to_str().unwrap(),
     ]);
     assert_eq!(code(&out), 0, "{out:?}");
@@ -235,6 +272,23 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
     assert_eq!(code(&out), 0, "{out:?}");
     let record = String::from_utf8_lossy(&out.stdout);
     assert!(record.contains("req 0"), "{record}");
+
+    // A reader that stops early (`xar logs ... | head -1`) ends the
+    // command quietly. `--top 0` prints every record: far more than a
+    // pipe buffer holds, so the writer must meet the closed pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xar"))
+        .args(["logs", "--in", events.to_str().unwrap(), "--top", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xar");
+    let mut first = String::new();
+    let stdout = child.stdout.take().unwrap();
+    BufReader::new(stdout).read_line(&mut first).expect("read a line");
+    assert!(first.contains("events kept"), "{first}");
+    let out = child.wait_with_output().expect("wait for xar");
+    assert_eq!(code(&out), 0, "{out:?}");
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"), "{out:?}");
 }
 
 /// The flags of one subcommand as `xar help` lists them: every
@@ -268,18 +322,11 @@ fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
         assert!(msg.contains(&format!("unknown flag {flag} for `xar simulate`")), "{flag}: {msg}");
         assert!(!msg.contains("cannot read"), "{flag} was checked after the region load: {msg}");
     }
-    // A flag of one subcommand is not a flag of another, and the
-    // removed profile export options are unknown flags of their command.
-    for (args, flag, cmd) in [
-        (&["inspect", "--trips", "5"][..], "--trips", "inspect"),
-        (&["profile", "--format", "speedscope"][..], "--format", "profile"),
-        (&["profile", "--alloc"][..], "--alloc", "profile"),
-    ] {
-        let out = xar(args);
-        assert_eq!(code(&out), 1, "{args:?} -> {out:?}");
-        let msg = String::from_utf8_lossy(&out.stderr);
-        assert!(msg.contains(&format!("unknown flag {flag} for `xar {cmd}`")), "{args:?}: {msg}");
-    }
+    // A flag of one subcommand is not a flag of another.
+    let out = xar(&["inspect", "--trips", "5"]);
+    assert_eq!(code(&out), 1, "{out:?}");
+    let msg = String::from_utf8_lossy(&out.stderr);
+    assert!(msg.contains("unknown flag --trips for `xar inspect`"), "{msg}");
     // The dashboard went with the rolling windows it drew, and `xar
     // bench` with its baselines: `benchmark/` is the one performance
     // measurement.
@@ -297,7 +344,7 @@ fn a_flag_the_subcommand_does_not_read_is_rejected_before_any_work() {
     assert_eq!(code(&help), 0, "{help:?}");
     let usage = String::from_utf8_lossy(&help.stdout).into_owned();
     const SWITCHES: [&str; 1] = ["check"];
-    for cmd in ["build-region", "inspect", "simulate", "logs", "trace", "profile"] {
+    for cmd in ["build-region", "inspect", "simulate", "logs", "trace"] {
         let flags = usage_flags(&usage, cmd);
         assert!(!flags.is_empty(), "`xar {cmd}` documents no flags");
         let mut args = vec![cmd.to_string()];
@@ -329,6 +376,26 @@ fn linger_without_serve_is_rejected_before_any_work() {
     let msg = String::from_utf8_lossy(&out.stderr);
     assert!(msg.contains("--linger-s") && msg.contains("--serve"), "{msg}");
     assert!(!msg.contains("cannot read"), "checked after the region load: {msg}");
+
+    // So does a number that cannot mean anything: a negative or
+    // non-finite distance, window or time, or a top-k of zero. Each is
+    // named, and none waits for a whole run (or panics after it).
+    for args in [
+        &["--walk", "-5"][..],
+        &["--detour", "-1"],
+        &["--window", "NaN"],
+        &["--k", "0"],
+        &["--trace-slow-ms", "-3"],
+        &["--serve", "127.0.0.1:0", "--linger-s", "inf"],
+    ] {
+        let mut argv = vec!["simulate", "--region", "/nonexistent.xarr"];
+        argv.extend_from_slice(args);
+        let out = xar(&argv);
+        assert_eq!(code(&out), 1, "{args:?} -> {out:?}");
+        let msg = String::from_utf8_lossy(&out.stderr);
+        assert!(msg.contains(args[args.len() - 2]), "{args:?}: {msg}");
+        assert!(!msg.contains("cannot read"), "{args:?} read the region: {msg}");
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
-//! Integration test of the live debug/profiling plane: OpenMetrics
-//! latency exemplars on `/metrics` under real load, the
-//! `/debug/shards` introspection route, the `/debug/profile`
-//! aggregated span profile and the `/debug/events` tail. Routes of
-//! removed planes (`/debug/epoch`, `/alerts`, `/health`) are unknown.
+//! Integration test of the live debug plane under real traced load:
+//! the `/debug/shards` introspection route and the `/debug/events`
+//! tail. `/metrics` carries no exemplars, and routes of removed planes
+//! (`/debug/profile`, `/debug/epoch`, `/alerts`, `/health`) are
+//! unknown: which request was slow, and where its time went, is read
+//! from the `--trace-out` file (`xar trace --top`, `--collapsed`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,8 +37,8 @@ fn offer(graph: &Arc<RoadGraph>, i: u32) -> RideOffer {
     )
 }
 
-// The name predates the removal of epoch reclamation and is listed in
-// the tier-1 floor.
+// The name predates the removal of epoch reclamation and of the
+// exemplars, and is listed in the tier-1 floor.
 #[test]
 fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     let graph = Arc::new(CityConfig::manhattan(16, 16, 7).generate());
@@ -57,8 +58,8 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     let server = serve("127.0.0.1:0", plane).expect("bind ops server");
     let addr = server.local_addr().to_string();
 
-    // --- Load with tracing on: searches under an active trace offer
-    // latency exemplars (trace id of the slowest recent samples).
+    // --- Load with tracing on: traced searches leave no trace ids in
+    // the metric exposition.
     let rec = xar_obs::trace::recorder();
     rec.configure(xar_obs::TraceConfig::keep_all());
     rec.set_enabled(true);
@@ -81,23 +82,9 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
 
     let (status, body) = http_get(&addr, "/metrics");
     assert_eq!(status, 200);
-    assert!(body.contains(" # {trace_id="), "no OpenMetrics exemplar rendered:\n{body}");
+    assert!(!body.contains(" # {"), "exemplar annotation on /metrics:\n{body}");
     let parsed = xar_obs::promtext::parse(&body).expect("exposition parses");
-    let exemplar = parsed
-        .samples
-        .iter()
-        .filter_map(|s| s.exemplar.as_ref().map(|e| (s.name.clone(), e.clone())))
-        .next()
-        .expect("at least one parsed exemplar");
-    assert!(exemplar.0.starts_with("engine_search_ns"), "exemplar on {}", exemplar.0);
-    assert!(exemplar.1.trace_id().is_some_and(|t| t.starts_with("0x")));
-
-    // /debug/profile serves the aggregated span profile of the load,
-    // and nothing else.
-    let (status, body) = http_get(&addr, "/debug/profile");
-    assert_eq!(status, 200);
-    let doc = xar_obs::json::parse(&body).expect("profile JSON parses");
-    assert!(doc.get("profile").is_some() && doc.get("alloc").is_none(), "{body}");
+    assert!(parsed.with_name("engine_search_ns_count").any(|s| s.value > 0.0), "{body}");
 
     // /debug/shards: one record per shard, publishes kept up with
     // writes (no searchable-state lag).
@@ -118,8 +105,9 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     let doc = xar_obs::json::parse(&body).expect("events JSON parses");
     assert!(doc.get("emitted").is_some() && doc.get("tail").is_some(), "{body}");
 
-    // No reclamation state to introspect, no alerts to report.
-    for path in ["/debug/epoch", "/alerts", "/health"] {
+    // No reclamation state to introspect, no alerts to report, and a
+    // profile is a fold of the trace file, not a route.
+    for path in ["/debug/profile", "/debug/epoch", "/alerts", "/health"] {
         assert_eq!(http_get(&addr, path).0, 404, "{path}");
     }
 }

@@ -57,15 +57,14 @@ fn ops_plane_serves_labeled_metrics_rolling_windows_and_alerts() {
 
     // /metrics parses with the in-repo reader and carries the labeled
     // families; the outcome counter agrees with the run's own report.
+    // No series is split by cluster bucket.
     let (status, body) = http_get(&addr, "/metrics");
     assert_eq!(status, 200);
     let parsed = xar_obs::promtext::parse(&body).expect("own exposition must parse");
 
     assert!(
-        parsed
-            .with_name("engine_book_ns_count")
-            .any(|s| s.label("cluster").is_some()),
-        "no cluster-labeled booking series:\n{body}"
+        parsed.samples.iter().all(|s| s.label("cluster").is_none()),
+        "a cluster-labeled series is back:\n{body}"
     );
     let tiered: f64 = parsed
         .with_name("engine_search_ns_count")

@@ -150,6 +150,8 @@ impl XarEngine {
         // Build the new route, the way-point indices of the two new
         // via-points, and the exactly recomputed indices of the old
         // via-points (splices shift everything downstream of them).
+        let traced = tspan.is_recording();
+        let splice_span = traced.then(|| xar_obs::trace::span("route_splice"));
         let (new_route, pickup_idx, dropoff_idx);
         let mut vps: Vec<ViaPoint>;
         if pickup_seg == dropoff_seg {
@@ -237,6 +239,7 @@ impl XarEngine {
         }
         debug_assert!(vps.windows(2).all(|w| w[0].route_idx <= w[1].route_idx), "via-points out of order");
         debug_assert!(vps.iter().all(|v| new_route.nodes()[v.route_idx] == v.node));
+        drop(splice_span);
 
         let actual_detour = (new_route.dist_m() - old_len).max(0.0);
         // The search-time estimate respected the budget; the realised
@@ -265,7 +268,7 @@ impl XarEngine {
         // last seat.
         let (region, config) = (std::sync::Arc::clone(self.region()), self.config().clone());
         self.with_index_and_ride(m.ride, |ride, index| {
-            XarEngine::deindex_ride(ride, index);
+            XarEngine::deindex_ride(ride, index, traced);
             let from = ride.progress_idx;
             XarEngine::index_ride(&region, &config, ride, index, from);
         });

@@ -586,7 +586,10 @@ impl XarEngine {
 
     /// Remove every index entry belonging to `ride` (pass-through and
     /// reachable clusters alike), one removal per distinct cluster.
-    pub(crate) fn deindex_ride(ride: &Ride, index: &mut ClusterIndex) {
+    /// `traced` says whether the caller's span records; only then is a
+    /// `deindex_ride` span opened beneath it.
+    pub(crate) fn deindex_ride(ride: &Ride, index: &mut ClusterIndex, traced: bool) {
+        let _tspan = traced.then(|| xar_obs::trace::span("deindex_ride"));
         crate::footprint::with(index.cluster_count(), |fp| {
             for c in ride.pass_clusters.iter().flat_map(PassCluster::clusters) {
                 if fp.first_visit(c) {

@@ -51,8 +51,9 @@ impl XarEngine {
 
         if new_idx + 1 >= ride.route.len() {
             // Route finished: retire the ride completely.
+            let traced = tspan.is_recording();
             self.with_index_and_ride(id, |ride, index| {
-                XarEngine::deindex_ride(ride, index);
+                XarEngine::deindex_ride(ride, index, traced);
                 ride.status = RideStatus::Completed;
             });
             self.retire_ride(id);

@@ -1,4 +1,4 @@
-//! Chrome trace-event export for the flight recorder, plus the
+//! Chrome trace-event export of the recorder's kept spans, plus the
 //! reader/timeline tooling the `xar trace` CLI and the CI trace
 //! checker are built on.
 //!
@@ -8,16 +8,18 @@
 //!
 //! * span Begin/End events → phases `"B"` / `"E"` (`ts` in µs, one
 //!   lane per recording thread via `tid`);
-//! * instants and lifecycle events → phase `"i"`, scope `"t"`;
-//! * every event's `args` carries `trace` / `span` / `parent` ids plus
-//!   the recorded attributes, so causality survives the export;
+//! * every event's `args` carries `trace` / `span` ids (a Begin also
+//!   its `parent`) plus the recorded attributes, so causality survives
+//!   the export;
 //! * a top-level `"xar"` object records the recorder's counters
 //!   (started/kept/sampled-out traces, dropped events) and sampling
 //!   configuration — the file is self-describing about what it omits.
 //!
 //! [`parse_chrome`] + [`Timeline::build`] invert the export: they
 //! re-match `B`/`E` pairs per thread and rebuild span trees with
-//! per-span self-time. Export → parse is round-trip property-tested in
+//! per-span self-time; instants (phase `"i"`), which files written
+//! before the recorder merged with the wide event carry, are skipped.
+//! Export → parse is round-trip property-tested in
 //! `tests/trace_properties.rs`. [`collapse`] folds those trees into
 //! collapsed stacks (`request;sim.search;search 8123`), the input
 //! format of flamegraph.pl, inferno and speedscope: a profile is a fold
@@ -49,9 +51,6 @@ use crate::trace::{AttrValue, EventKind, TraceSnapshot};
 /// causality ids.
 pub type Attrs = Vec<(String, JsonValue)>;
 
-/// An instant as it appears on a timeline: name, timestamp (µs), attrs.
-pub type InstantRecord = (String, f64, Attrs);
-
 /// Render a snapshot as Chrome trace-event JSON.
 pub fn export_chrome(snap: &TraceSnapshot) -> String {
     let mut w = JsonWriter::new();
@@ -60,14 +59,10 @@ pub fn export_chrome(snap: &TraceSnapshot) -> String {
     w.string("ms");
     w.key("traceEvents");
     w.begin_array();
-    // Merge span events and lifecycle instants, ordered by timestamp
-    // (stable, so per-thread recording order is preserved on ties).
-    let mut events: Vec<&crate::trace::TraceEvent> = snap
-        .traces
-        .iter()
-        .flat_map(|t| t.events.iter())
-        .chain(snap.lifecycle.iter())
-        .collect();
+    // Every kept span event, ordered by timestamp (stable, so
+    // per-thread recording order is preserved on ties).
+    let mut events: Vec<&crate::trace::TraceEvent> =
+        snap.records.iter().flat_map(|r| r.spans.iter()).collect();
     events.sort_by_key(|e| e.ts_ns);
     for ev in events {
         w.begin_object();
@@ -77,12 +72,7 @@ pub fn export_chrome(snap: &TraceSnapshot) -> String {
         w.string(match ev.kind {
             EventKind::Begin => "B",
             EventKind::End => "E",
-            EventKind::Instant => "i",
         });
-        if ev.kind == EventKind::Instant {
-            w.key("s");
-            w.string("t"); // thread-scoped instant
-        }
         w.key("ts");
         w.number_f64(ev.ts_ns as f64 / 1_000.0); // µs
         w.key("pid");
@@ -93,11 +83,10 @@ pub fn export_chrome(snap: &TraceSnapshot) -> String {
         w.begin_object();
         w.key("trace");
         w.number_u64(ev.trace);
-        if ev.span != 0 {
-            w.key("span");
-            w.number_u64(ev.span);
-        }
-        if ev.parent != 0 {
+        w.key("span");
+        w.number_u64(ev.span);
+        // The parent is on the Begin; an End only closes its span.
+        if ev.parent != 0 && ev.kind == EventKind::Begin {
             w.key("parent");
             w.number_u64(ev.parent);
         }
@@ -253,27 +242,22 @@ pub struct SpanNode {
     pub attrs: Attrs,
     /// Nested spans, in start order.
     pub children: Vec<SpanNode>,
-    /// Instants recorded while this span was innermost.
-    pub instants: Vec<InstantRecord>,
 }
 
-/// One complete per-trace timeline: a root span tree plus any
-/// out-of-band lifecycle instants that arrived after the root closed.
+/// One complete per-trace timeline: a root span tree.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     /// Trace id.
     pub trace: u64,
     /// The root span (e.g. `request`).
     pub root: SpanNode,
-    /// Lifecycle instants attached to the trace but outside the root
-    /// span (name, ts µs, attrs).
-    pub lifecycle: Vec<InstantRecord>,
 }
 
 impl Timeline {
     /// Rebuild per-trace span trees from a parsed Chrome trace by
-    /// matching `B`/`E` pairs per thread lane. Unmatched events are
-    /// skipped (an exported file from this module never produces any).
+    /// matching `B`/`E` pairs per thread lane. Unmatched events and
+    /// instants are skipped (an exported file from this module never
+    /// produces either).
     /// Returns timelines sorted by root start time.
     pub fn build(trace: &ChromeTrace) -> Vec<Timeline> {
         // Per-tid open-span stack of partially built nodes.
@@ -285,7 +269,6 @@ impl Timeline {
         let mut stacks: std::collections::HashMap<u64, Vec<Open>> =
             std::collections::HashMap::new();
         let mut roots: Vec<(u64, SpanNode)> = Vec::new();
-        let mut orphan_instants: Vec<(u64, InstantRecord)> = Vec::new();
 
         for ev in &trace.events {
             let stack = stacks.entry(ev.tid).or_default();
@@ -299,7 +282,6 @@ impl Timeline {
                             self_us: 0.0,
                             attrs: Vec::new(),
                             children: Vec::new(),
-                            instants: Vec::new(),
                         },
                         trace: ev.trace,
                         parent_is_root: stack.is_empty(),
@@ -318,27 +300,13 @@ impl Timeline {
                         parent.node.children.push(open.node);
                     }
                 }
-                "i" => {
-                    if let Some(top) = stack.last_mut() {
-                        top.node.instants.push((
-                            ev.name.clone(),
-                            ev.ts_us,
-                            ev.attrs.clone(),
-                        ));
-                    } else {
-                        orphan_instants.push((
-                            ev.trace,
-                            (ev.name.clone(), ev.ts_us, ev.attrs.clone()),
-                        ));
-                    }
-                }
                 _ => {}
             }
         }
 
         let mut timelines: Vec<Timeline> = roots
             .into_iter()
-            .map(|(trace, root)| Timeline { trace, root, lifecycle: Vec::new() })
+            .map(|(trace, root)| Timeline { trace, root })
             .collect();
         timelines.sort_by(|a, b| {
             a.root
@@ -346,11 +314,6 @@ impl Timeline {
                 .partial_cmp(&b.root.start_us)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        for (trace_id, instant) in orphan_instants {
-            if let Some(t) = timelines.iter_mut().find(|t| t.trace == trace_id) {
-                t.lifecycle.push(instant);
-            }
-        }
         timelines
     }
 
@@ -411,7 +374,7 @@ pub fn collapse(timelines: &[Timeline]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{AttrList, Recorder, TraceConfig};
+    use crate::trace::{Recorder, TraceConfig};
 
     fn sample_snapshot() -> TraceSnapshot {
         let rec = Recorder::new(TraceConfig::keep_all());
@@ -428,10 +391,7 @@ mod tests {
                 drop(rec.child_span("shortest_path"));
                 drop(rec.child_span("shortest_path"));
             }
-            rec.instant("offered", AttrList::new().with("matches", 2u64));
         }
-        let trace_id = rec.snapshot().traces[0].trace;
-        rec.lifecycle(trace_id, "picked_up", AttrList::new().with("sim_t_s", 12.5));
         rec.snapshot()
     }
 
@@ -468,9 +428,6 @@ mod tests {
             n.children.iter().for_each(check);
         }
         check(&t.root);
-        // The instant landed inside the root; lifecycle arrived after.
-        assert!(t.root.instants.iter().any(|(n, _, _)| n == "offered"));
-        assert!(t.lifecycle.iter().any(|(n, _, _)| n == "picked_up"));
         assert_eq!(t.span_count(), 6);
     }
 
@@ -483,13 +440,8 @@ mod tests {
             self_us,
             attrs: Vec::new(),
             children,
-            instants: Vec::new(),
         };
-        let timeline = |root: SpanNode| Timeline {
-            trace: 1,
-            root,
-            lifecycle: Vec::new(),
-        };
+        let timeline = |root: SpanNode| Timeline { trace: 1, root };
         let timelines = [
             timeline(node(
                 "request",
@@ -514,6 +466,19 @@ mod tests {
             "request 3000\nrequest;bad_name_x 3000\nrequest;book;sp 3000\nrequest;search 5000\n"
         );
         assert!(collapse(&[]).is_empty());
+    }
+
+    #[test]
+    fn instants_of_older_files_are_skipped() {
+        let old = r#"{"traceEvents":[
+            {"name":"request","ph":"B","ts":0,"tid":1,"args":{"trace":1,"span":2}},
+            {"name":"request.born","ph":"i","s":"t","ts":1,"tid":1,"args":{"trace":1}},
+            {"name":"request","ph":"E","ts":9,"tid":1,"args":{"trace":1,"span":2}},
+            {"name":"request.picked_up","ph":"i","s":"t","ts":50,"tid":1,"args":{"trace":1}}
+        ]}"#;
+        let timelines = Timeline::build(&parse_chrome(old).unwrap());
+        assert_eq!(timelines.len(), 1);
+        assert_eq!(timelines[0].span_count(), 1);
     }
 
     #[test]

@@ -1,44 +1,19 @@
-//! The wide-event plane: one canonical record per request lifecycle.
+//! The wide event: one canonical decision record per request, and its
+//! JSONL export.
 //!
-//! Metrics aggregate and the flight recorder tail-samples; neither can
-//! answer *"why was request R rejected?"*. This module can: the
-//! replay driver emits exactly one [`EventRecord`] per simulated
-//! request — outcome, typed rejection reason, search tier, candidate
-//! count and latencies — and the records flow into a
-//! bounded global ring for the `/debug/events` tail and into segmented
-//! JSONL on disk (`xar simulate --events-out`) for the `xar logs`
-//! forensics CLI.
-//!
-//! The recording discipline matches the PR-2 flight recorder
-//! ([`crate::trace`]):
-//!
-//! * **Disabled is free.** [`emit`] starts with one relaxed atomic
-//!   load; when the sink is off it returns before touching any
-//!   thread-local — no locks, no allocation (pinned ≤ 50 ns and
-//!   0 allocations per event by `tests/events_overhead`).
-//! * **No locks per event.** Enabled emits push onto a thread-local
-//!   buffer; the global ring mutex is taken once per
-//!   [`FLUSH_THRESHOLD`] events (and once more at [`flush_thread`]).
-//! * **Conserved drop accounting.** The ring is bounded; eviction
-//!   increments `dropped`, and `kept + dropped == emitted` always
-//!   holds in a [`snapshot`] taken after flushes — the invariant the
-//!   end-to-end conservation test reconciles against the simulator's
-//!   outcome counters.
-
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+//! Metrics aggregate and traces show where time went; neither says
+//! *"why was request R rejected?"*. The replay driver fills exactly one
+//! [`EventRecord`] per simulated request — outcome, typed rejection
+//! reason, search tier, candidate count, latencies, promised ETAs — and
+//! hands it to the request's root span ([`crate::trace::RootSpan::event`]).
+//! The recorder stamps it with the root's duration and its split by
+//! layer and keeps it whatever tail sampling decides for the spans.
+//! [`to_jsonl`] writes the recorder's wide events as segmented JSONL
+//! (`xar simulate --events-out`), the input of the `xar logs`
+//! forensics CLI; [`parse_jsonl`] reads it back.
 
 use crate::json::{self, JsonValue, JsonWriter};
-
-/// Enabled emits buffer thread-locally and publish to the global ring
-/// every this many events.
-pub const FLUSH_THRESHOLD: usize = 64;
-
-/// Default global ring capacity (events kept for `/debug/events` and
-/// an in-process [`snapshot`]).
-pub const DEFAULT_CAPACITY: usize = 65_536;
+use crate::trace::TraceSnapshot;
 
 /// Events per on-disk segment: the JSONL writer emits a `segment`
 /// checkpoint line before every block of this many events, so a
@@ -51,9 +26,35 @@ pub const FORMAT_VERSION: u64 = 1;
 /// Sentinel ride id for events that booked no ride.
 pub const NO_RIDE: u64 = u64::MAX;
 
-/// One wide event: the full decision record of a single request
-/// lifecycle. All fields are plain `Copy` data (`&'static str` for the
-/// enums), so constructing and emitting one never allocates.
+/// The layers a request's time splits into, in [`EventRecord::layers`]
+/// order. Each is the self-time of its spans:
+/// `search` (`search`, `enumerate_src`, `enumerate_dst`),
+/// `shortest_path`, `index` (`index_ride`, `deindex_ride`),
+/// `route_splice`, `publish` (`snapshot.publish`) and `lock`
+/// (`lock.read_acquire`, `lock.write_acquire`); `other` is the rest of
+/// the root's duration, so the split sums exactly to `dur_ns`.
+pub const LAYERS: [&str; 7] =
+    ["search", "shortest_path", "index", "route_splice", "publish", "lock", "other"];
+
+/// Index of `other` in [`LAYERS`].
+pub const OTHER: usize = LAYERS.len() - 1;
+
+/// The [`LAYERS`] index a span's self-time counts toward.
+pub fn layer_of(span: &str) -> usize {
+    match span {
+        "search" | "enumerate_src" | "enumerate_dst" => 0,
+        "shortest_path" => 1,
+        "index_ride" | "deindex_ride" => 2,
+        "route_splice" => 3,
+        "snapshot.publish" => 4,
+        "lock.read_acquire" | "lock.write_acquire" => 5,
+        _ => OTHER,
+    }
+}
+
+/// One wide event: the full decision record of a single request. All
+/// fields are plain `Copy` data (`&'static str` for the enums), so
+/// constructing and handing one over never allocates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventRecord {
     /// Request (trip) id.
@@ -92,6 +93,19 @@ pub struct EventRecord {
     /// Rider wait from request to scheduled pick-up, seconds (0 when
     /// not booked).
     pub wait_s: f64,
+    /// Promised pick-up time of the booked match, simulated seconds
+    /// (`NaN` when not booked).
+    pub pickup_eta_s: f64,
+    /// Promised drop-off time of the booked match, simulated seconds
+    /// (`NaN` when not booked).
+    pub dropoff_eta_s: f64,
+    /// Wall time of the whole request (its root span), nanoseconds:
+    /// every search, booking attempt and create included. Set by the
+    /// recorder when the root closes.
+    pub dur_ns: u64,
+    /// `dur_ns` split by [`LAYERS`]; sums exactly to `dur_ns`. Set by
+    /// the recorder when the root closes.
+    pub layers: [u64; LAYERS.len()],
 }
 
 impl EventRecord {
@@ -114,132 +128,11 @@ impl EventRecord {
             walk_m: 0.0,
             detour_m: 0.0,
             wait_s: 0.0,
+            pickup_eta_s: f64::NAN,
+            dropoff_eta_s: f64::NAN,
+            dur_ns: 0,
+            layers: [0; LAYERS.len()],
         }
-    }
-}
-
-/// Bounded ring plus the conserved accounting counters.
-struct Ring {
-    events: VecDeque<EventRecord>,
-    capacity: usize,
-    emitted: u64,
-    dropped: u64,
-}
-
-/// The global wide-event sink: an enabled flag read on every emit and
-/// a bounded ring behind one mutex taken only on (amortized) flushes.
-pub struct EventSink {
-    enabled: AtomicBool,
-    ring: Mutex<Ring>,
-}
-
-thread_local! {
-    static LOCAL: RefCell<Vec<EventRecord>> = const { RefCell::new(Vec::new()) };
-}
-
-static SINK: OnceLock<EventSink> = OnceLock::new();
-
-/// The process-wide sink. Starts **disabled** with
-/// [`DEFAULT_CAPACITY`].
-pub fn sink() -> &'static EventSink {
-    SINK.get_or_init(|| EventSink {
-        enabled: AtomicBool::new(false),
-        ring: Mutex::new(Ring {
-            events: VecDeque::new(),
-            capacity: DEFAULT_CAPACITY,
-            emitted: 0,
-            dropped: 0,
-        }),
-    })
-}
-
-/// Point-in-time copy of the sink's state. `kept + dropped ==
-/// emitted` when every emitting thread has [`flush_thread`]-ed.
-#[derive(Debug, Clone)]
-pub struct EventsSnapshot {
-    /// Events still in the ring, oldest first.
-    pub events: Vec<EventRecord>,
-    /// Events published to the ring since the last [`configure`].
-    pub emitted: u64,
-    /// Events evicted from the bounded ring.
-    pub dropped: u64,
-}
-
-impl EventsSnapshot {
-    /// Events retained (`emitted - dropped`).
-    pub fn kept(&self) -> u64 {
-        self.events.len() as u64
-    }
-}
-
-/// Turn the sink on or off. Off is the default; emits while off cost
-/// one relaxed load.
-pub fn set_enabled(on: bool) {
-    sink().enabled.store(on, Ordering::Relaxed);
-}
-
-/// Whether the sink currently accepts events.
-pub fn is_enabled() -> bool {
-    sink().enabled.load(Ordering::Relaxed)
-}
-
-/// Resize the ring to `capacity` events and reset the ring plus its
-/// accounting to empty. Call once before a run.
-pub fn configure(capacity: usize) {
-    let mut ring = sink().ring.lock().unwrap_or_else(|e| e.into_inner());
-    ring.events.clear();
-    ring.capacity = capacity.max(1);
-    ring.emitted = 0;
-    ring.dropped = 0;
-}
-
-/// Record one wide event. When the sink is disabled this is one
-/// relaxed load and a branch — no thread-local access, no allocation.
-#[inline]
-pub fn emit(record: EventRecord) {
-    if !sink().enabled.load(Ordering::Relaxed) {
-        return;
-    }
-    LOCAL.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        buf.push(record);
-        if buf.len() >= FLUSH_THRESHOLD {
-            publish(&mut buf);
-        }
-    });
-}
-
-/// Publish this thread's buffered events to the global ring. Call at
-/// the end of every emitting thread (the dispatch loop does, for the
-/// driver thread and each parallel worker).
-pub fn flush_thread() {
-    LOCAL.with(|buf| {
-        let mut buf = buf.borrow_mut();
-        if !buf.is_empty() {
-            publish(&mut buf);
-        }
-    });
-}
-
-fn publish(buf: &mut Vec<EventRecord>) {
-    let mut ring = sink().ring.lock().unwrap_or_else(|e| e.into_inner());
-    for rec in buf.drain(..) {
-        ring.emitted += 1;
-        ring.events.push_back(rec);
-    }
-    while ring.events.len() > ring.capacity {
-        ring.events.pop_front();
-        ring.dropped += 1;
-    }
-}
-
-/// Copy out the ring and its accounting.
-pub fn snapshot() -> EventsSnapshot {
-    let ring = sink().ring.lock().unwrap_or_else(|e| e.into_inner());
-    EventsSnapshot {
-        events: ring.events.iter().copied().collect(),
-        emitted: ring.emitted,
-        dropped: ring.dropped,
     }
 }
 
@@ -282,16 +175,34 @@ fn write_event_line(out: &mut String, e: &EventRecord) {
     w.number_f64(e.detour_m);
     w.key("wait_s");
     w.number_f64(e.wait_s);
+    // Only a booking makes a promise; other outcomes omit the keys.
+    for (key, eta) in [("pickup_eta_s", e.pickup_eta_s), ("dropoff_eta_s", e.dropoff_eta_s)] {
+        if eta.is_finite() {
+            w.key(key);
+            w.number_f64(eta);
+        }
+    }
+    w.key("dur_ns");
+    w.number_u64(e.dur_ns);
+    w.key("layers");
+    w.begin_object();
+    for (name, ns) in LAYERS.iter().zip(e.layers) {
+        w.key(name);
+        w.number_u64(ns);
+    }
+    w.end_object();
     w.end_object();
     out.push_str(&w.finish());
     out.push('\n');
 }
 
-/// Render a snapshot as the segmented JSONL format `xar logs` reads:
-/// a `meta` header, a `segment` checkpoint line before every
-/// [`SEGMENT_LEN`] events, one `event` line per record, and a final
-/// `drops` accounting line (`kept + dropped == emitted`).
-pub fn to_jsonl(snap: &EventsSnapshot) -> String {
+/// Render the wide events of a recorder snapshot as the segmented
+/// JSONL format `xar logs` reads: a `meta` header, a `segment`
+/// checkpoint line before every [`SEGMENT_LEN`] events, one `event`
+/// line per record that carries one, and a final `drops` line with the
+/// recorder's record account (`kept + dropped == emitted`).
+pub fn to_jsonl(snap: &TraceSnapshot) -> String {
+    let events: Vec<&EventRecord> = snap.records.iter().filter_map(|r| r.event.as_ref()).collect();
     let mut out = String::new();
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -304,7 +215,7 @@ pub fn to_jsonl(snap: &EventsSnapshot) -> String {
     w.end_object();
     out.push_str(&w.finish());
     out.push('\n');
-    for (i, e) in snap.events.iter().enumerate() {
+    for (i, e) in events.iter().enumerate() {
         if i % SEGMENT_LEN == 0 {
             let mut s = JsonWriter::new();
             s.begin_object();
@@ -315,7 +226,7 @@ pub fn to_jsonl(snap: &EventsSnapshot) -> String {
             s.key("start");
             s.number_u64(i as u64);
             s.key("len");
-            s.number_u64(SEGMENT_LEN.min(snap.events.len() - i) as u64);
+            s.number_u64(SEGMENT_LEN.min(events.len() - i) as u64);
             s.end_object();
             out.push_str(&s.finish());
             out.push('\n');
@@ -327,11 +238,11 @@ pub fn to_jsonl(snap: &EventsSnapshot) -> String {
     f.key("type");
     f.string("drops");
     f.key("emitted");
-    f.number_u64(snap.emitted);
+    f.number_u64(snap.stats.emitted_records);
     f.key("dropped");
-    f.number_u64(snap.dropped);
+    f.number_u64(snap.stats.dropped_records);
     f.key("kept");
-    f.number_u64(snap.kept());
+    f.number_u64(events.len() as u64);
     f.end_object();
     out.push_str(&f.finish());
     out.push('\n');
@@ -372,6 +283,16 @@ pub struct ParsedEvent {
     pub detour_m: f64,
     /// Wait to pick-up, seconds.
     pub wait_s: f64,
+    /// Promised pick-up time, simulated seconds (booked requests of
+    /// files that record it).
+    pub pickup_eta_s: Option<f64>,
+    /// Promised drop-off time, simulated seconds.
+    pub dropoff_eta_s: Option<f64>,
+    /// Wall time of the whole request, nanoseconds. Files written
+    /// before the field existed fall back to `search_ns + book_ns`.
+    pub dur_ns: u64,
+    /// `dur_ns` split by [`LAYERS`], when the file records it.
+    pub layers: Option<[u64; LAYERS.len()]>,
 }
 
 /// A parsed event log: the decoded events plus the drop accounting
@@ -462,6 +383,17 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
                     return Err("event line before meta header".to_string());
                 }
                 let parse = |v: &JsonValue| -> Result<ParsedEvent, String> {
+                    let layers = match v.get("layers") {
+                        None => None,
+                        Some(l) => {
+                            let mut split = [0; LAYERS.len()];
+                            for (ns, name) in split.iter_mut().zip(LAYERS) {
+                                *ns = field_u64(l, name)?;
+                            }
+                            Some(split)
+                        }
+                    };
+                    let (search_ns, book_ns) = (field_u64(v, "search_ns")?, field_u64(v, "book_ns")?);
                     Ok(ParsedEvent {
                         request_id: field_u64(v, "id")?,
                         sim_t_s: field_f64(v, "t_s")?,
@@ -473,11 +405,18 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
                         searches: field_u64(v, "searches")?,
                         stale: field_u64(v, "stale")?,
                         ride: v.get("ride").and_then(JsonValue::as_u64),
-                        search_ns: field_u64(v, "search_ns")?,
-                        book_ns: field_u64(v, "book_ns")?,
+                        search_ns,
+                        book_ns,
                         walk_m: field_f64(v, "walk_m")?,
                         detour_m: field_f64(v, "detour_m")?,
                         wait_s: field_f64(v, "wait_s")?,
+                        pickup_eta_s: v.get("pickup_eta_s").and_then(JsonValue::as_f64),
+                        dropoff_eta_s: v.get("dropoff_eta_s").and_then(JsonValue::as_f64),
+                        dur_ns: match v.get("dur_ns") {
+                            None => search_ns + book_ns,
+                            Some(_) => field_u64(v, "dur_ns")?,
+                        },
+                        layers,
                     })
                 };
                 log.events.push(parse(&v).map_err(|e| format!("line {}: {e}", lineno + 1))?);
@@ -517,110 +456,47 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
     Ok(log)
 }
 
-/// JSON body for the `/debug/events` endpoint: the sink state, the
-/// conserved accounting, and the newest `tail_len` ring events.
-pub fn debug_events_json(tail_len: usize) -> String {
-    let snap = snapshot();
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("enabled");
-    w.boolean(is_enabled());
-    w.key("emitted");
-    w.number_u64(snap.emitted);
-    w.key("dropped");
-    w.number_u64(snap.dropped);
-    w.key("kept");
-    w.number_u64(snap.kept());
-    w.key("tail");
-    let start = snap.events.len().saturating_sub(tail_len);
-    let mut tail = String::new();
-    for e in &snap.events[start..] {
-        write_event_line(&mut tail, e);
-    }
-    w.begin_array();
-    for line in tail.lines() {
-        w.raw(line);
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
+    use crate::trace::{Recorder, TraceConfig};
 
-    // The sink is process-global; tests that reconfigure it must not
-    // interleave.
-    static TEST_GATE: Mutex<()> = Mutex::new(());
-
-    fn lock() -> MutexGuard<'static, ()> {
-        TEST_GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn rec(id: u64, outcome: &'static str, reason: &'static str) -> EventRecord {
-        EventRecord { outcome, reason, ..EventRecord::new(id) }
-    }
-
-    #[test]
-    fn disabled_sink_records_nothing() {
-        let _g = lock();
-        configure(16);
-        set_enabled(false);
-        emit(rec(1, "booked", "served"));
-        flush_thread();
-        let snap = snapshot();
-        assert_eq!(snap.emitted, 0);
-        assert_eq!(snap.kept(), 0);
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_conserves_accounting() {
-        let _g = lock();
-        configure(8);
-        set_enabled(true);
-        for i in 0..20 {
-            emit(rec(i, "created", "no_cluster_candidates"));
+    /// A snapshot of `n` requests alternating booked / created.
+    fn snapshot(n: u64) -> TraceSnapshot {
+        let rec = Recorder::new(TraceConfig::events_only());
+        for i in 0..n {
+            let mut root = rec.start_root("request");
+            drop(rec.child_span("search"));
+            let mut r = EventRecord::new(i);
+            r.sim_t_s = i as f64 * 0.5;
+            r.candidates = 3;
+            if i % 2 == 0 {
+                (r.outcome, r.reason, r.ride, r.matches) = ("booked", "served", i * 7, 1);
+                (r.pickup_eta_s, r.dropoff_eta_s) = (60.0, 600.0);
+            } else {
+                (r.outcome, r.reason) = ("created", "no_cluster_candidates");
+            }
+            root.event(r);
         }
-        flush_thread();
-        set_enabled(false);
-        let snap = snapshot();
-        assert_eq!(snap.emitted, 20);
-        assert_eq!(snap.kept(), 8);
-        assert_eq!(snap.dropped, 12);
-        assert_eq!(snap.kept() + snap.dropped, snap.emitted);
-        // Oldest evicted: the ring holds the newest 8 ids.
-        assert_eq!(snap.events[0].request_id, 12);
-        assert_eq!(snap.events[7].request_id, 19);
+        rec.snapshot()
     }
 
     #[test]
     fn jsonl_round_trips_and_validates() {
-        let _g = lock();
-        configure(64);
-        set_enabled(true);
-        for i in 0..10 {
-            let mut r = rec(i, if i % 2 == 0 { "booked" } else { "created" }, if i % 2 == 0 { "served" } else { "capacity_full" });
-            r.sim_t_s = i as f64 * 0.5;
-            r.candidates = 3;
-            r.matches = u32::from(i % 2 == 0);
-            r.ride = if i % 2 == 0 { i * 7 } else { NO_RIDE };
-            emit(r);
-        }
-        flush_thread();
-        set_enabled(false);
-        let snap = snapshot();
-        let text = to_jsonl(&snap);
-        let log = parse_jsonl(&text).expect("round trip");
+        let snap = snapshot(10);
+        let log = parse_jsonl(&to_jsonl(&snap)).expect("round trip");
         assert_eq!(log.events.len(), 10);
-        assert_eq!(log.emitted, 10);
-        assert_eq!(log.dropped, 0);
-        assert_eq!(log.events[0].ride, Some(0));
-        assert_eq!(log.events[1].ride, None);
-        assert_eq!(log.events[3].reason, "capacity_full");
-        let hist = log.reason_histogram();
-        assert_eq!(hist[0], ("capacity_full".to_string(), 5));
+        assert_eq!((log.emitted, log.dropped), (10, 0));
+        let (booked, created) = (&log.events[0], &log.events[1]);
+        assert_eq!((booked.ride, created.ride), (Some(0), None));
+        assert_eq!((booked.pickup_eta_s, booked.dropoff_eta_s), (Some(60.0), Some(600.0)));
+        assert_eq!(created.pickup_eta_s, None);
+        assert_eq!(created.reason, "no_cluster_candidates");
+        for (e, r) in log.events.iter().zip(&snap.records) {
+            assert_eq!(e.dur_ns, r.dur_ns);
+            assert_eq!(e.layers.expect("layers written").iter().sum::<u64>(), e.dur_ns);
+        }
+        assert_eq!(log.reason_histogram()[0], ("no_cluster_candidates".to_string(), 5));
     }
 
     #[test]
@@ -634,21 +510,8 @@ mod tests {
         assert!(parse_jsonl(missing_footer).is_err(), "no footer");
         let bad_kept = "{\"type\":\"meta\",\"version\":1}\n{\"type\":\"drops\",\"emitted\":3,\"dropped\":1,\"kept\":1}\n";
         assert!(parse_jsonl(bad_kept).is_err(), "kept mismatch");
-    }
-
-    #[test]
-    fn debug_json_reports_tail() {
-        let _g = lock();
-        configure(32);
-        set_enabled(true);
-        for i in 0..5 {
-            emit(rec(i, "booked", "served"));
-        }
-        flush_thread();
-        set_enabled(false);
-        let body = debug_events_json(2);
-        let v = json::parse(&body).expect("valid JSON");
-        assert_eq!(v.get("kept").and_then(JsonValue::as_u64), Some(5));
-        assert_eq!(v.get("tail").and_then(JsonValue::as_array).map(<[JsonValue]>::len), Some(2));
+        // A layer split missing a layer is corrupt, not partial.
+        let text = to_jsonl(&snapshot(1)).replace("\"other\":", "\"rest\":");
+        assert!(parse_jsonl(&text).is_err(), "incomplete layers");
     }
 }

@@ -18,19 +18,20 @@
 //! * [`json`] — the tiny JSON writer behind `snapshot_json` (and a
 //!   matching reader for the trace tooling), public so sibling crates
 //!   emit reports without a serde dependency.
-//! * [`trace`] — a bounded flight recorder for request-scoped causal
-//!   span timelines with tail sampling; [`chrome`] exports its
-//!   snapshots as Perfetto-loadable Chrome trace-event JSON, reads the
-//!   file back into span trees, and folds those trees into collapsed
-//!   stacks — the trace file is the profile.
-//! * [`events`] — the wide-event plane: one canonical per-request
-//!   decision record (outcome, typed rejection reason, tier,
-//!   latencies) with the recorder's discipline — free when disabled,
-//!   no locks per event, conserved drop accounting — exported as
-//!   segmented JSONL for the `xar logs` forensics CLI.
+//! * [`trace`] — the request recorder: one record per request, holding
+//!   its wide event (always) and its causal span timeline (when tail
+//!   sampling keeps it), in one bounded ring with one conserved drop
+//!   account. It is free when disabled and takes no lock per span.
+//! * [`chrome`] — the ring's spans as Perfetto-loadable Chrome
+//!   trace-event JSON (`--trace-out`), read back into span trees and
+//!   folded into collapsed stacks — the trace file is the profile.
+//! * [`events`] — the wide event itself (outcome, typed rejection
+//!   reason, tier, latencies, the request's duration split by layer)
+//!   and the ring's wide events as segmented JSONL (`--events-out`),
+//!   the input of the `xar logs` forensics CLI.
 //! * [`serve`] — the live plane: an embedded HTTP server exposing the
 //!   registry as Prometheus text ([`promtext`]) and JSON, plus the
-//!   `/debug/*` introspection routes.
+//!   `/debug/shards` introspection route.
 //!
 //! ```
 //! use xar_obs::Registry;

@@ -6,8 +6,6 @@
 //! * `/metrics` — Prometheus text ([`crate::promtext::render`]) of
 //!   every registry series.
 //! * `/snapshot` — the registry's cumulative JSON snapshot.
-//! * `/debug/events` — the wide-event sink's state and newest ring
-//!   events ([`crate::events::debug_events_json`]).
 //! * `/debug/shards` — live introspection JSON from the embedding
 //!   process via [`DebugHooks`] (the `xar-core` shard map, without
 //!   `xar-obs` depending on it).
@@ -155,9 +153,6 @@ fn handle(stream: &mut TcpStream, plane: &OpsPlane) -> std::io::Result<()> {
         match path {
             "/metrics" => (200, "text/plain; version=0.0.4", promtext::render(&plane.registry.series())),
             "/snapshot" => (200, "application/json", plane.registry.snapshot_json()),
-            "/debug/events" => {
-                (200, "application/json", crate::events::debug_events_json(32))
-            }
             "/debug/shards" => match &plane.debug.shards {
                 Some(hook) => (200, "application/json", hook()),
                 None => (404, "text/plain", "shards debug hook not wired\n".to_string()),
@@ -236,11 +231,8 @@ mod tests {
         let mut plane = OpsPlane::new(Arc::new(Registry::new()));
         let server = serve("127.0.0.1:0", plane.clone()).expect("bind");
         let addr = server.local_addr();
-        // Built-in: the wide-event tail answers even with an empty sink.
-        let (status, body) = http_get(addr, "/debug/events");
-        assert_eq!(status, 200);
-        let events = crate::json::parse(&body).expect("events JSON");
-        assert!(events.get("emitted").is_some(), "{body}");
+        // The wide events are in the `--events-out` file, not on a route.
+        assert_eq!(http_get(addr, "/debug/events").0, 404);
         // An unwired hook is a clean 404, not a panic.
         let (status, _) = http_get(addr, "/debug/shards");
         assert_eq!(status, 404);

@@ -1,41 +1,49 @@
-//! Request-scoped tracing: a bounded flight recorder with causal
-//! spans and tail-based sampling.
+//! The request recorder: one record per request, carrying the
+//! request's wide event and, when tail sampling keeps them, its spans.
 //!
 //! Aggregate histograms (the rest of this crate) answer "how slow is
-//! p99 search?"; this module answers "*why* was that one search slow?"
-//! by recording a per-request timeline of causally nested spans — each
-//! event carries a monotonic timestamp, a trace id, a span id and its
-//! parent span id, a static name and a handful of key/value attributes.
+//! p99 search?"; this module answers "*why* was that one request slow,
+//! and why was it rejected?". A request opens a [`root`] span, engines
+//! open causally nested child [`span`]s under it, and the dispatcher
+//! hands the root its [`EventRecord`] (outcome, typed reason, search
+//! counts). When the root closes, the recorder publishes one
+//! [`Record`]: the wide event, always, with the root's duration and
+//! its split by layer filled in, plus the span events when the tail
+//! sampler keeps them.
 //!
 //! Design, in the order the hot path sees it:
 //!
-//! 1. **Disabled is branch-cheap.** [`span`] / [`root`] / [`instant`]
-//!    first load one relaxed atomic; when tracing is off they return a
-//!    no-op guard without allocating (guarded by the overhead test in
-//!    `tests/overhead.rs`).
-//! 2. **Recording is lock-free.** While a trace is active, events are
-//!    pushed into a thread-local buffer owned by the current request —
-//!    no atomics, no locks, no cross-thread traffic. Each trace's
-//!    buffer is bounded; overflowing events are counted, never silently
-//!    lost, and Begin/End balance is preserved (an End whose Begin
-//!    overflowed is dropped with it).
-//! 3. **Tail sampling at completion.** When the root span ends, the
-//!    whole trace is either *kept* — always, if it ran longer than the
-//!    configured slow threshold; otherwise with the configured
-//!    probability (deterministic in the trace id) — or discarded
-//!    wholesale. Only kept traces pay the one uncontended mutex lock to
-//!    publish into the global ring.
-//! 4. **The ring is a flight recorder.** A bounded ring of kept
-//!    traces; publishing past capacity evicts the oldest whole traces
-//!    and adds their event counts to the dropped-event counter, so
-//!    `kept events + dropped events` always equals everything ever
-//!    published (property-tested in `tests/trace_properties.rs`).
+//! 1. **Disabled is branch-cheap.** [`span`] / [`root`] first load one
+//!    relaxed atomic; when the recorder is off they return a no-op
+//!    guard without allocating (guarded by `tests/overhead.rs`).
+//! 2. **Recording is lock-free.** While a root is open, span events are
+//!    pushed into one thread-local buffer — no atomics, no locks, no
+//!    cross-thread traffic. The buffer is bounded per request;
+//!    overflowing events are counted, never silently lost, and
+//!    Begin/End balance is preserved (an End whose Begin overflowed is
+//!    dropped with it). Each closing span adds its self-time to its
+//!    layer ([`crate::events::layer_of`]).
+//! 3. **Tail sampling at completion.** When the root closes, its spans
+//!    are kept — always, if it ran longer than the configured slow
+//!    threshold; otherwise with the configured probability
+//!    (deterministic in the trace id) — or discarded. The wide event is
+//!    kept either way. A root that carries no event and whose spans are
+//!    discarded publishes nothing and takes no lock.
+//! 4. **One ring, one account.** Records enter one bounded ring behind
+//!    one mutex. Past `capacity_events` span events the oldest records
+//!    lose their spans (their wide events stay); past
+//!    `capacity_records` wide events the oldest records are evicted
+//!    whole. The account is conserved in every [`Recorder::snapshot`]:
+//!    records kept + dropped == emitted, and span events kept + dropped
+//!    == recorded (property-tested in `tests/trace_properties.rs`).
 //!
-//! Export via [`crate::chrome::export_chrome`] (Chrome trace-event
-//! JSON, loadable in Perfetto / `chrome://tracing`) or walk the
-//! [`Recorder::snapshot`] directly.
+//! The ring has two exports: [`crate::chrome::export_chrome`] writes
+//! the spans as Chrome trace-event JSON (`--trace-out`), and
+//! [`crate::events::to_jsonl`] writes the wide events as JSONL
+//! (`--events-out`).
 //!
 //! ```
+//! use xar_obs::events::EventRecord;
 //! use xar_obs::trace::{Recorder, TraceConfig};
 //!
 //! let rec = Recorder::new(TraceConfig::keep_all());
@@ -46,19 +54,26 @@
 //!         let mut s = rec.child_span("search");
 //!         s.attr("candidates", 42u64);
 //!     }
+//!     root.event(EventRecord::new(7));
 //! }
 //! let snap = rec.snapshot();
-//! assert_eq!(snap.traces.len(), 1);
-//! assert_eq!(snap.traces[0].root_name, "request");
+//! assert_eq!(snap.records.len(), 1);
+//! let r = &snap.records[0];
+//! assert_eq!(r.root_name, "request");
 //! // root B/E + child B/E:
-//! assert_eq!(snap.traces[0].events.len(), 4);
+//! assert_eq!(r.spans.len(), 4);
+//! let ev = r.event.expect("the root carried an event");
+//! assert_eq!(ev.dur_ns, r.dur_ns);
+//! assert_eq!(ev.layers.iter().sum::<u64>(), ev.dur_ns);
 //! ```
 
 use std::cell::RefCell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::events::{layer_of, EventRecord, LAYERS, OTHER};
 
 /// Maximum attributes one event carries; further `attr` calls are
 /// silently ignored (attributes are debugging hints, not data).
@@ -110,8 +125,8 @@ pub struct AttrList([Option<(&'static str, AttrValue)>; MAX_ATTRS]);
 
 impl AttrList {
     /// An empty list.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self([None; MAX_ATTRS])
     }
 
     /// Add a key/value pair (ignored once full).
@@ -119,12 +134,6 @@ impl AttrList {
         if let Some(slot) = self.0.iter_mut().find(|s| s.is_none()) {
             *slot = Some((key, value.into()));
         }
-    }
-
-    /// Builder-style [`AttrList::push`].
-    pub fn with(mut self, key: &'static str, value: impl Into<AttrValue>) -> Self {
-        self.push(key, value);
-        self
     }
 
     /// Iterate over the present pairs.
@@ -143,42 +152,39 @@ impl AttrList {
     }
 }
 
-/// What an event marks.
+/// What a span event marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A span opened (Chrome phase `B`).
     Begin,
     /// A span closed (Chrome phase `E`).
     End,
-    /// A point-in-time marker (Chrome phase `i`).
-    Instant,
 }
 
-/// One recorded event.
+/// One recorded span event.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     /// Monotonic nanoseconds since the recorder's epoch.
     pub ts_ns: u64,
     /// The trace this event belongs to.
     pub trace: u64,
-    /// The span this event belongs to (the marked span for Begin/End,
-    /// the enclosing span for Instant; 0 = none).
+    /// The span this event marks.
     pub span: u64,
     /// The span's parent span id (0 = the trace root has no parent).
     pub parent: u64,
-    /// Begin / End / Instant.
+    /// Begin / End.
     pub kind: EventKind,
-    /// Static event name.
+    /// Static span name.
     pub name: &'static str,
-    /// Small key/value attributes.
+    /// Small key/value attributes (End events carry the guard's).
     pub attrs: AttrList,
     /// Recording thread (small dense index, not the OS thread id).
     pub tid: u64,
 }
 
-/// One kept (published) trace.
+/// One published root: the request's wide event and its kept spans.
 #[derive(Debug, Clone)]
-pub struct KeptTrace {
+pub struct Record {
     /// Trace id.
     pub trace: u64,
     /// Name the root span was opened with.
@@ -187,25 +193,32 @@ pub struct KeptTrace {
     pub start_ns: u64,
     /// Root duration, nanoseconds.
     pub dur_ns: u64,
-    /// Whether the trace ran longer than the slow threshold (kept
+    /// Whether the root ran longer than the slow threshold (spans kept
     /// unconditionally) rather than being probabilistically sampled.
     pub slow: bool,
-    /// The events, in per-thread recording order.
-    pub events: Vec<TraceEvent>,
+    /// The wide event the root carried, with `dur_ns` and `layers`
+    /// filled in; `None` for roots that carry none (tracking sweeps).
+    pub event: Option<EventRecord>,
+    /// The span events, in recording order. Empty when tail sampling
+    /// discarded them or the ring's span budget evicted them.
+    pub spans: Vec<TraceEvent>,
 }
 
 /// Recorder tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
-    /// Traces whose root runs at least this long are always kept.
+    /// Roots that run at least this long always keep their spans.
     pub slow_threshold_ns: u64,
-    /// Per-mille probability (0..=1000) of keeping a non-slow trace.
+    /// Per-mille probability (0..=1000) of keeping a fast root's spans.
     pub sample_per_mille: u32,
-    /// Ring capacity in events; publishing past it evicts the oldest
-    /// traces (their event counts go to the dropped counter).
+    /// Ring budget in span events; past it the oldest records lose
+    /// their spans (counted as dropped span events).
     pub capacity_events: usize,
-    /// Per-trace event budget; events beyond it are counted as dropped
-    /// at publish time (Begin/End balance preserved).
+    /// Ring budget in wide events; past it the oldest records are
+    /// evicted whole (counted as dropped records).
+    pub capacity_records: usize,
+    /// Per-request span-event budget; events beyond it are counted as
+    /// dropped at publish time (Begin/End balance preserved).
     pub max_events_per_trace: usize,
 }
 
@@ -215,30 +228,43 @@ impl Default for TraceConfig {
             slow_threshold_ns: 1_000_000, // 1 ms
             sample_per_mille: 10,         // 1 %
             capacity_events: 65_536,
+            capacity_records: 65_536,
             max_events_per_trace: 1_024,
         }
     }
 }
 
 impl TraceConfig {
-    /// Keep every trace (tests, snapshots of small runs).
+    /// Keep every root's spans (tests, snapshots of small runs).
     pub fn keep_all() -> Self {
         Self { slow_threshold_ns: 0, sample_per_mille: 1_000, ..Self::default() }
     }
+
+    /// Keep no root's spans: only the wide events reach the ring.
+    pub fn events_only() -> Self {
+        Self { slow_threshold_ns: u64::MAX, sample_per_mille: 0, ..Self::default() }
+    }
 }
 
-/// Recorder counters at snapshot time.
+/// Recorder counters at snapshot time. The drop account
+/// (`emitted_records`, `dropped_records`, `recorded_events`,
+/// `dropped_events`) is read under the ring lock, so it is conserved
+/// exactly against the snapshot's records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Root traces started.
+    /// Roots started.
     pub started_traces: u64,
-    /// Traces kept (slow or sampled in).
+    /// Roots whose spans tail sampling kept.
     pub kept_traces: u64,
-    /// Traces discarded by tail sampling.
+    /// Roots whose spans tail sampling discarded.
     pub sampled_out_traces: u64,
-    /// Events lost to ring eviction, per-trace overflow, or lifecycle
-    /// eviction. `Σ events-in-ring + dropped_events` equals every event
-    /// ever published or overflowed.
+    /// Wide events published into the ring.
+    pub emitted_records: u64,
+    /// Wide events evicted from the ring.
+    pub dropped_records: u64,
+    /// Span events of kept roots, overflowed ones included.
+    pub recorded_events: u64,
+    /// Span events lost to per-request overflow or to ring eviction.
     pub dropped_events: u64,
     /// The active slow threshold, nanoseconds.
     pub slow_threshold_ns: u64,
@@ -249,34 +275,47 @@ pub struct TraceStats {
 /// Everything the recorder holds, cloned out under one lock.
 #[derive(Debug, Clone)]
 pub struct TraceSnapshot {
-    /// Kept traces, oldest first.
-    pub traces: Vec<KeptTrace>,
-    /// Out-of-band lifecycle instants (see [`Recorder::lifecycle`]).
-    pub lifecycle: Vec<TraceEvent>,
+    /// Records, oldest first.
+    pub records: Vec<Record>,
     /// Counters.
     pub stats: TraceStats,
 }
 
-struct Ring {
-    traces: VecDeque<KeptTrace>,
-    total_events: usize,
-    kept_ids: HashSet<u64>,
-    lifecycle: VecDeque<TraceEvent>,
+#[derive(Default)]
+struct Account {
+    emitted_records: u64,
+    dropped_records: u64,
+    recorded_events: u64,
+    dropped_events: u64,
 }
 
-/// The flight recorder. One global instance serves the whole process
-/// (see [`recorder`]); tests construct private ones.
+#[derive(Default)]
+struct Ring {
+    records: VecDeque<Record>,
+    /// Records in the ring that carry a wide event.
+    wide: usize,
+    /// Span events held by the records in the ring.
+    span_events: usize,
+    /// The first `stripped` records have already lost their spans.
+    stripped: usize,
+    /// Records left holding nothing: stripped roots without an event.
+    empty: usize,
+    account: Account,
+}
+
+/// The recorder. One global instance serves the whole process (see
+/// [`recorder`]); tests construct private ones.
 pub struct Recorder {
     enabled: AtomicBool,
     slow_ns: AtomicU64,
     sample_per_mille: AtomicU32,
     capacity_events: AtomicUsize,
+    capacity_records: AtomicUsize,
     max_events_per_trace: AtomicUsize,
     next_id: AtomicU64,
     started: AtomicU64,
     kept: AtomicU64,
     sampled_out: AtomicU64,
-    dropped_events: AtomicU64,
     epoch: Instant,
     ring: Mutex<Ring>,
 }
@@ -294,14 +333,23 @@ impl std::fmt::Debug for Recorder {
 // Thread-local state
 // ---------------------------------------------------------------------------
 
-struct Active {
-    rec: Arc<Recorder>,
-    trace: u64,
-    root_span: u64,
-    root_name: &'static str,
+/// An open span on the thread's stack.
+struct Open {
+    span: u64,
     start_ns: u64,
-    /// Open span ids; the last entry is the current parent.
-    stack: Vec<u64>,
+    /// Summed durations of the span's closed children.
+    child_ns: u64,
+    layer: usize,
+}
+
+/// The thread's open root. Idle while `rec` is `None`; the buffers keep
+/// their capacity from one root to the next.
+struct Active {
+    rec: Option<Arc<Recorder>>,
+    trace: u64,
+    root_name: &'static str,
+    /// Open spans, the root first; the last entry is the current parent.
+    stack: Vec<Open>,
     events: Vec<TraceEvent>,
     /// Open spans whose Begin overflowed (their Ends must be dropped
     /// too, to preserve B/E balance).
@@ -309,10 +357,25 @@ struct Active {
     overflow: u64,
     max_events: usize,
     tid: u64,
+    /// Self-time per layer of the spans closed so far.
+    layers: [u64; LAYERS.len()],
 }
 
 thread_local! {
-    static ACTIVE: RefCell<Option<Active>> = const { RefCell::new(None) };
+    static ACTIVE: RefCell<Active> = const {
+        RefCell::new(Active {
+            rec: None,
+            trace: 0,
+            root_name: "",
+            stack: Vec::new(),
+            events: Vec::new(),
+            overflow_depth: 0,
+            overflow: 0,
+            max_events: 0,
+            tid: 0,
+            layers: [0; LAYERS.len()],
+        })
+    };
     static THREAD_IDX: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -342,33 +405,31 @@ impl Recorder {
     /// A recorder with the given tunables, initially **enabled**.
     /// (The process-global recorder from [`recorder`] starts disabled.)
     pub fn new(config: TraceConfig) -> Arc<Self> {
-        Arc::new(Self {
+        let rec = Self {
             enabled: AtomicBool::new(true),
-            slow_ns: AtomicU64::new(config.slow_threshold_ns),
-            sample_per_mille: AtomicU32::new(config.sample_per_mille.min(1_000)),
-            capacity_events: AtomicUsize::new(config.capacity_events),
-            max_events_per_trace: AtomicUsize::new(config.max_events_per_trace),
+            slow_ns: AtomicU64::new(0),
+            sample_per_mille: AtomicU32::new(0),
+            capacity_events: AtomicUsize::new(0),
+            capacity_records: AtomicUsize::new(0),
+            max_events_per_trace: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             started: AtomicU64::new(0),
             kept: AtomicU64::new(0),
             sampled_out: AtomicU64::new(0),
-            dropped_events: AtomicU64::new(0),
             epoch: Instant::now(),
-            ring: Mutex::new(Ring {
-                traces: VecDeque::new(),
-                total_events: 0,
-                kept_ids: HashSet::new(),
-                lifecycle: VecDeque::new(),
-            }),
-        })
+            ring: Mutex::new(Ring::default()),
+        };
+        rec.configure(config);
+        Arc::new(rec)
     }
 
-    /// Replace the tunables (takes effect for traces started after the
+    /// Replace the tunables (takes effect for roots started after the
     /// call).
     pub fn configure(&self, config: TraceConfig) {
         self.slow_ns.store(config.slow_threshold_ns, Ordering::Relaxed);
         self.sample_per_mille.store(config.sample_per_mille.min(1_000), Ordering::Relaxed);
         self.capacity_events.store(config.capacity_events, Ordering::Relaxed);
+        self.capacity_records.store(config.capacity_records.max(1), Ordering::Relaxed);
         self.max_events_per_trace.store(config.max_events_per_trace, Ordering::Relaxed);
     }
 
@@ -388,43 +449,42 @@ impl Recorder {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Would tail sampling keep trace id `trace` absent slowness?
+    /// Would tail sampling keep trace id `trace`'s spans absent
+    /// slowness?
     pub fn would_sample(&self, trace: u64) -> bool {
         (splitmix64(trace) % 1_000) < u64::from(self.sample_per_mille.load(Ordering::Relaxed))
     }
 
-    /// Start a root span, making `name` the active trace on this
-    /// thread. Returns a no-op guard if the recorder is disabled or a
-    /// trace is already active on this thread (nested roots do not
-    /// stack).
+    /// Start a root span, making `name` the open root on this thread.
+    /// Returns a no-op guard if the recorder is disabled or a root is
+    /// already open on this thread (nested roots do not stack).
     pub fn start_root(self: &Arc<Self>, name: &'static str) -> RootSpan {
         if !self.enabled() {
-            return RootSpan { armed: false, attrs: AttrList::new() };
+            return RootSpan::DISARMED;
         }
         ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            if slot.is_some() {
-                return RootSpan { armed: false, attrs: AttrList::new() };
+            let mut a = a.borrow_mut();
+            if a.rec.is_some() {
+                return RootSpan::DISARMED;
             }
             self.started.fetch_add(1, Ordering::Relaxed);
             let trace = self.next_id.fetch_add(2, Ordering::Relaxed);
             let root_span = trace + 1;
             let start_ns = self.now_ns();
             let tid = thread_idx();
-            let mut active = Active {
-                rec: Arc::clone(self),
-                trace,
-                root_span,
-                root_name: name,
-                start_ns,
-                stack: vec![root_span],
-                events: Vec::with_capacity(64),
-                overflow_depth: 0,
-                overflow: 0,
-                max_events: self.max_events_per_trace.load(Ordering::Relaxed),
-                tid,
-            };
-            active.push(TraceEvent {
+            a.rec = Some(Arc::clone(self));
+            a.trace = trace;
+            a.root_name = name;
+            a.stack.clear();
+            a.stack.push(Open { span: root_span, start_ns, child_ns: 0, layer: OTHER });
+            a.events.clear();
+            a.events.reserve(64);
+            a.overflow_depth = 0;
+            a.overflow = 0;
+            a.max_events = self.max_events_per_trace.load(Ordering::Relaxed);
+            a.tid = tid;
+            a.layers = [0; LAYERS.len()];
+            a.push(TraceEvent {
                 ts_ns: start_ns,
                 trace,
                 span: root_span,
@@ -434,136 +494,118 @@ impl Recorder {
                 attrs: AttrList::new(),
                 tid,
             });
-            *slot = Some(active);
-            RootSpan { armed: true, attrs: AttrList::new() }
+            RootSpan { armed: true, attrs: AttrList::new(), event: None }
         })
     }
 
-    /// Open a child span under the active trace on this thread (no-op
-    /// guard when disabled or no trace is active).
+    /// Open a child span under the root open on this thread (no-op
+    /// guard when disabled or no root is open).
     pub fn child_span(self: &Arc<Self>, name: &'static str) -> Span {
         if !self.enabled() {
-            return Span { armed: false, name, attrs: AttrList::new() };
+            return Span::disarmed(name);
         }
         ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let Some(active) = slot.as_mut() else {
-                return Span { armed: false, name, attrs: AttrList::new() };
-            };
-            if !Arc::ptr_eq(&active.rec, self) {
-                return Span { armed: false, name, attrs: AttrList::new() };
+            let mut a = a.borrow_mut();
+            if !a.rec.as_ref().is_some_and(|r| Arc::ptr_eq(r, self)) {
+                return Span::disarmed(name);
             }
-            active.begin_child(name);
+            a.begin_child(name);
             Span { armed: true, name, attrs: AttrList::new() }
         })
     }
 
-    /// Record a point-in-time event under the active trace.
-    pub fn instant(self: &Arc<Self>, name: &'static str, attrs: AttrList) {
-        if !self.enabled() {
-            return;
-        }
-        ACTIVE.with(|a| {
-            let mut slot = a.borrow_mut();
-            let Some(active) = slot.as_mut() else { return };
-            if !Arc::ptr_eq(&active.rec, self) {
-                return;
-            }
-            let ev = TraceEvent {
-                ts_ns: active.rec.now_ns(),
-                trace: active.trace,
-                span: *active.stack.last().expect("root always open"),
-                parent: 0,
-                kind: EventKind::Instant,
-                name,
-                attrs,
-                tid: active.tid,
-            };
-            active.push(ev);
-        });
-    }
-
-    /// Append an out-of-band instant to an already-completed trace —
-    /// the simulator uses this for lifecycle milestones (picked up /
-    /// dropped off) that happen long after the request's root span
-    /// closed. Recorded only if `trace` was kept (still in the ring),
-    /// so lifecycle volume stays proportional to kept traces.
-    pub fn lifecycle(&self, trace: u64, name: &'static str, attrs: AttrList) {
-        if !self.enabled() {
-            return;
-        }
-        let ev = TraceEvent {
-            ts_ns: self.now_ns(),
-            trace,
-            span: 0,
-            parent: 0,
-            kind: EventKind::Instant,
-            name,
-            attrs,
-            tid: thread_idx(),
-        };
+    /// Publish one closed root into the ring, then enforce both budgets.
+    fn publish(&self, record: Record, overflowed: u64) {
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if !ring.kept_ids.contains(&trace) {
-            return;
+        let ring = &mut *ring;
+        let spans = record.spans.len() as u64;
+        ring.account.recorded_events += spans + overflowed;
+        ring.account.dropped_events += overflowed;
+        if record.event.is_some() {
+            ring.account.emitted_records += 1;
+            ring.wide += 1;
         }
-        ring.lifecycle.push_back(ev);
-        let cap = (self.capacity_events.load(Ordering::Relaxed) / 4).max(1);
-        while ring.lifecycle.len() > cap {
-            ring.lifecycle.pop_front();
-            self.dropped_events.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+        ring.span_events += record.spans.len();
+        ring.records.push_back(record);
 
-    /// The id of the trace active on this thread, if any (capture for
-    /// [`Recorder::lifecycle`]).
-    pub fn current_trace(&self) -> Option<u64> {
-        ACTIVE.with(|a| a.borrow().as_ref().map(|active| active.trace))
-    }
-
-    fn publish(&self, kept: KeptTrace, overflowed: u64) {
-        self.dropped_events.fetch_add(overflowed, Ordering::Relaxed);
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        ring.total_events += kept.events.len();
-        ring.kept_ids.insert(kept.trace);
-        ring.traces.push_back(kept);
+        // Span budget: strip the oldest records' spans, never the
+        // newest record's (a truncated-but-whole trace beats none).
         let cap = self.capacity_events.load(Ordering::Relaxed);
-        while ring.total_events > cap && ring.traces.len() > 1 {
-            let evicted = ring.traces.pop_front().expect("len > 1");
-            ring.total_events -= evicted.events.len();
-            ring.kept_ids.remove(&evicted.trace);
-            self.dropped_events.fetch_add(evicted.events.len() as u64, Ordering::Relaxed);
+        while ring.span_events > cap && ring.stripped + 1 < ring.records.len() {
+            let record = &mut ring.records[ring.stripped];
+            let spans = std::mem::take(&mut record.spans);
+            ring.empty += usize::from(record.event.is_none());
+            ring.span_events -= spans.len();
+            ring.account.dropped_events += spans.len() as u64;
+            ring.stripped += 1;
+        }
+        // Record budget: evict whole records from the front, and with
+        // them any front record that no longer holds anything.
+        let cap = self.capacity_records.load(Ordering::Relaxed);
+        while let Some(front) = ring.records.front() {
+            let empty = front.event.is_none() && front.spans.is_empty();
+            if !empty && ring.wide <= cap {
+                break;
+            }
+            let evicted = ring.records.pop_front().expect("front exists");
+            if evicted.event.is_some() {
+                ring.wide -= 1;
+                ring.account.dropped_records += 1;
+            }
+            ring.empty -= usize::from(empty);
+            ring.span_events -= evicted.spans.len();
+            ring.account.dropped_events += evicted.spans.len() as u64;
+            ring.stripped = ring.stripped.saturating_sub(1);
+        }
+        // Empty records sit in the stripped prefix, behind older wide
+        // events; drop them once they are half the ring.
+        if ring.empty * 2 > ring.records.len() {
+            ring.records.retain(|r| r.event.is_some() || !r.spans.is_empty());
+            ring.stripped -= ring.empty;
+            ring.empty = 0;
         }
     }
 
-    /// Clone out every kept trace, lifecycle event and counter.
+    /// Clone out every record that still holds something, and every
+    /// counter, under one lock.
     pub fn snapshot(&self) -> TraceSnapshot {
         let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        TraceSnapshot {
-            traces: ring.traces.iter().cloned().collect(),
-            lifecycle: ring.lifecycle.iter().cloned().collect(),
-            stats: self.stats(),
-        }
+        let records = ring
+            .records
+            .iter()
+            .filter(|r| r.event.is_some() || !r.spans.is_empty())
+            .cloned()
+            .collect();
+        TraceSnapshot { records, stats: self.stats_of(&ring) }
     }
 
     /// Current counters.
     pub fn stats(&self) -> TraceStats {
+        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        self.stats_of(&ring)
+    }
+
+    fn stats_of(&self, ring: &Ring) -> TraceStats {
         TraceStats {
             started_traces: self.started.load(Ordering::Relaxed),
             kept_traces: self.kept.load(Ordering::Relaxed),
             sampled_out_traces: self.sampled_out.load(Ordering::Relaxed),
-            dropped_events: self.dropped_events.load(Ordering::Relaxed),
+            emitted_records: ring.account.emitted_records,
+            dropped_records: ring.account.dropped_records,
+            recorded_events: ring.account.recorded_events,
+            dropped_events: ring.account.dropped_events,
             slow_threshold_ns: self.slow_ns.load(Ordering::Relaxed),
             sample_per_mille: self.sample_per_mille.load(Ordering::Relaxed),
         }
     }
 
-    /// Discard all kept traces and lifecycle events (counters are kept).
+    /// Discard every record and zero every counter.
     pub fn clear(&self) {
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        ring.traces.clear();
-        ring.total_events = 0;
-        ring.kept_ids.clear();
-        ring.lifecycle.clear();
+        *ring = Ring::default();
+        for c in [&self.started, &self.kept, &self.sampled_out] {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -584,10 +626,13 @@ impl Active {
             self.overflow += 2; // the Begin and its future End
             return;
         }
-        let span = self.rec.next_id.fetch_add(1, Ordering::Relaxed);
-        let parent = *self.stack.last().expect("root always open");
-        let ev = TraceEvent {
-            ts_ns: self.rec.now_ns(),
+        let rec = self.rec.as_ref().expect("a root is open");
+        let span = rec.next_id.fetch_add(1, Ordering::Relaxed);
+        let ts_ns = rec.now_ns();
+        let parent = self.stack.last().expect("root always open").span;
+        self.stack.push(Open { span, start_ns: ts_ns, child_ns: 0, layer: layer_of(name) });
+        self.events.push(TraceEvent {
+            ts_ns,
             trace: self.trace,
             span,
             parent,
@@ -595,9 +640,7 @@ impl Active {
             name,
             attrs: AttrList::new(),
             tid: self.tid,
-        };
-        self.stack.push(span);
-        self.events.push(ev);
+        });
     }
 
     fn end_child(&mut self, name: &'static str, attrs: AttrList) {
@@ -608,20 +651,72 @@ impl Active {
         if self.stack.len() <= 1 {
             return; // unbalanced end (guard leaked across root) — ignore
         }
-        let span = self.stack.pop().expect("len > 1");
-        let parent = *self.stack.last().expect("root below");
-        let ev = TraceEvent {
-            ts_ns: self.rec.now_ns(),
+        let open = self.stack.pop().expect("len > 1");
+        let ts_ns = self.rec.as_ref().expect("a root is open").now_ns();
+        let dur = ts_ns.saturating_sub(open.start_ns);
+        self.layers[open.layer] += dur.saturating_sub(open.child_ns);
+        let parent = self.stack.last_mut().expect("root below");
+        parent.child_ns += dur;
+        let parent = parent.span;
+        // End events always fit: begin_child reserved the slot.
+        self.events.push(TraceEvent {
+            ts_ns,
             trace: self.trace,
-            span,
+            span: open.span,
             parent,
             kind: EventKind::End,
             name,
             attrs,
             tid: self.tid,
+        });
+    }
+
+    /// Close the root: stamp the event, run tail sampling and publish.
+    fn close(&mut self, attrs: AttrList, event: Option<EventRecord>) {
+        let Some(rec) = self.rec.take() else { return };
+        let end_ns = rec.now_ns();
+        let root = &self.stack[0];
+        let (root_span, start_ns) = (root.span, root.start_ns);
+        let dur_ns = end_ns.saturating_sub(start_ns);
+        // Close the root span itself. The push is unconditional: like
+        // child Ends, the root End may softly exceed the event budget,
+        // because a truncated-but-balanced trace is usable and an
+        // unclosed root is not (Timeline::build would drop it).
+        self.events.push(TraceEvent {
+            ts_ns: end_ns,
+            trace: self.trace,
+            span: root_span,
+            parent: 0,
+            kind: EventKind::End,
+            name: self.root_name,
+            attrs,
+            tid: self.tid,
+        });
+        let slow = dur_ns >= rec.slow_ns.load(Ordering::Relaxed);
+        let keep_spans = slow || rec.would_sample(self.trace);
+        let counter = if keep_spans { &rec.kept } else { &rec.sampled_out };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let event = event.map(|mut ev| {
+            // Whatever no layer claimed — the root's own time, dispatch
+            // and unnamed spans — is `other`, so the split sums exactly.
+            let named: u64 = self.layers[..OTHER].iter().sum();
+            self.layers[OTHER] = dur_ns.saturating_sub(named);
+            ev.dur_ns = dur_ns;
+            ev.layers = self.layers;
+            ev
+        });
+        if !keep_spans && event.is_none() {
+            return;
+        }
+        let (spans, overflowed) = if keep_spans {
+            (std::mem::take(&mut self.events), self.overflow)
+        } else {
+            (Vec::new(), 0)
         };
-        // End events always fit: begin_child reserved the slot.
-        self.events.push(ev);
+        rec.publish(
+            Record { trace: self.trace, root_name: self.root_name, start_ns, dur_ns, slow, event, spans },
+            overflowed,
+        );
     }
 }
 
@@ -629,20 +724,33 @@ impl Active {
 // Guards
 // ---------------------------------------------------------------------------
 
-/// Guard for a trace root. On drop the trace completes and the
-/// tail-sampling verdict publishes or discards it.
+/// Guard for a root span. On drop the root closes: its wide event (if
+/// handed one) is published, and tail sampling keeps or discards its
+/// spans.
 #[derive(Debug)]
 #[must_use = "dropping the guard ends the trace"]
 pub struct RootSpan {
     armed: bool,
     attrs: AttrList,
+    event: Option<EventRecord>,
 }
 
 impl RootSpan {
+    const DISARMED: RootSpan = RootSpan { armed: false, attrs: AttrList::new(), event: None };
+
     /// Attach an attribute to the root span's End event.
     pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
         if self.armed {
             self.attrs.push(key, value);
+        }
+    }
+
+    /// Hand the root the request's wide event, published when the root
+    /// closes with `dur_ns` and `layers` filled in. A no-op when the
+    /// guard does not record.
+    pub fn event(&mut self, event: EventRecord) {
+        if self.armed {
+            self.event = Some(event);
         }
     }
 
@@ -657,44 +765,8 @@ impl Drop for RootSpan {
         if !self.armed {
             return;
         }
-        let attrs = self.attrs;
-        ACTIVE.with(|a| {
-            let Some(mut active) = a.borrow_mut().take() else { return };
-            let rec = Arc::clone(&active.rec);
-            let end_ns = rec.now_ns();
-            let dur_ns = end_ns.saturating_sub(active.start_ns);
-            // Close the root span itself. The push is unconditional:
-            // like child Ends, the root End may softly exceed the event
-            // budget, because a truncated-but-balanced trace is usable
-            // and an unclosed root is not (Timeline::build would drop
-            // the whole trace).
-            let root_ev = TraceEvent {
-                ts_ns: end_ns,
-                trace: active.trace,
-                span: active.root_span,
-                parent: 0,
-                kind: EventKind::End,
-                name: active.root_name,
-                attrs,
-                tid: active.tid,
-            };
-            active.events.push(root_ev);
-            let slow = dur_ns >= rec.slow_ns.load(Ordering::Relaxed);
-            if slow || rec.would_sample(active.trace) {
-                rec.kept.fetch_add(1, Ordering::Relaxed);
-                let kept = KeptTrace {
-                    trace: active.trace,
-                    root_name: active.root_name,
-                    start_ns: active.start_ns,
-                    dur_ns,
-                    slow,
-                    events: std::mem::take(&mut active.events),
-                };
-                rec.publish(kept, active.overflow);
-            } else {
-                rec.sampled_out.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        let (attrs, event) = (self.attrs, self.event.take());
+        ACTIVE.with(|a| a.borrow_mut().close(attrs, event));
     }
 }
 
@@ -708,6 +780,10 @@ pub struct Span {
 }
 
 impl Span {
+    fn disarmed(name: &'static str) -> Self {
+        Span { armed: false, name, attrs: AttrList::new() }
+    }
+
     /// Attach an attribute to the span's End event.
     pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
         if self.armed {
@@ -716,7 +792,7 @@ impl Span {
     }
 
     /// Whether this guard actually records (false when tracing is off
-    /// or no trace is active).
+    /// or no root is open).
     pub fn is_recording(&self) -> bool {
         self.armed
     }
@@ -734,8 +810,9 @@ impl Drop for Span {
         }
         let (name, attrs) = (self.name, self.attrs);
         ACTIVE.with(|a| {
-            if let Some(active) = a.borrow_mut().as_mut() {
-                active.end_child(name, attrs);
+            let mut a = a.borrow_mut();
+            if a.rec.is_some() {
+                a.end_child(name, attrs);
             }
         });
     }
@@ -747,7 +824,7 @@ impl Drop for Span {
 
 /// The process-wide recorder. Starts **disabled** — every span helper
 /// below is a single relaxed load + branch until something (the CLI's
-/// `--trace-out`, a harness, a test) enables it.
+/// `--trace-out` / `--events-out`, a harness, a test) enables it.
 pub fn recorder() -> &'static Arc<Recorder> {
     static GLOBAL: OnceLock<Arc<Recorder>> = OnceLock::new();
     GLOBAL.get_or_init(|| {
@@ -757,60 +834,39 @@ pub fn recorder() -> &'static Arc<Recorder> {
     })
 }
 
-/// Start a root trace on the global recorder (no-op guard if tracing
-/// is disabled or a trace is already active on this thread).
+/// Start a root on the global recorder (no-op guard if recording is
+/// disabled or a root is already open on this thread).
 #[inline]
 pub fn root(name: &'static str) -> RootSpan {
     let rec = recorder();
     if !rec.enabled() {
-        return RootSpan { armed: false, attrs: AttrList::new() };
+        return RootSpan::DISARMED;
     }
     rec.start_root(name)
 }
 
-/// Open a child span on the global recorder. When tracing is disabled
+/// Open a child span on the global recorder. When recording is disabled
 /// this is one relaxed atomic load, a branch, and a no-alloc guard.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     let rec = recorder();
     if !rec.enabled() {
-        return Span { armed: false, name, attrs: AttrList::new() };
+        return Span::disarmed(name);
     }
     rec.child_span(name)
-}
-
-/// Record an instant event on the global recorder.
-#[inline]
-pub fn instant(name: &'static str, attrs: AttrList) {
-    let rec = recorder();
-    if rec.enabled() {
-        rec.instant(name, attrs);
-    }
-}
-
-/// The id of the trace active on this thread (global recorder).
-#[inline]
-pub fn current_trace() -> Option<u64> {
-    let rec = recorder();
-    if !rec.enabled() {
-        return None;
-    }
-    rec.current_trace()
-}
-
-/// Out-of-band lifecycle instant on the global recorder (see
-/// [`Recorder::lifecycle`]).
-#[inline]
-pub fn lifecycle(trace: u64, name: &'static str, attrs: AttrList) {
-    let rec = recorder();
-    if rec.enabled() {
-        rec.lifecycle(trace, name, attrs);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn request(rec: &Arc<Recorder>, id: u64, children: usize) {
+        let mut root = rec.start_root("request");
+        for _ in 0..children {
+            drop(rec.child_span("child"));
+        }
+        root.event(EventRecord::new(id));
+    }
 
     #[test]
     fn root_and_children_publish_in_order() {
@@ -824,67 +880,48 @@ mod tests {
                 let inner = rec.child_span("shortest_path");
                 drop(inner);
             }
-            rec.instant("offered", AttrList::new().with("matches", 2u64));
         }
         let snap = rec.snapshot();
-        assert_eq!(snap.traces.len(), 1);
-        let t = &snap.traces[0];
+        assert_eq!(snap.records.len(), 1);
+        let t = &snap.records[0];
         assert_eq!(t.root_name, "request");
-        // B(request) B(search) B(sp) E(sp) E(search) i(offered) E(request)
-        assert_eq!(t.events.len(), 7);
-        let kinds: Vec<EventKind> = t.events.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                EventKind::Begin,
-                EventKind::Begin,
-                EventKind::Begin,
-                EventKind::End,
-                EventKind::End,
-                EventKind::Instant,
-                EventKind::End,
-            ]
-        );
+        assert!(t.event.is_none());
+        // B(request) B(search) B(sp) E(sp) E(search) E(request)
+        let kinds: Vec<EventKind> = t.spans.iter().map(|e| e.kind).collect();
+        use EventKind::{Begin, End};
+        assert_eq!(kinds, [Begin, Begin, Begin, End, End, End]);
         // Causality: sp's parent is search, search's parent is root.
-        let root_span = t.events[0].span;
-        let search_span = t.events[1].span;
-        assert_eq!(t.events[1].parent, root_span);
-        assert_eq!(t.events[2].parent, search_span);
+        assert_eq!(t.spans[1].parent, t.spans[0].span);
+        assert_eq!(t.spans[2].parent, t.spans[1].span);
         // Timestamps are monotone within the thread.
-        assert!(t.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        assert!(t.spans.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }
 
     #[test]
-    fn sampling_discards_fast_traces() {
-        let cfg = TraceConfig {
-            slow_threshold_ns: u64::MAX,
-            sample_per_mille: 0,
-            ..TraceConfig::default()
-        };
-        let rec = Recorder::new(cfg);
-        for _ in 0..32 {
-            let _root = rec.start_root("request");
+    fn sampling_discards_spans_but_keeps_events() {
+        let rec = Recorder::new(TraceConfig::events_only());
+        for i in 0..32 {
+            request(&rec, i, 2);
         }
+        // A root without an event and without kept spans leaves nothing.
+        drop(rec.start_root("track"));
         let snap = rec.snapshot();
-        assert!(snap.traces.is_empty());
-        assert_eq!(snap.stats.sampled_out_traces, 32);
+        assert_eq!(snap.records.len(), 32);
+        assert!(snap.records.iter().all(|r| r.spans.is_empty() && r.event.is_some()));
+        assert_eq!(snap.stats.sampled_out_traces, 33);
         assert_eq!(snap.stats.kept_traces, 0);
+        assert_eq!(snap.stats.emitted_records, 32);
+        assert_eq!(snap.stats.recorded_events, 0);
     }
 
     #[test]
     fn slow_traces_always_kept() {
-        let cfg = TraceConfig {
-            slow_threshold_ns: 0, // everything counts as slow
-            sample_per_mille: 0,
-            ..TraceConfig::default()
-        };
+        let cfg = TraceConfig { slow_threshold_ns: 0, sample_per_mille: 0, ..TraceConfig::default() };
         let rec = Recorder::new(cfg);
-        {
-            let _root = rec.start_root("request");
-        }
+        drop(rec.start_root("request"));
         let snap = rec.snapshot();
-        assert_eq!(snap.traces.len(), 1);
-        assert!(snap.traces[0].slow);
+        assert_eq!(snap.records.len(), 1);
+        assert!(snap.records[0].slow);
     }
 
     #[test]
@@ -892,81 +929,99 @@ mod tests {
         let rec = Recorder::new(TraceConfig::keep_all());
         rec.set_enabled(false);
         {
-            let root = rec.start_root("request");
+            let mut root = rec.start_root("request");
             assert!(!root.is_recording());
+            root.event(EventRecord::new(1));
             let s = rec.child_span("child");
             assert!(!s.is_recording());
         }
-        assert!(rec.snapshot().traces.is_empty());
+        assert!(rec.snapshot().records.is_empty());
         assert_eq!(rec.stats().started_traces, 0);
     }
 
     #[test]
-    fn span_without_active_trace_is_noop() {
+    fn span_without_open_root_is_noop() {
         let rec = Recorder::new(TraceConfig::keep_all());
         let s = rec.child_span("orphan");
         assert!(!s.is_recording());
         drop(s);
-        assert!(rec.snapshot().traces.is_empty());
+        assert!(rec.snapshot().records.is_empty());
     }
 
     #[test]
-    fn ring_eviction_counts_dropped_events() {
-        let cfg = TraceConfig {
-            capacity_events: 8,
-            ..TraceConfig::keep_all()
-        };
+    fn span_budget_strips_spans_and_keeps_events() {
+        let cfg = TraceConfig { capacity_events: 8, ..TraceConfig::keep_all() };
         let rec = Recorder::new(cfg);
-        let mut published = 0u64;
-        for _ in 0..10 {
-            let _root = rec.start_root("request");
-            let _c = rec.child_span("child");
-            drop(_c);
-            published += 4; // root B/E + child B/E
+        for i in 0..10 {
+            request(&rec, i, 1); // root B/E + child B/E
         }
         let snap = rec.snapshot();
-        let in_ring: u64 = snap.traces.iter().map(|t| t.events.len() as u64).sum();
-        assert_eq!(in_ring + snap.stats.dropped_events, published);
-        assert!(snap.stats.dropped_events > 0, "capacity 8 must evict");
+        assert_eq!(snap.records.len(), 10, "every wide event stays");
+        let in_ring: u64 = snap.records.iter().map(|r| r.spans.len() as u64).sum();
+        assert!(in_ring <= 8);
+        assert_eq!(in_ring + snap.stats.dropped_events, 40);
+        assert_eq!(snap.stats.recorded_events, 40);
+        // Only the oldest records lost their spans.
+        assert!(!snap.records[9].spans.is_empty());
+        assert!(snap.records[0].spans.is_empty());
+    }
+
+    #[test]
+    fn record_budget_evicts_oldest_whole() {
+        let cfg = TraceConfig { capacity_records: 8, ..TraceConfig::keep_all() };
+        let rec = Recorder::new(cfg);
+        for i in 0..20 {
+            request(&rec, i, 1);
+        }
+        let snap = rec.snapshot();
+        let st = snap.stats;
+        assert_eq!((st.emitted_records, st.dropped_records), (20, 12));
+        assert_eq!(snap.records.len(), 8);
+        assert_eq!(snap.records[0].event.map(|e| e.request_id), Some(12));
+        assert_eq!(st.dropped_events, 12 * 4);
     }
 
     #[test]
     fn per_trace_overflow_keeps_balance_and_count() {
-        let cfg = TraceConfig {
-            max_events_per_trace: 6,
-            ..TraceConfig::keep_all()
-        };
+        let cfg = TraceConfig { max_events_per_trace: 6, ..TraceConfig::keep_all() };
         let rec = Recorder::new(cfg);
-        {
-            let _root = rec.start_root("request");
-            for _ in 0..10 {
-                let s = rec.child_span("child");
-                drop(s);
-            }
-        }
+        request(&rec, 0, 10);
         let snap = rec.snapshot();
-        assert_eq!(snap.traces.len(), 1);
-        let t = &snap.traces[0];
+        let t = &snap.records[0];
         // Balance: every Begin has an End.
-        let begins = t.events.iter().filter(|e| e.kind == EventKind::Begin).count();
-        let ends = t.events.iter().filter(|e| e.kind == EventKind::End).count();
-        assert_eq!(begins, ends);
+        let begins = t.spans.iter().filter(|e| e.kind == EventKind::Begin).count();
+        assert_eq!(begins * 2, t.spans.len());
         // Count: kept + dropped == all 22 events (root B/E + 10×2).
-        assert_eq!(t.events.len() as u64 + snap.stats.dropped_events, 22);
+        assert_eq!(t.spans.len() as u64 + snap.stats.dropped_events, 22);
+        // The overflowed children's time went to `other`; the split
+        // still sums to the root.
+        let ev = t.event.expect("event kept");
+        assert_eq!(ev.layers.iter().sum::<u64>(), ev.dur_ns);
     }
 
     #[test]
-    fn lifecycle_only_for_kept_traces() {
+    fn layers_take_self_time_and_sum_to_the_root() {
         let rec = Recorder::new(TraceConfig::keep_all());
-        let trace_id = {
-            let _root = rec.start_root("request");
-            rec.current_trace().expect("active")
-        };
-        rec.lifecycle(trace_id, "picked_up", AttrList::new().with("sim_t_s", 1.0));
-        rec.lifecycle(9_999_999, "picked_up", AttrList::new()); // unknown trace
-        let snap = rec.snapshot();
-        assert_eq!(snap.lifecycle.len(), 1);
-        assert_eq!(snap.lifecycle[0].trace, trace_id);
+        {
+            let mut root = rec.start_root("request");
+            {
+                let _search = rec.child_span("search");
+                let _e = rec.child_span("enumerate_src");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            {
+                let _book = rec.child_span("book");
+                let _sp = rec.child_span("shortest_path");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            root.event(EventRecord::new(1));
+        }
+        let ev = rec.snapshot().records[0].event.expect("event");
+        assert_eq!(ev.layers.iter().sum::<u64>(), ev.dur_ns);
+        let layer = |name: &str| ev.layers[LAYERS.iter().position(|l| *l == name).unwrap()];
+        assert!(layer("search") >= 1_000_000, "{ev:?}");
+        assert!(layer("shortest_path") >= 1_000_000, "{ev:?}");
+        assert_eq!(layer("publish"), 0);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Overhead guard for the flight recorder's disabled path.
+//! Overhead guard for the recorder's disabled path — the one path every
+//! span and every request's wide event takes when no file is requested.
 //!
 //! The contract (DESIGN.md §5c): with the global recorder disabled —
-//! its startup state — every `trace::span()` / `trace::root()` /
-//! `trace::instant()` call is one relaxed atomic load plus a branch.
+//! its startup state — every `trace::span()` / `trace::root()` call,
+//! and handing a root its `EventRecord`, is one relaxed atomic load
+//! plus a branch.
 //! In particular it must never allocate, or the "free when off"
 //! promise silently rots. A counting global allocator makes that
 //! claim a hard test, and a coarse wall-clock bound keeps the cost
 //! within a small multiple of an empty `black_box` loop — and, in
-//! release builds, under 50 ns per span.
+//! release builds, under 50 ns per span or per request.
 //!
 //! This lives in its own integration binary because the
 //! `#[global_allocator]` would otherwise count every other test's
@@ -18,6 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
+
+use xar_obs::events::EventRecord;
 
 thread_local! {
     /// Allocations made by *this* thread. Per-thread because the
@@ -60,7 +64,7 @@ fn disabled_path_is_allocation_free_and_cheap() {
     // thread-locals, which may allocate once.
     {
         let _s = xar_obs::trace::span("warmup");
-        xar_obs::trace::instant("warmup", xar_obs::AttrList::new());
+        let _r = xar_obs::trace::root("warmup");
     }
 
     // Baseline: empty black_box loop.
@@ -70,7 +74,8 @@ fn disabled_path_is_allocation_free_and_cheap() {
     }
     let empty_ns = t0.elapsed().as_nanos().max(1) as u64;
 
-    // 1M disabled spans + instants: zero allocations.
+    // 1M disabled spans, then 1M disabled roots handed a wide event:
+    // zero allocations.
     let before = thread_allocs();
     let t0 = Instant::now();
     for i in 0..ITERS {
@@ -79,14 +84,18 @@ fn disabled_path_is_allocation_free_and_cheap() {
         black_box(i);
     }
     let span_ns = t0.elapsed().as_nanos().max(1) as u64;
-    for _ in 0..ITERS {
-        xar_obs::trace::instant("bench", xar_obs::AttrList::new());
+    let t0 = Instant::now();
+    for i in 0..ITERS {
+        let mut root = xar_obs::trace::root("request");
+        root.event(black_box(EventRecord { outcome: "created", ..EventRecord::new(i) }));
+        black_box(&root);
     }
+    let root_ns = t0.elapsed().as_nanos().max(1) as u64;
     let after = thread_allocs();
     assert_eq!(
         after - before,
         0,
-        "disabled trace::span/instant allocated {} times over {} iterations",
+        "disabled trace::span/root allocated {} times over {} iterations",
         after - before,
         2 * ITERS,
     );
@@ -97,19 +106,21 @@ fn disabled_path_is_allocation_free_and_cheap() {
     // syscall, a clock read — not to benchmark it; the request-path
     // benchmark's `obs.span_disabled.ns` is the precise measurement.
     let factor = if cfg!(debug_assertions) { 400 } else { 50 };
-    assert!(
-        span_ns < empty_ns.saturating_mul(factor),
-        "disabled span loop took {span_ns} ns vs empty loop {empty_ns} ns (> {factor}x)",
-    );
-    // The absolute acceptance bound is a release-build property (CI
-    // runs this binary with `--release` for it).
-    if !cfg!(debug_assertions) {
-        let per_span = span_ns / ITERS;
-        assert!(per_span < 50, "disabled span costs {per_span} ns, acceptance bound is 50 ns");
+    for (what, ns) in [("span", span_ns), ("root + event", root_ns)] {
+        assert!(
+            ns < empty_ns.saturating_mul(factor),
+            "disabled {what} loop took {ns} ns vs empty loop {empty_ns} ns (> {factor}x)",
+        );
+        // The absolute acceptance bound is a release-build property (CI
+        // runs this binary with `--release` for it).
+        if !cfg!(debug_assertions) {
+            let per = ns / ITERS;
+            assert!(per < 50, "disabled {what} costs {per} ns, acceptance bound is 50 ns");
+        }
     }
 
     // And nothing was recorded.
     let stats = xar_obs::trace::recorder().stats();
     assert_eq!(stats.started_traces, 0);
-    assert_eq!(stats.kept_traces, 0);
+    assert_eq!(stats.emitted_records, 0);
 }

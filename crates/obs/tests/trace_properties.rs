@@ -1,11 +1,14 @@
-//! Property tests for the flight recorder and its Chrome export.
+//! Property tests for the request recorder and its Chrome export.
 //!
-//! Three laws, each over randomized trace shapes:
+//! Three laws, each over randomized request shapes:
 //!
-//! 1. **Conservation** — however small the ring and whatever the
-//!    per-trace shapes, every published event is either still in the
-//!    ring or counted in `dropped_events`. Wrap-around loses data by
-//!    design, never accounting.
+//! 1. **One conserved account** — however small the ring's two budgets
+//!    and the per-request span budget, whatever the sampling rate and
+//!    however many threads record at once: records kept + dropped ==
+//!    emitted (one per request that carries a wide event, sampled or
+//!    not), span events kept + dropped == recorded, kept spans stay
+//!    balanced, and every wide event's layer split sums exactly to its
+//!    `dur_ns`. Eviction loses data by design, never accounting.
 //! 2. **Per-thread monotonicity** — events that share a thread lane
 //!    carry non-decreasing timestamps, so Chrome's per-tid `B`/`E`
 //!    stack discipline can always be replayed.
@@ -14,68 +17,111 @@
 //!    recorded: every `B` has its `E`, durations are non-negative, and
 //!    children lie inside their parents.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use xar_obs::chrome::{export_chrome, parse_chrome, SpanNode, Timeline};
-use xar_obs::trace::Recorder;
+use xar_obs::events::EventRecord;
+use xar_obs::trace::{EventKind, Recorder};
 use xar_obs::TraceConfig;
 
-/// Record one trace per shape entry: each `shape[i]` child spans, each
-/// child with `shape[i] % 3` nested grandchildren.
-fn record_traces(rec: &std::sync::Arc<Recorder>, shapes: &[Vec<usize>]) {
-    for shape in shapes {
+/// Span names that land in different layers, so the split is exercised.
+const NAMES: [&str; 4] = ["search", "shortest_path", "index_ride", "sim.book"];
+
+/// One request: its children (each with `shape[i] % 3` nested
+/// grandchildren) and whether it carries a wide event.
+type Shape = (Vec<usize>, bool);
+
+/// Record one root per shape entry; requests that carry an event hand
+/// it to the root.
+fn record_traces(rec: &Arc<Recorder>, shapes: &[Shape]) {
+    for (i, (children, wide)) in shapes.iter().enumerate() {
         let mut root = rec.start_root("request");
-        root.attr("children", shape.len() as u64);
-        for &grands in shape {
-            let mut child = rec.child_span("child");
+        root.attr("children", children.len() as u64);
+        for (c, &grands) in children.iter().enumerate() {
+            let mut child = rec.child_span(NAMES[c % NAMES.len()]);
             child.attr("grands", grands as u64);
-            for _ in 0..grands {
-                let _g = rec.child_span("grand");
+            for g in 0..grands {
+                let _g = rec.child_span(NAMES[(c + g + 1) % NAMES.len()]);
             }
+        }
+        if *wide {
+            root.event(EventRecord::new(i as u64));
         }
     }
 }
 
-/// Conceptual event count for a shape: root B/E + B/E per span.
-fn conceptual_events(shapes: &[Vec<usize>]) -> usize {
-    shapes
-        .iter()
-        .map(|s| 2 + s.iter().map(|&g| 2 + 2 * g).sum::<usize>())
-        .sum()
+/// Conceptual span-event count for a shape: root B/E + B/E per span.
+fn conceptual_events(shapes: &[Shape]) -> usize {
+    shapes.iter().map(|(s, _)| 2 + s.iter().map(|&g| 2 + 2 * g).sum::<usize>()).sum()
+}
+
+fn shapes(max: usize) -> impl Strategy<Value = Vec<Shape>> {
+    proptest::collection::vec(
+        (proptest::collection::vec(0usize..4, 0..6), (0u8..5).prop_map(|w| w > 0)),
+        1..max,
+    )
+}
+
+fn plain(shapes: Vec<Vec<usize>>) -> Vec<Shape> {
+    shapes.into_iter().map(|s| (s, false)).collect()
 }
 
 proptest! {
-    /// Law 1: ring contents + dropped counter account for every event
-    /// ever published, for any ring size down to pathological ones.
+    /// Law 1: both halves of the account conserve under ring eviction,
+    /// per-request overflow, sampling and concurrent recorders.
     #[test]
-    fn wraparound_conserves_event_accounting(
-        shapes in proptest::collection::vec(
-            proptest::collection::vec(0usize..4, 0..6), 1..20),
-        capacity in 8usize..200,
+    fn one_account_conserves_records_spans_and_layers(
+        shapes in shapes(30),
+        capacity_events in 8usize..200,
+        capacity_records in 1usize..24,
+        max_events_per_trace in 4usize..40,
+        sample_per_mille in prop_oneof![Just(0u32), Just(500), Just(1_000)],
+        threads in 1usize..4,
     ) {
         let rec = Recorder::new(TraceConfig {
-            capacity_events: capacity,
-            max_events_per_trace: 32,
-            ..TraceConfig::keep_all()
+            slow_threshold_ns: u64::MAX,
+            sample_per_mille,
+            capacity_events,
+            capacity_records,
+            max_events_per_trace,
         });
-        record_traces(&rec, &shapes);
+        std::thread::scope(|s| {
+            for chunk in shapes.chunks(shapes.len().div_ceil(threads)) {
+                let rec = Arc::clone(&rec);
+                s.spawn(move || record_traces(&rec, chunk));
+            }
+        });
         let snap = rec.snapshot();
-        let stats = rec.stats();
-        let in_ring: usize = snap.traces.iter().map(|t| t.events.len()).sum();
-        prop_assert_eq!(
-            in_ring + stats.dropped_events as usize,
-            conceptual_events(&shapes),
-            "ring {} + dropped {} != published",
-            in_ring,
-            stats.dropped_events
-        );
-        prop_assert_eq!(stats.started_traces as usize, shapes.len());
-        // Truncation must never unbalance a kept trace: whatever the
-        // per-trace budget clipped, every Begin still has its End (a
-        // B≠E trace is unreconstructable downstream).
-        for t in &snap.traces {
-            let b = t.events.iter().filter(|e| e.kind == xar_obs::trace::EventKind::Begin).count();
-            let e = t.events.iter().filter(|e| e.kind == xar_obs::trace::EventKind::End).count();
-            prop_assert_eq!(b, e, "unbalanced kept trace {}", t.trace);
+        let st = snap.stats;
+
+        let wide = shapes.iter().filter(|(_, w)| *w).count() as u64;
+        let kept_records = snap.records.iter().filter(|r| r.event.is_some()).count() as u64;
+        prop_assert_eq!(st.emitted_records, wide, "every wide event is published");
+        prop_assert_eq!(kept_records + st.dropped_records, st.emitted_records);
+        prop_assert!(kept_records <= capacity_records as u64);
+
+        let kept_spans: u64 = snap.records.iter().map(|r| r.spans.len() as u64).sum();
+        prop_assert_eq!(kept_spans + st.dropped_events, st.recorded_events);
+        let expected = match sample_per_mille {
+            0 => 0,
+            1_000 => conceptual_events(&shapes) as u64,
+            _ => st.recorded_events.min(conceptual_events(&shapes) as u64),
+        };
+        prop_assert_eq!(st.recorded_events, expected);
+        prop_assert_eq!(st.kept_traces + st.sampled_out_traces, shapes.len() as u64);
+        prop_assert_eq!(st.started_traces, shapes.len() as u64);
+
+        for r in &snap.records {
+            prop_assert!(r.event.is_some() || !r.spans.is_empty(), "an empty record stayed");
+            // Truncation never unbalances kept spans: every Begin still
+            // has its End (a B≠E trace is unreconstructable downstream).
+            let b = r.spans.iter().filter(|e| e.kind == EventKind::Begin).count();
+            prop_assert_eq!(2 * b, r.spans.len(), "unbalanced record {}", r.trace);
+            if let Some(ev) = r.event {
+                prop_assert_eq!(ev.dur_ns, r.dur_ns);
+                prop_assert_eq!(ev.layers.iter().sum::<u64>(), ev.dur_ns, "{:?}", ev);
+            }
         }
     }
 
@@ -86,12 +132,12 @@ proptest! {
             proptest::collection::vec(0usize..4, 0..6), 1..10),
     ) {
         let rec = Recorder::new(TraceConfig::keep_all());
-        record_traces(&rec, &shapes);
+        record_traces(&rec, &plain(shapes));
         let snap = rec.snapshot();
-        for t in &snap.traces {
+        for t in &snap.records {
             let mut last: std::collections::HashMap<u64, u64> =
                 std::collections::HashMap::new();
-            for ev in &t.events {
+            for ev in &t.spans {
                 if let Some(prev) = last.insert(ev.tid, ev.ts_ns) {
                     prop_assert!(
                         ev.ts_ns >= prev,
@@ -110,7 +156,7 @@ proptest! {
             proptest::collection::vec(0usize..4, 0..6), 1..10),
     ) {
         let rec = Recorder::new(TraceConfig::keep_all());
-        record_traces(&rec, &shapes);
+        record_traces(&rec, &plain(shapes.clone()));
         let json = export_chrome(&rec.snapshot());
         let parsed = parse_chrome(&json).expect("export must parse");
         prop_assert!(parsed.has_drop_counter);
@@ -144,8 +190,8 @@ proptest! {
         for (tl, shape) in tls.iter().zip(shapes.iter()) {
             prop_assert_eq!(&tl.root.name, "request");
             prop_assert_eq!(tl.root.children.len(), shape.len());
-            for (child, &grands) in tl.root.children.iter().zip(shape.iter()) {
-                prop_assert_eq!(&child.name, "child");
+            for (c, (child, &grands)) in tl.root.children.iter().zip(shape.iter()).enumerate() {
+                prop_assert_eq!(&child.name, NAMES[c % NAMES.len()]);
                 prop_assert_eq!(child.children.len(), grands);
             }
             check_durations(&tl.root)?;

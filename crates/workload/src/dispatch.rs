@@ -5,8 +5,9 @@
 //! [`crate::sim::run_simulation`] calls it on the caller's backend,
 //! [`crate::parallel::run_parallel_dispatch`] once per worker thread.
 //!
-//! Every request leaves one `request` trace, one wide
-//! [`EventRecord`] and one `sim.requests{outcome}` /
+//! Every request opens one `request` root, hands it one wide
+//! [`EventRecord`] (published when the root closes, with the request's
+//! duration split by layer) and leaves one `sim.requests{outcome}` /
 //! `sim.reject_reason{reason}` count. A second, batch-window policy
 //! was built on a three-stage split of this loop, measured and removed
 //! (EXPERIMENTS.md, "Figure 7"): supply never binds under the paper's
@@ -16,42 +17,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use xar_core::{Reason, SearchExplain};
-use xar_obs::events::{self, EventRecord};
-use xar_obs::trace::AttrList;
+use xar_obs::events::EventRecord;
 use xar_obs::{Counter, Histogram, Registry};
 
 use crate::report::{Decision, DecisionOutcome, SimReport};
 use crate::sim::{BookResult, RideBackend, SimConfig};
 use crate::trips::Trip;
-
-/// A booked request whose pick-up / drop-off milestones have not been
-/// reached yet: `(trace id, pickup ETA, dropoff ETA)`. Consumed etas
-/// are set to `NaN`.
-type PendingLifecycle = (u64, f64, f64);
-
-/// Emit `request.picked_up` / `request.dropped_off` lifecycle instants
-/// for every pending booking whose scheduled time has passed `now_s`.
-fn flush_lifecycle(pending: &mut Vec<PendingLifecycle>, now_s: f64) {
-    pending.retain_mut(|(trace, pickup, dropoff)| {
-        if pickup.is_finite() && *pickup <= now_s {
-            xar_obs::trace::lifecycle(
-                *trace,
-                "request.picked_up",
-                AttrList::new().with("sim_t_s", *pickup),
-            );
-            *pickup = f64::NAN;
-        }
-        if dropoff.is_finite() && *dropoff <= now_s {
-            xar_obs::trace::lifecycle(
-                *trace,
-                "request.dropped_off",
-                AttrList::new().with("sim_t_s", *dropoff),
-            );
-            *dropoff = f64::NAN;
-        }
-        pickup.is_finite() || dropoff.is_finite()
-    });
-}
 
 /// Pre-resolved `sim.*` phase series.
 struct PhaseMetrics {
@@ -107,22 +78,12 @@ pub(crate) fn run_dispatch<B: RideBackend>(
     let mut report = SimReport::default();
     let pm = PhaseMetrics::new(&registry);
     let system = backend.name();
-    let mut pending: Vec<PendingLifecycle> = Vec::new();
     let mut next_track = trips.first().map_or(0.0, |t| t.pickup_s);
 
     for (idx, trip) in trips.iter().enumerate() {
-        track_sweeps(backend, cfg, trip.pickup_s, &mut next_track, &pm, &mut pending, system);
-        dispatch_request(backend, cfg, idx, trip, &mut report, &pm, &mut pending, system);
+        track_sweeps(backend, cfg, trip.pickup_s, &mut next_track, &pm, system);
+        dispatch_request(backend, cfg, idx, trip, &mut report, &pm, system);
     }
-
-    // The simulation clock stops at the last request; milestones
-    // already scheduled (bookings with known ETAs) are flushed so
-    // committed snapshots contain complete rider timelines.
-    flush_lifecycle(&mut pending, f64::INFINITY);
-    // Publish this thread's buffered wide events: the parallel driver
-    // runs one replay per worker thread, so every emitter flushes
-    // itself and a post-run snapshot is complete.
-    events::flush_thread();
     report.registry = Some(registry);
     report
 }
@@ -134,7 +95,6 @@ fn track_sweeps<B: RideBackend>(
     now_s: f64,
     next_track: &mut f64,
     pm: &PhaseMetrics,
-    pending: &mut Vec<PendingLifecycle>,
     system: &'static str,
 ) {
     if let Some(every) = cfg.track_every_s {
@@ -147,7 +107,6 @@ fn track_sweeps<B: RideBackend>(
                 backend.track(*next_track);
                 pm.track_h.record(t0.elapsed().as_nanos() as u64);
             }
-            flush_lifecycle(pending, *next_track);
             *next_track += every;
         }
     }
@@ -196,10 +155,8 @@ fn timed_search_explained<B: RideBackend>(
 fn record_booked(
     report: &mut SimReport,
     pm: &PhaseMetrics,
-    pending: &mut Vec<PendingLifecycle>,
     trip: &Trip,
     res: BookResult,
-    trace: Option<u64>,
     ev: &mut EventRecord,
 ) {
     let BookResult::Booked {
@@ -232,19 +189,9 @@ fn record_booked(
     if pickup_eta_s.is_finite() {
         ev.wait_s = (pickup_eta_s - trip.pickup_s).max(0.0);
     }
+    ev.pickup_eta_s = pickup_eta_s;
+    ev.dropoff_eta_s = dropoff_eta_s;
     report.decisions.push(Decision { trip_id: trip.id, outcome: DecisionOutcome::Booked { ride } });
-    xar_obs::trace::instant(
-        "request.booked",
-        AttrList::new()
-            .with("walk_m", walk_m)
-            .with("detour_m", actual_detour_m)
-            .with("pickup_eta_s", pickup_eta_s),
-    );
-    if let Some(trace) = trace {
-        if pickup_eta_s.is_finite() || dropoff_eta_s.is_finite() {
-            pending.push((trace, pickup_eta_s, dropoff_eta_s));
-        }
-    }
 }
 
 /// Timed ride creation with full accounting; `Err` carries the typed
@@ -267,19 +214,16 @@ fn timed_create<B: RideBackend>(
         report.created += 1;
         pm.req_created.inc();
         report.decisions.push(Decision { trip_id: trip.id, outcome: DecisionOutcome::Created });
-        xar_obs::trace::instant("request.created", AttrList::new());
     } else {
         report.unservable += 1;
         pm.req_unservable.inc();
         report.decisions.push(Decision { trip_id: trip.id, outcome: DecisionOutcome::Unservable });
-        xar_obs::trace::instant("request.unservable", AttrList::new());
     }
     res
 }
 
 /// One request through the protocol: look, search, book down the match
-/// list, else create; one trace root and one wide event either way.
-#[allow(clippy::too_many_arguments)]
+/// list, else create; one root carrying one wide event either way.
 fn dispatch_request<B: RideBackend>(
     backend: &mut B,
     cfg: &SimConfig,
@@ -287,15 +231,12 @@ fn dispatch_request<B: RideBackend>(
     trip: &Trip,
     report: &mut SimReport,
     pm: &PhaseMetrics,
-    pending: &mut Vec<PendingLifecycle>,
     system: &'static str,
 ) {
     let mut troot = xar_obs::trace::root("request");
     troot.attr("idx", idx as u64);
     troot.attr("sim_t_s", trip.pickup_s);
     troot.attr("system", system);
-    let trace = xar_obs::trace::current_trace();
-    xar_obs::trace::instant("request.born", AttrList::new().with("sim_t_s", trip.pickup_s));
     let mut ev = EventRecord::new(trip.id);
     ev.sim_t_s = trip.pickup_s;
 
@@ -306,7 +247,6 @@ fn dispatch_request<B: RideBackend>(
 
     let (matches, explain, search_ns) = timed_search_explained(backend, trip, cfg, report, pm);
     report.matches_returned += matches.len() as u64;
-    xar_obs::trace::instant("request.offered", AttrList::new().with("matches", matches.len()));
     ev.searches = cfg.lookups_per_request as u32 + 1;
     ev.search_ns = search_ns;
     ev.tier = explain.tier;
@@ -325,7 +265,7 @@ fn dispatch_request<B: RideBackend>(
         match res {
             BookResult::Booked { .. } => {
                 ev.book_ns = ns;
-                record_booked(report, pm, pending, trip, res, trace, &mut ev);
+                record_booked(report, pm, trip, res, &mut ev);
                 booked = true;
                 troot.attr("outcome", "booked");
                 break;
@@ -334,7 +274,6 @@ fn dispatch_request<B: RideBackend>(
         }
         report.stale_matches += 1;
         ev.stale += 1;
-        xar_obs::trace::instant("request.rejected", AttrList::new().with("stale", 1u64));
     }
     if !booked {
         let res = timed_create(backend, trip, cfg, report, pm);
@@ -348,5 +287,5 @@ fn dispatch_request<B: RideBackend>(
         pm.reject(reason);
         troot.attr("outcome", ev.outcome);
     }
-    events::emit(ev);
+    troot.event(ev);
 }

@@ -65,7 +65,7 @@ pub trait RideBackend {
     /// Search for rides serving `trip`; up to `k` matches, best first.
     fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> Vec<Self::Match>;
     /// [`RideBackend::search`], also reporting per-check rejection
-    /// attribution for the wide-event plane. The default wraps plain
+    /// attribution for the request's wide event. The default wraps plain
     /// `search` with a synthetic explain (candidates = matches), which
     /// keeps the reason taxonomy closed — a matchless search decodes
     /// to [`Reason::NoClusterCandidates`] — for backends that cannot
@@ -140,11 +140,10 @@ pub enum BookResult {
 /// in the returned report.
 ///
 /// When the global trace recorder is enabled, every trip becomes one
-/// `request` trace (born → searched → offered → booked/created/
-/// unservable), every tracking sweep one `track` trace, and booked
-/// requests later receive `request.picked_up` / `request.dropped_off`
-/// lifecycle instants as simulated time passes their ETAs — a single
-/// rider's full timeline is reconstructable from the export.
+/// `request` root carrying the trip's wide event — outcome, reason,
+/// promised pick-up / drop-off ETAs and its wall time split by layer —
+/// and every tracking sweep one `track` root; tail sampling decides
+/// which roots keep their spans.
 pub fn run_simulation<B: RideBackend>(
     backend: &mut B,
     trips: &[Trip],

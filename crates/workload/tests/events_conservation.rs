@@ -1,18 +1,20 @@
-//! End-to-end conservation of the wide-event plane (ISSUE 9,
-//! satellite 3): every request of a replay emits exactly one
-//! event, the events reconcile with the run's `sim.requests{outcome}`
-//! / `sim.reject_reason{reason=...}` counters, and **no** rejection
-//! decodes to `Reason::Unknown` — the taxonomy is closed over every
-//! real rejection path (satellite 2's runtime half).
+//! End-to-end conservation of the wide events: every request of a
+//! replay publishes exactly one record, the records reconcile with the
+//! run's `sim.requests{outcome}` / `sim.reject_reason{reason=...}`
+//! counters, **no** rejection decodes to `Reason::Unknown` — the
+//! taxonomy is closed over every real rejection path — and every
+//! record's layer split sums exactly to its wall time.
 //!
-//! All tests share the process-global event sink, so they serialize on
+//! All tests share the process-global recorder, so they serialize on
 //! one mutex and live in one integration binary.
 
 use std::sync::{Arc, Mutex};
 
 use xar_core::{EngineConfig, Reason, XarEngine};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
-use xar_obs::events;
+use xar_obs::events::{self, EventRecord};
+use xar_obs::trace::TraceSnapshot;
+use xar_obs::TraceConfig;
 use xar_roadnet::{sample_pois, CityConfig, PoiConfig};
 use xar_workload::backend::{TShareBackend, XarBackend};
 use xar_workload::report::SimReport;
@@ -20,7 +22,7 @@ use xar_workload::sim::{run_simulation, SimConfig};
 use xar_workload::trips::{generate_trips, TripGenConfig};
 use xar_tshare::{TShareConfig, TShareEngine};
 
-/// The process-global sink serializes the tests.
+/// The process-global recorder serializes the tests.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn city(seed: u64) -> Arc<xar_roadnet::RoadGraph> {
@@ -41,37 +43,51 @@ fn region(graph: &Arc<xar_roadnet::RoadGraph>) -> Arc<RegionIndex> {
     ))
 }
 
-/// Run `trips` through a fresh XAR backend with the event sink
-/// capturing everything, and return (report, events snapshot).
-fn run_with_events(
-    seed: u64,
-    trips: usize,
-    cfg: &SimConfig,
-) -> (SimReport, events::EventsSnapshot) {
+/// Run `replay` with the global recorder on under `config`, and
+/// return its result plus the recorder's snapshot.
+fn recorded<T>(config: TraceConfig, replay: impl FnOnce() -> T) -> (T, TraceSnapshot) {
+    let rec = xar_obs::trace::recorder();
+    rec.clear();
+    rec.configure(config);
+    rec.set_enabled(true);
+    let out = replay();
+    rec.set_enabled(false);
+    let snap = rec.snapshot();
+    rec.clear();
+    (out, snap)
+}
+
+/// Run `trips` through a fresh XAR backend with both files' worth of
+/// recording on (every span kept, like `--trace-sample 1`), and return
+/// (report, recorder snapshot).
+fn run_with_events(seed: u64, trips: usize, cfg: &SimConfig) -> (SimReport, TraceSnapshot) {
     let graph = city(seed);
     let reg = region(&graph);
     let ts = generate_trips(&graph, &TripGenConfig { count: trips, ..Default::default() });
     let mut backend = XarBackend::new(XarEngine::new(reg, EngineConfig::default()));
-    events::configure(events::DEFAULT_CAPACITY);
-    events::set_enabled(true);
-    let report = run_simulation(&mut backend, &ts, cfg);
-    events::set_enabled(false);
-    let snap = events::snapshot();
-    (report, snap)
+    recorded(TraceConfig::keep_all(), || run_simulation(&mut backend, &ts, cfg))
+}
+
+fn wide_events(snap: &TraceSnapshot) -> Vec<EventRecord> {
+    snap.records.iter().filter_map(|r| r.event).collect()
 }
 
 /// Events must reconcile *exactly* with the run's outcome counters:
 /// one event per request, outcome histogram equal to the
 /// `sim.requests{outcome}` counters, and
 /// `booked + Σ reject_reason = total`.
-fn assert_conserved(report: &SimReport, snap: &events::EventsSnapshot) {
+fn assert_conserved(report: &SimReport, snap: &TraceSnapshot) {
     let total = report.booked + report.created + report.unservable;
-    assert_eq!(snap.emitted, total, "one event per request");
-    assert_eq!(snap.kept() + snap.dropped, snap.emitted, "drop accounting conserves");
-    assert_eq!(snap.dropped, 0, "default capacity must hold the whole run");
+    let events = wide_events(snap);
+    let st = snap.stats;
+    assert_eq!(st.emitted_records, total, "one event per request");
+    assert_eq!(events.len() as u64 + st.dropped_records, st.emitted_records, "drop accounting conserves");
+    assert_eq!(st.dropped_records, 0, "default capacity must hold the whole run");
+    let kept_spans: u64 = snap.records.iter().map(|r| r.spans.len() as u64).sum();
+    assert_eq!(kept_spans + st.dropped_events, st.recorded_events, "span accounting conserves");
 
     let count = |outcome: &str| {
-        snap.events.iter().filter(|e| e.outcome == outcome).count() as u64
+        events.iter().filter(|e| e.outcome == outcome).count() as u64
     };
     assert_eq!(count("booked"), report.booked);
     assert_eq!(count("created"), report.created);
@@ -90,8 +106,7 @@ fn assert_conserved(report: &SimReport, snap: &events::EventsSnapshot) {
     // Event-level reasons agree with the counters, reason by reason.
     for r in Reason::ALL {
         let ctr = reg.counter_with("sim.reject_reason", &[("reason", r.code())]).get();
-        let evs = snap
-            .events
+        let evs = events
             .iter()
             .filter(|e| e.outcome != "booked" && e.reason == r.code())
             .count() as u64;
@@ -99,8 +114,12 @@ fn assert_conserved(report: &SimReport, snap: &events::EventsSnapshot) {
     }
 
     // The taxonomy is closed: no real rejection decodes to Unknown,
-    // every event carries a reason, booked events say "served".
-    for e in &snap.events {
+    // every event carries a reason, booked events say "served" and
+    // carry their promised ETAs. The wall time splits exactly by layer.
+    for e in &events {
+        assert!(e.dur_ns > 0, "request {} has no wall time", e.request_id);
+        assert_eq!(e.layers.iter().sum::<u64>(), e.dur_ns, "request {}", e.request_id);
+        assert_eq!(e.outcome == "booked", e.pickup_eta_s.is_finite(), "request {}", e.request_id);
         assert_ne!(e.reason, Reason::Unknown.code(), "request {} hit Unknown", e.request_id);
         assert!(!e.reason.is_empty(), "request {} has no reason", e.request_id);
         if e.outcome == "booked" {
@@ -164,11 +183,9 @@ fn tshare_default_explain_stays_closed() {
         TShareConfig { grid_cell_m: 400.0, ..Default::default() },
     ));
     let cfg = SimConfig { track_every_s: None, ..Default::default() };
-    events::configure(events::DEFAULT_CAPACITY);
-    events::set_enabled(true);
-    let report = run_simulation(&mut backend, &ts, &cfg);
-    events::set_enabled(false);
-    let snap = events::snapshot();
+    let (report, snap) =
+        recorded(TraceConfig::events_only(), || run_simulation(&mut backend, &ts, &cfg));
+    assert!(snap.records.iter().all(|r| r.spans.is_empty()), "no spans kept");
     assert_conserved(&report, &snap);
 }
 
@@ -182,8 +199,9 @@ fn jsonl_round_trip_reconciles_with_run() {
     let (report, snap) = run_with_events(55, 300, &cfg);
     let text = events::to_jsonl(&snap);
     let log = events::parse_jsonl(&text).expect("run output must parse");
-    assert_eq!(log.events.len() as u64, snap.kept());
-    assert_eq!(log.emitted, snap.emitted);
+    assert_eq!(log.events.len(), wide_events(&snap).len());
+    assert_eq!(log.emitted, snap.stats.emitted_records);
+    assert!(log.events.iter().all(|e| e.layers.is_some_and(|l| l.iter().sum::<u64>() == e.dur_ns)));
     let outcomes = log.outcome_histogram();
     let get = |k: &str| outcomes.iter().find(|(o, _)| o == k).map_or(0, |(_, n)| *n);
     assert_eq!(get("booked"), report.booked);

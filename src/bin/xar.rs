@@ -32,25 +32,34 @@
 //!     on two cores a second worker adds no throughput (EXPERIMENTS.md,
 //!     "Engine scaling"), and the request-path benchmark in
 //!     `benchmark/` is where performance is measured.
-//!     `--events-out FILE` turns on the wide-event sink and writes one
-//!     structured decision record per request (outcome, typed rejection
-//!     reason, search tier, candidate count, latencies) as segmented
-//!     JSONL — the input of `xar logs`.
+//!     `--events-out FILE` writes one structured decision record per
+//!     request of the system under test (outcome, typed rejection
+//!     reason, search tier, candidate count, latencies, promised ETAs,
+//!     and the request's wall time split by layer) as segmented JSONL —
+//!     the input of `xar logs`. Both files are exports of one recorder,
+//!     which is on whenever either is requested: every request's record
+//!     reaches the events file, and its spans reach the trace file when
+//!     tail sampling keeps them.
 //!
 //! xar logs --in events.jsonl [--outcome X] [--reason Y]
 //!          [--slower-than MS] [--request ID] [--top N]
 //!     Forensics over a `--events-out` file: per-request decision
 //!     records with outcome / rejection-reason / latency filters.
-//!     Prints the outcome and rejection-reason histograms, then the
-//!     matching records (slowest first, `--top N`, default 10, 0 =
-//!     all). `--request ID` answers "why was request R rejected" with
-//!     R's full record. Exit codes: 2 = unreadable / invalid file,
+//!     Prints the outcome and rejection-reason histograms, the mean
+//!     split of the matching records' wall time by layer (`layers :`),
+//!     then the matching records (slowest first by wall time, `--top
+//!     N`, default 10, 0 = all). `--request ID` answers "why was request
+//!     R slow or rejected" with R's full record: its reason, its layer
+//!     split and, when booked, its promised pick-up and drop-off ETAs.
+//!     Exit codes: 2 = unreadable / invalid file,
 //!     3 = no events (or none matching the filters), 9 = invalid
 //!     filter value.
 //!
 //! xar trace --in trace.json [--top N] [--check] [--collapsed FILE]
-//!     Print the N slowest request timelines (per-span self-time,
-//!     lifecycle milestones) from a `--trace-out` file — or, with
+//!     Print the N slowest request timelines (per-span self-time) from
+//!     a `--trace-out` file. It prints no pick-up / drop-off milestones:
+//!     a booking's promised ETAs are on its record, which `xar logs
+//!     --request ID` shows. With
 //!     `--check`, validate the file and exit with a distinct code per
 //!     failure class: 2 = unreadable / invalid JSON, 3 = no complete
 //!     request timeline, 4 = missing drop counter. `--collapsed FILE`
@@ -62,7 +71,7 @@
 //!
 //! Live operational flags on `simulate`: `--serve ADDR` starts the
 //! embedded ops-plane HTTP server (`/metrics`, `/snapshot`,
-//! `/debug/shards`, `/debug/events`; `ADDR` may use port 0 — the bound
+//! `/debug/shards`; `ADDR` may use port 0 — the bound
 //! address is printed); `--linger-s F` keeps the process (and server)
 //! alive after the simulation so scrapers can observe the final state,
 //! and without `--serve` exits with code 1 before any work.
@@ -85,6 +94,7 @@ use std::sync::Arc;
 use xar_obs::serve::OpsPlane;
 
 use xar_obs::chrome::{collapse, export_chrome, parse_chrome, Attrs, Timeline};
+use xar_obs::events::{ParsedEvent, LAYERS};
 use xar_obs::json::JsonValue;
 use xar_obs::TraceConfig;
 use xhare_a_ride::core::{
@@ -332,27 +342,28 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let detour = flags.non_negative("detour", 4_000.0)?;
     let slow_ms = flags.non_negative("trace-slow-ms", 1.0)?;
 
+    // One recorder serves both files: every request's wide event is
+    // kept for `--events-out`, and tail sampling decides which spans
+    // reach `--trace-out` (none, without it).
     let events_out = flags.get_opt("events-out").map(str::to_string);
-    if events_out.is_some() {
-        xar_obs::events::configure(xar_obs::events::DEFAULT_CAPACITY);
-        xar_obs::events::set_enabled(true);
-    }
     let trace_out = flags.get_opt("trace-out").map(str::to_string);
+    let rec = xar_obs::trace::recorder();
     if trace_out.is_some() {
         let sample: f64 = flags.get("trace-sample", 0.01)?;
         let buffer: usize = flags.get("trace-buffer", 262_144)?;
         if !(0.0..=1.0).contains(&sample) {
             return Err(CmdError::general("--trace-sample must be a probability in [0, 1]"));
         }
-        let rec = xar_obs::trace::recorder();
         rec.configure(TraceConfig {
             slow_threshold_ns: (slow_ms * 1e6) as u64,
             sample_per_mille: (sample * 1000.0).round() as u32,
             capacity_events: buffer,
             ..TraceConfig::default()
         });
-        rec.set_enabled(true);
+    } else {
+        rec.configure(TraceConfig::events_only());
     }
+    rec.set_enabled(trace_out.is_some() || events_out.is_some());
 
     let region =
         Arc::new(RegionIndex::load(path).map_err(|e| format!("cannot read {path}: {e}"))?);
@@ -412,20 +423,26 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
         SimUnderTest::Parallel(b) => run_parallel_dispatch(&*b, &trips, &cfg, threads),
     };
 
-    // Snapshot the wide-event plane before the baseline replay so the
-    // file covers exactly the system under test.
+    // Write the events file before the baseline replay so it covers
+    // exactly the system under test; the trace file covers both.
+    let baseline = flags.get_opt("baseline");
+    if baseline.is_none() || trace_out.is_none() {
+        rec.set_enabled(false);
+    }
+    let mut sut_snapshot = None;
     if let Some(path) = &events_out {
-        xar_obs::events::set_enabled(false);
-        let snap = xar_obs::events::snapshot();
+        let snap = rec.snapshot();
         std::fs::write(path, xar_obs::events::to_jsonl(&snap))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let st = snap.stats;
         writeln!(
             out,
             "events         : {path} ({} of {} events kept, {} dropped)",
-            snap.kept(),
-            snap.emitted,
-            snap.dropped,
+            st.emitted_records - st.dropped_records,
+            st.emitted_records,
+            st.dropped_records,
         )?;
+        sut_snapshot = Some(snap);
     }
 
     writeln!(out, "trips          : {}", trips.len())?;
@@ -470,7 +487,7 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
         writeln!(out, "metrics        : {path}")?;
     }
 
-    if let Some(baseline) = flags.get_opt("baseline") {
+    if let Some(baseline) = baseline {
         if baseline != "tshare" {
             return Err(CmdError::general(format!(
                 "unknown baseline '{baseline}' (only 'tshare' is supported)"
@@ -482,6 +499,7 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
             TShareConfig::default(),
         ));
         let tr = run_simulation(&mut ts, &trips, &cfg);
+        sut_snapshot = None;
         writeln!(
             out,
             "baseline       : tshare booked {} ({:.1}% share rate), search p95 {:.1} µs",
@@ -492,11 +510,11 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     }
 
     if let Some(path) = trace_out {
-        let rec = xar_obs::trace::recorder();
         rec.set_enabled(false);
-        std::fs::write(&path, export_chrome(&rec.snapshot()))
+        let snap = sut_snapshot.unwrap_or_else(|| rec.snapshot());
+        std::fs::write(&path, export_chrome(&snap))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        let st = rec.stats();
+        let st = snap.stats;
         writeln!(
             out,
             "trace          : {path} ({} of {} traces kept, {} sampled out, {} events dropped)",
@@ -536,7 +554,7 @@ fn attr_line(attrs: &Attrs) -> String {
 }
 
 /// Recursive span printer: duration, self-time, attrs, then nested
-/// spans and the instants that fired while this span was innermost.
+/// spans.
 fn print_span(
     out: &mut dyn Write,
     node: &xar_obs::chrome::SpanNode,
@@ -553,15 +571,6 @@ fn print_span(
         node.self_us,
         attr_line(&node.attrs),
     )?;
-    for (name, ts_us, attrs) in &node.instants {
-        writeln!(
-            out,
-            "  {indent}  * {:<20} +{:9.1} µs{}",
-            name,
-            ts_us - root_start_us,
-            attr_line(attrs),
-        )?;
-    }
     for child in &node.children {
         print_span(out, child, root_start_us, depth + 1)?;
     }
@@ -649,24 +658,15 @@ fn trace_cmd(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
             attr_line(&t.root.attrs),
         )?;
         print_span(out, &t.root, t.root.start_us, 0)?;
-        for (name, ts_us, attrs) in &t.lifecycle {
-            writeln!(
-                out,
-                "    ~ {:<20} +{:9.1} µs{}",
-                name,
-                ts_us - t.root.start_us,
-                attr_line(attrs),
-            )?;
-        }
     }
     Ok(())
 }
 
 /// Render one parsed wide event as a single forensics line.
-fn event_line(e: &xar_obs::events::ParsedEvent) -> String {
+fn event_line(e: &ParsedEvent) -> String {
     let mut line = format!(
         "req {:<8} t={:>8.1}s  {:<10} reason={:<24} tier={} cand={:<4} matches={:<3} \
-         stale={:<2} search={:>8.1}µs book={:>7.1}µs",
+         stale={:<2} dur={:>8.1}µs search={:>8.1}µs book={:>7.1}µs",
         e.request_id,
         e.sim_t_s,
         e.outcome,
@@ -675,6 +675,7 @@ fn event_line(e: &xar_obs::events::ParsedEvent) -> String {
         e.candidates,
         e.matches,
         e.stale,
+        e.dur_ns as f64 / 1e3,
         e.search_ns as f64 / 1e3,
         e.book_ns as f64 / 1e3,
     );
@@ -684,12 +685,37 @@ fn event_line(e: &xar_obs::events::ParsedEvent) -> String {
             e.walk_m, e.detour_m, e.wait_s
         ));
     }
+    if let (Some(pickup), Some(dropoff)) = (e.pickup_eta_s, e.dropoff_eta_s) {
+        line.push_str(&format!(" pickup_eta={pickup:.1}s dropoff_eta={dropoff:.1}s"));
+    }
     line
 }
 
+/// The mean split by layer of the records that carry one:
+/// `search 8.1 µs (6%)  …  other 20.3 µs (15%)`, or `None` when no
+/// record does (files written before the split existed).
+fn layers_line(events: &[&ParsedEvent]) -> Option<String> {
+    let splits: Vec<&[u64; LAYERS.len()]> = events.iter().filter_map(|e| e.layers.as_ref()).collect();
+    if splits.is_empty() {
+        return None;
+    }
+    let mean_us =
+        |i: usize| splits.iter().map(|l| l[i] as f64).sum::<f64>() / splits.len() as f64 / 1e3;
+    let total_us: f64 = (0..LAYERS.len()).map(mean_us).sum();
+    let parts: Vec<String> = LAYERS
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let us = mean_us(i);
+            format!("{name} {us:.1} µs ({:.0}%)", 100.0 * us / total_us.max(f64::MIN_POSITIVE))
+        })
+        .collect();
+    Some(format!("{}  = {total_us:.1} µs mean over {}", parts.join("  "), splits.len()))
+}
+
 /// `xar logs`: query a `--events-out` JSONL file. Prints the outcome
-/// and rejection-reason histograms plus the matching records, slowest
-/// (search + book time) first. Exit codes: 2 = unreadable / invalid
+/// and rejection-reason histograms, the matching records' mean layer
+/// split, and the matching records, slowest (wall time) first. Exit codes: 2 = unreadable / invalid
 /// file, 3 = no events (or none matching the filters), 9 = invalid
 /// filter value.
 fn logs_cmd(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
@@ -780,18 +806,21 @@ fn logs_cmd(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
         writeln!(out, "rejections     : {}", fmt_hist(&rejections))?;
     }
 
-    let mut matched: Vec<&xar_obs::events::ParsedEvent> = log
+    let mut matched: Vec<&ParsedEvent> = log
         .events
         .iter()
         .filter(|e| outcome.as_deref().is_none_or(|o| e.outcome == o))
         .filter(|e| reason.as_deref().is_none_or(|r| e.reason == r))
-        .filter(|e| slower_than_ns.is_none_or(|ns| e.search_ns + e.book_ns > ns))
+        .filter(|e| slower_than_ns.is_none_or(|ns| e.dur_ns > ns))
         .filter(|e| request.is_none_or(|id| e.request_id == id))
         .collect();
     if matched.is_empty() {
         return Err(CmdError::coded(3, format!("{path}: no events match the filters")));
     }
-    matched.sort_by_key(|e| std::cmp::Reverse(e.search_ns + e.book_ns));
+    matched.sort_by_key(|e| std::cmp::Reverse(e.dur_ns));
+    if let Some(line) = layers_line(&matched) {
+        writeln!(out, "layers         : {line}")?;
+    }
     let shown = if top == 0 { matched.len() } else { top.min(matched.len()) };
     writeln!(out, "matched        : {} event(s), showing {shown} (slowest first)", matched.len())?;
     for e in matched.iter().take(shown) {

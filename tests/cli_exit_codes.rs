@@ -87,10 +87,11 @@ fn trace_check_exit_codes_are_distinct_per_failure_class() {
     let out = xar(&["trace", "--check", "--in", trace.to_str().unwrap()]);
     assert_eq!(code(&out), 0, "{out:?}");
 
-    // 0: the committed trace, written before the `adopted_segments`
-    // counter was removed, still passes — the reader ignores keys it
-    // does not know.
-    let old = concat!(env!("CARGO_MANIFEST_DIR"), "/results/trace_snapshot.json");
+    // 0: a trace written before the recorder merged with the wide
+    // event (it carries `request.*` instants, lifecycle milestones and
+    // the removed `adopted_segments` counter) still passes — the reader
+    // skips instants and ignores keys it does not know.
+    let old = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/trace_before_one_recorder.json");
     let out = xar(&["trace", "--check", "--in", old]);
     assert_eq!(code(&out), 0, "{out:?}");
 }
@@ -234,6 +235,42 @@ fn logs_exit_codes_are_distinct_per_failure_class() {
     assert_eq!(code(&out), 1, "{out:?}");
 }
 
+/// `--slower-than` and the slowest-first order read a record's wall
+/// time (`dur_ns`: every search, booking attempt and create), not
+/// `search_ns + book_ns`, which misses create time and failed attempts.
+#[test]
+fn logs_slower_than_reads_the_request_wall_time() {
+    let dir = scratch("logs_dur");
+    let events = dir.join("events.jsonl");
+    let line = |id: u64, dur_ns: u64| {
+        format!(
+            "{{\"type\":\"event\",\"id\":{id},\"t_s\":0,\"outcome\":\"created\",\
+             \"reason\":\"no_cluster_candidates\",\"tier\":1,\"candidates\":0,\"matches\":0,\
+             \"searches\":1,\"stale\":0,\"ride\":null,\"search_ns\":10000,\"book_ns\":0,\
+             \"walk_m\":0,\"detour_m\":0,\"wait_s\":0,\"dur_ns\":{dur_ns}}}\n"
+        )
+    };
+    write(
+        &events,
+        &format!(
+            "{{\"type\":\"meta\",\"version\":1,\"segment_len\":4096}}\n{}{}\
+             {{\"type\":\"drops\",\"emitted\":2,\"dropped\":0,\"kept\":2}}\n",
+            line(1, 20_000),
+            line(2, 5_000_000),
+        ),
+    );
+    let out = xar(&["logs", "--in", events.to_str().unwrap(), "--slower-than", "1"]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("matched        : 1 event(s)"), "{stdout}");
+    assert!(stdout.contains("req 2 "), "{stdout}");
+    // Without the filter, the 5 ms create comes first.
+    let out = xar(&["logs", "--in", events.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let first = stdout.lines().find(|l| l.trim_start().starts_with("req ")).unwrap_or("");
+    assert!(first.contains("req 2 "), "{stdout}");
+}
+
 #[test]
 fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
     let dir = scratch("logs_real");
@@ -244,7 +281,7 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
     ]);
     assert_eq!(code(&out), 0, "build-region failed: {out:?}");
 
-    // A run with the event sink on writes the JSONL file and reports
+    // A run with `--events-out` writes the JSONL file and reports
     // conserved accounting on stdout.
     let events = dir.join("events.jsonl");
     let out = xar(&[
@@ -260,6 +297,7 @@ fn logs_answers_why_for_every_unserved_request_of_a_real_run() {
     assert_eq!(code(&out), 0, "{out:?}");
     let summary = String::from_utf8_lossy(&out.stdout);
     assert!(summary.contains("outcomes       :"), "{summary}");
+    assert!(summary.contains("layers         : search "), "{summary}");
 
     // The acceptance property: every unserved request carries a typed
     // reason — filtering for reason=unknown matches nothing (exit 3).

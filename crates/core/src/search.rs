@@ -224,7 +224,7 @@ pub(crate) fn run_search(
     }
     // Tiered latency series: fan-out (walkable clusters on the source
     // side) is the main cost driver, so the per-tier p99s separate
-    // "cheap" from "wide" searches on a live dashboard. Unservable
+    // "cheap" from "wide" searches in the metrics file. Unservable
     // searches (above) carry no tier.
     let tier = EngineMetrics::tier_index(src_walkable.len());
     explain.tier = tier as u8 + 1;

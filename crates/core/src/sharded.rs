@@ -38,8 +38,8 @@
 //! aggregate `lock.read_hold_ns` / `lock.write_hold_ns` histograms
 //! (PR-1 names, preserved) and into a per-shard labeled series
 //! `lock.read_hold_ns{shard="sK"}` / `lock.write_hold_ns{shard="sK"}`
-//! (PR-3 label machinery), so shard imbalance is visible in `/metrics`
-//! without a profiler. Search takes no engine lock, so
+//! (PR-3 label machinery), so shard imbalance is visible in the
+//! `--metrics-out` file without a profiler. Search takes no engine lock, so
 //! `lock.read_hold_ns` records only maintenance reads (the `track_all`
 //! emptiness probes, audits, memory accounting).
 
@@ -567,49 +567,6 @@ impl ShardedXarEngine {
                 f(ride);
             }
         }
-    }
-
-    /// Per-shard introspection — the `/debug/shards` payload. One JSON
-    /// record per shard: live rides, engine state version vs. the
-    /// version of the published search snapshot (a lag means a write
-    /// path skipped the republish — by design only when nothing
-    /// searchable changed) and how many clusters the shard holds index
-    /// entries for. Takes each shard's read lock briefly, one at a
-    /// time.
-    pub fn shard_debug_json(&self) -> String {
-        let inner = &*self.inner;
-        let cluster_count = inner.region.cluster_count();
-        let mut w = xar_obs::json::JsonWriter::new();
-        w.begin_object();
-        w.key("shards");
-        w.begin_array();
-        for (i, shard) in inner.shards.iter().enumerate() {
-            let (rides, state_version) = {
-                let (guard, _hold) = self.read_shard(i);
-                (guard.ride_count(), guard.state_version())
-            };
-            let published = shard.published_version.load(Ordering::Relaxed);
-            let occupied = (0..cluster_count)
-                .filter(|&c| inner.occupancy.cluster_mask(c) & (1u64 << i) != 0)
-                .count();
-            w.begin_object();
-            w.key("shard");
-            w.number_u64(i as u64);
-            w.key("rides");
-            w.number_u64(rides as u64);
-            w.key("state_version");
-            w.number_u64(state_version);
-            w.key("published_version");
-            w.number_u64(published);
-            w.key("publish_lag");
-            w.number_u64(state_version.saturating_sub(published));
-            w.key("occupied_clusters");
-            w.number_u64(occupied as u64);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
     }
 
     /// Total heap bytes: the shared region tables once, plus every

@@ -29,9 +29,6 @@
 //!   reason, tier, latencies, the request's duration split by layer)
 //!   and the ring's wide events as segmented JSONL (`--events-out`),
 //!   the input of the `xar logs` forensics CLI.
-//! * [`serve`] — the live plane: an embedded HTTP server exposing the
-//!   registry as Prometheus text ([`promtext`]) and JSON, plus the
-//!   `/debug/shards` introspection route.
 //!
 //! ```
 //! use xar_obs::Registry;
@@ -56,13 +53,11 @@ pub mod chrome;
 pub mod events;
 pub mod hist;
 pub mod json;
-pub mod promtext;
 pub mod registry;
-pub mod serve;
 pub mod span;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{global, Counter, MetricSnapshot, Registry, SeriesSnapshot};
+pub use registry::{global, Counter, MetricSnapshot, Registry};
 pub use span::SpanTimer;
 pub use trace::{AttrList, AttrValue, Recorder, TraceConfig};

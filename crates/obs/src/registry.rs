@@ -25,7 +25,7 @@ use crate::json::JsonWriter;
 /// Upper bound on distinct labeled series per family. Labels are for
 /// low-cardinality dimensions (a tier, an outcome); once a family reaches the cap, further *new* label sets
 /// all collapse into one reserved `{overflow="true"}` series so a
-/// cardinality bug degrades a dashboard instead of eating the heap.
+/// cardinality bug degrades a metrics file instead of eating the heap.
 pub const MAX_SERIES_PER_FAMILY: usize = 64;
 
 /// Upper bound on label pairs per series (kept tiny on purpose).
@@ -76,47 +76,6 @@ pub enum MetricSnapshot {
     Counter(u64),
     /// Histogram percentile summary (with bucket cells).
     Histogram(HistogramSnapshot),
-}
-
-/// One series at snapshot time: family name, label pairs (sorted by
-/// key; empty for the unlabeled series) and the value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesSnapshot {
-    /// Family (metric) name.
-    pub name: String,
-    /// Label pairs, sorted by key. Empty for the unlabeled series.
-    pub labels: Vec<(String, String)>,
-    /// The recorded state.
-    pub value: MetricSnapshot,
-}
-
-impl SeriesSnapshot {
-    /// The series rendered as `name` or `name{k="v",k2="v2"}`.
-    pub fn rendered_name(&self) -> String {
-        render_series_name(&self.name, &self.labels)
-    }
-}
-
-/// Render `name{k="v",...}` (or just `name` for no labels); the form
-/// used as the JSON snapshot key.
-pub fn render_series_name(name: &str, labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
-    }
-    let mut out = String::with_capacity(name.len() + 16 * labels.len());
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(v);
-        out.push('"');
-    }
-    out.push('}');
-    out
 }
 
 /// Interned label set: pairs sorted by key, boxed once at creation.
@@ -351,46 +310,27 @@ impl Registry {
         self.label_overflow.load(Ordering::Relaxed)
     }
 
-    /// Snapshot every series, structured: family name + label pairs +
-    /// value, sorted by family name then rendered labels (unlabeled
-    /// series first within a family).
-    pub fn series(&self) -> Vec<SeriesSnapshot> {
+    /// Snapshot every series as `(key, value)`, sorted by family name.
+    /// Within a family the unlabeled series comes first, keyed `name`,
+    /// then the labeled ones in label order, keyed `name{k="v",...}`.
+    pub fn snapshot(&self) -> Vec<(String, MetricSnapshot)> {
         let mut out = Vec::new();
         for (name, fam) in self.lock_read().iter() {
             if let Some(m) = &fam.unlabeled {
-                out.push(SeriesSnapshot {
-                    name: name.clone(),
-                    labels: Vec::new(),
-                    value: snap_metric(m),
-                });
+                out.push((name.clone(), snap_metric(m)));
             }
-            let mut labeled: Vec<SeriesSnapshot> = fam
-                .labeled
-                .iter()
-                .map(|(ls, m)| SeriesSnapshot {
-                    name: name.clone(),
-                    labels: ls.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
-                    value: snap_metric(m),
-                })
-                .collect();
-            labeled.sort_by(|a, b| a.labels.cmp(&b.labels));
-            out.extend(labeled);
+            let mut labeled: Vec<&(LabelSet, Metric)> = fam.labeled.iter().collect();
+            labeled.sort_by(|a, b| a.0.cmp(&b.0));
+            for (ls, m) in labeled {
+                let pairs: Vec<String> = ls.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+                out.push((format!("{name}{{{}}}", pairs.join(",")), snap_metric(m)));
+            }
         }
         let overflow = self.label_overflow();
         if overflow > 0 {
-            out.push(SeriesSnapshot {
-                name: "obs.label_overflow".into(),
-                labels: Vec::new(),
-                value: MetricSnapshot::Counter(overflow),
-            });
+            out.push(("obs.label_overflow".into(), MetricSnapshot::Counter(overflow)));
         }
         out
-    }
-
-    /// Snapshot every series as `(rendered name, value)`, sorted by
-    /// family name (labeled series render as `name{k="v",...}`).
-    pub fn snapshot(&self) -> Vec<(String, MetricSnapshot)> {
-        self.series().into_iter().map(|s| (s.rendered_name(), s.value)).collect()
     }
 
     /// Snapshot every metric as a deterministic JSON object.
@@ -505,8 +445,7 @@ mod tests {
         let r = Registry::new();
         r.histogram("h").record(10);
         r.histogram_with("h", &[("tier", "t1")]).record(20);
-        let series = r.series();
-        let names: Vec<String> = series.iter().map(SeriesSnapshot::rendered_name).collect();
+        let names: Vec<String> = r.snapshot().into_iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["h".to_string(), "h{tier=\"t1\"}".to_string()]);
     }
 
@@ -517,20 +456,17 @@ mod tests {
             r.counter_with("many", &[("i", &i.to_string())]).inc();
         }
         assert_eq!(r.label_overflow(), 10);
-        let total: u64 = r
-            .series()
+        let snap = r.snapshot();
+        let total: u64 = snap
             .iter()
-            .filter(|s| s.name == "many")
-            .map(|s| match s.value {
-                MetricSnapshot::Counter(v) => v,
+            .filter(|(k, _)| k.starts_with("many{"))
+            .map(|(_, v)| match v {
+                MetricSnapshot::Counter(v) => *v,
                 _ => 0,
             })
             .sum();
         assert_eq!(total, (MAX_SERIES_PER_FAMILY + 10) as u64, "counts conserved");
-        assert!(r
-            .series()
-            .iter()
-            .any(|s| s.name == "many" && s.labels == vec![("overflow".into(), "true".into())]));
+        assert!(snap.iter().any(|(k, _)| k == "many{overflow=\"true\"}"));
         // The overflow series keeps absorbing further new sets.
         r.counter_with("many", &[("i", "zzz")]).inc();
         assert_eq!(r.label_overflow(), 11);

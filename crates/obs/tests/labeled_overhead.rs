@@ -1,6 +1,6 @@
 //! Overhead guard for labeled-metric lookup after setup.
 //!
-//! The label contract (DESIGN.md §5d): once a series exists, a
+//! The label contract (DESIGN.md §5b): once a series exists, a
 //! `histogram_with` / `counter_with` call with an equal label set is a
 //! read-lock lookup that performs **zero allocations** — comparisons
 //! run against the borrowed query pairs, and the returned handle is an

@@ -1,6 +1,6 @@
 //! Concurrency hammer for labeled-metric interning.
 //!
-//! The label contract (DESIGN.md §5d): interning is get-or-create
+//! The label contract (DESIGN.md §5b): interning is get-or-create
 //! under the registry lock, but *recording* happens through `Arc`
 //! handles that never touch the lock. So N threads racing to create
 //! the same series must converge on one metric (counts conserved, one
@@ -34,10 +34,12 @@ fn same_label_set_from_many_threads_is_one_metric() {
             });
         }
     });
-    let series: Vec<_> = reg.series().into_iter().filter(|s| s.name == "hammer.ops").collect();
+    let series: Vec<_> =
+        reg.snapshot().into_iter().filter(|(k, _)| k.starts_with("hammer.ops")).collect();
     assert_eq!(series.len(), 1, "racing creators must intern to one series");
+    assert_eq!(series[0].0, "hammer.ops{cluster=\"b2\",tier=\"t1\"}", "keys sort label pairs");
     assert_eq!(
-        series[0].value,
+        series[0].1,
         MetricSnapshot::Counter((THREADS * ROUNDS) as u64),
         "every increment must land on the single interned counter"
     );
@@ -58,10 +60,11 @@ fn distinct_label_sets_get_distinct_metrics() {
             });
         }
     });
-    let series: Vec<_> = reg.series().into_iter().filter(|s| s.name == "hammer.sharded").collect();
+    let series: Vec<_> =
+        reg.snapshot().into_iter().filter(|(k, _)| k.starts_with("hammer.sharded{")).collect();
     assert_eq!(series.len(), THREADS);
-    for s in &series {
-        assert_eq!(s.value, MetricSnapshot::Counter(ROUNDS as u64), "{:?}", s.labels);
+    for (key, value) in &series {
+        assert_eq!(*value, MetricSnapshot::Counter(ROUNDS as u64), "{key}");
     }
 }
 

@@ -287,7 +287,7 @@ impl TShareEngine {
             return vec![];
         }
         // Outcome-labeled latency: misses scan the full ring budget, so
-        // their distribution is the interesting one on a dashboard.
+        // their distribution is the interesting one in the metrics.
         let outcome_hist = |hit: bool| {
             &self.metrics.search_ns_outcome[usize::from(!hit)]
         };

@@ -24,7 +24,7 @@
 //!   [`SimReport`]; the partial reports are merged after the join.
 //!   Outcome counters (`sim.requests{outcome=…}`, `sim.requests_total`)
 //!   are recorded into the shared registry as the run progresses, so
-//!   live dashboards see the parallel run exactly like a serial one.
+//!   the `--metrics-out` file reads a parallel run like a serial one.
 //! * Thread 0 doubles as the **tracker**: it advances simulated time
 //!   and runs the periodic tracking sweeps, mirroring a deployment
 //!   where tracking is one background task competing with foreground

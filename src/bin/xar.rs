@@ -14,7 +14,7 @@
 //!              [--metrics-out FILE] [--trace-out FILE]
 //!              [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N]
 //!              [--events-out FILE] [--baseline tshare] [--threads N]
-//!              [--shards N] [--serve ADDR] [--linger-s F]
+//!              [--shards N]
 //!     Run the paper's §X.A.2 ride-sharing simulation over a synthetic
 //!     taxi day and report outcome + latency statistics. `--json` dumps
 //!     the full report (counters, percentiles, metrics) as JSON;
@@ -69,17 +69,13 @@
 //!     `simulate --trace-out F --trace-sample 1 --trace-slow-ms 0`.
 //! ```
 //!
-//! Live operational flags on `simulate`: `--serve ADDR` starts the
-//! embedded ops-plane HTTP server (`/metrics`, `/snapshot`,
-//! `/debug/shards`; `ADDR` may use port 0 — the bound
-//! address is printed); `--linger-s F` keeps the process (and server)
-//! alive after the simulation so scrapers can observe the final state,
-//! and without `--serve` exits with code 1 before any work.
-//!
 //! Every subcommand accepts only the flags listed for it here: any
 //! other `--flag` exits with code 1 before the command does any work,
-//! and so does a `simulate` number that cannot mean anything (a
-//! negative or non-finite distance, window or time, or `--k 0`).
+//! and so does a `simulate` value that cannot mean anything (a
+//! negative or non-finite distance, window or time, `--k 0`,
+//! `--trace-buffer 0`, a `--trace-sample` outside [0, 1], or a
+//! `--baseline` other than `tshare`), whether or not the flag it
+//! tunes is on.
 //! Everything a command prints to stdout goes through one writer: when
 //! its reader exits early (`xar logs … | head`), the command stops
 //! quietly with exit 0.
@@ -90,8 +86,6 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
-
-use xar_obs::serve::OpsPlane;
 
 use xar_obs::chrome::{collapse, export_chrome, parse_chrome, Attrs, Timeline};
 use xar_obs::events::{ParsedEvent, LAYERS};
@@ -211,7 +205,7 @@ impl Flags {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare] [--serve ADDR] [--linger-s F]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check] [--collapsed FILE]"
+    "usage:\n  xar build-region [--rows N] [--cols N] [--seed S] [--delta M | --clusters C] --out FILE\n  xar inspect --region FILE\n  xar simulate --region FILE [--trips N] [--seed S] [--k N] [--walk M] [--window S] [--detour M] [--threads N] [--shards N] [--json FILE] [--metrics-out FILE] [--trace-out FILE] [--trace-slow-ms F] [--trace-sample P] [--trace-buffer N] [--events-out FILE] [--baseline tshare]\n  xar logs --in FILE [--outcome X] [--reason Y] [--slower-than MS] [--request ID] [--top N]\n  xar trace --in FILE [--top N] [--check] [--collapsed FILE]"
 }
 
 fn build_region(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
@@ -323,13 +317,6 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     // its distinct exit code.
     let threads = parse_threads_flag(flags)?;
     let shards = parse_shards_flag(flags)?;
-    let serve_addr = flags.get_opt("serve");
-    let linger_s = flags.non_negative("linger-s", 0.0)?;
-    if serve_addr.is_none() && flags.get_opt("linger-s").is_some() {
-        return Err(CmdError::general(
-            "--linger-s keeps the --serve ADDR server up after the run; without --serve it would do nothing",
-        ));
-    }
     let path = flags.require("region")?;
     let trips_n: usize = flags.get("trips", 10_000)?;
     let seed: u64 = flags.get("seed", 0x7A11)?;
@@ -341,6 +328,20 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let window = flags.non_negative("window", 1_200.0)?;
     let detour = flags.non_negative("detour", 4_000.0)?;
     let slow_ms = flags.non_negative("trace-slow-ms", 1.0)?;
+    let sample: f64 = flags.get("trace-sample", 0.01)?;
+    if !(0.0..=1.0).contains(&sample) {
+        return Err(CmdError::general("--trace-sample must be a probability in [0, 1]"));
+    }
+    let buffer: usize = flags.get("trace-buffer", 262_144)?;
+    if buffer == 0 {
+        return Err(CmdError::general("--trace-buffer must be at least 1 span event"));
+    }
+    let baseline = flags.get_opt("baseline");
+    if let Some(b) = baseline.filter(|&b| b != "tshare") {
+        return Err(CmdError::general(format!(
+            "--baseline must be 'tshare' (the only baseline), got '{b}'"
+        )));
+    }
 
     // One recorder serves both files: every request's wide event is
     // kept for `--events-out`, and tail sampling decides which spans
@@ -349,11 +350,6 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let trace_out = flags.get_opt("trace-out").map(str::to_string);
     let rec = xar_obs::trace::recorder();
     if trace_out.is_some() {
-        let sample: f64 = flags.get("trace-sample", 0.01)?;
-        let buffer: usize = flags.get("trace-buffer", 262_144)?;
-        if !(0.0..=1.0).contains(&sample) {
-            return Err(CmdError::general("--trace-sample must be a probability in [0, 1]"));
-        }
         rec.configure(TraceConfig {
             slow_threshold_ns: (slow_ms * 1e6) as u64,
             sample_per_mille: (sample * 1000.0).round() as u32,
@@ -392,32 +388,6 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     };
     let cfg = SimConfig { walk_limit_m: walk, window_s: window, detour_limit_m: detour, k, ..Default::default() };
 
-    // Live operational plane: the embedded HTTP server over the
-    // backend's own registry.
-    let server = match serve_addr {
-        None => None,
-        Some(addr) => {
-            let registry = match &sim {
-                SimUnderTest::Serial(b) => b.engine.metrics().registry(),
-                SimUnderTest::Parallel(b) => b.engine.registry(),
-            };
-            let mut plane = OpsPlane::new(registry);
-            // Live debug introspection: the shard map exists only on the
-            // parallel driver.
-            if let SimUnderTest::Parallel(b) = &sim {
-                let engine = b.engine.clone();
-                plane.debug.shards = Some(Arc::new(move || engine.shard_debug_json()));
-            }
-            let s = xar_obs::serve::serve(addr, plane)
-                .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-            // The bound address line is machine-read (CI, scripts) —
-            // keep its shape stable and flush it promptly.
-            writeln!(out, "ops plane      : http://{}", s.local_addr())?;
-            out.flush()?;
-            Some(s)
-        }
-    };
-
     let report = match &mut sim {
         SimUnderTest::Serial(b) => run_simulation(b.as_mut(), &trips, &cfg),
         SimUnderTest::Parallel(b) => run_parallel_dispatch(&*b, &trips, &cfg, threads),
@@ -425,7 +395,6 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
 
     // Write the events file before the baseline replay so it covers
     // exactly the system under test; the trace file covers both.
-    let baseline = flags.get_opt("baseline");
     if baseline.is_none() || trace_out.is_none() {
         rec.set_enabled(false);
     }
@@ -487,12 +456,7 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
         writeln!(out, "metrics        : {path}")?;
     }
 
-    if let Some(baseline) = baseline {
-        if baseline != "tshare" {
-            return Err(CmdError::general(format!(
-                "unknown baseline '{baseline}' (only 'tshare' is supported)"
-            )));
-        }
+    if baseline.is_some() {
         eprintln!("replaying {} trips through the T-Share baseline...", trips.len());
         let mut ts = TShareBackend::new(TShareEngine::new(
             Arc::clone(region.graph()),
@@ -520,16 +484,6 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
             "trace          : {path} ({} of {} traces kept, {} sampled out, {} events dropped)",
             st.kept_traces, st.started_traces, st.sampled_out_traces, st.dropped_events,
         )?;
-    }
-
-    if let Some(mut server) = server {
-        // Keep the process (and server) alive so scrapers can observe
-        // the post-run state.
-        if linger_s > 0.0 {
-            eprintln!("lingering {linger_s} s for scrapers...");
-            std::thread::sleep(std::time::Duration::from_secs_f64(linger_s));
-        }
-        server.shutdown();
     }
     Ok(())
 }
@@ -849,7 +803,7 @@ const COMMANDS: &[Command] = &[
         flags: &[
             "region", "trips", "seed", "k", "walk", "window", "detour", "threads", "shards",
             "json", "metrics-out", "trace-out", "trace-slow-ms", "trace-sample", "trace-buffer",
-            "events-out", "baseline", "serve", "linger-s",
+            "events-out", "baseline",
         ],
         run: simulate,
     },

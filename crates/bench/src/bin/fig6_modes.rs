@@ -54,7 +54,7 @@ fn run_rs(city: &BenchCity, trips: &[Trip]) -> (ModeQuality, usize) {
         let booked = eng
             .search(&req, usize::MAX)
             .ok()
-            .and_then(|ms| ms.into_iter().find_map(|m| eng.book(&m).ok().map(|o| (m, o))));
+            .and_then(|ms| ms.into_iter().find_map(|m| eng.book_checked(&m).ok().map(|o| (m, o))));
         if let Some((m, out)) = booked {
             let walk_in = m.walk_pickup_m / WALK_SPEED_MPS;
             let walk_out = m.walk_dropoff_m / WALK_SPEED_MPS;

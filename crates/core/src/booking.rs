@@ -44,64 +44,19 @@ pub struct BookingOutcome {
 }
 
 impl XarEngine {
-    /// Re-run the search-time feasibility checks for `m` against the
-    /// *current* ride state, without mutating anything: the ride must
-    /// still exist and be active, have a free seat, not have driven
-    /// past the pick-up segment, and still hold enough detour budget
-    /// for the match's estimate. Returns the first violated condition.
-    ///
-    /// [`XarEngine::book`] performs the first three checks itself; the
-    /// detour-budget check is *stricter* than booking (which honours
-    /// the ε overshoot of an estimate made when the budget still
-    /// covered it — see Figure 3a). Call it at commit time when the
-    /// estimate may predate other bookings that consumed the budget in
-    /// between.
-    pub fn validate_match(&self, m: &RideMatch) -> Result<(), XarError> {
-        let ride = self.ride(m.ride).ok_or(XarError::UnknownRide(m.ride))?;
-        if ride.status != RideStatus::Active {
-            return Err(XarError::UnknownRide(m.ride));
-        }
-        if ride.seats_available == 0 {
-            return Err(XarError::NoSeats(m.ride));
-        }
-        let n_seg = ride.via_points.len() - 1;
-        let (pickup_seg, dropoff_seg) =
-            (m.pickup_seg.min(n_seg - 1), m.dropoff_seg.min(n_seg - 1));
-        if pickup_seg > dropoff_seg {
-            return Err(XarError::InvalidRequest("pick-up segment after drop-off segment"));
-        }
-        if ride.progress_idx > ride.via_points[pickup_seg + 1].route_idx {
-            return Err(XarError::AlreadyPassed(m.ride));
-        }
-        let remaining = ride.detour_remaining_m();
-        if m.detour_est_m > remaining {
-            return Err(XarError::DetourExceeded {
-                ride: m.ride,
-                needed_m: m.detour_est_m,
-                remaining_m: remaining,
-            });
-        }
-        Ok(())
-    }
-
-    /// **Book** with a speculative-feasibility re-check first
-    /// ([`XarEngine::validate_match`]): the match is rejected — before
-    /// any route work — when the ride state it was searched against no
-    /// longer holds, including the case booking itself would honour
-    /// where the remaining detour budget has shrunk below the
-    /// estimate. The entry point for callers that held the match while
-    /// other writers ran.
-    pub fn book_checked(&mut self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
-        self.validate_match(m)?;
-        self.book(m)
-    }
-
     /// **Book** a match previously returned by [`XarEngine::search`].
     ///
-    /// Fails if the ride is gone, full, has driven past the pick-up
-    /// point, or no longer has the detour budget for the realised
-    /// route change.
-    pub fn book(&mut self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
+    /// Every check runs once, against the *current* ride state, before
+    /// any route work: the ride must still exist and be active, have a
+    /// free seat, have its pick-up segment no later than its drop-off
+    /// segment, not have driven past the pick-up segment, and still hold
+    /// the detour budget for the match's estimate. A match booked right
+    /// after its own search always passes the budget check — search
+    /// admitted it against that same budget — so the check only turns
+    /// away matches that other bookings made stale in between. The
+    /// realised detour may still overshoot the estimate by the
+    /// discretization error (Figure 3a).
+    pub fn book_checked(&mut self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
         let _span = xar_obs::SpanTimer::new(std::sync::Arc::clone(&self.metrics.book_ns));
         let mut tspan = xar_obs::trace::span("book");
         let region = std::sync::Arc::clone(self.region());
@@ -124,9 +79,16 @@ impl XarEngine {
         if ride.progress_idx > ride.via_points[pickup_seg + 1].route_idx {
             return Err(XarError::AlreadyPassed(m.ride));
         }
+        let budget_before = ride.detour_remaining_m();
+        if m.detour_est_m > budget_before {
+            return Err(XarError::DetourExceeded {
+                ride: m.ride,
+                needed_m: m.detour_est_m,
+                remaining_m: budget_before,
+            });
+        }
 
         let old_len = ride.route.dist_m();
-        let budget_before = ride.detour_remaining_m();
         let graph = region.graph();
         let mut sp_count = 0usize;
         let sp_ns = std::sync::Arc::clone(&self.metrics.sp_ns);
@@ -242,9 +204,9 @@ impl XarEngine {
         drop(splice_span);
 
         let actual_detour = (new_route.dist_m() - old_len).max(0.0);
-        // The search-time estimate respected the budget; the realised
-        // detour may exceed it by the discretization error (bounded by
-        // the ε guarantee). The booking is honoured either way — that
+        // The estimate respected the budget; the realised detour may
+        // exceed it by the discretization error (bounded by the ε
+        // guarantee). The booking is honoured either way — that
         // overshoot is exactly what the Figure 3a experiment measures —
         // but the consumed budget is recorded truthfully, so the ride
         // stops accepting further riders once it is exhausted.
@@ -264,19 +226,14 @@ impl XarEngine {
 
         // Refresh the index: remove every stale entry, then recompute
         // the pass-through and reachable clusters for the updated route
-        // and the reduced detour budget — none if this booking sold the
-        // last seat.
+        // and the reduced detour budget, which every new row carries —
+        // none if this booking sold the last seat.
         let (region, config) = (std::sync::Arc::clone(self.region()), self.config().clone());
         self.with_index_and_ride(m.ride, |ride, index| {
             XarEngine::deindex_ride(ride, index, traced);
             let from = ride.progress_idx;
             XarEngine::index_ride(&region, &config, ride, index, from);
         });
-        // The remaining detour budget changed but the ride set did not:
-        // the next publish can patch this ride's row in the snapshot
-        // table instead of rebuilding it.
-        self.mark_ride_updated(m.ride);
-        self.bump_state_version();
         self.stats.bookings.inc();
         tspan.attr("ride", m.ride.0);
         tspan.attr("shortest_paths", sp_count);

@@ -1,5 +1,11 @@
 //! The XAR run-time unit (Figure 1): ride creation and the shared
 //! engine state the search / booking / tracking operations act on.
+//!
+//! Search reads the engine's cluster lists and nothing else: each row
+//! carries its ride's remaining detour budget ([`crate::index`]). So
+//! the index's dirty-cluster set is the whole of what a write changed
+//! for search, and a shard republishes exactly when it is non-empty
+//! ([`crate::sharded`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -155,46 +161,8 @@ pub struct XarEngine {
     index: ClusterIndex,
     next_id: u64,
     id_stride: u64,
-    /// Monotone counter bumped by every mutation that changes what a
-    /// search can observe (create, book, retire, index refresh). The
-    /// sharded engine compares it against the version of the last
-    /// published [`crate::ShardSnapshot`] to skip no-op republishes.
-    state_version: u64,
-    /// Whether the ride *set* changed since the last publish (create /
-    /// retire): the snapshot's ride table must be rebuilt from scratch.
-    /// Cleared by [`XarEngine::drain_publish_dirt`]. Cluster-level dirt
-    /// lives in the index's dirty set.
-    rides_structural: bool,
-    /// Rides whose detour budget changed since the last publish
-    /// while the ride set stayed fixed (bookings): the snapshot's ride
-    /// table can be patched in place instead of rebuilt, keeping the
-    /// publish cost independent of the shard's ride count. Superseded
-    /// by `rides_structural` when set.
-    rides_updated: Vec<RideId>,
-    /// Rides retired (completed/expired) since the last publish —
-    /// drained into the `snapshot.compacted_rides` counter so the
-    /// memory-bound story (ROADMAP item 5) is observable.
-    pending_compactions: u64,
     pub(crate) stats: EngineStats,
     pub(crate) metrics: EngineMetrics,
-}
-
-/// How the per-ride state columns changed since the last publish —
-/// drained by `XarEngine::drain_publish_dirt` and consumed by
-/// [`crate::ShardSnapshot::build_incremental`] to pick the cheapest
-/// valid way of producing the next snapshot's ride table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RideDirt {
-    /// No ride's budget / liveness changed (tracking-only publish):
-    /// share the previous table by `Arc`.
-    Clean,
-    /// The ride *set* is unchanged but these rides' detour budget
-    /// moved (bookings): patch the previous table's columns in
-    /// place — O(updated) lookups plus per-column memcpys, no
-    /// collect-and-sort over the whole shard.
-    Updated(Vec<RideId>),
-    /// Rides were created or retired: rebuild the table from scratch.
-    Structural,
 }
 
 impl XarEngine {
@@ -215,57 +183,17 @@ impl XarEngine {
             index,
             next_id: 1,
             id_stride: 1,
-            state_version: 0,
-            rides_structural: false,
-            rides_updated: Vec::new(),
-            pending_compactions: 0,
             stats,
             metrics,
         }
     }
 
-    /// Monotone version of the searchable state: incremented by every
-    /// successful create/book and by every track that retires a ride or
-    /// rewrites index entries. Unchanged version ⇒ a search snapshot
-    /// taken earlier is still exact.
-    #[inline]
-    pub fn state_version(&self) -> u64 {
-        self.state_version
-    }
-
-    /// Record a searchable-state mutation (see [`XarEngine::state_version`]).
-    #[inline]
-    pub(crate) fn bump_state_version(&mut self) {
-        self.state_version += 1;
-    }
-
-    /// Record that `id`'s detour budget changed while the ride
-    /// set stayed fixed (see the `rides_updated` field). Booking calls
-    /// this from its own module. A no-op once structural dirt is
-    /// pending — the table is rebuilt from scratch then anyway.
-    #[inline]
-    pub(crate) fn mark_ride_updated(&mut self, id: RideId) {
-        if !self.rides_structural && self.rides_updated.last() != Some(&id) {
-            self.rides_updated.push(id);
-        }
-    }
-
-    /// Drain everything a publish needs to patch the previous snapshot:
-    /// the dirty cluster ids, how the ride table changed, and how many
-    /// rides were compacted away since the last drain. Leaves the
-    /// engine clean — the caller must actually publish.
-    pub(crate) fn drain_publish_dirt(&mut self) -> (Vec<u32>, RideDirt, u64) {
-        let clusters = self.index.drain_dirty();
-        let compacted = std::mem::replace(&mut self.pending_compactions, 0);
-        let rides = if std::mem::replace(&mut self.rides_structural, false) {
-            self.rides_updated.clear();
-            RideDirt::Structural
-        } else if self.rides_updated.is_empty() {
-            RideDirt::Clean
-        } else {
-            RideDirt::Updated(std::mem::take(&mut self.rides_updated))
-        };
-        (clusters, rides, compacted)
+    /// Take the clusters whose lists changed since the last drain —
+    /// everything a publish needs to patch the previous snapshot, since
+    /// the lists are all search reads. Leaves the engine clean: the
+    /// caller must actually publish.
+    pub(crate) fn drain_dirty(&mut self) -> Vec<u32> {
+        self.index.drain_dirty()
     }
 
     /// Restrict this engine to the id arithmetic progression
@@ -428,8 +356,6 @@ impl XarEngine {
         };
         Self::index_ride(&self.region, &self.config, &mut ride, &mut self.index, 0);
         self.rides.insert(id, ride);
-        self.rides_structural = true;
-        self.bump_state_version();
         self.stats.creates.inc();
         tspan.attr("ride", id.0);
         tspan.attr("legs", stop_nodes.len() as u64 - 1);
@@ -533,9 +459,9 @@ impl XarEngine {
                 }
                 p.reachable = fp.reach.clone(); // one allocation, sized exactly
 
-                fp.offer(p.cluster, p.entry(ride.id, p.eta_s, 0.0), PotentialRide::better_than);
+                fp.offer(p.cluster, p.entry(ride, p.eta_s, 0.0), PotentialRide::better_than);
                 for &(c, detour, eta) in &p.reachable {
-                    fp.offer(c, p.entry(ride.id, eta, detour), PotentialRide::better_than);
+                    fp.offer(c, p.entry(ride, eta, detour), PotentialRide::better_than);
                 }
             }
             // One insert per distinct cluster.
@@ -572,15 +498,6 @@ impl XarEngine {
     ) {
         if let Some(ride) = self.rides.get_mut(&id) {
             f(ride, &mut self.index);
-        }
-    }
-
-    /// Remove a retired ride from the table entirely (tracking, once
-    /// completed).
-    pub(crate) fn retire_ride(&mut self, id: RideId) {
-        if self.rides.remove(&id).is_some() {
-            self.rides_structural = true;
-            self.pending_compactions += 1;
         }
     }
 

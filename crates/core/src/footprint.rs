@@ -120,7 +120,7 @@ mod tests {
     use crate::ride::RideId;
 
     fn entry(eta: f64, detour: f64) -> PotentialRide {
-        PotentialRide { ride: RideId(1), eta_s: eta, detour_m: detour, seg: 0, pass_route_idx: 0 }
+        PotentialRide { ride: RideId(1), eta_s: eta, detour_m: detour, budget_m: 0.0, seg: 0, pass_route_idx: 0 }
     }
 
     #[test]

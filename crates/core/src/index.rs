@@ -9,7 +9,7 @@
 //! > and the other sorted by the unique ride identification numbers."*
 //!
 //! **Substitution.** The two lists are kept here as *one* vector of
-//! 32-byte rows per cluster, sorted by `(eta, ride)`, behind an `Arc`
+//! 40-byte rows per cluster, sorted by `(eta, ride)`, behind an `Arc`
 //! that published [`crate::ShardSnapshot`]s clone by pointer. The
 //! ETA-sorted list's job — the departure-window range query of search
 //! Step 1 — is two binary searches on it. The id-sorted list had two
@@ -22,6 +22,14 @@
 //! the serial engine at twice NYC density (p99 470), where it still
 //! beats the `BTreeMap` + `HashMap` pair it replaced (DESIGN.md §5f,
 //! "One layout": measurements, copy-on-write rule, stated limit).
+//!
+//! **A row carries everything search reads.** Besides `⟨r, t⟩` a row
+//! holds the estimated detour of serving its cluster, the position on
+//! the route that orders pick-up before drop-off, and the ride's
+//! remaining detour budget when the row was written. A booking — the
+//! only write that moves a budget — rewrites every row of its ride, so
+//! all of a ride's rows always agree on it, and search needs no
+//! per-ride table beside the lists.
 //!
 //! **Listing rule.** A ride is listed only while it has a free seat:
 //! `XarEngine::index_ride` gives a full ride an empty footprint, so no
@@ -46,6 +54,10 @@ pub struct PotentialRide {
     /// Estimated extra driving distance the ride incurs to serve this
     /// cluster (0 for a pass-through cluster), metres.
     pub detour_m: f64,
+    /// The ride's remaining detour budget
+    /// ([`crate::Ride::detour_remaining_m`]) when the row was written,
+    /// metres: what search holds a pairing's combined detour against.
+    pub budget_m: f64,
     /// The segment of the ride this entry belongs to.
     pub seg: u32,
     /// Route way-point index where the ride enters the pass-through
@@ -56,7 +68,7 @@ pub struct PotentialRide {
 }
 
 const ROW_BYTES: usize = std::mem::size_of::<PotentialRide>();
-const _: () = assert!(ROW_BYTES == 32);
+const _: () = assert!(ROW_BYTES == 40);
 
 impl PotentialRide {
     /// Whether `self` displaces `other` as the same ride's entry for one
@@ -168,6 +180,12 @@ impl ClusterIndex {
             self.dirty_mark[c as usize] = false;
         }
         std::mem::take(&mut self.dirty)
+    }
+
+    /// Whether some list changed since the last [`Self::drain_dirty`].
+    #[inline]
+    pub(crate) fn has_dirt(&self) -> bool {
+        !self.dirty.is_empty()
     }
 
     /// Publish this index's per-cluster emptiness into `occupancy` as
@@ -313,7 +331,7 @@ mod tests {
     use super::*;
 
     fn entry(ride: u64, eta: f64, detour: f64) -> PotentialRide {
-        PotentialRide { ride: RideId(ride), eta_s: eta, detour_m: detour, seg: 0, pass_route_idx: 0 }
+        PotentialRide { ride: RideId(ride), eta_s: eta, detour_m: detour, budget_m: 0.0, seg: 0, pass_route_idx: 0 }
     }
 
     #[test]
@@ -448,6 +466,6 @@ mod tests {
         let rows: usize = (0..4).map(|c| idx.segment(ClusterId(c)).unwrap().rows.capacity()).sum();
         assert!(rows >= 100);
         let dirt = idx.dirty.capacity() * 4;
-        assert_eq!(idx.heap_bytes(), empty + dirt + 4 * (16 + 24) + rows * 32);
+        assert_eq!(idx.heap_bytes(), empty + dirt + 4 * (16 + 24) + rows * 40);
     }
 }

@@ -71,7 +71,7 @@ pub mod social;
 pub mod tracking;
 
 pub use booking::BookingOutcome;
-pub use engine::{EngineConfig, EngineStats, EngineStatsSnapshot, RideDirt, XarEngine};
+pub use engine::{EngineConfig, EngineStats, EngineStatsSnapshot, XarEngine};
 pub use error::{Reason, XarError};
 pub use index::ClusterIndex;
 pub use metrics::EngineMetrics;

@@ -19,9 +19,8 @@
 //! | `lock.read_hold_ns` | histogram | shard read-lock hold time (track probes and maintenance — search takes no engine lock) |
 //! | `lock.write_hold_ns` | histogram | shard write-lock hold time (create/book/track) |
 //! | `engine.snapshot_publish_ns` | histogram | ns to build + publish one shard search snapshot |
-//! | `engine.snapshot_publishes` | counter | shard snapshots published |
-//! | `snapshot.dirty_clusters` | histogram | dirty clusters drained per publish |
-//! | `snapshot.compacted_rides` | counter | retired rides compacted out of snapshots at publish |
+//! | `engine.snapshot_publishes` | counter | shard snapshots published (one per write that dirtied a list) |
+//! | `snapshot.dirty_clusters` | histogram | dirty clusters drained per publish (never 0) |
 //! | `engine.searches` / `creates` / `bookings` / `tracks` | counter | operation counts ([`crate::engine::EngineStats`]) |
 //! | `engine.shortest_paths` | counter | shortest-path computations (create/book — never search) |
 //!
@@ -73,9 +72,6 @@ pub struct EngineMetrics {
     /// Dirty clusters drained per publish — the quantity incremental
     /// publish cost is proportional to.
     pub snapshot_dirty_clusters: Arc<Histogram>,
-    /// Retired (completed/expired) rides compacted out of the published
-    /// ride table — the memory-bound half of ROADMAP item 5.
-    pub snapshot_compacted_rides: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -98,7 +94,6 @@ impl EngineMetrics {
         let snapshot_publish_ns = registry.histogram("engine.snapshot_publish_ns");
         let snapshot_publishes = registry.counter("engine.snapshot_publishes");
         let snapshot_dirty_clusters = registry.histogram("snapshot.dirty_clusters");
-        let snapshot_compacted_rides = registry.counter("snapshot.compacted_rides");
         Self {
             registry,
             search_ns,
@@ -111,7 +106,6 @@ impl EngineMetrics {
             snapshot_publish_ns,
             snapshot_publishes,
             snapshot_dirty_clusters,
-            snapshot_compacted_rides,
         }
     }
 

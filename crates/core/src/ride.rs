@@ -109,10 +109,18 @@ impl PassCluster {
     }
 
     /// `ride`'s index entry for one of [`Self::clusters`]: `detour_m` 0
-    /// and this cluster's ETA for the cluster itself.
+    /// and this cluster's ETA for the cluster itself. The row carries
+    /// the ride's remaining detour budget as of now.
     #[inline]
-    pub(crate) fn entry(&self, ride: RideId, eta_s: f64, detour_m: f64) -> PotentialRide {
-        PotentialRide { ride, eta_s, detour_m, seg: self.seg as u32, pass_route_idx: self.route_idx as u32 }
+    pub(crate) fn entry(&self, ride: &Ride, eta_s: f64, detour_m: f64) -> PotentialRide {
+        PotentialRide {
+            ride: ride.id,
+            eta_s,
+            detour_m,
+            budget_m: ride.detour_remaining_m(),
+            seg: self.seg as u32,
+            pass_route_idx: self.route_idx as u32,
+        }
     }
 }
 

@@ -21,7 +21,9 @@
 //! [`RegionIndex::snap`], one read of the grid → way-point table; the
 //! walkable clusters are one read of that way-point's list; and the
 //! intersection is one pass per side over a per-thread hash table keyed
-//! by ride — no id-sorted list, no tuples, no sort (DESIGN.md §5f).
+//! by ride — no id-sorted list, no tuples, no sort (DESIGN.md §5f). The
+//! lists are all search reads: the remaining budget of check (b) is a
+//! field of every row ([`crate::index::PotentialRide::budget_m`]).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -274,7 +276,7 @@ fn sort_matches(out: &mut [RideMatch]) {
 /// What the one search algorithm reads from an index: the live lists of
 /// an [`XarEngine`] or the frozen ones of a [`crate::ShardSnapshot`].
 /// Both hold the same [`crate::index`] rows, so the two views differ
-/// only in where a list and a ride's state come from.
+/// only in where a list comes from.
 ///
 /// The contract that makes results bit-identical across views: a list
 /// is in **`(eta, ride)` order**, so a row's rank (walkable order × list
@@ -283,20 +285,12 @@ fn sort_matches(out: &mut [RideMatch]) {
 pub(crate) trait IndexView {
     /// `cluster`'s potential-rides list (empty when it lists no ride).
     fn rows(&self, cluster: ClusterId) -> &[PotentialRide];
-
-    /// The remaining detour budget of `ride`, if it is live in this
-    /// view. A listed ride has a free seat, so that is all search needs.
-    fn ride_state(&self, ride: RideId) -> Option<f64>;
 }
 
 impl IndexView for XarEngine {
     #[inline]
     fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
         self.index().rows(cluster)
-    }
-
-    fn ride_state(&self, ride: RideId) -> Option<f64> {
-        self.ride(ride).map(|r| r.detour_remaining_m())
     }
 }
 
@@ -315,24 +309,14 @@ struct SrcHit {
 /// End of a hit chain.
 const NIL: u32 = u32::MAX;
 
-/// What the destination side has learnt about a candidate ride: no
-/// destination row seen (`R1 \ R2`); listed but no longer live in this
-/// view; or open, with its detour budget.
-#[derive(Debug, Clone, Copy)]
-enum Pairing {
-    Unseen,
-    Gone,
-    Open { budget_m: f64 },
-}
-
 /// One ride of `R1`.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     /// First and last hit of the ride's source chain.
     head: u32,
     tail: u32,
-    pairing: Pairing,
-    /// Deepest check any pairing reached: 1 ordering, 2 walk, 3 detour
+    /// Deepest check any pairing reached: 0 while no destination row
+    /// has been seen (`R1 \ R2`), then 1 ordering, 2 walk, 3 detour
     /// (checks run in that order).
     deepest: u8,
     /// The best feasible pairing so far and its source rank.
@@ -421,7 +405,7 @@ impl SearchScratch {
             i = self.probe(row.ride);
         }
         self.slots[i] = Slot { stamp: self.generation, cand: self.cands.len() as u32, ride: row.ride.0 };
-        let fresh = Candidate { head: hit, tail: hit, pairing: Pairing::Unseen, deepest: 1, best: None };
+        let fresh = Candidate { head: hit, tail: hit, deepest: 0, best: None };
         self.cands.push(fresh);
     }
 
@@ -467,9 +451,9 @@ impl SearchRun<'_> {
     /// the departure window finds or creates its ride's candidate and is
     /// chained to it — the candidates are `R1`. **Step 2**: every
     /// destination-side row at or after the window's start looks its
-    /// ride up; a hit is a ride of `R1 ∩ R2`, whose budget is fetched on
-    /// its first row, and the row is paired at once against
-    /// the ride's source chain (ordering, then walking, then detour). A
+    /// ride up; a hit is a ride of `R1 ∩ R2`, and the row is paired at
+    /// once against the ride's source chain (ordering, then walking,
+    /// then detour against the budget the row carries). A
     /// walk over the candidates then emits each ride's best pairing or
     /// files it under exactly one explain class — the conservation the
     /// reason taxonomy depends on.
@@ -514,14 +498,10 @@ impl SearchRun<'_> {
             for dst in eta_range(view.rows(wd.cluster), req.window_start_s, f64::INFINITY) {
                 let Some(c) = scratch.find(dst.ride) else { continue };
                 let cand = &mut scratch.cands[c];
-                if let Pairing::Unseen = cand.pairing {
+                if cand.deepest == 0 {
                     paired += 1;
-                    cand.pairing = match view.ride_state(dst.ride) {
-                        None => Pairing::Gone,
-                        Some(budget_m) => Pairing::Open { budget_m },
-                    };
+                    cand.deepest = 1;
                 }
-                let Pairing::Open { budget_m } = cand.pairing else { continue };
                 let mut at = cand.head;
                 while at != NIL {
                     let rank = at;
@@ -551,7 +531,7 @@ impl SearchRun<'_> {
                     }
                     // (b) combined detour within the ride's budget.
                     let detour_total = src.detour_m + dst.detour_m;
-                    if detour_total > budget_m {
+                    if detour_total > dst.budget_m {
                         cand.deepest = cand.deepest.max(3);
                         continue;
                     }
@@ -590,10 +570,10 @@ impl SearchRun<'_> {
         }
 
         for cand in &scratch.cands {
-            match (cand.pairing, &cand.best) {
-                (Pairing::Unseen | Pairing::Gone, _) => self.explain.unpaired += 1,
-                (Pairing::Open { .. }, Some((m, _))) => self.out.push(*m),
-                (Pairing::Open { .. }, None) => self.explain.reject_at_depth(cand.deepest),
+            match (cand.deepest, &cand.best) {
+                (_, Some((m, _))) => self.out.push(*m),
+                (0, None) => self.explain.unpaired += 1,
+                (deepest, None) => self.explain.reject_at_depth(deepest),
             }
         }
     }
@@ -604,24 +584,24 @@ mod tests {
     use super::*;
     use xar_geo::GeoPoint;
 
-    /// Hand-built lists and ride budgets.
+    /// Hand-built lists.
     struct FakeView {
         lists: Vec<Vec<PotentialRide>>,
-        rides: Vec<(RideId, f64)>,
     }
 
     impl IndexView for FakeView {
         fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
             &self.lists[cluster.index()]
         }
+    }
 
-        fn ride_state(&self, ride: RideId) -> Option<f64> {
-            self.rides.iter().find(|r| r.0 == ride).map(|r| r.1)
-        }
+    /// A row of a ride whose remaining detour budget is `budget_m`.
+    fn budget_row(ride: u64, eta_s: f64, detour_m: f64, budget_m: f64) -> PotentialRide {
+        PotentialRide { ride: RideId(ride), eta_s, detour_m, budget_m, seg: 0, pass_route_idx: 0 }
     }
 
     fn row(ride: u64, eta_s: f64, detour_m: f64) -> PotentialRide {
-        PotentialRide { ride: RideId(ride), eta_s, detour_m, seg: 0, pass_route_idx: 0 }
+        budget_row(ride, eta_s, detour_m, 0.0)
     }
 
     fn walk(cluster: u32, walk_m: f32) -> WalkEntry {
@@ -659,15 +639,16 @@ mod tests {
     /// the destination-side pass meets the other pairing first.
     #[test]
     fn an_exact_tie_goes_to_the_lower_source_rank() {
+        // Ride 7 has 30 m of detour budget left.
+        let r7 = |eta_s, detour_m| budget_row(7, eta_s, detour_m, 30.0);
         let view = FakeView {
             lists: vec![
-                vec![row(7, 50.0, 10.0)],
-                vec![row(7, 10.0, 20.0)],
+                vec![r7(50.0, 10.0)],
+                vec![r7(10.0, 20.0)],
                 // Before source 0's ETA: pairs with source 1 only.
-                vec![row(7, 30.0, 10.0)],
-                vec![row(7, 100.0, 20.0)],
+                vec![r7(30.0, 10.0)],
+                vec![r7(100.0, 20.0)],
             ],
-            rides: vec![(RideId(7), 30.0)],
         };
         let src = [walk(0, 100.0), walk(1, 200.0)];
         let dst = [walk(2, 100.0), walk(3, 200.0)];
@@ -694,12 +675,11 @@ mod tests {
         // first; a later equal must not displace it.
         let view = FakeView {
             lists: vec![
-                vec![row(7, 10.0, 10.0)],
-                vec![row(7, 20.0, 5.0)],
-                vec![row(7, 100.0, 20.0)],
-                vec![row(7, 110.0, 25.0)],
+                vec![r7(10.0, 10.0)],
+                vec![r7(20.0, 5.0)],
+                vec![r7(100.0, 20.0)],
+                vec![r7(110.0, 25.0)],
             ],
-            rides: vec![(RideId(7), 30.0)],
         };
         let dst = [walk(2, 200.0), walk(3, 100.0)];
         let (out, _) = collect(&view, &src, &dst);
@@ -709,49 +689,42 @@ mod tests {
 
         // One source, two equal destinations: destination rank decides.
         let dst = [walk(2, 200.0), walk(3, 200.0)];
-        let lists = vec![vec![row(7, 10.0, 0.0)], vec![], vec![row(7, 90.0, 5.0)], vec![row(7, 80.0, 5.0)]];
-        let view = FakeView { lists, ..view };
+        let view = FakeView { lists: vec![vec![r7(10.0, 0.0)], vec![], vec![r7(90.0, 5.0)], vec![r7(80.0, 5.0)]] };
         let (out, _) = collect(&view, &src, &dst);
         assert_eq!((out[0].dropoff_cluster, out[0].eta_dropoff_s), (ClusterId(2), 90.0));
     }
 
     #[test]
     fn every_candidate_lands_in_exactly_one_class() {
+        // Rides 4, 5 and 6 have 100 m of detour budget left.
+        let open = |ride, eta_s, detour_m| budget_row(ride, eta_s, detour_m, 100.0);
         let view = FakeView {
             lists: vec![
-                // Source cluster: five rides in the window, one outside it.
+                // Source cluster: four rides in the window, one outside it.
                 vec![
                     row(1, 10.0, 0.0),
-                    row(2, 11.0, 0.0),
-                    row(4, 13.0, 0.0),
-                    row(5, 14.0, 0.0),
-                    row(6, 15.0, 500.0),
+                    open(4, 13.0, 0.0),
+                    open(5, 14.0, 0.0),
+                    open(6, 15.0, 500.0),
                     row(9, 2_000.0, 0.0),
                 ],
-                // Destination cluster: ride 1 is never listed, ride 2 is
-                // listed but gone, ride 4 arrives before its pick-up,
-                // ride 5 matches, ride 6 exceeds its budget.
-                vec![
-                    row(4, 5.0, 0.0),
-                    row(2, 50.0, 0.0),
-                    row(5, 52.0, 0.0),
-                    row(6, 53.0, 0.0),
-                    row(9, 3_000.0, 0.0),
-                ],
+                // Destination cluster: ride 1 is never listed, ride 4
+                // arrives before its pick-up, ride 5 matches, ride 6
+                // exceeds its budget.
+                vec![open(4, 5.0, 0.0), open(5, 52.0, 0.0), open(6, 53.0, 0.0), row(9, 3_000.0, 0.0)],
             ],
-            rides: vec![(RideId(4), 100.0), (RideId(5), 100.0), (RideId(6), 100.0)],
         };
         let (out, explain) = collect(&view, &[walk(0, 100.0)], &[walk(1, 100.0)]);
         assert_eq!(out.iter().map(|m| m.ride.0).collect::<Vec<_>>(), vec![5]);
         let want = SearchExplain {
-            candidates: 5,
-            unpaired: 2,
+            candidates: 4,
+            unpaired: 1,
             ordering_rejected: 1,
             detour_rejected: 1,
             ..Default::default()
         };
         assert_eq!(explain, want);
-        // A walk limit below the only pairing's walk: every open ride
+        // A walk limit below the only pairing's walk: every paired ride
         // is turned away at the walk check.
         let (out, explain) = collect(&view, &[walk(0, 100.0)], &[walk(1, 300.0)]);
         assert!(out.is_empty());

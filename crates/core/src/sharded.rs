@@ -10,8 +10,9 @@
 //!   in one shard — its record *and* every one of its potential-rides
 //!   index entries — chosen by hashing the cluster of its pick-up
 //!   point. Each shard is a complete [`XarEngine`] behind its own
-//!   `RwLock`, so `create_ride` / `book` / `track_ride` lock exactly
-//!   one shard and concurrent writes to different shards never contend.
+//!   `RwLock`, so `create_ride` / `book_checked` / `track_ride` lock
+//!   exactly one shard and concurrent writes to different shards never
+//!   contend.
 //! * Immutable state (the road graph, the region discretization, the
 //!   landmark and cluster-distance tables) is shared behind a plain
 //!   `Arc` with no lock at all — searches resolve their walkable
@@ -116,13 +117,10 @@ impl ShardOccupancy {
 struct Shard {
     lock: RwLock<XarEngine>,
     /// The published, immutable view search reads. Swapped by every
-    /// write path while it still holds `lock` in write mode; this
-    /// cell's own lock covers one `Arc` clone or one swap.
+    /// write path that dirtied a list, while it still holds `lock` in
+    /// write mode; this cell's own lock covers one `Arc` clone or one
+    /// swap.
     snapshot: RwLock<Arc<ShardSnapshot>>,
-    /// `XarEngine::state_version` as of the last publish — lets write
-    /// paths that did not change searchable state (failed creates,
-    /// no-progress tracks) skip the rebuild.
-    published_version: AtomicU64,
     read_hold_ns: Arc<Histogram>,
     write_hold_ns: Arc<Histogram>,
 }
@@ -254,7 +252,6 @@ impl ShardedXarEngine {
                 let label = [("shard", name.as_str())];
                 Shard {
                     snapshot: RwLock::new(Arc::new(ShardSnapshot::empty(region.cluster_count()))),
-                    published_version: AtomicU64::new(engine.state_version()),
                     lock: RwLock::new(engine),
                     read_hold_ns: registry.histogram_with("lock.read_hold_ns", &label),
                     write_hold_ns: registry.histogram_with("lock.write_hold_ns", &label),
@@ -418,38 +415,33 @@ impl ShardedXarEngine {
         })
     }
 
-    /// Publish shard `i`'s search snapshot if its engine's searchable
-    /// state changed: drain the engine's dirty clusters and patch the
-    /// previous snapshot ([`ShardSnapshot::build_incremental`] — a
-    /// dirty cluster's segment is a pointer clone of the index's list,
-    /// unchanged ones are shared with the previous snapshot, so the
-    /// cost is proportional to the dirt, not the shard).
+    /// Publish shard `i`'s search snapshot if a list changed: drain the
+    /// engine's dirty clusters and patch the previous snapshot
+    /// ([`ShardSnapshot::build_incremental`] — a dirty cluster's
+    /// segment is a pointer clone of the index's list, unchanged ones
+    /// are shared with the previous snapshot, so the cost is
+    /// proportional to the dirt, not the shard). The lists are all
+    /// search reads, so an empty dirty set means the published
+    /// snapshot is still exact (failed writes, no-progress tracks,
+    /// offers listed nowhere).
     ///
     /// Called by every write path while it still holds the shard write
     /// lock, so publishes serialize per shard and each snapshot is a
     /// consistent point-in-time view.
     fn publish_shard(&self, i: usize, engine: &mut XarEngine) {
-        let shard = &self.inner.shards[i];
-        let version = engine.state_version();
-        // Every publish of this shard happens under its write lock, so
-        // an equal version means "this exact state is already published
-        // and the dirty set is empty" (regression test:
-        // `noop_skip_never_hides_a_pending_rebuild`).
-        if shard.published_version.load(Ordering::Acquire) == version {
+        let dirty = engine.drain_dirty();
+        if dirty.is_empty() {
             return;
         }
+        let shard = &self.inner.shards[i];
         let t0 = Instant::now();
         let mut tspan = xar_obs::trace::span("snapshot.publish");
         tspan.attr("shard", i);
         let m = &self.inner.metrics;
-        let (dirty, ride_dirt, compacted) = engine.drain_publish_dirt();
-        let next = ShardSnapshot::build_incremental(engine, &shard.load(), &dirty, &ride_dirt);
-        shard.store(next);
-        shard.published_version.store(version, Ordering::Release);
+        shard.store(ShardSnapshot::build_incremental(engine, &shard.load(), &dirty));
         m.snapshot_publish_ns.record(t0.elapsed().as_nanos() as u64);
         m.snapshot_publishes.inc();
         m.snapshot_dirty_clusters.record(dirty.len() as u64);
-        m.snapshot_compacted_rides.add(compacted);
     }
 
     /// **Create** (operation O2): one write lock on the shard owning
@@ -468,25 +460,14 @@ impl ShardedXarEngine {
     }
 
     /// **Book**: one write lock on the ride's owning shard (recovered
-    /// from the id — no probing), then a snapshot republish so the
-    /// reduced budget — or, for the last seat, the de-listed ride — is
-    /// visible to searches at once.
-    pub fn book(&self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
-        let shard = self.shard_of_ride(m.ride);
-        let (mut guard, _hold) = self.write_shard(shard);
-        let res = guard.book(m);
-        self.publish_shard(shard, &mut guard);
-        res
-    }
-
-    /// **Book** with a commit-time feasibility re-check
-    /// ([`XarEngine::validate_match`]): seats, progress *and* detour
-    /// budget are re-validated against the live ride state under the
-    /// owning shard's write lock, so the check and the booking are one
-    /// atomic step — no other writer can invalidate the match between
-    /// them. This is the entry point for callers whose matches come
-    /// from a published snapshot and may have gone stale behind the
-    /// searcher's back.
+    /// from the id — no probing), [`XarEngine::book_checked`] under it,
+    /// then a snapshot republish so the rewritten rows — carrying the
+    /// reduced budget — or, for the last seat, the de-listed ride are
+    /// visible to searches at once. Seats, progress *and* detour budget
+    /// are checked against the live ride state under the lock, so the
+    /// check and the booking are one atomic step: a match that a
+    /// concurrent booking made stale behind the searcher's back is
+    /// refused.
     pub fn book_checked(&self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);
@@ -527,17 +508,14 @@ impl ShardedXarEngine {
         retired
     }
 
-    /// Whether every shard's published snapshot is content-identical to
-    /// a fresh full rebuild of its engine state (and its published
-    /// version has caught up) — the incremental ≡ full invariant,
-    /// exposed for tests and audits. Takes each shard's read lock
-    /// briefly.
+    /// Whether every shard has no pending dirt and its published
+    /// snapshot is content-identical to a fresh full rebuild of its
+    /// engine state — the incremental ≡ full invariant, exposed for
+    /// tests and audits. Takes each shard's read lock briefly.
     pub fn snapshots_consistent(&self) -> bool {
         (0..self.inner.shards.len()).all(|i| {
-            let shard = &self.inner.shards[i];
             let (eng, _hold) = self.read_shard(i);
-            shard.published_version.load(Ordering::Acquire) == eng.state_version()
-                && shard.load().content_eq(&ShardSnapshot::build(&eng))
+            !eng.index().has_dirt() && self.inner.shards[i].load().content_eq(&ShardSnapshot::build(&eng))
         })
     }
 
@@ -571,10 +549,10 @@ impl ShardedXarEngine {
 
     /// Total heap bytes: the shared region tables once, plus every
     /// shard's private runtime state (index + rides) and the directory
-    /// and ride table of its published search snapshot. Every write
-    /// publishes before it releases the shard lock, so under the read
-    /// lock the snapshot's lists are the index's own and are counted
-    /// once, with the index.
+    /// of its published search snapshot. Every write publishes before
+    /// it releases the shard lock, so under the read lock the
+    /// snapshot's lists are the index's own and are counted once, with
+    /// the index.
     pub fn heap_bytes(&self) -> usize {
         let shards: usize = (0..self.inner.shards.len())
             .map(|i| {
@@ -659,7 +637,7 @@ mod tests {
         for w in matches.windows(2) {
             assert!(w[0].walk_total_m() <= w[1].walk_total_m() + 1e-9);
         }
-        let booked = eng.book(&matches[0]).expect("best match books");
+        let booked = eng.book_checked(&matches[0]).expect("best match books");
         assert_eq!(booked.ride, matches[0].ride);
         let s = eng.stats().snapshot();
         assert_eq!(s.bookings, 1);
@@ -764,7 +742,7 @@ mod tests {
         let id = eng.create_ride(&single).unwrap();
         let ms = eng.search(&req, usize::MAX).unwrap();
         if let Some(m) = ms.iter().find(|m| m.ride == id) {
-            eng.book(m).unwrap();
+            eng.book_checked(m).unwrap();
             let after = eng.search(&req, usize::MAX).unwrap();
             assert!(
                 after.iter().all(|m| m.ride != id),
@@ -779,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_publishes_are_metered_and_gated_on_version() {
+    fn snapshot_publishes_are_metered_and_skipped_without_dirt() {
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let eng = ShardedXarEngine::new(region, EngineConfig::default(), 4);
@@ -789,7 +767,7 @@ mod tests {
         assert!(after_create >= 1, "create must publish a snapshot");
         assert!(m.snapshot_publish_ns.count() >= 1);
         // A sweep that advances nothing (before departure) must not
-        // republish: the state version is unchanged.
+        // republish: no list changed.
         eng.track_all(0.0);
         assert_eq!(m.snapshot_publishes.get(), after_create, "no-op track must skip publish");
     }
@@ -823,12 +801,12 @@ mod tests {
 
     #[test]
     fn noop_skip_never_hides_a_pending_rebuild() {
-        // The `published_version` gate (Acquire/Release — see
-        // `publish_shard`) may skip a publish only when the published
-        // snapshot already reflects the engine state exactly. Interleave
-        // real mutations with no-op sweeps and verify after every step
-        // that the published snapshot is content-identical to a full
-        // rebuild — a skipped-but-pending rebuild would diverge here.
+        // `publish_shard` skips a publish when no list is dirty, which
+        // is sound only if the published snapshot then already reflects
+        // the engine state exactly. Interleave real mutations with
+        // no-op sweeps and verify after every step that the published
+        // snapshot is content-identical to a full rebuild — a
+        // skipped-but-pending rebuild would diverge here.
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let n = graph.node_count() as u32;
@@ -902,7 +880,7 @@ mod tests {
             walk_limit_m: 800.0,
         };
         let before = calls();
-        eng.book(&eng.search(&req, 1).unwrap()[0]).unwrap();
+        eng.book_checked(&eng.search(&req, 1).unwrap()[0]).unwrap();
         let (booked, _) = footprint_of(&eng, id);
         assert_eq!(calls() - before, created.len() + booked.len());
 
@@ -953,7 +931,7 @@ mod tests {
         for i in 0..200u32 {
             match i % 4 {
                 0 | 1 => drop(eng.create_ride(&offer(&graph, 30 + i))),
-                2 => drop(eng.search(&req, 1).map(|ms| ms.first().map(|m| eng.book(m)))),
+                2 => drop(eng.search(&req, 1).map(|ms| ms.first().map(|m| eng.book_checked(m)))),
                 _ => drop(eng.track_all(8.0 * 3600.0 + f64::from(i) * 30.0)),
             }
         }
@@ -1006,7 +984,7 @@ mod tests {
             std::thread::spawn(move || {
                 let snap = eng.inner.shards[0].load();
                 weak_tx.send(Arc::downgrade(&snap)).unwrap();
-                panic!("reader dies holding {} rides", snap.ride_count());
+                panic!("reader dies holding {} rows", snap.entry_count());
             })
         };
         let weak = weak_rx.recv().unwrap();

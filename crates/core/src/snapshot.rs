@@ -1,8 +1,9 @@
 //! Published snapshots of a shard's searchable state.
 //!
 //! A [`ShardSnapshot`] is an immutable, point-in-time view of what
-//! search reads from one shard: the per-cluster potential-rides lists
-//! and the per-ride feasibility table. The sharded engine keeps each
+//! search reads from one shard: the per-cluster potential-rides lists,
+//! whose rows carry each ride's remaining detour budget, so there is no
+//! per-ride table beside them. The sharded engine keeps each
 //! shard's current one in an `Arc` ([`crate::sharded`]): a reader
 //! clones the `Arc` and searches the frozen view, a writer — already
 //! serialized per shard by the shard write lock — builds the successor
@@ -10,7 +11,7 @@
 //! `Arc` drops; there is no other reclamation.
 //!
 //! A snapshot's per-cluster lists are the live index's own
-//! row vectors, held by `Arc`: the same `(eta, ride)`-sorted 32-byte
+//! row vectors, held by `Arc`: the same `(eta, ride)`-sorted 40-byte
 //! rows, read by the one search in [`crate::search`]. Publishing a
 //! dirty cluster is a pointer clone of the index's current list;
 //! the writer's next edit of a list a snapshot still shares copies it
@@ -25,64 +26,13 @@ use std::sync::Arc;
 
 use xar_discretize::ClusterId;
 
-use crate::engine::{RideDirt, XarEngine};
+use crate::engine::XarEngine;
 use crate::index::{PotentialRide, Segment};
-use crate::ride::RideId;
 use crate::search::IndexView;
-
-/// The per-ride remaining detour budgets, sorted by ride id for binary
-/// search. No seat column: a listed ride has a free seat. `Arc`-shared
-/// with the previous snapshot when a publish changed no ride's budget
-/// or liveness (tracking-only publishes).
-#[derive(Clone, Default)]
-struct RideTable {
-    ids: Vec<RideId>,
-    budget_m: Vec<f64>,
-}
-
-impl RideTable {
-    fn build(engine: &XarEngine) -> Self {
-        let mut rides: Vec<_> = engine
-            .rides()
-            .map(|r| (r.id, r.detour_remaining_m()))
-            .collect();
-        rides.sort_unstable_by_key(|&(id, _)| id);
-        let (ids, budget_m) = rides.into_iter().unzip();
-        Self { ids, budget_m }
-    }
-
-    /// Copy `prev` and overwrite the budget rows of `updated` rides with
-    /// the engine's current values. Valid only when the ride *set* is
-    /// unchanged since `prev` was built — [`RideDirt`] tracking
-    /// guarantees any create / retire escalates to `Structural` before
-    /// this path is taken, so every updated id resolves in both the
-    /// previous table and the live engine. Two column memcpys plus a
-    /// binary search per updated ride: allocation count and lookup work
-    /// are independent of the shard's ride count.
-    fn patch(prev: &RideTable, engine: &XarEngine, updated: &[RideId]) -> Self {
-        let mut t = prev.clone();
-        for &id in updated {
-            let i = t
-                .ids
-                .binary_search(&id)
-                .expect("updated ride missing from previous snapshot despite non-structural dirt");
-            let r = engine
-                .ride(id)
-                .expect("updated ride missing from engine despite non-structural dirt");
-            t.budget_m[i] = r.detour_remaining_m();
-        }
-        t
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.ids.capacity() * std::mem::size_of::<RideId>()
-            + self.budget_m.capacity() * std::mem::size_of::<f64>()
-    }
-}
 
 /// An immutable, point-in-time copy of everything search reads from one
 /// shard: the per-cluster potential-rides lists, `Arc`-shared with the
-/// live index, plus the per-ride remaining detour budgets.
+/// live index.
 ///
 /// Built either from scratch ([`ShardSnapshot::build`]) or by patching
 /// the previous snapshot ([`ShardSnapshot::build_incremental`]), which
@@ -100,8 +50,6 @@ pub struct ShardSnapshot {
     clusters: Vec<Arc<SegBlock>>,
     /// Clusters covered (the last block may be partially filled).
     cluster_count: usize,
-    /// Ride feasibility table, sorted by ride id for binary search.
-    rides: Arc<RideTable>,
     /// Total `⟨ride, eta⟩` entries across all segments.
     entries: usize,
 }
@@ -126,7 +74,6 @@ impl ShardSnapshot {
                 .map(|b| Arc::new(vec![None; SEG_BLOCK.min(cluster_count - b * SEG_BLOCK)]))
                 .collect(),
             cluster_count,
-            rides: Arc::default(),
             entries: 0,
         }
     }
@@ -144,39 +91,24 @@ impl ShardSnapshot {
         Self {
             clusters: (0..clusters).step_by(SEG_BLOCK).map(block).collect(),
             cluster_count: clusters,
-            rides: Arc::new(RideTable::build(engine)),
             entries: index.len(),
         }
     }
 
     /// Patch `prev` into `engine`'s current state: re-point only the
-    /// segments of `dirty` clusters at the index's current lists, clone
-    /// every clean segment by pointer, and produce the ride table the
-    /// cheapest valid way `ride_dirt` allows — `Arc`-share it
-    /// (tracking-only publish), patch the updated rows in place
-    /// (bookings), or rebuild it from scratch (create / retire changed
-    /// the ride set). The caller must hold the shard write lock and
-    /// pass the exact dirt accumulated since `prev` was built;
-    /// allocation count is then O(dirty blocks), not O(clusters), and
-    /// independent of both the shard's ride count and the rows per
-    /// cluster.
-    pub fn build_incremental(
-        engine: &XarEngine,
-        prev: &ShardSnapshot,
-        dirty: &[u32],
-        ride_dirt: &RideDirt,
-    ) -> Self {
+    /// segments of `dirty` clusters at the index's current lists and
+    /// clone every clean segment by pointer. The caller must hold the
+    /// shard write lock and pass the exact dirt accumulated since `prev`
+    /// was built; allocation count is then O(dirty blocks), not
+    /// O(clusters), and independent of both the shard's ride count and
+    /// the rows per cluster.
+    pub fn build_incremental(engine: &XarEngine, prev: &ShardSnapshot, dirty: &[u32]) -> Self {
         let index = engine.index();
         debug_assert_eq!(prev.cluster_count, index.cluster_count());
         let mut snap = Self {
             // One Arc bump per *block*, not per cluster.
             clusters: prev.clusters.clone(),
             cluster_count: prev.cluster_count,
-            rides: match ride_dirt {
-                RideDirt::Clean => Arc::clone(&prev.rides),
-                RideDirt::Updated(ids) => Arc::new(RideTable::patch(&prev.rides, engine, ids)),
-                RideDirt::Structural => Arc::new(RideTable::build(engine)),
-            },
             entries: index.len(),
         };
         for &c in dirty {
@@ -190,14 +122,12 @@ impl ShardSnapshot {
     }
 
     /// Whether `self` and `other` carry identical logical content —
-    /// every cluster's rows and the full ride table. The oracle behind
-    /// the `incremental publish ≡ full rebuild` property test (`f64`
-    /// fields compare by value; none hold NaN).
+    /// every cluster's rows. The oracle behind the `incremental publish
+    /// ≡ full rebuild` property test (`f64` fields compare by value;
+    /// none hold NaN).
     pub fn content_eq(&self, other: &Self) -> bool {
         self.entries == other.entries
             && self.cluster_count == other.cluster_count
-            && self.rides.ids == other.rides.ids
-            && self.rides.budget_m == other.rides.budget_m
             && (0..self.cluster_count as u32).all(|c| self.rows(ClusterId(c)) == other.rows(ClusterId(c)))
     }
 
@@ -205,12 +135,6 @@ impl ShardSnapshot {
     #[inline]
     pub fn entry_count(&self) -> usize {
         self.entries
-    }
-
-    /// Number of rides in the feasibility table.
-    #[inline]
-    pub fn ride_count(&self) -> usize {
-        self.rides.ids.len()
     }
 
     /// Heap bytes held by the snapshot (index-size accounting). Lists
@@ -222,9 +146,8 @@ impl ShardSnapshot {
         self.own_heap_bytes() + lists.map(|seg| seg.heap_bytes()).sum::<usize>()
     }
 
-    /// Heap bytes of the directory and the ride table alone — what the
-    /// published snapshot of a shard adds to the shard's live index,
-    /// whose lists it shares.
+    /// Heap bytes of the directory alone — what the published snapshot
+    /// of a shard adds to the shard's live index, whose lists it shares.
     pub(crate) fn own_heap_bytes(&self) -> usize {
         self.clusters.capacity() * std::mem::size_of::<Arc<SegBlock>>()
             + self
@@ -232,8 +155,6 @@ impl ShardSnapshot {
                 .iter()
                 .map(|block| block.capacity() * std::mem::size_of::<Option<Arc<Segment>>>())
                 .sum::<usize>()
-            + self.rides.heap_bytes()
-            + std::mem::size_of::<RideTable>()
     }
 }
 
@@ -242,11 +163,6 @@ impl IndexView for ShardSnapshot {
     fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
         let c = cluster.index();
         self.clusters[c / SEG_BLOCK][c % SEG_BLOCK].as_ref().map_or(&[], |s| s.rows())
-    }
-
-    #[inline]
-    fn ride_state(&self, ride: RideId) -> Option<f64> {
-        self.rides.ids.binary_search(&ride).ok().map(|i| self.rides.budget_m[i])
     }
 }
 
@@ -261,6 +177,5 @@ mod tests {
         assert!(a.content_eq(&b));
         assert!(!a.content_eq(&ShardSnapshot::empty(4)), "cluster counts must match");
         assert_eq!(a.entry_count(), 0);
-        assert_eq!(a.ride_count(), 0);
     }
 }

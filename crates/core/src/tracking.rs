@@ -56,12 +56,10 @@ impl XarEngine {
                 XarEngine::deindex_ride(ride, index, traced);
                 ride.status = RideStatus::Completed;
             });
-            self.retire_ride(id);
-            self.bump_state_version();
+            self.rides_mut().remove(&id);
             return Ok(RideStatus::Completed);
         }
 
-        let mut index_changed = false;
         self.with_index_and_ride(id, |ride, index| {
             ride.progress_idx = new_idx;
             // Step 1: crossed pass-through clusters (exit way-point
@@ -72,7 +70,6 @@ impl XarEngine {
             if obsolete.is_empty() {
                 return;
             }
-            index_changed = true;
             obsolete.sort_unstable();
             obsolete.dedup();
 
@@ -86,11 +83,11 @@ impl XarEngine {
             // strictly larger detour.
             crate::footprint::with(index.cluster_count(), |best| {
                 for p in &ride.pass_clusters {
-                    best.offer(p.cluster, p.entry(ride.id, p.eta_s, 0.0), |own, kept| {
+                    best.offer(p.cluster, p.entry(ride, p.eta_s, 0.0), |own, kept| {
                         own.detour_m < kept.detour_m
                     });
                     for &(c, detour, eta) in &p.reachable {
-                        best.offer(c, p.entry(ride.id, eta, detour), PotentialRide::better_than);
+                        best.offer(c, p.entry(ride, eta, detour), PotentialRide::better_than);
                     }
                 }
                 for c in obsolete {
@@ -101,12 +98,6 @@ impl XarEngine {
                 }
             });
         });
-        // progress_idx alone is invisible to search (snapshots carry
-        // index entries and detour budgets); only an index rewrite
-        // invalidates published snapshots.
-        if index_changed {
-            self.bump_state_version();
-        }
         Ok(RideStatus::Active)
     }
 

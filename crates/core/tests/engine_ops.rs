@@ -179,7 +179,7 @@ fn booking_updates_ride_and_budget() {
     let m = *matches.iter().find(|m| m.ride == id).expect("match exists");
 
     let before = eng.ride(id).unwrap().clone();
-    let outcome = eng.book(&m).unwrap();
+    let outcome = eng.book_checked(&m).unwrap();
     let after = eng.ride(id).unwrap();
 
     assert_eq!(after.seats_available, before.seats_available - 1);
@@ -222,13 +222,13 @@ fn booking_consumes_seats_until_full() {
     let req = mid_to_corner_request(&g);
     let matches = eng.search(&req, usize::MAX).unwrap();
     let m = *matches.iter().find(|m| m.ride == id).expect("match");
-    eng.book(&m).unwrap();
+    eng.book_checked(&m).unwrap();
     // The filling booking de-lists the ride from every cluster.
     assert!(eng.ride(id).unwrap().pass_clusters.is_empty());
     let mut clusters = (0..eng.region().cluster_count() as u32).map(ClusterId);
     assert!(clusters.all(|c| eng.index().get(c, id).is_none()));
     // Ride is now full: stale match must fail, and search must skip it.
-    assert!(matches!(eng.book(&m), Err(XarError::NoSeats(_))));
+    assert!(matches!(eng.book_checked(&m), Err(XarError::NoSeats(_))));
     let again = eng.search(&req, usize::MAX).unwrap();
     assert!(again.iter().all(|x| x.ride != id), "full ride still returned by search");
 }
@@ -295,7 +295,7 @@ fn a_zero_seat_offer_is_created_but_never_listed() {
     assert_eq!((rides(&ms), explain.candidates), (vec![open], 1));
     let mut stale = ms[0];
     stale.ride = zero;
-    assert!(matches!(eng.book(&stale), Err(XarError::NoSeats(_))));
+    assert!(matches!(eng.book_checked(&stale), Err(XarError::NoSeats(_))));
     // Tracking advances it and lists it nowhere.
     let halfway = zero_offer.departure_s + 0.5 * eng.ride(zero).unwrap().route.duration_s();
     let entries = eng.index().len();
@@ -326,7 +326,7 @@ fn booking_unknown_ride_fails() {
     let matches = eng.search(&req, usize::MAX).unwrap();
     let mut m = *matches.iter().find(|m| m.ride == id).expect("match");
     m.ride = xar_core::RideId(999_999);
-    assert!(matches!(eng.book(&m), Err(XarError::UnknownRide(_))));
+    assert!(matches!(eng.book_checked(&m), Err(XarError::UnknownRide(_))));
 }
 
 #[test]
@@ -338,7 +338,7 @@ fn double_booking_two_riders_shares_capacity() {
     let id = eng.create_ride(&offer).unwrap();
     let req = mid_to_corner_request(&g);
     let m1 = eng.search(&req, usize::MAX).unwrap().into_iter().find(|m| m.ride == id).unwrap();
-    eng.book(&m1).unwrap();
+    eng.book_checked(&m1).unwrap();
     // A second, different request books the same ride after re-search.
     let n = g.node_count() as u32;
     let req2 = RideRequest {
@@ -349,7 +349,7 @@ fn double_booking_two_riders_shares_capacity() {
         walk_limit_m: 800.0,
     };
     if let Some(m2) = eng.search(&req2, usize::MAX).unwrap().into_iter().find(|m| m.ride == id) {
-        let out = eng.book(&m2).unwrap();
+        let out = eng.book_checked(&m2).unwrap();
         assert!(out.shortest_paths <= 4);
         let ride = eng.ride(id).unwrap();
         assert_eq!(ride.bookings.len(), 2);
@@ -438,7 +438,7 @@ fn booked_rider_stays_on_route_after_second_booking() {
     let m1 = eng.search(&req, usize::MAX).unwrap().into_iter().find(|m| m.ride == id).unwrap();
     let pickup1 = eng.region().landmark(m1.pickup_landmark).node;
     let dropoff1 = eng.region().landmark(m1.dropoff_landmark).node;
-    eng.book(&m1).unwrap();
+    eng.book_checked(&m1).unwrap();
 
     let n = g.node_count() as u32;
     let req2 = RideRequest {
@@ -449,7 +449,7 @@ fn booked_rider_stays_on_route_after_second_booking() {
         walk_limit_m: 800.0,
     };
     if let Some(m2) = eng.search(&req2, usize::MAX).unwrap().into_iter().find(|m| m.ride == id) {
-        eng.book(&m2).unwrap();
+        eng.book_checked(&m2).unwrap();
         let ride = eng.ride(id).unwrap();
         assert!(ride.route.nodes().contains(&pickup1), "rider 1 pick-up dropped from route");
         assert!(ride.route.nodes().contains(&dropoff1), "rider 1 drop-off dropped from route");
@@ -544,7 +544,7 @@ fn failed_booking_still_counts_its_shortest_paths() {
         pickup_seg: 0,
         dropoff_seg: 0,
     };
-    assert!(matches!(eng.book(&m), Err(XarError::NoRoute)));
+    assert!(matches!(eng.book_checked(&m), Err(XarError::NoRoute)));
 
     // 1 for the creation + 3 legs attempted by the failed booking.
     assert_eq!(eng.metrics().sp_ns.count(), 4);

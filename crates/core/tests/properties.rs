@@ -95,8 +95,8 @@ impl AnyEngine {
 
     fn book(&mut self, m: &RideMatch) -> bool {
         match self {
-            AnyEngine::Serial(e) => e.book(m).is_ok(),
-            AnyEngine::Sharded(e) => e.book(m).is_ok(),
+            AnyEngine::Serial(e) => e.book_checked(m).is_ok(),
+            AnyEngine::Sharded(e) => e.book_checked(m).is_ok(),
         }
     }
 
@@ -462,7 +462,7 @@ proptest! {
                     if let Ok(ms) = eng.search(&req, 3) {
                         if book {
                             for m in &ms {
-                                if eng.book(m).is_ok() {
+                                if eng.book_checked(m).is_ok() {
                                     break;
                                 }
                             }

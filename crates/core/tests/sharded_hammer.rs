@@ -4,7 +4,7 @@
 //! * **Hammer**: 8 threads of mixed search/book against a
 //!   [`ShardedXarEngine`] must never overbook a ride (seats booked ≤
 //!   capacity) and must never lose an update (the shared `engine.bookings`
-//!   counter equals the number of successful `book` calls observed by
+//!   counter equals the number of successful `book_checked` calls observed by
 //!   the threads).
 //! * **Equivalence**: for arbitrary create/search/book/track sequences,
 //!   the sharded engine returns the *same* matches as a serial
@@ -93,7 +93,7 @@ fn hammer_never_overbooks_and_loses_no_updates() {
                     let req = request(t * 1_000 + j);
                     let Ok(matches) = eng.search(&req, 4) else { continue };
                     for m in &matches {
-                        if eng.book(m).is_ok() {
+                        if eng.book_checked(m).is_ok() {
                             booked_ok.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -206,7 +206,7 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
                                  {floor:.0} s tracking watermark",
                                 m.eta_pickup_s,
                             );
-                            if eng.book(m).is_ok() {
+                            if eng.book_checked(m).is_ok() {
                                 booked.fetch_add(1, Ordering::Relaxed);
                                 break;
                             }
@@ -289,7 +289,7 @@ fn eighty_concurrent_readers_all_finish_beside_a_writer() {
                 0 => created += u64::from(eng.create_ride(&offer(100 + j, 3)).is_ok()),
                 1 => {
                     if let Ok(ms) = eng.search(&request(j), 1) {
-                        let _ = ms.first().map(|m| eng.book(m));
+                        let _ = ms.first().map(|m| eng.book_checked(m));
                     }
                 }
                 _ => retired += eng.track_all(8.0 * 3600.0 + f64::from(j) * 20.0) as u64,
@@ -384,8 +384,8 @@ proptest! {
                 let mb = b.iter().find(|m| sharded_ids[&m.ride.0] == ord);
                 prop_assert!(mb.is_some(), "serial best ride missing from sharded results");
                 let mb = mb.unwrap();
-                let ra = serial.book(ma);
-                let rb = sharded.book(mb);
+                let ra = serial.book_checked(ma);
+                let rb = sharded.book_checked(mb);
                 prop_assert_eq!(ra.is_ok(), rb.is_ok());
                 if let (Ok(ra), Ok(rb)) = (ra, rb) {
                     prop_assert!((ra.actual_detour_m - rb.actual_detour_m).abs() < 1e-6);

@@ -196,7 +196,7 @@ fn search_path_is_allocation_free_and_tear_free() {
                                 // Booking may lose the race for the last
                                 // seat or hit a just-retired ride; both
                                 // errors are expected under contention.
-                                let _ = eng.book(m);
+                                let _ = eng.book_checked(m);
                             }
                         }
                     }

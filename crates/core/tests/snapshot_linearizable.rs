@@ -170,8 +170,8 @@ proptest! {
                         "serial best ride missing from snapshot results at step {}",
                         step
                     );
-                    let ra = serial.book(ma);
-                    let rb = sharded.book(mb.unwrap());
+                    let ra = serial.book_checked(ma);
+                    let rb = sharded.book_checked(mb.unwrap());
                     prop_assert_eq!(ra.is_ok(), rb.is_ok(), "book divergence at step {}", step);
                     if let (Ok(ra), Ok(rb)) = (ra, rb) {
                         prop_assert!((ra.actual_detour_m - rb.actual_detour_m).abs() < 1e-6);

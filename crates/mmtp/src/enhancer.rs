@@ -130,7 +130,7 @@ pub fn enhance_plan(
             if cfg.book {
                 // Booking can fail if the ride filled up meanwhile; fall
                 // back to the original plan in that case.
-                if xar.book(&m).is_err() {
+                if xar.book_checked(&m).is_err() {
                     return EnhancerOutcome { plan: base.clone(), substituted: None, searches };
                 }
             }

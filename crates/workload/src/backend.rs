@@ -90,7 +90,7 @@ impl RideBackend for XarBackend {
     }
 
     fn book(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
-        book_result(self.engine.book(m))
+        book_result(self.engine.book_checked(m))
     }
 
     fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
@@ -322,9 +322,9 @@ mod tests {
 
     /// A match made before another booking spent the ride's detour
     /// budget is refused by the sharded backend, and the refusal leaves
-    /// the ride as it was. The unchecked `book` would honour it: the
-    /// second insertion realises 16 m of detour against the 580 m left,
-    /// while its 798 m estimate was made against the full 1 000 m.
+    /// the ride as it was, although the second insertion would realise
+    /// only 16 m of detour against the 580 m left: its 798 m estimate
+    /// was made against the full 1 000 m.
     #[test]
     fn sharded_backend_refuses_a_match_made_against_a_spent_budget() {
         let graph = city();

@@ -80,7 +80,7 @@ fn main() {
     }
 
     // 5. Book the best match (least walking).
-    let outcome = engine.book(&matches[0]).expect("booking succeeds");
+    let outcome = engine.book_checked(&matches[0]).expect("booking succeeds");
     println!(
         "\nbooked: pick-up {} / drop-off {}, actual detour {:.0} m (estimated {:.0} m), {} shortest paths",
         hhmm(outcome.pickup_eta_s),

@@ -1,11 +1,11 @@
 //! The XAR run-time unit (Figure 1): ride creation and the shared
 //! engine state the search / booking / tracking operations act on.
 //!
-//! Search reads the engine's cluster lists and nothing else: each row
-//! carries its ride's remaining detour budget ([`crate::index`]). So
-//! the index's dirty-cluster set is the whole of what a write changed
-//! for search, and a shard republishes exactly when it is non-empty
-//! ([`crate::sharded`]).
+//! Search reads the engine's cluster index and nothing else: each row
+//! carries its ride's remaining detour budget ([`crate::index`]). So a
+//! clone of the index is the whole of what a shard publishes for
+//! search, and it republishes exactly when a list is no longer the one
+//! its last clone holds ([`crate::sharded`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -188,14 +188,6 @@ impl XarEngine {
         }
     }
 
-    /// Take the clusters whose lists changed since the last drain —
-    /// everything a publish needs to patch the previous snapshot, since
-    /// the lists are all search reads. Leaves the engine clean: the
-    /// caller must actually publish.
-    pub(crate) fn drain_dirty(&mut self) -> Vec<u32> {
-        self.index.drain_dirty()
-    }
-
     /// Restrict this engine to the id arithmetic progression
     /// `start, start + stride, start + 2·stride, …` — the sharding
     /// layer gives shard `i` of `n` the sequence `(i+1, n)` so ride ids
@@ -206,16 +198,6 @@ impl XarEngine {
         debug_assert!(self.rides.is_empty(), "id sequence must be set before any ride exists");
         self.next_id = start;
         self.id_stride = stride;
-    }
-
-    /// Route this engine's index mutations into `occupancy` as shard
-    /// `shard` (see [`crate::sharded::ShardOccupancy`]).
-    pub(crate) fn attach_shard_occupancy(
-        &mut self,
-        occupancy: std::sync::Arc<crate::sharded::ShardOccupancy>,
-        shard: u32,
-    ) {
-        self.index.attach_occupancy(occupancy, shard);
     }
 
     /// The region discretization the engine runs on.

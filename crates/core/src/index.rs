@@ -9,9 +9,8 @@
 //! > and the other sorted by the unique ride identification numbers."*
 //!
 //! **Substitution.** The two lists are kept here as *one* vector of
-//! 40-byte rows per cluster, sorted by `(eta, ride)`, behind an `Arc`
-//! that published [`crate::ShardSnapshot`]s clone by pointer. The
-//! ETA-sorted list's job — the departure-window range query of search
+//! 40-byte rows per cluster, sorted by `(eta, ride)`, behind an `Arc`.
+//! The ETA-sorted list's job — the departure-window range query of search
 //! Step 1 — is two binary searches on it. The id-sorted list had two
 //! jobs: membership for the `R1 ∩ R2` intersection, which search does
 //! in one pass per side over a per-thread `ride → candidate` table
@@ -30,6 +29,16 @@
 //! only write that moves a budget — rewrites every row of its ride, so
 //! all of a ride's rows always agree on it, and search needs no
 //! per-ride table beside the lists.
+//!
+//! **The index is the snapshot.** The lists sit in `Arc`'d blocks of
+//! 64 slots, so a clone of the whole index costs one `Arc` bump per
+//! block and shares every block and list. That clone is what a shard
+//! of [`crate::sharded::ShardedXarEngine`] publishes for lock-free
+//! search: an edit copies the block and the list it changes the first
+//! time a clone still shares them (`Arc::make_mut`), so a published
+//! clone never changes under a reader, and `ClusterIndex::diff`
+//! against it finds by pointer exactly the clusters the writes since
+//! changed (DESIGN.md §5f).
 //!
 //! **Listing rule.** A ride is listed only while it has a free seat:
 //! `XarEngine::index_ride` gives a full ride an empty footprint, so no
@@ -97,8 +106,8 @@ pub(crate) struct Segment {
 }
 
 impl Clone for Segment {
-    /// The copy [`Arc::make_mut`] takes when a snapshot shares the
-    /// list: sized for the one insert that usually follows, so a write
+    /// The copy [`Arc::make_mut`] takes when a published clone shares
+    /// the list: sized for the one insert that usually follows, so a write
     /// costs one allocation and one `memcpy` per shared list it edits.
     fn clone(&self) -> Self {
         let mut rows = Vec::with_capacity(self.rows.len() + 1);
@@ -121,25 +130,21 @@ impl Segment {
     }
 }
 
-/// The in-memory index: one potential-rides list per cluster.
+/// Slots per directory block: what the first edit of a block after a
+/// publish copies, instead of the whole directory.
+const BLOCK: usize = 64;
+
+/// One directory block: up to [`BLOCK`] cluster slots, `None` while the
+/// cluster lists no ride (most clusters of a shard, most of the time).
+type Block = Vec<Option<Arc<Segment>>>;
+
+/// The in-memory index: one potential-rides list per cluster, in
+/// `Arc`'d blocks that a clone shares until an edit copies them.
 #[derive(Debug, Clone)]
 pub struct ClusterIndex {
-    /// `None` while a cluster lists no ride (most clusters of a shard,
-    /// most of the time).
-    lists: Vec<Option<Arc<Segment>>>,
+    blocks: Vec<Arc<Block>>,
+    clusters: usize,
     entries: usize,
-    /// Clusters whose lists changed since the last [`Self::drain_dirty`]
-    /// — the working set of an incremental snapshot publish. Kept
-    /// duplicate-free by `dirty_mark`.
-    dirty: Vec<u32>,
-    /// Per-cluster membership bit for `dirty` (O(1) dedup on mark).
-    dirty_mark: Vec<bool>,
-    /// When this index is one shard of a
-    /// [`crate::sharded::ShardedXarEngine`]: the shared occupancy map
-    /// and this shard's bit, kept in sync on every empty↔non-empty
-    /// transition of a cluster list so searches can skip shards that
-    /// hold nothing for their cluster fan-out.
-    occupancy: Option<(Arc<crate::sharded::ShardOccupancy>, u32)>,
     /// `insert` + `remove` calls so far: lets the engine's unit test
     /// assert one call per distinct cluster a write touches.
     #[cfg(test)]
@@ -150,60 +155,43 @@ impl ClusterIndex {
     /// Create an index over `cluster_count` clusters.
     pub fn new(cluster_count: usize) -> Self {
         Self {
-            lists: vec![None; cluster_count],
+            blocks: (0..cluster_count)
+                .step_by(BLOCK)
+                .map(|first| Arc::new(vec![None; BLOCK.min(cluster_count - first)]))
+                .collect(),
+            clusters: cluster_count,
             entries: 0,
-            dirty: Vec::new(),
-            dirty_mark: vec![false; cluster_count],
-            occupancy: None,
             #[cfg(test)]
             edit_calls: 0,
         }
     }
 
-    /// Record that `cluster`'s list mutated. Only actual mutations mark
-    /// — an `insert` that loses its better-detour race leaves the list,
-    /// and therefore the dirty set, untouched.
-    #[inline]
-    fn mark_dirty(&mut self, cluster: ClusterId) {
-        let c = cluster.index();
-        if !self.dirty_mark[c] {
-            self.dirty_mark[c] = true;
-            self.dirty.push(c as u32);
+    /// Calls `f(cluster, listed)` for every cluster whose list pointer
+    /// differs from `base`'s (`listed`: the list is now non-empty) and
+    /// returns their count; a block still shared with `base` is skipped
+    /// whole. Edits copy only what they change, so against the clone a
+    /// shard last published these are exactly the clusters changed since.
+    pub(crate) fn diff(&self, base: &ClusterIndex, mut f: impl FnMut(ClusterId, bool)) -> usize {
+        debug_assert_eq!(self.clusters, base.clusters);
+        let mut changed = 0;
+        for (b, (now, then)) in self.blocks.iter().zip(&base.blocks).enumerate() {
+            if Arc::ptr_eq(now, then) {
+                continue;
+            }
+            for (i, (now, then)) in now.iter().zip(then.iter()).enumerate() {
+                if now.as_ref().map(Arc::as_ptr) != then.as_ref().map(Arc::as_ptr) {
+                    changed += 1;
+                    f(ClusterId((b * BLOCK + i) as u32), now.is_some());
+                }
+            }
         }
-    }
-
-    /// Take the set of clusters whose lists changed since the last
-    /// drain (duplicate-free, unordered) and reset the marks. Called by
-    /// snapshot publication under the shard write lock.
-    pub fn drain_dirty(&mut self) -> Vec<u32> {
-        for &c in &self.dirty {
-            self.dirty_mark[c as usize] = false;
-        }
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// Whether some list changed since the last [`Self::drain_dirty`].
-    #[inline]
-    pub(crate) fn has_dirt(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
-    /// Publish this index's per-cluster emptiness into `occupancy` as
-    /// shard `shard`: from here on `insert`/`remove` keep the map in
-    /// sync incrementally. Attached while the index is still empty.
-    pub(crate) fn attach_occupancy(
-        &mut self,
-        occupancy: Arc<crate::sharded::ShardOccupancy>,
-        shard: u32,
-    ) {
-        debug_assert!(self.is_empty(), "occupancy must be attached before any entry exists");
-        self.occupancy = Some((occupancy, shard));
+        changed
     }
 
     /// Number of clusters.
     #[inline]
     pub fn cluster_count(&self) -> usize {
-        self.lists.len()
+        self.clusters
     }
 
     /// Total `⟨r, t⟩` entries across all clusters.
@@ -218,16 +206,24 @@ impl ClusterIndex {
         self.entries == 0
     }
 
-    /// `cluster`'s list as snapshots share it; `None` while it is empty.
+    /// `cluster`'s list as clones share it; `None` while it is empty.
     #[inline]
     pub(crate) fn segment(&self, cluster: ClusterId) -> Option<&Arc<Segment>> {
-        self.lists[cluster.index()].as_ref()
+        let c = cluster.index();
+        self.blocks[c / BLOCK][c % BLOCK].as_ref()
     }
 
     /// `cluster`'s rows in `(eta, ride)` order.
     #[inline]
     pub(crate) fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
         self.segment(cluster).map_or(&[], |s| s.rows())
+    }
+
+    /// `cluster`'s slot, for an edit: copies the block first while a
+    /// clone shares it.
+    fn slot_mut(&mut self, cluster: ClusterId) -> &mut Option<Arc<Segment>> {
+        let c = cluster.index();
+        &mut Arc::make_mut(&mut self.blocks[c / BLOCK])[c % BLOCK]
     }
 
     /// Insert (or improve) the entry for `entry.ride` in `cluster`'s
@@ -238,29 +234,23 @@ impl ClusterIndex {
         {
             self.edit_calls += 1;
         }
-        let slot = &mut self.lists[cluster.index()];
-        let was_empty = slot.is_none();
-        let seg = slot.get_or_insert_with(|| Arc::new(Segment { rows: Vec::new() }));
-        let listed = seg.rows.iter().position(|r| r.ride == entry.ride);
-        if listed.is_some_and(|i| !entry.better_than(&seg.rows[i])) {
+        let rows = self.rows(cluster);
+        let listed = rows.iter().position(|r| r.ride == entry.ride);
+        if listed.is_some_and(|i| !entry.better_than(&rows[i])) {
             return;
         }
+        if listed.is_none() {
+            self.entries += 1;
+        }
+        let seg = self.slot_mut(cluster).get_or_insert_with(|| Arc::new(Segment { rows: Vec::new() }));
         let rows = &mut Arc::make_mut(seg).rows;
         if let Some(i) = listed {
             rows.remove(i);
-            self.entries -= 1;
         }
         let at = rows.partition_point(|r| {
             r.eta_s.total_cmp(&entry.eta_s).then(r.ride.cmp(&entry.ride)).is_lt()
         });
         rows.insert(at, entry);
-        self.entries += 1;
-        if was_empty {
-            if let Some((occ, shard)) = &self.occupancy {
-                occ.set(cluster.index(), *shard);
-            }
-        }
-        self.mark_dirty(cluster);
     }
 
     /// Remove `ride` from `cluster`'s list. Returns the removed entry.
@@ -269,23 +259,22 @@ impl ClusterIndex {
         {
             self.edit_calls += 1;
         }
-        let slot = &mut self.lists[cluster.index()];
-        let seg = slot.as_mut()?;
-        let i = seg.rows.iter().position(|r| r.ride == ride)?;
-        let rows = &mut Arc::make_mut(seg).rows;
-        let removed = rows.remove(i);
-        if rows.is_empty() {
+        let rows = self.rows(cluster);
+        let i = rows.iter().position(|r| r.ride == ride)?;
+        let (removed, last) = (rows[i], rows.len() == 1);
+        self.entries -= 1;
+        let slot = self.slot_mut(cluster);
+        if last {
             *slot = None;
-            if let Some((occ, shard)) = &self.occupancy {
-                occ.clear(cluster.index(), *shard);
-            }
-        } else if rows.len() * 4 < rows.capacity() {
+            return Some(removed);
+        }
+        let rows = &mut Arc::make_mut(slot.as_mut().expect("a listed ride has a list")).rows;
+        rows.remove(i);
+        if rows.len() * 4 < rows.capacity() {
             // Give back what a past peak left behind (amortised O(1):
             // the list must halve again before the next shrink).
             rows.shrink_to(rows.len() * 2);
         }
-        self.entries -= 1;
-        self.mark_dirty(cluster);
         Some(removed)
     }
 
@@ -315,14 +304,22 @@ impl ClusterIndex {
         self.rows(cluster).len()
     }
 
-    /// Exact heap bytes (index-size accounting, Figure 3c): directory,
-    /// dirty set, and every list's `Arc` header and row buffer at its
-    /// capacity — in full even where a snapshot shares the list.
+    /// Exact heap bytes (index-size accounting, Figure 3c): the block
+    /// vector, every block's slots, and every list's `Arc` header and
+    /// row buffer at its capacity — in full even where a clone shares
+    /// them.
     pub fn heap_bytes(&self) -> usize {
-        self.lists.capacity() * std::mem::size_of::<Option<Arc<Segment>>>()
-            + self.dirty.capacity() * std::mem::size_of::<u32>()
-            + self.dirty_mark.capacity()
-            + self.lists.iter().flatten().map(|s| s.heap_bytes()).sum::<usize>()
+        let slots: usize = self.blocks.iter().map(|b| b.capacity()).sum();
+        let lists = self.blocks.iter().flat_map(|b| b.iter().flatten());
+        self.spine_bytes()
+            + slots * std::mem::size_of::<Option<Arc<Segment>>>()
+            + lists.map(|s| s.heap_bytes()).sum::<usize>()
+    }
+
+    /// Heap bytes of the block vector alone: what a clone adds to the
+    /// index it shares every block and list with.
+    pub(crate) fn spine_bytes(&self) -> usize {
+        self.blocks.capacity() * std::mem::size_of::<Arc<Block>>()
     }
 }
 
@@ -410,24 +407,37 @@ mod tests {
         assert_eq!(got, vec![1, 2]);
     }
 
+    /// `(cluster, listed)` for every cluster whose list `idx` no
+    /// longer shares with `published`, in cluster order.
+    fn diff(idx: &ClusterIndex, published: &ClusterIndex) -> Vec<(u32, bool)> {
+        let mut changed = Vec::new();
+        let n = idx.diff(published, |c, listed| changed.push((c.0, listed)));
+        assert_eq!(n, changed.len());
+        changed
+    }
+
     #[test]
-    fn dirty_set_tracks_mutations_only_and_drains_clean() {
+    fn diff_reports_exactly_the_clusters_edited_since_a_clone() {
         let mut idx = ClusterIndex::new(4);
-        assert!(idx.drain_dirty().is_empty());
+        let published = idx.clone();
+        assert!(diff(&idx, &published).is_empty());
         idx.insert(ClusterId(1), entry(1, 100.0, 500.0));
         idx.insert(ClusterId(1), entry(2, 110.0, 0.0));
         idx.insert(ClusterId(3), entry(1, 200.0, 0.0));
-        // A losing better-detour insert is a no-op: no dirt.
+        assert_eq!(diff(&idx, &published), vec![(1, true), (3, true)]);
+        // A publish: a losing better-detour insert and a missing remove
+        // change nothing and copy nothing.
+        let published = idx.clone();
         idx.insert(ClusterId(3), entry(1, 90.0, 300.0));
-        let mut d = idx.drain_dirty();
-        d.sort_unstable();
-        assert_eq!(d, vec![1, 3]);
-        assert!(idx.drain_dirty().is_empty());
-        // Post-drain mutations mark afresh; duplicates collapse.
+        assert!(idx.remove(ClusterId(2), RideId(9)).is_none());
+        assert!(idx.remove(ClusterId(1), RideId(9)).is_none());
+        assert!(diff(&idx, &published).is_empty());
+        assert!(idx.blocks.iter().zip(&published.blocks).all(|(a, b)| Arc::ptr_eq(a, b)));
+        // Two edits of one list report it once; emptied, it is unlisted.
         idx.remove(ClusterId(1), RideId(1));
         idx.remove(ClusterId(1), RideId(2));
-        assert!(idx.remove(ClusterId(2), RideId(9)).is_none(), "miss leaves no dirt");
-        assert_eq!(idx.drain_dirty(), vec![1]);
+        assert_eq!(diff(&idx, &published), vec![(1, false)]);
+        assert_eq!(published.cluster_len(ClusterId(1)), 2, "the clone kept its list");
     }
 
     #[test]
@@ -459,13 +469,12 @@ mod tests {
     fn heap_bytes_is_capacity_exact() {
         let mut idx = ClusterIndex::new(4);
         let empty = idx.heap_bytes();
-        assert_eq!(empty, 4 * 8 + 4);
+        assert_eq!(empty, 8 + 4 * 8, "one block pointer, one block of 4 slots");
         for r in 0..100 {
             idx.insert(ClusterId((r % 4) as u32), entry(r, r as f64, 0.0));
         }
         let rows: usize = (0..4).map(|c| idx.segment(ClusterId(c)).unwrap().rows.capacity()).sum();
         assert!(rows >= 100);
-        let dirt = idx.dirty.capacity() * 4;
-        assert_eq!(idx.heap_bytes(), empty + dirt + 4 * (16 + 24) + rows * 40);
+        assert_eq!(idx.heap_bytes(), empty + 4 * (16 + 24) + rows * 40);
     }
 }

@@ -19,9 +19,12 @@
 //!   clusters that are no longer servable) obsolete, and removing the
 //!   ride from the potential lists of clusters it can no longer serve.
 //!
-//! The entry point is [`engine::XarEngine`]. All four operations are
-//! instrumented through [`metrics::EngineMetrics`] (an `xar-obs`
-//! registry), so latency percentiles come for free:
+//! The entry point is [`engine::XarEngine`];
+//! [`sharded::ShardedXarEngine`] runs one per shard and publishes each
+//! shard's [`index::ClusterIndex`] as an `Arc`'d clone that search reads
+//! without a lock. All four operations are instrumented through
+//! [`metrics::EngineMetrics`] (an `xar-obs` registry), so latency
+//! percentiles come for free:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -66,7 +69,6 @@ pub mod request;
 pub mod ride;
 pub mod search;
 pub mod sharded;
-pub mod snapshot;
 pub mod social;
 pub mod tracking;
 
@@ -79,5 +81,4 @@ pub use request::RideRequest;
 pub use ride::{Ride, RideId, RideOffer, RideStatus, RiderId};
 pub use search::{RideMatch, SearchExplain};
 pub use sharded::{ShardOccupancy, ShardedXarEngine, DEFAULT_SHARDS, MAX_SHARDS};
-pub use snapshot::ShardSnapshot;
 pub use social::SocialGraph;

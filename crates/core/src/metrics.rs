@@ -18,9 +18,9 @@
 //! | `engine.sp_ns` | histogram | ns per shortest-path computation (create/book only) |
 //! | `lock.read_hold_ns` | histogram | shard read-lock hold time (track probes and maintenance — search takes no engine lock) |
 //! | `lock.write_hold_ns` | histogram | shard write-lock hold time (create/book/track) |
-//! | `engine.snapshot_publish_ns` | histogram | ns to build + publish one shard search snapshot |
-//! | `engine.snapshot_publishes` | counter | shard snapshots published (one per write that dirtied a list) |
-//! | `snapshot.dirty_clusters` | histogram | dirty clusters drained per publish (never 0) |
+//! | `engine.snapshot_publish_ns` | histogram | ns to clone + swap one shard's published index |
+//! | `engine.snapshot_publishes` | counter | shard indexes published (one per write that changed a list) |
+//! | `snapshot.dirty_clusters` | histogram | clusters whose list changed since the previous publish, never 0 |
 //! | `engine.searches` / `creates` / `bookings` / `tracks` | counter | operation counts ([`crate::engine::EngineStats`]) |
 //! | `engine.shortest_paths` | counter | shortest-path computations (create/book — never search) |
 //!
@@ -64,13 +64,14 @@ pub struct EngineMetrics {
     /// `engine.search_ns{tier=…}` — search latency by source fan-out,
     /// index-aligned with [`SEARCH_TIERS`].
     pub search_ns_tier: [Arc<Histogram>; 3],
-    /// Time to build and publish one shard search snapshot, nanoseconds
-    /// (write-path cost of the snapshot read path).
+    /// Time to clone a shard's index and swap it in as the published
+    /// one, nanoseconds (write-path cost of the lock-free read path).
     pub snapshot_publish_ns: Arc<Histogram>,
-    /// Shard snapshots published.
+    /// Shard indexes published.
     pub snapshot_publishes: Arc<Counter>,
-    /// Dirty clusters drained per publish — the quantity incremental
-    /// publish cost is proportional to.
+    /// Clusters whose list changed since the previous publish, one
+    /// sample per publish — the lists the writes copied on their first
+    /// edit.
     pub snapshot_dirty_clusters: Arc<Histogram>,
 }
 

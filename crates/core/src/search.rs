@@ -33,7 +33,7 @@ use xar_discretize::{ClusterId, LandmarkId, RegionIndex, WalkEntry};
 
 use crate::engine::{EngineStats, XarEngine};
 use crate::error::{Reason, XarError};
-use crate::index::{eta_range, PotentialRide};
+use crate::index::{eta_range, ClusterIndex, PotentialRide};
 use crate::metrics::EngineMetrics;
 use crate::request::RideRequest;
 use crate::ride::RideId;
@@ -185,7 +185,7 @@ impl XarEngine {
     ) -> Result<Vec<RideMatch>, XarError> {
         let mut out = Vec::new();
         run_search(self.region(), &self.stats, &self.metrics, req, limit, &mut out, explain, |run| {
-            run.collect_matches(self)
+            run.collect_matches(self.index())
         })?;
         Ok(out)
     }
@@ -273,10 +273,9 @@ fn sort_matches(out: &mut [RideMatch]) {
     });
 }
 
-/// What the one search algorithm reads from an index: the live lists of
-/// an [`XarEngine`] or the frozen ones of a [`crate::ShardSnapshot`].
-/// Both hold the same [`crate::index`] rows, so the two views differ
-/// only in where a list comes from.
+/// What the one search algorithm reads from an index: a
+/// [`ClusterIndex`] — the serial engine's live one or a shard's
+/// published clone — or a hand-built list set in this module's tests.
 ///
 /// The contract that makes results bit-identical across views: a list
 /// is in **`(eta, ride)` order**, so a row's rank (walkable order × list
@@ -287,10 +286,10 @@ pub(crate) trait IndexView {
     fn rows(&self, cluster: ClusterId) -> &[PotentialRide];
 }
 
-impl IndexView for XarEngine {
+impl IndexView for ClusterIndex {
     #[inline]
     fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
-        self.index().rows(cluster)
+        ClusterIndex::rows(self, cluster)
     }
 }
 

@@ -18,15 +18,16 @@
 //!   `Arc` with no lock at all — searches resolve their walkable
 //!   clusters before touching any shard.
 //! * **Search never takes a shard's engine lock.** Each write path,
-//!   while still holding its shard's write lock, freezes the shard's
-//!   searchable state into an immutable [`ShardSnapshot`] and swaps it
-//!   into the shard's `RwLock<Arc<ShardSnapshot>>`. Search derives its
-//!   candidate cluster fan-out up front (the tier-1/2/3 region tables
-//!   need no lock), consults the lock-free [`ShardOccupancy`] bitmask
-//!   to find which shards could hold candidates, and clones each such
-//!   shard's current `Arc` — the cell's lock is held for that clone or
-//!   for the writer's pointer swap only, never while a snapshot is
-//!   built, searched or freed (DESIGN.md §5f). Because a ride's entries
+//!   while still holding its shard's write lock, publishes a clone of
+//!   the shard's [`ClusterIndex`] — one `Arc` bump per 64-cluster
+//!   block, every list shared — into the shard's
+//!   `RwLock<Arc<ClusterIndex>>`. Search derives its candidate cluster
+//!   fan-out up front (the tier-1/2/3 region tables need no lock),
+//!   consults the lock-free [`ShardOccupancy`] bitmask to find which
+//!   shards could hold candidates, and clones each such shard's current
+//!   `Arc` — the cell's lock is held for that clone or for the writer's
+//!   pointer swap only, never while an index is cloned, searched or
+//!   freed (DESIGN.md §5f). Because a ride's entries
 //!   never span shards, per-shard candidate collection followed by one
 //!   global sort is *equivalent* to the single-engine search: every
 //!   candidate cluster is still examined, so the paper's approximation
@@ -54,11 +55,11 @@ use xar_obs::{Histogram, Registry};
 use crate::booking::BookingOutcome;
 use crate::engine::{EngineConfig, EngineStats, XarEngine};
 use crate::error::XarError;
+use crate::index::ClusterIndex;
 use crate::metrics::EngineMetrics;
 use crate::request::RideRequest;
 use crate::ride::{Ride, RideId, RideOffer, RideStatus};
 use crate::search::{run_search, RideMatch, SearchExplain};
-use crate::snapshot::ShardSnapshot;
 
 /// Hard cap on the shard count: the occupancy bitmask is one `u64` per
 /// cluster, and the per-shard label cardinality must stay far below the
@@ -71,13 +72,14 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// Lock-free map from cluster to the set of shards holding at least one
 /// potential-rides entry for it: one atomic `u64` bitmask per cluster.
 ///
-/// Bit `s` of `masks[c]` is set iff shard `s`'s [`ClusterIndex`](crate::index::ClusterIndex)
-/// (see `crate::index`) currently has a non-empty list for cluster `c`.
-/// Each bit is only ever flipped by its own shard's writer *while
-/// holding that shard's write lock*, so transitions are exact; readers
-/// use relaxed loads — a search that races a create may miss the brand
-/// new ride or probe a just-emptied shard, which is indistinguishable
-/// from the operations serializing in the other order.
+/// Bit `s` of `masks[c]` is set iff shard `s`'s published
+/// [`ClusterIndex`] has a non-empty list for cluster `c`. Each bit is
+/// only ever flipped by its own shard's publish, from the diff that
+/// decides it, *while holding that shard's write lock*, so transitions
+/// are exact; readers use relaxed loads — a search that races a create
+/// may miss the brand new ride or probe a just-emptied shard, which is
+/// indistinguishable from the operations serializing in the other
+/// order.
 #[derive(Debug)]
 pub struct ShardOccupancy {
     masks: Vec<AtomicU64>,
@@ -89,14 +91,13 @@ impl ShardOccupancy {
         Self { masks: (0..cluster_count).map(|_| AtomicU64::new(0)).collect() }
     }
 
-    /// Mark shard `shard` as holding entries for `cluster`.
-    pub(crate) fn set(&self, cluster: usize, shard: u32) {
-        self.masks[cluster].fetch_or(1 << shard, Ordering::Relaxed);
-    }
-
-    /// Mark shard `shard` as holding no entries for `cluster`.
-    pub(crate) fn clear(&self, cluster: usize, shard: u32) {
-        self.masks[cluster].fetch_and(!(1 << shard), Ordering::Relaxed);
+    /// Record whether shard `shard` holds entries for `cluster`.
+    fn mark(&self, cluster: usize, shard: usize, listed: bool) {
+        if listed {
+            self.masks[cluster].fetch_or(1 << shard, Ordering::Relaxed);
+        } else {
+            self.masks[cluster].fetch_and(!(1 << shard), Ordering::Relaxed);
+        }
     }
 
     /// The shard bitmask of one cluster.
@@ -112,30 +113,30 @@ impl ShardOccupancy {
 }
 
 /// One shard: a complete engine over its slice of the rides, the
-/// published search snapshot of that slice, plus the pre-resolved
-/// labeled lock-hold histograms.
+/// published clone of its index, plus the pre-resolved labeled
+/// lock-hold histograms.
 struct Shard {
     lock: RwLock<XarEngine>,
-    /// The published, immutable view search reads. Swapped by every
-    /// write path that dirtied a list, while it still holds `lock` in
+    /// The published, immutable index search reads. Swapped by every
+    /// write path that changed a list, while it still holds `lock` in
     /// write mode; this cell's own lock covers one `Arc` clone or one
     /// swap.
-    snapshot: RwLock<Arc<ShardSnapshot>>,
+    snapshot: RwLock<Arc<ClusterIndex>>,
     read_hold_ns: Arc<Histogram>,
     write_hold_ns: Arc<Histogram>,
 }
 
 impl Shard {
-    /// The currently published snapshot. A panic cannot leave the cell
+    /// The currently published index. A panic cannot leave the cell
     /// half-written (it holds one pointer), so a poisoned lock is read
     /// through, as the engine lock is.
-    fn load(&self) -> Arc<ShardSnapshot> {
+    fn load(&self) -> Arc<ClusterIndex> {
         Arc::clone(&self.snapshot.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Swap `next` in; the previous snapshot's `Arc` is dropped after
-    /// the cell's lock is released, so readers never wait on a free.
-    fn store(&self, next: ShardSnapshot) {
+    /// Swap `next` in; the previous index's `Arc` is dropped after the
+    /// cell's lock is released, so readers never wait on a free.
+    fn store(&self, next: ClusterIndex) {
         let next = Arc::new(next);
         let mut cell = self.snapshot.write().unwrap_or_else(|e| e.into_inner());
         let prev = std::mem::replace(&mut *cell, next);
@@ -247,11 +248,10 @@ impl ShardedXarEngine {
                     EngineMetrics::with_registry(Arc::clone(&registry)),
                 );
                 engine.set_id_sequence(i as u64 + 1, n as u64);
-                engine.attach_shard_occupancy(Arc::clone(&occupancy), i as u32);
                 let name = format!("s{i}");
                 let label = [("shard", name.as_str())];
                 Shard {
-                    snapshot: RwLock::new(Arc::new(ShardSnapshot::empty(region.cluster_count()))),
+                    snapshot: RwLock::new(Arc::new(engine.index().clone())),
                     lock: RwLock::new(engine),
                     read_hold_ns: registry.histogram_with("lock.read_hold_ns", &label),
                     write_hold_ns: registry.histogram_with("lock.write_hold_ns", &label),
@@ -371,7 +371,7 @@ impl ShardedXarEngine {
     /// and the final sort is unstable (no merge buffer).
     ///
     /// It takes **no engine lock**: each probed shard's published
-    /// [`ShardSnapshot`] is an `Arc` clone, so a writer is waited on for
+    /// [`ClusterIndex`] is an `Arc` clone, so a writer is waited on for
     /// the length of its pointer swap at most. The view is the
     /// serializable point-in-time state as of each shard's latest
     /// publish.
@@ -403,7 +403,7 @@ impl ShardedXarEngine {
             // for at least one source-side AND one destination-side
             // cluster (the candidate set is R1 ∩ R2, and a ride's
             // entries never leave its shard) — everything else is
-            // skipped without loading its snapshot.
+            // skipped without loading its published index.
             let occ = &inner.occupancy;
             let mask = occ.mask_for(run.src_walkable.iter().map(|w| w.cluster.index()))
                 & occ.mask_for(run.dst_walkable.iter().map(|w| w.cluster.index()));
@@ -415,33 +415,32 @@ impl ShardedXarEngine {
         })
     }
 
-    /// Publish shard `i`'s search snapshot if a list changed: drain the
-    /// engine's dirty clusters and patch the previous snapshot
-    /// ([`ShardSnapshot::build_incremental`] — a dirty cluster's
-    /// segment is a pointer clone of the index's list, unchanged ones
-    /// are shared with the previous snapshot, so the cost is
-    /// proportional to the dirt, not the shard). The lists are all
-    /// search reads, so an empty dirty set means the published
-    /// snapshot is still exact (failed writes, no-progress tracks,
-    /// offers listed nowhere).
+    /// Publish shard `i`'s index if a list changed since the last
+    /// publish. [`ClusterIndex::diff`] against the published clone finds
+    /// the changed clusters by pointer and flips their occupancy bits;
+    /// none means the published index is still exact (failed writes,
+    /// no-progress tracks, offers listed nowhere), and nothing is
+    /// published. Otherwise the next published index is a clone of the
+    /// engine's: one `Arc` bump per block, every list shared.
     ///
     /// Called by every write path while it still holds the shard write
-    /// lock, so publishes serialize per shard and each snapshot is a
-    /// consistent point-in-time view.
-    fn publish_shard(&self, i: usize, engine: &mut XarEngine) {
-        let dirty = engine.drain_dirty();
-        if dirty.is_empty() {
+    /// lock, so publishes serialize per shard and each published index
+    /// is a consistent point-in-time view.
+    fn publish_shard(&self, i: usize, engine: &XarEngine) {
+        let shard = &self.inner.shards[i];
+        let occ = &self.inner.occupancy;
+        let changed = engine.index().diff(&shard.load(), |c, listed| occ.mark(c.index(), i, listed));
+        if changed == 0 {
             return;
         }
-        let shard = &self.inner.shards[i];
         let t0 = Instant::now();
         let mut tspan = xar_obs::trace::span("snapshot.publish");
         tspan.attr("shard", i);
         let m = &self.inner.metrics;
-        shard.store(ShardSnapshot::build_incremental(engine, &shard.load(), &dirty));
+        shard.store(engine.index().clone());
         m.snapshot_publish_ns.record(t0.elapsed().as_nanos() as u64);
         m.snapshot_publishes.inc();
-        m.snapshot_dirty_clusters.record(dirty.len() as u64);
+        m.snapshot_dirty_clusters.record(changed as u64);
     }
 
     /// **Create** (operation O2): one write lock on the shard owning
@@ -455,7 +454,7 @@ impl ShardedXarEngine {
             .map_or(0, |c| self.shard_of_cluster(c));
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.create_ride(offer);
-        self.publish_shard(shard, &mut guard);
+        self.publish_shard(shard, &guard);
         res
     }
 
@@ -472,7 +471,7 @@ impl ShardedXarEngine {
         let shard = self.shard_of_ride(m.ride);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.book_checked(m);
-        self.publish_shard(shard, &mut guard);
+        self.publish_shard(shard, &guard);
         res
     }
 
@@ -483,7 +482,7 @@ impl ShardedXarEngine {
         let shard = self.shard_of_ride(id);
         let (mut guard, _hold) = self.write_shard(shard);
         let res = guard.track_ride(id, now_s);
-        self.publish_shard(shard, &mut guard);
+        self.publish_shard(shard, &guard);
         res
     }
 
@@ -503,19 +502,28 @@ impl ShardedXarEngine {
             }
             let (mut guard, _hold) = self.write_shard(i);
             retired += guard.track_all(now_s);
-            self.publish_shard(i, &mut guard);
+            self.publish_shard(i, &guard);
         }
         retired
     }
 
-    /// Whether every shard has no pending dirt and its published
-    /// snapshot is content-identical to a fresh full rebuild of its
-    /// engine state — the incremental ≡ full invariant, exposed for
-    /// tests and audits. Takes each shard's read lock briefly.
+    /// Whether every shard's published index reads what its live index
+    /// holds — the same entry count and, cluster by cluster, the same
+    /// rows — and every occupancy bit agrees with it: bit `s` of a
+    /// cluster's mask is set iff shard `s`'s published list for it is
+    /// non-empty. Exposed for tests and audits; takes each shard's read
+    /// lock briefly.
     pub fn snapshots_consistent(&self) -> bool {
         (0..self.inner.shards.len()).all(|i| {
             let (eng, _hold) = self.read_shard(i);
-            !eng.index().has_dirt() && self.inner.shards[i].load().content_eq(&ShardSnapshot::build(&eng))
+            let (live, published) = (eng.index(), self.inner.shards[i].load());
+            live.len() == published.len()
+                && (0..live.cluster_count() as u32).map(ClusterId).all(|c| {
+                    let rows = published.rows(c);
+                    let listed = !rows.is_empty();
+                    let bit = (self.inner.occupancy.cluster_mask(c.index()) >> i) & 1 == 1;
+                    rows == live.rows(c) && bit == listed
+                })
         })
     }
 
@@ -548,16 +556,16 @@ impl ShardedXarEngine {
     }
 
     /// Total heap bytes: the shared region tables once, plus every
-    /// shard's private runtime state (index + rides) and the directory
-    /// of its published search snapshot. Every write publishes before
-    /// it releases the shard lock, so under the read lock the
-    /// snapshot's lists are the index's own and are counted once, with
-    /// the index.
+    /// shard's private runtime state (index + rides) and the block
+    /// vector of its published index. Every write publishes before it
+    /// releases the shard lock, so under the read lock the published
+    /// index's blocks and lists are the live index's own and are
+    /// counted once, with the live index.
     pub fn heap_bytes(&self) -> usize {
         let shards: usize = (0..self.inner.shards.len())
             .map(|i| {
                 let (guard, _hold) = self.read_shard(i);
-                guard.heap_bytes_runtime() + self.inner.shards[i].load().own_heap_bytes()
+                guard.heap_bytes_runtime() + self.inner.shards[i].load().spine_bytes()
             })
             .sum();
         self.inner.region.heap_bytes() + shards
@@ -801,12 +809,11 @@ mod tests {
 
     #[test]
     fn noop_skip_never_hides_a_pending_rebuild() {
-        // `publish_shard` skips a publish when no list is dirty, which
-        // is sound only if the published snapshot then already reflects
-        // the engine state exactly. Interleave real mutations with
-        // no-op sweeps and verify after every step that the published
-        // snapshot is content-identical to a full rebuild — a
-        // skipped-but-pending rebuild would diverge here.
+        // `publish_shard` skips a publish when no list changed, which
+        // is sound only if the published index then already reads
+        // what the live one holds. Interleave real mutations with
+        // no-op sweeps and verify after every step that it does — a
+        // skipped-but-pending publish would diverge here.
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let n = graph.node_count() as u32;
@@ -906,7 +913,6 @@ mod tests {
 
     #[test]
     fn a_held_snapshot_stays_frozen_under_copy_on_write() {
-        use crate::search::IndexView;
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let n = graph.node_count() as u32;
@@ -984,7 +990,7 @@ mod tests {
             std::thread::spawn(move || {
                 let snap = eng.inner.shards[0].load();
                 weak_tx.send(Arc::downgrade(&snap)).unwrap();
-                panic!("reader dies holding {} rows", snap.entry_count());
+                panic!("reader dies holding {} rows", snap.len());
             })
         };
         let weak = weak_rx.recv().unwrap();
@@ -1016,7 +1022,8 @@ mod tests {
         let region = region(31);
         let graph = Arc::clone(region.graph());
         let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 2);
-        // (index + rides, snapshot in full, engine total) over both shards.
+        // (index + rides, published index in full, engine total) over
+        // both shards.
         let parts = || {
             let (mut runtime, mut snap) = (0, 0);
             for (i, shard) in eng.inner.shards.iter().enumerate() {
@@ -1036,15 +1043,17 @@ mod tests {
                 }))
                 .sum()
         };
-        // Right after a publish — after every write — each snapshot
-        // list is the index's own.
+        // Every shard's blocks hold one 8-byte slot per cluster.
+        let blocks = eng.shard_count() * region.cluster_count() * 8;
+        // Right after a publish — after every write — each published
+        // block and list is the live index's own.
         for i in 0..60u32 {
             let _ = eng.create_ride(&offer(&graph, i));
             if i % 11 == 5 {
                 eng.track_all(8.0 * 3600.0 + f64::from(i) * 90.0);
             }
             let (runtime, snap, counted) = parts();
-            assert_eq!(counted, runtime + snap - lists(), "shared lists must be counted exactly once");
+            assert_eq!(counted, runtime + snap - blocks - lists(), "shared parts must be counted exactly once");
         }
         assert!(lists() > 0);
     }

@@ -1,18 +1,20 @@
-//! Incremental snapshot publication ≡ a from-scratch build.
+//! Copy-on-write publication: what a shard publishes is what it holds.
 //!
-//! The write path patches published [`xar_core::ShardSnapshot`]s:
-//! `publish_shard` re-points only the cluster segments the write dirtied
-//! and `Arc`-shares the rest (DESIGN.md §5f). The property that makes
-//! that an *optimization* rather than a semantic change: for any
+//! A shard publishes a clone of its [`xar_core::ClusterIndex`] whenever
+//! a write changed a list, and skips the publish when none changed; the
+//! changed clusters come from a pointer diff against the published
+//! clone, which also flips the shard's occupancy bits (DESIGN.md §5f).
+//! The property that makes the skip and the bits sound: for any
 //! interleaved schedule of create / book / track operations, after
-//! **every** write each shard's published snapshot is content-equal to
-//! `ShardSnapshot::build` of the shard's live state
+//! **every** write each shard's published index reads what its live
+//! index holds, cluster by cluster, and every occupancy bit says
+//! whether that published list is non-empty
 //! ([`xar_core::ShardedXarEngine::snapshots_consistent`]).
 //!
 //! The expiry half of the story (ROADMAP item 5's memory bound) is
 //! pinned by `heap_stays_bounded_under_expiry_churn`: a ride retired by
 //! tracking leaves every list, and the publish of that write drops it
-//! from the snapshots, so a long run of create → book → expire cycles
+//! from the published index, so a long run of create → book → expire cycles
 //! holds `heap_bytes()` flat instead of accreting a day's worth of dead
 //! rides.
 
@@ -41,8 +43,8 @@ fn graph() -> &'static Arc<RoadGraph> {
     region().graph()
 }
 
-/// Offers use a *small* detour budget so each write dirties a handful
-/// of clusters and most of every snapshot is shared with its
+/// Offers use a *small* detour budget so each write changes a handful
+/// of clusters and most of every published index is shared with its
 /// predecessor.
 fn offer(i: u32, depart_s: f64) -> RideOffer {
     let g = graph();
@@ -87,7 +89,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
     #[test]
-    fn every_publish_equals_a_full_build_on_any_schedule(
+    fn every_write_publishes_what_its_index_holds_on_any_schedule(
         ops in proptest::collection::vec(op_strategy(), 12..50),
     ) {
         let eng = ShardedXarEngine::new(Arc::clone(region()), EngineConfig::default(), 4);
@@ -108,7 +110,7 @@ proptest! {
             }
             prop_assert!(
                 eng.snapshots_consistent(),
-                "patched snapshot diverged from a full build after step {} ({:?})",
+                "published index or occupancy diverged from the live index after step {} ({:?})",
                 step,
                 op
             );
@@ -117,7 +119,7 @@ proptest! {
 }
 
 /// ROADMAP item 5, memory half: expired rides are retired *and leave
-/// the published snapshots*, so a long expiry-churn run holds runtime
+/// the published indexes*, so a long expiry-churn run holds runtime
 /// memory flat. Each cycle creates a batch of rides,
 /// books a few, then advances the clock far enough to complete the
 /// previous batch; by mid-run the engine reaches a steady state whose

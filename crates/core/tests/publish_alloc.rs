@@ -1,24 +1,24 @@
 //! Allocation guards for the write path's index edits and snapshot
 //! publication.
 //!
-//! A cluster's list is one row vector shared by the live index and the
-//! published snapshots (DESIGN.md §5f, "One layout"), so three cost
-//! claims can be made hard tests with a counting global allocator (same
-//! idiom as `tests/snapshot_alloc.rs`; one `#[global_allocator]` per
-//! test binary, hence this file):
+//! A shard publishes a clone of its `ClusterIndex`, whose blocks and
+//! lists the live index shares until it edits them (DESIGN.md §5f,
+//! "One layout"), so three cost claims can be made hard tests with a
+//! counting global allocator (same idiom as `tests/snapshot_alloc.rs`;
+//! one `#[global_allocator]` per test binary, hence this file):
 //!
 //! 1. **Publishing is pointer copies.** A serial `XarEngine` twin is
 //!    driven through the same schedule as a one-shard
 //!    `ShardedXarEngine`: it makes the same booking and publishes
 //!    nothing, so `allocs(sharded book_checked) − allocs(serial
 //!    book_checked)` is what publication cost that booking. That is at
-//!    most one list copy per dirty cluster (the write's first edit of a
-//!    list the previous snapshot still shares: an `Arc` and its row
-//!    vector), one copied directory block per dirty block, and a
-//!    constant (directory vector, the snapshot's `Arc`, the drained
-//!    dirt list) — independent of the rows per cluster, of the cluster
-//!    count and of the shard's ride count: the rows carry the ride
-//!    budgets, so there is no per-ride table to copy or patch.
+//!    most one list copy per changed cluster and one block copy per
+//!    changed block, each made by the write's first edit of a list or
+//!    block the published clone still shares (an `Arc` and its vector
+//!    each), plus a constant (the clone's block vector and its `Arc`)
+//!    — independent of the rows per cluster, of the cluster count and
+//!    of the shard's ride count: the rows carry the ride budgets, so
+//!    there is no per-ride table to copy or patch.
 //! 2. **Editing an unshared list is in place.** 1 000 remove/insert
 //!    edits of a 4 000-row list allocate nothing; growing it allocates
 //!    O(1) amortised.
@@ -154,11 +154,13 @@ fn publish_allocs((eng, twin): &mut (ShardedXarEngine, XarEngine), bookings: u32
 #[test]
 fn a_publish_allocates_per_dirty_block_not_per_row_or_cluster() {
     const BOOKINGS: u32 = 12;
-    /// Directory vector, the snapshot's `Arc`, and the drained dirt
-    /// list regrowing from empty (one doubling per power of two of dirty
-    /// clusters). A booking's publish reads 10 beyond its list copies
-    /// on the 95-cluster region and 7 on the 13-cluster one.
-    const CONSTANT: u64 = 11;
+    /// A block copy is an `Arc` and its slot vector: two allocations,
+    /// one of them inside `blocks(region)`. The other, plus the
+    /// published clone's block vector and its `Arc`, makes at most 4 on
+    /// a region of one or two blocks. A booking's publish reads 6
+    /// beyond its list copies on the 95-cluster region and 4 on the
+    /// 13-cluster one.
+    const CONSTANT: u64 = 4;
     let small = region(14, 31);
     let large = region(40, 31);
     assert!(large.cluster_count() >= small.cluster_count() * 3);

@@ -1,8 +1,9 @@
 //! Linearizability of the snapshot read path.
 //!
 //! The sharded engine answers searches from published, immutable
-//! [`xar_core::ShardSnapshot`]s instead of locking shard state. The
-//! property that makes that correct is *linearizable equivalence*: for
+//! clones of each shard's [`xar_core::ClusterIndex`] instead of locking
+//! shard state. The property that makes that correct is *linearizable
+//! equivalence*: for
 //! any interleaved schedule of create / search / book / track
 //! operations, every search observes exactly the state some serial
 //! execution of the preceding writes would produce — never a torn or

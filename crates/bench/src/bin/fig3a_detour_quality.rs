@@ -9,10 +9,130 @@
 //! 1. the paper's quantity — realised detour in excess of the ride's
 //!    remaining detour *limit* at booking time;
 //! 2. a stricter internal measure — realised detour in excess of the
-//!    search-time *estimate* (the raw discretization error).
+//!    search-time *estimate* (the raw discretization error);
+//! 3. the bookings beyond 4ε on either measure, split three ways: same
+//!    or split segment, the booking's ordinal on its ride, and how many
+//!    of its two ends lie in one of the ride's pass-through clusters.
+
+use std::sync::Arc;
 
 use xar_bench::{header, row, scale_arg, BenchCity};
-use xar_workload::{percentile, run_simulation, SimConfig, XarBackend};
+use xar_core::{Reason, RideMatch, SearchExplain};
+use xar_obs::Registry;
+use xar_workload::{
+    percentile, run_simulation, BookResult, RideBackend, SimConfig, Trip, XarBackend,
+};
+
+/// What the split tables need of one booking, read from its match and
+/// from the ride just before it was booked.
+struct Booked {
+    same_segment: bool,
+    /// 1 for the ride's first booking.
+    ordinal: usize,
+    /// Ends (0–2) whose cluster is one of the ride's pass-through
+    /// clusters.
+    pass_ends: usize,
+    limit_excess_m: f64,
+    estimate_error_m: f64,
+}
+
+/// [`XarBackend`] that also records a [`Booked`] per booking; every
+/// call is the wrapped backend's, so the run is unchanged.
+struct Probe {
+    inner: XarBackend,
+    booked: Vec<Booked>,
+}
+
+impl RideBackend for Probe {
+    type Match = RideMatch;
+
+    fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> Vec<RideMatch> {
+        self.inner.search(trip, cfg)
+    }
+
+    fn search_explained(
+        &mut self,
+        trip: &Trip,
+        cfg: &SimConfig,
+    ) -> (Vec<RideMatch>, SearchExplain) {
+        self.inner.search_explained(trip, cfg)
+    }
+
+    fn book(&mut self, m: &RideMatch, cfg: &SimConfig) -> BookResult {
+        let before = self.inner.engine.ride(m.ride).map(|r| {
+            let pass = |c| usize::from(r.pass_clusters.iter().any(|p| p.cluster == c));
+            let pass_ends = pass(m.pickup_cluster) + pass(m.dropoff_cluster);
+            (r.bookings.len() + 1, pass_ends)
+        });
+        let res = self.inner.book(m, cfg);
+        if let BookResult::Booked {
+            actual_detour_m,
+            estimated_detour_m,
+            budget_before_m,
+            ..
+        } = res
+        {
+            let (ordinal, pass_ends) = before.expect("a booked ride was live");
+            self.booked.push(Booked {
+                same_segment: m.pickup_seg == m.dropoff_seg,
+                ordinal,
+                pass_ends,
+                limit_excess_m: (actual_detour_m - budget_before_m).max(0.0),
+                estimate_error_m: actual_detour_m - estimated_detour_m,
+            });
+        }
+        res
+    }
+
+    fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
+        self.inner.create(trip, cfg)
+    }
+
+    fn track(&mut self, now_s: f64) {
+        self.inner.track(now_s);
+    }
+
+    fn registry(&self) -> Option<Arc<Registry>> {
+        self.inner.registry()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// The bookings beyond `bound` on each measure, per split.
+fn beyond_table(booked: &[Booked], bound: f64) {
+    println!("\n## bookings beyond 4 eps ({bound:.0} m), by split\n");
+    header(&[
+        "split",
+        "bookings",
+        "limit excess > 4 eps",
+        "actual - estimate > 4 eps",
+    ]);
+    type Keep = fn(&Booked) -> bool;
+    let splits: [(&str, Keep); 9] = [
+        ("all", |_| true),
+        ("same segment", |b| b.same_segment),
+        ("split segment", |b| !b.same_segment),
+        ("1st booking of its ride", |b| b.ordinal == 1),
+        ("2nd booking", |b| b.ordinal == 2),
+        ("3rd or later booking", |b| b.ordinal >= 3),
+        ("both ends pass-through", |b| b.pass_ends == 2),
+        ("one end pass-through", |b| b.pass_ends == 1),
+        ("both ends reachable only", |b| b.pass_ends == 0),
+    ];
+    for (name, keep) in splits {
+        let split: Vec<&Booked> = booked.iter().filter(|b| keep(b)).collect();
+        let count = |v: fn(&Booked) -> f64| split.iter().filter(|b| v(b) > bound).count();
+        row(&[
+            name.to_string(),
+            split.len().to_string(),
+            count(|b| b.limit_excess_m).to_string(),
+            count(|b| b.estimate_error_m).to_string(),
+        ]);
+    }
+}
 
 fn cdf_table(label: &str, values: &[f64], eps: f64) {
     println!("\n## {label}\n");
@@ -51,7 +171,10 @@ fn main() {
     );
 
     let trips = city.trips(35_000, scale);
-    let mut backend = XarBackend::new(city.xar(region));
+    let mut backend = Probe {
+        inner: XarBackend::new(city.xar(region)),
+        booked: Vec::new(),
+    };
     let report = run_simulation(&mut backend, &trips, &SimConfig::default());
     println!(
         "trips: {}   booked: {}   created: {}   share rate: {:.1}%",
@@ -72,6 +195,9 @@ fn main() {
     // (2) The stricter internal measure.
     let errors = report.detour_errors_m();
     cdf_table("estimate error: actual - search-time estimate (stricter)", &errors, eps);
+
+    // (3) Where the bookings beyond 4 eps come from.
+    beyond_table(&backend.booked, 4.0 * eps);
 
     let frac = |v: &[f64], bound: f64| {
         v.iter().filter(|&&e| e <= bound).count() as f64 / v.len() as f64 * 100.0

@@ -2,10 +2,9 @@
 //! engine state the search / booking / tracking operations act on.
 //!
 //! Search reads the engine's cluster index and nothing else: each row
-//! carries its ride's remaining detour budget ([`crate::index`]). So a
-//! clone of the index is the whole of what a shard publishes for
-//! search, and it republishes exactly when a list is no longer the one
-//! its last clone holds ([`crate::sharded`]).
+//! carries its ride's remaining detour budget ([`crate::index`]), so a
+//! shard of [`crate::sharded`] is searched under its read lock without
+//! touching the ride records.
 
 use std::collections::HashMap;
 use std::sync::Arc;

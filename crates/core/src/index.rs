@@ -9,9 +9,9 @@
 //! > and the other sorted by the unique ride identification numbers."*
 //!
 //! **Substitution.** The two lists are kept here as *one* vector of
-//! 40-byte rows per cluster, sorted by `(eta, ride)`, behind an `Arc`.
-//! The ETA-sorted list's job — the departure-window range query of search
-//! Step 1 — is two binary searches on it. The id-sorted list had two
+//! 40-byte rows per cluster, sorted by `(eta, ride)`. The ETA-sorted
+//! list's job — the departure-window range query of search Step 1 — is
+//! two binary searches on it. The id-sorted list had two
 //! jobs: membership for the `R1 ∩ R2` intersection, which search does
 //! in one pass per side over a per-thread `ride → candidate` table
 //! emptied by bumping a generation stamp, with no sort
@@ -20,7 +20,7 @@
 //! rows on average per shard list on the benchmark day (p99 20), 47 on
 //! the serial engine at twice NYC density (p99 470), where it still
 //! beats the `BTreeMap` + `HashMap` pair it replaced (DESIGN.md §5f,
-//! "One layout": measurements, copy-on-write rule, stated limit).
+//! "One layout": measurements, stated limit).
 //!
 //! **A row carries everything search reads.** Besides `⟨r, t⟩` a row
 //! holds the estimated detour of serving its cluster, the position on
@@ -30,21 +30,9 @@
 //! all of a ride's rows always agree on it, and search needs no
 //! per-ride table beside the lists.
 //!
-//! **The index is the snapshot.** The lists sit in `Arc`'d blocks of
-//! 64 slots, so a clone of the whole index costs one `Arc` bump per
-//! block and shares every block and list. That clone is what a shard
-//! of [`crate::sharded::ShardedXarEngine`] publishes for lock-free
-//! search: an edit copies the block and the list it changes the first
-//! time a clone still shares them (`Arc::make_mut`), so a published
-//! clone never changes under a reader, and `ClusterIndex::diff`
-//! against it finds by pointer exactly the clusters the writes since
-//! changed (DESIGN.md §5f).
-//!
 //! **Listing rule.** A ride is listed only while it has a free seat:
 //! `XarEngine::index_ride` gives a full ride an empty footprint, so no
 //! list carries a row that search's free-seat check would reject.
-
-use std::sync::Arc;
 
 use xar_discretize::ClusterId;
 
@@ -99,51 +87,13 @@ pub(crate) fn eta_range(rows: &[PotentialRide], from_s: f64, to_s: f64) -> &[Pot
     &rows[a..b]
 }
 
-/// One cluster's non-empty list, sorted by `(eta, ride)`.
+/// The in-memory index: one potential-rides list per cluster, each
+/// sorted by `(eta, ride)`.
 #[derive(Debug)]
-pub(crate) struct Segment {
-    rows: Vec<PotentialRide>,
-}
-
-impl Clone for Segment {
-    /// The copy [`Arc::make_mut`] takes when a published clone shares
-    /// the list: sized for the one insert that usually follows, so a write
-    /// costs one allocation and one `memcpy` per shared list it edits.
-    fn clone(&self) -> Self {
-        let mut rows = Vec::with_capacity(self.rows.len() + 1);
-        rows.extend_from_slice(&self.rows);
-        Self { rows }
-    }
-}
-
-impl Segment {
-    /// The rows, sorted by `(eta, ride)`.
-    #[inline]
-    pub(crate) fn rows(&self) -> &[PotentialRide] {
-        &self.rows
-    }
-
-    /// Exact heap bytes of one `Arc<Segment>`: the reference counts,
-    /// the vector header and the row buffer.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        2 * std::mem::size_of::<usize>() + std::mem::size_of::<Self>() + self.rows.capacity() * ROW_BYTES
-    }
-}
-
-/// Slots per directory block: what the first edit of a block after a
-/// publish copies, instead of the whole directory.
-const BLOCK: usize = 64;
-
-/// One directory block: up to [`BLOCK`] cluster slots, `None` while the
-/// cluster lists no ride (most clusters of a shard, most of the time).
-type Block = Vec<Option<Arc<Segment>>>;
-
-/// The in-memory index: one potential-rides list per cluster, in
-/// `Arc`'d blocks that a clone shares until an edit copies them.
-#[derive(Debug, Clone)]
 pub struct ClusterIndex {
-    blocks: Vec<Arc<Block>>,
-    clusters: usize,
+    /// Empty, and holding no buffer, while a cluster lists no ride
+    /// (most clusters of a shard, most of the time).
+    lists: Vec<Vec<PotentialRide>>,
     entries: usize,
     /// `insert` + `remove` calls so far: lets the engine's unit test
     /// assert one call per distinct cluster a write touches.
@@ -155,43 +105,17 @@ impl ClusterIndex {
     /// Create an index over `cluster_count` clusters.
     pub fn new(cluster_count: usize) -> Self {
         Self {
-            blocks: (0..cluster_count)
-                .step_by(BLOCK)
-                .map(|first| Arc::new(vec![None; BLOCK.min(cluster_count - first)]))
-                .collect(),
-            clusters: cluster_count,
+            lists: (0..cluster_count).map(|_| Vec::new()).collect(),
             entries: 0,
             #[cfg(test)]
             edit_calls: 0,
         }
     }
 
-    /// Calls `f(cluster, listed)` for every cluster whose list pointer
-    /// differs from `base`'s (`listed`: the list is now non-empty) and
-    /// returns their count; a block still shared with `base` is skipped
-    /// whole. Edits copy only what they change, so against the clone a
-    /// shard last published these are exactly the clusters changed since.
-    pub(crate) fn diff(&self, base: &ClusterIndex, mut f: impl FnMut(ClusterId, bool)) -> usize {
-        debug_assert_eq!(self.clusters, base.clusters);
-        let mut changed = 0;
-        for (b, (now, then)) in self.blocks.iter().zip(&base.blocks).enumerate() {
-            if Arc::ptr_eq(now, then) {
-                continue;
-            }
-            for (i, (now, then)) in now.iter().zip(then.iter()).enumerate() {
-                if now.as_ref().map(Arc::as_ptr) != then.as_ref().map(Arc::as_ptr) {
-                    changed += 1;
-                    f(ClusterId((b * BLOCK + i) as u32), now.is_some());
-                }
-            }
-        }
-        changed
-    }
-
     /// Number of clusters.
     #[inline]
     pub fn cluster_count(&self) -> usize {
-        self.clusters
+        self.lists.len()
     }
 
     /// Total `⟨r, t⟩` entries across all clusters.
@@ -206,24 +130,10 @@ impl ClusterIndex {
         self.entries == 0
     }
 
-    /// `cluster`'s list as clones share it; `None` while it is empty.
-    #[inline]
-    pub(crate) fn segment(&self, cluster: ClusterId) -> Option<&Arc<Segment>> {
-        let c = cluster.index();
-        self.blocks[c / BLOCK][c % BLOCK].as_ref()
-    }
-
     /// `cluster`'s rows in `(eta, ride)` order.
     #[inline]
     pub(crate) fn rows(&self, cluster: ClusterId) -> &[PotentialRide] {
-        self.segment(cluster).map_or(&[], |s| s.rows())
-    }
-
-    /// `cluster`'s slot, for an edit: copies the block first while a
-    /// clone shares it.
-    fn slot_mut(&mut self, cluster: ClusterId) -> &mut Option<Arc<Segment>> {
-        let c = cluster.index();
-        &mut Arc::make_mut(&mut self.blocks[c / BLOCK])[c % BLOCK]
+        &self.lists[cluster.index()]
     }
 
     /// Insert (or improve) the entry for `entry.ride` in `cluster`'s
@@ -234,18 +144,13 @@ impl ClusterIndex {
         {
             self.edit_calls += 1;
         }
-        let rows = self.rows(cluster);
-        let listed = rows.iter().position(|r| r.ride == entry.ride);
-        if listed.is_some_and(|i| !entry.better_than(&rows[i])) {
-            return;
-        }
-        if listed.is_none() {
-            self.entries += 1;
-        }
-        let seg = self.slot_mut(cluster).get_or_insert_with(|| Arc::new(Segment { rows: Vec::new() }));
-        let rows = &mut Arc::make_mut(seg).rows;
-        if let Some(i) = listed {
-            rows.remove(i);
+        let rows = &mut self.lists[cluster.index()];
+        match rows.iter().position(|r| r.ride == entry.ride) {
+            Some(i) if !entry.better_than(&rows[i]) => return,
+            Some(i) => {
+                rows.remove(i);
+            }
+            None => self.entries += 1,
         }
         let at = rows.partition_point(|r| {
             r.eta_s.total_cmp(&entry.eta_s).then(r.ride.cmp(&entry.ride)).is_lt()
@@ -259,20 +164,14 @@ impl ClusterIndex {
         {
             self.edit_calls += 1;
         }
-        let rows = self.rows(cluster);
+        let rows = &mut self.lists[cluster.index()];
         let i = rows.iter().position(|r| r.ride == ride)?;
-        let (removed, last) = (rows[i], rows.len() == 1);
+        let removed = rows.remove(i);
         self.entries -= 1;
-        let slot = self.slot_mut(cluster);
-        if last {
-            *slot = None;
-            return Some(removed);
-        }
-        let rows = &mut Arc::make_mut(slot.as_mut().expect("a listed ride has a list")).rows;
-        rows.remove(i);
         if rows.len() * 4 < rows.capacity() {
             // Give back what a past peak left behind (amortised O(1):
-            // the list must halve again before the next shrink).
+            // the list must halve again before the next shrink); an
+            // emptied list frees its buffer.
             rows.shrink_to(rows.len() * 2);
         }
         Some(removed)
@@ -304,22 +203,11 @@ impl ClusterIndex {
         self.rows(cluster).len()
     }
 
-    /// Exact heap bytes (index-size accounting, Figure 3c): the block
-    /// vector, every block's slots, and every list's `Arc` header and
-    /// row buffer at its capacity — in full even where a clone shares
-    /// them.
+    /// Exact heap bytes (index-size accounting, Figure 3c): the list
+    /// directory and every list's row buffer at its capacity.
     pub fn heap_bytes(&self) -> usize {
-        let slots: usize = self.blocks.iter().map(|b| b.capacity()).sum();
-        let lists = self.blocks.iter().flat_map(|b| b.iter().flatten());
-        self.spine_bytes()
-            + slots * std::mem::size_of::<Option<Arc<Segment>>>()
-            + lists.map(|s| s.heap_bytes()).sum::<usize>()
-    }
-
-    /// Heap bytes of the block vector alone: what a clone adds to the
-    /// index it shares every block and list with.
-    pub(crate) fn spine_bytes(&self) -> usize {
-        self.blocks.capacity() * std::mem::size_of::<Arc<Block>>()
+        self.lists.capacity() * std::mem::size_of::<Vec<PotentialRide>>()
+            + self.lists.iter().map(|l| l.capacity() * ROW_BYTES).sum::<usize>()
     }
 }
 
@@ -392,9 +280,9 @@ mod tests {
         assert!(idx.get(ClusterId(0), RideId(1)).is_none());
         assert!(idx.get(ClusterId(1), RideId(1)).is_some());
         assert!(idx.remove(ClusterId(0), RideId(1)).is_none(), "double remove is None");
-        // Emptying a list frees it.
+        // Emptying a list frees its buffer.
         idx.remove(ClusterId(0), RideId(2)).unwrap();
-        assert!(idx.segment(ClusterId(0)).is_none());
+        assert_eq!(idx.lists[0].capacity(), 0);
         assert_eq!(idx.cluster_len(ClusterId(0)), 0);
     }
 
@@ -407,74 +295,16 @@ mod tests {
         assert_eq!(got, vec![1, 2]);
     }
 
-    /// `(cluster, listed)` for every cluster whose list `idx` no
-    /// longer shares with `published`, in cluster order.
-    fn diff(idx: &ClusterIndex, published: &ClusterIndex) -> Vec<(u32, bool)> {
-        let mut changed = Vec::new();
-        let n = idx.diff(published, |c, listed| changed.push((c.0, listed)));
-        assert_eq!(n, changed.len());
-        changed
-    }
-
-    #[test]
-    fn diff_reports_exactly_the_clusters_edited_since_a_clone() {
-        let mut idx = ClusterIndex::new(4);
-        let published = idx.clone();
-        assert!(diff(&idx, &published).is_empty());
-        idx.insert(ClusterId(1), entry(1, 100.0, 500.0));
-        idx.insert(ClusterId(1), entry(2, 110.0, 0.0));
-        idx.insert(ClusterId(3), entry(1, 200.0, 0.0));
-        assert_eq!(diff(&idx, &published), vec![(1, true), (3, true)]);
-        // A publish: a losing better-detour insert and a missing remove
-        // change nothing and copy nothing.
-        let published = idx.clone();
-        idx.insert(ClusterId(3), entry(1, 90.0, 300.0));
-        assert!(idx.remove(ClusterId(2), RideId(9)).is_none());
-        assert!(idx.remove(ClusterId(1), RideId(9)).is_none());
-        assert!(diff(&idx, &published).is_empty());
-        assert!(idx.blocks.iter().zip(&published.blocks).all(|(a, b)| Arc::ptr_eq(a, b)));
-        // Two edits of one list report it once; emptied, it is unlisted.
-        idx.remove(ClusterId(1), RideId(1));
-        idx.remove(ClusterId(1), RideId(2));
-        assert_eq!(diff(&idx, &published), vec![(1, false)]);
-        assert_eq!(published.cluster_len(ClusterId(1)), 2, "the clone kept its list");
-    }
-
-    #[test]
-    fn edits_leave_a_shared_list_untouched_and_reuse_an_unshared_one() {
-        let mut idx = ClusterIndex::new(1);
-        for r in 0..10 {
-            idx.insert(ClusterId(0), entry(r, r as f64, 0.0));
-        }
-        // Unshared: the edit happens in the same allocation.
-        let before = Arc::as_ptr(idx.segment(ClusterId(0)).unwrap());
-        idx.remove(ClusterId(0), RideId(3));
-        idx.insert(ClusterId(0), entry(3, 3.5, 0.0));
-        assert_eq!(Arc::as_ptr(idx.segment(ClusterId(0)).unwrap()), before);
-        // Shared (what a published snapshot does): the holder's view is
-        // frozen, the index moves to a copy, and a losing insert or a
-        // missing remove copies nothing.
-        let pinned = Arc::clone(idx.segment(ClusterId(0)).unwrap());
-        let frozen = pinned.rows().to_vec();
-        idx.insert(ClusterId(0), entry(3, 1.0, 9.0));
-        assert!(idx.remove(ClusterId(0), RideId(77)).is_none());
-        assert!(Arc::ptr_eq(&pinned, idx.segment(ClusterId(0)).unwrap()));
-        idx.remove(ClusterId(0), RideId(4));
-        assert!(!Arc::ptr_eq(&pinned, idx.segment(ClusterId(0)).unwrap()));
-        assert_eq!(pinned.rows(), &frozen[..]);
-        assert_eq!(idx.cluster_len(ClusterId(0)), 9);
-    }
-
     #[test]
     fn heap_bytes_is_capacity_exact() {
         let mut idx = ClusterIndex::new(4);
         let empty = idx.heap_bytes();
-        assert_eq!(empty, 8 + 4 * 8, "one block pointer, one block of 4 slots");
+        assert_eq!(empty, 4 * 24, "one empty list header per cluster");
         for r in 0..100 {
             idx.insert(ClusterId((r % 4) as u32), entry(r, r as f64, 0.0));
         }
-        let rows: usize = (0..4).map(|c| idx.segment(ClusterId(c)).unwrap().rows.capacity()).sum();
+        let rows: usize = idx.lists.iter().map(Vec::capacity).sum();
         assert!(rows >= 100);
-        assert_eq!(idx.heap_bytes(), empty + 4 * (16 + 24) + rows * 40);
+        assert_eq!(idx.heap_bytes(), empty + rows * 40);
     }
 }

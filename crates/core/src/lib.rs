@@ -20,9 +20,9 @@
 //!   ride from the potential lists of clusters it can no longer serve.
 //!
 //! The entry point is [`engine::XarEngine`];
-//! [`sharded::ShardedXarEngine`] runs one per shard and publishes each
-//! shard's [`index::ClusterIndex`] as an `Arc`'d clone that search reads
-//! without a lock. All four operations are instrumented through
+//! [`sharded::ShardedXarEngine`] runs one per shard, each behind its
+//! own `RwLock`, and search reads every shard's live
+//! [`index::ClusterIndex`] under its read lock. All four operations are instrumented through
 //! [`metrics::EngineMetrics`] (an `xar-obs` registry), so latency
 //! percentiles come for free:
 //!
@@ -80,5 +80,5 @@ pub use metrics::EngineMetrics;
 pub use request::RideRequest;
 pub use ride::{Ride, RideId, RideOffer, RideStatus, RiderId};
 pub use search::{RideMatch, SearchExplain};
-pub use sharded::{ShardOccupancy, ShardedXarEngine, DEFAULT_SHARDS, MAX_SHARDS};
+pub use sharded::{ShardedXarEngine, DEFAULT_SHARDS, MAX_SHARDS};
 pub use social::SocialGraph;

@@ -16,11 +16,7 @@
 //! | `engine.track_ns` | histogram | ns per tracking advance |
 //! | `engine.search_candidates` | histogram | rides in the R1 candidate set per search |
 //! | `engine.sp_ns` | histogram | ns per shortest-path computation (create/book only) |
-//! | `lock.read_hold_ns` | histogram | shard read-lock hold time (track probes and maintenance — search takes no engine lock) |
-//! | `lock.write_hold_ns` | histogram | shard write-lock hold time (create/book/track) |
-//! | `engine.snapshot_publish_ns` | histogram | ns to clone + swap one shard's published index |
-//! | `engine.snapshot_publishes` | counter | shard indexes published (one per write that changed a list) |
-//! | `snapshot.dirty_clusters` | histogram | clusters whose list changed since the previous publish, never 0 |
+//! | `lock.write_hold_ns` | histogram | shard write-lock hold time (create/book/track; sharded engine, also per `{shard}`) |
 //! | `engine.searches` / `creates` / `bookings` / `tracks` | counter | operation counts ([`crate::engine::EngineStats`]) |
 //! | `engine.shortest_paths` | counter | shortest-path computations (create/book — never search) |
 //!
@@ -37,7 +33,7 @@
 
 use std::sync::Arc;
 
-use xar_obs::{Counter, Histogram, Registry};
+use xar_obs::{Histogram, Registry};
 
 /// The `tier` label values for search fan-out (source walkable-cluster
 /// count: t1 ≤ 2, t2 3–6, t3 ≥ 7).
@@ -64,15 +60,6 @@ pub struct EngineMetrics {
     /// `engine.search_ns{tier=…}` — search latency by source fan-out,
     /// index-aligned with [`SEARCH_TIERS`].
     pub search_ns_tier: [Arc<Histogram>; 3],
-    /// Time to clone a shard's index and swap it in as the published
-    /// one, nanoseconds (write-path cost of the lock-free read path).
-    pub snapshot_publish_ns: Arc<Histogram>,
-    /// Shard indexes published.
-    pub snapshot_publishes: Arc<Counter>,
-    /// Clusters whose list changed since the previous publish, one
-    /// sample per publish — the lists the writes copied on their first
-    /// edit.
-    pub snapshot_dirty_clusters: Arc<Histogram>,
 }
 
 impl EngineMetrics {
@@ -92,9 +79,6 @@ impl EngineMetrics {
         let sp_ns = registry.histogram("engine.sp_ns");
         let search_ns_tier =
             SEARCH_TIERS.map(|t| registry.histogram_with("engine.search_ns", &[("tier", t)]));
-        let snapshot_publish_ns = registry.histogram("engine.snapshot_publish_ns");
-        let snapshot_publishes = registry.counter("engine.snapshot_publishes");
-        let snapshot_dirty_clusters = registry.histogram("snapshot.dirty_clusters");
         Self {
             registry,
             search_ns,
@@ -104,9 +88,6 @@ impl EngineMetrics {
             search_candidates,
             sp_ns,
             search_ns_tier,
-            snapshot_publish_ns,
-            snapshot_publishes,
-            snapshot_dirty_clusters,
         }
     }
 

@@ -274,8 +274,8 @@ fn sort_matches(out: &mut [RideMatch]) {
 }
 
 /// What the one search algorithm reads from an index: a
-/// [`ClusterIndex`] — the serial engine's live one or a shard's
-/// published clone — or a hand-built list set in this module's tests.
+/// [`ClusterIndex`] — the serial engine's or a shard's — or a
+/// hand-built list set in this module's tests.
 ///
 /// The contract that makes results bit-identical across views: a list
 /// is in **`(eta, ride)` order**, so a row's rank (walkable order × list

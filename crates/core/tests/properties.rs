@@ -108,8 +108,7 @@ impl AnyEngine {
     }
 
     /// Visit every index a search of this engine probes: the engine's
-    /// own, or each shard's (a quiescent shard's published snapshot is
-    /// its live state).
+    /// own, or each shard's.
     fn for_each_index(&self, mut f: impl FnMut(&XarEngine)) {
         match self {
             AnyEngine::Serial(e) => f(e),
@@ -222,10 +221,10 @@ fn reference_search(engine: &AnyEngine, req: &RideRequest) -> Option<(Vec<RideMa
     };
     let mut out = Vec::new();
     let mut skipped_r1 = 0;
-    // A sharded search never loads a shard that lists nothing in every
-    // source cluster or in every destination cluster (the occupancy
-    // mask), so such a shard's `R1` rides go uncounted; the serial
-    // engine always probes its one index and files them as unpaired.
+    // A sharded search never probes a shard that lists nothing in every
+    // source cluster or in every destination cluster, so such a shard's
+    // `R1` rides go uncounted; the serial engine always probes its one
+    // index and files them as unpaired.
     let prunes = matches!(engine, AnyEngine::Sharded(_));
     engine.for_each_index(|eng| {
         let listed = |side: &[_]| side.iter().any(|w: &WalkEntry| eng.index().cluster_len(w.cluster) > 0);

@@ -1,27 +1,21 @@
-//! Allocation guards for the write path's index edits and snapshot
-//! publication.
+//! Allocation guards for the write path's index edits.
 //!
-//! A shard publishes a clone of its `ClusterIndex`, whose blocks and
-//! lists the live index shares until it edits them (DESIGN.md §5f,
-//! "One layout"), so three cost claims can be made hard tests with a
-//! counting global allocator (same idiom as `tests/snapshot_alloc.rs`;
-//! one `#[global_allocator]` per test binary, hence this file):
+//! A shard of the sharded engine is a serial `XarEngine` behind a
+//! `RwLock`, and a write edits its live lists in place and publishes
+//! nothing (DESIGN.md §5f), so three cost claims can be made hard tests
+//! with a counting global allocator (same idiom as
+//! `tests/snapshot_alloc.rs`; one `#[global_allocator]` per test binary,
+//! hence this file):
 //!
-//! 1. **Publishing is pointer copies.** A serial `XarEngine` twin is
-//!    driven through the same schedule as a one-shard
-//!    `ShardedXarEngine`: it makes the same booking and publishes
-//!    nothing, so `allocs(sharded book_checked) − allocs(serial
-//!    book_checked)` is what publication cost that booking. That is at
-//!    most one list copy per changed cluster and one block copy per
-//!    changed block, each made by the write's first edit of a list or
-//!    block the published clone still shares (an `Arc` and its vector
-//!    each), plus a constant (the clone's block vector and its `Arc`)
-//!    — independent of the rows per cluster, of the cluster count and
-//!    of the shard's ride count: the rows carry the ride budgets, so
-//!    there is no per-ride table to copy or patch.
-//! 2. **Editing an unshared list is in place.** 1 000 remove/insert
-//!    edits of a 4 000-row list allocate nothing; growing it allocates
-//!    O(1) amortised.
+//! 1. **The shard layer allocates nothing.** A serial `XarEngine` twin
+//!    is driven through the same schedule as a one-shard
+//!    `ShardedXarEngine` and makes the same bookings, so
+//!    `allocs(sharded book_checked) − allocs(serial book_checked)` is
+//!    what sharding costs a booking: exactly 0 allocations and 0 bytes,
+//!    whatever the rows per list, the cluster count or the ride count.
+//! 2. **Editing a list is in place.** 1 000 remove/insert edits of a
+//!    4 000-row list allocate nothing; growing it allocates O(1)
+//!    amortised.
 //! 3. **A serial-engine booking allocates nothing proportional to list
 //!    length**: its allocation count and bytes do not follow the
 //!    population.
@@ -81,8 +75,7 @@ fn region(side: usize, seed: u64) -> Arc<RegionIndex> {
     ))
 }
 
-/// Small detour budgets keep each write's dirty set to a handful of
-/// clusters, so the incremental path is what gets measured.
+/// Small detour budgets keep each write to a handful of clusters.
 fn offer(g: &RoadGraph, i: u32) -> RideOffer {
     let n = g.node_count() as u32;
     RideOffer::simple(
@@ -117,50 +110,40 @@ fn populated(region: &Arc<RegionIndex>, rides: u32) -> (ShardedXarEngine, XarEng
     (eng, twin)
 }
 
-/// Book `bookings` matches on both engines; returns the largest
-/// allocation count one booking's publish added on the sharded side
-/// beyond one list copy per cluster it dirtied, and the mean rows per
+/// Book `bookings` matches on both engines; returns the largest gap,
+/// in allocations and in bytes, between a booking on the sharded side
+/// and the same booking on the serial twin, and the mean rows per
 /// non-empty cluster list.
-fn publish_allocs((eng, twin): &mut (ShardedXarEngine, XarEngine), bookings: u32) -> (u64, f64) {
+fn booking_alloc_gap((eng, twin): &mut (ShardedXarEngine, XarEngine), bookings: u32) -> (u64, u64, f64) {
     let g = eng.region().graph();
-    let (mut worst, mut done, mut seed) = (0, 0, 0);
-    let dirt = || eng.metrics().snapshot_dirty_clusters.snapshot().sum;
+    let (mut count_gap, mut bytes_gap, mut done, mut seed) = (0, 0, 0, 0);
     while done < bookings {
         seed += 1;
         assert!(seed < 40_000, "ran out of bookable matches after {done} bookings");
         let Ok(ms) = eng.search(&request(g, seed), 4) else { continue };
         for m in &ms {
-            let clean = dirt();
-            let (published, with_publish, _) = allocs_of(|| eng.book_checked(m));
-            let (serial, without, _) = allocs_of(|| twin.book_checked(m));
-            assert_eq!(published.is_ok(), serial.is_ok(), "the twins diverged on {m:?}");
-            if published.is_ok() {
-                let list_copies = 2 * (dirt() - clean); // an `Arc` and its row vector each
-                worst = worst.max(with_publish.saturating_sub(without + list_copies));
+            let (sharded, count, bytes) = allocs_of(|| eng.book_checked(m));
+            let (serial, twin_count, twin_bytes) = allocs_of(|| twin.book_checked(m));
+            assert_eq!(sharded.is_ok(), serial.is_ok(), "the twins diverged on {m:?}");
+            if sharded.is_ok() {
+                count_gap = count_gap.max(count.abs_diff(twin_count));
+                bytes_gap = bytes_gap.max(bytes.abs_diff(twin_bytes));
                 done += 1;
                 break;
             }
         }
     }
-    assert!(eng.snapshots_consistent());
     let (rows, lists) = eng.with_shard_read(0, |e| {
         let idx = e.index();
         let lens = (0..idx.cluster_count() as u32).map(|c| idx.cluster_len(ClusterId(c)));
         (idx.len(), lens.filter(|&n| n > 0).count())
     });
-    (worst, rows as f64 / lists as f64)
+    (count_gap, bytes_gap, rows as f64 / lists as f64)
 }
 
 #[test]
-fn a_publish_allocates_per_dirty_block_not_per_row_or_cluster() {
+fn a_sharded_booking_allocates_exactly_what_its_serial_twin_does() {
     const BOOKINGS: u32 = 12;
-    /// A block copy is an `Arc` and its slot vector: two allocations,
-    /// one of them inside `blocks(region)`. The other, plus the
-    /// published clone's block vector and its `Arc`, makes at most 4 on
-    /// a region of one or two blocks. A booking's publish reads 6
-    /// beyond its list copies on the 95-cluster region and 4 on the
-    /// 13-cluster one.
-    const CONSTANT: u64 = 4;
     let small = region(14, 31);
     let large = region(40, 31);
     assert!(large.cluster_count() >= small.cluster_count() * 3);
@@ -169,22 +152,22 @@ fn a_publish_allocates_per_dirty_block_not_per_row_or_cluster() {
     let mut dense = populated(&large, 1_400);
     let mut tiny = populated(&small, 220);
     for twins in [&mut sparse, &mut dense, &mut tiny] {
-        let _ = publish_allocs(twins, 2); // warm scratch vectors and histograms
+        let _ = booking_alloc_gap(twins, 2); // warm scratch vectors and histograms
     }
-    let (sparse_allocs, sparse_rows) = publish_allocs(&mut sparse, BOOKINGS);
-    let (dense_allocs, dense_rows) = publish_allocs(&mut dense, BOOKINGS);
-    let (tiny_allocs, _) = publish_allocs(&mut tiny, BOOKINGS);
+    let (sparse_count, sparse_bytes, sparse_rows) = booking_alloc_gap(&mut sparse, BOOKINGS);
+    let (dense_count, dense_bytes, dense_rows) = booking_alloc_gap(&mut dense, BOOKINGS);
+    let (tiny_count, tiny_bytes, _) = booking_alloc_gap(&mut tiny, BOOKINGS);
     let ctx = format!(
-        "allocs/publish: {sparse_allocs} at {sparse_rows:.1} rows/list, {dense_allocs} at \
-         {dense_rows:.1} rows/list ({} clusters); {tiny_allocs} on {} clusters",
+        "largest gap per booking: {sparse_count} allocations / {sparse_bytes} B at \
+         {sparse_rows:.1} rows/list, {dense_count} / {dense_bytes} B at {dense_rows:.1} rows/list \
+         ({} clusters); {tiny_count} / {tiny_bytes} B on {} clusters",
         large.cluster_count(),
         small.cluster_count()
     );
     eprintln!("{ctx}");
     assert!(dense_rows > sparse_rows * 2.0, "fixture lost its contrast: {ctx}");
-    let blocks = |r: &RegionIndex| r.cluster_count().div_ceil(64) as u64;
-    for (allocs, region) in [(sparse_allocs, &large), (dense_allocs, &large), (tiny_allocs, &small)] {
-        assert!(allocs <= blocks(region) + CONSTANT, "publish allocated per row or per cluster: {ctx}");
+    for gap in [sparse_count, sparse_bytes, dense_count, dense_bytes, tiny_count, tiny_bytes] {
+        assert_eq!(gap, 0, "the shard layer allocated on a booking: {ctx}");
     }
 }
 

@@ -1,23 +1,22 @@
-//! Linearizability of the snapshot read path.
+//! Linearizability of the sharded read path.
 //!
-//! The sharded engine answers searches from published, immutable
-//! clones of each shard's [`xar_core::ClusterIndex`] instead of locking
-//! shard state. The property that makes that correct is *linearizable
-//! equivalence*: for
-//! any interleaved schedule of create / search / book / track
-//! operations, every search observes exactly the state some serial
-//! execution of the preceding writes would produce — never a torn or
-//! stale-beyond-last-publish view. Because writers republish before
-//! releasing the shard write lock, a single-threaded schedule must make
-//! the snapshot engine agree with the plain serial [`XarEngine`]
-//! *operation by operation* (modulo ride-id assignment, which the
-//! sharded engine stripes — results are compared by creation order).
+//! The sharded engine answers a search by reading each shard's live
+//! [`xar_core::ClusterIndex`] under that shard's read lock, while every
+//! write changes its shard under the write lock. The property that
+//! makes that correct is *linearizable equivalence*: for any
+//! interleaved schedule of create / search / book / track operations,
+//! every search observes exactly the state some serial execution of the
+//! preceding writes would produce — never a torn or stale view. A
+//! single-threaded schedule must therefore make the sharded engine
+//! agree with the plain serial [`XarEngine`] *operation by operation*
+//! (modulo ride-id assignment, which the sharded engine stripes —
+//! results are compared by creation order).
 //!
 //! `tests/sharded_hammer` drives the same comparison with a fixed
 //! create-then-search phase structure; this test samples *arbitrary*
-//! orderings, so publishes land between every kind of neighbouring
-//! operation (search right after create, book right after track, two
-//! books back to back, …).
+//! orderings, so searches land between every kind of neighbouring
+//! write (search right after create, book right after track, two books
+//! back to back, …).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -168,7 +167,7 @@ proptest! {
                     let mb = b.iter().find(|m| sharded_ids[&m.ride.0] == want);
                     prop_assert!(
                         mb.is_some(),
-                        "serial best ride missing from snapshot results at step {}",
+                        "serial best ride missing from sharded results at step {}",
                         step
                     );
                     let ra = serial.book_checked(ma);

@@ -30,11 +30,11 @@ pub const NO_RIDE: u64 = u64::MAX;
 /// order. Each is the self-time of its spans:
 /// `search` (`search`, `enumerate_src`, `enumerate_dst`),
 /// `shortest_path`, `index` (`index_ride`, `deindex_ride`),
-/// `route_splice`, `publish` (`snapshot.publish`) and `lock`
-/// (`lock.read_acquire`, `lock.write_acquire`); `other` is the rest of
-/// the root's duration, so the split sums exactly to `dur_ns`.
-pub const LAYERS: [&str; 7] =
-    ["search", "shortest_path", "index", "route_splice", "publish", "lock", "other"];
+/// `route_splice` and `lock` (`lock.write_acquire`); `other` is the
+/// rest of the root's duration, so the split sums exactly to `dur_ns`.
+/// The reader looks layers up by name, so a file that also splits out
+/// a layer since retired still parses.
+pub const LAYERS: [&str; 6] = ["search", "shortest_path", "index", "route_splice", "lock", "other"];
 
 /// Index of `other` in [`LAYERS`].
 pub const OTHER: usize = LAYERS.len() - 1;
@@ -46,8 +46,7 @@ pub fn layer_of(span: &str) -> usize {
         "shortest_path" => 1,
         "index_ride" | "deindex_ride" => 2,
         "route_splice" => 3,
-        "snapshot.publish" => 4,
-        "lock.read_acquire" | "lock.write_acquire" => 5,
+        "lock.write_acquire" => 4,
         _ => OTHER,
     }
 }

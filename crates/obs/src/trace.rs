@@ -1021,7 +1021,7 @@ mod tests {
         let layer = |name: &str| ev.layers[LAYERS.iter().position(|l| *l == name).unwrap()];
         assert!(layer("search") >= 1_000_000, "{ev:?}");
         assert!(layer("shortest_path") >= 1_000_000, "{ev:?}");
-        assert_eq!(layer("publish"), 0);
+        assert_eq!(layer("lock"), 0);
     }
 
     #[test]

@@ -54,8 +54,7 @@ fn book_result(res: Result<xar_core::BookingOutcome, xar_core::XarError>) -> Boo
     }
 }
 
-/// XAR under simulation: the serial engine (one thread, no locks, no
-/// snapshot publication).
+/// XAR under simulation: the serial engine (one thread, no locks).
 pub struct XarBackend {
     /// The wrapped engine (public so harnesses can inspect stats and
     /// memory after a run).
@@ -148,9 +147,9 @@ impl RideBackend for ShardedXarBackend {
         (out, explain)
     }
 
-    /// Books through the commit-time re-check: the match came from a
-    /// published snapshot, and another worker may have spent the
-    /// ride's detour budget since.
+    /// Books through the commit-time re-check: the search released the
+    /// shard's read lock before returning the match, and another worker
+    /// may have spent the ride's detour budget since.
     fn book(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
         book_result(self.engine.book_checked(m))
     }

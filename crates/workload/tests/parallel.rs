@@ -1,6 +1,9 @@
 //! End-to-end parallel-driver tests against the real sharded engine:
 //! outcome-counter conservation (no lost updates) and capacity safety
-//! (no overbooking) under 8 concurrent closed-loop workers.
+//! (no overbooking) under 8 concurrent closed-loop workers. A worker's
+//! search reads each shard under its read lock while other workers
+//! write, so a match can be stale by the time it is booked; the
+//! engine's checked booking refuses it and nothing is overbooked.
 
 use std::sync::Arc;
 

@@ -304,8 +304,9 @@ fn parse_shards_flag(flags: &Flags) -> Result<usize, CmdError> {
 }
 
 /// The simulation's system under test: the serial single-engine
-/// backend (`--threads 1`, the default — no locks, no snapshot
-/// publication) or the sharded engine driven by N closed-loop workers.
+/// backend (`--threads 1`, the default — no locks) or the sharded
+/// engine driven by N closed-loop workers, whose searches take each
+/// shard's read lock and whose writes take one shard's write lock.
 /// Both run the same replay loop behind the one `RideBackend` trait.
 enum SimUnderTest {
     Serial(Box<XarBackend>),

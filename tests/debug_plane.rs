@@ -2,8 +2,8 @@
 //! leaves behind. The per-shard lock series in the registry snapshot
 //! (`--metrics-out`) count every write-lock hold of every shard, so a
 //! hot shard shows there; the shard map's ride counts add up to the
-//! engine's; and every shard's published search snapshot has caught
-//! up with its engine, so a publish lag is 0 by construction. Which
+//! engine's. Search reads every shard's live index under its read
+//! lock, so there is no published copy that could lag it. Which
 //! request was slow or rejected, and where its time went, is read from
 //! the `--events-out` file (`xar logs`) and the `--trace-out` file
 //! (`xar trace --top`, `--collapsed`).
@@ -77,9 +77,7 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     assert!(total > 0, "{json}");
     assert_eq!(per_shard.iter().sum::<u64>(), total, "{json}");
 
-    // The shard map adds up, and no shard's published search snapshot
-    // lags its engine.
+    // The shard map adds up.
     let rides: usize = (0..4).map(|s| engine.with_shard_read(s, |e| e.ride_count())).sum();
     assert_eq!(rides, engine.ride_count());
-    assert!(engine.snapshots_consistent(), "a shard's published snapshot lags its engine");
 }

@@ -12,12 +12,11 @@
 //! clusters. Driving distances over one-way streets are asymmetric, so
 //! the table is stored directed.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::landmarks::Landmark;
 use crate::region::ClusterId;
-use xar_roadnet::RoadGraph;
+use xar_roadnet::{HeapEntry, RoadGraph};
 
 /// Dense directed cluster-to-cluster driving distances, metres.
 #[derive(Debug, Clone)]
@@ -26,28 +25,6 @@ pub struct ClusterDistances {
     /// Row-major `k x k`; `f32::INFINITY` when unreachable or beyond the
     /// computation bound.
     dist: Vec<f32>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    cost: f64,
-    node: u32,
-}
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.node == other.node
-    }
-}
-impl Eq for Entry {}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.cost.total_cmp(&self.cost).then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 impl ClusterDistances {
@@ -198,10 +175,11 @@ fn multi_source_dijkstra(
         if node_dist[s as usize] > 0.0 {
             node_dist[s as usize] = 0.0;
             touched.push(s);
-            heap.push(Entry { cost: 0.0, node: s });
+            heap.push(HeapEntry::new(0.0, s));
         }
     }
-    while let Some(Entry { cost, node }) = heap.pop() {
+    while let Some(entry) = heap.pop() {
+        let (cost, node) = (entry.cost(), entry.node());
         if cost > node_dist[node as usize] {
             continue;
         }
@@ -213,7 +191,7 @@ fn multi_source_dijkstra(
                     touched.push(e.to.0);
                 }
                 node_dist[e.to.index()] = nd;
-                heap.push(Entry { cost: nd, node: e.to.0 });
+                heap.push(HeapEntry::new(nd, e.to.0));
             }
         }
     }

@@ -16,6 +16,14 @@
 //! on the thread-local generation-stamped scratch (see
 //! `scratch.rs`), so it touches only the nodes it reaches.
 //!
+//! **Cost per settled node.** Three things keep it low without
+//! changing a single pop. Heap entries compare as one integer
+//! ([`HeapEntry`]). `h(v)` is computed once per query, when `v` is first
+//! labelled, and cached beside its label, so the superseded-entry test
+//! and every re-push read it back instead of recomputing it. And the
+//! inner loop walks the router's own `(head, length)` arc array instead
+//! of following edge ids into the graph's edge records.
+//!
 //! **Exactness.** `h` is admissible because both differences are lower
 //! bounds of `d(v, t)` by the triangle inequality on *exact* tabulated
 //! distances. It need not be consistent: the search re-opens a node
@@ -42,6 +50,8 @@ use crate::shortest_path::{CostMetric, Direction, PathResult, ShortestPaths};
 const LANDMARKS: usize = 4;
 /// Table entries per node: distance to and from each landmark.
 const ROW: usize = 2 * LANDMARKS;
+// `Router::path` spells out its bound as a max tree over four terms.
+const _: () = assert!(LANDMARKS == 4);
 
 /// Driving-distance router bound to one road graph.
 ///
@@ -61,6 +71,11 @@ pub struct Router {
     /// landmark, then `d(Lᵢ, v)` for each landmark (`INFINITY` where no
     /// path exists). One row is 64 bytes, the size of a cache line.
     table: Vec<[f64; ROW]>,
+    /// CSR offsets into `arcs` per node (len = nodes + 1).
+    first: Vec<u32>,
+    /// Each node's out-edges as `(head, len_m)`, in `out_edges` order:
+    /// 16 bytes per arc, read without an edge-id indirection.
+    arcs: Vec<(u32, f64)>,
 }
 
 impl Router {
@@ -79,8 +94,15 @@ impl Router {
     pub fn new(graph: Arc<RoadGraph>) -> Self {
         let n = graph.node_count();
         let mut table = vec![[f64::INFINITY; ROW]; n];
+        let mut first = Vec::with_capacity(n + 1);
+        let mut arcs = Vec::with_capacity(graph.edge_count());
+        first.push(0);
+        for v in 0..n {
+            arcs.extend(graph.out_edges(NodeId(v as u32)).map(|e| (e.to.0, e.len_m)));
+            first.push(arcs.len() as u32);
+        }
         if n == 0 {
-            return Self { graph, table };
+            return Self { graph, table, first, arcs };
         }
         let forward = ShortestPaths::driving(&graph);
         let reverse = ShortestPaths::new(&graph, CostMetric::Distance, Direction::Reverse);
@@ -103,12 +125,16 @@ impl Router {
                 nearest[v] = if i == 0 { from[v] } else { nearest[v].min(from[v]) };
             }
         }
-        Self { graph, table }
+        Self { graph, table, first, arcs }
     }
 
-    /// Heap bytes of the lower-bound table: 64 per node.
+    /// Heap bytes of the lower-bound table and the arc array: 64 per
+    /// node for the table, 4 per node (plus 4) for the offsets and 16
+    /// per arc.
     pub fn heap_bytes(&self) -> usize {
         self.table.capacity() * std::mem::size_of::<[f64; ROW]>()
+            + self.first.capacity() * std::mem::size_of::<u32>()
+            + self.arcs.capacity() * std::mem::size_of::<(u32, f64)>()
     }
 
     /// Shortest driving path (metres) from `src` to `dst`; `None` if
@@ -127,20 +153,21 @@ impl Router {
         // `v` and the target (∞ − ∞): that landmark says nothing.
         // A landmark `v` cannot reach but the target can (∞ − finite)
         // correctly yields h = ∞: `v` cannot reach the target either.
+        // The terms are combined as a pairwise tree; `max` is exact and
+        // no term is `-0.0`, so the value is the one a serial chain
+        // from 0 gives, and the trailing `max(0.0)` also absorbs a NaN
+        // that survives the tree when every term of a branch is NaN.
         let h = |v: usize| -> f64 {
             let row = self.row(NodeId(v as u32));
-            let mut bound = 0.0f64;
-            for i in 0..LANDMARKS {
-                bound = bound
-                    .max(row[i] - goal[i])
-                    .max(goal[LANDMARKS + i] - row[LANDMARKS + i]);
-            }
-            bound
+            let term = |i: usize| (row[i] - goal[i]).max(goal[LANDMARKS + i] - row[LANDMARKS + i]);
+            (term(0).max(term(1))).max(term(2).max(term(3))).max(0.0)
         };
         with_scratch(self.graph.node_count(), |mut labels, heap| {
-            labels.set(src.index(), 0.0, src.0);
-            heap.push(HeapEntry { cost: h(src.index()), node: src.0 });
-            while let Some(HeapEntry { cost: f, node }) = heap.pop() {
+            if let Some(bound) = labels.relax_bounded(src.index(), 0.0, src.0, || h(src.index())) {
+                heap.push(HeapEntry::new(bound, src.0));
+            }
+            while let Some(entry) = heap.pop() {
+                let node = entry.node();
                 if node == dst.0 {
                     let driving = ShortestPaths::driving(&self.graph);
                     return Some(driving.reconstruct(src, dst, |v| labels.mark(v)));
@@ -148,17 +175,17 @@ impl Router {
                 let g = labels.dist(node as usize);
                 // Superseded entry: the node was re-labelled with a
                 // smaller g (hence smaller key) after this push. The
-                // live entry's key is recomputed by the same expression
-                // it was pushed with, so the comparison is exact.
-                if f > g + h(node as usize) {
+                // live entry's key was formed from the same g and the
+                // same cached bound, so the comparison is exact.
+                if entry.cost() > g + labels.bound(node as usize) {
                     continue;
                 }
-                for e in self.graph.out_edges(NodeId(node)) {
-                    let next = e.to.index();
-                    let ng = g + e.len_m;
-                    if ng < labels.dist(next) {
-                        labels.set(next, ng, node);
-                        heap.push(HeapEntry { cost: ng + h(next), node: e.to.0 });
+                let (lo, hi) = (self.first[node as usize], self.first[node as usize + 1]);
+                for &(next, len) in &self.arcs[lo as usize..hi as usize] {
+                    let ng = g + len;
+                    let next_h = || h(next as usize);
+                    if let Some(bound) = labels.relax_bounded(next as usize, ng, node, next_h) {
+                        heap.push(HeapEntry::new(ng + bound, next));
                     }
                 }
             }
@@ -178,10 +205,11 @@ mod tests {
     use crate::generators::CityConfig;
 
     #[test]
-    fn table_is_64_bytes_per_node() {
+    fn heap_bytes_count_the_table_and_the_arcs_exactly() {
         let graph = Arc::new(CityConfig::test_city(3).generate());
         let router = Router::new(Arc::clone(&graph));
-        assert_eq!(router.heap_bytes(), 64 * graph.node_count());
+        let (n, arcs) = (graph.node_count(), graph.edge_count());
+        assert_eq!(router.heap_bytes(), 64 * n + 4 * (n + 1) + 16 * arcs);
     }
 
     #[test]

@@ -14,29 +14,58 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Min-heap entry ordered by `cost` (then node id, for determinism).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HeapEntry {
-    pub(crate) cost: f64,
-    pub(crate) node: u32,
+/// Min-heap entry of every label-setting traversal: a cost and a node,
+/// ordered by cost, then node id (for determinism), as one integer key
+/// `cost.to_bits() << 32 | node`.
+///
+/// Every cost a traversal pushes is a sum of non-negative lengths and
+/// bounds: never negative, never `-0.0`, never NaN. For such values
+/// the IEEE-754 bit pattern, read as an unsigned integer, orders
+/// exactly as the value does, with `+inf` last. So one `u128` compare
+/// gives the same total order as `(cost.total_cmp, node)`, ties by node
+/// id included, and the traversals pop the same sequence as with a
+/// float compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeapEntry {
+    key: u128,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.node == other.node
+impl HeapEntry {
+    /// The entry for `node` at `cost`.
+    ///
+    /// `cost` must be non-negative and not NaN (`+0.0` and `+inf` are
+    /// fine); debug builds assert it.
+    #[inline]
+    pub fn new(cost: f64, node: u32) -> Self {
+        debug_assert!(
+            cost.is_sign_positive() && !cost.is_nan(),
+            "heap cost {cost} must be +0.0, positive or +inf"
+        );
+        Self { key: (u128::from(cost.to_bits()) << 32) | u128::from(node) }
+    }
+
+    /// The cost the entry was pushed with.
+    #[inline]
+    pub fn cost(self) -> f64 {
+        f64::from_bits((self.key >> 32) as u64)
+    }
+
+    /// The node the entry was pushed for.
+    #[inline]
+    pub fn node(self) -> u32 {
+        self.key as u32
     }
 }
-impl Eq for HeapEntry {}
+
 impl Ord for HeapEntry {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap.
-        other
-            .cost
-            .total_cmp(&self.cost)
-            .then_with(|| other.node.cmp(&self.node))
+        other.key.cmp(&self.key)
     }
 }
 impl PartialOrd for HeapEntry {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -45,14 +74,16 @@ impl PartialOrd for HeapEntry {
 /// The mark of a node that carries none (and of every unreached node).
 pub(crate) const NO_MARK: u32 = u32::MAX;
 
-/// This thread's reusable buffers. `dist[v]` and `mark[v]` are live
-/// only while `stamp[v]` equals `generation`. The three are separate
-/// arrays so that a failed relaxation — the common case in a near-full
-/// traversal such as the landmark-metric build — reads 12 bytes per
-/// node, as a plain `dist` array would, not a whole record.
+/// This thread's reusable buffers. `dist[v]`, `mark[v]` and `bound[v]`
+/// are live only while `stamp[v]` equals `generation`. They are
+/// separate arrays so that a failed relaxation — the common case in a
+/// near-full traversal such as the landmark-metric build — reads 12
+/// bytes per node, as a plain `dist` array would, not a whole record;
+/// only the router's A* reads `bound`.
 struct Scratch {
     dist: Vec<f64>,
     mark: Vec<u32>,
+    bound: Vec<f64>,
     stamp: Vec<u32>,
     generation: u32,
     heap: BinaryHeap<HeapEntry>,
@@ -63,6 +94,7 @@ impl Scratch {
         Self {
             dist: Vec::new(),
             mark: Vec::new(),
+            bound: Vec::new(),
             stamp: Vec::new(),
             generation: 0,
             heap: BinaryHeap::new(),
@@ -78,6 +110,7 @@ impl Scratch {
         if self.stamp.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.mark.resize(n, NO_MARK);
+            self.bound.resize(n, 0.0);
             self.stamp.resize(n, 0);
         }
         if self.generation == u32::MAX {
@@ -89,6 +122,7 @@ impl Scratch {
         let labels = Labels {
             dist: &mut self.dist[..n],
             mark: &mut self.mark[..n],
+            bound: &mut self.bound[..n],
             stamp: &mut self.stamp[..n],
             generation: self.generation,
         };
@@ -105,6 +139,8 @@ pub(crate) struct Labels<'s> {
     /// Predecessor on the best known path, or — in the multi-target
     /// search, which reconstructs nothing — the wanted-target mark.
     mark: &'s mut [u32],
+    /// The A* lower bound of a labelled node, computed once per query.
+    bound: &'s mut [f64],
     stamp: &'s mut [u32],
     generation: u32,
 }
@@ -137,6 +173,37 @@ impl Labels<'_> {
         self.dist[node] = dist;
         self.mark[node] = mark;
         self.stamp[node] = self.generation;
+    }
+
+    /// The lower bound cached for `node` by [`Self::relax_bounded`].
+    /// Meaningful only for a node labelled that way in this query.
+    #[inline]
+    pub(crate) fn bound(&self, node: usize) -> f64 {
+        debug_assert_eq!(self.stamp[node], self.generation, "node {node} is unlabelled");
+        self.bound[node]
+    }
+
+    /// Relax `node` to cost `dist` with predecessor `mark`. If that
+    /// beats the best known cost, labels the node and returns its lower
+    /// bound: computed by `h` when the node is first labelled in this
+    /// query, read back from the cache on every later relabel, so every
+    /// key pushed for the node uses the same value.
+    #[inline]
+    pub(crate) fn relax_bounded(
+        &mut self,
+        node: usize,
+        dist: f64,
+        mark: u32,
+        h: impl FnOnce() -> f64,
+    ) -> Option<f64> {
+        if dist >= self.dist(node) {
+            return None;
+        }
+        if self.stamp[node] != self.generation {
+            self.bound[node] = h();
+        }
+        self.set(node, dist, mark);
+        Some(self.bound[node])
     }
 
     /// Relax `node` to cost `dist`, keeping its mark: stores `dist` and
@@ -176,6 +243,7 @@ pub(crate) fn with_scratch<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn new_generation_forgets_every_label() {
@@ -220,6 +288,69 @@ mod tests {
         labels.set(2, 1.0, 0);
         assert_eq!(labels.dist(2), 1.0);
         assert_eq!(s.generation, 1);
+    }
+
+    #[test]
+    fn integer_key_orders_as_total_cmp_then_node() {
+        let costs = [
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            1.0,
+            f64::from_bits(1.0f64.to_bits() + 1), // 1.0.next_up()
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let nodes = [0, 1, u32::MAX];
+        let entries: Vec<(f64, u32)> =
+            costs.iter().flat_map(|&c| nodes.iter().map(move |&n| (c, n))).collect();
+        for &(ca, na) in &entries {
+            let a = HeapEntry::new(ca, na);
+            assert_eq!((a.cost().to_bits(), a.node()), (ca.to_bits(), na));
+            for &(cb, nb) in &entries {
+                let float = cb.total_cmp(&ca).then_with(|| nb.cmp(&na));
+                assert_eq!(a.cmp(&HeapEntry::new(cb, nb)), float, "({ca}, {na}) vs ({cb}, {nb})");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "heap cost")]
+    fn negative_zero_cost_is_rejected() {
+        let _ = HeapEntry::new(-0.0, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "heap cost")]
+    fn negative_cost_is_rejected() {
+        let _ = HeapEntry::new(-1.0, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "heap cost")]
+    fn nan_cost_is_rejected() {
+        let _ = HeapEntry::new(f64::NAN, 0);
+    }
+
+    #[test]
+    fn relax_bounded_computes_the_bound_once_per_query() {
+        let mut s = Scratch::new();
+        let calls = Cell::new(0);
+        let h = || {
+            calls.set(calls.get() + 1);
+            5.0
+        };
+        let (mut labels, _) = s.begin(2);
+        assert_eq!(labels.relax_bounded(1, 9.0, 0, h), Some(5.0));
+        assert_eq!(labels.relax_bounded(1, 9.0, 0, h), None);
+        assert_eq!(labels.relax_bounded(1, 4.0, 0, h), Some(5.0));
+        assert_eq!((labels.dist(1), labels.bound(1), calls.get()), (4.0, 5.0, 1));
+        let (mut labels, _) = s.begin(2);
+        assert_eq!(labels.relax_bounded(1, 9.0, 0, h), Some(5.0));
+        assert_eq!(calls.get(), 2);
     }
 
     #[test]

@@ -166,8 +166,9 @@ impl<'g> ShortestPaths<'g> {
         let mut prev = vec![u32::MAX; n];
         let mut heap = BinaryHeap::new();
         dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src.0 });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
+        heap.push(HeapEntry::new(0.0, src.0));
+        while let Some(entry) = heap.pop() {
+            let (cost, node) = (entry.cost(), entry.node());
             if node == dst.0 {
                 return Some(self.reconstruct(src, dst, |v| prev[v]));
             }
@@ -179,7 +180,7 @@ impl<'g> ShortestPaths<'g> {
                 if nd < dist[next.index()] {
                     dist[next.index()] = nd;
                     prev[next.index()] = node;
-                    heap.push(HeapEntry { cost: nd, node: next.0 });
+                    heap.push(HeapEntry::new(nd, next.0));
                 }
             });
         }
@@ -203,8 +204,9 @@ impl<'g> ShortestPaths<'g> {
         with_scratch(self.graph.node_count(), |mut labels, heap| {
             let mut out = Vec::new();
             labels.lower(src.index(), 0.0);
-            heap.push(HeapEntry { cost: 0.0, node: src.0 });
-            while let Some(HeapEntry { cost, node }) = heap.pop() {
+            heap.push(HeapEntry::new(0.0, src.0));
+            while let Some(entry) = heap.pop() {
+                let (cost, node) = (entry.cost(), entry.node());
                 if cost > labels.dist(node as usize) {
                     continue;
                 }
@@ -212,7 +214,7 @@ impl<'g> ShortestPaths<'g> {
                 self.for_each_neighbor(NodeId(node), |next, w| {
                     let nd = cost + w;
                     if nd <= max_cost && labels.lower(next.index(), nd) {
-                        heap.push(HeapEntry { cost: nd, node: next.0 });
+                        heap.push(HeapEntry::new(nd, next.0));
                     }
                 });
             }
@@ -241,8 +243,9 @@ impl<'g> ShortestPaths<'g> {
                 }
             }
             labels.lower(src.index(), 0.0);
-            heap.push(HeapEntry { cost: 0.0, node: src.0 });
-            while let Some(HeapEntry { cost, node }) = heap.pop() {
+            heap.push(HeapEntry::new(0.0, src.0));
+            while let Some(entry) = heap.pop() {
+                let (cost, node) = (entry.cost(), entry.node());
                 if cost > labels.dist(node as usize) {
                     continue;
                 }
@@ -256,7 +259,7 @@ impl<'g> ShortestPaths<'g> {
                 self.for_each_neighbor(NodeId(node), |next, w| {
                     let nd = cost + w;
                     if nd <= max_cost && labels.lower(next.index(), nd) {
-                        heap.push(HeapEntry { cost: nd, node: next.0 });
+                        heap.push(HeapEntry::new(nd, next.0));
                     }
                 });
             }
@@ -278,8 +281,9 @@ impl<'g> ShortestPaths<'g> {
         let mut dist = vec![f64::INFINITY; n];
         let mut heap = BinaryHeap::new();
         dist[src.index()] = 0.0;
-        heap.push(HeapEntry { cost: 0.0, node: src.0 });
-        while let Some(HeapEntry { cost, node }) = heap.pop() {
+        heap.push(HeapEntry::new(0.0, src.0));
+        while let Some(entry) = heap.pop() {
+            let (cost, node) = (entry.cost(), entry.node());
             if cost > dist[node as usize] {
                 continue;
             }
@@ -287,7 +291,7 @@ impl<'g> ShortestPaths<'g> {
                 let nd = cost + w;
                 if nd < dist[next.index()] {
                     dist[next.index()] = nd;
-                    heap.push(HeapEntry { cost: nd, node: next.0 });
+                    heap.push(HeapEntry::new(nd, next.0));
                 }
             });
         }

@@ -36,13 +36,11 @@
 
 pub mod backend;
 mod dispatch;
-pub mod parallel;
 pub mod report;
 pub mod sim;
 pub mod trips;
 
 pub use backend::{ShardedXarBackend, TShareBackend, XarBackend};
-pub use parallel::run_parallel_dispatch;
 pub use report::{percentile, percentile_ns, Decision, DecisionOutcome, SimReport};
 pub use sim::{run_simulation, BookResult, RideBackend, SimConfig};
 pub use trips::{generate_trips, Trip, TripGenConfig};

@@ -1,7 +1,7 @@
 //! Golden decisions: the booked / created / unservable decision of every
-//! request of two small fixed runs, pinned as one digest per driver.
+//! request of two small fixed runs, pinned as one digest per engine.
 //!
-//! A refactor of search, booking, the index or a driver must leave
+//! A refactor of search, booking, the index or the driver must leave
 //! these digests as they are. A change that means to move a decision
 //! (an estimator fix, a new booking constraint) updates the constant in
 //! the same change and says why.
@@ -17,8 +17,8 @@ use xhare_a_ride::core::{EngineConfig, ShardedXarEngine, XarEngine};
 use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::workload::{
-    generate_trips, run_parallel_dispatch, run_simulation, DecisionOutcome, ShardedXarBackend,
-    SimConfig, SimReport, TripGenConfig, XarBackend,
+    generate_trips, run_simulation, DecisionOutcome, ShardedXarBackend, SimConfig, SimReport,
+    TripGenConfig, XarBackend,
 };
 
 fn digest(report: &SimReport) -> u64 {
@@ -39,9 +39,8 @@ fn digest(report: &SimReport) -> u64 {
 }
 
 /// Replay `trips` trips on a `side × side` city, built the way the
-/// request-path benchmark builds its cities, through the serial driver
-/// and through the parallel driver at one thread over a 2-shard engine.
-/// Returns the two digests.
+/// request-path benchmark builds its cities, through the serial engine
+/// and through a 2-shard engine. Returns the two digests.
 fn digests(side: usize, trips: usize) -> [u64; 2] {
     let graph = Arc::new(CityConfig::manhattan(side, side, 1).generate());
     let pois = sample_pois(
@@ -73,8 +72,9 @@ fn digests(side: usize, trips: usize) -> [u64; 2] {
 
     let mut serial = XarBackend::new(XarEngine::new(Arc::clone(&region), EngineConfig::default()));
     let serial = run_simulation(&mut serial, &trips, &cfg);
-    let sharded = ShardedXarBackend::new(ShardedXarEngine::new(region, EngineConfig::default(), 2));
-    let sharded = run_parallel_dispatch(&sharded, &trips, &cfg, 1);
+    let mut sharded =
+        ShardedXarBackend::new(ShardedXarEngine::new(region, EngineConfig::default(), 2));
+    let sharded = run_simulation(&mut sharded, &trips, &cfg);
 
     [&serial, &sharded].map(|r| {
         assert_eq!(r.decisions.len(), trips.len(), "one decision per request");
@@ -90,7 +90,7 @@ fn assert_pinned(got: [u64; 2], want: [u64; 2]) {
     assert_eq!(
         got.map(|d| format!("{d:#018x}")),
         want.map(|d| format!("{d:#018x}")),
-        "[serial, 2-shard sharded at 1 thread] decision digests moved"
+        "[serial, 2-shard sharded] decision digests moved"
     );
 }
 

@@ -25,7 +25,13 @@ fn main() {
     let trips = city.trips(8_000, scale);
     let sim_cfg = SimConfig::default();
 
-    header(&["variant", "share rate", "avg search", "booked", "index entries"]);
+    header(&[
+        "variant",
+        "share rate",
+        "avg search",
+        "booked",
+        "index entries",
+    ]);
 
     // Full XAR.
     let region = city.region_delta(250.0);
@@ -42,7 +48,10 @@ fn main() {
     // XAR without reachable clusters.
     let mut no_reach = XarBackend::new(XarEngine::new(
         Arc::clone(&region),
-        EngineConfig { index_reachable: false, ..Default::default() },
+        EngineConfig {
+            index_reachable: false,
+            ..Default::default()
+        },
     ));
     let r_nr = run_simulation(&mut no_reach, &trips, &sim_cfg);
     row(&[
@@ -54,7 +63,11 @@ fn main() {
     ]);
 
     // Grid-level baseline (T-Share) for the same workload.
-    let ts_cfg = TShareConfig { grid_cell_m: 1_000.0, max_search_cells: 80, ..Default::default() };
+    let ts_cfg = TShareConfig {
+        grid_cell_m: 1_000.0,
+        max_search_cells: 80,
+        ..Default::default()
+    };
     let mut grid = TShareBackend::new(TShareEngine::new(Arc::clone(&city.graph), ts_cfg));
     let r_grid = run_simulation(&mut grid, &trips, &sim_cfg);
     row(&[

@@ -18,7 +18,12 @@ fn main() {
 
     // ---- Figure 3b: epsilon -> cluster count (GREEDYSEARCH) ----
     println!("## Fig 3b — number of clusters as epsilon changes\n");
-    header(&["target eps = 4*delta (m)", "delta (m)", "clusters C", "realised eps (m)"]);
+    header(&[
+        "target eps = 4*delta (m)",
+        "delta (m)",
+        "clusters C",
+        "realised eps (m)",
+    ]);
     let mut sweep_regions = Vec::new();
     for eps_target in [400.0, 700.0, 1_000.0, 1_600.0, 2_400.0, 4_000.0] {
         let delta = eps_target / 4.0;

@@ -35,19 +35,13 @@ fn main() {
     // ~1.5k concurrent rides matches what the tracked simulations keep
     // live on this city; an untracked multi-hour dump would overstate
     // per-cluster density far beyond the paper's setup.
-    let offers = xar_workload::trips::time_slice(
-        &city.trips(5_000, scale),
-        7.0 * 3600.0,
-        9.0 * 3600.0,
-    );
-    let queries: Vec<_> = xar_workload::trips::time_slice(
-        &city.trips(6_000, scale),
-        7.5 * 3600.0,
-        8.5 * 3600.0,
-    )
-    .into_iter()
-    .take(2_000)
-    .collect();
+    let offers =
+        xar_workload::trips::time_slice(&city.trips(5_000, scale), 7.0 * 3600.0, 9.0 * 3600.0);
+    let queries: Vec<_> =
+        xar_workload::trips::time_slice(&city.trips(6_000, scale), 7.5 * 3600.0, 8.5 * 3600.0)
+            .into_iter()
+            .take(2_000)
+            .collect();
 
     // Frozen XAR pool.
     let region = city.region_delta(250.0);
@@ -55,7 +49,10 @@ fn main() {
     let mut created = 0usize;
     for t in &offers {
         created += usize::from(
-            xar.create_ride(&RideOffer::simple(t.pickup, t.dropoff, t.pickup_s, 3, 2_000.0)).is_ok(),
+            xar.create_ride(&RideOffer::simple(
+                t.pickup, t.dropoff, t.pickup_s, 3, 2_000.0,
+            ))
+            .is_ok(),
         );
     }
 
@@ -73,7 +70,10 @@ fn main() {
     for t in &offers {
         tshare.create_taxi(t.pickup, t.dropoff, t.pickup_s, 3);
     }
-    println!("frozen pool: {created} rides; {} queries per k\n", queries.len());
+    println!(
+        "frozen pool: {created} rides; {} queries per k\n",
+        queries.len()
+    );
 
     header(&[
         "k",

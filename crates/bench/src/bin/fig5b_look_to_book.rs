@@ -26,7 +26,10 @@ fn main() {
 
     // Per-search percentiles from the run's `sim.search_ns` histogram.
     let search_pcts = |report: &xar_workload::SimReport| -> (u64, u64) {
-        let reg = report.registry.as_ref().expect("simulation attaches a registry");
+        let reg = report
+            .registry
+            .as_ref()
+            .expect("simulation attaches a registry");
         let s = reg.histogram("sim.search_ns").snapshot();
         (s.p50, s.p99)
     };
@@ -45,7 +48,11 @@ fn main() {
         // One booking per request: each look needs a single match
         // (k = 1), so T-Share's expanding search can stop early — its
         // best case, which is what makes it competitive at r = 1.
-        let cfg = SimConfig { lookups_per_request: r - 1, k: 1, ..Default::default() };
+        let cfg = SimConfig {
+            lookups_per_request: r - 1,
+            k: 1,
+            ..Default::default()
+        };
 
         let region = city.region_delta(250.0);
         let mut xar = XarBackend::new(city.xar(region));
@@ -53,8 +60,11 @@ fn main() {
         let x_total = rx.total_search_s() + rx.total_create_s() + rx.total_book_s();
         let (xp50, xp99) = search_pcts(&rx);
 
-        let ts_cfg =
-            TShareConfig { grid_cell_m: 1_000.0, max_search_cells: 80, ..Default::default() };
+        let ts_cfg = TShareConfig {
+            grid_cell_m: 1_000.0,
+            max_search_cells: 80,
+            ..Default::default()
+        };
         let mut ts = TShareBackend::new(TShareEngine::new(Arc::clone(&city.graph), ts_cfg));
         let rt = run_simulation(&mut ts, &trips, &cfg);
         let t_total = rt.total_search_s() + rt.total_create_s() + rt.total_book_s();
@@ -68,9 +78,17 @@ fn main() {
         row(&[
             r.to_string(),
             fmt_time_s(x_total),
-            format!("{}/{}", fmt_time_s(xp50 as f64 / 1e9), fmt_time_s(xp99 as f64 / 1e9)),
+            format!(
+                "{}/{}",
+                fmt_time_s(xp50 as f64 / 1e9),
+                fmt_time_s(xp99 as f64 / 1e9)
+            ),
             fmt_time_s(t_total),
-            format!("{}/{}", fmt_time_s(tp50 as f64 / 1e9), fmt_time_s(tp99 as f64 / 1e9)),
+            format!(
+                "{}/{}",
+                fmt_time_s(tp50 as f64 / 1e9),
+                fmt_time_s(tp99 as f64 / 1e9)
+            ),
             format!("{ratio:.1}x"),
         ]);
     }

@@ -51,10 +51,10 @@ fn run_rs(city: &BenchCity, trips: &[Trip]) -> (ModeQuality, usize) {
             window_end_s: trip.pickup_s + WINDOW_S,
             walk_limit_m: WALK_LIMIT_M,
         };
-        let booked = eng
-            .search(&req, usize::MAX)
-            .ok()
-            .and_then(|ms| ms.into_iter().find_map(|m| eng.book_checked(&m).ok().map(|o| (m, o))));
+        let booked = eng.search(&req, usize::MAX).ok().and_then(|ms| {
+            ms.into_iter()
+                .find_map(|m| eng.book_checked(&m).ok().map(|o| (m, o)))
+        });
         if let Some((m, out)) = booked {
             let walk_in = m.walk_pickup_m / WALK_SPEED_MPS;
             let walk_out = m.walk_dropoff_m / WALK_SPEED_MPS;
@@ -72,7 +72,9 @@ fn run_rs(city: &BenchCity, trips: &[Trip]) -> (ModeQuality, usize) {
                 destination: trip.dropoff,
                 departure_s: trip.pickup_s,
                 seats: 3,
-                detour_limit_m: DETOUR_M, driver: None, via: Vec::new(),
+                detour_limit_m: DETOUR_M,
+                driver: None,
+                via: Vec::new(),
             };
             if eng.create_ride(&offer).is_ok() {
                 cars += 1;
@@ -142,7 +144,11 @@ fn main() {
         let plan = base.map(|b| aid_plan(&b, trip.dropoff, &net, &router, &mut eng, &aider_cfg));
         let still_bad = plan
             .as_ref()
-            .map(|a| !a.plan.infeasible_legs(aider_cfg.max_leg_walk_m, aider_cfg.max_leg_wait_s).is_empty())
+            .map(|a| {
+                !a.plan
+                    .infeasible_legs(aider_cfg.max_leg_walk_m, aider_cfg.max_leg_wait_s)
+                    .is_empty()
+            })
             .unwrap_or(true);
         if let (Some(aided), false) = (&plan, still_bad) {
             rspt.add_plan(&aided.plan);
@@ -154,7 +160,9 @@ fn main() {
                 destination: trip.dropoff,
                 departure_s: trip.pickup_s,
                 seats: 3,
-                detour_limit_m: DETOUR_M, driver: None, via: Vec::new(),
+                detour_limit_m: DETOUR_M,
+                driver: None,
+                via: Vec::new(),
             };
             if eng.create_ride(&offer).is_ok() {
                 rspt_cars += 1;
@@ -168,7 +176,15 @@ fn main() {
     }
     rspt.cars_used = rspt_cars;
 
-    header(&["mode", "trips", "avg travel", "avg walk", "avg wait", "cars", "cars vs taxi"]);
+    header(&[
+        "mode",
+        "trips",
+        "avg travel",
+        "avg walk",
+        "avg wait",
+        "cars",
+        "cars vs taxi",
+    ]);
     for (name, q) in [("Taxi", &taxi), ("RS", &rs), ("PT", &pt), ("RS+PT", &rspt)] {
         row(&[
             name.to_string(),
@@ -177,7 +193,10 @@ fn main() {
             minutes(q.avg_walk_time_s()),
             minutes(q.avg_wait_time_s()),
             q.cars_used.to_string(),
-            format!("{:.0}%", q.cars_used as f64 / taxi.cars_used.max(1) as f64 * 100.0),
+            format!(
+                "{:.0}%",
+                q.cars_used as f64 / taxi.cars_used.max(1) as f64 * 100.0
+            ),
         ]);
     }
 

@@ -48,7 +48,13 @@ impl BenchCity {
     /// A custom-size city.
     pub fn sized(rows: usize, cols: usize) -> Self {
         let graph = Arc::new(CityConfig::manhattan(rows, cols, 0xC17).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: rows * cols / 2, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: rows * cols / 2,
+                ..Default::default()
+            },
+        );
         Self { graph, pois }
     }
 
@@ -90,7 +96,13 @@ impl BenchCity {
     /// A day of trips, scaled.
     pub fn trips(&self, base_count: usize, scale: f64) -> Vec<Trip> {
         let count = ((base_count as f64 * scale) as usize).max(50);
-        generate_trips(&self.graph, &TripGenConfig { count, ..Default::default() })
+        generate_trips(
+            &self.graph,
+            &TripGenConfig {
+                count,
+                ..Default::default()
+            },
+        )
     }
 }
 
@@ -115,15 +127,14 @@ pub fn trace_setup() -> Option<String> {
         found
     }
     fn parsed<T: std::str::FromStr>(cli: Option<String>, env: &str) -> Option<T> {
-        cli.or_else(|| std::env::var(env).ok()).and_then(|v| v.parse().ok())
+        cli.or_else(|| std::env::var(env).ok())
+            .and_then(|v| v.parse().ok())
     }
 
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out =
-        flag(&args, "--trace-out").or_else(|| std::env::var("XAR_TRACE_OUT").ok())?;
+    let out = flag(&args, "--trace-out").or_else(|| std::env::var("XAR_TRACE_OUT").ok())?;
     let slow_ms: f64 = parsed(flag(&args, "--trace-slow-ms"), "XAR_TRACE_SLOW_MS").unwrap_or(1.0);
-    let sample: f64 =
-        parsed(flag(&args, "--trace-sample"), "XAR_TRACE_SAMPLE").unwrap_or(0.01);
+    let sample: f64 = parsed(flag(&args, "--trace-sample"), "XAR_TRACE_SAMPLE").unwrap_or(0.01);
     let rec = xar_obs::trace::recorder();
     rec.configure(xar_obs::TraceConfig {
         slow_threshold_ns: (slow_ms * 1e6).max(0.0) as u64,
@@ -166,7 +177,10 @@ pub fn scale_arg() -> f64 {
             return v;
         }
     }
-    std::env::var("XAR_BENCH_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(1.0)
+    std::env::var("XAR_BENCH_SCALE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1.0)
 }
 
 /// Print a Markdown-style table row.
@@ -177,7 +191,10 @@ pub fn row(cells: &[String]) {
 /// Print a Markdown-style table header (with separator line).
 pub fn header(cells: &[&str]) {
     println!("| {} |", cells.join(" | "));
-    println!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
+    println!(
+        "|{}|",
+        cells.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+    );
 }
 
 /// Format seconds as adaptive ms/µs text.

@@ -73,7 +73,9 @@ impl XarEngine {
         let n_seg = ride.via_points.len() - 1;
         let (pickup_seg, dropoff_seg) = (m.pickup_seg.min(n_seg - 1), m.dropoff_seg.min(n_seg - 1));
         if pickup_seg > dropoff_seg {
-            return Err(XarError::InvalidRequest("pick-up segment after drop-off segment"));
+            return Err(XarError::InvalidRequest(
+                "pick-up segment after drop-off segment",
+            ));
         }
         // The ride must not have passed the pick-up segment's start.
         if ride.progress_idx > ride.via_points[pickup_seg + 1].route_idx {
@@ -140,14 +142,29 @@ impl XarEngine {
                 .enumerate()
                 .map(|(pos, v)| {
                     if pos > pickup_seg {
-                        ViaPoint { route_idx: (v.route_idx as isize + delta) as usize, node: v.node }
+                        ViaPoint {
+                            route_idx: (v.route_idx as isize + delta) as usize,
+                            node: v.node,
+                        }
                     } else {
                         *v
                     }
                 })
                 .collect();
-            vps.insert(pickup_seg + 1, ViaPoint { route_idx: pickup_idx, node: pickup_node });
-            vps.insert(pickup_seg + 2, ViaPoint { route_idx: dropoff_idx, node: dropoff_node });
+            vps.insert(
+                pickup_seg + 1,
+                ViaPoint {
+                    route_idx: pickup_idx,
+                    node: pickup_node,
+                },
+            );
+            vps.insert(
+                pickup_seg + 2,
+                ViaPoint {
+                    route_idx: dropoff_idx,
+                    node: dropoff_node,
+                },
+            );
         } else {
             // §VIII.B Step 3: different segments — SP(s1, src),
             // SP(src, s2), SP(d1, dest), SP(dest, d2).
@@ -156,7 +173,9 @@ impl XarEngine {
             let leg1 = path_route(s1.node, pickup_node)?;
             let leg2 = path_route(pickup_node, s2.node)?;
             pickup_idx = s1.route_idx + leg1.len() - 1;
-            let after_pickup = ride.route.splice(s1.route_idx, s2.route_idx, &leg1.concat(&leg2));
+            let after_pickup = ride
+                .route
+                .splice(s1.route_idx, s2.route_idx, &leg1.concat(&leg2));
             // The pick-up splice shifted the via-points *behind* s2 in
             // the list. Shift by list position, not by route-index
             // comparison: consecutive via-points may share a route_idx
@@ -196,10 +215,25 @@ impl XarEngine {
                     node: v.node,
                 })
                 .collect();
-            vps.insert(pickup_seg + 1, ViaPoint { route_idx: pickup_idx, node: pickup_node });
-            vps.insert(dropoff_seg + 2, ViaPoint { route_idx: dropoff_idx, node: dropoff_node });
+            vps.insert(
+                pickup_seg + 1,
+                ViaPoint {
+                    route_idx: pickup_idx,
+                    node: pickup_node,
+                },
+            );
+            vps.insert(
+                dropoff_seg + 2,
+                ViaPoint {
+                    route_idx: dropoff_idx,
+                    node: dropoff_node,
+                },
+            );
         }
-        debug_assert!(vps.windows(2).all(|w| w[0].route_idx <= w[1].route_idx), "via-points out of order");
+        debug_assert!(
+            vps.windows(2).all(|w| w[0].route_idx <= w[1].route_idx),
+            "via-points out of order"
+        );
         debug_assert!(vps.iter().all(|v| new_route.nodes()[v.route_idx] == v.node));
         drop(splice_span);
 
@@ -219,7 +253,11 @@ impl XarEngine {
             ride.via_points = vps;
             ride.seats_available -= 1;
             ride.detour_used_m += actual_detour;
-            ride.bookings.push(Booking { pickup_idx, dropoff_idx, detour_m: actual_detour });
+            ride.bookings.push(Booking {
+                pickup_idx,
+                dropoff_idx,
+                detour_m: actual_detour,
+            });
             pickup_eta = ride.eta_at_route_idx(pickup_idx);
             dropoff_eta = ride.eta_at_route_idx(dropoff_idx);
         }

@@ -40,7 +40,11 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        Self { historical_speed_mps: 8.0, index_reachable: true, historical: None }
+        Self {
+            historical_speed_mps: 8.0,
+            index_reachable: true,
+            historical: None,
+        }
     }
 }
 
@@ -172,7 +176,11 @@ impl XarEngine {
 
     /// Create an engine recording into caller-supplied metrics (for
     /// sharing one registry across engines or with a bench harness).
-    pub fn with_metrics(region: Arc<RegionIndex>, config: EngineConfig, metrics: EngineMetrics) -> Self {
+    pub fn with_metrics(
+        region: Arc<RegionIndex>,
+        config: EngineConfig,
+        metrics: EngineMetrics,
+    ) -> Self {
         let index = ClusterIndex::new(region.cluster_count());
         let stats = EngineStats::from_registry(&metrics.registry());
         Self {
@@ -194,7 +202,10 @@ impl XarEngine {
     /// shard without any lookup.
     pub(crate) fn set_id_sequence(&mut self, start: u64, stride: u64) {
         debug_assert!(stride >= 1 && start >= 1);
-        debug_assert!(self.rides.is_empty(), "id sequence must be set before any ride exists");
+        debug_assert!(
+            self.rides.is_empty(),
+            "id sequence must be set before any ride exists"
+        );
         self.next_id = start;
         self.id_stride = stride;
     }
@@ -258,7 +269,9 @@ impl XarEngine {
         let _span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.create_ns));
         let mut tspan = xar_obs::trace::span("create");
         if !(offer.detour_limit_m.is_finite() && offer.detour_limit_m >= 0.0) {
-            return Err(XarError::InvalidRequest("detour limit must be non-negative"));
+            return Err(XarError::InvalidRequest(
+                "detour limit must be non-negative",
+            ));
         }
         if !offer.departure_s.is_finite() {
             return Err(XarError::InvalidRequest("departure time must be finite"));
@@ -288,7 +301,8 @@ impl XarEngine {
                 self.region.router().path(w[0], w[1])
             }
             .ok_or(XarError::NoRoute)?;
-            let leg = Route::from_path_result(self.region.graph(), &path).ok_or(XarError::NoRoute)?;
+            let leg =
+                Route::from_path_result(self.region.graph(), &path).ok_or(XarError::NoRoute)?;
             route = Some(match route {
                 None => leg,
                 Some(r) => r.concat(&leg),
@@ -306,7 +320,10 @@ impl XarEngine {
                 .position(|&n| n == node)
                 .map(|o| cursor + o)
                 .expect("stop node lies on its own concatenated route");
-            via_points.push(ViaPoint { route_idx: idx, node });
+            via_points.push(ViaPoint {
+                route_idx: idx,
+                node,
+            });
             cursor = idx;
         }
         let final_idx = route.len() - 1;
@@ -395,7 +412,11 @@ impl XarEngine {
         // the triangle detour test against the segment's end via-point.
         // Candidates go to the footprint in route order: per cluster
         // the smaller detour wins, then the earlier ETA, else the first.
-        let budget = if config.index_reachable { ride.detour_remaining_m() } else { 0.0 };
+        let budget = if config.index_reachable {
+            ride.detour_remaining_m()
+        } else {
+            0.0
+        };
         crate::footprint::with(region.cluster_count(), |fp| {
             fp.candidates.resize(region.cluster_count(), 0);
             // The end cluster whose distance column `fp.column` holds.
@@ -440,7 +461,11 @@ impl XarEngine {
                 }
                 p.reachable = fp.reach.clone(); // one allocation, sized exactly
 
-                fp.offer(p.cluster, p.entry(ride, p.eta_s, 0.0), PotentialRide::better_than);
+                fp.offer(
+                    p.cluster,
+                    p.entry(ride, p.eta_s, 0.0),
+                    PotentialRide::better_than,
+                );
                 for &(c, detour, eta) in &p.reachable {
                     fp.offer(c, p.entry(ride, eta, detour), PotentialRide::better_than);
                 }
@@ -453,7 +478,12 @@ impl XarEngine {
         ride.pass_clusters = pass;
     }
 
-    fn make_pass_cluster(ride: &Ride, cluster: ClusterId, entry_idx: usize, exit_idx: usize) -> PassCluster {
+    fn make_pass_cluster(
+        ride: &Ride,
+        cluster: ClusterId,
+        entry_idx: usize,
+        exit_idx: usize,
+    ) -> PassCluster {
         PassCluster {
             cluster,
             seg: ride.segment_of(entry_idx),

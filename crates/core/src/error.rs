@@ -97,7 +97,10 @@ impl Reason {
     /// Inverse of [`Reason::code`]; unrecognised codes decode to
     /// [`Reason::Unknown`] so old binaries can read newer logs.
     pub fn from_code(code: &str) -> Reason {
-        Reason::ALL.into_iter().find(|r| r.code() == code).unwrap_or(Reason::Unknown)
+        Reason::ALL
+            .into_iter()
+            .find(|r| r.code() == code)
+            .unwrap_or(Reason::Unknown)
     }
 
     /// Position of the variant in [`Reason::ALL`] (for counter arrays).
@@ -190,11 +193,17 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = XarError::DetourExceeded { ride: RideId(7), needed_m: 1234.5, remaining_m: 100.0 };
+        let e = XarError::DetourExceeded {
+            ride: RideId(7),
+            needed_m: 1234.5,
+            remaining_m: 100.0,
+        };
         let s = e.to_string();
         assert!(s.contains("1234") && s.contains("100"), "{s}");
         assert!(XarError::NoRoute.to_string().contains("no driving route"));
-        assert!(XarError::UnknownRide(RideId(3)).to_string().contains("RideId(3)"));
+        assert!(XarError::UnknownRide(RideId(3))
+            .to_string()
+            .contains("RideId(3)"));
     }
 
     #[test]
@@ -226,7 +235,11 @@ mod tests {
             (XarError::UnknownRide(RideId(1)), Reason::StaleCommit),
             (XarError::NoSeats(RideId(1)), Reason::CapacityFull),
             (
-                XarError::DetourExceeded { ride: RideId(1), needed_m: 2.0, remaining_m: 1.0 },
+                XarError::DetourExceeded {
+                    ride: RideId(1),
+                    needed_m: 2.0,
+                    remaining_m: 1.0,
+                },
                 Reason::DetourBudgetExceeded,
             ),
             (XarError::AlreadyPassed(RideId(1)), Reason::WindowExpired),

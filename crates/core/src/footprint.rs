@@ -120,7 +120,14 @@ mod tests {
     use crate::ride::RideId;
 
     fn entry(eta: f64, detour: f64) -> PotentialRide {
-        PotentialRide { ride: RideId(1), eta_s: eta, detour_m: detour, budget_m: 0.0, seg: 0, pass_route_idx: 0 }
+        PotentialRide {
+            ride: RideId(1),
+            eta_s: eta,
+            detour_m: detour,
+            budget_m: 0.0,
+            seg: 0,
+            pass_route_idx: 0,
+        }
     }
 
     #[test]
@@ -130,7 +137,9 @@ mod tests {
             fp.offer(ClusterId(0), entry(20.0, 0.0), PotentialRide::better_than);
             fp.offer(ClusterId(2), entry(30.0, 5.0), PotentialRide::better_than); // tie on detour, later: stays
             fp.offer(ClusterId(2), entry(5.0, 5.0), PotentialRide::better_than); // earlier ETA wins the tie
-            fp.offer(ClusterId(0), entry(1.0, 0.0), |new, kept| new.detour_m < kept.detour_m); // strict: stays
+            fp.offer(ClusterId(0), entry(1.0, 0.0), |new, kept| {
+                new.detour_m < kept.detour_m
+            }); // strict: stays
             let got: Vec<_> = fp.entries().iter().map(|&(c, e)| (c.0, e.eta_s)).collect();
             assert_eq!(got, vec![(2, 5.0), (0, 20.0)]);
             assert_eq!(fp.get(ClusterId(2)).unwrap().eta_s, 5.0);

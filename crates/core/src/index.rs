@@ -153,7 +153,10 @@ impl ClusterIndex {
             None => self.entries += 1,
         }
         let at = rows.partition_point(|r| {
-            r.eta_s.total_cmp(&entry.eta_s).then(r.ride.cmp(&entry.ride)).is_lt()
+            r.eta_s
+                .total_cmp(&entry.eta_s)
+                .then(r.ride.cmp(&entry.ride))
+                .is_lt()
         });
         rows.insert(at, entry);
     }
@@ -207,7 +210,11 @@ impl ClusterIndex {
     /// directory and every list's row buffer at its capacity.
     pub fn heap_bytes(&self) -> usize {
         self.lists.capacity() * std::mem::size_of::<Vec<PotentialRide>>()
-            + self.lists.iter().map(|l| l.capacity() * ROW_BYTES).sum::<usize>()
+            + self
+                .lists
+                .iter()
+                .map(|l| l.capacity() * ROW_BYTES)
+                .sum::<usize>()
     }
 }
 
@@ -216,7 +223,14 @@ mod tests {
     use super::*;
 
     fn entry(ride: u64, eta: f64, detour: f64) -> PotentialRide {
-        PotentialRide { ride: RideId(ride), eta_s: eta, detour_m: detour, budget_m: 0.0, seg: 0, pass_route_idx: 0 }
+        PotentialRide {
+            ride: RideId(ride),
+            eta_s: eta,
+            detour_m: detour,
+            budget_m: 0.0,
+            seg: 0,
+            pass_route_idx: 0,
+        }
     }
 
     #[test]
@@ -236,7 +250,11 @@ mod tests {
         for (r, t) in [(4u64, 200.0), (1, 50.0), (3, 150.0), (2, 100.0), (5, 100.0)] {
             idx.insert(ClusterId(0), entry(r, t, 0.0));
         }
-        let got = |from, to| idx.range_eta(ClusterId(0), from, to).map(|e| e.ride.0).collect::<Vec<_>>();
+        let got = |from, to| {
+            idx.range_eta(ClusterId(0), from, to)
+                .map(|e| e.ride.0)
+                .collect::<Vec<_>>()
+        };
         assert_eq!(got(100.0, 200.0), vec![2, 5, 3, 4]);
         assert_eq!(got(100.0, 150.0), vec![2, 5, 3]);
         assert_eq!(got(0.0, 49.0), Vec::<u64>::new());
@@ -250,7 +268,10 @@ mod tests {
         idx.insert(ClusterId(0), entry(2, 100.0, 0.0));
         idx.insert(ClusterId(0), entry(1, 100.0, 0.0));
         assert_eq!(idx.cluster_len(ClusterId(0)), 2);
-        let got: Vec<u64> = idx.range_eta(ClusterId(0), 100.0, 100.0).map(|e| e.ride.0).collect();
+        let got: Vec<u64> = idx
+            .range_eta(ClusterId(0), 100.0, 100.0)
+            .map(|e| e.ride.0)
+            .collect();
         assert_eq!(got, vec![1, 2]);
     }
 
@@ -279,7 +300,10 @@ mod tests {
         assert_eq!(idx.len(), 2);
         assert!(idx.get(ClusterId(0), RideId(1)).is_none());
         assert!(idx.get(ClusterId(1), RideId(1)).is_some());
-        assert!(idx.remove(ClusterId(0), RideId(1)).is_none(), "double remove is None");
+        assert!(
+            idx.remove(ClusterId(0), RideId(1)).is_none(),
+            "double remove is None"
+        );
         // Emptying a list frees its buffer.
         idx.remove(ClusterId(0), RideId(2)).unwrap();
         assert_eq!(idx.lists[0].capacity(), 0);
@@ -291,7 +315,10 @@ mod tests {
         let mut idx = ClusterIndex::new(1);
         idx.insert(ClusterId(0), entry(2, 0.0, 0.0));
         idx.insert(ClusterId(0), entry(1, -50.0, 0.0));
-        let got: Vec<u64> = idx.range_eta(ClusterId(0), f64::NEG_INFINITY, 0.0).map(|e| e.ride.0).collect();
+        let got: Vec<u64> = idx
+            .range_eta(ClusterId(0), f64::NEG_INFINITY, 0.0)
+            .map(|e| e.ride.0)
+            .collect();
         assert_eq!(got, vec![1, 2]);
     }
 

@@ -139,7 +139,10 @@ mod tests {
         assert!(json.contains("engine.search_ns{tier=\\\"t3\\\"}"), "{json}");
         // The unlabeled aggregate family still coexists.
         m.search_ns.record(7);
-        assert!(m.registry().snapshot_json().contains("\"engine.search_ns\""));
+        assert!(m
+            .registry()
+            .snapshot_json()
+            .contains("\"engine.search_ns\""));
     }
 
     #[test]

@@ -32,7 +32,9 @@ impl RideRequest {
             return Err(XarError::InvalidRequest("time window end precedes start"));
         }
         if !(self.walk_limit_m.is_finite() && self.walk_limit_m >= 0.0) {
-            return Err(XarError::InvalidRequest("walking limit must be non-negative"));
+            return Err(XarError::InvalidRequest(
+                "walking limit must be non-negative",
+            ));
         }
         Ok(())
     }

@@ -62,7 +62,15 @@ impl RideOffer {
         seats: u8,
         detour_limit_m: f64,
     ) -> Self {
-        Self { source, destination, departure_s, seats, detour_limit_m, driver: None, via: Vec::new() }
+        Self {
+            source,
+            destination,
+            departure_s,
+            seats,
+            detour_limit_m,
+            driver: None,
+            via: Vec::new(),
+        }
     }
 }
 
@@ -190,7 +198,9 @@ impl Ride {
     pub fn segment_of(&self, route_idx: usize) -> usize {
         debug_assert!(!self.via_points.is_empty());
         let n_seg = self.via_points.len() - 1;
-        let pos = self.via_points.partition_point(|v| v.route_idx <= route_idx);
+        let pos = self
+            .via_points
+            .partition_point(|v| v.route_idx <= route_idx);
         pos.saturating_sub(1).min(n_seg.saturating_sub(1))
     }
 
@@ -241,8 +251,14 @@ mod tests {
             departure_s: 3600.0,
             seats_available: 3,
             via_points: vec![
-                ViaPoint { route_idx: 0, node: route.nodes()[0] },
-                ViaPoint { route_idx: last, node: route.nodes()[last] },
+                ViaPoint {
+                    route_idx: 0,
+                    node: route.nodes()[0],
+                },
+                ViaPoint {
+                    route_idx: last,
+                    node: route.nodes()[last],
+                },
             ],
             route,
             detour_limit_m: 2000.0,
@@ -281,14 +297,31 @@ mod tests {
         let last = r.route.len() - 1;
         let mid = last / 2;
         r.via_points = vec![
-            ViaPoint { route_idx: 0, node: r.route.nodes()[0] },
-            ViaPoint { route_idx: mid, node: r.route.nodes()[mid] },
-            ViaPoint { route_idx: last, node: r.route.nodes()[last] },
+            ViaPoint {
+                route_idx: 0,
+                node: r.route.nodes()[0],
+            },
+            ViaPoint {
+                route_idx: mid,
+                node: r.route.nodes()[mid],
+            },
+            ViaPoint {
+                route_idx: last,
+                node: r.route.nodes()[last],
+            },
         ];
         assert_eq!(r.segment_of(0), 0);
         assert_eq!(r.segment_of(mid - 1), 0);
-        assert_eq!(r.segment_of(mid), 1, "boundary way-point starts the next segment");
-        assert_eq!(r.segment_of(last), 1, "final via-point stays in the last segment");
+        assert_eq!(
+            r.segment_of(mid),
+            1,
+            "boundary way-point starts the next segment"
+        );
+        assert_eq!(
+            r.segment_of(last),
+            1,
+            "final via-point stays in the last segment"
+        );
     }
 
     #[test]

@@ -184,9 +184,16 @@ impl XarEngine {
         explain: &mut SearchExplain,
     ) -> Result<Vec<RideMatch>, XarError> {
         let mut out = Vec::new();
-        run_search(self.region(), &self.stats, &self.metrics, req, limit, &mut out, explain, |run| {
-            run.collect_matches(self.index())
-        })?;
+        run_search(
+            self.region(),
+            &self.stats,
+            &self.metrics,
+            req,
+            limit,
+            &mut out,
+            explain,
+            |run| run.collect_matches(self.index()),
+        )?;
         Ok(out)
     }
 }
@@ -391,7 +398,11 @@ impl SearchScratch {
     #[inline]
     fn add_source(&mut self, row: &PotentialRide, walk: u32) {
         let hit = self.hits.len() as u32;
-        self.hits.push(SrcHit { row: *row, walk, next: NIL });
+        self.hits.push(SrcHit {
+            row: *row,
+            walk,
+            next: NIL,
+        });
         let mut i = self.probe(row.ride);
         if self.slots[i].stamp == self.generation {
             let cand = &mut self.cands[self.slots[i].cand as usize];
@@ -403,8 +414,17 @@ impl SearchScratch {
             self.grow();
             i = self.probe(row.ride);
         }
-        self.slots[i] = Slot { stamp: self.generation, cand: self.cands.len() as u32, ride: row.ride.0 };
-        let fresh = Candidate { head: hit, tail: hit, deepest: 0, best: None };
+        self.slots[i] = Slot {
+            stamp: self.generation,
+            cand: self.cands.len() as u32,
+            ride: row.ride.0,
+        };
+        let fresh = Candidate {
+            head: hit,
+            tail: hit,
+            deepest: 0,
+            best: None,
+        };
         self.cands.push(fresh);
     }
 
@@ -495,7 +515,9 @@ impl SearchRun<'_> {
         let mut paired = 0usize;
         for wd in self.dst_walkable {
             for dst in eta_range(view.rows(wd.cluster), req.window_start_s, f64::INFINITY) {
-                let Some(c) = scratch.find(dst.ride) else { continue };
+                let Some(c) = scratch.find(dst.ride) else {
+                    continue;
+                };
                 let cand = &mut scratch.cands[c];
                 if cand.deepest == 0 {
                     paired += 1;
@@ -504,7 +526,11 @@ impl SearchRun<'_> {
                 let mut at = cand.head;
                 while at != NIL {
                     let rank = at;
-                    let SrcHit { row: src, walk, next } = scratch.hits[at as usize];
+                    let SrcHit {
+                        row: src,
+                        walk,
+                        next,
+                    } = scratch.hits[at as usize];
                     at = next;
                     let ws = &self.src_walkable[walk as usize];
                     // Pick-up must strictly precede drop-off along the
@@ -596,7 +622,14 @@ mod tests {
 
     /// A row of a ride whose remaining detour budget is `budget_m`.
     fn budget_row(ride: u64, eta_s: f64, detour_m: f64, budget_m: f64) -> PotentialRide {
-        PotentialRide { ride: RideId(ride), eta_s, detour_m, budget_m, seg: 0, pass_route_idx: 0 }
+        PotentialRide {
+            ride: RideId(ride),
+            eta_s,
+            detour_m,
+            budget_m,
+            seg: 0,
+            pass_route_idx: 0,
+        }
     }
 
     fn row(ride: u64, eta_s: f64, detour_m: f64) -> PotentialRide {
@@ -604,11 +637,19 @@ mod tests {
     }
 
     fn walk(cluster: u32, walk_m: f32) -> WalkEntry {
-        WalkEntry { cluster: ClusterId(cluster), landmark: LandmarkId(cluster + 10), walk_m }
+        WalkEntry {
+            cluster: ClusterId(cluster),
+            landmark: LandmarkId(cluster + 10),
+            walk_m,
+        }
     }
 
     /// One `collect_matches` over `view` on a fresh scratch.
-    fn collect(view: &FakeView, src: &[WalkEntry], dst: &[WalkEntry]) -> (Vec<RideMatch>, SearchExplain) {
+    fn collect(
+        view: &FakeView,
+        src: &[WalkEntry],
+        dst: &[WalkEntry],
+    ) -> (Vec<RideMatch>, SearchExplain) {
         let origin = GeoPoint::new(0.0, 0.0);
         let req = RideRequest {
             source: origin,
@@ -667,7 +708,13 @@ mod tests {
             dropoff_seg: 0,
         };
         assert_eq!(out, vec![want]);
-        assert_eq!(explain, SearchExplain { candidates: 1, ..Default::default() });
+        assert_eq!(
+            explain,
+            SearchExplain {
+                candidates: 1,
+                ..Default::default()
+            }
+        );
 
         // The mirror image: the tie is between (0, 2) and (1, 3) — the
         // closer (0, 3) is over budget — and the pass meets the winner
@@ -683,14 +730,27 @@ mod tests {
         let dst = [walk(2, 200.0), walk(3, 100.0)];
         let (out, _) = collect(&view, &src, &dst);
         assert_eq!(out.len(), 1);
-        assert_eq!((out[0].pickup_cluster, out[0].dropoff_cluster), (ClusterId(0), ClusterId(2)));
+        assert_eq!(
+            (out[0].pickup_cluster, out[0].dropoff_cluster),
+            (ClusterId(0), ClusterId(2))
+        );
         assert_eq!((out[0].walk_total_m(), out[0].detour_est_m), (300.0, 30.0));
 
         // One source, two equal destinations: destination rank decides.
         let dst = [walk(2, 200.0), walk(3, 200.0)];
-        let view = FakeView { lists: vec![vec![r7(10.0, 0.0)], vec![], vec![r7(90.0, 5.0)], vec![r7(80.0, 5.0)]] };
+        let view = FakeView {
+            lists: vec![
+                vec![r7(10.0, 0.0)],
+                vec![],
+                vec![r7(90.0, 5.0)],
+                vec![r7(80.0, 5.0)],
+            ],
+        };
         let (out, _) = collect(&view, &src, &dst);
-        assert_eq!((out[0].dropoff_cluster, out[0].eta_dropoff_s), (ClusterId(2), 90.0));
+        assert_eq!(
+            (out[0].dropoff_cluster, out[0].eta_dropoff_s),
+            (ClusterId(2), 90.0)
+        );
     }
 
     #[test]
@@ -710,7 +770,12 @@ mod tests {
                 // Destination cluster: ride 1 is never listed, ride 4
                 // arrives before its pick-up, ride 5 matches, ride 6
                 // exceeds its budget.
-                vec![open(4, 5.0, 0.0), open(5, 52.0, 0.0), open(6, 53.0, 0.0), row(9, 3_000.0, 0.0)],
+                vec![
+                    open(4, 5.0, 0.0),
+                    open(5, 52.0, 0.0),
+                    open(6, 53.0, 0.0),
+                    row(9, 3_000.0, 0.0),
+                ],
             ],
         };
         let (out, explain) = collect(&view, &[walk(0, 100.0)], &[walk(1, 100.0)]);
@@ -741,7 +806,10 @@ mod tests {
         }
         // At the load limit: half the slots live, not yet doubled. An
         // absent ride's probe still ends at a stale slot.
-        assert_eq!((s.slots.len(), s.cands.len()), (INITIAL_SLOTS, INITIAL_SLOTS / 2));
+        assert_eq!(
+            (s.slots.len(), s.cands.len()),
+            (INITIAL_SLOTS, INITIAL_SLOTS / 2)
+        );
         for absent in [0u64, 4, 3 + 8 * 1_000, u64::MAX] {
             assert_eq!(s.find(RideId(absent)), None);
         }

@@ -299,21 +299,30 @@ impl ShardedXarEngine {
         explain: &mut SearchExplain,
     ) -> Result<(), XarError> {
         let inner = &*self.inner;
-        run_search(&inner.region, &inner.stats, &inner.metrics, req, limit, out, explain, |run| {
-            for shard in &inner.shards {
-                let engine = shard.read();
-                let index = engine.index();
-                // A shard can only contribute a match if it lists a ride
-                // in at least one source-side AND one destination-side
-                // cluster (the candidate set is R1 ∩ R2, and a ride's
-                // entries never leave its shard); any other is skipped
-                // unprobed.
-                let listed = |w: &WalkEntry| !index.rows(w.cluster).is_empty();
-                if run.src_walkable.iter().any(listed) && run.dst_walkable.iter().any(listed) {
-                    run.collect_matches(index);
+        run_search(
+            &inner.region,
+            &inner.stats,
+            &inner.metrics,
+            req,
+            limit,
+            out,
+            explain,
+            |run| {
+                for shard in &inner.shards {
+                    let engine = shard.read();
+                    let index = engine.index();
+                    // A shard can only contribute a match if it lists a ride
+                    // in at least one source-side AND one destination-side
+                    // cluster (the candidate set is R1 ∩ R2, and a ride's
+                    // entries never leave its shard); any other is skipped
+                    // unprobed.
+                    let listed = |w: &WalkEntry| !index.rows(w.cluster).is_empty();
+                    if run.src_walkable.iter().any(listed) && run.dst_walkable.iter().any(listed) {
+                        run.collect_matches(index);
+                    }
                 }
-            }
-        })
+            },
+        )
     }
 
     /// **Create** (operation O2): one write lock on the shard owning
@@ -368,7 +377,11 @@ impl ShardedXarEngine {
 
     /// Total live rides across all shards.
     pub fn ride_count(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.read().ride_count()).sum()
+        self.inner
+            .shards
+            .iter()
+            .map(|s| s.read().ride_count())
+            .sum()
     }
 
     /// Run a read-only closure against one shard's engine (shared
@@ -388,7 +401,12 @@ impl ShardedXarEngine {
     /// Total heap bytes: the shared region tables once, plus every
     /// shard's private runtime state (index + rides).
     pub fn heap_bytes(&self) -> usize {
-        let shards: usize = self.inner.shards.iter().map(|s| s.read().heap_bytes_runtime()).sum();
+        let shards: usize = self
+            .inner
+            .shards
+            .iter()
+            .map(|s| s.read().heap_bytes_runtime())
+            .sum();
         self.inner.region.heap_bytes() + shards
     }
 }
@@ -401,11 +419,20 @@ mod tests {
 
     fn region(seed: u64) -> Arc<RegionIndex> {
         let graph = Arc::new(CityConfig::test_city(seed).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: 400, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: 400,
+                ..Default::default()
+            },
+        );
         Arc::new(RegionIndex::build(
             graph,
             &pois,
-            RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+            RegionConfig {
+                cluster_goal: ClusterGoal::Delta(200.0),
+                ..Default::default()
+            },
         ))
     }
 
@@ -439,7 +466,10 @@ mod tests {
         // Every id's computed shard actually holds the ride.
         for id in &ids {
             let s = eng.shard_of_ride(*id);
-            assert!(eng.with_shard_read(s, |e| e.ride(*id).is_some()), "ride {id:?} in shard {s}");
+            assert!(
+                eng.with_shard_read(s, |e| e.ride(*id).is_some()),
+                "ride {id:?} in shard {s}"
+            );
         }
         assert_eq!(eng.ride_count(), ids.len());
     }
@@ -480,12 +510,19 @@ mod tests {
         let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 8);
         // A small detour budget keeps the ride's footprint to a strip
         // along its route.
-        let offer = RideOffer { detour_limit_m: 200.0, ..offer(&graph, 3) };
+        let offer = RideOffer {
+            detour_limit_m: 200.0,
+            ..offer(&graph, 3)
+        };
         let id = eng.create_ride(&offer).unwrap();
         let (listed, _) = footprint_of(&eng, id);
         // The clusters walkable from `p`, and whether the ride lists any.
         let walkable = |p: &xar_geo::GeoPoint| -> Vec<ClusterId> {
-            region.walkable_within(region.snap(p), 500.0).iter().map(|w| w.cluster).collect()
+            region
+                .walkable_within(region.snap(p), 500.0)
+                .iter()
+                .map(|w| w.cluster)
+                .collect()
         };
         let on_route = |p: &xar_geo::GeoPoint| walkable(p).iter().any(|c| listed.contains(c));
         let candidates = |destination| {
@@ -521,7 +558,10 @@ mod tests {
         let writes_before = eng.registry().histogram("lock.write_hold_ns").count();
         assert_eq!(eng.track_all(9.0 * 3600.0), 0);
         let writes_after = eng.registry().histogram("lock.write_hold_ns").count();
-        assert_eq!(writes_before, writes_after, "empty sweep must not take write locks");
+        assert_eq!(
+            writes_before, writes_after,
+            "empty sweep must not take write locks"
+        );
     }
 
     #[test]
@@ -552,14 +592,19 @@ mod tests {
             walk_limit_m: 800.0,
         };
         // Empty engine: nothing findable.
-        assert!(matches!(eng.search(&req, usize::MAX), Ok(v) if v.is_empty())
-            || matches!(eng.search(&req, usize::MAX), Err(XarError::NotServable)));
+        assert!(
+            matches!(eng.search(&req, usize::MAX), Ok(v) if v.is_empty())
+                || matches!(eng.search(&req, usize::MAX), Err(XarError::NotServable))
+        );
         for i in 0..30 {
             let _ = eng.create_ride(&offer(&graph, i));
         }
         // Matches appear with no intervening write.
         let matches = eng.search(&req, usize::MAX).unwrap();
-        assert!(!matches.is_empty(), "created rides must be searchable immediately");
+        assert!(
+            !matches.is_empty(),
+            "created rides must be searchable immediately"
+        );
         // Booking a single-seat ride out makes it vanish from search.
         let single = RideOffer {
             seats: 1,
@@ -611,11 +656,19 @@ mod tests {
 
     /// The distinct clusters `id` is listed in, and its
     /// `(pass, reachable)` pair count.
-    fn footprint_of(eng: &ShardedXarEngine, id: RideId) -> (std::collections::BTreeSet<ClusterId>, usize) {
+    fn footprint_of(
+        eng: &ShardedXarEngine,
+        id: RideId,
+    ) -> (std::collections::BTreeSet<ClusterId>, usize) {
         eng.with_shard_read(eng.shard_of_ride(id), |e| {
             let pass = &e.ride(id).expect("live ride").pass_clusters;
             let pairs = pass.iter().map(|p| 1 + p.reachable.len()).sum();
-            (pass.iter().flat_map(crate::ride::PassCluster::clusters).collect(), pairs)
+            (
+                pass.iter()
+                    .flat_map(crate::ride::PassCluster::clusters)
+                    .collect(),
+                pairs,
+            )
         })
     }
 
@@ -628,10 +681,20 @@ mod tests {
         let calls = || eng.with_shard_read(0, |e| e.index().edit_calls);
 
         // Create: one insert per distinct cluster, far fewer than pairs.
-        let o = RideOffer::simple(graph.point(NodeId(0)), graph.point(NodeId(n - 1)), 8.0 * 3600.0, 3, 3_000.0);
+        let o = RideOffer::simple(
+            graph.point(NodeId(0)),
+            graph.point(NodeId(n - 1)),
+            8.0 * 3600.0,
+            3,
+            3_000.0,
+        );
         let id = eng.create_ride(&o).unwrap();
         let (created, pairs) = footprint_of(&eng, id);
-        assert!(pairs > 2 * created.len(), "fixture lost its overlap: {pairs} pairs, {} clusters", created.len());
+        assert!(
+            pairs > 2 * created.len(),
+            "fixture lost its overlap: {pairs} pairs, {} clusters",
+            created.len()
+        );
         assert_eq!(calls(), created.len());
 
         // Book: one remove per old cluster, one insert per new one.
@@ -661,9 +724,15 @@ mod tests {
             .filter(|p| p.exit_idx < progress)
             .flat_map(crate::ride::PassCluster::clusters)
             .collect();
-        assert!(!obsolete.is_empty(), "half-way tracking must cross clusters");
+        assert!(
+            !obsolete.is_empty(),
+            "half-way tracking must cross clusters"
+        );
         let (tracked, _) = footprint_of(&eng, id);
-        assert_eq!(calls() - before, obsolete.len() + obsolete.intersection(&tracked).count());
+        assert_eq!(
+            calls() - before,
+            obsolete.len() + obsolete.intersection(&tracked).count()
+        );
     }
 
     #[test]
@@ -679,7 +748,12 @@ mod tests {
             window_end_s: 9.5 * 3600.0,
             walk_limit_m: 800.0,
         };
-        assert!((0..30).filter(|&i| eng.create_ride(&offer(&graph, i)).is_ok()).count() > 10);
+        assert!(
+            (0..30)
+                .filter(|&i| eng.create_ride(&offer(&graph, i)).is_ok())
+                .count()
+                > 10
+        );
         let writer = {
             let eng = eng.clone();
             std::thread::spawn(move || {

@@ -37,7 +37,10 @@ impl XarEngine {
         let _span = xar_obs::SpanTimer::new(std::sync::Arc::clone(&self.metrics.track_ns));
         let mut tspan = xar_obs::trace::span("track");
         tspan.attr("ride", id.0);
-        let ride = self.rides_mut().get_mut(&id).ok_or(XarError::UnknownRide(id))?;
+        let ride = self
+            .rides_mut()
+            .get_mut(&id)
+            .ok_or(XarError::UnknownRide(id))?;
         if now_s <= ride.departure_s {
             return Ok(ride.status);
         }
@@ -65,8 +68,12 @@ impl XarEngine {
             // Step 1: crossed pass-through clusters (exit way-point
             // strictly behind the ride) and their reachable clusters.
             let crossed = |p: &PassCluster| p.exit_idx < new_idx;
-            let mut obsolete: Vec<ClusterId> =
-                ride.pass_clusters.iter().filter(|p| crossed(p)).flat_map(PassCluster::clusters).collect();
+            let mut obsolete: Vec<ClusterId> = ride
+                .pass_clusters
+                .iter()
+                .filter(|p| crossed(p))
+                .flat_map(PassCluster::clusters)
+                .collect();
             if obsolete.is_empty() {
                 return;
             }

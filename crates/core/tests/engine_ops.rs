@@ -15,7 +15,13 @@ use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 /// enough clusters for interesting matches.
 fn region() -> Arc<RegionIndex> {
     let graph = Arc::new(CityConfig::test_city(77).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 600,
+            ..Default::default()
+        },
+    );
     let cfg = RegionConfig {
         landmark_separation_m: 220.0,
         cluster_goal: ClusterGoal::Delta(150.0),
@@ -39,7 +45,15 @@ fn corners(g: &RoadGraph) -> (GeoPoint, GeoPoint) {
 
 fn cross_city_offer(g: &RoadGraph) -> RideOffer {
     let (a, b) = corners(g);
-    RideOffer { source: a, destination: b, departure_s: 8.0 * 3600.0, seats: 3, detour_limit_m: 2_500.0 , driver: None, via: Vec::new(),}
+    RideOffer {
+        source: a,
+        destination: b,
+        departure_s: 8.0 * 3600.0,
+        seats: 3,
+        detour_limit_m: 2_500.0,
+        driver: None,
+        via: Vec::new(),
+    }
 }
 
 /// A request starting near the middle of the city going towards the
@@ -63,7 +77,10 @@ fn create_populates_index() {
     let g = Arc::clone(eng.region().graph());
     let id = eng.create_ride(&cross_city_offer(&g)).unwrap();
     let ride = eng.ride(id).unwrap();
-    assert!(!ride.pass_clusters.is_empty(), "cross-city ride must pass clusters");
+    assert!(
+        !ride.pass_clusters.is_empty(),
+        "cross-city ride must pass clusters"
+    );
     assert!(!eng.index().is_empty());
     // Every pass-through cluster lists the ride with detour 0.
     for p in &ride.pass_clusters {
@@ -90,10 +107,16 @@ fn create_rejects_bad_offers() {
     let g = Arc::clone(eng.region().graph());
     let mut offer = cross_city_offer(&g);
     offer.detour_limit_m = f64::NAN;
-    assert!(matches!(eng.create_ride(&offer), Err(XarError::InvalidRequest(_))));
+    assert!(matches!(
+        eng.create_ride(&offer),
+        Err(XarError::InvalidRequest(_))
+    ));
     let mut offer = cross_city_offer(&g);
     offer.departure_s = f64::INFINITY;
-    assert!(matches!(eng.create_ride(&offer), Err(XarError::InvalidRequest(_))));
+    assert!(matches!(
+        eng.create_ride(&offer),
+        Err(XarError::InvalidRequest(_))
+    ));
 }
 
 #[test]
@@ -104,7 +127,10 @@ fn search_finds_created_ride() {
     let req = mid_to_corner_request(&g);
     let matches = eng.search(&req, usize::MAX).unwrap();
     assert!(!matches.is_empty(), "request along the route must match");
-    let m = matches.iter().find(|m| m.ride == id).expect("our ride matches");
+    let m = matches
+        .iter()
+        .find(|m| m.ride == id)
+        .expect("our ride matches");
     assert!(m.walk_total_m() <= req.walk_limit_m);
     assert!(m.eta_pickup_s < m.eta_dropoff_s);
     assert!(m.eta_pickup_s >= req.window_start_s && m.eta_pickup_s <= req.window_end_s);
@@ -135,7 +161,10 @@ fn search_respects_time_window() {
     req.window_start_s = 0.0;
     req.window_end_s = 3_600.0;
     let matches = eng.search(&req, usize::MAX).unwrap();
-    assert!(matches.is_empty(), "ride departs at 8am; a 0-1am window cannot match");
+    assert!(
+        matches.is_empty(),
+        "ride departs at 8am; a 0-1am window cannot match"
+    );
 }
 
 #[test]
@@ -166,7 +195,10 @@ fn invalid_request_is_rejected() {
     let g = Arc::clone(eng.region().graph());
     let mut req = mid_to_corner_request(&g);
     req.window_end_s = req.window_start_s - 10.0;
-    assert!(matches!(eng.search(&req, 5), Err(XarError::InvalidRequest(_))));
+    assert!(matches!(
+        eng.search(&req, 5),
+        Err(XarError::InvalidRequest(_))
+    ));
 }
 
 #[test]
@@ -184,7 +216,10 @@ fn booking_updates_ride_and_budget() {
 
     assert_eq!(after.seats_available, before.seats_available - 1);
     assert_eq!(after.bookings.len(), 1);
-    assert!(outcome.shortest_paths <= 4, "at most 4 SPs per booking (§VIII.B)");
+    assert!(
+        outcome.shortest_paths <= 4,
+        "at most 4 SPs per booking (§VIII.B)"
+    );
     assert!(outcome.actual_detour_m >= 0.0);
     assert!((after.detour_used_m - outcome.actual_detour_m).abs() < 1e-9);
     // The route now passes through the pick-up and drop-off landmarks.
@@ -230,7 +265,10 @@ fn booking_consumes_seats_until_full() {
     // Ride is now full: stale match must fail, and search must skip it.
     assert!(matches!(eng.book_checked(&m), Err(XarError::NoSeats(_))));
     let again = eng.search(&req, usize::MAX).unwrap();
-    assert!(again.iter().all(|x| x.ride != id), "full ride still returned by search");
+    assert!(
+        again.iter().all(|x| x.ride != id),
+        "full ride still returned by search"
+    );
 }
 
 /// All matches of `req` on `eng` and their attribution.
@@ -295,7 +333,10 @@ fn a_zero_seat_offer_is_created_but_never_listed() {
     assert_eq!((rides(&ms), explain.candidates), (vec![open], 1));
     let mut stale = ms[0];
     stale.ride = zero;
-    assert!(matches!(eng.book_checked(&stale), Err(XarError::NoSeats(_))));
+    assert!(matches!(
+        eng.book_checked(&stale),
+        Err(XarError::NoSeats(_))
+    ));
     // Tracking advances it and lists it nowhere.
     let halfway = zero_offer.departure_s + 0.5 * eng.ride(zero).unwrap().route.duration_s();
     let entries = eng.index().len();
@@ -305,7 +346,9 @@ fn a_zero_seat_offer_is_created_but_never_listed() {
 
     let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 4);
     let listing = || -> Vec<usize> {
-        (0..eng.shard_count()).filter(|&s| !eng.with_shard_read(s, |e| e.index().is_empty())).collect()
+        (0..eng.shard_count())
+            .filter(|&s| !eng.with_shard_read(s, |e| e.index().is_empty()))
+            .collect()
     };
     let zero = eng.create_ride(&zero_offer).unwrap();
     assert_eq!(listing(), vec![], "a zero-seat offer is listed");
@@ -328,7 +371,10 @@ fn booking_unknown_ride_fails() {
     let matches = eng.search(&req, usize::MAX).unwrap();
     let mut m = *matches.iter().find(|m| m.ride == id).expect("match");
     m.ride = xar_core::RideId(999_999);
-    assert!(matches!(eng.book_checked(&m), Err(XarError::UnknownRide(_))));
+    assert!(matches!(
+        eng.book_checked(&m),
+        Err(XarError::UnknownRide(_))
+    ));
 }
 
 #[test]
@@ -339,7 +385,12 @@ fn double_booking_two_riders_shares_capacity() {
     offer.detour_limit_m = 8_000.0;
     let id = eng.create_ride(&offer).unwrap();
     let req = mid_to_corner_request(&g);
-    let m1 = eng.search(&req, usize::MAX).unwrap().into_iter().find(|m| m.ride == id).unwrap();
+    let m1 = eng
+        .search(&req, usize::MAX)
+        .unwrap()
+        .into_iter()
+        .find(|m| m.ride == id)
+        .unwrap();
     eng.book_checked(&m1).unwrap();
     // A second, different request books the same ride after re-search.
     let n = g.node_count() as u32;
@@ -350,7 +401,12 @@ fn double_booking_two_riders_shares_capacity() {
         window_end_s: req.window_end_s + 1_200.0,
         walk_limit_m: 800.0,
     };
-    if let Some(m2) = eng.search(&req2, usize::MAX).unwrap().into_iter().find(|m| m.ride == id) {
+    if let Some(m2) = eng
+        .search(&req2, usize::MAX)
+        .unwrap()
+        .into_iter()
+        .find(|m| m.ride == id)
+    {
         let out = eng.book_checked(&m2).unwrap();
         assert!(out.shortest_paths <= 4);
         let ride = eng.ride(id).unwrap();
@@ -377,7 +433,10 @@ fn tracking_expires_passed_clusters() {
     // cross-city route; unless it is still reachable as a detour, it no
     // longer lists the ride with detour 0.
     if let Some(e) = eng.index().get(first_cluster, id) {
-        assert!(e.detour_m > 0.0, "crossed cluster still listed as pass-through");
+        assert!(
+            e.detour_m > 0.0,
+            "crossed cluster still listed as pass-through"
+        );
     }
     // No stale pass cluster behind the ride's progress.
     for p in &ride.pass_clusters {
@@ -394,9 +453,16 @@ fn tracking_to_completion_retires_ride() {
     let status = eng.track_ride(id, arrival + 60.0).unwrap();
     assert_eq!(status, RideStatus::Completed);
     assert!(eng.ride(id).is_none(), "completed ride still in the table");
-    assert_eq!(eng.index().len(), 0, "completed ride left index entries behind");
+    assert_eq!(
+        eng.index().len(),
+        0,
+        "completed ride left index entries behind"
+    );
     // Tracking it again is an error.
-    assert!(matches!(eng.track_ride(id, arrival + 120.0), Err(XarError::UnknownRide(_))));
+    assert!(matches!(
+        eng.track_ride(id, arrival + 120.0),
+        Err(XarError::UnknownRide(_))
+    ));
 }
 
 #[test]
@@ -424,7 +490,10 @@ fn searches_never_compute_shortest_paths() {
     let after = eng.stats().snapshot();
     let (searches, sps_after) = (after.searches, after.shortest_paths);
     assert_eq!(searches, 50);
-    assert_eq!(sps_after, sps_before, "search performed a shortest-path computation");
+    assert_eq!(
+        sps_after, sps_before,
+        "search performed a shortest-path computation"
+    );
 }
 
 #[test]
@@ -437,7 +506,12 @@ fn booked_rider_stays_on_route_after_second_booking() {
     offer.detour_limit_m = 10_000.0;
     let id = eng.create_ride(&offer).unwrap();
     let req = mid_to_corner_request(&g);
-    let m1 = eng.search(&req, usize::MAX).unwrap().into_iter().find(|m| m.ride == id).unwrap();
+    let m1 = eng
+        .search(&req, usize::MAX)
+        .unwrap()
+        .into_iter()
+        .find(|m| m.ride == id)
+        .unwrap();
     let pickup1 = eng.region().landmark(m1.pickup_landmark).node;
     let dropoff1 = eng.region().landmark(m1.dropoff_landmark).node;
     eng.book_checked(&m1).unwrap();
@@ -450,11 +524,22 @@ fn booked_rider_stays_on_route_after_second_booking() {
         window_end_s: req.window_end_s + 1_800.0,
         walk_limit_m: 800.0,
     };
-    if let Some(m2) = eng.search(&req2, usize::MAX).unwrap().into_iter().find(|m| m.ride == id) {
+    if let Some(m2) = eng
+        .search(&req2, usize::MAX)
+        .unwrap()
+        .into_iter()
+        .find(|m| m.ride == id)
+    {
         eng.book_checked(&m2).unwrap();
         let ride = eng.ride(id).unwrap();
-        assert!(ride.route.nodes().contains(&pickup1), "rider 1 pick-up dropped from route");
-        assert!(ride.route.nodes().contains(&dropoff1), "rider 1 drop-off dropped from route");
+        assert!(
+            ride.route.nodes().contains(&pickup1),
+            "rider 1 pick-up dropped from route"
+        );
+        assert!(
+            ride.route.nodes().contains(&dropoff1),
+            "rider 1 drop-off dropped from route"
+        );
     }
 }
 
@@ -485,25 +570,47 @@ fn failed_booking_still_counts_its_shortest_paths() {
 
     const SIDE: usize = 6;
     let mut b = RoadGraphBuilder::new();
-    let at = |r: usize, c: usize| GeoPoint::new(40.70 + 0.0027 * r as f64, -74.00 + 0.0036 * c as f64);
-    let ids: Vec<NodeId> = (0..SIDE * SIDE).map(|i| b.add_node(at(i / SIDE, i % SIDE))).collect();
+    let at =
+        |r: usize, c: usize| GeoPoint::new(40.70 + 0.0027 * r as f64, -74.00 + 0.0036 * c as f64);
+    let ids: Vec<NodeId> = (0..SIDE * SIDE)
+        .map(|i| b.add_node(at(i / SIDE, i % SIDE)))
+        .collect();
     for r in 0..SIDE {
         for c in 0..SIDE {
             // Distinct lengths (~300 m) so shortest paths are unique.
             let len = 300.0 + (r * SIDE + c) as f64;
             if c + 1 < SIDE {
-                b.add_two_way(ids[r * SIDE + c], ids[r * SIDE + c + 1], RoadClass::Street, Some(len));
+                b.add_two_way(
+                    ids[r * SIDE + c],
+                    ids[r * SIDE + c + 1],
+                    RoadClass::Street,
+                    Some(len),
+                );
             }
             if r + 1 < SIDE {
-                b.add_two_way(ids[r * SIDE + c], ids[(r + 1) * SIDE + c], RoadClass::Street, Some(len + 0.5));
+                b.add_two_way(
+                    ids[r * SIDE + c],
+                    ids[(r + 1) * SIDE + c],
+                    RoadClass::Street,
+                    Some(len + 0.5),
+                );
             }
         }
     }
     let dead_end = b.add_node(at(SIDE, 2));
-    b.add_edge(ids[(SIDE - 1) * SIDE + 2], dead_end, RoadClass::Street, Some(310.0));
+    b.add_edge(
+        ids[(SIDE - 1) * SIDE + 2],
+        dead_end,
+        RoadClass::Street,
+        Some(310.0),
+    );
     let graph = Arc::new(b.build());
 
-    let poi = |node: NodeId| Poi { point: graph.point(node), node, kind: PoiKind::TransitStop };
+    let poi = |node: NodeId| Poi {
+        point: graph.point(node),
+        node,
+        kind: PoiKind::TransitStop,
+    };
     let mut pois: Vec<Poi> = ids.iter().map(|&n| poi(n)).collect();
     pois.push(poi(dead_end));
     let region = Arc::new(RegionIndex::build(
@@ -516,7 +623,12 @@ fn failed_booking_still_counts_its_shortest_paths() {
         },
     ));
     let landmark_at = |node: NodeId| {
-        region.landmarks().iter().find(|l| l.node == node).expect("every POI became a landmark").id
+        region
+            .landmarks()
+            .iter()
+            .find(|l| l.node == node)
+            .expect("every POI became a landmark")
+            .id
     };
     let (pickup, dropoff) = (landmark_at(ids[SIDE + 1]), landmark_at(dead_end));
 
@@ -550,8 +662,14 @@ fn failed_booking_still_counts_its_shortest_paths() {
 
     // 1 for the creation + 3 legs attempted by the failed booking.
     assert_eq!(eng.metrics().sp_ns.count(), 4);
-    assert_eq!(eng.stats().snapshot().shortest_paths, eng.metrics().sp_ns.count());
+    assert_eq!(
+        eng.stats().snapshot().shortest_paths,
+        eng.metrics().sp_ns.count()
+    );
     // Nothing else about the ride moved.
     let r = eng.ride(ride).unwrap();
-    assert_eq!((r.seats_available, r.bookings.len(), r.via_points.len()), (3, 0, 2));
+    assert_eq!(
+        (r.seats_available, r.bookings.len(), r.via_points.len()),
+        (3, 0, 2)
+    );
 }

@@ -9,11 +9,20 @@ use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
 fn region() -> Arc<RegionIndex> {
     let graph = Arc::new(CityConfig::manhattan(25, 25, 555).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 600,
+            ..Default::default()
+        },
+    );
     Arc::new(RegionIndex::build(
         graph,
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(200.0),
+            ..Default::default()
+        },
     ))
 }
 
@@ -120,12 +129,22 @@ fn social_ranking_prefers_friends() {
         walk_limit_m: 800.0,
     };
     let mut matches = eng.search(&req, usize::MAX).unwrap();
-    assert!(matches.len() >= 3, "all three rides should match, got {}", matches.len());
+    assert!(
+        matches.len() >= 3,
+        "all three rides should match, got {}",
+        matches.len()
+    );
     eng.rank_by_social(&mut matches, &social, requester);
 
     let pos = |ride| matches.iter().position(|m| m.ride == ride).unwrap();
-    assert!(pos(friend_ride) < pos(fof_ride), "friend before friend-of-friend");
-    assert!(pos(fof_ride) < pos(stranger_ride), "friend-of-friend before stranger");
+    assert!(
+        pos(friend_ride) < pos(fof_ride),
+        "friend before friend-of-friend"
+    );
+    assert!(
+        pos(fof_ride) < pos(stranger_ride),
+        "friend-of-friend before stranger"
+    );
 }
 
 #[test]
@@ -159,12 +178,19 @@ fn historical_speeds_delay_rush_hour_etas() {
     let reg = region();
     let g = Arc::clone(reg.graph());
     let (a, b) = corner_points(&g);
-    let cfg = EngineConfig { historical: Some(HistoricalSpeeds::weekday_urban()), ..Default::default() };
+    let cfg = EngineConfig {
+        historical: Some(HistoricalSpeeds::weekday_urban()),
+        ..Default::default()
+    };
 
     // Same route at 3 am (free flow) and 8 am (rush hour).
     let mut eng = XarEngine::new(Arc::clone(&reg), cfg);
-    let night = eng.create_ride(&RideOffer::simple(a, b, 3.0 * 3600.0, 3, 3_000.0)).unwrap();
-    let rush = eng.create_ride(&RideOffer::simple(a, b, 8.0 * 3600.0, 3, 3_000.0)).unwrap();
+    let night = eng
+        .create_ride(&RideOffer::simple(a, b, 3.0 * 3600.0, 3, 3_000.0))
+        .unwrap();
+    let rush = eng
+        .create_ride(&RideOffer::simple(a, b, 8.0 * 3600.0, 3, 3_000.0))
+        .unwrap();
     let night_dur = eng.ride(night).unwrap().arrival_s() - 3.0 * 3600.0;
     let rush_dur = eng.ride(rush).unwrap().arrival_s() - 8.0 * 3600.0;
     assert!(
@@ -188,9 +214,7 @@ fn persisted_region_drives_identical_search() {
     let g = Arc::clone(reg.graph());
     let mut buf = Vec::new();
     reg.write_to(&mut buf).unwrap();
-    let loaded = Arc::new(
-        xar_discretize::RegionIndex::read_from(&mut buf.as_slice()).unwrap(),
-    );
+    let loaded = Arc::new(xar_discretize::RegionIndex::read_from(&mut buf.as_slice()).unwrap());
 
     let (a, b) = corner_points(&g);
     let offer = RideOffer::simple(a, b, 8.0 * 3600.0, 3, 3_000.0);

@@ -37,11 +37,20 @@ fn region() -> &'static Arc<RegionIndex> {
     static REGION: OnceLock<Arc<RegionIndex>> = OnceLock::new();
     REGION.get_or_init(|| {
         let graph = Arc::new(CityConfig::manhattan(25, 25, 1515).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: 600,
+                ..Default::default()
+            },
+        );
         Arc::new(RegionIndex::build(
             graph,
             &pois,
-            RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+            RegionConfig {
+                cluster_goal: ClusterGoal::Delta(200.0),
+                ..Default::default()
+            },
         ))
     })
 }
@@ -100,7 +109,10 @@ struct Oracle {
 
 impl Oracle {
     fn new() -> Self {
-        Self { lists: vec![BTreeMap::new(); region().cluster_count()], pass: HashMap::new() }
+        Self {
+            lists: vec![BTreeMap::new(); region().cluster_count()],
+            pass: HashMap::new(),
+        }
     }
 
     /// `ClusterIndex::insert` as it was: listed already → better wins.
@@ -112,9 +124,17 @@ impl Oracle {
     }
 
     /// The old reachable scan of one pass-through cluster.
-    fn reachable(config: &EngineConfig, ride: &Ride, p: &PassCluster) -> Vec<(ClusterId, f64, f64)> {
+    fn reachable(
+        config: &EngineConfig,
+        ride: &Ride,
+        p: &PassCluster,
+    ) -> Vec<(ClusterId, f64, f64)> {
         let reg = region();
-        let budget = if config.index_reachable { ride.detour_remaining_m() } else { 0.0 };
+        let budget = if config.index_reachable {
+            ride.detour_remaining_m()
+        } else {
+            0.0
+        };
         let end_via = ride.via_points[(p.seg + 1).min(ride.via_points.len() - 1)];
         let end_cluster = reg.cluster_of_node(end_via.node);
         let mut out = Vec::new();
@@ -125,7 +145,10 @@ impl Oracle {
             }
             let detour = match end_cluster {
                 Some(cv) => {
-                    let (d_cv, d_pv) = (reg.cluster_distance(c, cv), reg.cluster_distance(p.cluster, cv));
+                    let (d_cv, d_pv) = (
+                        reg.cluster_distance(c, cv),
+                        reg.cluster_distance(p.cluster, cv),
+                    );
                     if d_cv.is_finite() && d_pv.is_finite() {
                         (d_pc + d_cv - d_pv).max(0.0)
                     } else {
@@ -158,7 +181,12 @@ impl Oracle {
             return;
         }
         for p in &ride.pass_clusters {
-            assert_eq!(p.reachable, Self::reachable(config, ride, p), "reachable set of {:?}", p.cluster);
+            assert_eq!(
+                p.reachable,
+                Self::reachable(config, ride, p),
+                "reachable set of {:?}",
+                p.cluster
+            );
             self.insert(p.cluster, entry(ride, p, p.eta_s, 0.0));
             for &(c, detour, eta) in &p.reachable {
                 self.insert(c, entry(ride, p, eta, detour));
@@ -177,8 +205,9 @@ impl Oracle {
             }
             return;
         };
-        let (crossed, kept): (Vec<_>, Vec<_>) =
-            before.into_iter().partition(|p| p.exit_idx < ride.progress_idx);
+        let (crossed, kept): (Vec<_>, Vec<_>) = before
+            .into_iter()
+            .partition(|p| p.exit_idx < ride.progress_idx);
         let mut obsolete: Vec<ClusterId> = crossed
             .iter()
             .flat_map(|p| std::iter::once(p.cluster).chain(p.reachable.iter().map(|r| r.0)))
@@ -219,22 +248,44 @@ impl Oracle {
     /// bit for bit, and every row carries its ride's current budget.
     fn assert_matches(&self, eng: &XarEngine, what: &str) {
         let bits = |e: &PotentialRide| {
-            (e.eta_s.to_bits(), e.ride, e.detour_m.to_bits(), e.budget_m.to_bits(), e.seg, e.pass_route_idx)
+            (
+                e.eta_s.to_bits(),
+                e.ride,
+                e.detour_m.to_bits(),
+                e.budget_m.to_bits(),
+                e.seg,
+                e.pass_route_idx,
+            )
         };
         for (c, list) in self.lists.iter().enumerate() {
             let mut want: Vec<_> = list.values().map(bits).collect();
             want.sort_unstable(); // non-negative ETAs: bit order is numeric order
-            let got: Vec<_> = eng.index().entries_of(ClusterId(c as u32)).map(|e| bits(&e)).collect();
+            let got: Vec<_> = eng
+                .index()
+                .entries_of(ClusterId(c as u32))
+                .map(|e| bits(&e))
+                .collect();
             assert_eq!(got, want, "cluster {c} after {what}");
             for e in eng.index().entries_of(ClusterId(c as u32)) {
-                let ride = eng.ride(e.ride).unwrap_or_else(|| panic!("retired ride in {c}, {what}"));
+                let ride = eng
+                    .ride(e.ride)
+                    .unwrap_or_else(|| panic!("retired ride in {c}, {what}"));
                 assert!(ride.seats_available > 0, "full ride in {c}, {what}");
-                assert_eq!(e.budget_m, ride.detour_remaining_m(), "stale budget of {:?} in {c}, {what}", e.ride);
+                assert_eq!(
+                    e.budget_m,
+                    ride.detour_remaining_m(),
+                    "stale budget of {:?} in {c}, {what}",
+                    e.ride
+                );
             }
         }
         for (id, pass) in &self.pass {
             let live = &eng.ride(*id).expect("oracle ride is live").pass_clusters;
-            assert_eq!(live.len(), pass.len(), "pass-through clusters of {id:?} after {what}");
+            assert_eq!(
+                live.len(),
+                pass.len(),
+                "pass-through clusters of {id:?} after {what}"
+            );
         }
     }
 }
@@ -324,7 +375,10 @@ fn heap_stays_bounded_under_expiry_churn() {
     for cycle in 0..CYCLES {
         let base_s = 8.0 * 3600.0 + f64::from(cycle) * 900.0;
         for i in 0..BATCH {
-            let _ = eng.create_ride(&expiring_offer(cycle * BATCH + i, base_s + f64::from(i) * 10.0));
+            let _ = eng.create_ride(&expiring_offer(
+                cycle * BATCH + i,
+                base_s + f64::from(i) * 10.0,
+            ));
         }
         for i in 0..6u32 {
             if let Ok(ms) = eng.search(&request(cycle * 31 + i), 4) {

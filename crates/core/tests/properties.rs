@@ -21,11 +21,20 @@ fn region() -> &'static Arc<RegionIndex> {
     static REGION: OnceLock<Arc<RegionIndex>> = OnceLock::new();
     REGION.get_or_init(|| {
         let graph = Arc::new(CityConfig::manhattan(25, 25, 1234).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: 600,
+                ..Default::default()
+            },
+        );
         Arc::new(RegionIndex::build(
             graph,
             &pois,
-            RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+            RegionConfig {
+                cluster_goal: ClusterGoal::Delta(200.0),
+                ..Default::default()
+            },
         ))
     })
 }
@@ -37,9 +46,23 @@ fn graph() -> &'static Arc<RoadGraph> {
 /// Random operation in a simulated session.
 #[derive(Debug, Clone)]
 enum Op {
-    Create { src: u32, dst: u32, depart_min: u16, seats: u8, detour_km: u8 },
-    SearchAndMaybeBook { src: u32, dst: u32, at_min: u16, walk_m: u16, book: bool },
-    Track { at_min: u16 },
+    Create {
+        src: u32,
+        dst: u32,
+        depart_min: u16,
+        seats: u8,
+        detour_km: u8,
+    },
+    SearchAndMaybeBook {
+        src: u32,
+        dst: u32,
+        at_min: u16,
+        walk_m: u16,
+        book: bool,
+    },
+    Track {
+        at_min: u16,
+    },
 }
 
 fn op_strategy(n_nodes: u32) -> impl Strategy<Value = Op> {
@@ -84,7 +107,9 @@ impl AnyEngine {
         let mut out = Vec::new();
         match self {
             AnyEngine::Serial(e) => {
-                out = e.search_explained(req, usize::MAX, &mut explain).unwrap_or_default();
+                out = e
+                    .search_explained(req, usize::MAX, &mut explain)
+                    .unwrap_or_default();
             }
             AnyEngine::Sharded(e) => {
                 let _ = e.search_into_explained(req, usize::MAX, &mut out, &mut explain);
@@ -147,7 +172,13 @@ fn run_layouts(
     let mut created = 0usize;
     for op in ops {
         match op {
-            Op::Create { src, dst, depart_min, seats, detour_km } => {
+            Op::Create {
+                src,
+                dst,
+                depart_min,
+                seats,
+                detour_km,
+            } => {
                 let offer = RideOffer {
                     source: g.point(NodeId(src % n)),
                     destination: g.point(NodeId(dst % n)),
@@ -166,7 +197,13 @@ fn run_layouts(
                     created += 1;
                 }
             }
-            Op::SearchAndMaybeBook { src, dst, at_min, walk_m, book } => {
+            Op::SearchAndMaybeBook {
+                src,
+                dst,
+                at_min,
+                walk_m,
+                book,
+            } => {
                 let req = RideRequest {
                     source: g.point(NodeId(src % n)),
                     destination: g.point(NodeId(dst % n)),
@@ -188,7 +225,9 @@ fn run_layouts(
                 }
             }
             Op::Track { at_min } => {
-                let retired = engines.each_mut().map(|e| e.track(f64::from(at_min) * 60.0));
+                let retired = engines
+                    .each_mut()
+                    .map(|e| e.track(f64::from(at_min) * 60.0));
                 prop_assert!(retired.iter().all(|&r| r == retired[0]));
             }
         }
@@ -208,7 +247,10 @@ fn run_layouts(
 /// search. The third field counts the `R1` rides a sharded search
 /// never sees (see below). `None` when an end-point has no walkable
 /// cluster.
-fn reference_search(engine: &AnyEngine, req: &RideRequest) -> Option<(Vec<RideMatch>, SearchExplain, u32)> {
+fn reference_search(
+    engine: &AnyEngine,
+    req: &RideRequest,
+) -> Option<(Vec<RideMatch>, SearchExplain, u32)> {
     let reg = region();
     let src_w = reg.walkable_within(reg.snap(&req.source), req.walk_limit_m);
     let dst_w = reg.walkable_within(reg.snap(&req.destination), req.walk_limit_m);
@@ -227,7 +269,10 @@ fn reference_search(engine: &AnyEngine, req: &RideRequest) -> Option<(Vec<RideMa
     // index and files them as unpaired.
     let prunes = matches!(engine, AnyEngine::Sharded(_));
     engine.for_each_index(|eng| {
-        let listed = |side: &[_]| side.iter().any(|w: &WalkEntry| eng.index().cluster_len(w.cluster) > 0);
+        let listed = |side: &[_]| {
+            side.iter()
+                .any(|w: &WalkEntry| eng.index().cluster_len(w.cluster) > 0)
+        };
         let skipped = prunes && !(listed(src_w) && listed(dst_w));
         for ride in eng.rides() {
             let entry = |c| eng.index().get(c, ride.id);
@@ -277,7 +322,10 @@ fn reference_search(engine: &AnyEngine, req: &RideRequest) -> Option<(Vec<RideMa
                         continue;
                     }
                     let key = (walk_s + walk_d, detour);
-                    if best.as_ref().is_none_or(|b| key < (b.walk_total_m(), b.detour_est_m)) {
+                    if best
+                        .as_ref()
+                        .is_none_or(|b| key < (b.walk_total_m(), b.detour_est_m))
+                    {
                         best = Some(RideMatch {
                             ride: ride.id,
                             pickup_cluster: ws.cluster,
@@ -320,12 +368,19 @@ fn assert_invariants(eng: &XarEngine) {
             "seat accounting overflow"
         );
         let total: f64 = ride.bookings.iter().map(|b| b.detour_m).sum();
-        assert!((total - ride.detour_used_m).abs() < 1e-6, "detour ledger drifted");
+        assert!(
+            (total - ride.detour_used_m).abs() < 1e-6,
+            "detour ledger drifted"
+        );
         for w in ride.via_points.windows(2) {
             assert!(w[0].route_idx <= w[1].route_idx, "via-points out of order");
         }
         for v in &ride.via_points {
-            assert_eq!(ride.route.nodes()[v.route_idx], v.node, "via node off route");
+            assert_eq!(
+                ride.route.nodes()[v.route_idx],
+                v.node,
+                "via node off route"
+            );
         }
         for p in &ride.pass_clusters {
             assert!(p.route_idx <= p.exit_idx);

@@ -25,7 +25,9 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use xar_core::index::PotentialRide;
-use xar_core::{ClusterIndex, EngineConfig, RideId, RideOffer, RideRequest, ShardedXarEngine, XarEngine};
+use xar_core::{
+    ClusterIndex, EngineConfig, RideId, RideOffer, RideRequest, ShardedXarEngine, XarEngine,
+};
 use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
@@ -67,11 +69,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 fn region(side: usize, seed: u64) -> Arc<RegionIndex> {
     let graph = Arc::new(CityConfig::manhattan(side, side, seed).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: side * side / 2, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: side * side / 2,
+            ..Default::default()
+        },
+    );
     Arc::new(RegionIndex::build(
         graph,
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(200.0),
+            ..Default::default()
+        },
     ))
 }
 
@@ -105,7 +116,10 @@ fn populated(region: &Arc<RegionIndex>, rides: u32) -> (ShardedXarEngine, XarEng
     let mut twin = XarEngine::new(Arc::clone(region), EngineConfig::default());
     let g = region.graph();
     for i in 0..rides {
-        assert_eq!(eng.create_ride(&offer(g, i)).ok(), twin.create_ride(&offer(g, i)).ok());
+        assert_eq!(
+            eng.create_ride(&offer(g, i)).ok(),
+            twin.create_ride(&offer(g, i)).ok()
+        );
     }
     (eng, twin)
 }
@@ -114,17 +128,29 @@ fn populated(region: &Arc<RegionIndex>, rides: u32) -> (ShardedXarEngine, XarEng
 /// in allocations and in bytes, between a booking on the sharded side
 /// and the same booking on the serial twin, and the mean rows per
 /// non-empty cluster list.
-fn booking_alloc_gap((eng, twin): &mut (ShardedXarEngine, XarEngine), bookings: u32) -> (u64, u64, f64) {
+fn booking_alloc_gap(
+    (eng, twin): &mut (ShardedXarEngine, XarEngine),
+    bookings: u32,
+) -> (u64, u64, f64) {
     let g = eng.region().graph();
     let (mut count_gap, mut bytes_gap, mut done, mut seed) = (0, 0, 0, 0);
     while done < bookings {
         seed += 1;
-        assert!(seed < 40_000, "ran out of bookable matches after {done} bookings");
-        let Ok(ms) = eng.search(&request(g, seed), 4) else { continue };
+        assert!(
+            seed < 40_000,
+            "ran out of bookable matches after {done} bookings"
+        );
+        let Ok(ms) = eng.search(&request(g, seed), 4) else {
+            continue;
+        };
         for m in &ms {
             let (sharded, count, bytes) = allocs_of(|| eng.book_checked(m));
             let (serial, twin_count, twin_bytes) = allocs_of(|| twin.book_checked(m));
-            assert_eq!(sharded.is_ok(), serial.is_ok(), "the twins diverged on {m:?}");
+            assert_eq!(
+                sharded.is_ok(),
+                serial.is_ok(),
+                "the twins diverged on {m:?}"
+            );
             if sharded.is_ok() {
                 count_gap = count_gap.max(count.abs_diff(twin_count));
                 bytes_gap = bytes_gap.max(bytes.abs_diff(twin_bytes));
@@ -165,8 +191,18 @@ fn a_sharded_booking_allocates_exactly_what_its_serial_twin_does() {
         small.cluster_count()
     );
     eprintln!("{ctx}");
-    assert!(dense_rows > sparse_rows * 2.0, "fixture lost its contrast: {ctx}");
-    for gap in [sparse_count, sparse_bytes, dense_count, dense_bytes, tiny_count, tiny_bytes] {
+    assert!(
+        dense_rows > sparse_rows * 2.0,
+        "fixture lost its contrast: {ctx}"
+    );
+    for gap in [
+        sparse_count,
+        sparse_bytes,
+        dense_count,
+        dense_bytes,
+        tiny_count,
+        tiny_bytes,
+    ] {
         assert_eq!(gap, 0, "the shard layer allocated on a booking: {ctx}");
     }
 }
@@ -203,7 +239,10 @@ fn edits_of_an_unshared_long_list_allocate_nothing() {
         }
     });
     let row_bytes = std::mem::size_of::<PotentialRide>() as u64;
-    assert!(count <= 2 && bytes <= 4 * ROWS * row_bytes, "growth allocated per edit: {count} allocations, {bytes} B");
+    assert!(
+        count <= 2 && bytes <= 4 * ROWS * row_bytes,
+        "growth allocated per edit: {count} allocations, {bytes} B"
+    );
 }
 
 /// Mean `(allocations, bytes)` of one successful serial-engine booking
@@ -217,8 +256,13 @@ fn serial_booking_allocs(region: &Arc<RegionIndex>, rides: u32, bookings: u32) -
     let (mut count, mut bytes, mut done, mut seed) = (0, 0, 0, 0);
     while done < bookings + 2 {
         seed += 1;
-        assert!(seed < 40_000, "ran out of bookable matches after {done} bookings");
-        let Ok(ms) = eng.search(&request(&g, seed), 1) else { continue };
+        assert!(
+            seed < 40_000,
+            "ran out of bookable matches after {done} bookings"
+        );
+        let Ok(ms) = eng.search(&request(&g, seed), 1) else {
+            continue;
+        };
         let Some(m) = ms.first() else { continue };
         let (res, c, b) = allocs_of(|| eng.book_checked(m));
         if res.is_ok() {
@@ -230,9 +274,15 @@ fn serial_booking_allocs(region: &Arc<RegionIndex>, rides: u32, bookings: u32) -
             }
         }
     }
-    let lists = (0..region.cluster_count() as u32).filter(|&c| eng.index().cluster_len(ClusterId(c)) > 0).count();
+    let lists = (0..region.cluster_count() as u32)
+        .filter(|&c| eng.index().cluster_len(ClusterId(c)) > 0)
+        .count();
     let n = f64::from(bookings);
-    (count as f64 / n, bytes as f64 / n, eng.index().len() as f64 / lists as f64)
+    (
+        count as f64 / n,
+        bytes as f64 / n,
+        eng.index().len() as f64 / lists as f64,
+    )
 }
 
 #[test]
@@ -245,9 +295,18 @@ fn a_serial_booking_allocates_nothing_proportional_to_list_length() {
          {dense_count:.1} ({dense_bytes:.0} B) at {dense_rows:.1} rows/list"
     );
     eprintln!("{ctx}");
-    assert!(dense_rows > sparse_rows * 4.0, "fixture lost its contrast: {ctx}");
+    assert!(
+        dense_rows > sparse_rows * 4.0,
+        "fixture lost its contrast: {ctx}"
+    );
     // Routes, via-points and reachable sets are what a booking
     // allocates; none of it grows with the lists it edits.
-    assert!(dense_count < sparse_count * 1.5, "allocation count followed list length: {ctx}");
-    assert!(dense_bytes < sparse_bytes * 1.5, "allocated bytes followed list length: {ctx}");
+    assert!(
+        dense_count < sparse_count * 1.5,
+        "allocation count followed list length: {ctx}"
+    );
+    assert!(
+        dense_bytes < sparse_bytes * 1.5,
+        "allocated bytes followed list length: {ctx}"
+    );
 }

@@ -22,11 +22,20 @@ const TRIPS: usize = 2_000;
 
 fn region() -> Arc<RegionIndex> {
     let graph = Arc::new(CityConfig::manhattan(30, 30, 4242).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 700, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 700,
+            ..Default::default()
+        },
+    );
     Arc::new(RegionIndex::build(
         graph,
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(200.0),
+            ..Default::default()
+        },
     ))
 }
 
@@ -38,7 +47,9 @@ fn assert_legs_are_shortest_paths(eng: &ShardedXarEngine, g: &RoadGraph, id: Rid
         let oracle = ShortestPaths::driving(g);
         for leg in ride.via_points.windows(2) {
             let stored = &ride.route.nodes()[leg[0].route_idx..=leg[1].route_idx];
-            let want = oracle.path(leg[0].node, leg[1].node).expect("city is strongly connected");
+            let want = oracle
+                .path(leg[0].node, leg[1].node)
+                .expect("city is strongly connected");
             assert_eq!(
                 stored,
                 &want.nodes[..],
@@ -87,8 +98,14 @@ fn every_stored_leg_is_the_dijkstra_path() {
             }
             None => {
                 created += 1;
-                eng.create_ride(&RideOffer::simple(g.point(src), g.point(dst), now_s, 3, 4_000.0))
-                    .expect("city is strongly connected")
+                eng.create_ride(&RideOffer::simple(
+                    g.point(src),
+                    g.point(dst),
+                    now_s,
+                    3,
+                    4_000.0,
+                ))
+                .expect("city is strongly connected")
             }
         };
         legs += assert_legs_are_shortest_paths(&eng, &g, changed);

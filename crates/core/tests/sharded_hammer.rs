@@ -16,9 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use xar_core::{
-    EngineConfig, RideMatch, RideOffer, RideRequest, ShardedXarEngine, XarEngine,
-};
+use xar_core::{EngineConfig, RideMatch, RideOffer, RideRequest, ShardedXarEngine, XarEngine};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
@@ -29,11 +27,20 @@ fn region() -> &'static Arc<RegionIndex> {
     static REGION: OnceLock<Arc<RegionIndex>> = OnceLock::new();
     REGION.get_or_init(|| {
         let graph = Arc::new(CityConfig::manhattan(25, 25, 4242).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: 600,
+                ..Default::default()
+            },
+        );
         Arc::new(RegionIndex::build(
             graph,
             &pois,
-            RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+            RegionConfig {
+                cluster_goal: ClusterGoal::Delta(200.0),
+                ..Default::default()
+            },
         ))
     })
 }
@@ -78,7 +85,10 @@ fn hammer_never_overbooks_and_loses_no_updates() {
             created += 1;
         }
     }
-    assert!(created >= 20, "seed must produce a populated engine, got {created}");
+    assert!(
+        created >= 20,
+        "seed must produce a populated engine, got {created}"
+    );
 
     // Every thread searches and books aggressively; successful books
     // are tallied on the side so the engine's counter can be audited
@@ -91,7 +101,9 @@ fn hammer_never_overbooks_and_loses_no_updates() {
             scope.spawn(move || {
                 for j in 0..60u32 {
                     let req = request(t * 1_000 + j);
-                    let Ok(matches) = eng.search(&req, 4) else { continue };
+                    let Ok(matches) = eng.search(&req, 4) else {
+                        continue;
+                    };
                     for m in &matches {
                         if eng.book_checked(m).is_ok() {
                             booked_ok.fetch_add(1, Ordering::Relaxed);
@@ -127,7 +139,10 @@ fn hammer_never_overbooks_and_loses_no_updates() {
     let s = eng.stats().snapshot();
     assert_eq!(s.bookings, booked_ok.load(Ordering::Relaxed));
     assert_eq!(s.searches, u64::from(THREADS) * 60);
-    assert!(booked_ok.load(Ordering::Relaxed) > 0, "hammer must actually book");
+    assert!(
+        booked_ok.load(Ordering::Relaxed) > 0,
+        "hammer must actually book"
+    );
 }
 
 /// 8 threads of create/book under concurrent expiry churn: ride
@@ -182,8 +197,7 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
                     let create = {
                         let _in_flight = gate.read().unwrap();
                         let floor_now = f64::from_bits(watermark.load(Ordering::Acquire));
-                        let depart = (8.0 * 3600.0 + f64::from(j) * 90.0)
-                            .max(floor_now + 900.0)
+                        let depart = (8.0 * 3600.0 + f64::from(j) * 90.0).max(floor_now + 900.0)
                             + f64::from(t) * 7.0;
                         eng.create_ride(&RideOffer::simple(
                             g.point(NodeId((seed * 97) % n)),
@@ -243,7 +257,10 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
         live
     );
     assert_eq!(live as usize, eng.ride_count());
-    assert!(booked.load(Ordering::Relaxed) > 0, "storm must actually book");
+    assert!(
+        booked.load(Ordering::Relaxed) > 0,
+        "storm must actually book"
+    );
 }
 
 /// 80 reader threads search at once while one writer creates, books
@@ -294,9 +311,19 @@ fn eighty_concurrent_readers_all_finish_beside_a_writer() {
             }
         }
     });
-    assert_eq!(searched.load(Ordering::Relaxed), u64::from(READERS * SEARCHES));
-    assert!(retired > 0, "the writer's sweeps must retire rides under the readers");
-    assert_eq!(created, retired + eng.ride_count() as u64, "ride conservation broke");
+    assert_eq!(
+        searched.load(Ordering::Relaxed),
+        u64::from(READERS * SEARCHES)
+    );
+    assert!(
+        retired > 0,
+        "the writer's sweeps must retire rides under the readers"
+    );
+    assert_eq!(
+        created,
+        retired + eng.ride_count() as u64,
+        "ride conservation broke"
+    );
 }
 
 /// Strip engine-assigned ride ids so result sets from engines with

@@ -32,9 +32,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use xar_core::{
-    EngineConfig, RideMatch, RideOffer, RideRequest, SearchExplain, ShardedXarEngine,
-};
+use xar_core::{EngineConfig, RideMatch, RideOffer, RideRequest, SearchExplain, ShardedXarEngine};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
@@ -70,11 +68,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 fn region() -> Arc<RegionIndex> {
     let graph = Arc::new(CityConfig::manhattan(25, 25, 909).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 600,
+            ..Default::default()
+        },
+    );
     Arc::new(RegionIndex::build(
         graph,
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(200.0),
+            ..Default::default()
+        },
     ))
 }
 
@@ -145,8 +152,7 @@ fn search_path_is_allocation_free_and_tear_free() {
     // A rotation of servable requests: warming with exactly the set we
     // measure means the scratch vectors and the result buffer reach
     // their high-water marks before the counting window opens.
-    let rotation: Vec<RideRequest> =
-        (0..64u32).map(|i| request(&graph, i * 7 + 1)).collect();
+    let rotation: Vec<RideRequest> = (0..64u32).map(|i| request(&graph, i * 7 + 1)).collect();
     let mut out: Vec<RideMatch> = Vec::new();
     let mut warm_hits = 0usize;
     for _ in 0..2 {
@@ -157,7 +163,10 @@ fn search_path_is_allocation_free_and_tear_free() {
             }
         }
     }
-    assert!(warm_hits > 0, "rotation found no matches; phase 1 would be vacuous");
+    assert!(
+        warm_hits > 0,
+        "rotation found no matches; phase 1 would be vacuous"
+    );
 
     let before = thread_allocs();
     let mut measured_hits = 0usize;
@@ -176,7 +185,11 @@ fn search_path_is_allocation_free_and_tear_free() {
         "warmed search_into allocated {delta} times over 6 400 searches \
          ({measured_hits} matches returned)"
     );
-    assert_eq!(measured_hits, warm_hits * 100, "quiescent engine answered inconsistently");
+    assert_eq!(
+        measured_hits,
+        warm_hits * 100,
+        "quiescent engine answered inconsistently"
+    );
 
     // ---- Phase 2: no torn reads under 8 writer threads --------------
 
@@ -255,7 +268,10 @@ fn a_search_wider_than_the_scratch_table_grows_it_only_while_warming() {
         .max_by_key(&mut candidates_of)
         .expect("64 requests");
     let candidates = candidates_of(&widest);
-    assert!(candidates > 32, "widest search has |R1| = {candidates}: the table never grew");
+    assert!(
+        candidates > 32,
+        "widest search has |R1| = {candidates}: the table never grew"
+    );
     let matches = out.len();
 
     let before = thread_allocs();

@@ -31,11 +31,20 @@ fn region() -> &'static Arc<RegionIndex> {
     static REGION: OnceLock<Arc<RegionIndex>> = OnceLock::new();
     REGION.get_or_init(|| {
         let graph = Arc::new(CityConfig::manhattan(25, 25, 1717).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: 600,
+                ..Default::default()
+            },
+        );
         Arc::new(RegionIndex::build(
             graph,
             &pois,
-            RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+            RegionConfig {
+                cluster_goal: ClusterGoal::Delta(200.0),
+                ..Default::default()
+            },
         ))
     })
 }

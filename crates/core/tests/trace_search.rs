@@ -30,7 +30,11 @@ use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig};
 /// Count spans named `name` anywhere in the tree.
 fn count_named(node: &SpanNode, name: &str) -> usize {
     usize::from(node.name == name)
-        + node.children.iter().map(|c| count_named(c, name)).sum::<usize>()
+        + node
+            .children
+            .iter()
+            .map(|c| count_named(c, name))
+            .sum::<usize>()
 }
 
 /// Every span named `name` in the tree.
@@ -131,14 +135,23 @@ fn check_search_traces(
     // The counter view of the invariant: 50 searches, zero new
     // shortest paths.
     assert!(searches >= 50, "{label}");
-    assert_eq!(sps_before, sps_after, "{label}: search advanced the shortest-path counter");
+    assert_eq!(
+        sps_before, sps_after,
+        "{label}: search advanced the shortest-path counter"
+    );
 
     // The trace view: every search tree is shortest-path-free...
     let parsed = parse_chrome(&json).expect("export must parse");
     let timelines = Timeline::build(&parsed);
-    let search_trees: Vec<&Timeline> =
-        timelines.iter().filter(|t| t.root.name == "search_request").collect();
-    assert_eq!(search_trees.len(), 50, "{label}: expected one kept trace per search");
+    let search_trees: Vec<&Timeline> = timelines
+        .iter()
+        .filter(|t| t.root.name == "search_request")
+        .collect();
+    assert_eq!(
+        search_trees.len(),
+        50,
+        "{label}: expected one kept trace per search"
+    );
     let (mut full_pairs, mut widest) = (0usize, 0usize);
     for t in &search_trees {
         let mut spans = Vec::new();
@@ -155,21 +168,47 @@ fn check_search_traces(
         // index, an `enumerate_dst` for each of those that found a
         // source-side candidate, nothing else.
         let search = spans[0];
-        let src = search.children.iter().filter(|c| c.name == "enumerate_src").count();
-        let dst = search.children.iter().filter(|c| c.name == "enumerate_dst").count();
-        assert_eq!(src + dst, search.children.len(), "{label}: unexpected child under search");
-        assert!(dst <= src && src <= max_probed, "{label}: {src} src / {dst} dst spans");
+        let src = search
+            .children
+            .iter()
+            .filter(|c| c.name == "enumerate_src")
+            .count();
+        let dst = search
+            .children
+            .iter()
+            .filter(|c| c.name == "enumerate_dst")
+            .count();
+        assert_eq!(
+            src + dst,
+            search.children.len(),
+            "{label}: unexpected child under search"
+        );
+        assert!(
+            dst <= src && src <= max_probed,
+            "{label}: {src} src / {dst} dst spans"
+        );
         // `shards` is set once candidate collection ran (servable
         // requests); it counts the indexes probed.
-        let probed = search.attrs.iter().find(|(k, _)| k == "shards").and_then(|(_, v)| v.as_u64());
-        assert_eq!(src as u64, probed.unwrap_or(0), "{label}: one enumerate_src per probed index");
+        let probed = search
+            .attrs
+            .iter()
+            .find(|(k, _)| k == "shards")
+            .and_then(|(_, v)| v.as_u64());
+        assert_eq!(
+            src as u64,
+            probed.unwrap_or(0),
+            "{label}: one enumerate_src per probed index"
+        );
         if always_probes && probed.is_some() {
             assert_eq!(src, 1, "{label}: a servable search probes its one index");
         }
         full_pairs += dst;
         widest = widest.max(src);
     }
-    assert!(full_pairs > 0, "{label}: no search reached enumerate_dst — shape check vacuous");
+    assert!(
+        full_pairs > 0,
+        "{label}: no search reached enumerate_dst — shape check vacuous"
+    );
     if max_probed > 1 {
         assert!(widest > 1, "{label}: no search probed more than one shard");
     }
@@ -181,17 +220,29 @@ fn check_search_traces(
         .filter(|t| t.root.name == "create_request")
         .map(|t| count_named(&t.root, "shortest_path"))
         .sum();
-    assert!(create_sp > 0, "{label}: create trees show no shortest_path spans — tracer blind?");
+    assert!(
+        create_sp > 0,
+        "{label}: create trees show no shortest_path spans — tracer blind?"
+    );
 }
 
 #[test]
 fn search_trees_have_one_shape_and_no_shortest_path_spans() {
     let graph = Arc::new(CityConfig::test_city(31).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 400, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 400,
+            ..Default::default()
+        },
+    );
     let region = Arc::new(RegionIndex::build(
         Arc::clone(&graph),
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(200.0),
+            ..Default::default()
+        },
     ));
     let cfg = EngineConfig::default;
     let serial = Engine::Serial(Box::new(XarEngine::new(Arc::clone(&region), cfg())));

@@ -67,7 +67,11 @@ impl NodeAssociation {
         delta_drive_m: f64,
         max_walk_m: f64,
     ) -> Self {
-        assert_eq!(landmarks.len(), cluster_of.len(), "one cluster per landmark");
+        assert_eq!(
+            landmarks.len(),
+            cluster_of.len(),
+            "one cluster per landmark"
+        );
         let n = graph.node_count();
         let mut landmark_of: Vec<Option<(LandmarkId, f32)>> = vec![None; n];
         let rev = ShortestPaths::new(graph, CostMetric::Distance, Direction::Reverse);
@@ -110,13 +114,24 @@ impl NodeAssociation {
             .map(|m| {
                 let mut v: Vec<WalkEntry> = m
                     .into_iter()
-                    .map(|(c, (landmark, walk_m))| WalkEntry { cluster: ClusterId(c), landmark, walk_m })
+                    .map(|(c, (landmark, walk_m))| WalkEntry {
+                        cluster: ClusterId(c),
+                        landmark,
+                        walk_m,
+                    })
                     .collect();
-                v.sort_by(|a, b| a.walk_m.total_cmp(&b.walk_m).then(a.cluster.0.cmp(&b.cluster.0)));
+                v.sort_by(|a, b| {
+                    a.walk_m
+                        .total_cmp(&b.walk_m)
+                        .then(a.cluster.0.cmp(&b.cluster.0))
+                });
                 v
             })
             .collect();
-        Self { landmark_of, walkable }
+        Self {
+            landmark_of,
+            walkable,
+        }
     }
 
     /// The walkable clusters of `node` pruned to the per-request walking
@@ -152,7 +167,13 @@ mod tests {
 
     fn setup() -> (RoadGraph, Vec<Landmark>, Vec<ClusterId>) {
         let g = CityConfig::test_city(5).generate();
-        let pois = sample_pois(&g, &PoiConfig { count: 400, ..Default::default() });
+        let pois = sample_pois(
+            &g,
+            &PoiConfig {
+                count: 400,
+                ..Default::default()
+            },
+        );
         let lms = filter_landmarks(&g, &pois, 300.0);
         assert!(lms.len() >= 4, "need a few landmarks, got {}", lms.len());
         // Simple clustering for the tests: two clusters by parity.
@@ -227,7 +248,10 @@ mod tests {
         let assoc = NodeAssociation::build(&g, &lms, &cl, 800.0, w);
         for list in &assoc.walkable {
             for pair in list.windows(2) {
-                assert!(pair[0].walk_m <= pair[1].walk_m, "walkable list not sorted: {list:?}");
+                assert!(
+                    pair[0].walk_m <= pair[1].walk_m,
+                    "walkable list not sorted: {list:?}"
+                );
             }
             for e in list {
                 assert!(f64::from(e.walk_m) <= w + 1e-6);

@@ -44,7 +44,11 @@ impl ClusterDistances {
         k: usize,
         max_dist_m: f64,
     ) -> Self {
-        assert_eq!(landmarks.len(), cluster_of.len(), "one cluster per landmark");
+        assert_eq!(
+            landmarks.len(),
+            cluster_of.len(),
+            "one cluster per landmark"
+        );
         let n_nodes = graph.node_count();
         // node -> cluster of the landmark snapped there (for target
         // detection); a node can host landmarks of several clusters if
@@ -66,7 +70,9 @@ impl ClusterDistances {
         if k == 0 {
             return Self { k, dist };
         }
-        let threads = std::thread::available_parallelism().map_or(4, |p| p.get()).min(k);
+        let threads = std::thread::available_parallelism()
+            .map_or(4, |p| p.get())
+            .min(k);
         let chunk = k.div_ceil(threads);
         std::thread::scope(|scope| {
             for (t, rows) in dist.chunks_mut(chunk * k).enumerate() {
@@ -134,7 +140,10 @@ impl ClusterDistances {
     /// — one strided column of the table.
     #[inline]
     pub(crate) fn column(&self, b: ClusterId) -> impl Iterator<Item = f32> + '_ {
-        self.dist[b.index()..].iter().step_by(self.k.max(1)).copied()
+        self.dist[b.index()..]
+            .iter()
+            .step_by(self.k.max(1))
+            .copied()
     }
 
     /// Heap bytes held by the table (index-size accounting — this is
@@ -205,7 +214,13 @@ mod tests {
 
     fn setup() -> (RoadGraph, Vec<Landmark>, Vec<ClusterId>, usize) {
         let g = CityConfig::test_city(8).generate();
-        let pois = sample_pois(&g, &PoiConfig { count: 300, ..Default::default() });
+        let pois = sample_pois(
+            &g,
+            &PoiConfig {
+                count: 300,
+                ..Default::default()
+            },
+        );
         let lms = filter_landmarks(&g, &pois, 350.0);
         assert!(lms.len() >= 6);
         let k = 3;
@@ -267,7 +282,10 @@ mod tests {
         let bounded = ClusterDistances::compute(&g, &lms, &cl, k, 300.0);
         for a in 0..k as u32 {
             for b in 0..k as u32 {
-                let (fa, ba) = (full.dist(ClusterId(a), ClusterId(b)), bounded.dist(ClusterId(a), ClusterId(b)));
+                let (fa, ba) = (
+                    full.dist(ClusterId(a), ClusterId(b)),
+                    bounded.dist(ClusterId(a), ClusterId(b)),
+                );
                 if fa <= 300.0 {
                     assert!((fa - ba).abs() < 0.5);
                 } else {

@@ -67,7 +67,15 @@ pub fn exact_min_clusters<M: PointMetric>(metric: &M, delta: f64) -> Clustering 
             if cliques[c].iter().all(|&u| compatible[u][v]) {
                 cliques[c].push(v);
                 assignment[v] = c;
-                rec(v + 1, n, compatible, assignment, cliques, best_k, best_assignment);
+                rec(
+                    v + 1,
+                    n,
+                    compatible,
+                    assignment,
+                    cliques,
+                    best_k,
+                    best_assignment,
+                );
                 cliques[c].pop();
             }
         }
@@ -75,12 +83,28 @@ pub fn exact_min_clusters<M: PointMetric>(metric: &M, delta: f64) -> Clustering 
         if cliques.len() + 1 < *best_k {
             cliques.push(vec![v]);
             assignment[v] = cliques.len() - 1;
-            rec(v + 1, n, compatible, assignment, cliques, best_k, best_assignment);
+            rec(
+                v + 1,
+                n,
+                compatible,
+                assignment,
+                cliques,
+                best_k,
+                best_assignment,
+            );
             cliques.pop();
         }
         assignment[v] = usize::MAX;
     }
-    rec(0, n, &compatible, &mut assignment, &mut cliques, &mut best_k, &mut best_assignment);
+    rec(
+        0,
+        n,
+        &compatible,
+        &mut assignment,
+        &mut cliques,
+        &mut best_k,
+        &mut best_assignment,
+    );
 
     clustering_from_assignment(metric, best_assignment, best_k)
 }
@@ -91,7 +115,9 @@ fn first_fit(compatible: &[Vec<bool>]) -> Vec<usize> {
     let mut cliques: Vec<Vec<usize>> = Vec::new();
     let mut assignment = vec![0usize; n];
     for v in 0..n {
-        let slot = cliques.iter().position(|c| c.iter().all(|&u| compatible[u][v]));
+        let slot = cliques
+            .iter()
+            .position(|c| c.iter().all(|&u| compatible[u][v]));
         match slot {
             Some(c) => {
                 cliques[c].push(v);
@@ -122,7 +148,12 @@ fn clustering_from_assignment<M: PointMetric>(
     for (p, &a) in assignment.iter().enumerate() {
         radius = radius.max(metric.dist(p, centers[a]));
     }
-    Clustering { k, centers, assignment, radius }
+    Clustering {
+        k,
+        centers,
+        assignment,
+        radius,
+    }
 }
 
 #[cfg(test)]

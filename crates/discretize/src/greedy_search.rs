@@ -115,7 +115,10 @@ pub struct GreedySearchOutcome {
 /// Panics if the metric is empty or `delta` is negative/not finite.
 pub fn greedy_search<M: PointMetric>(metric: &M, delta: f64) -> GreedySearchOutcome {
     assert!(!metric.is_empty(), "cannot cluster an empty landmark set");
-    assert!(delta.is_finite() && delta >= 0.0, "delta must be non-negative, got {delta}");
+    assert!(
+        delta.is_finite() && delta >= 0.0,
+        "delta must be non-negative, got {delta}"
+    );
     let n = metric.len();
     let threshold = 2.0 * delta;
 
@@ -129,7 +132,10 @@ pub fn greedy_search<M: PointMetric>(metric: &M, delta: f64) -> GreedySearchOutc
     while lo < hi {
         let k = lo + (hi - lo) / 2;
         let r = greedy_k_center(metric, k);
-        trace.push(SearchProbe { k, radius: r.radius });
+        trace.push(SearchProbe {
+            k,
+            radius: r.radius,
+        });
         if r.radius > threshold {
             lo = k + 1;
         } else {
@@ -151,8 +157,16 @@ pub fn greedy_search<M: PointMetric>(metric: &M, delta: f64) -> GreedySearchOutc
         Some(b) if b.k == lo => b,
         _ => {
             let r = greedy_k_center(metric, lo);
-            trace.push(SearchProbe { k: lo, radius: r.radius });
-            Clustering { k: r.centers.len(), centers: r.centers, assignment: r.assignment, radius: r.radius }
+            trace.push(SearchProbe {
+                k: lo,
+                radius: r.radius,
+            });
+            Clustering {
+                k: r.centers.len(),
+                centers: r.centers,
+                assignment: r.assignment,
+                radius: r.radius,
+            }
         }
     };
     GreedySearchOutcome { clustering, trace }
@@ -162,7 +176,12 @@ pub fn greedy_search<M: PointMetric>(metric: &M, delta: f64) -> GreedySearchOutc
 /// trade-off sweeps, where the paper picks `C = 500 … 5000` directly).
 pub fn cluster_with_k<M: PointMetric>(metric: &M, k: usize) -> Clustering {
     let r = greedy_k_center(metric, k);
-    Clustering { k: r.centers.len(), centers: r.centers, assignment: r.assignment, radius: r.radius }
+    Clustering {
+        k: r.centers.len(),
+        centers: r.centers,
+        assignment: r.assignment,
+        radius: r.radius,
+    }
 }
 
 #[cfg(test)]
@@ -237,7 +256,11 @@ mod tests {
         let c: &'static [f64] = Box::leak(coords.into_boxed_slice());
         let m = FnMetric::new(c.len(), move |i, j| (c[i] - c[j]).abs());
         let out = greedy_search(&m, 7.0);
-        assert!(out.trace.len() <= 64usize.ilog2() as usize + 1, "trace {:?}", out.trace.len());
+        assert!(
+            out.trace.len() <= 64usize.ilog2() as usize + 1,
+            "trace {:?}",
+            out.trace.len()
+        );
     }
 
     #[test]

@@ -92,7 +92,10 @@ impl<'m, M: PointMetric> ClusterIlp<'m, M> {
         }
         for (i, &a) in assignment.iter().enumerate() {
             if a >= m {
-                out.push(IlpViolation::UnusedCluster { landmark: i, cluster: a });
+                out.push(IlpViolation::UnusedCluster {
+                    landmark: i,
+                    cluster: a,
+                });
             }
         }
         for i in 0..assignment.len() {
@@ -100,7 +103,11 @@ impl<'m, M: PointMetric> ClusterIlp<'m, M> {
                 if assignment[i] == assignment[j] {
                     let d = self.metric.dist(i, j);
                     if d > self.delta + 1e-9 {
-                        out.push(IlpViolation::PairTooFar { a: i, b: j, distance: d });
+                        out.push(IlpViolation::PairTooFar {
+                            a: i,
+                            b: j,
+                            distance: d,
+                        });
                     }
                 }
             }
@@ -121,7 +128,10 @@ impl<'m, M: PointMetric> ClusterIlp<'m, M> {
         let n = self.metric.len();
         let mut chosen: Vec<usize> = Vec::new();
         for v in 0..n {
-            if chosen.iter().all(|&u| self.metric.dist(u, v) > self.delta + 1e-9) {
+            if chosen
+                .iter()
+                .all(|&u| self.metric.dist(u, v) > self.delta + 1e-9)
+            {
                 chosen.push(v);
             }
         }
@@ -160,8 +170,12 @@ mod tests {
         let m = line(&[0.0, 1.0, 10.0]);
         let ilp = ClusterIlp::new(&m, 2.0);
         let v = ilp.check(&[0, 0, 0], 1);
-        assert!(v.iter().any(|x| matches!(x, IlpViolation::PairTooFar { a: 0, b: 2, .. })));
-        assert!(v.iter().any(|x| matches!(x, IlpViolation::PairTooFar { a: 1, b: 2, .. })));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, IlpViolation::PairTooFar { a: 0, b: 2, .. })));
+        assert!(v
+            .iter()
+            .any(|x| matches!(x, IlpViolation::PairTooFar { a: 1, b: 2, .. })));
     }
 
     #[test]
@@ -169,7 +183,13 @@ mod tests {
         let m = line(&[0.0, 1.0]);
         let ilp = ClusterIlp::new(&m, 5.0);
         let v = ilp.check(&[0, 3], 2);
-        assert_eq!(v, vec![IlpViolation::UnusedCluster { landmark: 1, cluster: 3 }]);
+        assert_eq!(
+            v,
+            vec![IlpViolation::UnusedCluster {
+                landmark: 1,
+                cluster: 3
+            }]
+        );
     }
 
     #[test]

@@ -124,7 +124,11 @@ pub fn greedy_k_center<M: PointMetric>(metric: &M, k: usize) -> KCenterResult {
         next = far;
     }
     let radius = dist_to_center.iter().fold(0.0f64, |a, &b| a.max(b));
-    KCenterResult { centers, assignment, radius }
+    KCenterResult {
+        centers,
+        assignment,
+        radius,
+    }
 }
 
 #[cfg(test)]
@@ -195,7 +199,10 @@ mod tests {
             for centers in combos {
                 let mut radius = 0.0f64;
                 for p in 0..n {
-                    let d = centers.iter().map(|&c| (coords[p] - coords[c]).abs()).fold(f64::INFINITY, f64::min);
+                    let d = centers
+                        .iter()
+                        .map(|&c| (coords[p] - coords[c]).abs())
+                        .fold(f64::INFINITY, f64::min);
                     radius = radius.max(d);
                 }
                 best = best.min(radius);

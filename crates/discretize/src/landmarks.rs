@@ -93,7 +93,11 @@ pub fn filter_landmarks(graph: &RoadGraph, pois: &[Poi], min_separation_m: f64) 
         }
         if ok {
             let id = LandmarkId(kept.len() as u32);
-            kept.push(Landmark { id, point: poi.point, node: poi.node });
+            kept.push(Landmark {
+                id,
+                point: poi.point,
+                node: poi.node,
+            });
             buckets[gid.row as usize * cols + gid.col as usize].push(id.0);
         }
     }
@@ -109,7 +113,13 @@ mod tests {
 
     fn setup() -> (RoadGraph, Vec<Poi>) {
         let g = CityConfig::test_city(1).generate();
-        let pois = sample_pois(&g, &PoiConfig { count: 800, ..Default::default() });
+        let pois = sample_pois(
+            &g,
+            &PoiConfig {
+                count: 800,
+                ..Default::default()
+            },
+        );
         (g, pois)
     }
 

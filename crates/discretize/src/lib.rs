@@ -55,9 +55,9 @@ pub mod metric;
 pub mod persist;
 pub mod region;
 
+pub use assoc::{NodeAssociation, WalkEntry};
 pub use greedy_search::{Clustering, GreedySearchOutcome};
 pub use kcenter::KCenterResult;
 pub use landmarks::{Landmark, LandmarkId};
 pub use metric::LandmarkMetric;
-pub use assoc::{NodeAssociation, WalkEntry};
 pub use region::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};

@@ -40,7 +40,9 @@ impl LandmarkMetric {
         if n == 0 {
             return Self { n, dist };
         }
-        let threads = std::thread::available_parallelism().map_or(4, |p| p.get()).min(n);
+        let threads = std::thread::available_parallelism()
+            .map_or(4, |p| p.get())
+            .min(n);
         let chunk = n.div_ceil(threads);
         std::thread::scope(|scope| {
             for (t, rows) in dist.chunks_mut(chunk * n).enumerate() {
@@ -113,7 +115,13 @@ mod tests {
 
     fn setup() -> (RoadGraph, Vec<Landmark>) {
         let g = CityConfig::test_city(2).generate();
-        let pois = sample_pois(&g, &PoiConfig { count: 300, ..Default::default() });
+        let pois = sample_pois(
+            &g,
+            &PoiConfig {
+                count: 300,
+                ..Default::default()
+            },
+        );
         let lms = filter_landmarks(&g, &pois, 250.0);
         (g, lms)
     }
@@ -139,7 +147,10 @@ mod tests {
             }
             let expect = sp.cost(lms[i].node, lms[j].node).unwrap();
             let got = m.directed(lms[i].id, lms[j].id);
-            assert!((got - expect).abs() < 0.5, "pair ({i},{j}): {got} vs {expect}");
+            assert!(
+                (got - expect).abs() < 0.5,
+                "pair ({i},{j}): {got} vs {expect}"
+            );
         }
     }
 
@@ -165,7 +176,11 @@ mod tests {
         for a in 0..k {
             for b in 0..k {
                 for c in 0..k {
-                    let (a, b, c) = (LandmarkId(a as u32), LandmarkId(b as u32), LandmarkId(c as u32));
+                    let (a, b, c) = (
+                        LandmarkId(a as u32),
+                        LandmarkId(b as u32),
+                        LandmarkId(c as u32),
+                    );
                     assert!(
                         m.sym(a, c) <= m.sym(a, b) + m.sym(b, c) + 0.5,
                         "triangle violated: {:?} {:?} {:?}",

@@ -148,7 +148,10 @@ impl RegionIndex {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != REGION_MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "not a XAR region index"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "not a XAR region index",
+            ));
         }
         let version = r_u16(r)?;
         if version != REGION_VERSION {
@@ -187,7 +190,10 @@ impl RegionIndex {
             && positive(max_walk_m)
             && positive(cluster_distance_bound_m))
         {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "non-positive config value"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "non-positive config value",
+            ));
         }
         if let ClusterGoal::Delta(d) = cluster_goal {
             if !(d.is_finite() && d >= 0.0) {
@@ -206,7 +212,10 @@ impl RegionIndex {
 
         let n_lm = r_u32(r)? as usize;
         if n_lm > n_nodes.max(1) * 16 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible landmark count"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "implausible landmark count",
+            ));
         }
         let mut landmarks = Vec::with_capacity(n_lm);
         for i in 0..n_lm {
@@ -216,7 +225,10 @@ impl RegionIndex {
             if node as usize >= n_nodes
                 || !((-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon))
             {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "landmark out of range"));
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "landmark out of range",
+                ));
             }
             landmarks.push(Landmark {
                 id: LandmarkId(i as u32),
@@ -233,7 +245,10 @@ impl RegionIndex {
         // valid file, and bounding it here prevents a corrupt header
         // from driving the k*k matrix allocation below.
         if k > n_lm || cluster_of.iter().any(|c| c.index() >= k) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "cluster id out of range"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "cluster id out of range",
+            ));
         }
         let mut members = vec![Vec::new(); k];
         for (l, &c) in cluster_of.iter().enumerate() {
@@ -242,7 +257,10 @@ impl RegionIndex {
 
         let n_assoc = r_u32(r)? as usize;
         if n_assoc != n_nodes {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "association table size mismatch"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "association table size mismatch",
+            ));
         }
         let mut landmark_of = Vec::with_capacity(n_assoc);
         for _ in 0..n_assoc {
@@ -254,7 +272,10 @@ impl RegionIndex {
                     let l = r_u32(r)?;
                     let d = r_f32(r)?;
                     if l as usize >= n_lm {
-                        return Err(io::Error::new(io::ErrorKind::InvalidData, "landmark id out of range"));
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "landmark id out of range",
+                        ));
                     }
                     Some((LandmarkId(l), d))
                 }
@@ -270,7 +291,10 @@ impl RegionIndex {
         for _ in 0..n_assoc {
             let len = r_u32(r)? as usize;
             if len > k {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "walkable list longer than cluster count"));
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "walkable list longer than cluster count",
+                ));
             }
             let mut list = Vec::with_capacity(len);
             for _ in 0..len {
@@ -278,13 +302,23 @@ impl RegionIndex {
                 let landmark = LandmarkId(r_u32(r)?);
                 let walk_m = r_f32(r)?;
                 if cluster.index() >= k || landmark.index() >= n_lm {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "walkable entry out of range"));
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "walkable entry out of range",
+                    ));
                 }
-                list.push(WalkEntry { cluster, landmark, walk_m });
+                list.push(WalkEntry {
+                    cluster,
+                    landmark,
+                    walk_m,
+                });
             }
             walkable.push(list);
         }
-        let assoc = NodeAssociation { landmark_of, walkable };
+        let assoc = NodeAssociation {
+            landmark_of,
+            walkable,
+        };
 
         let mut dist = Vec::with_capacity(k * k);
         for _ in 0..k * k {
@@ -338,7 +372,13 @@ mod tests {
 
     fn build() -> RegionIndex {
         let graph = Arc::new(CityConfig::test_city(88).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: 400, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: 400,
+                ..Default::default()
+            },
+        );
         RegionIndex::build(
             graph,
             &pois,
@@ -364,7 +404,10 @@ mod tests {
         for lm in original.landmarks() {
             let l2 = loaded.landmark(lm.id);
             assert_eq!(lm.node, l2.node);
-            assert_eq!(original.cluster_of_landmark(lm.id), loaded.cluster_of_landmark(lm.id));
+            assert_eq!(
+                original.cluster_of_landmark(lm.id),
+                loaded.cluster_of_landmark(lm.id)
+            );
         }
         // Association and distances identical on a sample of nodes.
         for n in original.graph().node_ids().take(100) {
@@ -406,7 +449,13 @@ mod tests {
         ];
         for city in cities {
             let graph = Arc::new(city.generate());
-            let pois = sample_pois(&graph, &PoiConfig { count: 150, ..Default::default() });
+            let pois = sample_pois(
+                &graph,
+                &PoiConfig {
+                    count: 150,
+                    ..Default::default()
+                },
+            );
             let built = RegionIndex::build(graph, &pois, RegionConfig::default());
             let mut buf = Vec::new();
             built.write_to(&mut buf).unwrap();
@@ -433,7 +482,10 @@ mod tests {
                 for (lat, lon) in hostile {
                     // Not `GeoPoint::new`: it debug-asserts the range.
                     let node = r.snap(&xar_geo::GeoPoint { lat, lon });
-                    assert!(node.index() < r.graph.node_count(), "({lat}, {lon}) -> {node:?}");
+                    assert!(
+                        node.index() < r.graph.node_count(),
+                        "({lat}, {lon}) -> {node:?}"
+                    );
                 }
             }
         }
@@ -474,7 +526,10 @@ mod tests {
         // invariants the engine relies on.
         for list in &loaded.assoc.walkable {
             for w in list.windows(2) {
-                assert!(w[0].walk_m <= w[1].walk_m, "walkable order lost in round-trip");
+                assert!(
+                    w[0].walk_m <= w[1].walk_m,
+                    "walkable order lost in round-trip"
+                );
             }
         }
         assert!(loaded.cluster_count() > 0);

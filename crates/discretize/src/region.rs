@@ -134,8 +134,11 @@ impl RegionIndex {
             ClusterGoal::FixedCount(k) => cluster_with_k(&metric, k),
         };
         let k = clustering.k;
-        let cluster_of: Vec<ClusterId> =
-            clustering.assignment.iter().map(|&a| ClusterId(a as u32)).collect();
+        let cluster_of: Vec<ClusterId> = clustering
+            .assignment
+            .iter()
+            .map(|&a| ClusterId(a as u32))
+            .collect();
         let mut members = vec![Vec::new(); k];
         for (l, &c) in cluster_of.iter().enumerate() {
             members[c.index()].push(LandmarkId(l as u32));
@@ -277,7 +280,8 @@ impl RegionIndex {
     /// The cluster a node belongs to via its associated landmark.
     #[inline]
     pub fn cluster_of_node(&self, n: NodeId) -> Option<ClusterId> {
-        self.landmark_of_node(n).map(|(l, _)| self.cluster_of_landmark(l))
+        self.landmark_of_node(n)
+            .map(|(l, _)| self.cluster_of_landmark(l))
     }
 
     /// Walkable clusters of a node, pruned to a per-request walking
@@ -320,7 +324,11 @@ impl RegionIndex {
             + self.landmarks.capacity() * std::mem::size_of::<Landmark>()
             + self.cluster_of.capacity() * std::mem::size_of::<ClusterId>()
             + self.members.capacity() * std::mem::size_of::<Vec<LandmarkId>>()
-            + self.members.iter().map(|m| m.capacity() * std::mem::size_of::<LandmarkId>()).sum::<usize>()
+            + self
+                .members
+                .iter()
+                .map(|m| m.capacity() * std::mem::size_of::<LandmarkId>())
+                .sum::<usize>()
             + self.assoc.heap_bytes()
             + self.cluster_dist.heap_bytes()
     }
@@ -330,7 +338,10 @@ impl RegionIndex {
 /// nearest to its centroid. Sized exactly (4 B per cell).
 pub(crate) fn cell_nodes(grid: &GridSpec, locator: &NodeLocator, graph: &RoadGraph) -> Vec<NodeId> {
     let mut table = Vec::with_capacity(grid.cell_count() as usize);
-    table.extend(grid.iter_cells().map(|cell| locator.nearest(graph, &grid.centroid(cell)).0));
+    table.extend(
+        grid.iter_cells()
+            .map(|cell| locator.nearest(graph, &grid.centroid(cell)).0),
+    );
     table
 }
 
@@ -341,7 +352,13 @@ mod tests {
 
     fn build_region(goal: ClusterGoal) -> RegionIndex {
         let graph = Arc::new(CityConfig::test_city(21).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: 500, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: 500,
+                ..Default::default()
+            },
+        );
         let config = RegionConfig {
             landmark_separation_m: 250.0,
             cluster_goal: goal,
@@ -401,7 +418,9 @@ mod tests {
     fn landmark_nodes_map_to_own_cluster() {
         let r = build_region(ClusterGoal::Delta(300.0));
         for lm in r.landmarks() {
-            let c = r.cluster_of_node(lm.node).expect("landmark node associated");
+            let c = r
+                .cluster_of_node(lm.node)
+                .expect("landmark node associated");
             // The node association may pick a co-located closer
             // landmark, but at distance 0 it must be a landmark of some
             // cluster; for the landmark's own node its distance is 0 so

@@ -47,8 +47,9 @@ fn five_cycle_needs_three_cliques() {
 #[test]
 fn complete_graph_is_one_clique() {
     let n = 6;
-    let edges: Vec<(usize, usize)> =
-        (0..n).flat_map(|i| ((i + 1)..n).map(move |j| (i, j))).collect();
+    let edges: Vec<(usize, usize)> = (0..n)
+        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+        .collect();
     let m = graph_metric(n, &edges);
     assert_eq!(exact_min_clusters(&m, 1.0).k, 1);
 }
@@ -68,11 +69,23 @@ fn petersen_graph_cover_number() {
     // the clique cover number is 5.
     let edges = [
         // outer 5-cycle
-        (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (4, 0),
         // spokes
-        (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+        (0, 5),
+        (1, 6),
+        (2, 7),
+        (3, 8),
+        (4, 9),
         // inner pentagram
-        (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+        (5, 7),
+        (7, 9),
+        (9, 6),
+        (6, 8),
+        (8, 5),
     ];
     let m = graph_metric(10, &edges);
     let exact = exact_min_clusters(&m, 1.0);
@@ -85,7 +98,17 @@ fn petersen_graph_cover_number() {
 fn bipartite_complete_k33() {
     // K_{3,3} is triangle-free: cliques are edges; perfect matching of
     // size 3 covers it.
-    let edges = [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)];
+    let edges = [
+        (0, 3),
+        (0, 4),
+        (0, 5),
+        (1, 3),
+        (1, 4),
+        (1, 5),
+        (2, 3),
+        (2, 4),
+        (2, 5),
+    ];
     let m = graph_metric(6, &edges);
     assert_eq!(exact_min_clusters(&m, 1.0).k, 3);
 }
@@ -102,7 +125,20 @@ fn two_triangles_sharing_a_vertex() {
 fn greedy_search_respects_theorem6_on_all_reduction_instances() {
     let instances: Vec<(usize, Vec<(usize, usize)>)> = vec![
         (5, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
-        (6, vec![(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]),
+        (
+            6,
+            vec![
+                (0, 3),
+                (0, 4),
+                (0, 5),
+                (1, 3),
+                (1, 4),
+                (1, 5),
+                (2, 3),
+                (2, 4),
+                (2, 5),
+            ],
+        ),
         (5, vec![(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]),
         (4, vec![(0, 1), (2, 3)]),
     ];

@@ -118,11 +118,20 @@ mod persist_fuzz {
         static BUF: OnceLock<Vec<u8>> = OnceLock::new();
         BUF.get_or_init(|| {
             let graph = Arc::new(CityConfig::manhattan(10, 10, 6).generate());
-            let pois = sample_pois(&graph, &PoiConfig { count: 150, ..Default::default() });
+            let pois = sample_pois(
+                &graph,
+                &PoiConfig {
+                    count: 150,
+                    ..Default::default()
+                },
+            );
             let region = RegionIndex::build(
                 graph,
                 &pois,
-                RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+                RegionConfig {
+                    cluster_goal: ClusterGoal::Delta(200.0),
+                    ..Default::default()
+                },
             );
             let mut buf = Vec::new();
             region.write_to(&mut buf).unwrap();

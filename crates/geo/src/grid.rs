@@ -41,7 +41,10 @@ impl GridId {
     /// Inverse of [`GridId::packed`].
     #[inline]
     pub fn from_packed(v: u64) -> Self {
-        Self { col: (v & 0xFFFF_FFFF) as u32, row: (v >> 32) as u32 }
+        Self {
+            col: (v & 0xFFFF_FFFF) as u32,
+            row: (v >> 32) as u32,
+        }
     }
 }
 
@@ -75,13 +78,23 @@ impl GridSpec {
     ///
     /// Panics if `cell_m` is not strictly positive and finite.
     pub fn new(bbox: BoundingBox, cell_m: f64) -> Self {
-        assert!(cell_m.is_finite() && cell_m > 0.0, "cell size must be positive, got {cell_m}");
+        assert!(
+            cell_m.is_finite() && cell_m > 0.0,
+            "cell size must be positive, got {cell_m}"
+        );
         let proj = LocalProjection::new(bbox.center());
         let (sw_x, sw_y) = proj.to_xy(&bbox.min);
         let (ne_x, ne_y) = proj.to_xy(&bbox.max);
         let cols = (((ne_x - sw_x) / cell_m).ceil() as u32).max(1);
         let rows = (((ne_y - sw_y) / cell_m).ceil() as u32).max(1);
-        Self { bbox, proj, cell_m, cols, rows, sw_xy: (sw_x, sw_y) }
+        Self {
+            bbox,
+            proj,
+            cell_m,
+            cols,
+            rows,
+            sw_xy: (sw_x, sw_y),
+        }
     }
 
     /// The region covered by the grid.
@@ -154,7 +167,10 @@ impl GridSpec {
                 let r = i64::from(id.row) + dr;
                 let c = i64::from(id.col) + dc;
                 if r >= 0 && c >= 0 && (r as u32) < self.rows && (c as u32) < self.cols {
-                    out.push(GridId { col: c as u32, row: r as u32 });
+                    out.push(GridId {
+                        col: c as u32,
+                        row: r as u32,
+                    });
                 }
             }
         }
@@ -184,7 +200,10 @@ impl GridSpec {
         let (cc, cr) = (i64::from(center.col), i64::from(center.row));
         let mut push = |c: i64, row: i64| {
             if c >= 0 && row >= 0 && (c as u32) < self.cols && (row as u32) < self.rows {
-                visit(GridId { col: c as u32, row: row as u32 });
+                visit(GridId {
+                    col: c as u32,
+                    row: row as u32,
+                });
             }
         };
         for dc in -r..=r {
@@ -231,13 +250,23 @@ mod tests {
         let c = g.centroid(id);
         // Point must be within half a cell diagonal of its centroid.
         let d = p.haversine_m(&c);
-        assert!(d <= 100.0 * std::f64::consts::SQRT_2 / 2.0 + 1.0, "distance {d}");
+        assert!(
+            d <= 100.0 * std::f64::consts::SQRT_2 / 2.0 + 1.0,
+            "distance {d}"
+        );
     }
 
     #[test]
     fn centroid_round_trips_to_same_cell() {
         let g = spec();
-        for id in [GridId { col: 0, row: 0 }, GridId { col: 10, row: 42 }, GridId { col: g.cols() - 1, row: g.rows() - 1 }] {
+        for id in [
+            GridId { col: 0, row: 0 },
+            GridId { col: 10, row: 42 },
+            GridId {
+                col: g.cols() - 1,
+                row: g.rows() - 1,
+            },
+        ] {
             assert_eq!(g.grid_of(&g.centroid(id)), id);
         }
     }
@@ -250,7 +279,13 @@ mod tests {
         assert_eq!(id, GridId { col: 0, row: 0 });
         let far_ne = GeoPoint::new(41.0, -73.0);
         let id = g.grid_of(&far_ne);
-        assert_eq!(id, GridId { col: g.cols() - 1, row: g.rows() - 1 });
+        assert_eq!(
+            id,
+            GridId {
+                col: g.cols() - 1,
+                row: g.rows() - 1
+            }
+        );
     }
 
     #[test]
@@ -289,7 +324,10 @@ mod tests {
 
     #[test]
     fn packed_round_trip() {
-        let id = GridId { col: 123, row: 4567 };
+        let id = GridId {
+            col: 123,
+            row: 4567,
+        };
         assert_eq!(GridId::from_packed(id.packed()), id);
     }
 

@@ -24,7 +24,10 @@ impl GeoPoint {
     /// WGS-84 range or not finite.
     #[inline]
     pub fn new(lat: f64, lon: f64) -> Self {
-        debug_assert!(lat.is_finite() && (-90.0..=90.0).contains(&lat), "invalid latitude {lat}");
+        debug_assert!(
+            lat.is_finite() && (-90.0..=90.0).contains(&lat),
+            "invalid latitude {lat}"
+        );
         debug_assert!(
             lon.is_finite() && (-180.0..=180.0).contains(&lon),
             "invalid longitude {lon}"
@@ -75,8 +78,8 @@ impl GeoPoint {
         let lat1 = self.lat.to_radians();
         let lon1 = self.lon.to_radians();
         let lat2 = (lat1.sin() * ang.cos() + lat1.cos() * ang.sin() * brg.cos()).asin();
-        let lon2 = lon1
-            + (brg.sin() * ang.sin() * lat1.cos()).atan2(ang.cos() - lat1.sin() * lat2.sin());
+        let lon2 =
+            lon1 + (brg.sin() * ang.sin() * lat1.cos()).atan2(ang.cos() - lat1.sin() * lat2.sin());
         let lon2 = (lon2.to_degrees() + 540.0) % 360.0 - 180.0;
         GeoPoint::new(lat2.to_degrees(), lon2)
     }
@@ -149,7 +152,10 @@ mod tests {
         let p = nyc();
         let north = p.destination(0.0, 1000.0);
         let east = p.destination(90.0, 1000.0);
-        assert!((p.bearing_deg(&north) - 0.0).abs() < 0.5 || (p.bearing_deg(&north) - 360.0).abs() < 0.5);
+        assert!(
+            (p.bearing_deg(&north) - 0.0).abs() < 0.5
+                || (p.bearing_deg(&north) - 360.0).abs() < 0.5
+        );
         assert!((p.bearing_deg(&east) - 90.0).abs() < 0.5);
     }
 

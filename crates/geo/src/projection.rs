@@ -22,7 +22,10 @@ pub struct LocalProjection {
 impl LocalProjection {
     /// Create a projection centred on `origin`.
     pub fn new(origin: GeoPoint) -> Self {
-        Self { origin, cos_lat0: origin.lat.to_radians().cos() }
+        Self {
+            origin,
+            cos_lat0: origin.lat.to_radians().cos(),
+        }
     }
 
     /// The reference point of the projection.

@@ -33,7 +33,12 @@ pub struct EnhancerConfig {
 
 impl Default for EnhancerConfig {
     fn default() -> Self {
-        Self { ride_walk_limit_m: 800.0, window_s: 1_200.0, combinatorial_hop_limit: 4, book: true }
+        Self {
+            ride_walk_limit_m: 800.0,
+            window_s: 1_200.0,
+            combinatorial_hop_limit: 4,
+            book: true,
+        }
     }
 }
 
@@ -105,9 +110,14 @@ pub fn enhance_plan(
             walk_limit_m: cfg.ride_walk_limit_m,
         };
         searches += 1;
-        let Ok(matches) = xar.search(&req, 1) else { continue };
-        let Some(m) = matches.first().copied() else { continue };
-        let Some(candidate) = compose(base, &hops, (i, j), &m, origin, destination, router, xar) else {
+        let Ok(matches) = xar.search(&req, 1) else {
+            continue;
+        };
+        let Some(m) = matches.first().copied() else {
+            continue;
+        };
+        let Some(candidate) = compose(base, &hops, (i, j), &m, origin, destination, router, xar)
+        else {
             continue;
         };
         let better = match &best {
@@ -131,12 +141,24 @@ pub fn enhance_plan(
                 // Booking can fail if the ride filled up meanwhile; fall
                 // back to the original plan in that case.
                 if xar.book_checked(&m).is_err() {
-                    return EnhancerOutcome { plan: base.clone(), substituted: None, searches };
+                    return EnhancerOutcome {
+                        plan: base.clone(),
+                        substituted: None,
+                        searches,
+                    };
                 }
             }
-            EnhancerOutcome { plan, substituted: Some((i, j)), searches }
+            EnhancerOutcome {
+                plan,
+                substituted: Some((i, j)),
+                searches,
+            }
         }
-        _ => EnhancerOutcome { plan: base.clone(), substituted: None, searches },
+        _ => EnhancerOutcome {
+            plan: base.clone(),
+            substituted: None,
+            searches,
+        },
     }
 }
 
@@ -172,17 +194,35 @@ fn compose(
 
     // Walk to the pick-up landmark, wait, ride, walk back to hop j.
     let walk_in_dur = m.walk_pickup_m / WALK_SPEED_MPS;
-    legs.push(Leg::Walk { from: hop_i_pt, to: pickup_pt, dist_m: m.walk_pickup_m, duration_s: walk_in_dur });
+    legs.push(Leg::Walk {
+        from: hop_i_pt,
+        to: pickup_pt,
+        dist_m: m.walk_pickup_m,
+        duration_s: walk_in_dur,
+    });
     clock += walk_in_dur;
     if m.eta_pickup_s > clock {
-        legs.push(Leg::WaitAt { point: pickup_pt, duration_s: m.eta_pickup_s - clock });
+        legs.push(Leg::WaitAt {
+            point: pickup_pt,
+            duration_s: m.eta_pickup_s - clock,
+        });
         clock = m.eta_pickup_s;
     }
     let alight = m.eta_dropoff_s.max(clock);
-    legs.push(Leg::SharedRide { from: pickup_pt, to: dropoff_pt, board_s: clock, alight_s: alight });
+    legs.push(Leg::SharedRide {
+        from: pickup_pt,
+        to: dropoff_pt,
+        board_s: clock,
+        alight_s: alight,
+    });
     clock = alight;
     let walk_out_dur = m.walk_dropoff_m / WALK_SPEED_MPS;
-    legs.push(Leg::Walk { from: dropoff_pt, to: hop_j_pt, dist_m: m.walk_dropoff_m, duration_s: walk_out_dur });
+    legs.push(Leg::Walk {
+        from: dropoff_pt,
+        to: hop_j_pt,
+        dist_m: m.walk_dropoff_m,
+        duration_s: walk_out_dur,
+    });
     clock += walk_out_dur;
 
     // Suffix: replanned remainder from hop j (empty if j is the
@@ -192,7 +232,11 @@ fn compose(
         clock = rest.arrival_s;
         legs.extend(rest.legs);
     }
-    Some(TripPlan { departure_s: base.departure_s, arrival_s: clock, legs })
+    Some(TripPlan {
+        departure_s: base.departure_s,
+        arrival_s: clock,
+        legs,
+    })
 }
 
 #[cfg(test)]

@@ -64,7 +64,10 @@ impl ModeQuality {
 /// searches to bookings is
 /// `plans_per_request × C(hops+1, 2) / adoption`.
 pub fn look_to_book_ratio(plans_per_request: usize, hops: usize, adoption: f64) -> f64 {
-    assert!(adoption > 0.0 && adoption <= 1.0, "adoption must be in (0, 1]");
+    assert!(
+        adoption > 0.0 && adoption <= 1.0,
+        "adoption must be in (0, 1]"
+    );
     let combos = (hops + 1) * hops / 2; // C(hops+1, 2)
     let searches = plans_per_request as f64 * combos as f64;
     searches / adoption
@@ -93,9 +96,22 @@ mod tests {
             departure_s: 0.0,
             arrival_s: 600.0,
             legs: vec![
-                Leg::Walk { from: p, to: p, dist_m: 100.0, duration_s: 80.0 },
-                Leg::WaitAt { point: p, duration_s: 120.0 },
-                Leg::SharedRide { from: p, to: p, board_s: 200.0, alight_s: 600.0 },
+                Leg::Walk {
+                    from: p,
+                    to: p,
+                    dist_m: 100.0,
+                    duration_s: 80.0,
+                },
+                Leg::WaitAt {
+                    point: p,
+                    duration_s: 120.0,
+                },
+                Leg::SharedRide {
+                    from: p,
+                    to: p,
+                    board_s: 200.0,
+                    alight_s: 600.0,
+                },
             ],
         };
         let mut q = ModeQuality::default();

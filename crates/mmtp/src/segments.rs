@@ -98,7 +98,12 @@ pub fn infeasible_segment(plan: &TripPlan, net: &TransitNetwork, leg_idx: usize)
 
 /// The hop points of a plan for the Enhancer mode: origin, each
 /// vehicle-to-vehicle transfer location, destination.
-pub fn hop_points(plan: &TripPlan, net: &TransitNetwork, origin: GeoPoint, destination: GeoPoint) -> Vec<(GeoPoint, f64)> {
+pub fn hop_points(
+    plan: &TripPlan,
+    net: &TransitNetwork,
+    origin: GeoPoint,
+    destination: GeoPoint,
+) -> Vec<(GeoPoint, f64)> {
     let times = leg_start_times(plan);
     let mut out = vec![(origin, plan.departure_s)];
     let mut seen_vehicle = false;
@@ -151,10 +156,29 @@ mod tests {
             departure_s: 0.0,
             arrival_s: 1000.0,
             legs: vec![
-                Leg::Walk { from: p(40.69), to: p(40.70), dist_m: 1400.0, duration_s: 200.0 },
-                Leg::Wait { stop: StopId(0), duration_s: 700.0 },
-                Leg::Transit { line: LineId(0), from: StopId(0), to: StopId(2), board_s: 900.0, alight_s: 950.0 },
-                Leg::Walk { from: p(40.72), to: p(40.73), dist_m: 70.0, duration_s: 50.0 },
+                Leg::Walk {
+                    from: p(40.69),
+                    to: p(40.70),
+                    dist_m: 1400.0,
+                    duration_s: 200.0,
+                },
+                Leg::Wait {
+                    stop: StopId(0),
+                    duration_s: 700.0,
+                },
+                Leg::Transit {
+                    line: LineId(0),
+                    from: StopId(0),
+                    to: StopId(2),
+                    board_s: 900.0,
+                    alight_s: 950.0,
+                },
+                Leg::Walk {
+                    from: p(40.72),
+                    to: p(40.73),
+                    dist_m: 70.0,
+                    duration_s: 50.0,
+                },
             ],
         }
     }
@@ -202,7 +226,10 @@ mod tests {
     fn hop_points_with_transfer() {
         let n = net();
         let mut plan = sample_plan();
-        plan.legs.push(Leg::Wait { stop: StopId(2), duration_s: 100.0 });
+        plan.legs.push(Leg::Wait {
+            stop: StopId(2),
+            duration_s: 100.0,
+        });
         plan.legs.push(Leg::Transit {
             line: LineId(0),
             from: StopId(2),

@@ -17,7 +17,13 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let graph = Arc::new(CityConfig::manhattan(30, 30, 123).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 900, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 900,
+            ..Default::default()
+        },
+    );
     let region = Arc::new(RegionIndex::build(
         Arc::clone(&graph),
         &pois,
@@ -54,7 +60,9 @@ fn xar_with_rides(f: &Fixture, n: usize) -> XarEngine {
             destination: f.graph.point(b),
             departure_s: 8.0 * 3600.0 + (i as f64) * 120.0,
             seats: 3,
-            detour_limit_m: 4_000.0, driver: None, via: Vec::new(),
+            detour_limit_m: 4_000.0,
+            driver: None,
+            via: Vec::new(),
         });
     }
     eng
@@ -72,10 +80,16 @@ fn aider_preserves_or_improves_infeasible_plans() {
     for i in 0..20u32 {
         let a = f.graph.point(NodeId((i * 97) % total));
         let b = f.graph.point(NodeId((i * 389 + total / 3) % total));
-        let Some(base) = router.plan(&a, &b, 8.0 * 3600.0 + f64::from(i) * 60.0) else { continue };
+        let Some(base) = router.plan(&a, &b, 8.0 * 3600.0 + f64::from(i) * 60.0) else {
+            continue;
+        };
         let aided = aid_plan(&base, b, &f.net, &router, &mut xar, &cfg);
         // The aided plan must be time-consistent.
-        assert!(aided.plan.is_consistent(), "inconsistent aided plan: {:?}", aided.plan);
+        assert!(
+            aided.plan.is_consistent(),
+            "inconsistent aided plan: {:?}",
+            aided.plan
+        );
         assert!(aided.plan.arrival_s >= aided.plan.departure_s);
         if aided.replaced > 0 {
             aided_any = true;
@@ -87,7 +101,10 @@ fn aider_preserves_or_improves_infeasible_plans() {
                 .any(|l| matches!(l, xar_transit::Leg::SharedRide { .. })));
         }
     }
-    assert!(aided_any, "no plan was ever aided — fixture too easy or aider broken");
+    assert!(
+        aided_any,
+        "no plan was ever aided — fixture too easy or aider broken"
+    );
 }
 
 #[test]
@@ -114,9 +131,21 @@ fn enhancer_generates_bounded_search_volume() {
     let b = f.graph.point(NodeId(total - 4));
     let base = router.plan(&a, &b, 8.5 * 3600.0).expect("plan");
     let k = base.hops();
-    let out = enhance_plan(&base, a, b, &f.net, &router, &mut xar, &EnhancerConfig::default());
+    let out = enhance_plan(
+        &base,
+        a,
+        b,
+        &f.net,
+        &router,
+        &mut xar,
+        &EnhancerConfig::default(),
+    );
     let n_points = k + 2;
-    let bound = if k <= 4 { n_points * (n_points - 1) / 2 } else { 2 * k + 1 };
+    let bound = if k <= 4 {
+        n_points * (n_points - 1) / 2
+    } else {
+        2 * k + 1
+    };
     assert!(out.searches <= bound, "{} searches for k={k}", out.searches);
     assert!(out.plan.is_consistent());
     // Enhancement never makes the plan worse on hops.
@@ -133,11 +162,21 @@ fn enhancer_substitution_reduces_hops_or_keeps_plan() {
     for i in 0..200u32 {
         let a = f.graph.point(NodeId((i * 113) % total));
         let b = f.graph.point(NodeId((i * 211 + total / 2) % total));
-        let Some(base) = router.plan(&a, &b, 8.0 * 3600.0 + f64::from(i) * 90.0) else { continue };
+        let Some(base) = router.plan(&a, &b, 8.0 * 3600.0 + f64::from(i) * 90.0) else {
+            continue;
+        };
         if base.hops() == 0 {
             continue;
         }
-        let out = enhance_plan(&base, a, b, &f.net, &router, &mut xar, &EnhancerConfig::default());
+        let out = enhance_plan(
+            &base,
+            a,
+            b,
+            &f.net,
+            &router,
+            &mut xar,
+            &EnhancerConfig::default(),
+        );
         if let Some((i0, j0)) = out.substituted {
             substituted_any = true;
             assert!(j0 > i0);

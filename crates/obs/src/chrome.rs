@@ -204,11 +204,22 @@ pub fn parse_chrome(text: &str) -> Result<ChromeTrace, String> {
                 }
             }
         }
-        events.push(ChromeEvent { name, ph, ts_us, tid, trace, span, parent, attrs });
+        events.push(ChromeEvent {
+            name,
+            ph,
+            ts_us,
+            tid,
+            trace,
+            span,
+            parent,
+            attrs,
+        });
     }
     let xar = doc.get("xar");
     let counter = |key: &str| -> u64 {
-        xar.and_then(|x| x.get(key)).and_then(|v| v.as_u64()).unwrap_or(0)
+        xar.and_then(|x| x.get(key))
+            .and_then(|v| v.as_u64())
+            .unwrap_or(0)
     };
     Ok(ChromeTrace {
         events,
@@ -288,11 +299,12 @@ impl Timeline {
                     });
                 }
                 "E" => {
-                    let Some(mut open) = stack.pop() else { continue };
+                    let Some(mut open) = stack.pop() else {
+                        continue;
+                    };
                     open.node.dur_us = (ev.ts_us - open.node.start_us).max(0.0);
                     open.node.attrs = ev.attrs.clone();
-                    let child_total: f64 =
-                        open.node.children.iter().map(|c| c.dur_us).sum();
+                    let child_total: f64 = open.node.children.iter().map(|c| c.dur_us).sum();
                     open.node.self_us = (open.node.dur_us - child_total).max(0.0);
                     if open.parent_is_root {
                         roots.push((open.trace, open.node));

@@ -34,7 +34,14 @@ pub const NO_RIDE: u64 = u64::MAX;
 /// rest of the root's duration, so the split sums exactly to `dur_ns`.
 /// The reader looks layers up by name, so a file that also splits out
 /// a layer since retired still parses.
-pub const LAYERS: [&str; 6] = ["search", "shortest_path", "index", "route_splice", "lock", "other"];
+pub const LAYERS: [&str; 6] = [
+    "search",
+    "shortest_path",
+    "index",
+    "route_splice",
+    "lock",
+    "other",
+];
 
 /// Index of `other` in [`LAYERS`].
 pub const OTHER: usize = LAYERS.len() - 1;
@@ -175,7 +182,10 @@ fn write_event_line(out: &mut String, e: &EventRecord) {
     w.key("wait_s");
     w.number_f64(e.wait_s);
     // Only a booking makes a promise; other outcomes omit the keys.
-    for (key, eta) in [("pickup_eta_s", e.pickup_eta_s), ("dropoff_eta_s", e.dropoff_eta_s)] {
+    for (key, eta) in [
+        ("pickup_eta_s", e.pickup_eta_s),
+        ("dropoff_eta_s", e.dropoff_eta_s),
+    ] {
         if eta.is_finite() {
             w.key(key);
             w.number_f64(eta);
@@ -201,7 +211,11 @@ fn write_event_line(out: &mut String, e: &EventRecord) {
 /// line per record that carries one, and a final `drops` line with the
 /// recorder's record account (`kept + dropped == emitted`).
 pub fn to_jsonl(snap: &TraceSnapshot) -> String {
-    let events: Vec<&EventRecord> = snap.records.iter().filter_map(|r| r.event.as_ref()).collect();
+    let events: Vec<&EventRecord> = snap
+        .records
+        .iter()
+        .filter_map(|r| r.event.as_ref())
+        .collect();
     let mut out = String::new();
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -369,8 +383,8 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
         let ty = field_str(&v, "type").map_err(|e| format!("line {}: {e}", lineno + 1))?;
         match ty.as_str() {
             "meta" => {
-                let version = field_u64(&v, "version")
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                let version =
+                    field_u64(&v, "version").map_err(|e| format!("line {}: {e}", lineno + 1))?;
                 if version > FORMAT_VERSION {
                     return Err(format!("unsupported events format version {version}"));
                 }
@@ -392,7 +406,8 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
                             Some(split)
                         }
                     };
-                    let (search_ns, book_ns) = (field_u64(v, "search_ns")?, field_u64(v, "book_ns")?);
+                    let (search_ns, book_ns) =
+                        (field_u64(v, "search_ns")?, field_u64(v, "book_ns")?);
                     Ok(ParsedEvent {
                         request_id: field_u64(v, "id")?,
                         sim_t_s: field_f64(v, "t_s")?,
@@ -418,15 +433,16 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
                         layers,
                     })
                 };
-                log.events.push(parse(&v).map_err(|e| format!("line {}: {e}", lineno + 1))?);
+                log.events
+                    .push(parse(&v).map_err(|e| format!("line {}: {e}", lineno + 1))?);
             }
             "drops" => {
-                log.emitted = field_u64(&v, "emitted")
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                log.dropped = field_u64(&v, "dropped")
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-                let kept = field_u64(&v, "kept")
-                    .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                log.emitted =
+                    field_u64(&v, "emitted").map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                log.dropped =
+                    field_u64(&v, "dropped").map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                let kept =
+                    field_u64(&v, "kept").map_err(|e| format!("line {}: {e}", lineno + 1))?;
                 if kept != log.events.len() as u64 {
                     return Err(format!(
                         "drops line claims {kept} kept events, file has {}",
@@ -442,7 +458,10 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
                 saw_drops = true;
             }
             other => {
-                return Err(format!("line {}: unknown record type {other:?}", lineno + 1));
+                return Err(format!(
+                    "line {}: unknown record type {other:?}",
+                    lineno + 1
+                ));
             }
         }
     }
@@ -488,20 +507,32 @@ mod tests {
         assert_eq!((log.emitted, log.dropped), (10, 0));
         let (booked, created) = (&log.events[0], &log.events[1]);
         assert_eq!((booked.ride, created.ride), (Some(0), None));
-        assert_eq!((booked.pickup_eta_s, booked.dropoff_eta_s), (Some(60.0), Some(600.0)));
+        assert_eq!(
+            (booked.pickup_eta_s, booked.dropoff_eta_s),
+            (Some(60.0), Some(600.0))
+        );
         assert_eq!(created.pickup_eta_s, None);
         assert_eq!(created.reason, "no_cluster_candidates");
         for (e, r) in log.events.iter().zip(&snap.records) {
             assert_eq!(e.dur_ns, r.dur_ns);
-            assert_eq!(e.layers.expect("layers written").iter().sum::<u64>(), e.dur_ns);
+            assert_eq!(
+                e.layers.expect("layers written").iter().sum::<u64>(),
+                e.dur_ns
+            );
         }
-        assert_eq!(log.reason_histogram()[0], ("no_cluster_candidates".to_string(), 5));
+        assert_eq!(
+            log.reason_histogram()[0],
+            ("no_cluster_candidates".to_string(), 5)
+        );
     }
 
     #[test]
     fn parse_rejects_corruption() {
         assert!(parse_jsonl("").is_err(), "empty file");
-        assert!(parse_jsonl("{\"type\":\"event\"}").is_err(), "event before meta");
+        assert!(
+            parse_jsonl("{\"type\":\"event\"}").is_err(),
+            "event before meta"
+        );
         assert!(parse_jsonl("not json\n").is_err(), "invalid JSON");
         let ok = "{\"type\":\"meta\",\"version\":1}\n{\"type\":\"drops\",\"emitted\":0,\"dropped\":0,\"kept\":0}\n";
         assert!(parse_jsonl(ok).is_ok());

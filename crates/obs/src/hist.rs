@@ -125,7 +125,8 @@ impl Histogram {
         }
         self.buckets[bucket_index(value)].fetch_add(n, Ordering::Relaxed);
         self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(value.saturating_mul(n), Ordering::Relaxed);
+        self.sum
+            .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
@@ -186,8 +187,21 @@ impl HistogramSnapshot {
     /// are derived from the cells.
     fn from_cells(cells: Vec<(u16, u64)>, sum: u64, max: u64) -> Self {
         let count: u64 = cells.iter().map(|&(_, c)| c).sum();
-        let mean = if count == 0 { 0.0 } else { sum as f64 / count as f64 };
-        let mut s = Self { count, sum, mean, p50: 0, p90: 0, p99: 0, max, cells };
+        let mean = if count == 0 {
+            0.0
+        } else {
+            sum as f64 / count as f64
+        };
+        let mut s = Self {
+            count,
+            sum,
+            mean,
+            p50: 0,
+            p90: 0,
+            p99: 0,
+            max,
+            cells,
+        };
         (s.p50, s.p90, s.p99) = (s.quantile(50.0), s.quantile(90.0), s.quantile(99.0));
         s
     }
@@ -270,7 +284,19 @@ mod tests {
 
     #[test]
     fn bounds_contain_their_values() {
-        for v in [0u64, 1, 31, 32, 33, 63, 64, 100, 1_000, 123_456, u64::MAX / 3] {
+        for v in [
+            0u64,
+            1,
+            31,
+            32,
+            33,
+            63,
+            64,
+            100,
+            1_000,
+            123_456,
+            u64::MAX / 3,
+        ] {
             let (lo, hi) = bucket_bounds(bucket_index(v));
             assert!(lo <= v && v <= hi, "{v} outside [{lo}, {hi}]");
         }

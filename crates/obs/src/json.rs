@@ -36,7 +36,10 @@ pub struct JsonWriter {
 impl JsonWriter {
     /// An empty writer.
     pub fn new() -> Self {
-        Self { buf: String::with_capacity(256), needs_comma: Vec::new() }
+        Self {
+            buf: String::with_capacity(256),
+            needs_comma: Vec::new(),
+        }
     }
 
     fn pre_value(&mut self) {
@@ -189,9 +192,7 @@ impl JsonValue {
     /// Object member by key (first match), if this is an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Object(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }

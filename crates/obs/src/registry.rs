@@ -136,7 +136,9 @@ pub struct Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry").field("families", &self.lock_read().len()).finish()
+        f.debug_struct("Registry")
+            .field("families", &self.lock_read().len())
+            .finish()
     }
 }
 
@@ -180,7 +182,10 @@ impl Registry {
                 let found = if labels.is_empty() {
                     fam.unlabeled.as_ref()
                 } else {
-                    fam.labeled.iter().find(|(ls, _)| labels_match(ls, labels)).map(|(_, m)| m)
+                    fam.labeled
+                        .iter()
+                        .find(|(ls, _)| labels_match(ls, labels))
+                        .map(|(_, m)| m)
                 };
                 if let Some(m) = found {
                     return pick(m).unwrap_or_else(|| {
@@ -202,9 +207,10 @@ impl Registry {
             );
         }
         let mut map = self.lock_write();
-        let fam = map
-            .entry(name.to_string())
-            .or_insert_with(|| Family { unlabeled: None, labeled: Vec::new() });
+        let fam = map.entry(name.to_string()).or_insert_with(|| Family {
+            unlabeled: None,
+            labeled: Vec::new(),
+        });
         // One family, one kind — whichever series was created first
         // fixed it; check before inserting anything.
         if let Some(existing) = fam.kind() {
@@ -214,8 +220,10 @@ impl Registry {
             );
         }
         let intern = |pairs: &[(&str, &str)]| -> LabelSet {
-            let mut ls: Vec<(Box<str>, Box<str>)> =
-                pairs.iter().map(|&(k, v)| (Box::from(k), Box::from(v))).collect();
+            let mut ls: Vec<(Box<str>, Box<str>)> = pairs
+                .iter()
+                .map(|&(k, v)| (Box::from(k), Box::from(v)))
+                .collect();
             ls.sort_by(|a, b| a.0.cmp(&b.0));
             ls.into_boxed_slice()
         };
@@ -228,7 +236,11 @@ impl Registry {
             // Cardinality cap: fold this (new) label set into the
             // reserved overflow series.
             self.label_overflow.fetch_add(1, Ordering::Relaxed);
-            match fam.labeled.iter().find(|(ls, _)| labels_match(ls, OVERFLOW_LABELS)) {
+            match fam
+                .labeled
+                .iter()
+                .find(|(ls, _)| labels_match(ls, OVERFLOW_LABELS))
+            {
                 Some((_, m)) => m.clone(),
                 None => {
                     let m = make();
@@ -328,7 +340,10 @@ impl Registry {
         }
         let overflow = self.label_overflow();
         if overflow > 0 {
-            out.push(("obs.label_overflow".into(), MetricSnapshot::Counter(overflow)));
+            out.push((
+                "obs.label_overflow".into(),
+                MetricSnapshot::Counter(overflow),
+            ));
         }
         out
     }
@@ -434,7 +449,11 @@ mod tests {
         let b = r.counter_with("req", &[("cluster", "b3"), ("tier", "t2")]);
         a.inc();
         b.inc();
-        assert_eq!(r.counter_with("req", &[("tier", "t2"), ("cluster", "b3")]).get(), 2);
+        assert_eq!(
+            r.counter_with("req", &[("tier", "t2"), ("cluster", "b3")])
+                .get(),
+            2
+        );
         // A different value is a different series.
         let c = r.counter_with("req", &[("tier", "t1"), ("cluster", "b3")]);
         assert_eq!(c.get(), 0);
@@ -465,7 +484,11 @@ mod tests {
                 _ => 0,
             })
             .sum();
-        assert_eq!(total, (MAX_SERIES_PER_FAMILY + 10) as u64, "counts conserved");
+        assert_eq!(
+            total,
+            (MAX_SERIES_PER_FAMILY + 10) as u64,
+            "counts conserved"
+        );
         assert!(snap.iter().any(|(k, _)| k == "many{overflow=\"true\"}"));
         // The overflow series keeps absorbing further new sets.
         r.counter_with("many", &[("i", "zzz")]).inc();
@@ -487,9 +510,13 @@ mod tests {
     #[test]
     fn labeled_series_render_in_snapshot_json() {
         let r = Registry::new();
-        r.counter_with("sim.requests", &[("outcome", "booked")]).add(3);
+        r.counter_with("sim.requests", &[("outcome", "booked")])
+            .add(3);
         let json = r.snapshot_json();
-        assert!(json.contains("\"sim.requests{outcome=\\\"booked\\\"}\":3"), "{json}");
+        assert!(
+            json.contains("\"sim.requests{outcome=\\\"booked\\\"}\":3"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -29,7 +29,10 @@ pub struct SpanTimer {
 impl SpanTimer {
     /// Start timing into `hist`.
     pub fn new(hist: Arc<Histogram>) -> Self {
-        Self { hist: Some(hist), start: Instant::now() }
+        Self {
+            hist: Some(hist),
+            start: Instant::now(),
+        }
     }
 
     /// Nanoseconds elapsed so far.
@@ -69,7 +72,11 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count, 1);
-        assert!(snap.max >= 2_000_000, "slept 2 ms but recorded {} ns", snap.max);
+        assert!(
+            snap.max >= 2_000_000,
+            "slept 2 ms but recorded {} ns",
+            snap.max
+        );
     }
 
     #[test]

@@ -237,12 +237,20 @@ impl Default for TraceConfig {
 impl TraceConfig {
     /// Keep every root's spans (tests, snapshots of small runs).
     pub fn keep_all() -> Self {
-        Self { slow_threshold_ns: 0, sample_per_mille: 1_000, ..Self::default() }
+        Self {
+            slow_threshold_ns: 0,
+            sample_per_mille: 1_000,
+            ..Self::default()
+        }
     }
 
     /// Keep no root's spans: only the wide events reach the ring.
     pub fn events_only() -> Self {
-        Self { slow_threshold_ns: u64::MAX, sample_per_mille: 0, ..Self::default() }
+        Self {
+            slow_threshold_ns: u64::MAX,
+            sample_per_mille: 0,
+            ..Self::default()
+        }
     }
 }
 
@@ -426,11 +434,16 @@ impl Recorder {
     /// Replace the tunables (takes effect for roots started after the
     /// call).
     pub fn configure(&self, config: TraceConfig) {
-        self.slow_ns.store(config.slow_threshold_ns, Ordering::Relaxed);
-        self.sample_per_mille.store(config.sample_per_mille.min(1_000), Ordering::Relaxed);
-        self.capacity_events.store(config.capacity_events, Ordering::Relaxed);
-        self.capacity_records.store(config.capacity_records.max(1), Ordering::Relaxed);
-        self.max_events_per_trace.store(config.max_events_per_trace, Ordering::Relaxed);
+        self.slow_ns
+            .store(config.slow_threshold_ns, Ordering::Relaxed);
+        self.sample_per_mille
+            .store(config.sample_per_mille.min(1_000), Ordering::Relaxed);
+        self.capacity_events
+            .store(config.capacity_events, Ordering::Relaxed);
+        self.capacity_records
+            .store(config.capacity_records.max(1), Ordering::Relaxed);
+        self.max_events_per_trace
+            .store(config.max_events_per_trace, Ordering::Relaxed);
     }
 
     /// Turn recording on or off. Off makes every tracing entry point a
@@ -476,7 +489,12 @@ impl Recorder {
             a.trace = trace;
             a.root_name = name;
             a.stack.clear();
-            a.stack.push(Open { span: root_span, start_ns, child_ns: 0, layer: OTHER });
+            a.stack.push(Open {
+                span: root_span,
+                start_ns,
+                child_ns: 0,
+                layer: OTHER,
+            });
             a.events.clear();
             a.events.reserve(64);
             a.overflow_depth = 0;
@@ -494,7 +512,11 @@ impl Recorder {
                 attrs: AttrList::new(),
                 tid,
             });
-            RootSpan { armed: true, attrs: AttrList::new(), event: None }
+            RootSpan {
+                armed: true,
+                attrs: AttrList::new(),
+                event: None,
+            }
         })
     }
 
@@ -510,7 +532,11 @@ impl Recorder {
                 return Span::disarmed(name);
             }
             a.begin_child(name);
-            Span { armed: true, name, attrs: AttrList::new() }
+            Span {
+                armed: true,
+                name,
+                attrs: AttrList::new(),
+            }
         })
     }
 
@@ -560,7 +586,8 @@ impl Recorder {
         // Empty records sit in the stripped prefix, behind older wide
         // events; drop them once they are half the ring.
         if ring.empty * 2 > ring.records.len() {
-            ring.records.retain(|r| r.event.is_some() || !r.spans.is_empty());
+            ring.records
+                .retain(|r| r.event.is_some() || !r.spans.is_empty());
             ring.stripped -= ring.empty;
             ring.empty = 0;
         }
@@ -576,7 +603,10 @@ impl Recorder {
             .filter(|r| r.event.is_some() || !r.spans.is_empty())
             .cloned()
             .collect();
-        TraceSnapshot { records, stats: self.stats_of(&ring) }
+        TraceSnapshot {
+            records,
+            stats: self.stats_of(&ring),
+        }
     }
 
     /// Current counters.
@@ -630,7 +660,12 @@ impl Active {
         let span = rec.next_id.fetch_add(1, Ordering::Relaxed);
         let ts_ns = rec.now_ns();
         let parent = self.stack.last().expect("root always open").span;
-        self.stack.push(Open { span, start_ns: ts_ns, child_ns: 0, layer: layer_of(name) });
+        self.stack.push(Open {
+            span,
+            start_ns: ts_ns,
+            child_ns: 0,
+            layer: layer_of(name),
+        });
         self.events.push(TraceEvent {
             ts_ns,
             trace: self.trace,
@@ -694,7 +729,11 @@ impl Active {
         });
         let slow = dur_ns >= rec.slow_ns.load(Ordering::Relaxed);
         let keep_spans = slow || rec.would_sample(self.trace);
-        let counter = if keep_spans { &rec.kept } else { &rec.sampled_out };
+        let counter = if keep_spans {
+            &rec.kept
+        } else {
+            &rec.sampled_out
+        };
         counter.fetch_add(1, Ordering::Relaxed);
         let event = event.map(|mut ev| {
             // Whatever no layer claimed — the root's own time, dispatch
@@ -714,7 +753,15 @@ impl Active {
             (Vec::new(), 0)
         };
         rec.publish(
-            Record { trace: self.trace, root_name: self.root_name, start_ns, dur_ns, slow, event, spans },
+            Record {
+                trace: self.trace,
+                root_name: self.root_name,
+                start_ns,
+                dur_ns,
+                slow,
+                event,
+                spans,
+            },
             overflowed,
         );
     }
@@ -736,7 +783,11 @@ pub struct RootSpan {
 }
 
 impl RootSpan {
-    const DISARMED: RootSpan = RootSpan { armed: false, attrs: AttrList::new(), event: None };
+    const DISARMED: RootSpan = RootSpan {
+        armed: false,
+        attrs: AttrList::new(),
+        event: None,
+    };
 
     /// Attach an attribute to the root span's End event.
     pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
@@ -781,7 +832,11 @@ pub struct Span {
 
 impl Span {
     fn disarmed(name: &'static str) -> Self {
-        Span { armed: false, name, attrs: AttrList::new() }
+        Span {
+            armed: false,
+            name,
+            attrs: AttrList::new(),
+        }
     }
 
     /// Attach an attribute to the span's End event.
@@ -907,7 +962,10 @@ mod tests {
         drop(rec.start_root("track"));
         let snap = rec.snapshot();
         assert_eq!(snap.records.len(), 32);
-        assert!(snap.records.iter().all(|r| r.spans.is_empty() && r.event.is_some()));
+        assert!(snap
+            .records
+            .iter()
+            .all(|r| r.spans.is_empty() && r.event.is_some()));
         assert_eq!(snap.stats.sampled_out_traces, 33);
         assert_eq!(snap.stats.kept_traces, 0);
         assert_eq!(snap.stats.emitted_records, 32);
@@ -916,7 +974,11 @@ mod tests {
 
     #[test]
     fn slow_traces_always_kept() {
-        let cfg = TraceConfig { slow_threshold_ns: 0, sample_per_mille: 0, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            slow_threshold_ns: 0,
+            sample_per_mille: 0,
+            ..TraceConfig::default()
+        };
         let rec = Recorder::new(cfg);
         drop(rec.start_root("request"));
         let snap = rec.snapshot();
@@ -950,7 +1012,10 @@ mod tests {
 
     #[test]
     fn span_budget_strips_spans_and_keeps_events() {
-        let cfg = TraceConfig { capacity_events: 8, ..TraceConfig::keep_all() };
+        let cfg = TraceConfig {
+            capacity_events: 8,
+            ..TraceConfig::keep_all()
+        };
         let rec = Recorder::new(cfg);
         for i in 0..10 {
             request(&rec, i, 1); // root B/E + child B/E
@@ -968,7 +1033,10 @@ mod tests {
 
     #[test]
     fn record_budget_evicts_oldest_whole() {
-        let cfg = TraceConfig { capacity_records: 8, ..TraceConfig::keep_all() };
+        let cfg = TraceConfig {
+            capacity_records: 8,
+            ..TraceConfig::keep_all()
+        };
         let rec = Recorder::new(cfg);
         for i in 0..20 {
             request(&rec, i, 1);
@@ -983,13 +1051,20 @@ mod tests {
 
     #[test]
     fn per_trace_overflow_keeps_balance_and_count() {
-        let cfg = TraceConfig { max_events_per_trace: 6, ..TraceConfig::keep_all() };
+        let cfg = TraceConfig {
+            max_events_per_trace: 6,
+            ..TraceConfig::keep_all()
+        };
         let rec = Recorder::new(cfg);
         request(&rec, 0, 10);
         let snap = rec.snapshot();
         let t = &snap.records[0];
         // Balance: every Begin has an End.
-        let begins = t.spans.iter().filter(|e| e.kind == EventKind::Begin).count();
+        let begins = t
+            .spans
+            .iter()
+            .filter(|e| e.kind == EventKind::Begin)
+            .count();
         assert_eq!(begins * 2, t.spans.len());
         // Count: kept + dropped == all 22 events (root B/E + 10×2).
         assert_eq!(t.spans.len() as u64 + snap.stats.dropped_events, 22);

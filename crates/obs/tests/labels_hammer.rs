@@ -34,10 +34,16 @@ fn same_label_set_from_many_threads_is_one_metric() {
             });
         }
     });
-    let series: Vec<_> =
-        reg.snapshot().into_iter().filter(|(k, _)| k.starts_with("hammer.ops")).collect();
+    let series: Vec<_> = reg
+        .snapshot()
+        .into_iter()
+        .filter(|(k, _)| k.starts_with("hammer.ops"))
+        .collect();
     assert_eq!(series.len(), 1, "racing creators must intern to one series");
-    assert_eq!(series[0].0, "hammer.ops{cluster=\"b2\",tier=\"t1\"}", "keys sort label pairs");
+    assert_eq!(
+        series[0].0, "hammer.ops{cluster=\"b2\",tier=\"t1\"}",
+        "keys sort label pairs"
+    );
     assert_eq!(
         series[0].1,
         MetricSnapshot::Counter((THREADS * ROUNDS) as u64),
@@ -60,8 +66,11 @@ fn distinct_label_sets_get_distinct_metrics() {
             });
         }
     });
-    let series: Vec<_> =
-        reg.snapshot().into_iter().filter(|(k, _)| k.starts_with("hammer.sharded{")).collect();
+    let series: Vec<_> = reg
+        .snapshot()
+        .into_iter()
+        .filter(|(k, _)| k.starts_with("hammer.sharded{"))
+        .collect();
     assert_eq!(series.len(), THREADS);
     for (key, value) in &series {
         assert_eq!(*value, MetricSnapshot::Counter(ROUNDS as u64), "{key}");
@@ -106,5 +115,8 @@ fn recording_needs_no_lock_while_creators_churn() {
     });
     assert_eq!(h.count(), 4 * ROUNDS as u64);
     // Lookup-after-setup returns the same interned handle.
-    assert!(Arc::ptr_eq(&h, &reg.histogram_with("hammer.lat_ns", &[("tier", "t2")])));
+    assert!(Arc::ptr_eq(
+        &h,
+        &reg.histogram_with("hammer.lat_ns", &[("tier", "t2")])
+    ));
 }

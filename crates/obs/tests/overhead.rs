@@ -87,7 +87,10 @@ fn disabled_path_is_allocation_free_and_cheap() {
     let t0 = Instant::now();
     for i in 0..ITERS {
         let mut root = xar_obs::trace::root("request");
-        root.event(black_box(EventRecord { outcome: "created", ..EventRecord::new(i) }));
+        root.event(black_box(EventRecord {
+            outcome: "created",
+            ..EventRecord::new(i)
+        }));
         black_box(&root);
     }
     let root_ns = t0.elapsed().as_nanos().max(1) as u64;
@@ -115,7 +118,10 @@ fn disabled_path_is_allocation_free_and_cheap() {
         // runs this binary with `--release` for it).
         if !cfg!(debug_assertions) {
             let per = ns / ITERS;
-            assert!(per < 50, "disabled {what} costs {per} ns, acceptance bound is 50 ns");
+            assert!(
+                per < 50,
+                "disabled {what} costs {per} ns, acceptance bound is 50 ns"
+            );
         }
     }
 

@@ -119,6 +119,12 @@ fn hammer_registry_concurrent_access() {
             });
         }
     });
-    assert_eq!(reg.counter("hammer.ops").get(), (WRITERS as u64) * PER_WRITER);
-    assert_eq!(reg.histogram("hammer.lat_ns").count(), (WRITERS as u64) * PER_WRITER);
+    assert_eq!(
+        reg.counter("hammer.ops").get(),
+        (WRITERS as u64) * PER_WRITER
+    );
+    assert_eq!(
+        reg.histogram("hammer.lat_ns").count(),
+        (WRITERS as u64) * PER_WRITER
+    );
 }

@@ -53,12 +53,18 @@ fn record_traces(rec: &Arc<Recorder>, shapes: &[Shape]) {
 
 /// Conceptual span-event count for a shape: root B/E + B/E per span.
 fn conceptual_events(shapes: &[Shape]) -> usize {
-    shapes.iter().map(|(s, _)| 2 + s.iter().map(|&g| 2 + 2 * g).sum::<usize>()).sum()
+    shapes
+        .iter()
+        .map(|(s, _)| 2 + s.iter().map(|&g| 2 + 2 * g).sum::<usize>())
+        .sum()
 }
 
 fn shapes(max: usize) -> impl Strategy<Value = Vec<Shape>> {
     proptest::collection::vec(
-        (proptest::collection::vec(0usize..4, 0..6), (0u8..5).prop_map(|w| w > 0)),
+        (
+            proptest::collection::vec(0usize..4, 0..6),
+            (0u8..5).prop_map(|w| w > 0),
+        ),
         1..max,
     )
 }

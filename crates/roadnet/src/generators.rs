@@ -151,7 +151,10 @@ fn jitter(rng: &mut StdRng, sigma_m: f64) -> f64 {
 }
 
 fn generate_manhattan(cfg: &CityConfig) -> RoadGraph {
-    assert!(cfg.rows >= 2 && cfg.cols >= 2, "need at least a 2x2 lattice");
+    assert!(
+        cfg.rows >= 2 && cfg.cols >= 2,
+        "need at least a 2x2 lattice"
+    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let proj = xar_geo::LocalProjection::new(cfg.origin);
     let mut b = RoadGraphBuilder::with_capacity(cfg.rows * cfg.cols, 4 * cfg.rows * cfg.cols);
@@ -168,7 +171,11 @@ fn generate_manhattan(cfg: &CityConfig) -> RoadGraph {
 
     // North-south links (along columns).
     for c in 0..cfg.cols {
-        let class = if is_avenue(c) { RoadClass::Avenue } else { RoadClass::Street };
+        let class = if is_avenue(c) {
+            RoadClass::Avenue
+        } else {
+            RoadClass::Street
+        };
         for r in 0..cfg.rows - 1 {
             if rng.random::<f64>() < cfg.missing_edge_fraction {
                 continue;
@@ -210,7 +217,10 @@ fn generate_manhattan(cfg: &CityConfig) -> RoadGraph {
 }
 
 fn generate_radial(cfg: &CityConfig) -> RoadGraph {
-    assert!(cfg.rows >= 1 && cfg.cols >= 3, "need >= 1 ring and >= 3 spokes");
+    assert!(
+        cfg.rows >= 1 && cfg.cols >= 3,
+        "need >= 1 ring and >= 3 spokes"
+    );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let proj = xar_geo::LocalProjection::new(cfg.origin);
     let mut b = RoadGraphBuilder::new();
@@ -312,7 +322,11 @@ mod tests {
     #[test]
     fn manhattan_is_strongly_connected() {
         let g = CityConfig::test_city(42).generate();
-        assert!(g.node_count() > 300, "SCC restriction dropped too much: {}", g.node_count());
+        assert!(
+            g.node_count() > 300,
+            "SCC restriction dropped too much: {}",
+            g.node_count()
+        );
         let (_, count) = crate::scc::strongly_connected_components(&g);
         assert_eq!(count, 1);
     }
@@ -325,7 +339,10 @@ mod tests {
         for i in 0..5 {
             let src = NodeId((i * 37) % n);
             let dst = NodeId((i * 91 + 13) % n);
-            assert!(sp.cost(src, dst).is_some(), "{src:?} -> {dst:?} unreachable");
+            assert!(
+                sp.cost(src, dst).is_some(),
+                "{src:?} -> {dst:?} unreachable"
+            );
         }
     }
 
@@ -340,7 +357,10 @@ mod tests {
                 one_way += 1;
             }
         }
-        assert!(one_way > checked / 10, "expected a sizeable one-way fraction, got {one_way}/{checked}");
+        assert!(
+            one_way > checked / 10,
+            "expected a sizeable one-way fraction, got {one_way}/{checked}"
+        );
     }
 
     #[test]

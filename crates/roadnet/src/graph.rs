@@ -105,7 +105,10 @@ impl RoadGraphBuilder {
 
     /// Create a builder with pre-allocated capacity.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        Self { nodes: Vec::with_capacity(nodes), edges: Vec::with_capacity(edges) }
+        Self {
+            nodes: Vec::with_capacity(nodes),
+            edges: Vec::with_capacity(edges),
+        }
     }
 
     /// Add a node and return its id.
@@ -123,21 +126,52 @@ impl RoadGraphBuilder {
     ///
     /// Panics if either endpoint is out of range or the length is not
     /// positive.
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId, class: RoadClass, len_m: Option<f64>) -> EdgeId {
-        assert!(from.index() < self.nodes.len(), "edge tail {from:?} out of range");
-        assert!(to.index() < self.nodes.len(), "edge head {to:?} out of range");
+    pub fn add_edge(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        class: RoadClass,
+        len_m: Option<f64>,
+    ) -> EdgeId {
+        assert!(
+            from.index() < self.nodes.len(),
+            "edge tail {from:?} out of range"
+        );
+        assert!(
+            to.index() < self.nodes.len(),
+            "edge head {to:?} out of range"
+        );
         let len = len_m.unwrap_or_else(|| {
-            self.nodes[from.index()].point.haversine_m(&self.nodes[to.index()].point)
+            self.nodes[from.index()]
+                .point
+                .haversine_m(&self.nodes[to.index()].point)
         });
-        assert!(len.is_finite() && len > 0.0, "edge length must be positive, got {len}");
+        assert!(
+            len.is_finite() && len > 0.0,
+            "edge length must be positive, got {len}"
+        );
         let id = EdgeId(u32::try_from(self.edges.len()).expect("edge count exceeds u32"));
-        self.edges.push(Edge { from, to, len_m: len, class });
+        self.edges.push(Edge {
+            from,
+            to,
+            len_m: len,
+            class,
+        });
         id
     }
 
     /// Add a pair of opposite one-way edges (a two-way road).
-    pub fn add_two_way(&mut self, a: NodeId, b: NodeId, class: RoadClass, len_m: Option<f64>) -> (EdgeId, EdgeId) {
-        (self.add_edge(a, b, class, len_m), self.add_edge(b, a, class, len_m))
+    pub fn add_two_way(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        class: RoadClass,
+        len_m: Option<f64>,
+    ) -> (EdgeId, EdgeId) {
+        (
+            self.add_edge(a, b, class, len_m),
+            self.add_edge(b, a, class, len_m),
+        )
     }
 
     /// Number of nodes added so far.
@@ -196,7 +230,14 @@ impl RoadGraph {
             in_edges[in_cursor[e.to.index()] as usize] = id;
             in_cursor[e.to.index()] += 1;
         }
-        Self { nodes, edges, out_offsets: out_counts, out_edges, in_offsets: in_counts, in_edges }
+        Self {
+            nodes,
+            edges,
+            out_offsets: out_counts,
+            out_edges,
+            in_offsets: in_counts,
+            in_edges,
+        }
     }
 
     /// Number of nodes.
@@ -252,7 +293,9 @@ impl RoadGraph {
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> + '_ {
         let lo = self.out_offsets[node.index()] as usize;
         let hi = self.out_offsets[node.index() + 1] as usize;
-        self.out_edges[lo..hi].iter().map(move |&e| &self.edges[e.index()])
+        self.out_edges[lo..hi]
+            .iter()
+            .map(move |&e| &self.edges[e.index()])
     }
 
     /// The edges entering `node`.
@@ -260,7 +303,9 @@ impl RoadGraph {
     pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = &Edge> + '_ {
         let lo = self.in_offsets[node.index()] as usize;
         let hi = self.in_offsets[node.index() + 1] as usize;
-        self.in_edges[lo..hi].iter().map(move |&e| &self.edges[e.index()])
+        self.in_edges[lo..hi]
+            .iter()
+            .map(move |&e| &self.edges[e.index()])
     }
 
     /// Out-degree of `node`.
@@ -299,7 +344,11 @@ impl RoadGraph {
         let mut edges = Vec::new();
         for e in &self.edges {
             if let (Some(f), Some(t)) = (mapping[e.from.index()], mapping[e.to.index()]) {
-                edges.push(Edge { from: f, to: t, ..*e });
+                edges.push(Edge {
+                    from: f,
+                    to: t,
+                    ..*e
+                });
             }
         }
         (RoadGraph::from_parts(nodes, edges), mapping)
@@ -362,7 +411,12 @@ mod tests {
 
     #[test]
     fn travel_time_uses_class_speed() {
-        let e = Edge { from: NodeId(0), to: NodeId(1), len_m: 110.0, class: RoadClass::Avenue };
+        let e = Edge {
+            from: NodeId(0),
+            to: NodeId(1),
+            len_m: 110.0,
+            class: RoadClass::Avenue,
+        };
         assert!((e.travel_time_s() - 10.0).abs() < 1e-9);
     }
 

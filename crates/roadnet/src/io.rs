@@ -95,7 +95,10 @@ pub fn read_graph(r: &mut impl Read) -> io::Result<RoadGraph> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != GRAPH_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a XAR road graph"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "not a XAR road graph",
+        ));
     }
     let version = r_u16(r)?;
     if version != GRAPH_VERSION {
@@ -114,7 +117,10 @@ pub fn read_graph(r: &mut impl Read) -> io::Result<RoadGraph> {
         let lat = r_f64(r)?;
         let lon = r_f64(r)?;
         if !((-90.0..=90.0).contains(&lat) && (-180.0..=180.0).contains(&lon)) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "coordinate out of range"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "coordinate out of range",
+            ));
         }
         b.add_node(GeoPoint::new(lat, lon));
     }

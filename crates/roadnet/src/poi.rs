@@ -62,7 +62,13 @@ pub struct PoiConfig {
 
 impl Default for PoiConfig {
     fn default() -> Self {
-        Self { count: 2_000, transit_fraction: 0.25, major_fraction: 0.35, scatter_m: 40.0, seed: 0xA11CE }
+        Self {
+            count: 2_000,
+            transit_fraction: 0.25,
+            major_fraction: 0.35,
+            scatter_m: 40.0,
+            seed: 0xA11CE,
+        }
     }
 }
 
@@ -72,14 +78,20 @@ impl Default for PoiConfig {
 /// proportionally more likely to host POIs, mimicking real amenity
 /// distributions. Deterministic in the seed.
 pub fn sample_pois(graph: &RoadGraph, cfg: &PoiConfig) -> Vec<Poi> {
-    assert!(graph.node_count() > 0, "cannot sample POIs on an empty graph");
+    assert!(
+        graph.node_count() > 0,
+        "cannot sample POIs on an empty graph"
+    );
     assert!(
         cfg.transit_fraction + cfg.major_fraction <= 1.0 + 1e-9,
         "fractions must sum to at most 1"
     );
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     // Degree-weighted cumulative distribution over nodes.
-    let weights: Vec<f64> = graph.node_ids().map(|n| 1.0 + graph.out_degree(n) as f64).collect();
+    let weights: Vec<f64> = graph
+        .node_ids()
+        .map(|n| 1.0 + graph.out_degree(n) as f64)
+        .collect();
     let total: f64 = weights.iter().sum();
     let mut cum = Vec::with_capacity(weights.len());
     let mut acc = 0.0;
@@ -112,7 +124,10 @@ pub fn sample_pois(graph: &RoadGraph, cfg: &PoiConfig) -> Vec<Poi> {
 /// The paper's significance pruning: keep transit stops and major
 /// destinations, drop minor amenities.
 pub fn prune_insignificant(pois: &[Poi]) -> Vec<Poi> {
-    pois.iter().copied().filter(|p| p.kind.is_significant()).collect()
+    pois.iter()
+        .copied()
+        .filter(|p| p.kind.is_significant())
+        .collect()
 }
 
 #[cfg(test)]
@@ -135,24 +150,42 @@ mod tests {
     #[test]
     fn count_is_respected() {
         let g = CityConfig::test_city(1).generate();
-        let pois = sample_pois(&g, &PoiConfig { count: 500, ..Default::default() });
+        let pois = sample_pois(
+            &g,
+            &PoiConfig {
+                count: 500,
+                ..Default::default()
+            },
+        );
         assert_eq!(pois.len(), 500);
     }
 
     #[test]
     fn kinds_roughly_match_fractions() {
         let g = CityConfig::test_city(2).generate();
-        let cfg = PoiConfig { count: 4_000, ..Default::default() };
+        let cfg = PoiConfig {
+            count: 4_000,
+            ..Default::default()
+        };
         let pois = sample_pois(&g, &cfg);
-        let transit = pois.iter().filter(|p| p.kind == PoiKind::TransitStop).count() as f64;
+        let transit = pois
+            .iter()
+            .filter(|p| p.kind == PoiKind::TransitStop)
+            .count() as f64;
         let frac = transit / pois.len() as f64;
-        assert!((frac - cfg.transit_fraction).abs() < 0.05, "transit fraction {frac}");
+        assert!(
+            (frac - cfg.transit_fraction).abs() < 0.05,
+            "transit fraction {frac}"
+        );
     }
 
     #[test]
     fn pois_are_near_their_nodes() {
         let g = CityConfig::test_city(3).generate();
-        let cfg = PoiConfig { scatter_m: 40.0, ..Default::default() };
+        let cfg = PoiConfig {
+            scatter_m: 40.0,
+            ..Default::default()
+        };
         for p in sample_pois(&g, &cfg) {
             assert!(p.point.haversine_m(&g.point(p.node)) <= cfg.scatter_m + 1.0);
         }
@@ -175,7 +208,11 @@ mod tests {
         let g = CityConfig::test_city(1).generate();
         let _ = sample_pois(
             &g,
-            &PoiConfig { transit_fraction: 0.8, major_fraction: 0.5, ..Default::default() },
+            &PoiConfig {
+                transit_fraction: 0.8,
+                major_fraction: 0.5,
+                ..Default::default()
+            },
         );
     }
 }

@@ -47,7 +47,11 @@ impl Route {
             cum_dist_m.push(cum_dist_m.last().unwrap() + d);
             cum_time_s.push(cum_time_s.last().unwrap() + t);
         }
-        Some(Route { nodes, cum_dist_m, cum_time_s })
+        Some(Route {
+            nodes,
+            cum_dist_m,
+            cum_time_s,
+        })
     }
 
     /// Build a route from a [`PathResult`] produced by a forward
@@ -125,8 +129,14 @@ impl Route {
         }
         let t0 = self.cum_time_s[i];
         let t1 = self.cum_time_s[i + 1];
-        let frac = if t1 > t0 { ((elapsed_s - t0) / (t1 - t0)).clamp(0.0, 1.0) } else { 0.0 };
-        graph.point(self.nodes[i]).lerp(&graph.point(self.nodes[i + 1]), frac)
+        let frac = if t1 > t0 {
+            ((elapsed_s - t0) / (t1 - t0)).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        graph
+            .point(self.nodes[i])
+            .lerp(&graph.point(self.nodes[i + 1]), frac)
     }
 
     /// First index at which `node` appears, if any.
@@ -147,7 +157,10 @@ impl Route {
     /// Panics if the indices are out of range/order or the replacement
     /// endpoints do not match.
     pub fn splice(&self, from_idx: usize, to_idx: usize, replacement: &Route) -> Route {
-        assert!(from_idx <= to_idx && to_idx < self.nodes.len(), "splice indices out of range");
+        assert!(
+            from_idx <= to_idx && to_idx < self.nodes.len(),
+            "splice indices out of range"
+        );
         assert_eq!(
             replacement.nodes.first(),
             Some(&self.nodes[from_idx]),
@@ -158,7 +171,8 @@ impl Route {
             Some(&self.nodes[to_idx]),
             "replacement must end at nodes[{to_idx}]"
         );
-        let mut nodes = Vec::with_capacity(from_idx + replacement.len() + (self.nodes.len() - to_idx));
+        let mut nodes =
+            Vec::with_capacity(from_idx + replacement.len() + (self.nodes.len() - to_idx));
         let mut cum_d = Vec::with_capacity(nodes.capacity());
         let mut cum_t = Vec::with_capacity(nodes.capacity());
         // Prefix up to (and including) from_idx.
@@ -183,7 +197,11 @@ impl Route {
             cum_d.push(self.cum_dist_m[k] + dd);
             cum_t.push(self.cum_time_s[k] + dt);
         }
-        Route { nodes, cum_dist_m: cum_d, cum_time_s: cum_t }
+        Route {
+            nodes,
+            cum_dist_m: cum_d,
+            cum_time_s: cum_t,
+        }
     }
 
     /// Join two routes where `self` ends at the node `other` starts at.
@@ -207,7 +225,11 @@ impl Route {
             cum_d.push(d0 + other.cum_dist_m[k]);
             cum_t.push(t0 + other.cum_time_s[k]);
         }
-        Route { nodes, cum_dist_m: cum_d, cum_time_s: cum_t }
+        Route {
+            nodes,
+            cum_dist_m: cum_d,
+            cum_time_s: cum_t,
+        }
     }
 
     /// Heap bytes held by this route (for index-size accounting).

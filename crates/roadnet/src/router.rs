@@ -102,7 +102,12 @@ impl Router {
             first.push(arcs.len() as u32);
         }
         if n == 0 {
-            return Self { graph, table, first, arcs };
+            return Self {
+                graph,
+                table,
+                first,
+                arcs,
+            };
         }
         let forward = ShortestPaths::driving(&graph);
         let reverse = ShortestPaths::new(&graph, CostMetric::Distance, Direction::Reverse);
@@ -122,10 +127,19 @@ impl Router {
             for v in 0..n {
                 table[v][i] = to[v];
                 table[v][LANDMARKS + i] = from[v];
-                nearest[v] = if i == 0 { from[v] } else { nearest[v].min(from[v]) };
+                nearest[v] = if i == 0 {
+                    from[v]
+                } else {
+                    nearest[v].min(from[v])
+                };
             }
         }
-        Self { graph, table, first, arcs }
+        Self {
+            graph,
+            table,
+            first,
+            arcs,
+        }
     }
 
     /// Heap bytes of the lower-bound table and the arc array: 64 per

@@ -22,8 +22,7 @@ pub fn strongly_connected_components(g: &RoadGraph) -> (Vec<u32>, usize) {
         let mut stack: Vec<(u32, usize)> = vec![(start as u32, 0)];
         visited[start] = true;
         while let Some(&mut (node, ref mut pos)) = stack.last_mut() {
-            let succs: Vec<NodeId> =
-                g.out_edges(NodeId(node)).map(|e| e.to).collect();
+            let succs: Vec<NodeId> = g.out_edges(NodeId(node)).map(|e| e.to).collect();
             if *pos < succs.len() {
                 let next = succs[*pos];
                 *pos += 1;

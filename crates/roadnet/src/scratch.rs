@@ -41,7 +41,9 @@ impl HeapEntry {
             cost.is_sign_positive() && !cost.is_nan(),
             "heap cost {cost} must be +0.0, positive or +inf"
         );
-        Self { key: (u128::from(cost.to_bits()) << 32) | u128::from(node) }
+        Self {
+            key: (u128::from(cost.to_bits()) << 32) | u128::from(node),
+        }
     }
 
     /// The cost the entry was pushed with.
@@ -179,7 +181,10 @@ impl Labels<'_> {
     /// Meaningful only for a node labelled that way in this query.
     #[inline]
     pub(crate) fn bound(&self, node: usize) -> f64 {
-        debug_assert_eq!(self.stamp[node], self.generation, "node {node} is unlabelled");
+        debug_assert_eq!(
+            self.stamp[node], self.generation,
+            "node {node} is unlabelled"
+        );
         self.bound[node]
     }
 
@@ -283,7 +288,10 @@ mod tests {
         assert_eq!(s.generation, u32::MAX);
         let (mut labels, _) = s.begin(3);
         for node in 0..3 {
-            assert_eq!((labels.dist(node), labels.mark(node)), (f64::INFINITY, NO_MARK));
+            assert_eq!(
+                (labels.dist(node), labels.mark(node)),
+                (f64::INFINITY, NO_MARK)
+            );
         }
         labels.set(2, 1.0, 0);
         assert_eq!(labels.dist(2), 1.0);
@@ -302,14 +310,20 @@ mod tests {
             f64::INFINITY,
         ];
         let nodes = [0, 1, u32::MAX];
-        let entries: Vec<(f64, u32)> =
-            costs.iter().flat_map(|&c| nodes.iter().map(move |&n| (c, n))).collect();
+        let entries: Vec<(f64, u32)> = costs
+            .iter()
+            .flat_map(|&c| nodes.iter().map(move |&n| (c, n)))
+            .collect();
         for &(ca, na) in &entries {
             let a = HeapEntry::new(ca, na);
             assert_eq!((a.cost().to_bits(), a.node()), (ca.to_bits(), na));
             for &(cb, nb) in &entries {
                 let float = cb.total_cmp(&ca).then_with(|| nb.cmp(&na));
-                assert_eq!(a.cmp(&HeapEntry::new(cb, nb)), float, "({ca}, {na}) vs ({cb}, {nb})");
+                assert_eq!(
+                    a.cmp(&HeapEntry::new(cb, nb)),
+                    float,
+                    "({ca}, {na}) vs ({cb}, {nb})"
+                );
             }
         }
     }
@@ -347,7 +361,10 @@ mod tests {
         assert_eq!(labels.relax_bounded(1, 9.0, 0, h), Some(5.0));
         assert_eq!(labels.relax_bounded(1, 9.0, 0, h), None);
         assert_eq!(labels.relax_bounded(1, 4.0, 0, h), Some(5.0));
-        assert_eq!((labels.dist(1), labels.bound(1), calls.get()), (4.0, 5.0, 1));
+        assert_eq!(
+            (labels.dist(1), labels.bound(1), calls.get()),
+            (4.0, 5.0, 1)
+        );
         let (mut labels, _) = s.begin(2);
         assert_eq!(labels.relax_bounded(1, 9.0, 0, h), Some(5.0));
         assert_eq!(calls.get(), 2);

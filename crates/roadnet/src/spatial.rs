@@ -69,7 +69,11 @@ impl NodeLocator {
             nodes[*cursor as usize] = n;
             *cursor += 1;
         }
-        Self { grid, starts, nodes }
+        Self {
+            grid,
+            starts,
+            nodes,
+        }
     }
 
     /// Number of indexed nodes.
@@ -191,7 +195,10 @@ mod tests {
                 .map(|n| (n, g.point(n).haversine_m(&q)))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .unwrap();
-            assert!((d - bd).abs() < 1e-9, "query {q:?}: {found:?}@{d} vs {bf:?}@{bd}");
+            assert!(
+                (d - bd).abs() < 1e-9,
+                "query {q:?}: {found:?}@{d} vs {bf:?}@{bd}"
+            );
         }
     }
 
@@ -213,7 +220,10 @@ mod tests {
         // are (all but) equidistant, in different 100 m buckets.
         for r in 0..n - 1 {
             for c in 0..n - 1 {
-                let q = GeoPoint::new(40.70 + step * (r as f64 + 0.5), -74.00 + step * (c as f64 + 0.5));
+                let q = GeoPoint::new(
+                    40.70 + step * (r as f64 + 0.5),
+                    -74.00 + step * (c as f64 + 0.5),
+                );
                 let expect = brute_force(&g, &q);
                 assert_eq!(fine.nearest(&g, &q), expect, "100 m cells, query {q:?}");
                 assert_eq!(coarse.nearest(&g, &q), expect, "400 m cells, query {q:?}");
@@ -231,10 +241,18 @@ mod tests {
         let west = b.add_node(GeoPoint::new(10.0, -0.003));
         b.add_two_way(east, west, RoadClass::Street, None);
         let g = b.build();
-        for q in [GeoPoint::new(10.0, 0.0), GeoPoint::new(10.002, 0.0), GeoPoint::new(9.9, 0.0)] {
+        for q in [
+            GeoPoint::new(10.0, 0.0),
+            GeoPoint::new(10.002, 0.0),
+            GeoPoint::new(9.9, 0.0),
+        ] {
             assert_eq!(g.point(east).haversine_m(&q), g.point(west).haversine_m(&q));
             for cell_m in [50.0, 100.0, 400.0, 5_000.0] {
-                assert_eq!(NodeLocator::new(&g, cell_m).nearest(&g, &q).0, east, "cell {cell_m}");
+                assert_eq!(
+                    NodeLocator::new(&g, cell_m).nearest(&g, &q).0,
+                    east,
+                    "cell {cell_m}"
+                );
             }
         }
     }

@@ -24,7 +24,10 @@ impl HistoricalSpeeds {
     /// Panics if any multiplier is below 1.0 or not finite.
     pub fn new(hourly: [f64; 24]) -> Self {
         for (h, &m) in hourly.iter().enumerate() {
-            assert!(m.is_finite() && m >= 1.0, "multiplier for hour {h} must be >= 1, got {m}");
+            assert!(
+                m.is_finite() && m >= 1.0,
+                "multiplier for hour {h} must be >= 1, got {m}"
+            );
         }
         Self { hourly }
     }

@@ -218,7 +218,11 @@ fn assert_router_is_oracle_on_all_pairs(g: RoadGraph) {
     let oracle = ShortestPaths::driving(&g);
     for src in g.node_ids() {
         for dst in g.node_ids() {
-            assert_eq!(router.path(src, dst), oracle.path(src, dst), "{src:?} -> {dst:?}");
+            assert_eq!(
+                router.path(src, dst),
+                oracle.path(src, dst),
+                "{src:?} -> {dst:?}"
+            );
         }
     }
 }
@@ -226,8 +230,9 @@ fn assert_router_is_oracle_on_all_pairs(g: RoadGraph) {
 /// A two-way ring of `len` nodes with distinct edge lengths, returned
 /// as its node ids.
 fn add_ring(b: &mut RoadGraphBuilder, len: usize, lat: f64, base_m: f64) -> Vec<NodeId> {
-    let ids: Vec<NodeId> =
-        (0..len).map(|i| b.add_node(GeoPoint::new(lat, -74.0 + 0.001 * i as f64))).collect();
+    let ids: Vec<NodeId> = (0..len)
+        .map(|i| b.add_node(GeoPoint::new(lat, -74.0 + 0.001 * i as f64)))
+        .collect();
     for i in 0..len {
         let m = base_m + 13.0 * i as f64 + 0.37 * (i * i) as f64;
         b.add_two_way(ids[i], ids[(i + 1) % len], RoadClass::Street, Some(m));
@@ -239,7 +244,9 @@ fn add_ring(b: &mut RoadGraphBuilder, len: usize, lat: f64, base_m: f64) -> Vec<
 fn router_path_to_self_is_the_single_node() {
     let g = Arc::new(CityConfig::test_city(11).generate());
     let router = Router::new(Arc::clone(&g));
-    let p = router.path(NodeId(9), NodeId(9)).expect("a node reaches itself");
+    let p = router
+        .path(NodeId(9), NodeId(9))
+        .expect("a node reaches itself");
     assert_eq!((p.nodes, p.dist_m, p.time_s), (vec![NodeId(9)], 0.0, 0.0));
 }
 
@@ -281,15 +288,30 @@ fn router_cost_is_exact_on_a_lattice_of_ties() {
     const SIDE: usize = 6;
     let mut b = RoadGraphBuilder::new();
     let ids: Vec<NodeId> = (0..SIDE * SIDE)
-        .map(|i| b.add_node(GeoPoint::new(40.70 + 0.009 * (i / SIDE) as f64, -74.0 + 0.012 * (i % SIDE) as f64)))
+        .map(|i| {
+            b.add_node(GeoPoint::new(
+                40.70 + 0.009 * (i / SIDE) as f64,
+                -74.0 + 0.012 * (i % SIDE) as f64,
+            ))
+        })
         .collect();
     for r in 0..SIDE {
         for c in 0..SIDE {
             if c + 1 < SIDE {
-                b.add_two_way(ids[r * SIDE + c], ids[r * SIDE + c + 1], RoadClass::Street, Some(1000.0));
+                b.add_two_way(
+                    ids[r * SIDE + c],
+                    ids[r * SIDE + c + 1],
+                    RoadClass::Street,
+                    Some(1000.0),
+                );
             }
             if r + 1 < SIDE {
-                b.add_two_way(ids[r * SIDE + c], ids[(r + 1) * SIDE + c], RoadClass::Street, Some(1000.0));
+                b.add_two_way(
+                    ids[r * SIDE + c],
+                    ids[(r + 1) * SIDE + c],
+                    RoadClass::Street,
+                    Some(1000.0),
+                );
             }
         }
     }
@@ -301,7 +323,10 @@ fn router_cost_is_exact_on_a_lattice_of_ties() {
             let want = oracle.path(src, dst).expect("lattice is connected").dist_m;
             let got = router.path(src, dst).expect("lattice is connected");
             assert_eq!(got.dist_m, want, "{src:?} -> {dst:?}");
-            assert_eq!((got.nodes.first(), got.nodes.last()), (Some(&src), Some(&dst)));
+            assert_eq!(
+                (got.nodes.first(), got.nodes.last()),
+                (Some(&src), Some(&dst))
+            );
         }
     }
 }

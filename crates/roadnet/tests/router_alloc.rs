@@ -75,11 +75,23 @@ fn warm_queries_allocate_only_what_they_return() {
         let (a, b) = pair(i);
         let path = router.path(a, b).expect("city is strongly connected");
         path_bytes += (path.nodes.capacity() * std::mem::size_of::<NodeId>()) as u64;
-        assert_eq!(path.nodes.capacity(), path.nodes.len(), "path vector is sized to the hop count");
+        assert_eq!(
+            path.nodes.capacity(),
+            path.nodes.len(),
+            "path vector is sized to the hop count"
+        );
         black_box(path);
     }
-    assert_eq!(ALLOCS.with(Cell::get), 1_000, "one allocation per query: the returned path");
-    assert_eq!(BYTES.with(Cell::get), path_bytes, "every allocated byte is in a returned path");
+    assert_eq!(
+        ALLOCS.with(Cell::get),
+        1_000,
+        "one allocation per query: the returned path"
+    );
+    assert_eq!(
+        BYTES.with(Cell::get),
+        path_bytes,
+        "every allocated byte is in a returned path"
+    );
     assert!(LARGEST.with(Cell::get) < graph_sized);
 
     // The bounded traversals run on the same scratch: a small ball

@@ -80,18 +80,22 @@ pub fn generate_transit(graph: &RoadGraph, cfg: &TransitGenConfig) -> TransitNet
     let mut stop_at_node: std::collections::HashMap<u32, StopId> = std::collections::HashMap::new();
 
     let corridor = |points: Vec<GeoPoint>,
-                        kind: LineKind,
-                        headway: f64,
-                        stops_vec: &mut Vec<Stop>,
-                        lines_vec: &mut Vec<Line>,
-                        stop_at_node: &mut std::collections::HashMap<u32, StopId>,
-                        phase: f64| {
+                    kind: LineKind,
+                    headway: f64,
+                    stops_vec: &mut Vec<Stop>,
+                    lines_vec: &mut Vec<Line>,
+                    stop_at_node: &mut std::collections::HashMap<u32, StopId>,
+                    phase: f64| {
         let mut ids: Vec<StopId> = Vec::with_capacity(points.len());
         for p in &points {
             let (node, _) = locator.nearest(graph, p);
             let id = *stop_at_node.entry(node.0).or_insert_with(|| {
                 let id = StopId(stops_vec.len() as u32);
-                stops_vec.push(Stop { id, point: graph.point(node), node });
+                stops_vec.push(Stop {
+                    id,
+                    point: graph.point(node),
+                    node,
+                });
                 id
             });
             // A corridor may snap two consecutive planned stops to the
@@ -140,7 +144,9 @@ pub fn generate_transit(graph: &RoadGraph, cfg: &TransitGenConfig) -> TransitNet
                     departures.push(dep);
                     dep += headway;
                 }
-                line.schedule = crate::model::Schedule::Timetable { departures_s: departures };
+                line.schedule = crate::model::Schedule::Timetable {
+                    departures_s: departures,
+                };
             }
             lines_vec.push(line);
         }
@@ -160,7 +166,15 @@ pub fn generate_transit(graph: &RoadGraph, cfg: &TransitGenConfig) -> TransitNet
             })
             .collect();
         let phase = rng.random::<f64>() * cfg.subway_headway_s;
-        corridor(pts, LineKind::Subway, cfg.subway_headway_s, &mut stops, &mut lines, &mut stop_at_node, phase);
+        corridor(
+            pts,
+            LineKind::Subway,
+            cfg.subway_headway_s,
+            &mut stops,
+            &mut lines,
+            &mut stop_at_node,
+            phase,
+        );
     }
 
     // Bus corridors: alternating horizontal / vertical.
@@ -189,7 +203,15 @@ pub fn generate_transit(graph: &RoadGraph, cfg: &TransitGenConfig) -> TransitNet
                 })
                 .collect()
         };
-        corridor(pts, LineKind::Bus, cfg.bus_headway_s, &mut stops, &mut lines, &mut stop_at_node, phase);
+        corridor(
+            pts,
+            LineKind::Bus,
+            cfg.bus_headway_s,
+            &mut stops,
+            &mut lines,
+            &mut stop_at_node,
+            phase,
+        );
     }
 
     TransitNetwork::new(stops, lines)
@@ -245,7 +267,10 @@ mod tests {
         let freq = generate_transit(&g, &TransitGenConfig::default());
         let tt = generate_transit(
             &g,
-            &TransitGenConfig { explicit_timetables: true, ..Default::default() },
+            &TransitGenConfig {
+                explicit_timetables: true,
+                ..Default::default()
+            },
         );
         assert!(tt
             .lines
@@ -262,7 +287,10 @@ mod tests {
             let p2 = r2.plan(&a, &b, t);
             match (&p1, &p2) {
                 (Some(x), Some(y)) => {
-                    assert!((x.arrival_s - y.arrival_s).abs() < 1e-6, "plans diverge at trial {i}")
+                    assert!(
+                        (x.arrival_s - y.arrival_s).abs() < 1e-6,
+                        "plans diverge at trial {i}"
+                    )
                 }
                 (None, None) => {}
                 _ => panic!("plan existence diverges at trial {i}"),

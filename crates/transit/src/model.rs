@@ -84,7 +84,11 @@ impl Schedule {
     /// The earliest departure `>= earliest_s`, if any service remains.
     pub fn next_departure(&self, earliest_s: f64) -> Option<f64> {
         match self {
-            Schedule::Headway { headway_s, first_departure_s, last_departure_s } => {
+            Schedule::Headway {
+                headway_s,
+                first_departure_s,
+                last_departure_s,
+            } => {
                 let dep = if earliest_s <= *first_departure_s {
                     *first_departure_s
                 } else {
@@ -139,7 +143,11 @@ impl Line {
             stops,
             leg_times_s,
             dwell_s,
-            schedule: Schedule::Headway { headway_s, first_departure_s, last_departure_s },
+            schedule: Schedule::Headway {
+                headway_s,
+                first_departure_s,
+                last_departure_s,
+            },
         }
     }
 
@@ -192,7 +200,11 @@ impl TransitNetwork {
     pub fn new(stops: Vec<Stop>, lines: Vec<Line>) -> Self {
         let mut lines_at_stop = vec![Vec::new(); stops.len()];
         for line in &lines {
-            assert!(line.stops.len() >= 2, "line {:?} has fewer than 2 stops", line.id);
+            assert!(
+                line.stops.len() >= 2,
+                "line {:?} has fewer than 2 stops",
+                line.id
+            );
             assert_eq!(
                 line.leg_times_s.len(),
                 line.stops.len() - 1,
@@ -200,11 +212,19 @@ impl TransitNetwork {
                 line.id
             );
             for (pos, s) in line.stops.iter().enumerate() {
-                assert!(s.index() < stops.len(), "line {:?} references unknown stop", line.id);
+                assert!(
+                    s.index() < stops.len(),
+                    "line {:?} references unknown stop",
+                    line.id
+                );
                 lines_at_stop[s.index()].push((line.id, pos));
             }
         }
-        Self { stops, lines, lines_at_stop }
+        Self {
+            stops,
+            lines,
+            lines_at_stop,
+        }
     }
 
     /// Number of stops.
@@ -237,7 +257,9 @@ mod tests {
 
     #[test]
     fn timetable_schedule_next_departure() {
-        let s = Schedule::Timetable { departures_s: vec![100.0, 400.0, 900.0] };
+        let s = Schedule::Timetable {
+            departures_s: vec![100.0, 400.0, 900.0],
+        };
         assert_eq!(s.next_departure(0.0), Some(100.0));
         assert_eq!(s.next_departure(100.0), Some(100.0));
         assert_eq!(s.next_departure(100.1), Some(400.0));
@@ -248,10 +270,15 @@ mod tests {
     #[test]
     fn timetable_line_boards_exact_trips() {
         let mut l = line();
-        l.schedule = Schedule::Timetable { departures_s: vec![7.0 * 3600.0, 7.5 * 3600.0] };
+        l.schedule = Schedule::Timetable {
+            departures_s: vec![7.0 * 3600.0, 7.5 * 3600.0],
+        };
         // Board at stop 1 (offset 120 s) at 7:05: the 7:00 trip passed
         // (arrives 7:02), so the 7:30 one is next.
-        assert_eq!(l.next_departure_for(1, 7.0 * 3600.0 + 300.0), Some(7.5 * 3600.0));
+        assert_eq!(
+            l.next_departure_for(1, 7.0 * 3600.0 + 300.0),
+            Some(7.5 * 3600.0)
+        );
         assert_eq!(l.next_departure_for(1, 8.0 * 3600.0), None);
     }
 

@@ -72,9 +72,12 @@ impl Leg {
             Leg::Walk { duration_s, .. }
             | Leg::Wait { duration_s, .. }
             | Leg::WaitAt { duration_s, .. } => *duration_s,
-            Leg::Transit { board_s, alight_s, .. } | Leg::SharedRide { board_s, alight_s, .. } => {
-                alight_s - board_s
+            Leg::Transit {
+                board_s, alight_s, ..
             }
+            | Leg::SharedRide {
+                board_s, alight_s, ..
+            } => alight_s - board_s,
         }
     }
 }
@@ -181,12 +184,40 @@ mod tests {
             departure_s: 1000.0,
             arrival_s: 2500.0,
             legs: vec![
-                Leg::Walk { from: p(40.70), to: p(40.701), dist_m: 140.0, duration_s: 100.0 },
-                Leg::Wait { stop: StopId(3), duration_s: 200.0 },
-                Leg::Transit { line: LineId(1), from: StopId(3), to: StopId(7), board_s: 1300.0, alight_s: 2100.0 },
-                Leg::Wait { stop: StopId(7), duration_s: 100.0 },
-                Leg::Transit { line: LineId(2), from: StopId(7), to: StopId(9), board_s: 2200.0, alight_s: 2400.0 },
-                Leg::Walk { from: p(40.72), to: p(40.721), dist_m: 140.0, duration_s: 100.0 },
+                Leg::Walk {
+                    from: p(40.70),
+                    to: p(40.701),
+                    dist_m: 140.0,
+                    duration_s: 100.0,
+                },
+                Leg::Wait {
+                    stop: StopId(3),
+                    duration_s: 200.0,
+                },
+                Leg::Transit {
+                    line: LineId(1),
+                    from: StopId(3),
+                    to: StopId(7),
+                    board_s: 1300.0,
+                    alight_s: 2100.0,
+                },
+                Leg::Wait {
+                    stop: StopId(7),
+                    duration_s: 100.0,
+                },
+                Leg::Transit {
+                    line: LineId(2),
+                    from: StopId(7),
+                    to: StopId(9),
+                    board_s: 2200.0,
+                    alight_s: 2400.0,
+                },
+                Leg::Walk {
+                    from: p(40.72),
+                    to: p(40.721),
+                    dist_m: 140.0,
+                    duration_s: 100.0,
+                },
             ],
         }
     }
@@ -213,7 +244,11 @@ mod tests {
 
     #[test]
     fn empty_plan_degenerates() {
-        let t = TripPlan { departure_s: 10.0, arrival_s: 10.0, legs: vec![] };
+        let t = TripPlan {
+            departure_s: 10.0,
+            arrival_s: 10.0,
+            legs: vec![],
+        };
         assert_eq!(t.travel_time_s(), 0.0);
         assert_eq!(t.hops(), 0);
         assert!(t.is_consistent());
@@ -224,7 +259,12 @@ mod tests {
         let t = TripPlan {
             departure_s: 0.0,
             arrival_s: 100.0,
-            legs: vec![Leg::SharedRide { from: p(40.70), to: p(40.71), board_s: 0.0, alight_s: 100.0 }],
+            legs: vec![Leg::SharedRide {
+                from: p(40.70),
+                to: p(40.71),
+                board_s: 0.0,
+                alight_s: 100.0,
+            }],
         };
         assert_eq!(t.vehicle_legs(), 1);
         assert_eq!(t.hops(), 0);

@@ -39,7 +39,12 @@ pub struct WalkParams {
 
 impl Default for WalkParams {
     fn default() -> Self {
-        Self { speed_mps: 1.4, max_access_m: 800.0, max_transfer_m: 300.0, max_direct_walk_m: 2_500.0 }
+        Self {
+            speed_mps: 1.4,
+            max_access_m: 800.0,
+            max_transfer_m: 300.0,
+            max_direct_walk_m: 2_500.0,
+        }
     }
 }
 
@@ -47,9 +52,7 @@ impl Default for WalkParams {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Parent {
     /// Walked from the origin.
-    Access {
-        walk_m: f64,
-    },
+    Access { walk_m: f64 },
     /// Rode a line from another stop.
     Ride {
         line: LineId,
@@ -58,10 +61,7 @@ enum Parent {
         alight_s: f64,
     },
     /// Walked a footpath from another stop.
-    Transfer {
-        from: StopId,
-        walk_m: f64,
-    },
+    Transfer { from: StopId, walk_m: f64 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +77,10 @@ impl PartialEq for QItem {
 impl Eq for QItem {}
 impl Ord for QItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        other.time.total_cmp(&self.time).then_with(|| other.stop.cmp(&self.stop))
+        other
+            .time
+            .total_cmp(&self.time)
+            .then_with(|| other.stop.cmp(&self.stop))
     }
 }
 impl PartialOrd for QItem {
@@ -120,7 +123,14 @@ impl<'a> TransitRouter<'a> {
                 }
             }
         }
-        Self { graph, net, params, locator, footpaths, stops_at_node }
+        Self {
+            graph,
+            net,
+            params,
+            locator,
+            footpaths,
+            stops_at_node,
+        }
     }
 
     /// Walking distances from `p` to all stops within the access
@@ -154,7 +164,12 @@ impl<'a> TransitRouter<'a> {
     /// Plan a trip from `origin` to `destination` departing at
     /// `depart_s`. Returns `None` when neither transit nor a direct
     /// walk can make the trip.
-    pub fn plan(&self, origin: &GeoPoint, destination: &GeoPoint, depart_s: f64) -> Option<TripPlan> {
+    pub fn plan(
+        &self,
+        origin: &GeoPoint,
+        destination: &GeoPoint,
+        depart_s: f64,
+    ) -> Option<TripPlan> {
         let n = self.net.stops.len();
         let mut arrival = vec![f64::INFINITY; n];
         let mut parent: Vec<Option<Parent>> = vec![None; n];
@@ -184,16 +199,25 @@ impl<'a> TransitRouter<'a> {
             // Ride every line serving u to all downstream stops.
             for &(line_id, pos) in &self.net.lines_at_stop[u.index()] {
                 let line = &self.net.lines[line_id.index()];
-                let Some(dep) = line.next_departure_for(pos, time) else { continue };
+                let Some(dep) = line.next_departure_for(pos, time) else {
+                    continue;
+                };
                 let board_s = line.arrival_at(dep, pos);
                 for pos2 in (pos + 1)..line.stops.len() {
                     let v = line.stops[pos2];
                     let alight_s = line.arrival_at(dep, pos2);
                     if alight_s < arrival[v.index()] {
                         arrival[v.index()] = alight_s;
-                        parent[v.index()] =
-                            Some(Parent::Ride { line: line_id, from: u, board_s, alight_s });
-                        heap.push(QItem { time: alight_s, stop: v.0 });
+                        parent[v.index()] = Some(Parent::Ride {
+                            line: line_id,
+                            from: u,
+                            board_s,
+                            alight_s,
+                        });
+                        heap.push(QItem {
+                            time: alight_s,
+                            stop: v.0,
+                        });
                     }
                 }
             }
@@ -252,7 +276,16 @@ impl<'a> TransitRouter<'a> {
         });
 
         let transit_plan = best.map(|(last_stop, total)| {
-            self.reconstruct(origin, destination, depart_s, total, last_stop, &arrival, &parent, &egress_walk)
+            self.reconstruct(
+                origin,
+                destination,
+                depart_s,
+                total,
+                last_stop,
+                &arrival,
+                &parent,
+                &egress_walk,
+            )
         });
 
         match (transit_plan, walk_only) {
@@ -312,11 +345,25 @@ impl<'a> TransitRouter<'a> {
                     });
                     clock += dur;
                 }
-                Parent::Ride { line, from, board_s, alight_s } => {
+                Parent::Ride {
+                    line,
+                    from,
+                    board_s,
+                    alight_s,
+                } => {
                     if board_s > clock + 1e-9 {
-                        legs.push(Leg::Wait { stop: from, duration_s: board_s - clock });
+                        legs.push(Leg::Wait {
+                            stop: from,
+                            duration_s: board_s - clock,
+                        });
                     }
-                    legs.push(Leg::Transit { line, from, to: *stop, board_s, alight_s });
+                    legs.push(Leg::Transit {
+                        line,
+                        from,
+                        to: *stop,
+                        board_s,
+                        alight_s,
+                    });
                     clock = alight_s;
                 }
             }
@@ -334,7 +381,11 @@ impl<'a> TransitRouter<'a> {
             clock += dur;
         }
         debug_assert!((clock - total_arrival_s).abs() < 1e-6);
-        TripPlan { departure_s: depart_s, arrival_s: clock, legs }
+        TripPlan {
+            departure_s: depart_s,
+            arrival_s: clock,
+            legs,
+        }
     }
 }
 
@@ -358,7 +409,10 @@ mod tests {
         let b = g.point(xar_roadnet::NodeId(g.node_count() as u32 - 1));
         let plan = router.plan(&a, &b, 8.0 * 3600.0).expect("plan exists");
         assert!(plan.arrival_s > plan.departure_s);
-        assert!(plan.is_consistent(), "legs don't sum to travel time: {plan:?}");
+        assert!(
+            plan.is_consistent(),
+            "legs don't sum to travel time: {plan:?}"
+        );
         assert!(!plan.legs.is_empty());
     }
 
@@ -388,7 +442,11 @@ mod tests {
         let a = g.point(xar_roadnet::NodeId(0));
         let b = g.point(xar_roadnet::NodeId(1));
         let plan = router.plan(&a, &b, 8.0 * 3600.0).unwrap();
-        assert_eq!(plan.vehicle_legs(), 0, "a one-block trip should be all walk: {plan:?}");
+        assert_eq!(
+            plan.vehicle_legs(),
+            0,
+            "a one-block trip should be all walk: {plan:?}"
+        );
     }
 
     #[test]
@@ -414,7 +472,10 @@ mod tests {
         let plan = router.plan(&a, &b, 9.0 * 3600.0).unwrap();
         let mut clock = plan.departure_s;
         for leg in &plan.legs {
-            if let Leg::Transit { board_s, alight_s, .. } = leg {
+            if let Leg::Transit {
+                board_s, alight_s, ..
+            } = leg
+            {
                 assert!(*board_s >= clock - 1e-6, "board before arriving at stop");
                 assert!(alight_s > board_s);
                 clock = *alight_s;

@@ -5,7 +5,9 @@
 
 use xar_geo::GeoPoint;
 use xar_roadnet::{CityConfig, NodeLocator, RoadGraph};
-use xar_transit::{Leg, Line, LineId, LineKind, Stop, StopId, TransitNetwork, TransitRouter, WalkParams};
+use xar_transit::{
+    Leg, Line, LineId, LineKind, Stop, StopId, TransitNetwork, TransitRouter, WalkParams,
+};
 
 /// Build a cross: a west→east line and a south→north line meeting at
 /// the city centre. Stops snap to real road nodes of a test city.
@@ -22,7 +24,11 @@ fn cross_network(g: &RoadGraph) -> (TransitNetwork, GeoPoint, GeoPoint) {
     let mut add_stop = |p: GeoPoint| {
         let (node, _) = locator.nearest(g, &p);
         let id = StopId(stops.len() as u32);
-        stops.push(Stop { id, point: g.point(node), node });
+        stops.push(Stop {
+            id,
+            point: g.point(node),
+            node,
+        });
         id
     };
     let s_west = add_stop(west);
@@ -37,7 +43,11 @@ fn cross_network(g: &RoadGraph) -> (TransitNetwork, GeoPoint, GeoPoint) {
     let s_center_ns = {
         let node = stops[s_center_ew.index()].node;
         let id = StopId(stops.len() as u32);
-        stops.push(Stop { id, point: g.point(node), node });
+        stops.push(Stop {
+            id,
+            point: g.point(node),
+            node,
+        });
         id
     };
 
@@ -72,25 +82,39 @@ fn transfer_at_the_interchange() {
     // West edge -> north edge: must ride EW to the centre, transfer to
     // NS northbound (walking the whole way would be ~3 km, over the
     // direct-walk cap for comfort but check the plan regardless).
-    let plan = router.plan(&west, &north, 8.0 * 3600.0).expect("plan exists");
+    let plan = router
+        .plan(&west, &north, 8.0 * 3600.0)
+        .expect("plan exists");
     let transit_legs: Vec<_> = plan
         .legs
         .iter()
         .filter_map(|l| match l {
-            Leg::Transit { line, from, to, board_s, alight_s } => {
-                Some((*line, *from, *to, *board_s, *alight_s))
-            }
+            Leg::Transit {
+                line,
+                from,
+                to,
+                board_s,
+                alight_s,
+            } => Some((*line, *from, *to, *board_s, *alight_s)),
             _ => None,
         })
         .collect();
-    assert_eq!(transit_legs.len(), 2, "expected EW ride + NS ride: {plan:#?}");
+    assert_eq!(
+        transit_legs.len(),
+        2,
+        "expected EW ride + NS ride: {plan:#?}"
+    );
     let (l1, _, _, _, alight1) = transit_legs[0];
     let (l2, _, _, board2, _) = transit_legs[1];
     assert_eq!(l1, LineId(0));
     assert_eq!(l2, LineId(1));
     assert!(board2 >= alight1, "boarded the connection before arriving");
     // Connection wait bounded by one NS headway (plus dwell slack).
-    assert!(board2 - alight1 <= 600.0 + 60.0, "waited {}s", board2 - alight1);
+    assert!(
+        board2 - alight1 <= 600.0 + 60.0,
+        "waited {}s",
+        board2 - alight1
+    );
     assert!(plan.hops() == 1);
     assert!(plan.is_consistent());
 }
@@ -102,13 +126,18 @@ fn no_transfer_needed_along_one_line() {
     let router = TransitRouter::new(&g, &net, WalkParams::default());
     let bbox = xar_geo::BoundingBox::from_points(g.node_ids().map(|n| g.point(n))).unwrap();
     let east = xar_geo::GeoPoint::new(bbox.center().lat, bbox.max.lon);
-    let plan = router.plan(&west, &east, 9.0 * 3600.0).expect("plan exists");
+    let plan = router
+        .plan(&west, &east, 9.0 * 3600.0)
+        .expect("plan exists");
     let rides = plan
         .legs
         .iter()
         .filter(|l| matches!(l, Leg::Transit { .. }))
         .count();
-    assert_eq!(rides, 1, "straight EW trip needs exactly one ride: {plan:#?}");
+    assert_eq!(
+        rides, 1,
+        "straight EW trip needs exactly one ride: {plan:#?}"
+    );
     assert_eq!(plan.hops(), 0);
 }
 
@@ -122,7 +151,9 @@ fn waits_respect_the_phase_offset() {
     // Arrive at the west stop just after a departure: wait ≈ full
     // headway. Departures at 6:00, 6:10, ... Board stop is the first
     // stop (offset 0).
-    let plan = router.plan(&west, &east, 6.0 * 3600.0 + 30.0).expect("plan");
+    let plan = router
+        .plan(&west, &east, 6.0 * 3600.0 + 30.0)
+        .expect("plan");
     let wait: f64 = plan
         .legs
         .iter()

@@ -83,9 +83,14 @@ impl GridTaxiIndex {
     /// Remove every entry of `taxi` in `cell`. Returns how many were
     /// removed.
     pub fn remove_taxi(&mut self, cell: GridId, taxi: TaxiId) -> usize {
-        let Some(list) = self.cells.get_mut(&cell.packed()) else { return 0 };
-        let keys: Vec<(OrdF64, TaxiId)> =
-            list.iter().filter(|((_, t), _)| *t == taxi).map(|(k, _)| *k).collect();
+        let Some(list) = self.cells.get_mut(&cell.packed()) else {
+            return 0;
+        };
+        let keys: Vec<(OrdF64, TaxiId)> = list
+            .iter()
+            .filter(|((_, t), _)| *t == taxi)
+            .map(|(k, _)| *k)
+            .collect();
         let removed = keys.len();
         for k in keys {
             list.remove(&k);
@@ -115,7 +120,10 @@ impl GridTaxiIndex {
 
     /// All entries of `cell` in ETA order.
     pub fn entries_of(&self, cell: GridId) -> impl Iterator<Item = &CellEntry> {
-        self.cells.get(&cell.packed()).into_iter().flat_map(|l| l.values())
+        self.cells
+            .get(&cell.packed())
+            .into_iter()
+            .flat_map(|l| l.values())
     }
 
     /// Approximate heap bytes.
@@ -135,7 +143,11 @@ mod tests {
     }
 
     fn entry(t: u64, eta: f64) -> CellEntry {
-        CellEntry { taxi: TaxiId(t), eta_s: eta, route_idx: 0 }
+        CellEntry {
+            taxi: TaxiId(t),
+            eta_s: eta,
+            route_idx: 0,
+        }
     }
 
     #[test]
@@ -146,9 +158,15 @@ mod tests {
         idx.insert(cell(2, 2), entry(3, 150.0));
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.cell_count(), 2);
-        let got: Vec<u64> = idx.range_eta(cell(1, 1), 0.0, 150.0).map(|e| e.taxi.0).collect();
+        let got: Vec<u64> = idx
+            .range_eta(cell(1, 1), 0.0, 150.0)
+            .map(|e| e.taxi.0)
+            .collect();
         assert_eq!(got, vec![1]);
-        let all: Vec<u64> = idx.range_eta(cell(1, 1), 0.0, 1e9).map(|e| e.taxi.0).collect();
+        let all: Vec<u64> = idx
+            .range_eta(cell(1, 1), 0.0, 1e9)
+            .map(|e| e.taxi.0)
+            .collect();
         assert_eq!(all, vec![1, 2]);
     }
 
@@ -156,7 +174,14 @@ mod tests {
     fn multiple_visits_of_same_taxi() {
         let mut idx = GridTaxiIndex::new();
         idx.insert(cell(0, 0), entry(7, 100.0));
-        idx.insert(cell(0, 0), CellEntry { taxi: TaxiId(7), eta_s: 300.0, route_idx: 20 });
+        idx.insert(
+            cell(0, 0),
+            CellEntry {
+                taxi: TaxiId(7),
+                eta_s: 300.0,
+                route_idx: 20,
+            },
+        );
         assert_eq!(idx.len(), 2);
         assert_eq!(idx.remove_taxi(cell(0, 0), TaxiId(7)), 2);
         assert!(idx.is_empty());

@@ -56,7 +56,15 @@ impl TShareMetrics {
         let search_candidates = registry.histogram("tshare.search_candidates");
         let search_ns_outcome =
             SEARCH_OUTCOMES.map(|o| registry.histogram_with("tshare.search_ns", &[("outcome", o)]));
-        Self { registry, search_ns, create_ns, book_ns, track_ns, search_candidates, search_ns_outcome }
+        Self {
+            registry,
+            search_ns,
+            create_ns,
+            book_ns,
+            track_ns,
+            search_candidates,
+            search_ns_outcome,
+        }
     }
 
     /// The registry backing these handles.
@@ -79,7 +87,10 @@ mod tests {
     fn names_are_prefixed() {
         let m = TShareMetrics::new();
         m.search_ns.record(5);
-        assert!(m.registry().snapshot_json().contains("\"tshare.search_ns\""));
+        assert!(m
+            .registry()
+            .snapshot_json()
+            .contains("\"tshare.search_ns\""));
     }
 
     #[test]
@@ -88,7 +99,13 @@ mod tests {
         m.search_ns_outcome[0].record(10);
         m.search_ns_outcome[1].record(20);
         let json = m.registry().snapshot_json();
-        assert!(json.contains("tshare.search_ns{outcome=\\\"hit\\\"}"), "{json}");
-        assert!(json.contains("tshare.search_ns{outcome=\\\"miss\\\"}"), "{json}");
+        assert!(
+            json.contains("tshare.search_ns{outcome=\\\"hit\\\"}"),
+            "{json}"
+        );
+        assert!(
+            json.contains("tshare.search_ns{outcome=\\\"miss\\\"}"),
+            "{json}"
+        );
     }
 }

@@ -23,7 +23,12 @@ fn search_with_no_taxis_is_empty_and_cheap() {
     };
     assert!(eng.search(&req, usize::MAX).is_empty());
     // No shortest paths wasted when there is nothing to check.
-    assert_eq!(eng.stats().shortest_paths.load(std::sync::atomic::Ordering::Relaxed), 0);
+    assert_eq!(
+        eng.stats()
+            .shortest_paths
+            .load(std::sync::atomic::Ordering::Relaxed),
+        0
+    );
 }
 
 #[test]
@@ -32,7 +37,11 @@ fn expansion_cap_limits_match_radius() {
     // from the pick-up point.
     let g = graph();
     let n = g.node_count() as u32;
-    let tight = TShareConfig { grid_cell_m: 300.0, max_search_cells: 1, ..Default::default() };
+    let tight = TShareConfig {
+        grid_cell_m: 300.0,
+        max_search_cells: 1,
+        ..Default::default()
+    };
     let mut eng = TShareEngine::new(Arc::clone(&g), tight);
     // Taxi along the east edge; request from the west edge.
     let east_lo = g.point(NodeId(n - 2));
@@ -55,7 +64,8 @@ fn k_zero_returns_nothing() {
     let g = graph();
     let n = g.node_count() as u32;
     let mut eng = TShareEngine::new(Arc::clone(&g), TShareConfig::default());
-    eng.create_taxi(g.point(NodeId(0)), g.point(NodeId(n - 1)), 8.0 * 3600.0, 3).unwrap();
+    eng.create_taxi(g.point(NodeId(0)), g.point(NodeId(n - 1)), 8.0 * 3600.0, 3)
+        .unwrap();
     let req = TShareRequest {
         pickup: g.point(NodeId(n / 2)),
         dropoff: g.point(NodeId(n - 1)),
@@ -76,7 +86,10 @@ fn haversine_and_sp_modes_agree_on_match_existence() {
     let mk = |mode| {
         let mut eng = TShareEngine::new(
             Arc::clone(&g),
-            TShareConfig { distance_mode: mode, ..Default::default() },
+            TShareConfig {
+                distance_mode: mode,
+                ..Default::default()
+            },
         );
         for i in 0..20u32 {
             eng.create_taxi(
@@ -99,10 +112,16 @@ fn haversine_and_sp_modes_agree_on_match_existence() {
             window_start_s: 7.5 * 3600.0,
             window_end_s: 9.5 * 3600.0,
         };
-        let sp_found: std::collections::HashSet<_> =
-            sp_eng.search(&req, usize::MAX).iter().map(|m| m.taxi).collect();
-        let hv_found: std::collections::HashSet<_> =
-            hv_eng.search(&req, usize::MAX).iter().map(|m| m.taxi).collect();
+        let sp_found: std::collections::HashSet<_> = sp_eng
+            .search(&req, usize::MAX)
+            .iter()
+            .map(|m| m.taxi)
+            .collect();
+        let hv_found: std::collections::HashSet<_> = hv_eng
+            .search(&req, usize::MAX)
+            .iter()
+            .map(|m| m.taxi)
+            .collect();
         total += sp_found.len();
         agree += sp_found.intersection(&hv_found).count();
     }
@@ -117,8 +136,16 @@ fn haversine_and_sp_modes_agree_on_match_existence() {
 fn departed_taxi_cells_shrink_monotonically() {
     let g = graph();
     let n = g.node_count() as u32;
-    let mut eng = TShareEngine::new(Arc::clone(&g), TShareConfig { grid_cell_m: 300.0, ..Default::default() });
-    let id = eng.create_taxi(g.point(NodeId(0)), g.point(NodeId(n - 1)), 8.0 * 3600.0, 3).unwrap();
+    let mut eng = TShareEngine::new(
+        Arc::clone(&g),
+        TShareConfig {
+            grid_cell_m: 300.0,
+            ..Default::default()
+        },
+    );
+    let id = eng
+        .create_taxi(g.point(NodeId(0)), g.point(NodeId(n - 1)), 8.0 * 3600.0, 3)
+        .unwrap();
     let dur = eng.taxi(id).unwrap().route.duration_s();
     let mut prev = eng.taxi(id).unwrap().cells.len();
     for frac in [0.2, 0.4, 0.6, 0.8] {

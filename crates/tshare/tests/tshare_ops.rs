@@ -3,15 +3,19 @@
 use std::sync::Arc;
 
 use xar_roadnet::{CityConfig, NodeId, RoadGraph};
-use xar_tshare::{DistanceMode, TShareConfig, TShareEngine};
 use xar_tshare::engine::TShareRequest;
+use xar_tshare::{DistanceMode, TShareConfig, TShareEngine};
 
 fn graph() -> Arc<RoadGraph> {
     Arc::new(CityConfig::test_city(55).generate())
 }
 
 fn engine(mode: DistanceMode) -> TShareEngine {
-    let cfg = TShareConfig { grid_cell_m: 400.0, distance_mode: mode, ..Default::default() };
+    let cfg = TShareConfig {
+        grid_cell_m: 400.0,
+        distance_mode: mode,
+        ..Default::default()
+    };
     TShareEngine::new(graph(), cfg)
 }
 
@@ -37,7 +41,10 @@ fn create_indexes_cells_along_route() {
     let mut eng = engine(DistanceMode::ShortestPath);
     let id = cross_city(&mut eng);
     let taxi = eng.taxi(id).unwrap();
-    assert!(taxi.cells.len() >= 3, "cross-city route passes several 400 m cells");
+    assert!(
+        taxi.cells.len() >= 3,
+        "cross-city route passes several 400 m cells"
+    );
     // Cell visits are route-ordered with increasing ETA.
     for w in taxi.cells.windows(2) {
         assert!(w[0].route_idx < w[1].route_idx);
@@ -51,7 +58,10 @@ fn search_finds_taxi_on_route() {
     let id = cross_city(&mut eng);
     let g = Arc::clone(eng.graph());
     let matches = eng.search(&mid_request(&g), usize::MAX);
-    assert!(matches.iter().any(|m| m.taxi == id), "taxi passing the pick-up must match");
+    assert!(
+        matches.iter().any(|m| m.taxi == id),
+        "taxi passing the pick-up must match"
+    );
     let m = matches.iter().find(|m| m.taxi == id).unwrap();
     assert!(m.detour_m <= 4_000.0);
     assert!(m.pickup_route_idx <= m.dropoff_route_idx);
@@ -62,17 +72,35 @@ fn search_uses_shortest_paths_but_haversine_mode_does_not() {
     let mut sp_eng = engine(DistanceMode::ShortestPath);
     cross_city(&mut sp_eng);
     let g = Arc::clone(sp_eng.graph());
-    let before = sp_eng.stats().shortest_paths.load(std::sync::atomic::Ordering::Relaxed);
+    let before = sp_eng
+        .stats()
+        .shortest_paths
+        .load(std::sync::atomic::Ordering::Relaxed);
     let _ = sp_eng.search(&mid_request(&g), usize::MAX);
-    let after = sp_eng.stats().shortest_paths.load(std::sync::atomic::Ordering::Relaxed);
-    assert!(after > before, "T-Share search must compute shortest paths (its defining cost)");
+    let after = sp_eng
+        .stats()
+        .shortest_paths
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(
+        after > before,
+        "T-Share search must compute shortest paths (its defining cost)"
+    );
 
     let mut hv_eng = engine(DistanceMode::Haversine);
     cross_city(&mut hv_eng);
-    let before = hv_eng.stats().shortest_paths.load(std::sync::atomic::Ordering::Relaxed);
+    let before = hv_eng
+        .stats()
+        .shortest_paths
+        .load(std::sync::atomic::Ordering::Relaxed);
     let _ = hv_eng.search(&mid_request(&g), usize::MAX);
-    let after = hv_eng.stats().shortest_paths.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(after, before, "haversine mode must not compute shortest paths in search");
+    let after = hv_eng
+        .stats()
+        .shortest_paths
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(
+        after, before,
+        "haversine mode must not compute shortest paths in search"
+    );
 }
 
 #[test]
@@ -81,7 +109,12 @@ fn search_k_truncates() {
     for i in 0..5 {
         let g = Arc::clone(eng.graph());
         let n = g.node_count() as u32;
-        eng.create_taxi(g.point(NodeId(i)), g.point(NodeId(n - 1 - i)), 8.0 * 3600.0 + i as f64, 3);
+        eng.create_taxi(
+            g.point(NodeId(i)),
+            g.point(NodeId(n - 1 - i)),
+            8.0 * 3600.0 + i as f64,
+            3,
+        );
     }
     let g = Arc::clone(eng.graph());
     let all = eng.search(&mid_request(&g), usize::MAX);
@@ -169,7 +202,10 @@ fn tracking_removes_passed_cells_from_index() {
     let first_cells = taxi.cells.len();
     eng.track_all(depart + dur * 0.6);
     let taxi = eng.taxi(id).unwrap();
-    assert!(taxi.cells.len() < first_cells, "passed cells must be dropped");
+    assert!(
+        taxi.cells.len() < first_cells,
+        "passed cells must be dropped"
+    );
     assert!(taxi.progress_idx > 0);
 }
 
@@ -189,5 +225,8 @@ fn search_after_tracking_ignores_passed_pickup() {
         window_end_s: late + 3_600.0,
     };
     let matches = eng.search(&req, usize::MAX);
-    assert!(matches.iter().all(|m| m.taxi != id), "taxi already passed the pick-up");
+    assert!(
+        matches.iter().all(|m| m.taxi != id),
+        "taxi already passed the pick-up"
+    );
 }

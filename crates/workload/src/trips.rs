@@ -66,8 +66,7 @@ impl Default for TripGenConfig {
 fn sample_time_s(rng: &mut StdRng) -> f64 {
     let roll = rng.random::<f64>();
     // Approximate normal via the sum of 4 uniforms (Irwin–Hall).
-    let gauss =
-        |rng: &mut StdRng| (0..4).map(|_| rng.random::<f64>()).sum::<f64>() / 2.0 - 1.0; // ~N(0, 0.29)
+    let gauss = |rng: &mut StdRng| (0..4).map(|_| rng.random::<f64>()).sum::<f64>() / 2.0 - 1.0; // ~N(0, 0.29)
     let t = if roll < 0.35 {
         8.5 * 3600.0 + gauss(rng) * 4_500.0
     } else if roll < 0.70 {
@@ -89,8 +88,9 @@ pub fn generate_trips(graph: &RoadGraph, cfg: &TripGenConfig) -> Vec<Trip> {
     let n = graph.node_count() as u32;
 
     // Hotspot centres: random nodes; popularity ~ Zipf(rank).
-    let hotspots: Vec<NodeId> =
-        (0..cfg.hotspots).map(|_| NodeId(rng.random_range(0..n))).collect();
+    let hotspots: Vec<NodeId> = (0..cfg.hotspots)
+        .map(|_| NodeId(rng.random_range(0..n)))
+        .collect();
     let weights: Vec<f64> = (1..=cfg.hotspots.max(1))
         .map(|r| 1.0 / (r as f64).powf(cfg.zipf_exponent))
         .collect();
@@ -140,7 +140,12 @@ pub fn generate_trips(graph: &RoadGraph, cfg: &TripGenConfig) -> Vec<Trip> {
         if len_m < cfg.min_trip_m || len_m > cfg.max_trip_m {
             continue;
         }
-        trips.push(Trip { id, pickup_s: sample_time_s(&mut rng), pickup, dropoff });
+        trips.push(Trip {
+            id,
+            pickup_s: sample_time_s(&mut rng),
+            pickup,
+            dropoff,
+        });
         id += 1;
     }
     trips.sort_by(|a, b| a.pickup_s.total_cmp(&b.pickup_s).then(a.id.cmp(&b.id)));
@@ -151,7 +156,11 @@ pub fn generate_trips(graph: &RoadGraph, cfg: &TripGenConfig) -> Vec<Trip> {
 /// paper's "100,000 trips ... requesting pick-ups between 6am - 12pm"
 /// subset.
 pub fn time_slice(trips: &[Trip], from_s: f64, to_s: f64) -> Vec<Trip> {
-    trips.iter().copied().filter(|t| t.pickup_s >= from_s && t.pickup_s < to_s).collect()
+    trips
+        .iter()
+        .copied()
+        .filter(|t| t.pickup_s >= from_s && t.pickup_s < to_s)
+        .collect()
 }
 
 #[cfg(test)]
@@ -166,7 +175,13 @@ mod tests {
     #[test]
     fn count_and_ordering() {
         let g = graph();
-        let trips = generate_trips(&g, &TripGenConfig { count: 2_000, ..Default::default() });
+        let trips = generate_trips(
+            &g,
+            &TripGenConfig {
+                count: 2_000,
+                ..Default::default()
+            },
+        );
         assert_eq!(trips.len(), 2_000);
         for w in trips.windows(2) {
             assert!(w[0].pickup_s <= w[1].pickup_s);
@@ -178,29 +193,60 @@ mod tests {
         let g = graph();
         let trips = generate_trips(
             &g,
-            &TripGenConfig { count: 300, min_trip_m: 600.0, max_trip_m: 1_500.0, ..Default::default() },
+            &TripGenConfig {
+                count: 300,
+                min_trip_m: 600.0,
+                max_trip_m: 1_500.0,
+                ..Default::default()
+            },
         );
         assert_eq!(trips.len(), 300);
         for t in &trips {
             let d = t.pickup.haversine_m(&t.dropoff);
-            assert!((600.0..=1_500.0).contains(&d), "trip length {d} m outside band");
+            assert!(
+                (600.0..=1_500.0).contains(&d),
+                "trip length {d} m outside band"
+            );
         }
     }
 
     #[test]
     fn deterministic_in_seed() {
         let g = graph();
-        let a = generate_trips(&g, &TripGenConfig { count: 500, ..Default::default() });
-        let b = generate_trips(&g, &TripGenConfig { count: 500, ..Default::default() });
+        let a = generate_trips(
+            &g,
+            &TripGenConfig {
+                count: 500,
+                ..Default::default()
+            },
+        );
+        let b = generate_trips(
+            &g,
+            &TripGenConfig {
+                count: 500,
+                ..Default::default()
+            },
+        );
         assert_eq!(a, b);
-        let c = generate_trips(&g, &TripGenConfig { count: 500, seed: 9, ..Default::default() });
+        let c = generate_trips(
+            &g,
+            &TripGenConfig {
+                count: 500,
+                seed: 9,
+                ..Default::default()
+            },
+        );
         assert_ne!(a, c);
     }
 
     #[test]
     fn trips_respect_min_length() {
         let g = graph();
-        let cfg = TripGenConfig { count: 1_000, min_trip_m: 900.0, ..Default::default() };
+        let cfg = TripGenConfig {
+            count: 1_000,
+            min_trip_m: 900.0,
+            ..Default::default()
+        };
         for t in generate_trips(&g, &cfg) {
             assert!(t.pickup.haversine_m(&t.dropoff) >= 900.0);
         }
@@ -209,7 +255,13 @@ mod tests {
     #[test]
     fn times_are_within_the_day_and_bimodal() {
         let g = graph();
-        let trips = generate_trips(&g, &TripGenConfig { count: 20_000, ..Default::default() });
+        let trips = generate_trips(
+            &g,
+            &TripGenConfig {
+                count: 20_000,
+                ..Default::default()
+            },
+        );
         let mut morning = 0usize; // 7-10 am
         let mut night = 0usize; // 1-4 am
         for t in &trips {
@@ -228,7 +280,11 @@ mod tests {
     #[test]
     fn hotspots_skew_the_spatial_distribution() {
         let g = graph();
-        let cfg = TripGenConfig { count: 5_000, hotspot_fraction: 0.9, ..Default::default() };
+        let cfg = TripGenConfig {
+            count: 5_000,
+            hotspot_fraction: 0.9,
+            ..Default::default()
+        };
         let trips = generate_trips(&g, &cfg);
         // Bucket pickups into a coarse grid; the max bucket should hold
         // far more than a uniform share.
@@ -240,13 +296,22 @@ mod tests {
         }
         let max = buckets.values().max().copied().unwrap_or(0);
         let uniform_share = trips.len() / buckets.len().max(1);
-        assert!(max > uniform_share * 3, "max bucket {max}, uniform {uniform_share}");
+        assert!(
+            max > uniform_share * 3,
+            "max bucket {max}, uniform {uniform_share}"
+        );
     }
 
     #[test]
     fn time_slice_selects_window() {
         let g = graph();
-        let trips = generate_trips(&g, &TripGenConfig { count: 3_000, ..Default::default() });
+        let trips = generate_trips(
+            &g,
+            &TripGenConfig {
+                count: 3_000,
+                ..Default::default()
+            },
+        );
         let slice = time_slice(&trips, 6.0 * 3600.0, 12.0 * 3600.0);
         assert!(!slice.is_empty());
         assert!(slice.len() < trips.len());

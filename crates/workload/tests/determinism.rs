@@ -11,11 +11,20 @@ use xar_workload::{generate_trips, run_simulation, SimConfig, TripGenConfig, Xar
 
 fn fixture() -> (Arc<RoadGraph>, Arc<RegionIndex>) {
     let graph = Arc::new(CityConfig::manhattan(25, 25, 99).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 600,
+            ..Default::default()
+        },
+    );
     let region = Arc::new(RegionIndex::build(
         Arc::clone(&graph),
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(200.0),
+            ..Default::default()
+        },
     ));
     (graph, region)
 }
@@ -24,10 +33,22 @@ fn fixture() -> (Arc<RoadGraph>, Arc<RegionIndex>) {
 fn identical_seeds_identical_outcomes() {
     let (graph, region) = fixture();
     let run = |g: &Arc<RoadGraph>, r: &Arc<RegionIndex>| {
-        let trips = generate_trips(g, &TripGenConfig { count: 500, ..Default::default() });
+        let trips = generate_trips(
+            g,
+            &TripGenConfig {
+                count: 500,
+                ..Default::default()
+            },
+        );
         let mut backend = XarBackend::new(XarEngine::new(Arc::clone(r), EngineConfig::default()));
         let rep = run_simulation(&mut backend, &trips, &SimConfig::default());
-        (rep.booked, rep.created, rep.matches_returned, rep.detour_actual_m, rep.walk_m)
+        (
+            rep.booked,
+            rep.created,
+            rep.matches_returned,
+            rep.detour_actual_m,
+            rep.walk_m,
+        )
     };
     let a = run(&graph, &region);
     let b = run(&graph, &region);
@@ -44,17 +65,37 @@ fn whole_pipeline_is_seed_reproducible() {
     // compare against the fixture run.
     let run_all = || {
         let graph = Arc::new(CityConfig::manhattan(25, 25, 99).generate());
-        let pois = sample_pois(&graph, &PoiConfig { count: 600, ..Default::default() });
+        let pois = sample_pois(
+            &graph,
+            &PoiConfig {
+                count: 600,
+                ..Default::default()
+            },
+        );
         let region = Arc::new(RegionIndex::build(
             Arc::clone(&graph),
             &pois,
-            RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+            RegionConfig {
+                cluster_goal: ClusterGoal::Delta(200.0),
+                ..Default::default()
+            },
         ));
-        let trips = generate_trips(&graph, &TripGenConfig { count: 400, ..Default::default() });
+        let trips = generate_trips(
+            &graph,
+            &TripGenConfig {
+                count: 400,
+                ..Default::default()
+            },
+        );
         let mut backend =
             XarBackend::new(XarEngine::new(Arc::clone(&region), EngineConfig::default()));
         let rep = run_simulation(&mut backend, &trips, &SimConfig::default());
-        (region.cluster_count(), region.epsilon_m(), rep.booked, rep.created)
+        (
+            region.cluster_count(),
+            region.epsilon_m(),
+            rep.booked,
+            rep.created,
+        )
     };
     assert_eq!(run_all(), run_all(), "pipeline is not seed-deterministic");
 }
@@ -63,14 +104,24 @@ fn whole_pipeline_is_seed_reproducible() {
 fn larger_walking_limits_never_reduce_shares() {
     // Monotonicity: a more permissive walking limit can only help.
     let (graph, region) = fixture();
-    let trips = generate_trips(&graph, &TripGenConfig { count: 500, seed: 3, ..Default::default() });
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: 500,
+            seed: 3,
+            ..Default::default()
+        },
+    );
     let share_at = |walk: f64| {
         let mut backend =
             XarBackend::new(XarEngine::new(Arc::clone(&region), EngineConfig::default()));
         let rep = run_simulation(
             &mut backend,
             &trips,
-            &SimConfig { walk_limit_m: walk, ..Default::default() },
+            &SimConfig {
+                walk_limit_m: walk,
+                ..Default::default()
+            },
         );
         rep.booked
     };
@@ -87,14 +138,24 @@ fn larger_walking_limits_never_reduce_shares() {
 #[test]
 fn wider_windows_never_reduce_shares_substantially() {
     let (graph, region) = fixture();
-    let trips = generate_trips(&graph, &TripGenConfig { count: 500, seed: 4, ..Default::default() });
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: 500,
+            seed: 4,
+            ..Default::default()
+        },
+    );
     let share_at = |window: f64| {
         let mut backend =
             XarBackend::new(XarEngine::new(Arc::clone(&region), EngineConfig::default()));
         let rep = run_simulation(
             &mut backend,
             &trips,
-            &SimConfig { window_s: window, ..Default::default() },
+            &SimConfig {
+                window_s: window,
+                ..Default::default()
+            },
         );
         rep.booked
     };

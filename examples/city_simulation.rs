@@ -16,14 +16,26 @@ use xhare_a_ride::workload::{
 };
 
 fn main() {
-    let trip_count: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(8_000);
+    let trip_count: usize = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or(8_000);
 
     let graph = Arc::new(CityConfig::manhattan(60, 60, 2024).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 1_500, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 1_500,
+            ..Default::default()
+        },
+    );
     let region = Arc::new(RegionIndex::build(
         Arc::clone(&graph),
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(250.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(250.0),
+            ..Default::default()
+        },
     ));
     println!(
         "city: {} nodes | {} landmarks | {} clusters | epsilon {:.0} m",
@@ -33,8 +45,17 @@ fn main() {
         region.epsilon_m()
     );
 
-    let trips = generate_trips(&graph, &TripGenConfig { count: trip_count, ..Default::default() });
-    println!("workload: {} trips across the day (rush-hour peaks, hotspot skew)\n", trips.len());
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: trip_count,
+            ..Default::default()
+        },
+    );
+    println!(
+        "workload: {} trips across the day (rush-hour peaks, hotspot skew)\n",
+        trips.len()
+    );
 
     let mut backend = XarBackend::new(XarEngine::new(region, EngineConfig::default()));
     let report = run_simulation(&mut backend, &trips, &SimConfig::default());
@@ -44,7 +65,10 @@ fn main() {
     println!("created (new car):  {:>8}", report.created);
     println!("unservable:         {:>8}", report.unservable);
     println!("share rate:         {:>7.1}%", report.share_rate() * 100.0);
-    println!("matches per search: {:>8.2}", report.matches_returned as f64 / report.looks.max(1) as f64);
+    println!(
+        "matches per search: {:>8.2}",
+        report.matches_returned as f64 / report.looks.max(1) as f64
+    );
 
     println!("\n== latency ==");
     println!(
@@ -65,14 +89,24 @@ fn main() {
     );
 
     let s = backend.engine.stats().snapshot();
-    let (searches, creates, bookings, tracks, sps) =
-        (s.searches, s.creates, s.bookings, s.tracks, s.shortest_paths);
+    let (searches, creates, bookings, tracks, sps) = (
+        s.searches,
+        s.creates,
+        s.bookings,
+        s.tracks,
+        s.shortest_paths,
+    );
     println!("\n== engine counters ==");
-    println!("searches {searches} | creates {creates} | bookings {bookings} | tracking sweeps {tracks}");
+    println!(
+        "searches {searches} | creates {creates} | bookings {bookings} | tracking sweeps {tracks}"
+    );
     println!("shortest paths computed: {sps} (creation + booking only — zero on the search path)");
     println!("live rides at end of day: {}", backend.engine.ride_count());
     println!("index entries: {}", backend.engine.index().len());
-    println!("runtime state: {:.1} MiB", backend.engine.heap_bytes() as f64 / (1024.0 * 1024.0));
+    println!(
+        "runtime state: {:.1} MiB",
+        backend.engine.heap_bytes() as f64 / (1024.0 * 1024.0)
+    );
 
     let errors = report.detour_errors_m();
     if !errors.is_empty() {

@@ -14,10 +14,20 @@ use xhare_a_ride::roadnet::{prune_insignificant, sample_pois, CityConfig, PoiCon
 
 fn main() {
     let graph = CityConfig::manhattan(45, 45, 31).generate();
-    println!("road network: {} way-points, {} segments", graph.node_count(), graph.edge_count());
+    println!(
+        "road network: {} way-points, {} segments",
+        graph.node_count(),
+        graph.edge_count()
+    );
 
     // POIs: the Google-Places stand-in, then the paper's two filters.
-    let pois = sample_pois(&graph, &PoiConfig { count: 2_500, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 2_500,
+            ..Default::default()
+        },
+    );
     let significant = prune_insignificant(&pois);
     println!(
         "POIs: {} sampled -> {} significant (minor amenities pruned, as in §X.A.3)",
@@ -26,7 +36,10 @@ fn main() {
     );
     let f = 220.0;
     let landmarks = filter_landmarks(&graph, &pois, f);
-    println!("landmark filter (f = {f} m): {} landmarks survive", landmarks.len());
+    println!(
+        "landmark filter (f = {f} m): {} landmarks survive",
+        landmarks.len()
+    );
 
     // Pairwise driving distances (parallel Dijkstra per landmark).
     let metric = LandmarkMetric::compute(&graph, &landmarks);
@@ -47,7 +60,11 @@ fn main() {
                 "  probe k = {:>4} -> GREEDY radius {:>7.0} m  ({})",
                 probe.k,
                 probe.radius,
-                if probe.radius <= 2.0 * delta { "feasible, go lower" } else { "> 2 delta, go higher" }
+                if probe.radius <= 2.0 * delta {
+                    "feasible, go lower"
+                } else {
+                    "> 2 delta, go higher"
+                }
             );
         }
         let c = &out.clustering;
@@ -60,8 +77,14 @@ fn main() {
             diameter,
             4.0 * delta
         );
-        assert!(c.radius <= 2.0 * delta + 1e-9, "Theorem 6 radius bound violated");
-        assert!(diameter <= 4.0 * delta + 1e-9, "Theorem 6 diameter bound violated");
+        assert!(
+            c.radius <= 2.0 * delta + 1e-9,
+            "Theorem 6 radius bound violated"
+        );
+        assert!(
+            diameter <= 4.0 * delta + 1e-9,
+            "Theorem 6 diameter bound violated"
+        );
 
         // ILP view of the same instance.
         let ilp = ClusterIlp::new(&metric, 4.0 * delta);

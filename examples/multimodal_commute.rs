@@ -27,23 +27,44 @@ fn describe(plan: &TripPlan, label: &str) {
     );
     for leg in &plan.legs {
         match leg {
-            Leg::Walk { dist_m, duration_s, .. } => {
-                println!("    walk    {:>6.0} m  ({:.1} min)", dist_m, duration_s / 60.0)
+            Leg::Walk {
+                dist_m, duration_s, ..
+            } => {
+                println!(
+                    "    walk    {:>6.0} m  ({:.1} min)",
+                    dist_m,
+                    duration_s / 60.0
+                )
             }
             Leg::Wait { stop, duration_s } => {
-                println!("    wait    at stop {:?} ({:.1} min)", stop, duration_s / 60.0)
+                println!(
+                    "    wait    at stop {:?} ({:.1} min)",
+                    stop,
+                    duration_s / 60.0
+                )
             }
             Leg::WaitAt { duration_s, .. } => {
-                println!("    wait    at pick-up landmark ({:.1} min)", duration_s / 60.0)
+                println!(
+                    "    wait    at pick-up landmark ({:.1} min)",
+                    duration_s / 60.0
+                )
             }
-            Leg::Transit { line, from, to, board_s, alight_s } => println!(
+            Leg::Transit {
+                line,
+                from,
+                to,
+                board_s,
+                alight_s,
+            } => println!(
                 "    transit line {:?} {:?} -> {:?} ({:.1} min)",
                 line,
                 from,
                 to,
                 (alight_s - board_s) / 60.0
             ),
-            Leg::SharedRide { board_s, alight_s, .. } => {
+            Leg::SharedRide {
+                board_s, alight_s, ..
+            } => {
                 println!("    XAR ride ({:.1} min)", (alight_s - board_s) / 60.0)
             }
         }
@@ -52,11 +73,20 @@ fn describe(plan: &TripPlan, label: &str) {
 
 fn main() {
     let graph = Arc::new(CityConfig::manhattan(50, 50, 99).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 1_200, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 1_200,
+            ..Default::default()
+        },
+    );
     let region = Arc::new(RegionIndex::build(
         Arc::clone(&graph),
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(250.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(250.0),
+            ..Default::default()
+        },
     ));
 
     // Sparse transit: long headways mean painful waits — the scenario
@@ -72,7 +102,11 @@ fn main() {
         },
     );
     let router = TransitRouter::new(&graph, &net, WalkParams::default());
-    println!("transit: {} stops, {} lines", net.stop_count(), net.line_count());
+    println!(
+        "transit: {} stops, {} lines",
+        net.stop_count(),
+        net.line_count()
+    );
 
     // Populate XAR with commuter ride offers.
     let mut xar = XarEngine::new(Arc::clone(&region), EngineConfig::default());
@@ -84,7 +118,9 @@ fn main() {
             destination: graph.point(NodeId((i * 197 + n / 2) % n)),
             departure_s: 8.0 * 3600.0 + f64::from(i) * 45.0,
             seats: 3,
-            detour_limit_m: 4_000.0, driver: None, via: Vec::new(),
+            detour_limit_m: 4_000.0,
+            driver: None,
+            via: Vec::new(),
         };
         created += usize::from(xar.create_ride(&offer).is_ok());
     }
@@ -95,15 +131,30 @@ fn main() {
     let destination = graph.point(NodeId(n - 11));
     let depart = 8.0 * 3600.0 + 600.0;
 
-    let base = router.plan(&origin, &destination, depart).expect("transit plan exists");
+    let base = router
+        .plan(&origin, &destination, depart)
+        .expect("transit plan exists");
     describe(&base, "\n[PT only]  ");
     let bad = base.infeasible_legs(1_000.0, 600.0);
-    println!("    -> {} infeasible leg(s) under the 1 km / 10 min thresholds", bad.len());
+    println!(
+        "    -> {} infeasible leg(s) under the 1 km / 10 min thresholds",
+        bad.len()
+    );
 
     // Aider mode.
-    let aided = aid_plan(&base, destination, &net, &router, &mut xar, &AiderConfig::default());
+    let aided = aid_plan(
+        &base,
+        destination,
+        &net,
+        &router,
+        &mut xar,
+        &AiderConfig::default(),
+    );
     describe(&aided.plan, "\n[Aider]    ");
-    println!("    -> {} segment(s) replaced by shared rides, {} unresolved", aided.replaced, aided.unresolved);
+    println!(
+        "    -> {} segment(s) replaced by shared rides, {} unresolved",
+        aided.replaced, aided.unresolved
+    );
 
     // Enhancer mode (on the original plan, fresh engine view).
     let enhanced = enhance_plan(
@@ -121,6 +172,9 @@ fn main() {
             "    -> substituted hop segment ({i}, {j}) after {} XAR searches",
             enhanced.searches
         ),
-        None => println!("    -> no substitution improved the plan ({} searches)", enhanced.searches),
+        None => println!(
+            "    -> no substitution improved the plan ({} searches)",
+            enhanced.searches
+        ),
     }
 }

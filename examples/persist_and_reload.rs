@@ -18,11 +18,20 @@ fn main() -> std::io::Result<()> {
     // ---- Pre-processing (run once per region) ----
     let t0 = Instant::now();
     let graph = Arc::new(CityConfig::manhattan(50, 50, 77).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 1_200, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 1_200,
+            ..Default::default()
+        },
+    );
     let region = RegionIndex::build(
         Arc::clone(&graph),
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(250.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(250.0),
+            ..Default::default()
+        },
     );
     let build_time = t0.elapsed();
     region.save(&path)?;
@@ -34,7 +43,11 @@ fn main() -> std::io::Result<()> {
         region.cluster_count(),
         region.epsilon_m()
     );
-    println!("persisted to {} ({:.1} KiB)", path.display(), file_size as f64 / 1024.0);
+    println!(
+        "persisted to {} ({:.1} KiB)",
+        path.display(),
+        file_size as f64 / 1024.0
+    );
     drop(region);
     drop(graph);
 
@@ -72,7 +85,10 @@ fn main() -> std::io::Result<()> {
             5,
         )
         .expect("serviceable");
-    println!("search on the reloaded region returned {} match(es)", matches.len());
+    println!(
+        "search on the reloaded region returned {} match(es)",
+        matches.len()
+    );
 
     std::fs::remove_file(&path).ok();
     Ok(())

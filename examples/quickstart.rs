@@ -17,16 +17,29 @@ fn main() {
     //    generator builds a Manhattan-style lattice with one-ways,
     //    avenues and streets.)
     let graph = Arc::new(CityConfig::manhattan(40, 40, 7).generate());
-    println!("city: {} intersections, {} road segments", graph.node_count(), graph.edge_count());
+    println!(
+        "city: {} intersections, {} road segments",
+        graph.node_count(),
+        graph.edge_count()
+    );
 
     // 2. Pre-processing (paper §IV-§V): sample POIs, filter landmarks,
     //    cluster them with the GREEDYSEARCH bicriteria algorithm
     //    (δ = 250 m ⇒ every intra-cluster distance ≤ 4δ = 1 km).
-    let pois = sample_pois(&graph, &PoiConfig { count: 800, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 800,
+            ..Default::default()
+        },
+    );
     let region = Arc::new(RegionIndex::build(
         Arc::clone(&graph),
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(250.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(250.0),
+            ..Default::default()
+        },
     ));
     println!(
         "discretization: {} landmarks -> {} clusters, realised epsilon = {:.0} m",
@@ -46,7 +59,9 @@ fn main() {
         destination: graph.point(NodeId(n - 1)),
         departure_s: 8.0 * 3600.0,
         seats: 3,
-        detour_limit_m: 3_000.0, driver: None, via: Vec::new(),
+        detour_limit_m: 3_000.0,
+        driver: None,
+        via: Vec::new(),
     };
     let ride_id = engine.create_ride(&offer).expect("routable offer");
     let ride = engine.ride(ride_id).unwrap();
@@ -67,7 +82,10 @@ fn main() {
         walk_limit_m: 800.0,
     };
     let matches = engine.search(&request, 5).expect("serviceable request");
-    println!("\nsearch returned {} match(es) — no shortest path was computed:", matches.len());
+    println!(
+        "\nsearch returned {} match(es) — no shortest path was computed:",
+        matches.len()
+    );
     for m in &matches {
         println!(
             "  ride {:?}: walk {:.0} m, pick-up {} at cluster {:?}, est. detour {:.0} m",
@@ -102,9 +120,18 @@ fn main() {
         engine.ride(ride_id).unwrap().pass_clusters.len()
     );
     let status = engine.track_ride(ride_id, arrival + 1.0).unwrap();
-    println!("at {}: ride {:?} -> {status:?}, index entries left: {}", hhmm(arrival), ride_id, engine.index().len());
+    println!(
+        "at {}: ride {:?} -> {status:?}, index entries left: {}",
+        hhmm(arrival),
+        ride_id,
+        engine.index().len()
+    );
 }
 
 fn hhmm(s: f64) -> String {
-    format!("{:02}:{:02}", (s / 3600.0) as u32, ((s % 3600.0) / 60.0) as u32)
+    format!(
+        "{:02}:{:02}",
+        (s / 3600.0) as u32,
+        ((s % 3600.0) / 60.0) as u32
+    )
 }

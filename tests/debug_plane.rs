@@ -30,11 +30,20 @@ fn offer(graph: &Arc<RoadGraph>, i: u32) -> RideOffer {
 #[test]
 fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     let graph = Arc::new(CityConfig::manhattan(16, 16, 7).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 128, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 128,
+            ..Default::default()
+        },
+    );
     let region = Arc::new(RegionIndex::build(
         Arc::clone(&graph),
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::FixedCount(12), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::FixedCount(12),
+            ..Default::default()
+        },
     ));
     let engine = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 4);
 
@@ -73,11 +82,16 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
         .map(|(key, v)| count(v).unwrap_or_else(|| panic!("{key} has no count")))
         .collect();
     assert_eq!(per_shard.len(), 4, "{json}");
-    let total = doc.get("lock.write_hold_ns").and_then(count).expect("aggregate write holds");
+    let total = doc
+        .get("lock.write_hold_ns")
+        .and_then(count)
+        .expect("aggregate write holds");
     assert!(total > 0, "{json}");
     assert_eq!(per_shard.iter().sum::<u64>(), total, "{json}");
 
     // The shard map adds up.
-    let rides: usize = (0..4).map(|s| engine.with_shard_read(s, |e| e.ride_count())).sum();
+    let rides: usize = (0..4)
+        .map(|s| engine.with_shard_read(s, |e| e.ride_count()))
+        .sum();
     assert_eq!(rides, engine.ride_count());
 }

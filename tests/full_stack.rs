@@ -16,11 +16,20 @@ fn city() -> Arc<xhare_a_ride::roadnet::RoadGraph> {
 }
 
 fn region(graph: &Arc<xhare_a_ride::roadnet::RoadGraph>) -> Arc<RegionIndex> {
-    let pois = sample_pois(graph, &PoiConfig { count: 900, ..Default::default() });
+    let pois = sample_pois(
+        graph,
+        &PoiConfig {
+            count: 900,
+            ..Default::default()
+        },
+    );
     Arc::new(RegionIndex::build(
         Arc::clone(graph),
         &pois,
-        RegionConfig { cluster_goal: ClusterGoal::Delta(200.0), ..Default::default() },
+        RegionConfig {
+            cluster_goal: ClusterGoal::Delta(200.0),
+            ..Default::default()
+        },
     ))
 }
 
@@ -28,12 +37,21 @@ fn region(graph: &Arc<xhare_a_ride::roadnet::RoadGraph>) -> Arc<RegionIndex> {
 fn end_to_end_day_preserves_every_invariant() {
     let graph = city();
     let reg = region(&graph);
-    let trips = generate_trips(&graph, &TripGenConfig { count: 800, ..Default::default() });
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: 800,
+            ..Default::default()
+        },
+    );
     let mut backend = XarBackend::new(XarEngine::new(Arc::clone(&reg), EngineConfig::default()));
     let report = run_simulation(&mut backend, &trips, &SimConfig::default());
 
     // Conservation: every trip is accounted for.
-    assert_eq!(report.booked + report.created + report.unservable, trips.len() as u64);
+    assert_eq!(
+        report.booked + report.created + report.unservable,
+        trips.len() as u64
+    );
 
     let eng = &backend.engine;
     // Invariant 1: seats never negative, bookings per ride <= offered seats.
@@ -82,17 +100,35 @@ fn quality_guarantee_holds_across_a_day() {
     let graph = city();
     let reg = region(&graph);
     let eps = reg.epsilon_m();
-    let trips = generate_trips(&graph, &TripGenConfig { count: 600, seed: 5, ..Default::default() });
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: 600,
+            seed: 5,
+            ..Default::default()
+        },
+    );
     let mut backend = XarBackend::new(XarEngine::new(reg, EngineConfig::default()));
     let report = run_simulation(&mut backend, &trips, &SimConfig::default());
-    assert!(report.booked > 20, "not enough bookings to evaluate quality");
+    assert!(
+        report.booked > 20,
+        "not enough bookings to evaluate quality"
+    );
     // The limit-excess distribution must be overwhelmingly within the
     // theorem's neighbourhood: median 0, majority below eps.
     let excess = &report.detour_excess_m;
     let zero = excess.iter().filter(|&&e| e == 0.0).count() as f64 / excess.len() as f64;
     let within_eps = excess.iter().filter(|&&e| e <= eps).count() as f64 / excess.len() as f64;
-    assert!(zero >= 0.5, "limit held for only {:.0}% of bookings", zero * 100.0);
-    assert!(within_eps >= 0.8, "only {:.0}% within eps", within_eps * 100.0);
+    assert!(
+        zero >= 0.5,
+        "limit held for only {:.0}% of bookings",
+        zero * 100.0
+    );
+    assert!(
+        within_eps >= 0.8,
+        "only {:.0}% within eps",
+        within_eps * 100.0
+    );
 }
 
 #[test]
@@ -102,18 +138,31 @@ fn xar_and_tshare_find_overlapping_supply() {
     // grid baseline finds dozens, nor vice versa.
     let graph = city();
     let reg = region(&graph);
-    let trips = generate_trips(&graph, &TripGenConfig { count: 500, seed: 6, ..Default::default() });
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: 500,
+            seed: 6,
+            ..Default::default()
+        },
+    );
 
     let mut xar = XarBackend::new(XarEngine::new(reg, EngineConfig::default()));
     let rx = run_simulation(&mut xar, &trips, &SimConfig::default());
     let mut ts = TShareBackend::new(TShareEngine::new(
         Arc::clone(&graph),
-        TShareConfig { grid_cell_m: 500.0, ..Default::default() },
+        TShareConfig {
+            grid_cell_m: 500.0,
+            ..Default::default()
+        },
     ));
     let rt = run_simulation(&mut ts, &trips, &SimConfig::default());
 
     let (sx, st) = (rx.share_rate(), rt.share_rate());
-    assert!(sx > 0.05 && st > 0.05, "share rates collapsed: XAR {sx:.2}, T-Share {st:.2}");
+    assert!(
+        sx > 0.05 && st > 0.05,
+        "share rates collapsed: XAR {sx:.2}, T-Share {st:.2}"
+    );
     assert!(
         (sx - st).abs() < 0.5,
         "systems disagree wildly on supply: XAR {sx:.2} vs T-Share {st:.2}"
@@ -127,10 +176,20 @@ fn search_latency_dominates_baseline_by_an_order_of_magnitude() {
     // be at least 10x cheaper than T-Share's on the same workload.
     let graph = city();
     let reg = region(&graph);
-    let trips = generate_trips(&graph, &TripGenConfig { count: 400, seed: 7, ..Default::default() });
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: 400,
+            seed: 7,
+            ..Default::default()
+        },
+    );
     let mut xar = XarBackend::new(XarEngine::new(reg, EngineConfig::default()));
     let rx = run_simulation(&mut xar, &trips, &SimConfig::default());
-    let mut ts = TShareBackend::new(TShareEngine::new(Arc::clone(&graph), TShareConfig::default()));
+    let mut ts = TShareBackend::new(TShareEngine::new(
+        Arc::clone(&graph),
+        TShareConfig::default(),
+    ));
     let rt = run_simulation(&mut ts, &trips, &SimConfig::default());
     assert!(
         rt.total_search_s() > 10.0 * rx.total_search_s(),
@@ -144,11 +203,22 @@ fn search_latency_dominates_baseline_by_an_order_of_magnitude() {
 fn tracking_keeps_index_bounded_over_the_day() {
     let graph = city();
     let reg = region(&graph);
-    let trips = generate_trips(&graph, &TripGenConfig { count: 700, seed: 8, ..Default::default() });
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: 700,
+            seed: 8,
+            ..Default::default()
+        },
+    );
     let mut backend = XarBackend::new(XarEngine::new(reg, EngineConfig::default()));
     let _ = run_simulation(&mut backend, &trips, &SimConfig::default());
     // Sweep far past the last arrival: everything must retire.
     backend.engine.track_all(86_400.0 * 2.0);
-    assert_eq!(backend.engine.ride_count(), 0, "rides outlived their routes");
+    assert_eq!(
+        backend.engine.ride_count(),
+        0,
+        "rides outlived their routes"
+    );
     assert_eq!(backend.engine.index().len(), 0, "index entries leaked");
 }

@@ -30,7 +30,13 @@ fn next(state: &mut u64) -> u64 {
 #[test]
 fn region_router_returns_dijkstras_path_bit_for_bit() {
     let graph = Arc::new(CityConfig::manhattan(40, 40, 0xC17).generate());
-    let pois = sample_pois(&graph, &PoiConfig { count: 800, ..Default::default() });
+    let pois = sample_pois(
+        &graph,
+        &PoiConfig {
+            count: 800,
+            ..Default::default()
+        },
+    );
     let region = RegionIndex::build(
         Arc::clone(&graph),
         &pois,
@@ -48,13 +54,29 @@ fn region_router_returns_dijkstras_path_bit_for_bit() {
     let mut self_pairs = 0;
     for k in 0..PAIRS {
         let a = NodeId((next(&mut state) % n) as u32);
-        let b = if k % SELF_EVERY == 0 { a } else { NodeId((next(&mut state) % n) as u32) };
+        let b = if k % SELF_EVERY == 0 {
+            a
+        } else {
+            NodeId((next(&mut state) % n) as u32)
+        };
         self_pairs += usize::from(a == b);
-        let want = oracle.path(a, b).expect("the lattice is strongly connected");
-        let got = router.path(a, b).expect("the router reaches what Dijkstra reaches");
+        let want = oracle
+            .path(a, b)
+            .expect("the lattice is strongly connected");
+        let got = router
+            .path(a, b)
+            .expect("the router reaches what Dijkstra reaches");
         assert_eq!(got.nodes, want.nodes, "{a:?} -> {b:?}: node sequence");
-        assert_eq!(got.dist_m.to_bits(), want.dist_m.to_bits(), "{a:?} -> {b:?}: dist_m");
-        assert_eq!(got.time_s.to_bits(), want.time_s.to_bits(), "{a:?} -> {b:?}: time_s");
+        assert_eq!(
+            got.dist_m.to_bits(),
+            want.dist_m.to_bits(),
+            "{a:?} -> {b:?}: dist_m"
+        );
+        assert_eq!(
+            got.time_s.to_bits(),
+            want.time_s.to_bits(),
+            "{a:?} -> {b:?}: time_s"
+        );
         if a == b {
             assert_eq!((got.nodes.as_slice(), got.dist_m), ([a].as_slice(), 0.0));
         }

@@ -6,7 +6,13 @@
 //! cap, matching modified to return *all* matches. We run the same
 //! protocol at a configurable scale and print the percentile rows of
 //! all three sub-figures.
+//!
+//! Exits non-zero when the figure loses its shape: T-Share's search
+//! must take at least [`MIN_SEARCH_RATIO_P90`]× XAR's at p90 (4a), and
+//! XAR's create and book p50s must be within [`MAX_P50_FACTOR`]× of
+//! T-Share's, either way round (4b, 4c).
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use xar_bench::{fmt_time_s, header, row, scale_arg, BenchCity};
@@ -48,7 +54,38 @@ fn faster_at_p50(op: &str, xar: &[u64], tshare: &[u64]) -> String {
     }
 }
 
-fn main() {
+/// Least T-Share ÷ XAR search time at p90.
+const MIN_SEARCH_RATIO_P90: f64 = 10.0;
+
+/// Largest factor between XAR's and T-Share's create (and book) p50,
+/// in either direction.
+const MAX_P50_FACTOR: f64 = 10.0;
+
+/// The shape claims that fail, one line each. A ratio that is NaN (no
+/// samples) fails too.
+fn shape_failures(rx: &SimReport, rt: &SimReport) -> Vec<String> {
+    let mut failed = Vec::new();
+    let search = percentile_ns(&rt.search_ns, 90.0) / percentile_ns(&rx.search_ns, 90.0);
+    if !(MIN_SEARCH_RATIO_P90..=f64::INFINITY).contains(&search) {
+        failed.push(format!(
+            "4a: T-Share / XAR search at p90 is {search:.1}x, below {MIN_SEARCH_RATIO_P90}x"
+        ));
+    }
+    for (sub, op, x, t) in [
+        ("4b", "create", &rx.create_ns, &rt.create_ns),
+        ("4c", "book", &rx.book_ns, &rt.book_ns),
+    ] {
+        let r = percentile_ns(x, 50.0) / percentile_ns(t, 50.0);
+        if !(1.0 / MAX_P50_FACTOR..=MAX_P50_FACTOR).contains(&r) {
+            failed.push(format!(
+                "{sub}: XAR / T-Share {op} at p50 is {r:.2}x, not within {MAX_P50_FACTOR}x"
+            ));
+        }
+    }
+    failed
+}
+
+fn main() -> ExitCode {
     let scale = scale_arg();
     println!("# Figure 4 — XAR vs T-Share: search / create / book (scale {scale})\n");
     let city = BenchCity::standard();
@@ -107,4 +144,14 @@ fn main() {
         fmt_time_s(rx.total_book_s()),
         fmt_time_s(rt.total_book_s()),
     );
+
+    let failed = shape_failures(&rx, &rt);
+    if failed.is_empty() {
+        println!("shape check passed: search p90 ratio >= {MIN_SEARCH_RATIO_P90}x, create and book p50 within {MAX_P50_FACTOR}x");
+        return ExitCode::SUCCESS;
+    }
+    for f in &failed {
+        eprintln!("shape check failed: {f}");
+    }
+    ExitCode::FAILURE
 }

@@ -2,11 +2,12 @@
 //! engine state the search / booking / tracking operations act on.
 //!
 //! Search reads the engine's cluster index and nothing else: each row
-//! carries its ride's remaining detour budget ([`crate::index`]), so a
-//! shard of [`crate::sharded`] is searched under its read lock without
-//! touching the ride records.
+//! carries its ride's remaining detour budget ([`crate::index`]), so
+//! search never touches the ride records.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use xar_discretize::{ClusterId, RegionIndex};
@@ -160,54 +161,33 @@ impl EngineStats {
 pub struct XarEngine {
     region: Arc<RegionIndex>,
     config: EngineConfig,
-    rides: HashMap<RideId, Ride>,
+    rides: RideMap,
     index: ClusterIndex,
     next_id: u64,
-    id_stride: u64,
     pub(crate) stats: EngineStats,
     pub(crate) metrics: EngineMetrics,
 }
 
-impl XarEngine {
-    /// Create an engine over a pre-processed region.
-    pub fn new(region: Arc<RegionIndex>, config: EngineConfig) -> Self {
-        Self::with_metrics(region, config, EngineMetrics::new())
-    }
+/// The ride table. The engine assigns every key, so nothing outside
+/// the program picks them, and a fixed hasher makes the table's layout,
+/// its capacity and the order tracking visits the rides in repeat from
+/// run to run — and with them [`XarEngine::heap_bytes`].
+type RideMap = HashMap<RideId, Ride, BuildHasherDefault<DefaultHasher>>;
 
-    /// Create an engine recording into caller-supplied metrics (for
-    /// sharing one registry across engines or with a bench harness).
-    pub fn with_metrics(
-        region: Arc<RegionIndex>,
-        config: EngineConfig,
-        metrics: EngineMetrics,
-    ) -> Self {
-        let index = ClusterIndex::new(region.cluster_count());
-        let stats = EngineStats::from_registry(&metrics.registry());
+impl XarEngine {
+    /// Create an engine over a pre-processed region. Ride ids are
+    /// dense: 1, 2, 3, … in creation order.
+    pub fn new(region: Arc<RegionIndex>, config: EngineConfig) -> Self {
+        let metrics = EngineMetrics::new();
         Self {
+            index: ClusterIndex::new(region.cluster_count()),
+            stats: EngineStats::from_registry(&metrics.registry()),
             region,
             config,
-            rides: HashMap::new(),
-            index,
+            rides: RideMap::default(),
             next_id: 1,
-            id_stride: 1,
-            stats,
             metrics,
         }
-    }
-
-    /// Restrict this engine to the id arithmetic progression
-    /// `start, start + stride, start + 2·stride, …` — the sharding
-    /// layer gives shard `i` of `n` the sequence `(i+1, n)` so ride ids
-    /// stay globally unique and `(id − 1) mod n` recovers the owning
-    /// shard without any lookup.
-    pub(crate) fn set_id_sequence(&mut self, start: u64, stride: u64) {
-        debug_assert!(stride >= 1 && start >= 1);
-        debug_assert!(
-            self.rides.is_empty(),
-            "id sequence must be set before any ride exists"
-        );
-        self.next_id = start;
-        self.id_stride = stride;
     }
 
     /// The region discretization the engine runs on.
@@ -276,6 +256,12 @@ impl XarEngine {
         if !offer.departure_s.is_finite() {
             return Err(XarError::InvalidRequest("departure time must be finite"));
         }
+        let mut stops = std::iter::once(&offer.source)
+            .chain(&offer.via)
+            .chain([&offer.destination]);
+        if !stops.all(crate::request::finite) {
+            return Err(XarError::InvalidRequest("coordinates must be finite"));
+        }
         // The stop sequence: source, any driver-declared alternate-route
         // points ("unless the user has explicitly specified an alternate
         // route", §VI), destination. The route is the concatenation of
@@ -330,7 +316,7 @@ impl XarEngine {
         via_points.last_mut().expect("two or more stops").route_idx = final_idx;
 
         let id = RideId(self.next_id);
-        self.next_id += self.id_stride;
+        self.next_id += 1;
         let mut ride = Ride {
             id,
             source: offer.source,
@@ -496,7 +482,7 @@ impl XarEngine {
 
     /// Mutable access to the ride table (crate-internal: booking and
     /// tracking).
-    pub(crate) fn rides_mut(&mut self) -> &mut HashMap<RideId, Ride> {
+    pub(crate) fn rides_mut(&mut self) -> &mut RideMap {
         &mut self.rides
     }
 
@@ -532,16 +518,9 @@ impl XarEngine {
     /// Figure 3c reports (the paper measured it with the Classmexer JVM
     /// agent; we account our own structures exactly).
     pub fn heap_bytes(&self) -> usize {
-        self.region.heap_bytes() + self.heap_bytes_runtime()
-    }
-
-    /// Heap bytes of the mutable runtime state only (cluster index +
-    /// ride records), excluding the shared immutable region tables —
-    /// what a shard contributes on top of the `Arc`'d discretization.
-    pub fn heap_bytes_runtime(&self) -> usize {
         let rides: usize = self.rides.values().map(|r| r.heap_bytes()).sum();
         let ride_map = (self.rides.capacity() as f64 * 1.1) as usize
             * (std::mem::size_of::<(RideId, Ride)>() + 8);
-        self.index.heap_bytes() + rides + ride_map
+        self.region.heap_bytes() + self.index.heap_bytes() + rides + ride_map
     }
 }

@@ -20,9 +20,10 @@
 //!   ride from the potential lists of clusters it can no longer serve.
 //!
 //! The entry point is [`engine::XarEngine`];
-//! [`sharded::ShardedXarEngine`] runs one per shard, each behind its
-//! own `RwLock`, and search reads every shard's live
-//! [`index::ClusterIndex`] under its read lock. All four operations are instrumented through
+//! [`sharded::ShardedXarEngine`] is the same engine as a clonable,
+//! thread-safe handle behind one `RwLock`: search reads the live
+//! [`index::ClusterIndex`] under the read lock, and every write takes
+//! the write lock. All four operations are instrumented through
 //! [`metrics::EngineMetrics`] (an `xar-obs` registry), so latency
 //! percentiles come for free:
 //!
@@ -80,5 +81,5 @@ pub use metrics::EngineMetrics;
 pub use request::RideRequest;
 pub use ride::{Ride, RideId, RideOffer, RideStatus, RiderId};
 pub use search::{RideMatch, SearchExplain};
-pub use sharded::{ShardedXarEngine, DEFAULT_SHARDS, MAX_SHARDS};
+pub use sharded::ShardedXarEngine;
 pub use social::SocialGraph;

@@ -16,7 +16,7 @@
 //! | `engine.track_ns` | histogram | ns per tracking advance |
 //! | `engine.search_candidates` | histogram | rides in the R1 candidate set per search |
 //! | `engine.sp_ns` | histogram | ns per shortest-path computation (create/book only) |
-//! | `lock.write_hold_ns` | histogram | shard write-lock hold time (create/book/track; sharded engine, also per `{shard}`) |
+//! | `lock.write_hold_ns` | histogram | ns the write lock of [`crate::ShardedXarEngine`] is held per create / book / track |
 //! | `engine.searches` / `creates` / `bookings` / `tracks` | counter | operation counts ([`crate::engine::EngineStats`]) |
 //! | `engine.shortest_paths` | counter | shortest-path computations (create/book — never search) |
 //!

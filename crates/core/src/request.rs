@@ -25,6 +25,9 @@ pub struct RideRequest {
 impl RideRequest {
     /// Validate the request parameters.
     pub fn validate(&self) -> Result<(), XarError> {
+        if !(finite(&self.source) && finite(&self.destination)) {
+            return Err(XarError::InvalidRequest("coordinates must be finite"));
+        }
         if !(self.window_start_s.is_finite() && self.window_end_s.is_finite()) {
             return Err(XarError::InvalidRequest("time window must be finite"));
         }
@@ -38,6 +41,12 @@ impl RideRequest {
         }
         Ok(())
     }
+}
+
+/// Whether both coordinates of `p` are finite. A NaN or infinite point
+/// would otherwise snap to a border grid cell and be served.
+pub(crate) fn finite(p: &GeoPoint) -> bool {
+    p.lat.is_finite() && p.lon.is_finite()
 }
 
 #[cfg(test)]
@@ -78,6 +87,18 @@ mod tests {
         let mut r = base();
         r.walk_limit_m = -1.0;
         assert!(r.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_coordinates_fail() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut r = base();
+            r.source.lat = bad;
+            assert!(matches!(r.validate(), Err(XarError::InvalidRequest(_))));
+            let mut r = base();
+            r.destination.lon = bad;
+            assert!(matches!(r.validate(), Err(XarError::InvalidRequest(_))));
+        }
     }
 
     #[test]

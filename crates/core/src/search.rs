@@ -18,7 +18,8 @@
 //! paths are computed anywhere on this path.**
 //!
 //! **How the two steps run here.** "Identify the grid" is
-//! [`RegionIndex::snap`], one read of the grid → way-point table; the
+//! [`RegionIndex::snap`](xar_discretize::RegionIndex::snap), one read
+//! of the grid → way-point table; the
 //! walkable clusters are one read of that way-point's list; and the
 //! intersection is one pass per side over a per-thread hash table keyed
 //! by ride — no id-sorted list, no tuples, no sort (DESIGN.md §5f). The
@@ -29,9 +30,9 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use xar_discretize::{ClusterId, LandmarkId, RegionIndex, WalkEntry};
+use xar_discretize::{ClusterId, LandmarkId, WalkEntry};
 
-use crate::engine::{EngineStats, XarEngine};
+use crate::engine::XarEngine;
 use crate::error::{Reason, XarError};
 use crate::index::{eta_range, ClusterIndex, PotentialRide};
 use crate::metrics::EngineMetrics;
@@ -41,8 +42,8 @@ use crate::ride::RideId;
 /// Per-search rejection attribution, filled alongside candidate
 /// generation: how many candidate rides each feasibility check turned
 /// away, plus the search tier. A plain `Copy` stack struct so the
-/// explained search path stays allocation-free (the sharded engine's
-/// zero-alloc guarantee covers it — see `tests/snapshot_alloc`).
+/// explained search path stays allocation-free (the zero-alloc
+/// guarantee covers it — see `tests/snapshot_alloc`).
 ///
 /// Each candidate ride in `R1` is classified exactly once: matched,
 /// or attributed to the *deepest* check any of its (source,
@@ -184,85 +185,70 @@ impl XarEngine {
         explain: &mut SearchExplain,
     ) -> Result<Vec<RideMatch>, XarError> {
         let mut out = Vec::new();
-        run_search(
-            self.region(),
-            &self.stats,
-            &self.metrics,
-            req,
-            limit,
-            &mut out,
-            explain,
-            |run| run.collect_matches(self.index()),
-        )?;
+        self.search_into_explained(req, limit, &mut out, explain)?;
         Ok(out)
     }
-}
 
-/// Everything around candidate collection that every search does, once:
-/// validate, resolve both end-points' walkable clusters from the region
-/// tables (no lock, no shortest path), pick the latency tier, let
-/// `probe` run [`SearchRun::collect_matches`] over whichever indexes the
-/// engine keeps, then sort, truncate and record. `out` and `explain`
-/// are reset first; on error `explain` carries the hard [`Reason`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_search(
-    region: &RegionIndex,
-    stats: &EngineStats,
-    metrics: &EngineMetrics,
-    req: &RideRequest,
-    limit: usize,
-    out: &mut Vec<RideMatch>,
-    explain: &mut SearchExplain,
-    probe: impl FnOnce(&mut SearchRun<'_>),
-) -> Result<(), XarError> {
-    out.clear();
-    *explain = SearchExplain::default();
-    if let Err(e) = req.validate() {
-        explain.hard = Some(e.reason());
-        return Err(e);
+    /// The one search: validate, resolve both end-points' walkable
+    /// clusters from the region tables (no shortest path), pick the
+    /// latency tier, run [`SearchRun::collect_matches`] over the index,
+    /// then sort, truncate and record. `out` and `explain` are reset
+    /// first; on error `explain` carries the hard [`Reason`].
+    pub(crate) fn search_into_explained(
+        &self,
+        req: &RideRequest,
+        limit: usize,
+        out: &mut Vec<RideMatch>,
+        explain: &mut SearchExplain,
+    ) -> Result<(), XarError> {
+        out.clear();
+        *explain = SearchExplain::default();
+        if let Err(e) = req.validate() {
+            explain.hard = Some(e.reason());
+            return Err(e);
+        }
+        self.stats.searches.inc();
+        let metrics = &self.metrics;
+        let region = self.region();
+        let t0 = Instant::now();
+        let _span = xar_obs::SpanTimer::new(Arc::clone(&metrics.search_ns));
+        let mut tspan = xar_obs::trace::span("search");
+        let src_walkable = region.walkable_within(region.snap(&req.source), req.walk_limit_m);
+        let dst_walkable = region.walkable_within(region.snap(&req.destination), req.walk_limit_m);
+        if src_walkable.is_empty() || dst_walkable.is_empty() {
+            explain.hard = Some(Reason::NotServable);
+            return Err(XarError::NotServable);
+        }
+        // Tiered latency series: fan-out (walkable clusters on the source
+        // side) is the main cost driver, so the per-tier p99s separate
+        // "cheap" from "wide" searches in the metrics file. Unservable
+        // searches (above) carry no tier.
+        let tier = EngineMetrics::tier_index(src_walkable.len());
+        explain.tier = tier as u8 + 1;
+
+        // One search runs at a time per thread, so the borrow never nests.
+        SCRATCH.with(|scratch| {
+            SearchRun {
+                src_walkable,
+                dst_walkable,
+                req,
+                scratch: &mut scratch.borrow_mut(),
+                out,
+                explain,
+                traced: tspan.is_recording(),
+            }
+            .collect_matches(self.index());
+        });
+        let candidates = u64::from(explain.candidates);
+        metrics.search_candidates.record(candidates);
+        tspan.attr("candidates", candidates);
+
+        sort_matches(out);
+        out.truncate(limit);
+        tspan.attr("matches", out.len());
+        metrics.search_ns_tier[tier].record(t0.elapsed().as_nanos() as u64);
+        Ok(())
     }
-    stats.searches.inc();
-    let t0 = Instant::now();
-    let _span = xar_obs::SpanTimer::new(Arc::clone(&metrics.search_ns));
-    let mut tspan = xar_obs::trace::span("search");
-    let src_walkable = region.walkable_within(region.snap(&req.source), req.walk_limit_m);
-    let dst_walkable = region.walkable_within(region.snap(&req.destination), req.walk_limit_m);
-    if src_walkable.is_empty() || dst_walkable.is_empty() {
-        explain.hard = Some(Reason::NotServable);
-        return Err(XarError::NotServable);
-    }
-    // Tiered latency series: fan-out (walkable clusters on the source
-    // side) is the main cost driver, so the per-tier p99s separate
-    // "cheap" from "wide" searches in the metrics file. Unservable
-    // searches (above) carry no tier.
-    let tier = EngineMetrics::tier_index(src_walkable.len());
-    explain.tier = tier as u8 + 1;
-
-    // One search runs at a time per thread, so the borrow never nests.
-    let probed = SCRATCH.with(|scratch| {
-        let mut run = SearchRun {
-            src_walkable,
-            dst_walkable,
-            req,
-            scratch: &mut scratch.borrow_mut(),
-            out,
-            explain,
-            traced: tspan.is_recording(),
-            probed: 0,
-        };
-        probe(&mut run);
-        run.probed
-    });
-    let candidates = u64::from(explain.candidates);
-    metrics.search_candidates.record(candidates);
-    tspan.attr("candidates", candidates);
-    tspan.attr("shards", u64::from(probed));
-
-    sort_matches(out);
-    out.truncate(limit);
-    tspan.attr("matches", out.len());
-    metrics.search_ns_tier[tier].record(t0.elapsed().as_nanos() as u64);
-    Ok(())
 }
 
 /// "the ride that incurs least walking for the requester is matched"
@@ -280,9 +266,8 @@ fn sort_matches(out: &mut [RideMatch]) {
     });
 }
 
-/// What the one search algorithm reads from an index: a
-/// [`ClusterIndex`] — the serial engine's or a shard's — or a
-/// hand-built list set in this module's tests.
+/// What the one search algorithm reads from an index: the engine's
+/// [`ClusterIndex`], or a hand-built list set in this module's tests.
 ///
 /// The contract that makes results bit-identical across views: a list
 /// is in **`(eta, ride)` order**, so a row's rank (walkable order × list
@@ -373,8 +358,8 @@ impl SearchScratch {
 
     /// The slot holding `ride`, or the stale slot that ends its probe
     /// sequence (one always exists: at most half the slots are live).
-    /// Ride ids are `start + k · stride` per shard, so the
-    /// multiplicative hash is what spreads them over the slots.
+    /// The multiplicative hash spreads ids that share low bits over the
+    /// slots.
     #[inline]
     fn probe(&self, ride: RideId) -> usize {
         let mask = self.slots.len() - 1;
@@ -444,24 +429,20 @@ thread_local! {
 }
 
 /// One search in flight: the request's resolved walkable clusters plus
-/// the buffers matches and attribution accumulate into. [`run_search`]
-/// builds it and hands it to the engine, which calls
-/// [`SearchRun::collect_matches`] once per index it wants probed.
-pub(crate) struct SearchRun<'a> {
+/// the buffers matches and attribution accumulate into.
+struct SearchRun<'a> {
     /// Walkable clusters of the request's source, nearest first.
-    pub(crate) src_walkable: &'a [WalkEntry],
+    src_walkable: &'a [WalkEntry],
     /// Walkable clusters of the request's destination.
-    pub(crate) dst_walkable: &'a [WalkEntry],
+    dst_walkable: &'a [WalkEntry],
     req: &'a RideRequest,
     scratch: &'a mut SearchScratch,
     out: &'a mut Vec<RideMatch>,
     explain: &'a mut SearchExplain,
-    /// Whether the enclosing `search` span records: the per-index
-    /// enumerate spans are opened only then, so a search with tracing
-    /// off does no span work per probed index.
+    /// Whether the enclosing `search` span records: the enumerate
+    /// spans are opened only then, so a search with tracing off does no
+    /// span work.
     traced: bool,
-    /// Indexes probed so far.
-    probed: u32,
 }
 
 impl SearchRun<'_> {
@@ -484,12 +465,9 @@ impl SearchRun<'_> {
     /// (`tests/properties.rs` holds that loop as the oracle), whatever
     /// order the pairings are evaluated in.
     ///
-    /// A ride's index entries live wholly within one index (its owning
-    /// shard), so probing several indexes and sorting once afterwards
-    /// is equivalent to searching their union. Allocation-free in
-    /// steady state: the scratch is reused and `out` is the caller's.
-    pub(crate) fn collect_matches<V: IndexView>(&mut self, view: &V) {
-        self.probed += 1;
+    /// Allocation-free in steady state: the scratch is reused and `out`
+    /// is the caller's.
+    fn collect_matches<V: IndexView>(self, view: &V) {
         let req = self.req;
         let scratch = &mut *self.scratch;
         scratch.begin();
@@ -659,7 +637,7 @@ mod tests {
             walk_limit_m: 350.0,
         };
         let (mut out, mut explain) = (Vec::new(), SearchExplain::default());
-        let mut run = SearchRun {
+        let run = SearchRun {
             src_walkable: src,
             dst_walkable: dst,
             req: &req,
@@ -667,7 +645,6 @@ mod tests {
             out: &mut out,
             explain: &mut explain,
             traced: false,
-            probed: 0,
         };
         run.collect_matches(view);
         (out, explain)
@@ -799,8 +776,8 @@ mod tests {
     fn table_doubles_under_load_and_finds_only_what_it_holds() {
         let mut s = SearchScratch::default();
         s.begin();
-        // Ride ids as a shard hands them out: start + k · stride.
-        let ids = |n: u64| (0..n).map(|k| RideId(3 + 8 * k));
+        // Ride ids as the engine hands them out: 1, 2, 3, …
+        let ids = |n: u64| (1..=n).map(RideId);
         for (k, ride) in ids(INITIAL_SLOTS as u64 / 2).enumerate() {
             s.add_source(&row(ride.0, k as f64, 0.0), 0);
         }
@@ -810,7 +787,7 @@ mod tests {
             (s.slots.len(), s.cands.len()),
             (INITIAL_SLOTS, INITIAL_SLOTS / 2)
         );
-        for absent in [0u64, 4, 3 + 8 * 1_000, u64::MAX] {
+        for absent in [0u64, 33, 1_000, u64::MAX] {
             assert_eq!(s.find(RideId(absent)), None);
         }
         // One more ride doubles it; every ride keeps its candidate, and
@@ -826,7 +803,7 @@ mod tests {
             assert_eq!(s.hits[cand.head as usize].row.ride, ride);
             assert_eq!(cand.head == cand.tail, k >= INITIAL_SLOTS / 2);
         }
-        assert_eq!(s.find(RideId(4)), None);
+        assert_eq!(s.find(RideId(201)), None);
         // The next search starts empty at the grown size.
         let slots = s.slots.len();
         s.begin();

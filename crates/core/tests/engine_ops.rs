@@ -273,14 +273,13 @@ fn booking_consumes_seats_until_full() {
 
 /// All matches of `req` on `eng` and their attribution.
 fn search_explained(eng: &ShardedXarEngine, req: &RideRequest) -> (Vec<RideMatch>, SearchExplain) {
-    let (mut out, mut explain) = (Vec::new(), SearchExplain::default());
-    let found = eng.search_into_explained(req, usize::MAX, &mut out, &mut explain);
-    found.unwrap();
-    (out, explain)
+    let mut explain = SearchExplain::default();
+    let found = eng.read().search_explained(req, usize::MAX, &mut explain);
+    (found.unwrap(), explain)
 }
 
 /// The booking that sells a ride's last seat de-lists it before the
-/// shard lock is released: the search that found the ride, run again
+/// write lock is released: the search that found the ride, run again
 /// after the filling `book_checked`, counts one candidate fewer and
 /// returns everything else unchanged, so no later search sees it.
 #[test]
@@ -288,7 +287,7 @@ fn the_filling_booking_leaves_every_published_snapshot() {
     let region = region();
     let g = Arc::clone(region.graph());
     let eng = ShardedXarEngine::new(region, EngineConfig::default(), 4);
-    // Three rides on one route, so one shard: the middle one has one seat.
+    // Three rides on one route: the middle one has one seat.
     let mut offer = cross_city_offer(&g);
     eng.create_ride(&offer).unwrap();
     (offer.departure_s, offer.seats) = (offer.departure_s + 60.0, 1);
@@ -306,12 +305,12 @@ fn the_filling_booking_leaves_every_published_snapshot() {
     let mut want = explain;
     want.candidates -= 1;
     assert_eq!(explain_after, want);
-    let shard = eng.shard_of_ride(id);
-    assert!(eng.with_shard_read(shard, |e| e.ride(id).unwrap().pass_clusters.is_empty()));
+    assert!(eng.read().ride(id).unwrap().pass_clusters.is_empty());
 }
 
-/// An offer with no seat is created but listed nowhere, on both
-/// engines: searches never count or return it, and booking it fails.
+/// An offer with no seat is created but listed nowhere, on the engine
+/// and through the handle: searches never count or return it, and
+/// booking it fails.
 #[test]
 fn a_zero_seat_offer_is_created_but_never_listed() {
     let region = region();
@@ -345,15 +344,10 @@ fn a_zero_seat_offer_is_created_but_never_listed() {
     assert_eq!(eng.index().len(), entries);
 
     let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 4);
-    let listing = || -> Vec<usize> {
-        (0..eng.shard_count())
-            .filter(|&s| !eng.with_shard_read(s, |e| e.index().is_empty()))
-            .collect()
-    };
     let zero = eng.create_ride(&zero_offer).unwrap();
-    assert_eq!(listing(), vec![], "a zero-seat offer is listed");
+    assert!(eng.read().index().is_empty(), "a zero-seat offer is listed");
     let open = eng.create_ride(&open_offer).unwrap();
-    assert_eq!(listing(), vec![eng.shard_of_ride(open)]);
+    assert!(!eng.read().index().is_empty());
     let (ms, explain) = search_explained(&eng, &req);
     assert_eq!((rides(&ms), explain.candidates), (vec![open], 1));
     stale = ms[0];

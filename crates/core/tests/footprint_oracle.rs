@@ -381,7 +381,11 @@ fn heap_stays_bounded_under_expiry_churn() {
             ));
         }
         for i in 0..6u32 {
-            if let Ok(ms) = eng.search(&request(cycle * 31 + i), 4) {
+            let mut ms = Vec::new();
+            if eng
+                .search_into(&request(cycle * 31 + i), 4, &mut ms)
+                .is_ok()
+            {
                 if let Some(mm) = ms.first() {
                     let _ = eng.book_checked(mm);
                 }

@@ -1,27 +1,28 @@
-//! Concurrency hammer + equivalence properties for the cluster-sharded
-//! engine.
+//! Concurrency hammers for the engine handle: one [`XarEngine`] behind
+//! one `RwLock`, shared by many threads.
 //!
-//! * **Hammer**: 8 threads of mixed search/book against a
-//!   [`ShardedXarEngine`] must never overbook a ride (seats booked ≤
-//!   capacity) and must never lose an update (the shared `engine.bookings`
-//!   counter equals the number of successful `book_checked` calls observed by
-//!   the threads).
-//! * **Equivalence**: for arbitrary create/search/book/track sequences,
-//!   the sharded engine returns the *same* matches as a serial
-//!   [`XarEngine`] fed the identical inputs — the shard split is an
-//!   implementation detail, invisible in results (this is what keeps
-//!   the paper's approximation guarantee intact, DESIGN.md §5e).
+//! * 8 threads of mixed search/book must never overbook a ride (seats
+//!   booked ≤ capacity) and must never lose an update (the shared
+//!   `engine.bookings` counter equals the number of successful
+//!   `book_checked` calls observed by the threads).
+//! * 8 threads of create/book beside an expiry churn conserve rides and
+//!   never serve an expired one.
+//! * 80 readers beside one writer all finish.
+//!
+//! That the handle decides exactly as the bare engine does is
+//! `tests/handle_equivalence.rs`.
+//!
+//! [`XarEngine`]: xar_core::XarEngine
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use proptest::prelude::*;
-use xar_core::{EngineConfig, RideMatch, RideOffer, RideRequest, ShardedXarEngine, XarEngine};
+use xar_core::{EngineConfig, RideMatch, RideOffer, RideRequest, ShardedXarEngine, XarError};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
 /// One shared region per test binary: building it is the expensive part
-/// and it is immutable (and shared lock-free by the sharded engine).
+/// and it is immutable.
 fn region() -> &'static Arc<RegionIndex> {
     use std::sync::OnceLock;
     static REGION: OnceLock<Arc<RegionIndex>> = OnceLock::new();
@@ -73,6 +74,16 @@ fn request(i: u32) -> RideRequest {
     }
 }
 
+/// Up to `limit` matches of `req` through the handle.
+fn search(
+    eng: &ShardedXarEngine,
+    req: &RideRequest,
+    limit: usize,
+) -> Result<Vec<RideMatch>, XarError> {
+    let mut out = Vec::new();
+    eng.search_into(req, limit, &mut out).map(|()| out)
+}
+
 /// 8 threads of mixed search/book: no overbooking, no lost updates.
 #[test]
 fn hammer_never_overbooks_and_loses_no_updates() {
@@ -101,7 +112,7 @@ fn hammer_never_overbooks_and_loses_no_updates() {
             scope.spawn(move || {
                 for j in 0..60u32 {
                     let req = request(t * 1_000 + j);
-                    let Ok(matches) = eng.search(&req, 4) else {
+                    let Ok(matches) = search(&eng, &req, 4) else {
                         continue;
                     };
                     for m in &matches {
@@ -136,7 +147,7 @@ fn hammer_never_overbooks_and_loses_no_updates() {
 
     // No lost updates: the shared counter saw exactly the successful
     // books, and search traffic was all counted.
-    let s = eng.stats().snapshot();
+    let s = eng.read().stats().snapshot();
     assert_eq!(s.bookings, booked_ok.load(Ordering::Relaxed));
     assert_eq!(s.searches, u64::from(THREADS) * 60);
     assert!(
@@ -148,7 +159,7 @@ fn hammer_never_overbooks_and_loses_no_updates() {
 /// 8 threads of create/book under concurrent expiry churn: ride
 /// accounting must conserve (creates − retirements = live rides) and
 /// search must never serve an expired ride — once a
-/// `track_all(now)` has returned (every shard's retirements done), no
+/// `track_all(now)` has returned (every retirement done), no
 /// later search may produce a match whose pickup ETA lies behind
 /// `now`. A shared watermark, advanced only *after* `track_all`
 /// returns, turns that into a per-match assertion; the slack absorbs
@@ -212,7 +223,7 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
                     }
 
                     let floor = f64::from_bits(watermark.load(Ordering::Acquire));
-                    if let Ok(ms) = eng.search(&request(seed), 4) {
+                    if let Ok(ms) = search(&eng, &request(seed), 4) {
                         for m in &ms {
                             assert!(
                                 m.eta_pickup_s >= floor - SLACK_S,
@@ -264,8 +275,8 @@ fn booking_storm_with_expiry_churn_conserves_rides() {
 }
 
 /// 80 reader threads search at once while one writer creates, books
-/// and tracks: every reader finishes (readers share each shard's read
-/// lock, and the writer takes its write lock between them), every match
+/// and tracks: every reader finishes (readers share the read lock, and
+/// the writer takes the write lock between them), every match
 /// it saw is well-formed, and rides are conserved.
 #[test]
 fn eighty_concurrent_readers_all_finish_beside_a_writer() {
@@ -303,7 +314,7 @@ fn eighty_concurrent_readers_all_finish_beside_a_writer() {
             match j % 3 {
                 0 => created += u64::from(eng.create_ride(&offer(100 + j, 3)).is_ok()),
                 1 => {
-                    if let Ok(ms) = eng.search(&request(j), 1) {
+                    if let Ok(ms) = search(&eng, &request(j), 1) {
                         let _ = ms.first().map(|m| eng.book_checked(m));
                     }
                 }
@@ -324,103 +335,4 @@ fn eighty_concurrent_readers_all_finish_beside_a_writer() {
         retired + eng.ride_count() as u64,
         "ride conservation broke"
     );
-}
-
-/// Strip engine-assigned ride ids so result sets from engines with
-/// different id sequences (serial: 1,2,3…; sharded: striped) compare
-/// structurally. `ride_ord` maps each engine's id to the creation-order
-/// index of the offer that produced it.
-fn anonymize(ms: &[RideMatch], ride_ord: impl Fn(u64) -> usize) -> Vec<(usize, String)> {
-    ms.iter()
-        .map(|m| {
-            (
-                ride_ord(m.ride.0),
-                format!(
-                    "p{}.{} d{}.{} w{:.3}/{:.3} t{:.1}/{:.1} det{:.3} s{}/{}",
-                    m.pickup_cluster.0,
-                    m.pickup_landmark.0,
-                    m.dropoff_cluster.0,
-                    m.dropoff_landmark.0,
-                    m.walk_pickup_m,
-                    m.walk_dropoff_m,
-                    m.eta_pickup_s,
-                    m.eta_dropoff_s,
-                    m.detour_est_m,
-                    m.pickup_seg,
-                    m.dropoff_seg
-                ),
-            )
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// The sharded engine is observationally equivalent to the serial
-    /// engine: same offers in, same matches out (sorted sets; the
-    /// global least-walk order may interleave ties differently), same
-    /// booking effects, same tracking retirements.
-    #[test]
-    fn sharded_equals_serial(
-        offer_seeds in proptest::collection::vec(0u32..10_000, 4..24),
-        search_seeds in proptest::collection::vec(0u32..10_000, 4..16),
-        track_at_min in 480u16..660,
-    ) {
-        let mut serial = XarEngine::new(Arc::clone(region()), EngineConfig::default());
-        let sharded = ShardedXarEngine::new(Arc::clone(region()), EngineConfig::default(), 4);
-
-        // Same offers into both; remember each engine's id per offer.
-        let mut serial_ids = std::collections::HashMap::new();
-        let mut sharded_ids = std::collections::HashMap::new();
-        for (ord, seed) in offer_seeds.iter().enumerate() {
-            let o = offer(*seed, 2);
-            let a = serial.create_ride(&o);
-            let b = sharded.create_ride(&o);
-            prop_assert_eq!(a.is_ok(), b.is_ok(), "create divergence on offer {}", ord);
-            if let (Ok(a), Ok(b)) = (a, b) {
-                serial_ids.insert(a.0, ord);
-                sharded_ids.insert(b.0, ord);
-            }
-        }
-        prop_assert_eq!(serial.ride_count(), sharded.ride_count());
-
-        // Same searches out of both — full result sets, then book the
-        // best match in both and require identical outcomes.
-        for seed in &search_seeds {
-            let req = request(*seed);
-            let a = serial.search(&req, usize::MAX);
-            let b = sharded.search(&req, usize::MAX);
-            prop_assert_eq!(a.is_err(), b.is_err(), "search errs must agree");
-            let (Ok(a), Ok(b)) = (a, b) else { continue };
-            let mut an = anonymize(&a, |id| serial_ids[&id]);
-            let mut bn = anonymize(&b, |id| sharded_ids[&id]);
-            an.sort();
-            bn.sort();
-            prop_assert_eq!(an, bn, "match sets diverge for request {}", seed);
-            // Book the serial engine's best match in both engines. The
-            // two engines may order exact walk/detour ties differently
-            // (the deterministic tiebreak is the ride id, and the id
-            // sequences differ by design), so the sharded twin of the
-            // ride is located by creation order rather than position.
-            if let Some(ma) = a.first() {
-                let ord = serial_ids[&ma.ride.0];
-                let mb = b.iter().find(|m| sharded_ids[&m.ride.0] == ord);
-                prop_assert!(mb.is_some(), "serial best ride missing from sharded results");
-                let mb = mb.unwrap();
-                let ra = serial.book_checked(ma);
-                let rb = sharded.book_checked(mb);
-                prop_assert_eq!(ra.is_ok(), rb.is_ok());
-                if let (Ok(ra), Ok(rb)) = (ra, rb) {
-                    prop_assert!((ra.actual_detour_m - rb.actual_detour_m).abs() < 1e-6);
-                    prop_assert!((ra.walk_total_m - rb.walk_total_m).abs() < 1e-6);
-                }
-            }
-        }
-
-        // Tracking retires the same rides at the same time.
-        let now = f64::from(track_at_min) * 60.0;
-        prop_assert_eq!(serial.track_all(now), sharded.track_all(now));
-        prop_assert_eq!(serial.ride_count(), sharded.ride_count());
-    }
 }

@@ -1,17 +1,17 @@
 //! Property-based tests of the runtime unit: search results are always
 //! feasible, search equals a brute-force reference — every match field
-//! and every attribution counter — on every storage layout, arbitrary
-//! operation sequences preserve the engine invariants, and the search's
-//! rejection attribution obeys one law on every storage layout.
+//! and every attribution counter, which classifies every candidate
+//! exactly once — and arbitrary operation sequences preserve the engine
+//! invariants.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use xar_core::{
     EngineConfig, EngineMetrics, Reason, RideMatch, RideOffer, RideRequest, SearchExplain,
-    ShardedXarEngine, XarEngine,
+    XarEngine,
 };
-use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex, WalkEntry};
+use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
 /// One shared region per test binary: building it is the expensive part
@@ -83,93 +83,22 @@ fn op_strategy(n_nodes: u32) -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The serial engine or a sharded one, behind the four calls a random
-/// session makes — so one schedule can drive every storage layout.
-enum AnyEngine {
-    Serial(Box<XarEngine>),
-    Sharded(ShardedXarEngine),
-}
-
-impl AnyEngine {
-    fn create(&mut self, offer: &RideOffer) -> Option<u64> {
-        match self {
-            AnyEngine::Serial(e) => e.create_ride(offer),
-            AnyEngine::Sharded(e) => e.create_ride(offer),
-        }
-        .ok()
-        .map(|id| id.0)
-    }
-
-    /// All matches plus the attribution; an erroring search has no
-    /// matches and carries its hard reason in the explain.
-    fn search(&self, req: &RideRequest) -> (Vec<RideMatch>, SearchExplain) {
-        let mut explain = SearchExplain::default();
-        let mut out = Vec::new();
-        match self {
-            AnyEngine::Serial(e) => {
-                out = e
-                    .search_explained(req, usize::MAX, &mut explain)
-                    .unwrap_or_default();
-            }
-            AnyEngine::Sharded(e) => {
-                let _ = e.search_into_explained(req, usize::MAX, &mut out, &mut explain);
-            }
-        }
-        (out, explain)
-    }
-
-    fn book(&mut self, m: &RideMatch) -> bool {
-        match self {
-            AnyEngine::Serial(e) => e.book_checked(m).is_ok(),
-            AnyEngine::Sharded(e) => e.book_checked(m).is_ok(),
-        }
-    }
-
-    fn track(&mut self, now_s: f64) -> usize {
-        match self {
-            AnyEngine::Serial(e) => e.track_all(now_s),
-            AnyEngine::Sharded(e) => e.track_all(now_s),
-        }
-    }
-
-    /// Visit every index a search of this engine probes: the engine's
-    /// own, or each shard's.
-    fn for_each_index(&self, mut f: impl FnMut(&XarEngine)) {
-        match self {
-            AnyEngine::Serial(e) => f(e),
-            AnyEngine::Sharded(e) => {
-                (0..e.shard_count()).for_each(|i| e.with_shard_read(i, &mut f));
-            }
-        }
-    }
-}
-
-/// The serial engine, a 1-shard and a `shards`-shard engine over one
-/// region, driven through one schedule. `check` sees every search: the
-/// request and, per layout, the engine and what it answered. A booking
-/// op then books the serial engine's best match in all three, locating
-/// each twin by creation ordinal (id sequences differ between layouts
-/// by design). Every index of every layout passes [`assert_invariants`]
-/// after every operation.
-fn run_layouts(
+/// Drive one engine through `ops`. `check` sees every search: the
+/// request, the engine and what it answered (all matches plus the
+/// attribution). A booking op then books the best match. The engine
+/// passes [`assert_invariants`] after every operation.
+fn run_schedule(
     ops: Vec<Op>,
-    shards: usize,
     mut check: impl FnMut(
         &RideRequest,
-        &[AnyEngine; 3],
-        &[(Vec<RideMatch>, SearchExplain); 3],
+        &XarEngine,
+        &[RideMatch],
+        &SearchExplain,
     ) -> Result<(), TestCaseError>,
 ) -> Result<(), TestCaseError> {
     let g = graph();
     let n = g.node_count() as u32;
-    let cfg = EngineConfig::default;
-    let mut engines = [
-        AnyEngine::Serial(Box::new(XarEngine::new(Arc::clone(region()), cfg()))),
-        AnyEngine::Sharded(ShardedXarEngine::new(Arc::clone(region()), cfg(), 1)),
-        AnyEngine::Sharded(ShardedXarEngine::new(Arc::clone(region()), cfg(), shards)),
-    ];
-    let mut ords = [(); 3].map(|_| std::collections::HashMap::new());
-    let mut created = 0usize;
+    let mut eng = XarEngine::new(Arc::clone(region()), EngineConfig::default());
     for op in ops {
         match op {
             Op::Create {
@@ -179,7 +108,7 @@ fn run_layouts(
                 seats,
                 detour_km,
             } => {
-                let offer = RideOffer {
+                let _ = eng.create_ride(&RideOffer {
                     source: g.point(NodeId(src % n)),
                     destination: g.point(NodeId(dst % n)),
                     departure_s: f64::from(depart_min) * 60.0,
@@ -187,15 +116,7 @@ fn run_layouts(
                     detour_limit_m: f64::from(detour_km) * 1_000.0,
                     driver: None,
                     via: Vec::new(),
-                };
-                let ids = engines.each_mut().map(|e| e.create(&offer));
-                prop_assert!(ids.iter().all(|id| id.is_some() == ids[0].is_some()));
-                if ids[0].is_some() {
-                    for (ord, id) in ords.iter_mut().zip(ids) {
-                        ord.insert(id.unwrap(), created);
-                    }
-                    created += 1;
-                }
+                });
             }
             Op::SearchAndMaybeBook {
                 src,
@@ -211,46 +132,32 @@ fn run_layouts(
                     window_end_s: f64::from(at_min) * 60.0 + 3_600.0,
                     walk_limit_m: f64::from(walk_m),
                 };
-                let results = engines.each_ref().map(|e| e.search(&req));
-                check(&req, &engines, &results)?;
-                if let (true, Some(best)) = (book, results[0].0.first()) {
-                    let ord = ords[0][&best.ride.0];
-                    let mut booked = [false; 3];
-                    for i in 0..3 {
-                        let twin = results[i].0.iter().find(|m| ords[i][&m.ride.0] == ord);
-                        prop_assert!(twin.is_some(), "layout {} lost the serial best ride", i);
-                        booked[i] = engines[i].book(twin.unwrap());
-                    }
-                    prop_assert!(booked.iter().all(|&b| b == booked[0]));
+                let mut explain = SearchExplain::default();
+                let matches = eng
+                    .search_explained(&req, usize::MAX, &mut explain)
+                    .unwrap_or_default();
+                check(&req, &eng, &matches, &explain)?;
+                if let (true, Some(best)) = (book, matches.first()) {
+                    let _ = eng.book_checked(best);
                 }
             }
             Op::Track { at_min } => {
-                let retired = engines
-                    .each_mut()
-                    .map(|e| e.track(f64::from(at_min) * 60.0));
-                prop_assert!(retired.iter().all(|&r| r == retired[0]));
+                eng.track_all(f64::from(at_min) * 60.0);
             }
         }
-        for e in &engines {
-            e.for_each_index(assert_invariants);
-        }
+        assert_invariants(&eng);
     }
     Ok(())
 }
 
 /// The reference search — the algorithm `core::search` replaced, kept
-/// as the oracle: per probed index, a brute-force loop over (source
-/// walkable cluster, destination walkable cluster, ride) triples run
-/// **source-major**, a strictly better (walk, detour) displacing the
-/// pairing held, so the first of equals wins. It reads the index one
-/// `(cluster, ride)` entry at a time and shares no code with the
-/// search. The third field counts the `R1` rides a sharded search
-/// never sees (see below). `None` when an end-point has no walkable
-/// cluster.
-fn reference_search(
-    engine: &AnyEngine,
-    req: &RideRequest,
-) -> Option<(Vec<RideMatch>, SearchExplain, u32)> {
+/// as the oracle: a brute-force loop over (source walkable cluster,
+/// destination walkable cluster, ride) triples run **source-major**, a
+/// strictly better (walk, detour) displacing the pairing held, so the
+/// first of equals wins. It reads the index one `(cluster, ride)` entry
+/// at a time and shares no code with the search. `None` when an
+/// end-point has no walkable cluster.
+fn reference_search(eng: &XarEngine, req: &RideRequest) -> Option<(Vec<RideMatch>, SearchExplain)> {
     let reg = region();
     let src_w = reg.walkable_within(reg.snap(&req.source), req.walk_limit_m);
     let dst_w = reg.walkable_within(reg.snap(&req.destination), req.walk_limit_m);
@@ -262,101 +169,84 @@ fn reference_search(
         ..Default::default()
     };
     let mut out = Vec::new();
-    let mut skipped_r1 = 0;
-    // A sharded search never probes a shard that lists nothing in every
-    // source cluster or in every destination cluster, so such a shard's
-    // `R1` rides go uncounted; the serial engine always probes its one
-    // index and files them as unpaired.
-    let prunes = matches!(engine, AnyEngine::Sharded(_));
-    engine.for_each_index(|eng| {
-        let listed = |side: &[_]| {
-            side.iter()
-                .any(|w: &WalkEntry| eng.index().cluster_len(w.cluster) > 0)
-        };
-        let skipped = prunes && !(listed(src_w) && listed(dst_w));
-        for ride in eng.rides() {
-            let entry = |c| eng.index().get(c, ride.id);
-            let srcs: Vec<_> = src_w
-                .iter()
-                .filter_map(|w| Some((w, entry(w.cluster)?)))
-                .filter(|(_, e)| req.window_start_s <= e.eta_s && e.eta_s <= req.window_end_s)
-                .collect();
-            if srcs.is_empty() {
-                continue;
-            }
-            // No seat check: a full ride is listed nowhere.
-            assert_ne!(ride.seats_available, 0, "a full ride is listed");
-            if skipped {
-                skipped_r1 += 1;
-                continue;
-            }
-            ex.candidates += 1;
-            let dsts: Vec<_> = dst_w
-                .iter()
-                .filter_map(|w| Some((w, entry(w.cluster)?)))
-                .filter(|(_, e)| req.window_start_s <= e.eta_s)
-                .collect();
-            if dsts.is_empty() {
-                ex.unpaired += 1;
-                continue;
-            }
-            let mut best: Option<RideMatch> = None;
-            let mut deepest = 1;
-            for (ws, se) in &srcs {
-                for (wd, de) in &dsts {
-                    if ws.cluster == wd.cluster
-                        || de.eta_s <= se.eta_s
-                        || de.seg < se.seg
-                        || de.pass_route_idx < se.pass_route_idx
-                    {
-                        continue;
-                    }
-                    let (walk_s, walk_d) = (f64::from(ws.walk_m), f64::from(wd.walk_m));
-                    if walk_s + walk_d > req.walk_limit_m {
-                        deepest = deepest.max(2);
-                        continue;
-                    }
-                    let detour = se.detour_m + de.detour_m;
-                    if detour > ride.detour_remaining_m() {
-                        deepest = deepest.max(3);
-                        continue;
-                    }
-                    let key = (walk_s + walk_d, detour);
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| key < (b.walk_total_m(), b.detour_est_m))
-                    {
-                        best = Some(RideMatch {
-                            ride: ride.id,
-                            pickup_cluster: ws.cluster,
-                            pickup_landmark: ws.landmark,
-                            dropoff_cluster: wd.cluster,
-                            dropoff_landmark: wd.landmark,
-                            walk_pickup_m: walk_s,
-                            walk_dropoff_m: walk_d,
-                            eta_pickup_s: se.eta_s,
-                            eta_dropoff_s: de.eta_s,
-                            detour_est_m: detour,
-                            pickup_seg: se.seg as usize,
-                            dropoff_seg: de.seg as usize,
-                        });
-                    }
+    for ride in eng.rides() {
+        let entry = |c| eng.index().get(c, ride.id);
+        let srcs: Vec<_> = src_w
+            .iter()
+            .filter_map(|w| Some((w, entry(w.cluster)?)))
+            .filter(|(_, e)| req.window_start_s <= e.eta_s && e.eta_s <= req.window_end_s)
+            .collect();
+        if srcs.is_empty() {
+            continue;
+        }
+        // No seat check: a full ride is listed nowhere.
+        assert_ne!(ride.seats_available, 0, "a full ride is listed");
+        ex.candidates += 1;
+        let dsts: Vec<_> = dst_w
+            .iter()
+            .filter_map(|w| Some((w, entry(w.cluster)?)))
+            .filter(|(_, e)| req.window_start_s <= e.eta_s)
+            .collect();
+        if dsts.is_empty() {
+            ex.unpaired += 1;
+            continue;
+        }
+        let mut best: Option<RideMatch> = None;
+        let mut deepest = 1;
+        for (ws, se) in &srcs {
+            for (wd, de) in &dsts {
+                if ws.cluster == wd.cluster
+                    || de.eta_s <= se.eta_s
+                    || de.seg < se.seg
+                    || de.pass_route_idx < se.pass_route_idx
+                {
+                    continue;
+                }
+                let (walk_s, walk_d) = (f64::from(ws.walk_m), f64::from(wd.walk_m));
+                if walk_s + walk_d > req.walk_limit_m {
+                    deepest = deepest.max(2);
+                    continue;
+                }
+                let detour = se.detour_m + de.detour_m;
+                if detour > ride.detour_remaining_m() {
+                    deepest = deepest.max(3);
+                    continue;
+                }
+                let key = (walk_s + walk_d, detour);
+                if best
+                    .as_ref()
+                    .is_none_or(|b| key < (b.walk_total_m(), b.detour_est_m))
+                {
+                    best = Some(RideMatch {
+                        ride: ride.id,
+                        pickup_cluster: ws.cluster,
+                        pickup_landmark: ws.landmark,
+                        dropoff_cluster: wd.cluster,
+                        dropoff_landmark: wd.landmark,
+                        walk_pickup_m: walk_s,
+                        walk_dropoff_m: walk_d,
+                        eta_pickup_s: se.eta_s,
+                        eta_dropoff_s: de.eta_s,
+                        detour_est_m: detour,
+                        pickup_seg: se.seg as usize,
+                        dropoff_seg: de.seg as usize,
+                    });
                 }
             }
-            match (best, deepest) {
-                (Some(m), _) => out.push(m),
-                (None, 1) => ex.ordering_rejected += 1,
-                (None, 2) => ex.walk_rejected += 1,
-                (None, _) => ex.detour_rejected += 1,
-            }
         }
-    });
+        match (best, deepest) {
+            (Some(m), _) => out.push(m),
+            (None, 1) => ex.ordering_rejected += 1,
+            (None, 2) => ex.walk_rejected += 1,
+            (None, _) => ex.detour_rejected += 1,
+        }
+    }
     out.sort_by(|a, b| {
         (a.walk_total_m(), a.detour_est_m, a.ride)
             .partial_cmp(&(b.walk_total_m(), b.detour_est_m, b.ride))
             .expect("no NaN in a match")
     });
-    Some((out, ex, skipped_r1))
+    Some((out, ex))
 }
 
 /// Check every cross-structure invariant of the engine.
@@ -462,25 +352,33 @@ proptest! {
     /// Search **is** the reference: over random create / book / track /
     /// search schedules, every field of every returned `RideMatch`, their
     /// order, and every `SearchExplain` field equal what the brute-force
-    /// source-major loop computes from the same engine's state — for
-    /// the serial engine, a 1-shard and an 8-shard sharded engine.
+    /// source-major loop computes from the same engine's state, and the
+    /// attribution files each `R1` ride in exactly one class.
     #[test]
     fn search_is_complete_against_oracle(
         ops in proptest::collection::vec(op_strategy(625), 1..40)
     ) {
-        run_layouts(ops, 8, |req, engines, results| {
-            for (i, (engine, (matches, explain))) in engines.iter().zip(results).enumerate() {
-                match reference_search(engine, req) {
-                    Some((want, want_explain, _)) => {
-                        prop_assert_eq!(matches, &want, "layout {}: matches differ", i);
-                        prop_assert_eq!(explain, &want_explain, "layout {}: attribution differs", i);
-                    }
-                    None => {
-                        prop_assert!(matches.is_empty());
-                        prop_assert_eq!(explain.hard, Some(Reason::NotServable));
-                    }
+        run_schedule(ops, |req, eng, matches, explain| {
+            match reference_search(eng, req) {
+                Some((want, want_explain)) => {
+                    prop_assert_eq!(matches, &want[..], "matches differ");
+                    prop_assert_eq!(explain, &want_explain, "attribution differs");
+                }
+                None => {
+                    prop_assert!(matches.is_empty());
+                    prop_assert_eq!(explain.hard, Some(Reason::NotServable));
                 }
             }
+            prop_assert_eq!(
+                matches.len() as u32
+                    + explain.unpaired
+                    + explain.ordering_rejected
+                    + explain.walk_rejected
+                    + explain.detour_rejected,
+                explain.candidates,
+                "an R1 ride left unclassified or counted twice: {:?}",
+                explain
+            );
             Ok(())
         })?;
     }
@@ -530,66 +428,13 @@ proptest! {
             assert_invariants(&eng);
         }
     }
-    /// The explain law on every layout, over random create / book /
-    /// track / search schedules (see [`explain_law`]).
-    #[test]
-    fn explain_conserves_and_agrees_across_layouts(
-        ops in proptest::collection::vec(op_strategy(625), 1..30)
-    ) {
-        run_layouts(ops, 4, |req, engines, results| explain_law(req, engines, results).map(|_| ()))?;
-    }
 }
 
-/// The explain law, checked for one search on the serial engine, a
-/// 1-shard and a 4-shard sharded engine; returns the `R1` rides the
-/// sharded layouts skipped.
-///
-/// * **Conservation, per layout:** each `R1` ride the layout saw lands
-///   in exactly one [`SearchExplain`] class.
-/// * **Agreement up to skipped shards:** a sharded search never loads a
-///   shard that lists nothing in every source or every destination
-///   walkable cluster, so that shard's `R1` rides are neither
-///   candidates nor `unpaired` — the serial engine counts them as both.
-///   A sharded layout's `candidates` and `unpaired` are therefore at
-///   most the serial engine's, short by exactly the `R1` rides in its
-///   skipped shards, and every other field is equal.
-fn explain_law(
-    req: &RideRequest,
-    engines: &[AnyEngine; 3],
-    results: &[(Vec<RideMatch>, SearchExplain); 3],
-) -> Result<u32, TestCaseError> {
-    let serial = results[0].1;
-    let mut skipped_total = 0;
-    for (engine, (ms, ex)) in engines.iter().zip(results) {
-        prop_assert_eq!(
-            ms.len() as u32
-                + ex.unpaired
-                + ex.ordering_rejected
-                + ex.walk_rejected
-                + ex.detour_rejected,
-            ex.candidates,
-            "an R1 ride left unclassified or counted twice: {:?}",
-            ex
-        );
-        let skipped = reference_search(engine, req).map_or(0, |r| r.2);
-        let restored = SearchExplain {
-            candidates: ex.candidates + skipped,
-            unpaired: ex.unpaired + skipped,
-            ..*ex
-        };
-        prop_assert_eq!(restored, serial, "layouts differ beyond the skipped shards");
-        skipped_total += skipped;
-    }
-    Ok(skipped_total)
-}
-
-/// A fixed case the law's second half exists for: one short ride in one
-/// corner of the city and a request from that corner to the far one.
-/// The ride is in `R1` but lists nothing near the destination, so every
-/// sharded layout skips its shard while the serial engine files the
-/// ride as `unpaired`.
+/// A fixed case: one short ride in one corner of the city and a request
+/// from that corner to the far one. The ride is in `R1` but lists
+/// nothing near the destination, so search files it as `unpaired`.
 #[test]
-fn explain_law_holds_when_a_sharded_search_skips_a_shard() {
+fn a_ride_listed_near_the_source_only_is_unpaired() {
     let ops = vec![
         Op::Create {
             src: 0,
@@ -606,12 +451,13 @@ fn explain_law_holds_when_a_sharded_search_skips_a_shard() {
             book: false,
         },
     ];
-    let mut skipped = 0;
-    run_layouts(ops, 4, |req, engines, results| {
-        skipped += explain_law(req, engines, results)?;
-        prop_assert_eq!((results[0].1.candidates, results[0].1.unpaired), (1, 1));
+    let mut searches = 0;
+    run_schedule(ops, |_, _, matches, explain| {
+        searches += 1;
+        prop_assert!(matches.is_empty());
+        prop_assert_eq!((explain.candidates, explain.unpaired), (1, 1));
         Ok(())
     })
     .unwrap();
-    assert_eq!(skipped, 2, "both sharded layouts skip the ride's shard");
+    assert_eq!(searches, 1);
 }

@@ -1,18 +1,18 @@
 //! Allocation guards for the write path's index edits.
 //!
-//! A shard of the sharded engine is a serial `XarEngine` behind a
-//! `RwLock`, and a write edits its live lists in place and publishes
-//! nothing (DESIGN.md §5f), so three cost claims can be made hard tests
-//! with a counting global allocator (same idiom as
-//! `tests/snapshot_alloc.rs`; one `#[global_allocator]` per test binary,
-//! hence this file):
+//! The engine handle is one `XarEngine` behind one `RwLock`, and a
+//! write edits the live lists in place and publishes nothing (DESIGN.md
+//! §5f), so three cost claims can be made hard tests with a counting
+//! global allocator (same idiom as `tests/snapshot_alloc.rs`; one
+//! `#[global_allocator]` per test binary, hence this file):
 //!
-//! 1. **The shard layer allocates nothing.** A serial `XarEngine` twin
-//!    is driven through the same schedule as a one-shard
-//!    `ShardedXarEngine` and makes the same bookings, so
-//!    `allocs(sharded book_checked) − allocs(serial book_checked)` is
-//!    what sharding costs a booking: exactly 0 allocations and 0 bytes,
-//!    whatever the rows per list, the cluster count or the ride count.
+//! 1. **The handle allocates nothing.** A bare `XarEngine` twin is
+//!    driven through the same schedule as a `ShardedXarEngine` handle
+//!    and makes the same bookings, so
+//!    `allocs(handle book_checked) − allocs(engine book_checked)` is
+//!    what the lock layer costs a booking: exactly 0 allocations and 0
+//!    bytes, whatever the rows per list, the cluster count or the ride
+//!    count.
 //! 2. **Editing a list is in place.** 1 000 remove/insert edits of a
 //!    4 000-row list allocate nothing; growing it allocates O(1)
 //!    amortised.
@@ -109,8 +109,8 @@ fn request(g: &RoadGraph, i: u32) -> RideRequest {
     }
 }
 
-/// One shard holding `rides` offers, and a serial twin holding the
-/// same rides under the same ids.
+/// A handle holding `rides` offers, and a bare twin holding the same
+/// rides under the same ids.
 fn populated(region: &Arc<RegionIndex>, rides: u32) -> (ShardedXarEngine, XarEngine) {
     let eng = ShardedXarEngine::new(Arc::clone(region), EngineConfig::default(), 1);
     let mut twin = XarEngine::new(Arc::clone(region), EngineConfig::default());
@@ -124,34 +124,31 @@ fn populated(region: &Arc<RegionIndex>, rides: u32) -> (ShardedXarEngine, XarEng
     (eng, twin)
 }
 
-/// Book `bookings` matches on both engines; returns the largest gap,
-/// in allocations and in bytes, between a booking on the sharded side
-/// and the same booking on the serial twin, and the mean rows per
-/// non-empty cluster list.
+/// Book `bookings` matches on both; returns the largest gap, in
+/// allocations and in bytes, between a booking through the handle and
+/// the same booking on the bare twin, and the mean rows per non-empty
+/// cluster list.
 fn booking_alloc_gap(
     (eng, twin): &mut (ShardedXarEngine, XarEngine),
     bookings: u32,
 ) -> (u64, u64, f64) {
-    let g = eng.region().graph();
+    let g = Arc::clone(twin.region().graph());
     let (mut count_gap, mut bytes_gap, mut done, mut seed) = (0, 0, 0, 0);
+    let mut ms = Vec::new();
     while done < bookings {
         seed += 1;
         assert!(
             seed < 40_000,
             "ran out of bookable matches after {done} bookings"
         );
-        let Ok(ms) = eng.search(&request(g, seed), 4) else {
+        if eng.search_into(&request(&g, seed), 4, &mut ms).is_err() {
             continue;
-        };
+        }
         for m in &ms {
-            let (sharded, count, bytes) = allocs_of(|| eng.book_checked(m));
-            let (serial, twin_count, twin_bytes) = allocs_of(|| twin.book_checked(m));
-            assert_eq!(
-                sharded.is_ok(),
-                serial.is_ok(),
-                "the twins diverged on {m:?}"
-            );
-            if sharded.is_ok() {
+            let (handle, count, bytes) = allocs_of(|| eng.book_checked(m));
+            let (bare, twin_count, twin_bytes) = allocs_of(|| twin.book_checked(m));
+            assert_eq!(handle, bare, "the twins diverged on {m:?}");
+            if handle.is_ok() {
                 count_gap = count_gap.max(count.abs_diff(twin_count));
                 bytes_gap = bytes_gap.max(bytes.abs_diff(twin_bytes));
                 done += 1;
@@ -159,16 +156,14 @@ fn booking_alloc_gap(
             }
         }
     }
-    let (rows, lists) = eng.with_shard_read(0, |e| {
-        let idx = e.index();
-        let lens = (0..idx.cluster_count() as u32).map(|c| idx.cluster_len(ClusterId(c)));
-        (idx.len(), lens.filter(|&n| n > 0).count())
-    });
+    let idx = twin.index();
+    let lens = (0..idx.cluster_count() as u32).map(|c| idx.cluster_len(ClusterId(c)));
+    let (rows, lists) = (idx.len(), lens.filter(|&n| n > 0).count());
     (count_gap, bytes_gap, rows as f64 / lists as f64)
 }
 
 #[test]
-fn a_sharded_booking_allocates_exactly_what_its_serial_twin_does() {
+fn a_booking_through_the_handle_allocates_exactly_what_the_bare_engine_does() {
     const BOOKINGS: u32 = 12;
     let small = region(14, 31);
     let large = region(40, 31);
@@ -203,7 +198,7 @@ fn a_sharded_booking_allocates_exactly_what_its_serial_twin_does() {
         tiny_count,
         tiny_bytes,
     ] {
-        assert_eq!(gap, 0, "the shard layer allocated on a booking: {ctx}");
+        assert_eq!(gap, 0, "the handle allocated on a booking: {ctx}");
     }
 }
 

@@ -42,24 +42,23 @@ fn region() -> Arc<RegionIndex> {
 /// Every leg of `ride`'s route is the oracle's shortest path between
 /// the leg's two via-point nodes. Returns the number of legs checked.
 fn assert_legs_are_shortest_paths(eng: &ShardedXarEngine, g: &RoadGraph, id: RideId) -> usize {
-    eng.with_shard_read(eng.shard_of_ride(id), |shard| {
-        let ride = shard.ride(id).expect("ride was just created or booked");
-        let oracle = ShortestPaths::driving(g);
-        for leg in ride.via_points.windows(2) {
-            let stored = &ride.route.nodes()[leg[0].route_idx..=leg[1].route_idx];
-            let want = oracle
-                .path(leg[0].node, leg[1].node)
-                .expect("city is strongly connected");
-            assert_eq!(
-                stored,
-                &want.nodes[..],
-                "ride {id:?}: leg {:?} -> {:?} is not the Dijkstra path",
-                leg[0].node,
-                leg[1].node
-            );
-        }
-        ride.via_points.len() - 1
-    })
+    let engine = eng.read();
+    let ride = engine.ride(id).expect("ride was just created or booked");
+    let oracle = ShortestPaths::driving(g);
+    for leg in ride.via_points.windows(2) {
+        let stored = &ride.route.nodes()[leg[0].route_idx..=leg[1].route_idx];
+        let want = oracle
+            .path(leg[0].node, leg[1].node)
+            .expect("city is strongly connected");
+        assert_eq!(
+            stored,
+            &want.nodes[..],
+            "ride {id:?}: leg {:?} -> {:?} is not the Dijkstra path",
+            leg[0].node,
+            leg[1].node
+        );
+    }
+    ride.via_points.len() - 1
 }
 
 #[test]

@@ -1,19 +1,19 @@
-//! Hot-path guards for the sharded search.
+//! Hot-path guards for search through the engine handle.
 //!
 //! Two contracts from DESIGN.md §5f, made hard tests:
 //!
 //! 1. **Zero allocations per search.** Once the thread-local scratch
 //!    and the caller's result buffer are warm,
 //!    [`xar_core::ShardedXarEngine::search_into`] must not touch the
-//!    allocator at all — the grid-table read, the shard locks, the
-//!    list range queries, the scratch-table join and the unstable sort of the
-//!    matches all run in place. A counting
+//!    allocator at all — the grid-table read, the read lock, the list
+//!    range queries, the scratch-table join and the unstable sort of
+//!    the matches all run in place. A counting
 //!    global allocator (same idiom as `xar-obs/tests/overhead.rs`)
 //!    turns that into an exact `== 0` assertion.
 //! 2. **No torn reads under write pressure.** While 8 writer threads
 //!    create, book and track, a reader hammers `search_into` and checks
 //!    every match against invariants that hold in *every* consistent
-//!    state of a shard (walk within limit, drop-off strictly after
+//!    state of the engine (walk within limit, drop-off strictly after
 //!    pick-up, segments ordered, finite non-negative detour). A reader
 //!    that ever observed a half-written list would trip one of them.
 //!
@@ -141,7 +141,7 @@ fn assert_match_sane(m: &RideMatch, req: &RideRequest) {
 fn search_path_is_allocation_free_and_tear_free() {
     let region = region();
     let graph = Arc::clone(region.graph());
-    let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 8);
+    let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 1);
     for i in 0..120u32 {
         let _ = eng.create_ride(&offer(&graph, i, 4));
     }
@@ -204,7 +204,8 @@ fn search_path_is_allocation_free_and_tear_free() {
                     let seed = 1_000 + t * 1_000 + k;
                     let _ = eng.create_ride(&offer(graph, seed, 2));
                     if k % 3 == 0 {
-                        if let Ok(ms) = eng.search(&request(graph, seed), 4) {
+                        let mut ms = Vec::new();
+                        if eng.search_into(&request(graph, seed), 4, &mut ms).is_ok() {
                             if let Some(m) = ms.first() {
                                 // Booking may lose the race for the last
                                 // seat or hit a just-retired ride; both
@@ -236,12 +237,12 @@ fn search_path_is_allocation_free_and_tear_free() {
         assert!(spins > 0);
     });
 
-    // The structure survived the storm: per-shard ride iteration agrees
-    // with the aggregate count, and the op counters are coherent.
+    // The structure survived the storm: ride iteration agrees with the
+    // count, and the op counters are coherent.
     let mut iterated = 0usize;
     eng.for_each_ride(|_| iterated += 1);
     assert_eq!(iterated, eng.ride_count());
-    let stats = eng.stats().snapshot();
+    let stats = eng.read().stats().snapshot();
     assert!(stats.creates >= 120);
     assert!(stats.searches > 0);
 }
@@ -252,33 +253,33 @@ fn search_path_is_allocation_free_and_tear_free() {
 fn a_search_wider_than_the_scratch_table_grows_it_only_while_warming() {
     let region = region();
     let graph = Arc::clone(region.graph());
-    // One shard, so one probed index holds every ride.
     let eng = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 1);
     for i in 0..400u32 {
         let _ = eng.create_ride(&offer(&graph, i, 4));
     }
-    let mut out: Vec<RideMatch> = Vec::new();
-    let mut explain = SearchExplain::default();
-    let mut candidates_of = |req: &RideRequest| {
-        let _ = eng.search_into_explained(req, usize::MAX, &mut out, &mut explain);
+    let candidates_of = |req: &RideRequest| {
+        let mut explain = SearchExplain::default();
+        let _ = eng.read().search_explained(req, usize::MAX, &mut explain);
         explain.candidates
     };
     let widest = (0..64u32)
         .map(|i| request(&graph, i * 7 + 1))
-        .max_by_key(&mut candidates_of)
+        .max_by_key(candidates_of)
         .expect("64 requests");
     let candidates = candidates_of(&widest);
     assert!(
         candidates > 32,
         "widest search has |R1| = {candidates}: the table never grew"
     );
+    let mut out: Vec<RideMatch> = Vec::new();
+    eng.search_into(&widest, usize::MAX, &mut out).unwrap();
     let matches = out.len();
 
     let before = thread_allocs();
     for _ in 0..1_000 {
-        let _ = eng.search_into_explained(&widest, usize::MAX, &mut out, &mut explain);
+        let _ = eng.search_into(&widest, usize::MAX, &mut out);
         black_box(&out);
     }
     assert_eq!(thread_allocs() - before, 0, "warmed wide search allocated");
-    assert_eq!((explain.candidates, out.len()), (candidates, matches));
+    assert_eq!(out.len(), matches);
 }

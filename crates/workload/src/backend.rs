@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use xar_core::{
-    Reason, RideMatch, RideOffer, RideRequest, SearchExplain, ShardedXarEngine, XarEngine,
-};
+use xar_core::{Reason, RideMatch, RideOffer, RideRequest, SearchExplain, XarEngine};
 use xar_obs::Registry;
 use xar_tshare::engine::{TShareMatch, TShareRequest};
 use xar_tshare::TShareEngine;
@@ -101,64 +99,6 @@ impl RideBackend for XarBackend {
 
     fn name(&self) -> &'static str {
         "xar"
-    }
-}
-
-/// The sharded XAR engine under simulation, replayed from one thread
-/// like any other backend.
-pub struct ShardedXarBackend {
-    /// The engine (public so harnesses can audit rides and stats after
-    /// a run).
-    pub engine: ShardedXarEngine,
-}
-
-impl ShardedXarBackend {
-    /// Wrap an engine.
-    pub fn new(engine: ShardedXarEngine) -> Self {
-        Self { engine }
-    }
-}
-
-impl RideBackend for ShardedXarBackend {
-    type Match = RideMatch;
-
-    fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> (Vec<RideMatch>, SearchExplain) {
-        let mut explain = SearchExplain::default();
-        let mut out = Vec::new();
-        // On error the engine leaves `out` empty and `explain` carrying
-        // the hard reason.
-        let req = request_of(trip, cfg);
-        let _ = self
-            .engine
-            .search_into_explained(&req, cfg.k, &mut out, &mut explain);
-        (out, explain)
-    }
-
-    /// Books through the commit-time re-check: the search released the
-    /// shard's read lock before returning the match, and the engine is
-    /// a shared handle whose other holders may have spent the ride's
-    /// detour budget since.
-    fn book(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
-        book_result(self.engine.book_checked(m))
-    }
-
-    fn create(&mut self, trip: &Trip, cfg: &SimConfig) -> Result<(), Reason> {
-        self.engine
-            .create_ride(&offer_of(trip, cfg))
-            .map(|_| ())
-            .map_err(|e| e.reason())
-    }
-
-    fn track(&mut self, now_s: f64) {
-        self.engine.track_all(now_s);
-    }
-
-    fn registry(&self) -> Option<Arc<Registry>> {
-        Some(self.engine.registry())
-    }
-
-    fn name(&self) -> &'static str {
-        "xar-sharded"
     }
 }
 
@@ -351,19 +291,15 @@ mod tests {
     }
 
     /// A match made before another booking spent the ride's detour
-    /// budget is refused by the sharded backend, and the refusal leaves
-    /// the ride as it was, although the second insertion would realise
-    /// only 16 m of detour against the 580 m left: its 798 m estimate
-    /// was made against the full 1 000 m.
+    /// budget is refused, and the refusal leaves the ride as it was,
+    /// although the second insertion would realise only 16 m of detour
+    /// against the 580 m left: its 798 m estimate was made against the
+    /// full 1 000 m.
     #[test]
-    fn sharded_backend_refuses_a_match_made_against_a_spent_budget() {
+    fn xar_backend_refuses_a_match_made_against_a_spent_budget() {
         let graph = city();
         let n = graph.node_count() as u32;
-        let mut backend = ShardedXarBackend::new(ShardedXarEngine::new(
-            region(&graph),
-            EngineConfig::default(),
-            2,
-        ));
+        let mut backend = XarBackend::new(XarEngine::new(region(&graph), EngineConfig::default()));
         let offer = RideOffer {
             source: graph.point(NodeId(0)),
             destination: graph.point(NodeId(n - 1)),
@@ -392,10 +328,7 @@ mod tests {
             backend.book(&first, &cfg),
             BookResult::Booked { .. }
         ));
-        let ride = |b: &ShardedXarBackend| {
-            b.engine
-                .with_shard_read(b.engine.shard_of_ride(id), |e| e.ride(id).unwrap().clone())
-        };
+        let ride = |b: &XarBackend| b.engine.ride(id).unwrap().clone();
         let before = ride(&backend);
         assert!(
             stale.detour_est_m > before.detour_remaining_m(),

@@ -10,7 +10,7 @@
 //! was built on a three-stage split of this loop, measured and removed
 //! (EXPERIMENTS.md, "Figure 7"): supply never binds under the paper's
 //! protocol, so joint assignment had nothing to win. So was a driver
-//! that raced N worker threads over the sharded engine (EXPERIMENTS.md,
+//! that raced N worker threads over a sharded engine (EXPERIMENTS.md,
 //! "One replay driver"): it was slower than this loop on two cores and its
 //! decisions did not repeat.
 

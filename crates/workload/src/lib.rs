@@ -40,7 +40,7 @@ pub mod report;
 pub mod sim;
 pub mod trips;
 
-pub use backend::{ShardedXarBackend, TShareBackend, XarBackend};
+pub use backend::{TShareBackend, XarBackend};
 pub use report::{percentile, percentile_ns, Decision, DecisionOutcome, SimReport};
 pub use sim::{run_simulation, BookResult, RideBackend, SimConfig};
 pub use trips::{generate_trips, Trip, TripGenConfig};

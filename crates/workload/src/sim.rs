@@ -50,8 +50,8 @@ impl Default for SimConfig {
     }
 }
 
-/// A ride-sharing system under simulation. Implemented for XAR (serial
-/// and sharded engine) and for the T-Share baseline in
+/// A ride-sharing system under simulation. Implemented for XAR and for
+/// the T-Share baseline in
 /// [`crate::backend`]; [`run_simulation`] borrows one and replays the
 /// trips through it.
 pub trait RideBackend {

@@ -4,10 +4,11 @@
 
 use std::sync::Arc;
 
-use xar_core::{EngineConfig, XarEngine};
+use xar_core::{EngineConfig, ShardedXarEngine, XarEngine};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, PoiConfig, RoadGraph};
-use xar_workload::{generate_trips, run_simulation, SimConfig, TripGenConfig, XarBackend};
+use xar_workload::backend::{offer_of, request_of};
+use xar_workload::{generate_trips, run_simulation, SimConfig, Trip, TripGenConfig, XarBackend};
 
 fn fixture() -> (Arc<RoadGraph>, Arc<RegionIndex>) {
     let graph = Arc::new(CityConfig::manhattan(25, 25, 99).generate());
@@ -98,6 +99,60 @@ fn whole_pipeline_is_seed_reproducible() {
         )
     };
     assert_eq!(run_all(), run_all(), "pipeline is not seed-deterministic");
+}
+
+/// `heap_bytes()` after every tracking sweep of one replay of `trips`
+/// through the engine handle, as the request-path benchmark replays
+/// them: sweep every 10 minutes, search, book the first match that
+/// books, else create.
+fn heap_per_sweep(region: &Arc<RegionIndex>, trips: &[Trip]) -> Vec<usize> {
+    let cfg = SimConfig::default();
+    let eng = ShardedXarEngine::new(Arc::clone(region), EngineConfig::default(), 8);
+    let (mut heap, mut matches) = (Vec::new(), Vec::new());
+    let mut next_track = trips[0].pickup_s;
+    for trip in trips {
+        while trip.pickup_s >= next_track {
+            eng.track_all(next_track);
+            heap.push(eng.heap_bytes());
+            next_track += 600.0;
+        }
+        if eng
+            .search_into(&request_of(trip, &cfg), usize::MAX, &mut matches)
+            .is_err()
+        {
+            matches.clear();
+        }
+        if !matches.iter().any(|m| eng.book_checked(m).is_ok()) {
+            let _ = eng.create_ride(&offer_of(trip, &cfg));
+        }
+    }
+    heap
+}
+
+/// The heap account repeats for one schedule: the ride table's layout
+/// and capacity depend only on the inserts and removals made, not on a
+/// per-process hash seed.
+#[test]
+fn heap_bytes_repeat_at_every_sweep_for_one_schedule() {
+    let (graph, region) = fixture();
+    let trips = generate_trips(
+        &graph,
+        &TripGenConfig {
+            count: 3_000,
+            seed: 11,
+            ..Default::default()
+        },
+    );
+    let first = heap_per_sweep(&region, &trips);
+    assert!(first.len() >= 30, "only {} sweeps", first.len());
+    let again = heap_per_sweep(&region, &trips);
+    let differ = first.iter().zip(&again).filter(|(a, b)| a != b).count();
+    assert_eq!(
+        differ,
+        0,
+        "heap_bytes() differed at {differ} of {} sweeps",
+        first.len()
+    );
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! The replay driver makes the decisions of the §X.A.2 protocol: the
 //! protocol is re-implemented here, telemetry-free, as the oracle, and
-//! the driver must reproduce it over the serial engine and over the
-//! sharded engine.
+//! the driver must reproduce it.
 //!
 //! Decisions — per trip: booked on which ride / created / unservable —
 //! are compared as full vectors, so any divergence in outcome, ride
@@ -11,12 +10,12 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use xar_core::{EngineConfig, ShardedXarEngine, XarEngine};
+use xar_core::{EngineConfig, XarEngine};
 use xar_discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, PoiConfig};
 use xar_workload::{
-    generate_trips, run_simulation, BookResult, Decision, DecisionOutcome, RideBackend,
-    ShardedXarBackend, SimConfig, Trip, TripGenConfig, XarBackend,
+    generate_trips, run_simulation, BookResult, Decision, DecisionOutcome, RideBackend, SimConfig,
+    Trip, TripGenConfig, XarBackend,
 };
 
 /// One shared region per test binary: building it is the expensive
@@ -48,14 +47,6 @@ fn backend() -> XarBackend {
     XarBackend::new(XarEngine::new(
         Arc::clone(region()),
         EngineConfig::default(),
-    ))
-}
-
-fn sharded_backend() -> ShardedXarBackend {
-    ShardedXarBackend::new(ShardedXarEngine::new(
-        Arc::clone(region()),
-        EngineConfig::default(),
-        4,
     ))
 }
 
@@ -129,21 +120,6 @@ proptest! {
         let ts = trips(count, seed);
         let oracle = reference_decisions(&mut backend(), &ts, &cfg);
         let driven = run_simulation(&mut backend(), &ts, &cfg).decisions;
-        prop_assert_eq!(oracle, driven);
-    }
-
-    /// Driver over the sharded engine ≡ oracle over the same engine
-    /// kind (ride ids are per-shard progressions, so both sides must run
-    /// the sharded layout).
-    #[test]
-    fn one_thread_sharded_driver_equals_reference_loop(
-        seed in 0u64..10_000,
-        count in 60usize..220,
-    ) {
-        let cfg = sim_cfg();
-        let ts = trips(count, seed);
-        let oracle = reference_decisions(&mut sharded_backend(), &ts, &cfg);
-        let driven = run_simulation(&mut sharded_backend(), &ts, &cfg).decisions;
         prop_assert_eq!(oracle, driven);
     }
 }

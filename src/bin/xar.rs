@@ -89,7 +89,7 @@ use xar_obs::chrome::{collapse, export_chrome, parse_chrome, Attrs, Timeline};
 use xar_obs::events::{ParsedEvent, LAYERS};
 use xar_obs::json::JsonValue;
 use xar_obs::TraceConfig;
-use xhare_a_ride::core::{EngineConfig, Reason, XarEngine, MAX_SHARDS};
+use xhare_a_ride::core::{EngineConfig, Reason, XarEngine};
 use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::tshare::{TShareConfig, TShareEngine};
@@ -326,6 +326,9 @@ fn check_threads_flag(flags: &Flags) -> Result<(), CmdError> {
         )),
     }
 }
+
+/// The largest `--shards` value accepted.
+const MAX_SHARDS: usize = 32;
 
 /// Validate `--shards` (1..=[`MAX_SHARDS`]); the serial engine does not
 /// use it. Out-of-range values share the exit-code-9 contract.

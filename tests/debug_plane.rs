@@ -1,12 +1,11 @@
-//! Shard state under real traced load, read from what a finished run
-//! leaves behind. The per-shard lock series in the registry snapshot
-//! (`--metrics-out`) count every write-lock hold of every shard, so a
-//! hot shard shows there; the shard map's ride counts add up to the
-//! engine's. Search reads every shard's live index under its read
-//! lock, so there is no published copy that could lag it. Which
-//! request was slow or rejected, and where its time went, is read from
-//! the `--events-out` file (`xar logs`) and the `--trace-out` file
-//! (`xar trace --top`, `--collapsed`).
+//! Engine state under real traced load, read from what a finished run
+//! leaves behind. The `lock.write_hold_ns` series in the registry
+//! snapshot (`--metrics-out`) counts every write-lock hold, one per
+//! write, and the live rides add up to `ride_count()`. Search reads
+//! the live index under the read lock, so there is no published copy
+//! that could lag it. Which request was slow or rejected, and where its
+//! time went, is read from the `--events-out` file (`xar logs`) and the
+//! `--trace-out` file (`xar trace --top`, `--collapsed`).
 
 use std::sync::Arc;
 
@@ -25,8 +24,9 @@ fn offer(graph: &Arc<RoadGraph>, i: u32) -> RideOffer {
     )
 }
 
-// The name predates the removal of epoch reclamation, of the exemplars
-// and of the HTTP server, and is listed in the tier-1 floor.
+// The name predates the removal of epoch reclamation, of the exemplars,
+// of the HTTP server and of the shards, and is listed in the tier-1
+// floor.
 #[test]
 fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     let graph = Arc::new(CityConfig::manhattan(16, 16, 7).generate());
@@ -47,13 +47,14 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
     ));
     let engine = ShardedXarEngine::new(Arc::clone(&region), EngineConfig::default(), 4);
 
-    // --- Load with tracing on.
+    // --- Load with tracing on: 30 creates and a sweep are 31 writes.
     let rec = xar_obs::trace::recorder();
     rec.configure(xar_obs::TraceConfig::keep_all());
     rec.set_enabled(true);
     for i in 0..30 {
         let _ = engine.create_ride(&offer(&graph, i));
     }
+    engine.track_all(8.0 * 3600.0);
     let n = graph.node_count() as u32;
     let req = RideRequest {
         source: graph.point(NodeId(n / 2)),
@@ -62,36 +63,28 @@ fn debug_plane_exposes_exemplars_epoch_backlog_and_shard_state() {
         window_end_s: 9.5 * 3600.0,
         walk_limit_m: 800.0,
     };
+    let mut matches = Vec::new();
     for _ in 0..20 {
         let _root = xar_obs::trace::root("request");
-        let _ = engine.search(&req, 5);
+        let _ = engine.search_into(&req, 5, &mut matches);
     }
     rec.set_enabled(false);
     assert!(engine.ride_count() > 0, "no ride was created");
 
-    // One write-lock series per shard, and together they account for
-    // every write-lock hold the aggregate series counted.
+    // One write-lock hold per write, searches take none, and the lock
+    // series carries no label.
     let json = engine.registry().snapshot_json();
     let doc = xar_obs::json::parse(&json).expect("snapshot JSON parses");
-    let count = |v: &xar_obs::json::JsonValue| v.get("count").and_then(|c| c.as_u64());
-    let per_shard: Vec<u64> = doc
-        .as_object()
-        .expect("snapshot is one object")
-        .iter()
-        .filter(|(key, _)| key.starts_with("lock.write_hold_ns{shard="))
-        .map(|(key, v)| count(v).unwrap_or_else(|| panic!("{key} has no count")))
-        .collect();
-    assert_eq!(per_shard.len(), 4, "{json}");
-    let total = doc
+    let holds = doc
         .get("lock.write_hold_ns")
-        .and_then(count)
+        .and_then(|v| v.get("count"))
+        .and_then(|c| c.as_u64())
         .expect("aggregate write holds");
-    assert!(total > 0, "{json}");
-    assert_eq!(per_shard.iter().sum::<u64>(), total, "{json}");
+    assert_eq!(holds, 31, "{json}");
+    assert!(!json.contains("lock.write_hold_ns{"), "{json}");
 
-    // The shard map adds up.
-    let rides: usize = (0..4)
-        .map(|s| engine.with_shard_read(s, |e| e.ride_count()))
-        .sum();
+    // The live rides add up.
+    let mut rides = 0;
+    engine.for_each_ride(|_| rides += 1);
     assert_eq!(rides, engine.ride_count());
 }

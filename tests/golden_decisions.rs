@@ -1,5 +1,5 @@
 //! Golden decisions: the booked / created / unservable decision of every
-//! request of two small fixed runs, pinned as one digest per engine.
+//! request of two small fixed runs, pinned as one digest per run.
 //!
 //! A refactor of search, booking, the index or the driver must leave
 //! these digests as they are. A change that means to move a decision
@@ -13,12 +13,12 @@
 
 use std::sync::Arc;
 
-use xhare_a_ride::core::{EngineConfig, ShardedXarEngine, XarEngine};
+use xhare_a_ride::core::{EngineConfig, XarEngine};
 use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::workload::{
-    generate_trips, run_simulation, DecisionOutcome, ShardedXarBackend, SimConfig, SimReport,
-    TripGenConfig, XarBackend,
+    generate_trips, run_simulation, DecisionOutcome, SimConfig, SimReport, TripGenConfig,
+    XarBackend,
 };
 
 fn digest(report: &SimReport) -> u64 {
@@ -39,9 +39,8 @@ fn digest(report: &SimReport) -> u64 {
 }
 
 /// Replay `trips` trips on a `side × side` city, built the way the
-/// request-path benchmark builds its cities, through the serial engine
-/// and through a 2-shard engine. Returns the two digests.
-fn digests(side: usize, trips: usize) -> [u64; 2] {
+/// request-path benchmark builds its cities. Returns the digest.
+fn digest_of(side: usize, trips: usize) -> u64 {
     let graph = Arc::new(CityConfig::manhattan(side, side, 1).generate());
     let pois = sample_pois(
         &graph,
@@ -70,45 +69,33 @@ fn digests(side: usize, trips: usize) -> [u64; 2] {
     );
     let cfg = SimConfig::default();
 
-    let mut serial = XarBackend::new(XarEngine::new(Arc::clone(&region), EngineConfig::default()));
-    let serial = run_simulation(&mut serial, &trips, &cfg);
-    let mut sharded =
-        ShardedXarBackend::new(ShardedXarEngine::new(region, EngineConfig::default(), 2));
-    let sharded = run_simulation(&mut sharded, &trips, &cfg);
-
-    [&serial, &sharded].map(|r| {
-        assert_eq!(r.decisions.len(), trips.len(), "one decision per request");
-        assert!(
-            r.booked > 0 && r.created > 0,
-            "the run pins both kinds of decision"
-        );
-        digest(r)
-    })
+    let mut backend = XarBackend::new(XarEngine::new(region, EngineConfig::default()));
+    let r = run_simulation(&mut backend, &trips, &cfg);
+    assert_eq!(r.decisions.len(), trips.len(), "one decision per request");
+    assert!(
+        r.booked > 0 && r.created > 0,
+        "the run pins both kinds of decision"
+    );
+    digest(&r)
 }
 
-fn assert_pinned(got: [u64; 2], want: [u64; 2]) {
+fn assert_pinned(got: u64, want: u64) {
     assert_eq!(
-        got.map(|d| format!("{d:#018x}")),
-        want.map(|d| format!("{d:#018x}")),
-        "[serial, 2-shard sharded] decision digests moved"
+        format!("{got:#018x}"),
+        format!("{want:#018x}"),
+        "decision digest moved"
     );
 }
 
 /// Dense demand on a small city, as in the `day` workload.
 #[test]
 fn day_shaped_decisions_are_pinned() {
-    assert_pinned(
-        digests(24, 3_000),
-        [0x1219_0c57_780b_5474, 0x087f_c2eb_95fd_761e],
-    );
+    assert_pinned(digest_of(24, 3_000), 0x1219_0c57_780b_5474);
 }
 
 /// Sparse demand with long routes on a city twice as wide, as in the
 /// `metro` workload.
 #[test]
 fn metro_shaped_decisions_are_pinned() {
-    assert_pinned(
-        digests(48, 1_500),
-        [0xfe24_441a_223a_a41f, 0x9812_89d0_002d_844d],
-    );
+    assert_pinned(digest_of(48, 1_500), 0xfe24_441a_223a_a41f);
 }

@@ -53,8 +53,8 @@ struct Probe {
 impl RideBackend for Probe {
     type Match = RideMatch;
 
-    fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> (Vec<RideMatch>, SearchExplain) {
-        self.inner.search(trip, cfg)
+    fn search(&mut self, trip: &Trip, cfg: &SimConfig, out: &mut Vec<RideMatch>) -> SearchExplain {
+        self.inner.search(trip, cfg, out)
     }
 
     fn book(&mut self, m: &RideMatch, cfg: &SimConfig) -> BookResult {

@@ -393,18 +393,18 @@ impl XarEngine {
             pass.push(Self::make_pass_cluster(ride, c, entry, nodes.len() - 1));
         }
 
-        // Reachable clusters per pass-through cluster (§VI): candidates
-        // within the remaining detour of the pass cluster, refined by
-        // the triangle detour test against the segment's end via-point.
-        // Candidates go to the footprint in route order: per cluster
-        // the smaller detour wins, then the earlier ETA, else the first.
+        // Reachable clusters per pass-through cluster (§VI): the
+        // clusters within the remaining detour of the pass cluster,
+        // refined by the triangle detour test against the segment's end
+        // via-point (`Footprint::reachable`). Candidates go to the
+        // footprint in route order: per cluster the smaller detour wins,
+        // then the earlier ETA, else the first.
         let budget = if config.index_reachable {
             ride.detour_remaining_m()
         } else {
             0.0
         };
         crate::footprint::with(region.cluster_count(), |fp| {
-            fp.candidates.resize(region.cluster_count(), 0);
             // The end cluster whose distance column `fp.column` holds.
             let mut column_of = None;
             for p in &mut pass {
@@ -422,30 +422,11 @@ impl XarEngine {
                     column_of = Some(end_cluster);
                 }
                 let d_pv = end_cluster.map_or(f64::INFINITY, |cv| f64::from(row[cv.index()]));
-                // One branch-free pass over the row keeps the clusters
-                // within the budget of p (unknown distances are +inf)...
-                let mut n = 0;
-                for (c, &d_pc) in row.iter().enumerate() {
-                    fp.candidates[n] = c as u32;
-                    n += usize::from(f64::from(d_pc) <= budget);
-                }
-                // ...and only those take the triangle detour test.
-                fp.reach.clear();
-                for &c in &fp.candidates[..n] {
-                    let c = c as usize;
-                    let (d_pc, d_cv) = (f64::from(row[c]), f64::from(fp.column[c]));
-                    let detour_est = if d_cv.is_finite() && d_pv.is_finite() {
-                        (d_pc + d_cv - d_pv).max(0.0)
-                    } else {
-                        2.0 * d_pc // conservative out-and-back bound
-                    };
-                    if detour_est > budget || c == p.cluster.index() {
-                        continue;
-                    }
-                    let eta = p.eta_s + d_pc / config.historical_speed_mps;
-                    fp.reach.push((ClusterId(c as u32), detour_est, eta));
-                }
-                p.reachable = fp.reach.clone(); // one allocation, sized exactly
+                let speed = config.historical_speed_mps;
+                // One allocation, sized exactly.
+                p.reachable = fp
+                    .reachable(row, p.cluster.index(), d_pv, budget, p.eta_s, speed)
+                    .to_vec();
 
                 fp.offer(
                     p.cluster,

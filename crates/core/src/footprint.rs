@@ -8,7 +8,8 @@
 //! equals the current generation (like `xar_roadnet`'s routing scratch),
 //! so starting one is a counter increment — then touch the index once
 //! per distinct cluster. One thread-local instance serves every write
-//! of a thread; the reachable scan's buffers ride along in it.
+//! of a thread; the reachable scan ([`Footprint::reachable`]) and its
+//! buffers ride along in it.
 
 use std::cell::RefCell;
 
@@ -29,12 +30,9 @@ pub(crate) struct Footprint {
     /// `index_ride`: the distance column of a segment's end cluster,
     /// copied out once per segment.
     pub(crate) column: Vec<f32>,
-    /// `index_ride`: the clusters within the detour budget of one
-    /// pass-through cluster, before the triangle test.
-    pub(crate) candidates: Vec<u32>,
-    /// `index_ride`: one pass-through cluster's reachable set while it
-    /// is being collected.
-    pub(crate) reach: Vec<(ClusterId, f64, f64)>,
+    /// [`Self::reachable`]'s output, one slot per cluster: written
+    /// unconditionally, kept by advancing the count.
+    reach: Vec<(ClusterId, f64, f64)>,
 }
 
 thread_local! {
@@ -112,6 +110,85 @@ impl Footprint {
     pub(crate) fn entries(&self) -> &[(ClusterId, PotentialRide)] {
         &self.entries
     }
+
+    /// The reachable clusters of pass-through cluster `pass` (§VI), in
+    /// cluster-id order, as `(cluster, estimated detour m, ETA s)`:
+    /// every cluster `c ≠ pass` with `d(pass, c) ≤ budget` whose triangle
+    /// detour estimate `d(pass, c) + d(c, v) − d(pass, v)` (or the
+    /// out-and-back `2·d(pass, c)` where a distance to `v` is unknown)
+    /// is within `budget` too. `row` is `d(pass, ·)`, [`Self::column`]
+    /// holds `d(·, v)` for the segment's end cluster `v`, `d_pv` is
+    /// `d(pass, v)` and `eta_s` the ride's ETA at `pass`.
+    ///
+    /// The budget test runs as one comparison pass over the row against
+    /// the budget rounded down to `f32`, which for an `f32` distance `d`
+    /// is exactly `f64::from(d) <= budget`. It yields a bit mask per 64
+    /// clusters, and only the set bits — the few clusters inside the
+    /// budget — take the triangle test.
+    pub(crate) fn reachable(
+        &mut self,
+        row: &[f32],
+        pass: usize,
+        d_pv: f64,
+        budget: f64,
+        eta_s: f64,
+        speed_mps: f64,
+    ) -> &[(ClusterId, f64, f64)] {
+        let bf = f32_at_most(budget);
+        if self.reach.len() < row.len() {
+            self.reach.resize(row.len(), (ClusterId(0), 0.0, 0.0));
+        }
+        let mut n = 0;
+        for (base, chunk) in (0..).step_by(64).zip(row.chunks(64)) {
+            let mut mask = mask_within(chunk, bf);
+            while mask != 0 {
+                let c = base + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let (d_pc, d_cv) = (f64::from(row[c]), f64::from(self.column[c]));
+                let detour_est = if d_cv.is_finite() && d_pv.is_finite() {
+                    (d_pc + d_cv - d_pv).max(0.0)
+                } else {
+                    2.0 * d_pc // conservative out-and-back bound
+                };
+                self.reach[n] = (ClusterId(c as u32), detour_est, eta_s + d_pc / speed_mps);
+                n += usize::from((detour_est <= budget) & (c != pass));
+            }
+        }
+        &self.reach[..n]
+    }
+}
+
+/// The largest `f32` at most `x` (`NaN` for `NaN`), so that for every
+/// `f32` `d`, `d <= f32_at_most(x)` exactly when `f64::from(d) <= x`.
+fn f32_at_most(x: f64) -> f32 {
+    let r = x as f32; // nearest, so at most one step above `x`
+    if r.is_nan() || f64::from(r) <= x {
+        r
+    } else if r == 0.0 {
+        -f32::from_bits(1)
+    } else if r > 0.0 {
+        f32::from_bits(r.to_bits() - 1)
+    } else {
+        f32::from_bits(r.to_bits() + 1)
+    }
+}
+
+/// Bit `j` set iff `chunk[j] <= bf`, for a chunk of at most 64: one
+/// byte per comparison, then eight bytes at a time packed into eight
+/// bits by a multiply (bit `k` of the product's top byte is byte `k`).
+#[inline]
+fn mask_within(chunk: &[f32], bf: f32) -> u64 {
+    let mut within = [0u8; 64];
+    for (b, &d) in within.iter_mut().zip(chunk) {
+        *b = u8::from(d <= bf);
+    }
+    within
+        .chunks_exact(8)
+        .enumerate()
+        .fold(0, |mask, (k, eight)| {
+            let bytes = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+            mask | (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k)
+        })
 }
 
 #[cfg(test)]
@@ -151,6 +228,113 @@ mod tests {
             assert!(fp.first_visit(ClusterId(3)));
             assert!(!fp.first_visit(ClusterId(3)));
         });
+    }
+
+    /// The scan `Footprint::reachable` replaced: one `f64` budget test
+    /// per cluster, then the triangle test on the survivors.
+    fn scalar_reachable(
+        row: &[f32],
+        column: &[f32],
+        pass: usize,
+        d_pv: f64,
+        budget: f64,
+        eta_s: f64,
+        speed_mps: f64,
+    ) -> Vec<(ClusterId, f64, f64)> {
+        let mut out = Vec::new();
+        for (c, (&d_pc, &d_cv)) in row.iter().zip(column).enumerate() {
+            let (d_pc, d_cv) = (f64::from(d_pc), f64::from(d_cv));
+            if d_pc > budget {
+                continue;
+            }
+            let detour_est = if d_cv.is_finite() && d_pv.is_finite() {
+                (d_pc + d_cv - d_pv).max(0.0)
+            } else {
+                2.0 * d_pc
+            };
+            if detour_est > budget || c == pass {
+                continue;
+            }
+            out.push((ClusterId(c as u32), detour_est, eta_s + d_pc / speed_mps));
+        }
+        out
+    }
+
+    #[test]
+    fn masked_scan_equals_the_scalar_scan() {
+        // splitmix64: seeded rows and columns.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut dist = || match next() % 16 {
+            0 => f32::INFINITY,
+            // A distance no f32 rounding hides: not a short decimal.
+            _ => (next() % 8_000_000) as f32 / 1_000.0 + 0.000_123,
+        };
+        let lens = [1usize, 63, 64, 65, 150, 829];
+        for (case, &len) in lens.iter().enumerate() {
+            let pass = case * 37 % len;
+            let mut row: Vec<f32> = (0..len).map(|_| dist()).collect();
+            row[pass] = 0.0;
+            let column: Vec<f32> = (0..len).map(|_| dist()).collect();
+            let probe = f64::from(row[len / 2]);
+            let budgets = [
+                0.0,
+                2_000.0,
+                probe,
+                probe + 1e-9, // rounds to probe in f32: must stay in
+                probe - 1e-9, // rounds to probe in f32: must drop out
+                f64::from(f32::MAX) * 2.0,
+                f64::INFINITY,
+                -1.0,
+            ];
+            for d_pv in [f64::from(column[pass]), 1_500.0, f64::INFINITY] {
+                for budget in budgets {
+                    with(len, |fp| {
+                        fp.column.clear();
+                        fp.column.extend_from_slice(&column);
+                        let got = fp.reachable(&row, pass, d_pv, budget, 60.0, 8.0).to_vec();
+                        let want = scalar_reachable(&row, &column, pass, d_pv, budget, 60.0, 8.0);
+                        assert_eq!(got, want, "len {len}, budget {budget}, d_pv {d_pv}");
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f32_at_most_rounds_down() {
+        for x in [
+            0.0,
+            -0.0,
+            1e-50,
+            -1e-50,
+            0.1,
+            -0.1,
+            1_234.567_891,
+            3.0e38,
+            4.0e38,
+            -4.0e38,
+        ] {
+            let r = f32_at_most(x);
+            assert!(f64::from(r) <= x, "{x}: {r}");
+            let up = if r == 0.0 {
+                f32::from_bits(1)
+            } else if r > 0.0 {
+                f32::from_bits(r.to_bits() + 1)
+            } else {
+                f32::from_bits(r.to_bits() - 1)
+            };
+            assert!(f64::from(up) > x, "{x}: {r} is not the largest");
+        }
+        assert_eq!(f32_at_most(f64::INFINITY), f32::INFINITY);
+        assert_eq!(f32_at_most(f64::NEG_INFINITY), f32::NEG_INFINITY);
+        assert!(f32_at_most(f64::NAN).is_nan());
     }
 
     #[test]

@@ -136,22 +136,21 @@ impl ClusterIndex {
         &self.lists[cluster.index()]
     }
 
-    /// Insert (or improve) the entry for `entry.ride` in `cluster`'s
-    /// list. If the ride is already listed, the entry with the smaller
-    /// estimated detour wins (ties: earlier ETA).
+    /// Insert the entry for `entry.ride`, which `cluster` must not list
+    /// yet: every write removes a ride's rows before it lists them anew
+    /// (creation lists a ride no list holds), and its footprint already
+    /// picked one winner per cluster. Debug builds assert it.
     pub fn insert(&mut self, cluster: ClusterId, entry: PotentialRide) {
         #[cfg(test)]
         {
             self.edit_calls += 1;
         }
         let rows = &mut self.lists[cluster.index()];
-        match rows.iter().position(|r| r.ride == entry.ride) {
-            Some(i) if !entry.better_than(&rows[i]) => return,
-            Some(i) => {
-                rows.remove(i);
-            }
-            None => self.entries += 1,
-        }
+        debug_assert!(
+            rows.iter().all(|r| r.ride != entry.ride),
+            "{:?} is already listed in {cluster:?}",
+            entry.ride
+        );
         let at = rows.partition_point(|r| {
             r.eta_s
                 .total_cmp(&entry.eta_s)
@@ -159,6 +158,7 @@ impl ClusterIndex {
                 .is_lt()
         });
         rows.insert(at, entry);
+        self.entries += 1;
     }
 
     /// Remove `ride` from `cluster`'s list. Returns the removed entry.
@@ -276,17 +276,12 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_keeps_smaller_detour() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already listed")]
+    fn inserting_a_listed_ride_again_is_a_bug() {
         let mut idx = ClusterIndex::new(1);
         idx.insert(ClusterId(0), entry(1, 100.0, 500.0));
-        idx.insert(ClusterId(0), entry(1, 120.0, 200.0)); // better detour wins
-        assert_eq!(idx.len(), 1);
-        let e = idx.get(ClusterId(0), RideId(1)).unwrap();
-        assert_eq!(e.detour_m, 200.0);
-        assert_eq!(e.eta_s, 120.0);
-        // Worse detour does not displace.
-        idx.insert(ClusterId(0), entry(1, 90.0, 300.0));
-        assert_eq!(idx.get(ClusterId(0), RideId(1)).unwrap().detour_m, 200.0);
+        idx.insert(ClusterId(0), entry(1, 120.0, 200.0));
     }
 
     #[test]

@@ -191,10 +191,13 @@ impl XarEngine {
 
     /// The one search: validate, resolve both end-points' walkable
     /// clusters from the region tables (no shortest path), pick the
-    /// latency tier, run [`SearchRun::collect_matches`] over the index,
+    /// latency tier, run `SearchRun::collect_matches` over the index,
     /// then sort, truncate and record. `out` and `explain` are reset
-    /// first; on error `explain` carries the hard [`Reason`].
-    pub(crate) fn search_into_explained(
+    /// first; on error `out` stays empty and `explain` carries the hard
+    /// [`Reason`]. It is [`XarEngine::search_explained`] writing into
+    /// the caller's buffer: once `out` and this thread's scratch are
+    /// warm, a search allocates nothing.
+    pub fn search_into_explained(
         &self,
         req: &RideRequest,
         limit: usize,

@@ -83,12 +83,22 @@ fn op_strategy(n_nodes: u32) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Which match a booking op books.
+#[derive(Clone, Copy)]
+enum Booking {
+    /// Search for every match and book the best.
+    Best,
+    /// Search for the top 3 and book the first that is still bookable.
+    FirstOfTop3,
+}
+
 /// Drive one engine through `ops`. `check` sees every search: the
-/// request, the engine and what it answered (all matches plus the
-/// attribution). A booking op then books the best match. The engine
+/// request, the engine and what it answered (the matches plus the
+/// attribution). A booking op then books by `booking`. The engine
 /// passes [`assert_invariants`] after every operation.
 fn run_schedule(
     ops: Vec<Op>,
+    booking: Booking,
     mut check: impl FnMut(
         &RideRequest,
         &XarEngine,
@@ -132,13 +142,21 @@ fn run_schedule(
                     window_end_s: f64::from(at_min) * 60.0 + 3_600.0,
                     walk_limit_m: f64::from(walk_m),
                 };
+                // Matches asked for, and how many of them a booking tries.
+                let (limit, tries) = match booking {
+                    Booking::Best => (usize::MAX, 1),
+                    Booking::FirstOfTop3 => (3, 3),
+                };
                 let mut explain = SearchExplain::default();
                 let matches = eng
-                    .search_explained(&req, usize::MAX, &mut explain)
+                    .search_explained(&req, limit, &mut explain)
                     .unwrap_or_default();
                 check(&req, &eng, &matches, &explain)?;
-                if let (true, Some(best)) = (book, matches.first()) {
-                    let _ = eng.book_checked(best);
+                if book {
+                    let _ = matches
+                        .iter()
+                        .take(tries)
+                        .find(|m| eng.book_checked(m).is_ok());
                 }
             }
             Op::Track { at_min } => {
@@ -358,7 +376,7 @@ proptest! {
     fn search_is_complete_against_oracle(
         ops in proptest::collection::vec(op_strategy(625), 1..40)
     ) {
-        run_schedule(ops, |req, eng, matches, explain| {
+        run_schedule(ops, Booking::Best, |req, eng, matches, explain| {
             match reference_search(eng, req) {
                 Some((want, want_explain)) => {
                     prop_assert_eq!(matches, &want[..], "matches differ");
@@ -384,49 +402,12 @@ proptest! {
     }
 
     /// Arbitrary create/search-book/track sequences preserve every
-    /// engine invariant.
+    /// engine invariant, booking down the top 3 matches.
     #[test]
     fn random_sessions_preserve_invariants(
         ops in proptest::collection::vec(op_strategy(625), 1..30)
     ) {
-        let g = graph();
-        let n = g.node_count() as u32;
-        let mut eng = XarEngine::new(Arc::clone(region()), EngineConfig::default());
-        for op in ops {
-            match op {
-                Op::Create { src, dst, depart_min, seats, detour_km } => {
-                    let _ = eng.create_ride(&RideOffer {
-                        source: g.point(NodeId(src % n)),
-                        destination: g.point(NodeId(dst % n)),
-                        departure_s: f64::from(depart_min) * 60.0,
-                        seats,
-                        detour_limit_m: f64::from(detour_km) * 1_000.0, driver: None, via: Vec::new(),
-                    });
-                }
-                Op::SearchAndMaybeBook { src, dst, at_min, walk_m, book } => {
-                    let req = RideRequest {
-                        source: g.point(NodeId(src % n)),
-                        destination: g.point(NodeId(dst % n)),
-                        window_start_s: f64::from(at_min) * 60.0,
-                        window_end_s: f64::from(at_min) * 60.0 + 3_600.0,
-                        walk_limit_m: f64::from(walk_m),
-                    };
-                    if let Ok(ms) = eng.search(&req, 3) {
-                        if book {
-                            for m in &ms {
-                                if eng.book_checked(m).is_ok() {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                Op::Track { at_min } => {
-                    eng.track_all(f64::from(at_min) * 60.0);
-                }
-            }
-            assert_invariants(&eng);
-        }
+        run_schedule(ops, Booking::FirstOfTop3, |_, _, _, _| Ok(()))?;
     }
 }
 
@@ -452,7 +433,7 @@ fn a_ride_listed_near_the_source_only_is_unpaired() {
         },
     ];
     let mut searches = 0;
-    run_schedule(ops, |_, _, matches, explain| {
+    run_schedule(ops, Booking::Best, |_, _, matches, explain| {
         searches += 1;
         prop_assert!(matches.is_empty());
         prop_assert_eq!((explain.candidates, explain.unpaired), (1, 1));

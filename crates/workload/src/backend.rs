@@ -69,13 +69,14 @@ impl XarBackend {
 impl RideBackend for XarBackend {
     type Match = RideMatch;
 
-    fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> (Vec<RideMatch>, SearchExplain) {
+    /// Searches into `out` in place: no allocation once it has grown.
+    fn search(&mut self, trip: &Trip, cfg: &SimConfig, out: &mut Vec<RideMatch>) -> SearchExplain {
         let mut explain = SearchExplain::default();
-        let matches = self
+        // On an error `out` is left empty and `explain` names the reason.
+        let _ = self
             .engine
-            .search_explained(&request_of(trip, cfg), cfg.k, &mut explain)
-            .unwrap_or_default();
-        (matches, explain)
+            .search_into_explained(&request_of(trip, cfg), cfg.k, out, &mut explain);
+        explain
     }
 
     fn book(&mut self, m: &RideMatch, _cfg: &SimConfig) -> BookResult {
@@ -120,19 +121,23 @@ impl RideBackend for TShareBackend {
 
     /// T-Share cannot attribute a rejection: its explain is
     /// `candidates = matches`, nothing else.
-    fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> (Vec<TShareMatch>, SearchExplain) {
+    fn search(
+        &mut self,
+        trip: &Trip,
+        cfg: &SimConfig,
+        out: &mut Vec<TShareMatch>,
+    ) -> SearchExplain {
         let req = TShareRequest {
             pickup: trip.pickup,
             dropoff: trip.dropoff,
             window_start_s: trip.pickup_s,
             window_end_s: trip.pickup_s + cfg.window_s,
         };
-        let matches = self.engine.search(&req, cfg.k);
-        let explain = SearchExplain {
-            candidates: matches.len() as u32,
+        *out = self.engine.search(&req, cfg.k);
+        SearchExplain {
+            candidates: out.len() as u32,
             ..SearchExplain::default()
-        };
-        (matches, explain)
+        }
     }
 
     fn book(&mut self, m: &TShareMatch, _cfg: &SimConfig) -> BookResult {

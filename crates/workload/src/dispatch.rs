@@ -91,10 +91,21 @@ pub fn run_simulation<B: RideBackend>(
     let pm = PhaseMetrics::new(&registry);
     let system = backend.name();
     let mut next_track = trips.first().map_or(0.0, |t| t.pickup_s);
+    // Every search of the run fills this one buffer.
+    let mut matches = Vec::new();
 
     for (idx, trip) in trips.iter().enumerate() {
         track_sweeps(backend, cfg, trip.pickup_s, &mut next_track, &pm, system);
-        dispatch_request(backend, cfg, idx, trip, &mut report, &pm, system);
+        dispatch_request(
+            backend,
+            cfg,
+            idx,
+            trip,
+            &mut matches,
+            &mut report,
+            &pm,
+            system,
+        );
     }
     report.registry = Some(registry);
     report
@@ -124,24 +135,25 @@ fn track_sweeps<B: RideBackend>(
     }
 }
 
-/// One timed search with full accounting: the matches, the rejection
-/// attribution and the wall-clock nanoseconds (for the request's wide
-/// event).
+/// One timed search into `matches` with full accounting: the
+/// rejection attribution and the wall-clock nanoseconds (for the
+/// request's wide event).
 fn timed_search<B: RideBackend>(
     backend: &mut B,
     trip: &Trip,
     cfg: &SimConfig,
+    matches: &mut Vec<B::Match>,
     report: &mut SimReport,
     pm: &PhaseMetrics,
-) -> (Vec<B::Match>, SearchExplain, u64) {
+) -> (SearchExplain, u64) {
     let _phase = xar_obs::trace::span("sim.search");
     let t0 = Instant::now();
-    let (matches, explain) = backend.search(trip, cfg);
+    let explain = backend.search(trip, cfg, matches);
     let ns = t0.elapsed().as_nanos() as u64;
     report.search_ns.push(ns);
     pm.search_h.record(ns);
     report.looks += 1;
-    (matches, explain, ns)
+    (explain, ns)
 }
 
 /// Book-success bookkeeping. Also fills the outcome half of the
@@ -227,13 +239,16 @@ fn timed_create<B: RideBackend>(
     res
 }
 
-/// One request through the protocol: look, search, book down the match
-/// list, else create; one root carrying one wide event either way.
+/// One request through the protocol: look, search (into `matches`),
+/// book down the match list, else create; one root carrying one wide
+/// event either way.
+#[allow(clippy::too_many_arguments)]
 fn dispatch_request<B: RideBackend>(
     backend: &mut B,
     cfg: &SimConfig,
     idx: usize,
     trip: &Trip,
+    matches: &mut Vec<B::Match>,
     report: &mut SimReport,
     pm: &PhaseMetrics,
     system: &'static str,
@@ -247,10 +262,10 @@ fn dispatch_request<B: RideBackend>(
 
     // Extra "look" searches (high look-to-book scenarios, Fig. 5b).
     for _ in 0..cfg.lookups_per_request {
-        let _ = timed_search(backend, trip, cfg, report, pm);
+        let _ = timed_search(backend, trip, cfg, matches, report, pm);
     }
 
-    let (matches, explain, search_ns) = timed_search(backend, trip, cfg, report, pm);
+    let (explain, search_ns) = timed_search(backend, trip, cfg, matches, report, pm);
     report.matches_returned += matches.len() as u64;
     ev.searches = cfg.lookups_per_request as u32 + 1;
     ev.search_ns = search_ns;
@@ -260,7 +275,7 @@ fn dispatch_request<B: RideBackend>(
 
     let mut booked = false;
     let mut last_book_failure = None;
-    for m in &matches {
+    for m in matches.iter() {
         let _phase = xar_obs::trace::span("sim.book");
         let t0 = Instant::now();
         let res = backend.book(m, cfg);

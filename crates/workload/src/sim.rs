@@ -58,13 +58,16 @@ pub trait RideBackend {
     /// An opaque match handle.
     type Match;
 
-    /// Search for rides serving `trip`: up to `k` matches, best first,
-    /// and the per-check rejection attribution for the request's wide
-    /// event. A backend that cannot attribute more finely reports
-    /// `candidates = matches` and nothing else, which keeps the reason
-    /// taxonomy closed: a matchless search decodes to
-    /// [`Reason::NoClusterCandidates`].
-    fn search(&mut self, trip: &Trip, cfg: &SimConfig) -> (Vec<Self::Match>, SearchExplain);
+    /// Search for rides serving `trip`: replace the contents of `out`
+    /// with up to `k` matches, best first, and return the per-check
+    /// rejection attribution for the request's wide event. `out` is the
+    /// caller's, reused across searches, so a backend that fills it in
+    /// place allocates nothing once it has grown. A backend that cannot
+    /// attribute more finely reports `candidates = matches` and nothing
+    /// else, which keeps the reason taxonomy closed: a matchless search
+    /// decodes to [`Reason::NoClusterCandidates`].
+    fn search(&mut self, trip: &Trip, cfg: &SimConfig, out: &mut Vec<Self::Match>)
+        -> SearchExplain;
     /// Book a match; [`BookResult::Failed`] carries the typed reason
     /// when it went stale.
     fn book(&mut self, m: &Self::Match, cfg: &SimConfig) -> BookResult;
@@ -141,10 +144,11 @@ mod tests {
     impl RideBackend for Scripted {
         type Match = ();
 
-        fn search(&mut self, _t: &Trip, _c: &SimConfig) -> (Vec<()>, SearchExplain) {
+        fn search(&mut self, _t: &Trip, _c: &SimConfig, out: &mut Vec<()>) -> SearchExplain {
             let n = self.match_counts.get(self.searches).copied().unwrap_or(0);
             self.searches += 1;
-            (vec![(); n], SearchExplain::default())
+            *out = vec![(); n];
+            SearchExplain::default()
         }
         fn book(&mut self, _m: &(), _c: &SimConfig) -> BookResult {
             self.books += 1;
@@ -236,8 +240,9 @@ mod tests {
         }
         impl RideBackend for AllStale {
             type Match = ();
-            fn search(&mut self, _: &Trip, _: &SimConfig) -> (Vec<()>, SearchExplain) {
-                (vec![(); 3], SearchExplain::default())
+            fn search(&mut self, _: &Trip, _: &SimConfig, out: &mut Vec<()>) -> SearchExplain {
+                *out = vec![(); 3];
+                SearchExplain::default()
             }
             fn book(&mut self, _: &(), _: &SimConfig) -> BookResult {
                 self.books += 1;

@@ -71,6 +71,7 @@ fn reference_decisions<B: RideBackend>(
     cfg: &SimConfig,
 ) -> Vec<Decision> {
     let mut out = Vec::with_capacity(trips.len());
+    let mut matches = Vec::new();
     let mut next_track = trips.first().map_or(0.0, |t| t.pickup_s);
     for trip in trips {
         if let Some(every) = cfg.track_every_s {
@@ -80,16 +81,13 @@ fn reference_decisions<B: RideBackend>(
             }
         }
         for _ in 0..cfg.lookups_per_request {
-            let _ = backend.search(trip, cfg);
+            let _ = backend.search(trip, cfg, &mut matches);
         }
-        let booked = backend
-            .search(trip, cfg)
-            .0
-            .iter()
-            .find_map(|m| match backend.book(m, cfg) {
-                BookResult::Booked { ride, .. } => Some(ride),
-                BookResult::Failed(_) => None,
-            });
+        let _ = backend.search(trip, cfg, &mut matches);
+        let booked = matches.iter().find_map(|m| match backend.book(m, cfg) {
+            BookResult::Booked { ride, .. } => Some(ride),
+            BookResult::Failed(_) => None,
+        });
         let outcome = match booked {
             Some(ride) => DecisionOutcome::Booked { ride },
             None if backend.create(trip, cfg).is_ok() => DecisionOutcome::Created,

@@ -14,8 +14,11 @@ use std::sync::Arc;
 use xhare_a_ride::discretize::{ClusterGoal, RegionConfig, RegionIndex};
 use xhare_a_ride::roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, ShortestPaths};
 
-/// Pairs compared, every `SELF_EVERY`-th of them a self pair.
+/// Pairs compared on the 40×40 city, every `SELF_EVERY`-th of them a
+/// self pair.
 const PAIRS: usize = 480;
+/// Pairs compared on the 140×140 city of the `metro` workload.
+const METRO_PAIRS: usize = 1_200;
 const SELF_EVERY: usize = 16;
 
 /// splitmix64: a seeded stream of pair end-points.
@@ -27,13 +30,14 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[test]
-fn region_router_returns_dijkstras_path_bit_for_bit() {
-    let graph = Arc::new(CityConfig::manhattan(40, 40, 0xC17).generate());
+/// Build the region of a `side`×`side` lattice city and hold its
+/// router to plain Dijkstra on `pairs` seeded pairs.
+fn router_equals_dijkstra_on(side: usize, pois: usize, pairs: usize) {
+    let graph = Arc::new(CityConfig::manhattan(side, side, 0xC17).generate());
     let pois = sample_pois(
         &graph,
         &PoiConfig {
-            count: 800,
+            count: pois,
             ..Default::default()
         },
     );
@@ -52,7 +56,7 @@ fn region_router_returns_dijkstras_path_bit_for_bit() {
     let n = graph.node_count() as u64;
     let mut state = 0xC17;
     let mut self_pairs = 0;
-    for k in 0..PAIRS {
+    for k in 0..pairs {
         let a = NodeId((next(&mut state) % n) as u32);
         let b = if k % SELF_EVERY == 0 {
             a
@@ -81,5 +85,19 @@ fn region_router_returns_dijkstras_path_bit_for_bit() {
             assert_eq!((got.nodes.as_slice(), got.dist_m), ([a].as_slice(), 0.0));
         }
     }
-    assert!(self_pairs >= PAIRS / SELF_EVERY, "self pairs are covered");
+    assert!(self_pairs >= pairs / SELF_EVERY, "self pairs are covered");
+}
+
+#[test]
+fn region_router_returns_dijkstras_path_bit_for_bit() {
+    router_equals_dijkstra_on(40, 800, PAIRS);
+}
+
+/// The largest benchmark city, where the distances are longest and so
+/// the router's `f32` table rounds most. Slow in a debug build: CI runs
+/// it in release with `--ignored`.
+#[test]
+#[ignore = "metro-sized; run in release: cargo test --release --test routing_exact -- --ignored"]
+fn region_router_returns_dijkstras_path_on_the_metro_city() {
+    router_equals_dijkstra_on(140, 9_800, METRO_PAIRS);
 }

@@ -5,13 +5,19 @@
 //! * 3c: the size of the in-memory index as `C` grows (the paper loads
 //!   120k offers / 350k requests; we load a scaled stress workload);
 //! * 3d: the ride-search time as `C` grows.
+//!
+//! Exits non-zero when the deterministic part of the figure loses its
+//! shape: `C` must fall strictly as ε grows (3b), and the index bytes
+//! must grow strictly with `C` (3c). Search time (3d) is wall-clock
+//! and is printed, not checked.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
 use xar_bench::{fmt_bytes, fmt_time_s, header, row, scale_arg, BenchCity};
 use xar_workload::{run_simulation, SimConfig, XarBackend};
 
-fn main() {
+fn main() -> ExitCode {
     let scale = scale_arg();
     println!("# Figure 3b/3c/3d — performance vs approximation trade-off (scale {scale})\n");
     let city = BenchCity::standard();
@@ -24,7 +30,7 @@ fn main() {
         "clusters C",
         "realised eps (m)",
     ]);
-    let mut sweep_regions = Vec::new();
+    let mut clusters_by_eps = Vec::new();
     for eps_target in [400.0, 700.0, 1_000.0, 1_600.0, 2_400.0, 4_000.0] {
         let delta = eps_target / 4.0;
         let region = city.region_delta(delta);
@@ -34,7 +40,7 @@ fn main() {
             region.cluster_count().to_string(),
             format!("{:.0}", region.epsilon_m()),
         ]);
-        sweep_regions.push((eps_target, region));
+        clusters_by_eps.push(region.cluster_count());
     }
 
     // ---- Figures 3c/3d: C -> index size and search time ----
@@ -51,6 +57,7 @@ fn main() {
         "p95 search",
     ]);
     let trips = city.trips(12_000, scale);
+    let mut bytes_by_c = Vec::new();
     for c in [25usize, 50, 100, 200, 400] {
         let region = city.region_clusters(c);
         let eps = region.epsilon_m();
@@ -59,6 +66,7 @@ fn main() {
         let report = run_simulation(&mut backend, &trips, &SimConfig::default());
         let _elapsed = t0.elapsed();
         let mem = backend.engine.heap_bytes();
+        bytes_by_c.push(mem);
         let region_mem = region.heap_bytes();
         row(&[
             c.to_string(),
@@ -70,7 +78,22 @@ fn main() {
         ]);
     }
     println!(
-        "\nshape check: C inversely related to eps (3b); index bytes grow superlinearly \
-         with C (3c); search time grows with C (3d)."
+        "\nshape check: C strictly decreasing in eps (3b); index bytes strictly increasing \
+         in C (3c); search time (3d) is wall-clock, reported and not checked."
     );
+    let mut failed = Vec::new();
+    if !clusters_by_eps.windows(2).all(|w| w[0] > w[1]) {
+        failed.push("3b: C is not strictly decreasing in eps");
+    }
+    if !bytes_by_c.windows(2).all(|w| w[0] < w[1]) {
+        failed.push("3c: index bytes are not strictly increasing in C");
+    }
+    if failed.is_empty() {
+        println!("shape check passed");
+        return ExitCode::SUCCESS;
+    }
+    for f in &failed {
+        eprintln!("shape check failed: {f}");
+    }
+    ExitCode::FAILURE
 }

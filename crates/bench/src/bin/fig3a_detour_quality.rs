@@ -65,7 +65,7 @@ impl RideBackend for Probe {
             let pass_ends = pass(m.pickup_cluster) + pass(m.dropoff_cluster);
             let beyond = same_segment && {
                 let sp = ShortestPaths::driving(region.graph());
-                let s1 = r.via_points[m.pickup_seg].node;
+                let s1 = r.route.nodes()[r.via_points[m.pickup_seg]];
                 let d = |l| {
                     sp.cost(s1, region.landmark(l).node)
                         .unwrap_or(f64::INFINITY)

@@ -9,12 +9,16 @@
 //! "such an update may render some of the earlier pass through and
 //! reachable clusters invalid". The booking that sells the last seat
 //! only de-lists the ride.
+//!
+//! The route edit is [`Route::insert_stops`], the one §VIII.B insertion
+//! the T-Share baseline books with too: one call for a pick-up and
+//! drop-off on the same segment, two for different segments.
 
 use xar_roadnet::{NodeId, Route};
 
 use crate::engine::XarEngine;
 use crate::error::XarError;
-use crate::ride::{Booking, RideStatus, ViaPoint};
+use crate::ride::{Booking, RideStatus};
 use crate::search::RideMatch;
 
 /// The result of a confirmed booking — including the realised detour,
@@ -78,7 +82,7 @@ impl XarEngine {
             ));
         }
         // The ride must not have passed the pick-up segment's start.
-        if ride.progress_idx > ride.via_points[pickup_seg + 1].route_idx {
+        if ride.progress_idx > ride.via_points[pickup_seg + 1] {
             return Err(XarError::AlreadyPassed(m.ride));
         }
         let budget_before = ride.detour_remaining_m();
@@ -99,142 +103,32 @@ impl XarEngine {
         // for, and `engine.shortest_paths` must not fall behind
         // `engine.sp_ns`.
         let sp_total = std::sync::Arc::clone(&self.stats.shortest_paths);
-        let mut path_route = |a: NodeId, b: NodeId| -> Result<Route, XarError> {
+        let mut leg = |a: NodeId, b: NodeId| -> Option<Route> {
             sp_count += 1;
             sp_total.inc();
             let p = {
                 let _sp_span = xar_obs::SpanTimer::new(std::sync::Arc::clone(&sp_ns));
                 let _sp_trace = xar_obs::trace::span("shortest_path");
                 region.router().path(a, b)
-            }
-            .ok_or(XarError::NoRoute)?;
-            Route::from_path_result(graph, &p).ok_or(XarError::NoRoute)
+            }?;
+            Route::from_path_result(graph, &p)
         };
 
-        // Build the new route, the way-point indices of the two new
-        // via-points, and the exactly recomputed indices of the old
-        // via-points (splices shift everything downstream of them).
+        // §VIII.B: on one segment, SP(s1, src), SP(src, dest),
+        // SP(dest, s2); across two, SP(s1, src), SP(src, s2) and then
+        // SP(d1, dest), SP(dest, d2) on the route the first left.
         let traced = tspan.is_recording();
         let splice_span = traced.then(|| xar_obs::trace::span("route_splice"));
-        let (new_route, pickup_idx, dropoff_idx);
-        let mut vps: Vec<ViaPoint>;
-        if pickup_seg == dropoff_seg {
-            // §VIII.B Step 2: both on one segment — SP(s1, src),
-            // SP(src, dest), SP(dest, s2).
-            let s1 = ride.via_points[pickup_seg];
-            let s2 = ride.via_points[pickup_seg + 1];
-            let leg1 = path_route(s1.node, pickup_node)?;
-            let leg2 = path_route(pickup_node, dropoff_node)?;
-            let leg3 = path_route(dropoff_node, s2.node)?;
-            pickup_idx = s1.route_idx + leg1.len() - 1;
-            dropoff_idx = pickup_idx + leg2.len() - 1;
-            let replacement = leg1.concat(&leg2).concat(&leg3);
-            new_route = ride.route.splice(s1.route_idx, s2.route_idx, &replacement);
-            let delta = new_route.len() as isize - ride.route.len() as isize;
-            // Shift by list position, not by route-index comparison:
-            // consecutive via-points may share a route_idx (a booking
-            // whose pick-up landed exactly on a via node leaves a
-            // zero-length segment), and comparing indices would drag
-            // the splice's start point along with its end.
-            vps = ride
-                .via_points
-                .iter()
-                .enumerate()
-                .map(|(pos, v)| {
-                    if pos > pickup_seg {
-                        ViaPoint {
-                            route_idx: (v.route_idx as isize + delta) as usize,
-                            node: v.node,
-                        }
-                    } else {
-                        *v
-                    }
-                })
-                .collect();
-            vps.insert(
-                pickup_seg + 1,
-                ViaPoint {
-                    route_idx: pickup_idx,
-                    node: pickup_node,
-                },
-            );
-            vps.insert(
-                pickup_seg + 2,
-                ViaPoint {
-                    route_idx: dropoff_idx,
-                    node: dropoff_node,
-                },
-            );
+        let (route, vias) = (&ride.route, &ride.via_points);
+        let inserted = if pickup_seg == dropoff_seg {
+            route.insert_stops(vias, pickup_seg, &[pickup_node, dropoff_node], &mut leg)
         } else {
-            // §VIII.B Step 3: different segments — SP(s1, src),
-            // SP(src, s2), SP(d1, dest), SP(dest, d2).
-            let s1 = ride.via_points[pickup_seg];
-            let s2 = ride.via_points[pickup_seg + 1];
-            let leg1 = path_route(s1.node, pickup_node)?;
-            let leg2 = path_route(pickup_node, s2.node)?;
-            pickup_idx = s1.route_idx + leg1.len() - 1;
-            let after_pickup = ride
-                .route
-                .splice(s1.route_idx, s2.route_idx, &leg1.concat(&leg2));
-            // The pick-up splice shifted the via-points *behind* s2 in
-            // the list. Shift by list position, not by route-index
-            // comparison: consecutive via-points may share a route_idx
-            // (zero-length segments left by earlier bookings), and
-            // comparing indices would drag a splice's start point along
-            // with its end.
-            let shift1 = after_pickup.len() as isize - ride.route.len() as isize;
-            let at1 = |pos: usize, old: usize| -> usize {
-                if pos > pickup_seg {
-                    (old as isize + shift1) as usize
-                } else {
-                    old
-                }
-            };
-            let d1_idx = at1(dropoff_seg, ride.via_points[dropoff_seg].route_idx);
-            let d2_idx = at1(dropoff_seg + 1, ride.via_points[dropoff_seg + 1].route_idx);
-            let d1_node = after_pickup.nodes()[d1_idx];
-            let d2_node = after_pickup.nodes()[d2_idx];
-            let leg3 = path_route(d1_node, dropoff_node)?;
-            let leg4 = path_route(dropoff_node, d2_node)?;
-            dropoff_idx = d1_idx + leg3.len() - 1;
-            new_route = after_pickup.splice(d1_idx, d2_idx, &leg3.concat(&leg4));
-            let shift2 = new_route.len() as isize - after_pickup.len() as isize;
-            let at2 = |pos: usize, idx1: usize| -> usize {
-                if pos > dropoff_seg {
-                    (idx1 as isize + shift2) as usize
-                } else {
-                    idx1
-                }
-            };
-            vps = ride
-                .via_points
-                .iter()
-                .enumerate()
-                .map(|(pos, v)| ViaPoint {
-                    route_idx: at2(pos, at1(pos, v.route_idx)),
-                    node: v.node,
-                })
-                .collect();
-            vps.insert(
-                pickup_seg + 1,
-                ViaPoint {
-                    route_idx: pickup_idx,
-                    node: pickup_node,
-                },
-            );
-            vps.insert(
-                dropoff_seg + 2,
-                ViaPoint {
-                    route_idx: dropoff_idx,
-                    node: dropoff_node,
-                },
-            );
-        }
-        debug_assert!(
-            vps.windows(2).all(|w| w[0].route_idx <= w[1].route_idx),
-            "via-points out of order"
-        );
-        debug_assert!(vps.iter().all(|v| new_route.nodes()[v.route_idx] == v.node));
+            route
+                .insert_stops(vias, pickup_seg, &[pickup_node], &mut leg)
+                .and_then(|(r, v)| r.insert_stops(&v, dropoff_seg + 1, &[dropoff_node], &mut leg))
+        };
+        let (new_route, vias) = inserted.ok_or(XarError::NoRoute)?;
+        let (pickup_idx, dropoff_idx) = (vias[pickup_seg + 1], vias[dropoff_seg + 2]);
         drop(splice_span);
 
         let actual_detour = (new_route.dist_m() - old_len).max(0.0);
@@ -250,7 +144,7 @@ impl XarEngine {
         let dropoff_eta;
         {
             ride.route = new_route;
-            ride.via_points = vps;
+            ride.via_points = vias;
             ride.seats_available -= 1;
             ride.detour_used_m += actual_detour;
             ride.bookings.push(Booking {

@@ -17,7 +17,7 @@ use xar_roadnet::Route;
 use crate::error::XarError;
 use crate::index::{ClusterIndex, PotentialRide};
 use crate::metrics::EngineMetrics;
-use crate::ride::{PassCluster, Ride, RideId, RideOffer, RideStatus, ViaPoint};
+use crate::ride::{PassCluster, Ride, RideId, RideOffer, RideStatus};
 
 /// Tunables of the runtime unit.
 #[derive(Debug, Clone)]
@@ -278,42 +278,16 @@ impl XarEngine {
             return Err(XarError::InvalidRequest("source and destination coincide"));
         }
 
-        let mut route: Option<Route> = None;
-        for w in stop_nodes.windows(2) {
+        let (route, via_points) = Route::through(&stop_nodes, |a, b| {
             self.stats.shortest_paths.inc();
             let path = {
                 let _sp_span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.sp_ns));
                 let _sp_trace = xar_obs::trace::span("shortest_path");
-                self.region.router().path(w[0], w[1])
-            }
-            .ok_or(XarError::NoRoute)?;
-            let leg =
-                Route::from_path_result(self.region.graph(), &path).ok_or(XarError::NoRoute)?;
-            route = Some(match route {
-                None => leg,
-                Some(r) => r.concat(&leg),
-            });
-        }
-        let route = route.expect("at least one leg");
-        // Via-point indices on the concatenated route: each stop is the
-        // first occurrence of its node at/after the previous via-point
-        // (the destination is pinned to the final way-point).
-        let mut via_points = Vec::with_capacity(stop_nodes.len());
-        let mut cursor = 0usize;
-        for &node in &stop_nodes {
-            let idx = route.nodes()[cursor..]
-                .iter()
-                .position(|&n| n == node)
-                .map(|o| cursor + o)
-                .expect("stop node lies on its own concatenated route");
-            via_points.push(ViaPoint {
-                route_idx: idx,
-                node,
-            });
-            cursor = idx;
-        }
-        let final_idx = route.len() - 1;
-        via_points.last_mut().expect("two or more stops").route_idx = final_idx;
+                self.region.router().path(a, b)
+            }?;
+            Route::from_path_result(self.region.graph(), &path)
+        })
+        .ok_or(XarError::NoRoute)?;
 
         let id = RideId(self.next_id);
         self.next_id += 1;
@@ -409,7 +383,7 @@ impl XarEngine {
             let mut column_of = None;
             for p in &mut pass {
                 let end_via = ride.via_points[(p.seg + 1).min(ride.via_points.len() - 1)];
-                let end_cluster = region.cluster_of_node(end_via.node);
+                let end_cluster = region.cluster_of_node(nodes[end_via]);
                 // d(p, ·) is a contiguous row; d(·, v) to the segment's end
                 // cluster v a strided column, copied out once per segment.
                 let row = region.cluster_distances_from(p.cluster);
@@ -453,7 +427,7 @@ impl XarEngine {
     ) -> PassCluster {
         PassCluster {
             cluster,
-            seg: ride.segment_of(entry_idx),
+            seg: xar_roadnet::route::segment_of(&ride.via_points, entry_idx),
             route_idx: entry_idx,
             eta_s: ride.eta_at_route_idx(entry_idx),
             reachable: Vec::new(),

@@ -4,7 +4,7 @@
 
 use xar_discretize::ClusterId;
 use xar_geo::GeoPoint;
-use xar_roadnet::{NodeId, Route};
+use xar_roadnet::Route;
 
 use crate::index::PotentialRide;
 
@@ -72,18 +72,6 @@ impl RideOffer {
             via: Vec::new(),
         }
     }
-}
-
-/// A via-point: a route way-point the ride *must* pass through — the
-/// ride's own source/destination and every booked rider's pick-up and
-/// drop-off (§VI distinguishes via-points from plain way-points).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ViaPoint {
-    /// Index into the ride route's way-point sequence.
-    pub route_idx: usize,
-    /// The way-point node (redundant with the route, kept for O(1)
-    /// access during booking updates).
-    pub node: NodeId,
 }
 
 /// A pass-through cluster of a ride on one of its segments, with the
@@ -159,9 +147,13 @@ pub struct Ride {
     pub seats_available: u8,
     /// Current route (updated by bookings).
     pub route: Route,
-    /// Via-points in route order; `via_points[0]` is the source,
-    /// `via_points.last()` the destination.
-    pub via_points: Vec<ViaPoint>,
+    /// Via-points: the way-point indices the ride *must* pass through
+    /// — its own source and destination and every booked rider's
+    /// pick-up and drop-off (§VI distinguishes via-points from plain
+    /// way-points). Ascending; `via_points[0]` is 0 (the source),
+    /// `via_points.last()` is `route.len() - 1` (the destination), and
+    /// consecutive equal indices delimit a zero-length segment.
+    pub via_points: Vec<usize>,
     /// Original detour budget, metres.
     pub detour_limit_m: f64,
     /// Detour already consumed by bookings, metres.
@@ -191,19 +183,6 @@ impl Ride {
         (self.detour_limit_m - self.detour_used_m).max(0.0)
     }
 
-    /// The segment index (between consecutive via-points) containing
-    /// route way-point `route_idx`. Way-points on a via-point boundary
-    /// belong to the segment starting there (except the final
-    /// via-point, which belongs to the last segment).
-    pub fn segment_of(&self, route_idx: usize) -> usize {
-        debug_assert!(!self.via_points.is_empty());
-        let n_seg = self.via_points.len() - 1;
-        let pos = self
-            .via_points
-            .partition_point(|v| v.route_idx <= route_idx);
-        pos.saturating_sub(1).min(n_seg.saturating_sub(1))
-    }
-
     /// Estimated arrival time at route way-point `idx`, absolute
     /// seconds: departure + cumulative free-flow time scaled by the
     /// ride's historical congestion multiplier — the paper's
@@ -222,7 +201,7 @@ impl Ride {
     /// Heap bytes held by this ride (index-size accounting).
     pub fn heap_bytes(&self) -> usize {
         self.route.heap_bytes()
-            + self.via_points.capacity() * std::mem::size_of::<ViaPoint>()
+            + self.via_points.capacity() * std::mem::size_of::<usize>()
             + self.pass_clusters.capacity() * std::mem::size_of::<PassCluster>()
             + self
                 .pass_clusters
@@ -250,16 +229,7 @@ mod tests {
             destination: g.point(NodeId(n - 1)),
             departure_s: 3600.0,
             seats_available: 3,
-            via_points: vec![
-                ViaPoint {
-                    route_idx: 0,
-                    node: route.nodes()[0],
-                },
-                ViaPoint {
-                    route_idx: last,
-                    node: route.nodes()[last],
-                },
-            ],
+            via_points: vec![0, last],
             route,
             detour_limit_m: 2000.0,
             detour_used_m: 0.0,
@@ -279,49 +249,6 @@ mod tests {
         assert_eq!(r.detour_remaining_m(), 2000.0);
         r.detour_used_m = 2500.0;
         assert_eq!(r.detour_remaining_m(), 0.0);
-    }
-
-    #[test]
-    fn single_segment_maps_everything_to_zero() {
-        let g = CityConfig::test_city(1).generate();
-        let r = make_ride(&g);
-        assert_eq!(r.segment_of(0), 0);
-        assert_eq!(r.segment_of(r.route.len() / 2), 0);
-        assert_eq!(r.segment_of(r.route.len() - 1), 0);
-    }
-
-    #[test]
-    fn multi_segment_mapping() {
-        let g = CityConfig::test_city(1).generate();
-        let mut r = make_ride(&g);
-        let last = r.route.len() - 1;
-        let mid = last / 2;
-        r.via_points = vec![
-            ViaPoint {
-                route_idx: 0,
-                node: r.route.nodes()[0],
-            },
-            ViaPoint {
-                route_idx: mid,
-                node: r.route.nodes()[mid],
-            },
-            ViaPoint {
-                route_idx: last,
-                node: r.route.nodes()[last],
-            },
-        ];
-        assert_eq!(r.segment_of(0), 0);
-        assert_eq!(r.segment_of(mid - 1), 0);
-        assert_eq!(
-            r.segment_of(mid),
-            1,
-            "boundary way-point starts the next segment"
-        );
-        assert_eq!(
-            r.segment_of(last),
-            1,
-            "final via-point stays in the last segment"
-        );
     }
 
     #[test]

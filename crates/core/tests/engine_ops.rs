@@ -225,16 +225,20 @@ fn booking_updates_ride_and_budget() {
     // The route now passes through the pick-up and drop-off landmarks.
     let pickup_node = eng.region().landmark(m.pickup_landmark).node;
     let dropoff_node = eng.region().landmark(m.dropoff_landmark).node;
-    assert!(after.route.nodes().contains(&pickup_node));
-    assert!(after.route.nodes().contains(&dropoff_node));
+    assert_eq!(
+        after.route.nodes()[after.via_points[m.pickup_seg + 1]],
+        pickup_node
+    );
+    assert_eq!(
+        after.route.nodes()[after.via_points[m.dropoff_seg + 2]],
+        dropoff_node
+    );
     // Via-points grew by 2 and remain ordered & consistent.
     assert_eq!(after.via_points.len(), before.via_points.len() + 2);
     for w in after.via_points.windows(2) {
-        assert!(w[0].route_idx <= w[1].route_idx);
+        assert!(w[0] <= w[1]);
     }
-    for v in &after.via_points {
-        assert_eq!(after.route.nodes()[v.route_idx], v.node);
-    }
+    assert_eq!(after.via_points.last(), Some(&(after.route.len() - 1)));
     // Quality guarantee: realised detour within estimate + 4ε.
     let eps = eng.region().epsilon_m();
     assert!(

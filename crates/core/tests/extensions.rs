@@ -54,8 +54,8 @@ fn alternate_route_passes_declared_points() {
     let ride = eng.ride(id).unwrap();
     // Three via-points: source, declared point, destination.
     assert_eq!(ride.via_points.len(), 3);
-    let via_node = ride.via_points[1].node;
-    assert!(ride.route.nodes().contains(&via_node));
+    let via_node = ride.route.nodes()[ride.via_points[1]];
+    assert_eq!(via_node, eng.region().snap_exact(&detour_pt));
     // The alternate route is at least as long as the direct one.
     let direct = {
         let mut e2 = XarEngine::new(Arc::clone(eng.region()), EngineConfig::default());
@@ -90,7 +90,7 @@ fn alternate_route_creates_multiple_segments() {
     let ride = eng.ride(id).unwrap();
     assert_eq!(ride.via_points.len(), 4, "source + 2 via + destination");
     for w in ride.via_points.windows(2) {
-        assert!(w[0].route_idx <= w[1].route_idx);
+        assert!(w[0] <= w[1]);
     }
     // Pass clusters must carry valid segment ids (< 3 segments).
     for p in &ride.pass_clusters {

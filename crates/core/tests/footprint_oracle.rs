@@ -136,7 +136,7 @@ impl Oracle {
             0.0
         };
         let end_via = ride.via_points[(p.seg + 1).min(ride.via_points.len() - 1)];
-        let end_cluster = reg.cluster_of_node(end_via.node);
+        let end_cluster = reg.cluster_of_node(ride.route.nodes()[end_via]);
         let mut out = Vec::new();
         for c in (0..reg.cluster_count() as u32).map(ClusterId) {
             let d_pc = reg.cluster_distance(p.cluster, c);

@@ -46,16 +46,13 @@ fn assert_legs_are_shortest_paths(eng: &ShardedXarEngine, g: &RoadGraph, id: Rid
     let ride = engine.ride(id).expect("ride was just created or booked");
     let oracle = ShortestPaths::driving(g);
     for leg in ride.via_points.windows(2) {
-        let stored = &ride.route.nodes()[leg[0].route_idx..=leg[1].route_idx];
-        let want = oracle
-            .path(leg[0].node, leg[1].node)
-            .expect("city is strongly connected");
+        let stored = &ride.route.nodes()[leg[0]..=leg[1]];
+        let (from, to) = (stored[0], stored[stored.len() - 1]);
+        let want = oracle.path(from, to).expect("city is strongly connected");
         assert_eq!(
             stored,
             &want.nodes[..],
-            "ride {id:?}: leg {:?} -> {:?} is not the Dijkstra path",
-            leg[0].node,
-            leg[1].node
+            "ride {id:?}: leg {from:?} -> {to:?} is not the Dijkstra path"
         );
     }
     ride.via_points.len() - 1

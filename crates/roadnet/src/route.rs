@@ -148,9 +148,10 @@ impl Route {
     /// `to_idx` (inclusive endpoints) with `replacement`, whose first and
     /// last way-points must equal `nodes[from_idx]` and `nodes[to_idx]`.
     ///
-    /// This is the route-update primitive of booking (§VIII.B): the
-    /// freshly computed shortest paths through the new via-points are
-    /// joined into one replacement and spliced over the old segment.
+    /// This is the route-update step of booking (§VIII.B):
+    /// [`Route::insert_stops`] joins the freshly computed shortest paths
+    /// through the new via-points into one replacement and splices it
+    /// over the old segment.
     ///
     /// # Panics
     ///
@@ -204,12 +205,96 @@ impl Route {
         }
     }
 
+    /// Route through `stops` in order, joining `leg(stops[k], stops[k+1])`
+    /// for each consecutive pair. Returns the route and each stop's
+    /// way-point index on it (the first is 0, the last `len() - 1`), or
+    /// `None` as soon as a leg fails — later legs are not asked for.
+    ///
+    /// The legs are joined as a left fold of [`Route::concat`] would
+    /// join them, so the cumulative arrays hold the same sums, bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are fewer than two stops or a leg does not run
+    /// from its first stop to its second.
+    pub fn through(
+        stops: &[NodeId],
+        mut leg: impl FnMut(NodeId, NodeId) -> Option<Route>,
+    ) -> Option<(Route, Vec<usize>)> {
+        let mut leg = |a: NodeId, b: NodeId| {
+            let l = leg(a, b)?;
+            assert!(
+                l.nodes.first() == Some(&a) && l.nodes.last() == Some(&b),
+                "a leg must run from its first stop to its second"
+            );
+            Some(l)
+        };
+        // The first leg is the route as it came (its exact capacity);
+        // the others are appended.
+        let mut route = leg(stops[0], stops[1])?;
+        let mut idx = Vec::with_capacity(stops.len());
+        idx.extend([0, route.len() - 1]);
+        for w in stops[1..].windows(2) {
+            route.extend(&leg(w[0], w[1])?);
+            idx.push(route.len() - 1);
+        }
+        Some((route, idx))
+    }
+
+    /// Insert `stops`, in order, into segment `seg` of a route whose
+    /// segments are delimited by the ascending way-point indices `vias`
+    /// — the booking primitive of §VIII.B. Only the changed legs are
+    /// routed: `leg` is asked for `nodes[vias[seg]] → stops… →
+    /// nodes[vias[seg + 1]]` and the result is spliced over the segment.
+    ///
+    /// Returns the new route and the new via list: `stops` sit at
+    /// positions `seg + 1 ..= seg + stops.len()`, and every via after
+    /// the segment's start is shifted by the length change *by list
+    /// position* — a zero-length segment's start keeps its index while
+    /// its end moves. `None` if a leg fails.
+    pub fn insert_stops(
+        &self,
+        vias: &[usize],
+        seg: usize,
+        stops: &[NodeId],
+        leg: impl FnMut(NodeId, NodeId) -> Option<Route>,
+    ) -> Option<(Route, Vec<usize>)> {
+        let (from, to) = (vias[seg], vias[seg + 1]);
+        let mut path = Vec::with_capacity(stops.len() + 2);
+        path.push(self.nodes[from]);
+        path.extend_from_slice(stops);
+        path.push(self.nodes[to]);
+        let (replacement, at) = Route::through(&path, leg)?;
+        let route = self.splice(from, to, &replacement);
+        // The segment's end moves from `to` to `end`; so does every
+        // later via.
+        let end = from + replacement.len() - 1;
+        let mut new_vias = Vec::with_capacity(vias.len() + stops.len());
+        new_vias.extend_from_slice(&vias[..=seg]);
+        new_vias.extend(at[1..].iter().map(|&k| from + k));
+        new_vias.extend(vias[seg + 2..].iter().map(|&v| end + (v - to)));
+        debug_assert!(
+            new_vias.windows(2).all(|w| w[0] <= w[1]),
+            "stops out of order"
+        );
+        Some((route, new_vias))
+    }
+
     /// Join two routes where `self` ends at the node `other` starts at.
     ///
     /// # Panics
     ///
     /// Panics if the junction nodes differ.
     pub fn concat(&self, other: &Route) -> Route {
+        let mut joined = self.clone();
+        joined.extend(other);
+        joined
+    }
+
+    /// Append `other` (minus its first way-point, which must equal this
+    /// route's last) in place.
+    fn extend(&mut self, other: &Route) {
         assert_eq!(
             self.nodes.last(),
             other.nodes.first(),
@@ -217,19 +302,11 @@ impl Route {
         );
         let d0 = self.dist_m();
         let t0 = self.duration_s();
-        let mut nodes = self.nodes.clone();
-        let mut cum_d = self.cum_dist_m.clone();
-        let mut cum_t = self.cum_time_s.clone();
-        for k in 1..other.len() {
-            nodes.push(other.nodes[k]);
-            cum_d.push(d0 + other.cum_dist_m[k]);
-            cum_t.push(t0 + other.cum_time_s[k]);
-        }
-        Route {
-            nodes,
-            cum_dist_m: cum_d,
-            cum_time_s: cum_t,
-        }
+        self.nodes.extend_from_slice(&other.nodes[1..]);
+        self.cum_dist_m
+            .extend(other.cum_dist_m[1..].iter().map(|d| d0 + d));
+        self.cum_time_s
+            .extend(other.cum_time_s[1..].iter().map(|t| t0 + t));
     }
 
     /// Heap bytes held by this route (for index-size accounting).
@@ -238,6 +315,16 @@ impl Route {
             + self.cum_dist_m.capacity() * std::mem::size_of::<f64>()
             + self.cum_time_s.capacity() * std::mem::size_of::<f64>()
     }
+}
+
+/// The segment (between consecutive via way-points `vias`, ascending)
+/// containing way-point `idx`. A way-point on a via boundary belongs to
+/// the segment starting there, except the final via, which belongs to
+/// the last segment.
+pub fn segment_of(vias: &[usize], idx: usize) -> usize {
+    debug_assert!(vias.len() >= 2, "a route has at least one segment");
+    let pos = vias.partition_point(|&v| v <= idx);
+    pos.saturating_sub(1).min(vias.len().saturating_sub(2))
 }
 
 #[cfg(test)]
@@ -354,6 +441,174 @@ mod tests {
         let c = a.concat(&b);
         assert_eq!(c.len(), 5);
         assert_eq!(c.dist_m(), 4000.0);
+    }
+
+    /// A leg router over `g` that counts the legs it is asked for.
+    fn legs<'a>(
+        g: &'a RoadGraph,
+        asked: &'a mut usize,
+    ) -> impl FnMut(NodeId, NodeId) -> Option<Route> + 'a {
+        let sp = ShortestPaths::driving(g);
+        move |a, b| {
+            *asked += 1;
+            Route::from_path_result(g, &sp.path(a, b)?)
+        }
+    }
+
+    fn ids(r: &Route) -> Vec<u32> {
+        r.nodes().iter().map(|n| n.0).collect()
+    }
+
+    /// `insert_stops(vias, seg, stops)` on the line route 0-1-2-3-4,
+    /// checked for node sequence, via list and leg count.
+    fn check_insert(vias: &[usize], seg: usize, stops: &[u32], nodes: &[u32], want: &[usize]) {
+        let g = line();
+        let r = route(&g, &[0, 1, 2, 3, 4]);
+        let stops: Vec<NodeId> = stops.iter().map(|&i| NodeId(i)).collect();
+        let mut asked = 0;
+        let (s, v) = r
+            .insert_stops(vias, seg, &stops, legs(&g, &mut asked))
+            .unwrap();
+        assert_eq!(ids(&s), nodes);
+        assert_eq!(v, want);
+        assert_eq!(asked, stops.len() + 1, "only the changed legs are routed");
+        for (&i, &n) in v[seg + 1..].iter().zip(&stops) {
+            assert_eq!(s.nodes()[i], n, "stop {n:?} is at its via");
+        }
+        assert_eq!(*v.last().unwrap(), s.len() - 1);
+    }
+
+    #[test]
+    fn insert_into_zero_length_first_segment() {
+        check_insert(&[0, 0, 4], 0, &[1], &[0, 1, 0, 1, 2, 3, 4], &[0, 1, 2, 6]);
+    }
+
+    #[test]
+    fn insert_into_zero_length_middle_segment_keeps_its_start() {
+        // The segment [2, 2]: its start stays at 2 while its end moves.
+        check_insert(
+            &[0, 2, 2, 4],
+            1,
+            &[3],
+            &[0, 1, 2, 3, 2, 3, 4],
+            &[0, 2, 3, 4, 6],
+        );
+    }
+
+    #[test]
+    fn insert_into_zero_length_last_segment_keeps_its_start() {
+        // A rule shifting every via at or after the segment's end index
+        // would move the start 4 too and break the order.
+        check_insert(&[0, 4, 4], 1, &[3], &[0, 1, 2, 3, 4, 3, 4], &[0, 4, 5, 6]);
+    }
+
+    #[test]
+    fn insert_two_stops_into_one_segment() {
+        check_insert(
+            &[0, 4],
+            0,
+            &[3, 1],
+            &[0, 1, 2, 3, 2, 1, 2, 3, 4],
+            &[0, 3, 5, 8],
+        );
+    }
+
+    #[test]
+    fn insert_a_stop_on_the_route_adds_no_way_point() {
+        check_insert(&[0, 2, 4], 1, &[3], &[0, 1, 2, 3, 4], &[0, 2, 3, 4]);
+    }
+
+    #[test]
+    fn failing_leg_returns_none_and_asks_no_further() {
+        let g = line();
+        let r = route(&g, &[0, 1, 2, 3, 4]);
+        let vias = vec![0, 2, 4];
+        let (r0, v0) = (r.clone(), vias.clone());
+        let mut asked = 0;
+        let mut inner = legs(&g, &mut asked);
+        // The second leg fails.
+        let mut n = 0;
+        let leg = |a, b| {
+            n += 1;
+            if n == 2 {
+                None
+            } else {
+                inner(a, b)
+            }
+        };
+        assert!(r
+            .insert_stops(&vias, 0, &[NodeId(3), NodeId(0)], leg)
+            .is_none());
+        assert_eq!(n, 2, "the third leg is never asked for");
+        assert_eq!((r, vias), (r0, v0));
+        assert!(Route::through(&[NodeId(0), NodeId(1)], |_, _| None).is_none());
+    }
+
+    #[test]
+    fn through_returns_each_stops_index() {
+        let g = line();
+        let mut asked = 0;
+        let stops = [NodeId(0), NodeId(3), NodeId(1), NodeId(4)];
+        let (r, idx) = Route::through(&stops, legs(&g, &mut asked)).unwrap();
+        assert_eq!(ids(&r), [0, 1, 2, 3, 2, 1, 2, 3, 4]);
+        assert_eq!(idx, [0, 3, 5, 8]);
+        assert_eq!(asked, 3);
+        assert_eq!(r.dist_m(), 8000.0);
+    }
+
+    /// `through` + `insert_stops` give the same bits as joining the legs
+    /// with `concat` and splicing the join, on a city whose edge
+    /// lengths are far from round numbers.
+    #[test]
+    fn insertion_is_bit_equal_to_concat_and_splice() {
+        use crate::generators::CityConfig;
+        let g = CityConfig::test_city(5).generate();
+        let sp = ShortestPaths::driving(&g);
+        let leg = |a: NodeId, b: NodeId| Route::from_path_result(&g, &sp.path(a, b)?);
+        let n = g.node_count() as u32;
+        let (src, dst) = (NodeId(0), NodeId(n - 1));
+        let (p, q) = (NodeId(n / 3), NodeId(2 * n / 3));
+        let bits = |r: &Route| -> Vec<(u32, u64, u64)> {
+            (0..r.len())
+                .map(|i| (r.nodes[i].0, r.dist_at(i).to_bits(), r.time_at(i).to_bits()))
+                .collect()
+        };
+
+        let (base, idx) = Route::through(&[src, p, dst], leg).unwrap();
+        let folded = leg(src, p).unwrap().concat(&leg(p, dst).unwrap());
+        assert_eq!(bits(&base), bits(&folded));
+
+        // Insert two stops into the second segment.
+        let (from, to) = (idx[1], idx[2]);
+        let (got, vias) = base.insert_stops(&idx, 1, &[q, src], leg).unwrap();
+        let (a, b, c) = (
+            leg(p, q).unwrap(),
+            leg(q, src).unwrap(),
+            leg(src, dst).unwrap(),
+        );
+        let want = base.splice(from, to, &a.concat(&b).concat(&c));
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(vias[2], from + a.len() - 1);
+        assert_eq!(vias[3], vias[2] + b.len() - 1);
+        assert_eq!(vias[4], want.len() - 1);
+    }
+
+    #[test]
+    fn segment_of_maps_boundaries_to_the_next_segment() {
+        assert_eq!(segment_of(&[0, 9], 0), 0);
+        assert_eq!(segment_of(&[0, 9], 9), 0);
+        let vias = [0, 4, 9];
+        assert_eq!(segment_of(&vias, 3), 0);
+        assert_eq!(
+            segment_of(&vias, 4),
+            1,
+            "a boundary starts the next segment"
+        );
+        assert_eq!(segment_of(&vias, 9), 1, "the final via stays in the last");
+        // Zero-length segments: an index on a repeated via belongs to the
+        // last segment starting there (clamped to the last segment).
+        assert_eq!(segment_of(&[0, 4, 4, 9], 4), 2);
+        assert_eq!(segment_of(&[0, 4, 9, 9], 9), 2);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xar_geo::{BoundingBox, GeoPoint, GridSpec};
+use xar_roadnet::route::segment_of;
 use xar_roadnet::{NodeId, NodeLocator, RoadGraph, Route, Router};
 
 use crate::index::{CellEntry, GridTaxiIndex};
@@ -425,8 +426,8 @@ impl TShareEngine {
         let nodes = taxi.route.nodes();
         let p_anchor = nodes[p_entry.route_idx];
         let d_anchor = nodes[d_entry.route_idx];
-        let p_seg_end = taxi.via_points[taxi.segment_of(p_entry.route_idx) + 1];
-        let d_seg_end = taxi.via_points[taxi.segment_of(d_entry.route_idx) + 1];
+        let p_seg_end = taxi.via_points[segment_of(&taxi.via_points, p_entry.route_idx) + 1];
+        let d_seg_end = taxi.via_points[segment_of(&taxi.via_points, d_entry.route_idx) + 1];
         let d1 = self.check_distance(p_anchor, pickup_node)?;
         let d2 = self.check_distance(pickup_node, nodes[p_seg_end])?;
         let pickup_detour =
@@ -454,8 +455,10 @@ impl TShareEngine {
         })
     }
 
-    /// **Book** a match: splice the pick-up and drop-off into the
-    /// route with fresh shortest paths and refresh the grid lists.
+    /// **Book** a match: insert the pick-up and drop-off into the
+    /// schedule with [`Route::insert_stops`] — the same §VIII.B
+    /// insertion XAR books with, so only the changed legs are routed —
+    /// and refresh the grid lists.
     pub fn book(&mut self, m: &TShareMatch) -> Option<f64> {
         let _span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.book_ns));
         let mut tspan = xar_obs::trace::span("book");
@@ -470,71 +473,19 @@ impl TShareEngine {
             Route::from_path_result(&self.graph, &self.router.path(a, b)?)
         };
 
-        let p_seg = taxi.segment_of(m.pickup_route_idx);
-        let d_seg = taxi.segment_of(m.dropoff_route_idx.max(m.pickup_route_idx));
+        let p_seg = segment_of(&taxi.via_points, m.pickup_route_idx);
+        let d_seg = segment_of(
+            &taxi.via_points,
+            m.dropoff_route_idx.max(m.pickup_route_idx),
+        );
         let old_len = taxi.route.dist_m();
-        let (new_route, new_vias);
-        if p_seg == d_seg {
-            let s1 = taxi.via_points[p_seg];
-            let s2 = taxi.via_points[p_seg + 1];
-            let l1 = leg(taxi.route.nodes()[s1], m.pickup_node)?;
-            let l2 = leg(m.pickup_node, m.dropoff_node)?;
-            let l3 = leg(m.dropoff_node, taxi.route.nodes()[s2])?;
-            let pickup_idx = s1 + l1.len() - 1;
-            let dropoff_idx = pickup_idx + l2.len() - 1;
-            let replacement = l1.concat(&l2).concat(&l3);
-            let route = taxi.route.splice(s1, s2, &replacement);
-            let delta = route.len() as isize - taxi.route.len() as isize;
-            let mut vias: Vec<usize> = taxi
-                .via_points
-                .iter()
-                .map(|&v| {
-                    if v >= s2 {
-                        (v as isize + delta) as usize
-                    } else {
-                        v
-                    }
-                })
-                .collect();
-            vias.insert(p_seg + 1, pickup_idx);
-            vias.insert(p_seg + 2, dropoff_idx);
-            new_route = route;
-            new_vias = vias;
+        let (route, vias) = (&taxi.route, &taxi.via_points);
+        let (new_route, new_vias) = if p_seg == d_seg {
+            route.insert_stops(vias, p_seg, &[m.pickup_node, m.dropoff_node], &mut leg)?
         } else {
-            let s1 = taxi.via_points[p_seg];
-            let s2 = taxi.via_points[p_seg + 1];
-            let l1 = leg(taxi.route.nodes()[s1], m.pickup_node)?;
-            let l2 = leg(m.pickup_node, taxi.route.nodes()[s2])?;
-            let pickup_idx = s1 + l1.len() - 1;
-            let mid = taxi.route.splice(s1, s2, &l1.concat(&l2));
-            let shift1 = mid.len() as isize - taxi.route.len() as isize;
-            let at1 = |v: usize| {
-                if v >= s2 {
-                    (v as isize + shift1) as usize
-                } else {
-                    v
-                }
-            };
-            let d1 = at1(taxi.via_points[d_seg]);
-            let d2 = at1(taxi.via_points[d_seg + 1]);
-            let l3 = leg(mid.nodes()[d1], m.dropoff_node)?;
-            let l4 = leg(m.dropoff_node, mid.nodes()[d2])?;
-            let dropoff_idx = d1 + l3.len() - 1;
-            let route = mid.splice(d1, d2, &l3.concat(&l4));
-            let shift2 = route.len() as isize - mid.len() as isize;
-            let at2 = |v: usize| {
-                if v >= d2 {
-                    (v as isize + shift2) as usize
-                } else {
-                    v
-                }
-            };
-            let mut vias: Vec<usize> = taxi.via_points.iter().map(|&v| at2(at1(v))).collect();
-            vias.insert(p_seg + 1, pickup_idx);
-            vias.insert(d_seg + 2, dropoff_idx);
-            new_route = route;
-            new_vias = vias;
-        }
+            let (mid, vias) = route.insert_stops(vias, p_seg, &[m.pickup_node], &mut leg)?;
+            mid.insert_stops(&vias, d_seg + 1, &[m.dropoff_node], &mut leg)?
+        };
         self.stats.shortest_paths.fetch_add(n_sp, Ordering::Relaxed);
         let detour = (new_route.dist_m() - old_len).max(0.0);
 

@@ -57,14 +57,6 @@ impl Taxi {
         self.departure_s + self.route.duration_s()
     }
 
-    /// The schedule segment (between consecutive via way-points)
-    /// containing route index `idx`.
-    pub fn segment_of(&self, idx: usize) -> usize {
-        let n_seg = self.via_points.len() - 1;
-        let pos = self.via_points.partition_point(|&v| v <= idx);
-        pos.saturating_sub(1).min(n_seg.saturating_sub(1))
-    }
-
     /// Heap bytes held by this taxi (memory accounting).
     pub fn heap_bytes(&self) -> usize {
         self.route.heap_bytes()
@@ -105,22 +97,5 @@ mod tests {
         assert_eq!(t.eta_at(0), 1000.0);
         assert!(t.arrival_s() > 1000.0);
         assert_eq!(t.arrival_s(), t.eta_at(t.route.len() - 1));
-    }
-
-    #[test]
-    fn segment_of_single_segment() {
-        let t = taxi();
-        assert_eq!(t.segment_of(0), 0);
-        assert_eq!(t.segment_of(t.route.len() - 1), 0);
-    }
-
-    #[test]
-    fn segment_of_multi() {
-        let mut t = taxi();
-        let last = t.route.len() - 1;
-        t.via_points = vec![0, last / 2, last];
-        assert_eq!(t.segment_of(0), 0);
-        assert_eq!(t.segment_of(last / 2), 1);
-        assert_eq!(t.segment_of(last), 1);
     }
 }

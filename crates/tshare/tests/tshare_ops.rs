@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use xar_roadnet::{CityConfig, NodeId, RoadGraph};
 use xar_tshare::engine::TShareRequest;
-use xar_tshare::{DistanceMode, TShareConfig, TShareEngine};
+use xar_tshare::{DistanceMode, TShareConfig, TShareEngine, TShareMatch};
 
 fn graph() -> Arc<RoadGraph> {
     Arc::new(CityConfig::test_city(55).generate())
@@ -157,6 +157,61 @@ fn booking_extends_route_and_consumes_seat() {
     for w in after.via_points.windows(2) {
         assert!(w[0] <= w[1]);
     }
+}
+
+/// A rider dropped at the taxi's destination leaves a zero-length last
+/// segment. A later drop-off that falls in it must keep the stop list
+/// ascending and on the route: the stop list `[0, 13, 45, 50, 81, 81]`
+/// of a Figure 4 run once became `[0, 13, 46, 51, 56, 95, 91, 95]`,
+/// because the segment's start was shifted along with its end.
+#[test]
+fn dropoff_into_zero_length_last_segment_keeps_stops_ascending() {
+    let mut eng = engine(DistanceMode::ShortestPath);
+    let id = cross_city(&mut eng);
+    let g = Arc::clone(eng.graph());
+    let n = g.node_count() as u32;
+    let route = eng.taxi(id).unwrap().route.clone();
+    let last = route.len() - 1;
+    let book = |eng: &mut TShareEngine, pickup: NodeId, dropoff: NodeId, dropoff_idx: usize| {
+        let m = TShareMatch {
+            taxi: id,
+            pickup_node: pickup,
+            dropoff_node: dropoff,
+            pickup_route_idx: 0,
+            dropoff_route_idx: dropoff_idx,
+            pickup_eta_s: 8.0 * 3600.0,
+            detour_m: 0.0,
+        };
+        eng.book(&m).expect("booking succeeds");
+        let taxi = eng.taxi(id).unwrap();
+        let vias = &taxi.via_points;
+        assert!(
+            vias.windows(2).all(|w| w[0] <= w[1]),
+            "stops out of order: {vias:?}"
+        );
+        assert_eq!(vias.last(), Some(&(taxi.route.len() - 1)), "{vias:?}");
+        assert_eq!(vias[0], 0);
+        taxi.clone()
+    };
+
+    // First rider: picked up on the route, dropped at the destination.
+    let first = book(&mut eng, route.nodes()[last / 3], route.nodes()[last], last);
+    let v = &first.via_points;
+    assert_eq!(v.len(), 4);
+    assert_eq!(v[2], v[3], "a zero-length last segment");
+
+    // Second rider: dropped off the route, inside the last segment.
+    let (pickup, dropoff) = (NodeId(n / 2), NodeId(n - 2));
+    let end = first.route.len() - 1;
+    let second = book(&mut eng, pickup, dropoff, end);
+    let v = &second.via_points;
+    assert_eq!(v.len(), 6);
+    let at = |k: usize| second.route.nodes()[v[k]];
+    assert_eq!(at(1), pickup);
+    assert_eq!(at(2), route.nodes()[last / 3], "first rider's pick-up");
+    assert_eq!(at(3), route.nodes()[last], "first rider's drop-off");
+    assert_eq!(at(4), dropoff);
+    assert_eq!(at(5), route.nodes()[last], "the destination");
 }
 
 #[test]

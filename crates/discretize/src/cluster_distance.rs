@@ -6,17 +6,19 @@
 //!
 //! The table is the workhorse of the search-time detour check
 //! (`d(C,C') + d(C',v) − d(C,v) ≤ detour`), which is what lets XAR avoid
-//! shortest-path computation entirely during search. It is computed with
-//! one *multi-source* forward Dijkstra per cluster (all the cluster's
-//! landmark way-points seeded at distance 0), parallelised across
-//! clusters. Driving distances over one-way streets are asymmetric, so
-//! the table is stored directed.
+//! shortest-path computation entirely during search. It is a fold of the
+//! [`LandmarkMetric`], which already holds every directed landmark pair,
+//! so building it runs no search of its own. Driving distances over
+//! one-way streets are asymmetric, so the table is stored directed.
+//!
+//! The bound is tested on the stored `f32`: a pair whose `f64` distance
+//! lies within half an `f32` ulp above it (under 0.5 mm at 8 km) is kept
+//! where a search cut at the bound would drop it. No cell of the
+//! 140×140 benchmark city is such a pair.
 
-use std::collections::BinaryHeap;
-
-use crate::landmarks::Landmark;
+use crate::landmarks::LandmarkId;
+use crate::metric::LandmarkMetric;
 use crate::region::ClusterId;
-use xar_roadnet::{HeapEntry, RoadGraph};
 
 /// Dense directed cluster-to-cluster driving distances, metres.
 #[derive(Debug, Clone)]
@@ -28,85 +30,40 @@ pub struct ClusterDistances {
 }
 
 impl ClusterDistances {
-    /// Compute the table.
+    /// Fold the table out of the landmark metric: each cell is the `min`
+    /// of `directed(a, b)` over the landmarks `a` of the source cluster
+    /// and `b` of the destination cluster.
     ///
     /// * `cluster_of[l]` maps landmark index → cluster.
     /// * `k` is the number of clusters.
-    /// * `max_dist_m` bounds each search; distances beyond it are
-    ///   recorded as `INFINITY`. Pass `f64::INFINITY` for the full
-    ///   table (the ride logic only ever consults distances up to the
-    ///   maximum detour, so a finite bound saves pre-processing time
-    ///   without changing behaviour).
-    pub fn compute(
-        graph: &RoadGraph,
-        landmarks: &[Landmark],
+    /// * `bound_m` cuts the table: a distance beyond it is recorded as
+    ///   `INFINITY`. Pass `f64::INFINITY` for the full table (the ride
+    ///   logic only ever consults distances up to the maximum detour, so
+    ///   a finite bound changes no behaviour).
+    ///
+    /// The loop runs row-major per source landmark, so its cluster's row
+    /// stays in cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cluster_of` has one entry per landmark of `metric`.
+    pub fn from_metric(
+        metric: &LandmarkMetric,
         cluster_of: &[ClusterId],
         k: usize,
-        max_dist_m: f64,
+        bound_m: f64,
     ) -> Self {
-        assert_eq!(
-            landmarks.len(),
-            cluster_of.len(),
-            "one cluster per landmark"
-        );
-        let n_nodes = graph.node_count();
-        // node -> cluster of the landmark snapped there (for target
-        // detection); a node can host landmarks of several clusters if
-        // snaps collide, so keep a small list.
-        let mut clusters_at_node: Vec<Vec<u32>> = vec![Vec::new(); n_nodes];
-        for lm in landmarks {
-            let c = cluster_of[lm.id.index()].0;
-            if !clusters_at_node[lm.node.index()].contains(&c) {
-                clusters_at_node[lm.node.index()].push(c);
-            }
-        }
-        // Sources per cluster.
-        let mut sources: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for lm in landmarks {
-            sources[cluster_of[lm.id.index()].index()].push(lm.node.0);
-        }
-
+        assert_eq!(metric.len(), cluster_of.len(), "one cluster per landmark");
         let mut dist = vec![f32::INFINITY; k * k];
-        if k == 0 {
-            return Self { k, dist };
-        }
-        let threads = std::thread::available_parallelism()
-            .map_or(4, |p| p.get())
-            .min(k);
-        let chunk = k.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, rows) in dist.chunks_mut(chunk * k).enumerate() {
-                let sources = &sources;
-                let clusters_at_node = &clusters_at_node;
-                scope.spawn(move || {
-                    let mut node_dist = vec![f64::INFINITY; n_nodes];
-                    let mut touched: Vec<u32> = Vec::new();
-                    for (local, row) in rows.chunks_mut(k).enumerate() {
-                        let c = t * chunk + local;
-                        multi_source_dijkstra(
-                            graph,
-                            &sources[c],
-                            max_dist_m,
-                            &mut node_dist,
-                            &mut touched,
-                            |node, d| {
-                                for &other in &clusters_at_node[node as usize] {
-                                    let cell = &mut row[other as usize];
-                                    if (d as f32) < *cell {
-                                        *cell = d as f32;
-                                    }
-                                }
-                            },
-                        );
-                        // Reset only the touched entries for the next row.
-                        for &n in &touched {
-                            node_dist[n as usize] = f64::INFINITY;
-                        }
-                        touched.clear();
-                    }
-                });
+        for (a, &from) in cluster_of.iter().enumerate() {
+            let row = &mut dist[from.index() * k..(from.index() + 1) * k];
+            for (&d, &to) in metric.row(LandmarkId(a as u32)).iter().zip(cluster_of) {
+                let cell = &mut row[to.index()];
+                if d < *cell && f64::from(d) <= bound_m {
+                    *cell = d;
+                }
             }
-        });
+        }
         Self { k, dist }
     }
 
@@ -168,52 +125,26 @@ impl ClusterDistances {
     }
 }
 
-/// Multi-source bounded Dijkstra (forward/driving), invoking `on_settle`
-/// for every settled node. `node_dist` must be all-INFINITY on entry;
-/// settled/visited node ids are appended to `touched`.
-fn multi_source_dijkstra(
-    graph: &RoadGraph,
-    sources: &[u32],
-    max_dist_m: f64,
-    node_dist: &mut [f64],
-    touched: &mut Vec<u32>,
-    mut on_settle: impl FnMut(u32, f64),
-) {
-    let mut heap = BinaryHeap::new();
-    for &s in sources {
-        if node_dist[s as usize] > 0.0 {
-            node_dist[s as usize] = 0.0;
-            touched.push(s);
-            heap.push(HeapEntry::new(0.0, s));
-        }
-    }
-    while let Some(entry) = heap.pop() {
-        let (cost, node) = (entry.cost(), entry.node());
-        if cost > node_dist[node as usize] {
-            continue;
-        }
-        on_settle(node, cost);
-        for e in graph.out_edges(xar_roadnet::NodeId(node)) {
-            let nd = cost + e.len_m;
-            if nd <= max_dist_m && nd < node_dist[e.to.index()] {
-                if node_dist[e.to.index()] == f64::INFINITY {
-                    touched.push(e.to.0);
-                }
-                node_dist[e.to.index()] = nd;
-                heap.push(HeapEntry::new(nd, e.to.0));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::landmarks::filter_landmarks;
     use xar_roadnet::{sample_pois, CityConfig, PoiConfig, ShortestPaths};
 
-    fn setup() -> (RoadGraph, Vec<Landmark>, Vec<ClusterId>, usize) {
-        let g = CityConfig::test_city(8).generate();
+    const K: usize = 3;
+
+    /// The landmarks of `city` dealt round-robin into `K` clusters, and
+    /// the table folded with `bound_m`; with each landmark's node and
+    /// cluster for the brute force.
+    fn build(
+        city: CityConfig,
+        bound_m: f64,
+    ) -> (
+        xar_roadnet::RoadGraph,
+        Vec<(xar_roadnet::NodeId, u32)>,
+        ClusterDistances,
+    ) {
+        let g = city.generate();
         let pois = sample_pois(
             &g,
             &PoiConfig {
@@ -223,82 +154,71 @@ mod tests {
         );
         let lms = filter_landmarks(&g, &pois, 350.0);
         assert!(lms.len() >= 6);
-        let k = 3;
-        let cl: Vec<ClusterId> = lms.iter().map(|l| ClusterId(l.id.0 % k as u32)).collect();
-        (g, lms, cl, k)
-    }
-
-    #[test]
-    fn self_distance_is_zero() {
-        let (g, lms, cl, k) = setup();
-        let cd = ClusterDistances::compute(&g, &lms, &cl, k, f64::INFINITY);
-        for c in 0..k as u32 {
-            assert_eq!(cd.dist(ClusterId(c), ClusterId(c)), 0.0);
-        }
+        let cl: Vec<ClusterId> = lms.iter().map(|l| ClusterId(l.id.0 % K as u32)).collect();
+        let cd = ClusterDistances::from_metric(&LandmarkMetric::compute(&g, &lms), &cl, K, bound_m);
+        let at = lms.iter().zip(&cl).map(|(l, c)| (l.node, c.0)).collect();
+        (g, at, cd)
     }
 
     #[test]
     fn row_and_column_agree_with_dist() {
-        let (g, lms, cl, k) = setup();
-        let cd = ClusterDistances::compute(&g, &lms, &cl, k, f64::INFINITY);
-        for a in (0..k as u32).map(ClusterId) {
+        let (_, _, cd) = build(CityConfig::test_city(8), f64::INFINITY);
+        for a in (0..K as u32).map(ClusterId) {
             let row: Vec<f64> = cd.row(a).iter().map(|&d| f64::from(d)).collect();
             let col: Vec<f64> = cd.column(a).map(f64::from).collect();
-            let ids = || (0..k as u32).map(ClusterId);
+            let ids = || (0..K as u32).map(ClusterId);
             assert_eq!(row, ids().map(|b| cd.dist(a, b)).collect::<Vec<_>>());
             assert_eq!(col, ids().map(|b| cd.dist(b, a)).collect::<Vec<_>>());
         }
     }
 
+    /// Every cell, bit for bit, is the closest landmark pair by the
+    /// textbook Dijkstra, rounded to `f32` and cut at the bound: on all
+    /// three topologies, with and without a bound.
     #[test]
-    fn matches_brute_force_closest_pair() {
-        let (g, lms, cl, k) = setup();
-        let cd = ClusterDistances::compute(&g, &lms, &cl, k, f64::INFINITY);
-        let sp = ShortestPaths::driving(&g);
-        for a in 0..k as u32 {
-            for b in 0..k as u32 {
-                let mut best = f64::INFINITY;
-                for la in lms.iter().filter(|l| cl[l.id.index()] == ClusterId(a)) {
-                    for lb in lms.iter().filter(|l| cl[l.id.index()] == ClusterId(b)) {
-                        if let Some(d) = sp.cost(la.node, lb.node) {
-                            best = best.min(d);
+    fn matches_brute_force_closest_pair_bit_for_bit() {
+        let mut cut = 0;
+        for seed in [8, 9] {
+            for city in [
+                CityConfig::test_city(seed),
+                CityConfig::radial(6, 10, seed),
+                CityConfig::random_geometric(150, seed),
+            ] {
+                for bound_m in [f64::INFINITY, 400.0] {
+                    let (g, at, cd) = build(city.clone(), bound_m);
+                    let sp = ShortestPaths::driving(&g);
+                    for a in 0..K as u32 {
+                        for b in 0..K as u32 {
+                            let of = |c| at.iter().filter(move |l| l.1 == c).map(|l| l.0);
+                            let best = of(a)
+                                .flat_map(|la| of(b).filter_map(move |lb| sp.cost(la, lb)))
+                                .fold(f64::INFINITY, f64::min);
+                            let want = if best <= bound_m {
+                                best as f32
+                            } else {
+                                f32::INFINITY
+                            };
+                            cut += usize::from(best.is_finite() && best > bound_m);
+                            let got = cd.dist(ClusterId(a), ClusterId(b)) as f32;
+                            assert_eq!(got.to_bits(), want.to_bits(), "{a}->{b} <= {bound_m}");
                         }
                     }
                 }
-                let got = cd.dist(ClusterId(a), ClusterId(b));
-                if best.is_infinite() {
-                    assert!(got.is_infinite());
-                } else {
-                    assert!((got - best).abs() < 0.5, "{a}->{b}: {got} vs {best}");
-                }
             }
         }
-    }
-
-    #[test]
-    fn bound_truncates_far_distances() {
-        let (g, lms, cl, k) = setup();
-        let full = ClusterDistances::compute(&g, &lms, &cl, k, f64::INFINITY);
-        let bounded = ClusterDistances::compute(&g, &lms, &cl, k, 300.0);
-        for a in 0..k as u32 {
-            for b in 0..k as u32 {
-                let (fa, ba) = (
-                    full.dist(ClusterId(a), ClusterId(b)),
-                    bounded.dist(ClusterId(a), ClusterId(b)),
-                );
-                if fa <= 300.0 {
-                    assert!((fa - ba).abs() < 0.5);
-                } else {
-                    assert!(ba.is_infinite());
-                }
-            }
-        }
+        assert!(cut > 0, "the bound must cut some reachable pair");
     }
 
     #[test]
     fn empty_is_empty() {
-        let (g, _, _, _) = setup();
-        let cd = ClusterDistances::compute(&g, &[], &[], 0, f64::INFINITY);
-        assert!(cd.is_empty());
+        let empty = LandmarkMetric::from_matrix(0, vec![]);
+        assert!(ClusterDistances::from_metric(&empty, &[], 0, 1.0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "one cluster per landmark")]
+    fn cluster_of_must_cover_every_landmark() {
+        let metric = LandmarkMetric::from_matrix(2, vec![0.0, 5.0, 7.0, 0.0]);
+        let _ = ClusterDistances::from_metric(&metric, &[ClusterId(0)], 1, 1.0);
     }
 }

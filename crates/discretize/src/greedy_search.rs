@@ -2,11 +2,16 @@
 //! (paper §V, Theorem 6).
 //!
 //! The algorithm binary-searches the number of centers `k` over
-//! `[1, n]`, invoking the GREEDY k-center subroutine each iteration.
+//! `[1, n]`, reading the GREEDY k-center covering radius each iteration.
 //! If some landmark ends up farther than `2δ` from its center, the
 //! search moves to the upper half of the range; otherwise to the lower
 //! half. After `log2(n)` iterations it returns the minimum `k'` whose
 //! covering radius was `≤ 2δ`.
+//!
+//! Every probe is a prefix of one farthest-first order, so one pass over
+//! all `n` points records GREEDY's radius after each center, the probes
+//! read it there, and one GREEDY run at the chosen `k` assigns — bit for
+//! bit what GREEDY afresh per probe gives.
 //!
 //! **Theorem 6.** If the optimal solution is `(k_OPT, δ)`, GREEDYSEARCH
 //! returns `(k_ALG, 4δ)` with `k_ALG ≤ k_OPT`: no more clusters than
@@ -121,55 +126,65 @@ pub fn greedy_search<M: PointMetric>(metric: &M, delta: f64) -> GreedySearchOutc
     );
     let n = metric.len();
     let threshold = 2.0 * delta;
+    let radii = greedy_radii(metric);
 
     let mut lo = 1usize;
     let mut hi = n;
     let mut trace = Vec::new();
-    let mut best: Option<Clustering> = None;
     // Binary search: GREEDY's radius is monotone non-increasing in k,
     // so the standard invariant applies. k = n always achieves radius 0,
     // guaranteeing a feasible endpoint.
     while lo < hi {
         let k = lo + (hi - lo) / 2;
-        let r = greedy_k_center(metric, k);
-        trace.push(SearchProbe {
-            k,
-            radius: r.radius,
-        });
-        if r.radius > threshold {
+        let radius = radii[k - 1];
+        trace.push(SearchProbe { k, radius });
+        if radius > threshold {
             lo = k + 1;
         } else {
             hi = k;
-            let better = best.as_ref().is_none_or(|b| k < b.k);
-            if better {
-                best = Some(Clustering {
-                    k: r.centers.len(),
-                    centers: r.centers,
-                    assignment: r.assignment,
-                    radius: r.radius,
-                });
-            }
         }
     }
-    // `lo == hi` is the minimal feasible k; make sure we actually hold
-    // its clustering (the loop may have converged from above).
-    let clustering = match best {
-        Some(b) if b.k == lo => b,
-        _ => {
-            let r = greedy_k_center(metric, lo);
-            trace.push(SearchProbe {
-                k: lo,
-                radius: r.radius,
-            });
-            Clustering {
-                k: r.centers.len(),
-                centers: r.centers,
-                assignment: r.assignment,
-                radius: r.radius,
+    // `lo == hi` is the minimal feasible k. When no probe was feasible
+    // it was never probed: record it, as the paper's trace does.
+    if !trace.iter().any(|p| p.k == lo) {
+        trace.push(SearchProbe {
+            k: lo,
+            radius: radii[lo - 1],
+        });
+    }
+    GreedySearchOutcome {
+        clustering: cluster_with_k(metric, lo),
+        trace,
+    }
+}
+
+/// GREEDY's covering radius for every `k` in `1..=n` (entry `k − 1`),
+/// from one farthest-first pass: the centers, distance updates and
+/// `max` fold of [`greedy_k_center`], so entry `k − 1` is bit for bit
+/// `greedy_k_center(metric, k).radius`.
+fn greedy_radii<M: PointMetric>(metric: &M) -> Vec<f64> {
+    let n = metric.len();
+    let mut dist_to_center = vec![f64::INFINITY; n];
+    let mut radii = Vec::with_capacity(n);
+    let mut next = 0usize; // first center: point 0
+    for _ in 0..n {
+        let center = next;
+        let (mut far_d, mut radius) = (-1.0f64, 0.0f64);
+        next = 0;
+        for (p, to_center) in dist_to_center.iter_mut().enumerate() {
+            let d = metric.dist(p, center);
+            if d < *to_center {
+                *to_center = d;
             }
+            // Farthest point (lowest index on ties) becomes the next center.
+            if *to_center > far_d {
+                (far_d, next) = (*to_center, p);
+            }
+            radius = radius.max(*to_center);
         }
-    };
-    GreedySearchOutcome { clustering, trace }
+        radii.push(radius);
+    }
+    radii
 }
 
 /// Run GREEDY for a *fixed* cluster count (used by the Figure 3

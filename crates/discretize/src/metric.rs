@@ -3,8 +3,10 @@
 //! The XAR in-memory index "stores information about the discretization
 //! of the city such as grids, landmarks, clusters, **distances between
 //! landmarks**, etc." (§III). This module computes that table: one
-//! Dijkstra per landmark over the road graph (parallelised with scoped
-//! threads), stored as a dense `n x n` matrix of `f32` metres.
+//! [`ShortestPaths::one_to_all`] per landmark over the road graph
+//! (parallelised with scoped threads), stored as a dense `n x n` matrix
+//! of `f32` metres. Clustering reads its symmetrization, and the §VI
+//! cluster table ([`crate::cluster_distance`]) is a fold of it.
 //!
 //! One-way streets make raw driving distance a *quasi*-metric
 //! (asymmetric). The clustering theory (metric k-center, Theorem 6's
@@ -94,6 +96,13 @@ impl LandmarkMetric {
         f64::from(self.dist[a.index() * self.n + b.index()])
     }
 
+    /// Directed distances from `a` to every landmark, in landmark-id
+    /// order: one contiguous row of the table.
+    #[inline]
+    pub(crate) fn row(&self, a: LandmarkId) -> &[f32] {
+        &self.dist[a.index() * self.n..(a.index() + 1) * self.n]
+    }
+
     /// Max-symmetrized distance: `max(d(a,b), d(b,a))`. This is the
     /// metric the clustering algorithms run on.
     #[inline]
@@ -140,17 +149,15 @@ mod tests {
         let (g, lms) = setup();
         let m = LandmarkMetric::compute(&g, &lms);
         let sp = ShortestPaths::driving(&g);
-        // Spot-check a handful of pairs against one-off Dijkstra.
+        // Spot-check a handful of pairs against one-off Dijkstra, bit
+        // for bit after the table's rounding to `f32`.
         for (i, j) in [(0usize, 1usize), (1, 3), (2, 0)] {
             if i >= lms.len() || j >= lms.len() {
                 continue;
             }
-            let expect = sp.cost(lms[i].node, lms[j].node).unwrap();
+            let expect = sp.cost(lms[i].node, lms[j].node).unwrap() as f32;
             let got = m.directed(lms[i].id, lms[j].id);
-            assert!(
-                (got - expect).abs() < 0.5,
-                "pair ({i},{j}): {got} vs {expect}"
-            );
+            assert_eq!(got, f64::from(expect), "pair ({i},{j})");
         }
     }
 

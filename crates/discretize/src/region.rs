@@ -152,13 +152,8 @@ impl RegionIndex {
             config.assoc_drive_m,
             config.max_walk_m,
         );
-        let cluster_dist = ClusterDistances::compute(
-            &graph,
-            &landmarks,
-            &cluster_of,
-            k,
-            config.cluster_distance_bound_m,
-        );
+        let cluster_dist =
+            ClusterDistances::from_metric(&metric, &cluster_of, k, config.cluster_distance_bound_m);
 
         // Last: beneath the build's temporaries it would pin their memory.
         let cell_node = cell_nodes(&grid, &locator, &graph);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use xar_discretize::exact::exact_min_clusters;
-use xar_discretize::greedy_search::{cluster_with_k, greedy_search};
+use xar_discretize::greedy_search::{cluster_with_k, greedy_search, SearchProbe};
 use xar_discretize::ilp::ClusterIlp;
 use xar_discretize::kcenter::{greedy_k_center, FnMetric, PointMetric};
 
@@ -19,8 +19,95 @@ fn metric_of(points: Vec<(f64, f64)>) -> FnMetric<impl Fn(usize, usize) -> f64> 
     })
 }
 
+/// Points on a 4x4 lattice of unit spacing: small sets repeat points
+/// (distance 0) and tie on distances, radii and the `2δ` threshold.
+fn lattice_points(max_n: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
+    proptest::collection::vec(
+        (0u32..4, 0u32..4).prop_map(|(x, y)| (f64::from(x), f64::from(y))),
+        1..max_n,
+    )
+}
+
+/// GREEDYSEARCH as §V states it: every probe runs GREEDY afresh, and
+/// the minimal feasible `k` is probed once more when no probe was
+/// feasible. The reference the one-pass search is held to.
+fn greedy_search_per_probe<M: PointMetric>(
+    metric: &M,
+    delta: f64,
+) -> (Vec<SearchProbe>, xar_discretize::kcenter::KCenterResult) {
+    let (mut lo, mut hi) = (1usize, metric.len());
+    let mut trace = Vec::new();
+    let mut best = None;
+    while lo < hi {
+        let k = lo + (hi - lo) / 2;
+        let r = greedy_k_center(metric, k);
+        trace.push(SearchProbe {
+            k,
+            radius: r.radius,
+        });
+        if r.radius > 2.0 * delta {
+            lo = k + 1;
+        } else {
+            hi = k;
+            best = Some(r);
+        }
+    }
+    let result = match best {
+        Some(r) if r.centers.len() == lo => r,
+        _ => {
+            let r = greedy_k_center(metric, lo);
+            trace.push(SearchProbe {
+                k: lo,
+                radius: r.radius,
+            });
+            r
+        }
+    };
+    (trace, result)
+}
+
+/// The one-pass search against the per-probe reference: every probe's
+/// `k` and radius bits, and the clustering's centers, assignment and
+/// radius bits.
+fn one_pass_matches_per_probe<M: PointMetric>(m: &M, delta: f64) -> Result<(), TestCaseError> {
+    let out = greedy_search(m, delta);
+    let (trace, want) = greedy_search_per_probe(m, delta);
+    let bits = |t: &[SearchProbe]| {
+        t.iter()
+            .map(|p| (p.k, p.radius.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    prop_assert_eq!(bits(&out.trace), bits(&trace));
+    prop_assert_eq!(out.clustering.k, want.centers.len());
+    prop_assert_eq!(&out.clustering.centers, &want.centers);
+    prop_assert_eq!(&out.clustering.assignment, &want.assignment);
+    prop_assert_eq!(out.clustering.radius.to_bits(), want.radius.to_bits());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// GREEDYSEARCH reads every probe from one farthest-first pass; its
+    /// trace and clustering are bit for bit those of running GREEDY per
+    /// probe, on continuous planar metrics.
+    #[test]
+    fn one_pass_greedy_search_equals_per_probe_greedy(
+        points in planar_points(60),
+        delta in 0.0f64..400.0,
+    ) {
+        one_pass_matches_per_probe(&metric_of(points), delta)?;
+    }
+
+    /// The same on lattice metrics with duplicate points (distance 0)
+    /// and exact ties, down to `δ = 0`.
+    #[test]
+    fn one_pass_greedy_search_equals_per_probe_greedy_with_duplicates(
+        points in lattice_points(40),
+        half_delta in 0u32..6,
+    ) {
+        one_pass_matches_per_probe(&metric_of(points), f64::from(half_delta) / 2.0)?;
+    }
 
     /// Gonzalez GREEDY covers all points, never increases radius with
     /// k, and stays within 2x of any sampled center set (a necessary

@@ -204,6 +204,19 @@ pub struct RoadGraph {
     in_offsets: Vec<u32>,
     /// Edge ids sorted by head node.
     in_edges: Vec<EdgeId>,
+    /// Lightest positive and heaviest edge length in metres
+    /// (`(INFINITY, 0)` without edges).
+    pub(crate) len_range_m: (f64, f64),
+    /// Lightest positive and heaviest free-flow edge time in seconds
+    /// (`(INFINITY, 0)` without edges).
+    pub(crate) time_range_s: (f64, f64),
+}
+
+/// The lightest positive and the heaviest of `costs`.
+fn cost_range(costs: impl Iterator<Item = f64>) -> (f64, f64) {
+    costs.fold((f64::INFINITY, 0.0f64), |(lo, hi), w| {
+        (if w > 0.0 { lo.min(w) } else { lo }, hi.max(w))
+    })
 }
 
 impl RoadGraph {
@@ -231,6 +244,8 @@ impl RoadGraph {
             in_cursor[e.to.index()] += 1;
         }
         Self {
+            len_range_m: cost_range(edges.iter().map(|e| e.len_m)),
+            time_range_s: cost_range(edges.iter().map(Edge::travel_time_s)),
             nodes,
             edges,
             out_offsets: out_counts,

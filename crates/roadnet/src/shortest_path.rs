@@ -271,27 +271,66 @@ impl<'g> ShortestPaths<'g> {
         })
     }
 
-    /// Full single-source Dijkstra: cost to every node (`INFINITY` when
+    /// Full single-source search: cost to every node (`INFINITY` when
     /// unreachable).
+    ///
+    /// Dial's algorithm as sequential Δ-stepping: labels wait in a ring
+    /// of buckets `⌊d / Δ⌋`, where Δ is the lightest positive edge cost,
+    /// floored at `max / 4096` for the heaviest cost `max`, and
+    /// `⌊max / Δ⌋ + 3` buckets hold every waiting label, two to spare for
+    /// rounding. A bucket is
+    /// drained until empty, so a node relabelled into it over a light
+    /// edge is processed again in the same pass; an entry superseded by a
+    /// lower label is skipped.
+    ///
+    /// **Exact for any Δ > 0.** Every label is the left-to-right `f64`
+    /// sum of some path, and since `fl(x + w)` and the bucket map are
+    /// monotone in `x`, no relaxation labels into a bucket already left.
+    /// So on return `d(v) ≤ fl(d(u) + w)` on every edge, which makes the
+    /// labels the least fixpoint of `d(v) = min_u fl(d(u) + w)`, the one
+    /// heap Dijkstra and [`Self::path`] reach: every bit is theirs.
     pub fn one_to_all(&self, src: NodeId) -> Vec<f64> {
         let _span = xar_obs::SpanTimer::new(sp_metrics::one_to_all_ns());
         let n = self.graph.node_count();
         let mut dist = vec![f64::INFINITY; n];
-        let mut heap = BinaryHeap::new();
         dist[src.index()] = 0.0;
-        heap.push(HeapEntry::new(0.0, src.0));
-        while let Some(entry) = heap.pop() {
-            let (cost, node) = (entry.cost(), entry.node());
-            if cost > dist[node as usize] {
-                continue;
-            }
-            self.for_each_neighbor(NodeId(node), |next, w| {
-                let nd = cost + w;
-                if nd < dist[next.index()] {
-                    dist[next.index()] = nd;
-                    heap.push(HeapEntry::new(nd, next.0));
+        let (lightest, heaviest) = match self.metric {
+            CostMetric::Distance => self.graph.len_range_m,
+            CostMetric::Time => self.graph.time_range_s,
+        };
+        let width = lightest.max(heaviest / 4096.0);
+        // A width too small to invert (subnormal edge costs only)
+        // degrades to one bucket: the same loop, label-correcting.
+        let (inv, buckets) = if width.is_normal() {
+            (1.0 / width, (heaviest / width) as usize + 3)
+        } else {
+            (0.0, 1)
+        };
+        let bucket_of = |d: f64| (d * inv) as usize;
+        let mut ring = vec![Vec::<(f64, u32)>::new(); buckets];
+        ring[0].push((0.0, src.0));
+        let mut pending = 1usize;
+        let (mut cur, mut slot) = (0usize, 0usize);
+        while pending > 0 {
+            while let Some((cost, node)) = ring[slot].pop() {
+                pending -= 1;
+                if cost > dist[node as usize] {
+                    continue;
                 }
-            });
+                self.for_each_neighbor(NodeId(node), |next, w| {
+                    let nd = cost + w;
+                    if nd < dist[next.index()] {
+                        dist[next.index()] = nd;
+                        let ahead = bucket_of(nd) - cur;
+                        debug_assert!(ahead < buckets, "label {nd} beyond the ring");
+                        let at = slot + ahead;
+                        ring[if at < buckets { at } else { at - buckets }].push((nd, next.0));
+                        pending += 1;
+                    }
+                });
+            }
+            cur += 1;
+            slot = if slot + 1 < buckets { slot + 1 } else { 0 };
         }
         dist
     }

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use xar_geo::GeoPoint;
 use xar_roadnet::{
-    CityConfig, NodeId, NodeLocator, RoadClass, RoadGraph, RoadGraphBuilder, Route, Router,
-    ShortestPaths,
+    CityConfig, CostMetric, Direction, NodeId, NodeLocator, RoadClass, RoadGraph, RoadGraphBuilder,
+    Route, Router, ShortestPaths,
 };
 
 fn graph() -> &'static RoadGraph {
@@ -123,6 +123,30 @@ proptest! {
         }
     }
 
+    /// The bucket-ring `one_to_all` is heap Dijkstra to the last bit:
+    /// every node's label equals `ShortestPaths::path`'s cost, for both
+    /// metrics and all three directions, on all three topologies.
+    #[test]
+    fn one_to_all_equals_path_bit_for_bit(
+        kind in 0usize..3,
+        seed in 0u64..10_000,
+        metric in 0usize..2,
+        direction in 0usize..3,
+        src in 0u32..100_000,
+    ) {
+        let config = match kind {
+            0 => CityConfig::manhattan(12, 14, seed),
+            1 => CityConfig::radial(6, 10, seed),
+            _ => CityConfig::random_geometric(150, seed),
+        };
+        let g = config.generate();
+        let src = NodeId(src % g.node_count() as u32);
+        let sp = ShortestPaths::new(&g, METRICS[metric], DIRECTIONS[direction]);
+        if let Some(diff) = one_to_all_differs_from_path(&sp, src) {
+            prop_assert!(false, "{}", diff);
+        }
+    }
+
     /// `NodeLocator::nearest` is `argmin (haversine, id)` over the whole
     /// graph — for every bucket size, on all three topologies, for
     /// queries inside the city, on its edge and well outside its
@@ -208,6 +232,145 @@ proptest! {
         }
         prop_assert_eq!(route.index_at_time(total + 1.0), route.len() - 1);
     }
+}
+
+const METRICS: [CostMetric; 2] = [CostMetric::Distance, CostMetric::Time];
+const DIRECTIONS: [Direction; 3] = [
+    Direction::Forward,
+    Direction::Reverse,
+    Direction::Undirected,
+];
+
+/// The first node whose `one_to_all` label from `src` differs in its
+/// bits from `path`'s cost (`INFINITY` where `path` finds none).
+fn one_to_all_differs_from_path(sp: &ShortestPaths<'_>, src: NodeId) -> Option<String> {
+    let all = sp.one_to_all(src);
+    sp.graph().node_ids().find_map(|dst| {
+        let want = sp.cost(src, dst).unwrap_or(f64::INFINITY);
+        let got = all[dst.index()];
+        (got.to_bits() != want.to_bits()).then(|| format!("{src:?} -> {dst:?}: {got} vs {want}"))
+    })
+}
+
+/// `one_to_all` ≡ `path` from every source of `g`, under both metrics
+/// and all three directions.
+fn assert_one_to_all_is_path_everywhere(g: &RoadGraph) {
+    for metric in METRICS {
+        for direction in DIRECTIONS {
+            let sp = ShortestPaths::new(g, metric, direction);
+            for src in g.node_ids() {
+                if let Some(diff) = one_to_all_differs_from_path(&sp, src) {
+                    panic!("{metric:?} {direction:?}: {diff}");
+                }
+            }
+        }
+    }
+}
+
+/// The shortest edge a graph can hold: 5e-324 m. It is a zero-length
+/// edge in every sum but the first (`x + 5e-324 == x` for any label
+/// `x` above 1e-307), and its free-flow time underflows to exactly 0 s.
+const VANISHING_M: f64 = 5e-324;
+
+/// Zero-cost edges and chains of them, beside 100–200 m streets: under
+/// `Time` they cost exactly 0, so a relaxation over one re-enters the
+/// bucket being drained. A graph of nothing but such edges has no
+/// invertible bucket width and runs as one bucket.
+#[test]
+fn one_to_all_is_exact_over_zero_length_chains() {
+    let mut b = RoadGraphBuilder::new();
+    let ids: Vec<NodeId> = (0..16)
+        .map(|i| b.add_node(GeoPoint::new(40.70, -74.0 + 0.001 * f64::from(i))))
+        .collect();
+    for i in 0..11 {
+        let m = 100.0 + 9.0 * i as f64;
+        if i % 3 == 0 {
+            b.add_edge(ids[i], ids[i + 1], RoadClass::Street, Some(m));
+        } else {
+            b.add_two_way(ids[i], ids[i + 1], RoadClass::Avenue, Some(m));
+        }
+    }
+    // A chain 0 -> 12 -> 13 -> 14 -> 6 of vanishing edges, a two-way
+    // one across 3 <-> 15 <-> 9, and a vanishing one-way 10 -> 2.
+    for (from, to) in [(0, 12), (12, 13), (13, 14), (14, 6), (10, 2)] {
+        b.add_edge(ids[from], ids[to], RoadClass::Street, Some(VANISHING_M));
+    }
+    for (x, y) in [(3, 15), (15, 9)] {
+        b.add_two_way(ids[x], ids[y], RoadClass::Street, Some(VANISHING_M));
+    }
+    assert_one_to_all_is_path_everywhere(&b.build());
+
+    let mut b = RoadGraphBuilder::new();
+    let ids: Vec<NodeId> = (0..6)
+        .map(|i| b.add_node(GeoPoint::new(40.70, -74.0 + 0.001 * f64::from(i))))
+        .collect();
+    for w in ids.windows(2) {
+        b.add_edge(w[0], w[1], RoadClass::Street, Some(VANISHING_M));
+    }
+    b.add_edge(ids[5], ids[0], RoadClass::Street, Some(VANISHING_M));
+    assert_one_to_all_is_path_everywhere(&b.build());
+}
+
+/// 1 m streets beside 5 km highways: the lightest edge is below
+/// `5000 / 4096`, so the bucket width is floored there and a 1 m
+/// relaxation lands in the bucket being drained, relabelling nodes it
+/// has already processed.
+#[test]
+fn one_to_all_is_exact_with_1_m_and_5_km_edges() {
+    const SIDE: usize = 9;
+    let mut b = RoadGraphBuilder::new();
+    let ids: Vec<NodeId> = (0..SIDE * SIDE)
+        .map(|i| {
+            b.add_node(GeoPoint::new(
+                40.70 + 0.009 * (i / SIDE) as f64,
+                -74.0 + 0.012 * (i % SIDE) as f64,
+            ))
+        })
+        .collect();
+    let length = |i: usize| match i % 7 {
+        0 | 4 => 5_000.0 - 0.25 * (i % 5) as f64,
+        _ => 1.0 + 0.13 * (i % 11) as f64,
+    };
+    for r in 0..SIDE {
+        for c in 0..SIDE {
+            let v = r * SIDE + c;
+            if c + 1 < SIDE {
+                b.add_two_way(ids[v], ids[v + 1], RoadClass::Street, Some(length(3 * v)));
+            }
+            if r + 1 < SIDE {
+                b.add_edge(
+                    ids[v],
+                    ids[v + SIDE],
+                    RoadClass::Street,
+                    Some(length(3 * v + 1)),
+                );
+                b.add_edge(
+                    ids[v + SIDE],
+                    ids[v],
+                    RoadClass::Highway,
+                    Some(length(3 * v + 2)),
+                );
+            }
+        }
+    }
+    assert_one_to_all_is_path_everywhere(&b.build());
+}
+
+/// Unreachable nodes keep `INFINITY`: ring B is reached from ring A
+/// over a one-way bridge but does not reach back, ring C is an island,
+/// and one node has no edge at all.
+#[test]
+fn one_to_all_leaves_unreachable_nodes_infinite() {
+    let mut b = RoadGraphBuilder::new();
+    let ring_a = add_ring(&mut b, 7, 40.70, 100.0);
+    let ring_b = add_ring(&mut b, 6, 40.71, 140.0);
+    add_ring(&mut b, 5, 40.72, 90.0);
+    b.add_edge(ring_a[3], ring_b[0], RoadClass::Street, Some(55.0));
+    let lone = b.add_node(GeoPoint::new(40.73, -74.0));
+    let g = b.build();
+    assert_one_to_all_is_path_everywhere(&g);
+    let all = ShortestPaths::driving(&g).one_to_all(ring_b[2]);
+    assert!(all[ring_a[0].index()].is_infinite() && all[lone.index()].is_infinite());
 }
 
 /// Router ≡ oracle over every ordered pair of `g` (full equality:

@@ -216,12 +216,20 @@ fn usage() -> &'static str {
 fn build_region(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
     let rows: usize = flags.get("rows", 60)?;
     let cols: usize = flags.get("cols", 60)?;
+    for (key, n) in [("rows", rows), ("cols", cols)] {
+        if n < 2 {
+            return Err(format!("--{key} must be at least 2 (a 2x2 lattice), got {n}").into());
+        }
+    }
     let seed: u64 = flags.get("seed", 1)?;
     let file = flags.require("out")?;
     let goal = if let Some(c) = flags.get_opt("clusters") {
-        ClusterGoal::FixedCount(c.parse().map_err(|_| "invalid --clusters".to_string())?)
+        match c.parse() {
+            Ok(k) if k > 0 => ClusterGoal::FixedCount(k),
+            _ => return Err(format!("--clusters must be a positive integer, got '{c}'").into()),
+        }
     } else {
-        ClusterGoal::Delta(flags.get("delta", 250.0)?)
+        ClusterGoal::Delta(flags.non_negative("delta", 250.0)?)
     };
 
     eprintln!("generating {rows}x{cols} city (seed {seed})...");

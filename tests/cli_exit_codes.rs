@@ -650,3 +650,27 @@ fn serial_driver_says_when_it_ignores_shards() {
     ];
     assert_eq!(code(&xar(&args)), 9);
 }
+
+#[test]
+fn build_region_rejects_bad_values_before_any_work() {
+    // Past the CLI, each value trips an assert deep in the build (exit
+    // 101): the lattice generator's 2x2 floor, GREEDY's positive k,
+    // GREEDYSEARCH's non-negative delta. Each is exit 1 naming the flag,
+    // before the city is generated.
+    let dir = scratch("build_region_values");
+    let file = dir.join("never.xarr");
+    for (flag, value) in [
+        ("--rows", "1"),
+        ("--cols", "0"),
+        ("--clusters", "0"),
+        ("--delta", "-5"),
+        ("--delta", "nan"),
+    ] {
+        let out = xar(&["build-region", flag, value, "--out", file.to_str().unwrap()]);
+        assert_eq!(code(&out), 1, "{flag} {value} -> {out:?}");
+        let msg = String::from_utf8_lossy(&out.stderr);
+        assert!(msg.contains(flag), "{flag} {value}: {msg}");
+        assert!(!msg.contains("generating"), "{flag} {value}: {msg}");
+        assert!(!file.exists(), "{flag} {value} wrote a region");
+    }
+}

@@ -60,7 +60,7 @@ pub use graph::{Edge, EdgeId, Node, NodeId, RoadClass, RoadGraph, RoadGraphBuild
 pub use poi::{prune_insignificant, sample_pois, Poi, PoiConfig, PoiKind};
 pub use route::Route;
 pub use router::Router;
-pub use scratch::HeapEntry;
+pub use scratch::{HeapEntry, RadixHeap};
 pub use shortest_path::{CostMetric, Direction, PathResult, ShortestPaths, WALK_SPEED_MPS};
 pub use spatial::NodeLocator;
 pub use travel_time::HistoricalSpeeds;

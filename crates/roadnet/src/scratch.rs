@@ -8,11 +8,43 @@
 //! on one thread-local [`Scratch`]: a slot per node whose contents
 //! count only when its `stamp` equals the current generation, so
 //! starting a query is one counter increment instead of an O(|V|)
-//! fill, plus a heap that keeps its high-water capacity.
+//! fill, plus a [`RadixHeap`] that keeps its high-water capacity.
+//!
+//! **The radix heap.** Every key these traversals push is a
+//! [`HeapEntry`]: `cost.to_bits() << 32 | node`, 96 significant bits
+//! whose integer order is the `(cost, node)` order. The heap keeps a
+//! *floor*, the key of the last entry it took from above, and files an
+//! entry in bucket `b` = the position of the highest bit in which its
+//! key differs from the floor (bucket 0: equal to it). Every key in
+//! bucket `b ≥ 1` exceeds the floor and is below every key of bucket
+//! `b + 1`. A pop takes from bucket 0 while it holds anything; when it
+//! is empty, the lowest occupied bucket's least key becomes the floor,
+//! and the bucket's entries are re-filed against it — each into a lower
+//! bucket, so an entry moves at most 96 times over its life, and a push
+//! or a pop is a `xor`, a leading-zero count and a `Vec` push or pop.
+//!
+//! *Monotone pushes pop in exact key order.* If no key pushed is below
+//! the floor, bucket 0 holds only copies of the floor, the floor is
+//! always the least key in the heap, and the heap pops exactly the
+//! sequence a `BinaryHeap<HeapEntry>` pops — ties by node id included.
+//! Dijkstra's pushes are monotone: a push `fl(c + w)` after a pop at
+//! `c` is never below `c`, and only an edge that adds nothing to `c`
+//! (zero length) can land below the floor, on the floor's cost with a
+//! lower node id. So wherever every edge adds to a label,
+//! `bounded_from` and `to_targets` pop exactly the sequence they popped
+//! from a binary heap.
+//!
+//! *Below the floor.* A key below the floor is filed in bucket 0; it
+//! is popped before the floor can rise, in last-in-first-out order
+//! with the other entries of bucket 0. A Dijkstra that pushes one (a
+//! zero-length edge) loses nothing: all of bucket 0 then has the
+//! floor's cost, and equal-cost labels are final in any order. The
+//! router's A* pushes them all the time — its bound is admissible but
+//! not consistent — and `router.rs` proves that it may still stop at
+//! the target's first pop.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Min-heap entry of every label-setting traversal: a cost and a node,
 /// ordered by cost, then node id (for determinism), as one integer key
@@ -24,7 +56,9 @@ use std::collections::BinaryHeap;
 /// exactly as the value does, with `+inf` last. So one `u128` compare
 /// gives the same total order as `(cost.total_cmp, node)`, ties by node
 /// id included, and the traversals pop the same sequence as with a
-/// float compare.
+/// float compare. The [`RadixHeap`] files entries by the same integer;
+/// `ShortestPaths::path`, the textbook oracle, keeps a `BinaryHeap` of
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeapEntry {
     key: u128,
@@ -73,6 +107,134 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// Significant bits of a [`HeapEntry`] key: 64 of cost, 32 of node.
+const KEY_BITS: usize = 96;
+
+/// A monotone min-heap of [`HeapEntry`] keyed by their integer keys
+/// (the module docs give the layout and the order it pops in).
+///
+/// ```
+/// use xar_roadnet::{HeapEntry, RadixHeap};
+///
+/// let mut heap = RadixHeap::new();
+/// heap.push(HeapEntry::new(5.0, 1));
+/// heap.push(HeapEntry::new(2.0, 7));
+/// assert_eq!(heap.pop(), Some(HeapEntry::new(2.0, 7)));
+/// assert_eq!(heap.floor(), 2.0);
+/// // Below the floor: popped before anything else, the floor unmoved.
+/// heap.push(HeapEntry::new(1.0, 3));
+/// assert_eq!(heap.pop(), Some(HeapEntry::new(1.0, 3)));
+/// assert_eq!(heap.floor(), 2.0);
+/// assert_eq!(heap.pop(), Some(HeapEntry::new(5.0, 1)));
+/// assert_eq!(heap.pop(), None);
+/// ```
+#[derive(Debug)]
+pub struct RadixHeap {
+    /// Bucket `b` holds the entries whose key differs from `floor`
+    /// first in bit `b − 1`; bucket 0 the floor's copies and every entry
+    /// pushed below it.
+    buckets: [Vec<HeapEntry>; KEY_BITS + 1],
+    /// Bit `b` is set exactly when bucket `b` is non-empty.
+    occupied: u128,
+    /// Key of the last entry taken from above bucket 0 (0 when none).
+    floor: u128,
+}
+
+impl Default for RadixHeap {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl RadixHeap {
+    /// An empty heap with floor 0. Allocates nothing until a push.
+    pub const fn new() -> Self {
+        Self {
+            buckets: [const { Vec::new() }; KEY_BITS + 1],
+            occupied: 0,
+            floor: 0,
+        }
+    }
+
+    /// The bucket of `key` against the floor `floor ≤ key`.
+    #[inline]
+    fn bucket(key: u128, floor: u128) -> usize {
+        (u128::BITS - (key ^ floor).leading_zeros()) as usize
+    }
+
+    /// Add `entry`. A key below the floor goes to bucket 0.
+    #[inline]
+    pub fn push(&mut self, entry: HeapEntry) {
+        let b = if entry.key < self.floor {
+            0
+        } else {
+            Self::bucket(entry.key, self.floor)
+        };
+        self.buckets[b].push(entry);
+        self.occupied |= 1 << b;
+    }
+
+    /// Remove the next entry: the last one pushed into bucket 0 while it
+    /// holds any, else the least key in the heap, which becomes the new
+    /// floor. `None` when the heap is empty.
+    #[inline]
+    pub fn pop(&mut self) -> Option<HeapEntry> {
+        if self.occupied & 1 != 0 {
+            let entry = self.buckets[0].pop();
+            if self.buckets[0].is_empty() {
+                self.occupied &= !1;
+            }
+            return entry;
+        }
+        if self.occupied == 0 {
+            return None;
+        }
+        Some(self.raise_floor())
+    }
+
+    /// Bucket 0 is empty: take the least key of the lowest occupied
+    /// bucket out as the new floor, and re-file the rest of that bucket
+    /// against it, each into a lower bucket.
+    fn raise_floor(&mut self) -> HeapEntry {
+        let b = self.occupied.trailing_zeros() as usize;
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        self.occupied &= !(1 << b);
+        let (at, _) = bucket
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, e)| e.key)
+            .expect("occupied");
+        let least = bucket.swap_remove(at);
+        self.floor = least.key;
+        for entry in bucket.drain(..) {
+            let to = Self::bucket(entry.key, self.floor);
+            self.buckets[to].push(entry);
+            self.occupied |= 1 << to;
+        }
+        // Hand the emptied vector back, so its capacity is kept.
+        self.buckets[b] = bucket;
+        least
+    }
+
+    /// The cost of the floor: every entry above bucket 0 costs at
+    /// least this much.
+    #[inline]
+    pub fn floor(&self) -> f64 {
+        f64::from_bits((self.floor >> 32) as u64)
+    }
+
+    /// Remove every entry and lower the floor to 0, keeping every
+    /// bucket's capacity.
+    pub fn clear(&mut self) {
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize;
+            self.buckets[b].clear();
+            self.occupied &= !(1 << b);
+        }
+        self.floor = 0;
+    }
+}
+
 /// The mark of a node that carries none (and of every unreached node).
 pub(crate) const NO_MARK: u32 = u32::MAX;
 
@@ -88,7 +250,7 @@ struct Scratch {
     bound: Vec<f64>,
     stamp: Vec<u32>,
     generation: u32,
-    heap: BinaryHeap<HeapEntry>,
+    heap: RadixHeap,
 }
 
 impl Scratch {
@@ -99,16 +261,17 @@ impl Scratch {
             bound: Vec::new(),
             stamp: Vec::new(),
             generation: 0,
-            heap: BinaryHeap::new(),
+            heap: RadixHeap::new(),
         }
     }
 
     /// Start a query over a graph of `n` nodes: every label reads as
-    /// unreached and the heap is empty. Touches memory only when the
-    /// graph is larger than any seen before on this thread, or when the
-    /// 32-bit generation wraps (then stamps left by generation 1, 2, …
-    /// of the previous cycle must not read as live again).
-    fn begin(&mut self, n: usize) -> (Labels<'_>, &mut BinaryHeap<HeapEntry>) {
+    /// unreached and the heap is empty, with floor 0. Touches memory
+    /// only when the graph is larger than any seen before on this
+    /// thread, or when the 32-bit generation wraps (then stamps left by
+    /// generation 1, 2, … of the previous cycle must not read as live
+    /// again).
+    fn begin(&mut self, n: usize) -> (Labels<'_>, &mut RadixHeap) {
         if self.stamp.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.mark.resize(n, NO_MARK);
@@ -232,12 +395,9 @@ thread_local! {
 }
 
 /// Run `query` on this thread's scratch — fresh labels for a graph of
-/// `n` nodes and an empty heap. Traversals never nest, so the `RefCell`
-/// borrow cannot fail.
-pub(crate) fn with_scratch<R>(
-    n: usize,
-    query: impl FnOnce(Labels<'_>, &mut BinaryHeap<HeapEntry>) -> R,
-) -> R {
+/// `n` nodes and an empty heap with floor 0. Traversals never nest, so
+/// the `RefCell` borrow cannot fail.
+pub(crate) fn with_scratch<R>(n: usize, query: impl FnOnce(Labels<'_>, &mut RadixHeap) -> R) -> R {
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
         let (labels, heap) = s.begin(n);
@@ -326,6 +486,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Pop everything left in `heap`.
+    fn drain(heap: &mut RadixHeap) -> Vec<(f64, u32)> {
+        std::iter::from_fn(|| heap.pop().map(|e| (e.cost(), e.node()))).collect()
+    }
+
+    #[test]
+    fn monotone_pushes_pop_in_cost_then_node_order() {
+        let costs = [0.0, f64::from_bits(1), 1.0, 1.0, 2.5, 1e300, f64::INFINITY];
+        let mut want: Vec<(f64, u32)> = costs
+            .iter()
+            .flat_map(|&c| [(c, 9), (c, 0), (c, u32::MAX), (c, 4)])
+            .collect();
+        let mut heap = RadixHeap::new();
+        // Pushed in reverse order, all at or above the floor of 0.
+        for &(c, n) in want.iter().rev() {
+            heap.push(HeapEntry::new(c, n));
+        }
+        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        assert_eq!(drain(&mut heap), want);
+        assert_eq!(heap.floor(), f64::INFINITY);
+
+        // Interleaved: each push is at or above the last pop, ties on
+        // the floor's cost with a higher node id included.
+        heap.clear();
+        heap.push(HeapEntry::new(3.0, 5));
+        heap.push(HeapEntry::new(1.0, 2));
+        assert_eq!(heap.pop(), Some(HeapEntry::new(1.0, 2)));
+        heap.push(HeapEntry::new(1.0, 3));
+        heap.push(HeapEntry::new(2.0, 1));
+        heap.push(HeapEntry::new(3.0, 4));
+        assert_eq!(drain(&mut heap), [(1.0, 3), (2.0, 1), (3.0, 4), (3.0, 5)]);
+    }
+
+    #[test]
+    fn a_push_below_the_floor_is_popped_before_the_floor_rises() {
+        let mut heap = RadixHeap::new();
+        heap.push(HeapEntry::new(5.0, 1));
+        heap.push(HeapEntry::new(2.0, 7));
+        heap.push(HeapEntry::new(9.0, 0));
+        assert_eq!(heap.pop(), Some(HeapEntry::new(2.0, 7)));
+        assert_eq!(heap.floor(), 2.0);
+        // Below the floor: a lower cost, and the floor's cost with a
+        // lower node id. They pop last in, first out.
+        heap.push(HeapEntry::new(1.0, 3));
+        heap.push(HeapEntry::new(2.0, 6));
+        heap.push(HeapEntry::new(0.0, 8));
+        for want in [(0.0, 8), (2.0, 6), (1.0, 3)] {
+            assert_eq!(heap.pop(), Some(HeapEntry::new(want.0, want.1)));
+            assert_eq!(heap.floor(), 2.0);
+        }
+        assert_eq!(heap.pop(), Some(HeapEntry::new(5.0, 1)));
+        assert_eq!(heap.floor(), 5.0);
+        assert_eq!(heap.pop(), Some(HeapEntry::new(9.0, 0)));
+        assert_eq!(heap.pop(), None);
+        heap.clear();
+        assert_eq!(heap.floor(), 0.0);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property-based tests of the road-network substrate.
 
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use xar_geo::GeoPoint;
 use xar_roadnet::{
-    CityConfig, CostMetric, Direction, NodeId, NodeLocator, RoadClass, RoadGraph, RoadGraphBuilder,
-    Route, Router, ShortestPaths,
+    CityConfig, CostMetric, Direction, HeapEntry, NodeId, NodeLocator, RadixHeap, RoadClass,
+    RoadGraph, RoadGraphBuilder, Route, Router, ShortestPaths,
 };
 
 fn graph() -> &'static RoadGraph {
@@ -121,6 +122,42 @@ proptest! {
                 ),
             }
         }
+    }
+
+    /// The radix heap pops what `BinaryHeap<HeapEntry>` pops, entry for
+    /// entry, on any interleaving whose pushes are at or above the last
+    /// pop: equal costs (ties by node id), a cost's successor, steps up,
+    /// `+0.0` at the start and `+inf`.
+    #[test]
+    fn radix_heap_pops_as_the_binary_heap(
+        ops in proptest::collection::vec((0u8..3, 0u32..7, 0u32..40), 1..400),
+    ) {
+        let mut radix = RadixHeap::new();
+        let mut binary = BinaryHeap::new();
+        let mut last = (0.0f64, 0u32);
+        for (op, step, node) in ops {
+            if op == 0 {
+                let got = radix.pop();
+                prop_assert_eq!(got, binary.pop());
+                if let Some(e) = got {
+                    last = (e.cost(), e.node());
+                }
+            } else {
+                let cost = match step {
+                    0 => last.0,
+                    1 => last.0.next_up(),
+                    6 => f64::INFINITY,
+                    s => last.0 + f64::from(s) * 0.375,
+                };
+                let node = if cost == last.0 { node.max(last.1) } else { node };
+                radix.push(HeapEntry::new(cost, node));
+                binary.push(HeapEntry::new(cost, node));
+            }
+        }
+        while let Some(want) = binary.pop() {
+            prop_assert_eq!(radix.pop(), Some(want));
+        }
+        prop_assert_eq!(radix.pop(), None);
     }
 
     /// The bucket-ring `one_to_all` is heap Dijkstra to the last bit:

@@ -17,7 +17,7 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::Arc;
 
-use xar_roadnet::{CityConfig, NodeId, Router, ShortestPaths};
+use xar_roadnet::{CityConfig, HeapEntry, NodeId, RadixHeap, Router, ShortestPaths};
 
 thread_local! {
     // Per-thread, because the libtest harness allocates concurrently
@@ -111,4 +111,28 @@ fn warm_queries_allocate_only_what_they_return() {
         LARGEST.with(Cell::get),
         n
     );
+}
+
+/// A radix heap that has seen a sequence of pushes and pops once runs
+/// it again without allocating: re-filing moves entries between
+/// buckets that keep their capacity, and `clear` frees nothing.
+#[test]
+fn a_warmed_radix_heap_allocates_nothing() {
+    let mut heap = RadixHeap::new();
+    let round = |heap: &mut RadixHeap| {
+        heap.clear();
+        for i in 0..2_000u32 {
+            heap.push(HeapEntry::new(f64::from(i * 7_919 % 1_000) + 0.5, i));
+            if i % 3 == 0 {
+                let floor = heap.pop().expect("just pushed").cost();
+                // One push below the floor per round of three.
+                heap.push(HeapEntry::new(floor / 2.0, i));
+            }
+        }
+        while heap.pop().is_some() {}
+    };
+    round(&mut heap);
+    reset_counters();
+    round(&mut heap);
+    assert_eq!(ALLOCS.with(Cell::get), 0, "a warmed heap allocated");
 }

@@ -6,17 +6,20 @@
 //! wins at r = 1 but degrades much faster — at r = 1000 it takes ~42 s
 //! where XAR takes ~1 s.
 //!
-//! Per-search p50/p99 come from the simulator's `sim.search_ns`
-//! histogram in the run's metrics registry (fresh backends per `r`, so
-//! each run has its own registry).
+//! Per-search p50/p99 are exact percentiles of the run's per-search
+//! samples (`SimReport::search_ns`), the same samples whose sums make
+//! the totals (fresh backends per `r`, so each run has its own). The
+//! binary exits 1 when the T-Share ÷ XAR ratio at r = 1000 is not above
+//! the ratio at r = 1.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use xar_bench::{fmt_time_s, header, row, scale_arg, trace_finish, trace_setup, BenchCity};
 use xar_tshare::{TShareConfig, TShareEngine};
-use xar_workload::{run_simulation, SimConfig, TShareBackend, XarBackend};
+use xar_workload::{percentile_ns, run_simulation, SimConfig, TShareBackend, XarBackend};
 
-fn main() {
+fn main() -> ExitCode {
     let scale = scale_arg();
     let trace = trace_setup();
     println!("# Figure 5b — total query time vs look-to-book ratio r (scale {scale})\n");
@@ -24,14 +27,10 @@ fn main() {
     // Few requests: total work is requests * r searches.
     let trips = city.trips(300, scale);
 
-    // Per-search percentiles from the run's `sim.search_ns` histogram.
-    let search_pcts = |report: &xar_workload::SimReport| -> (u64, u64) {
-        let reg = report
-            .registry
-            .as_ref()
-            .expect("simulation attaches a registry");
-        let s = reg.histogram("sim.search_ns").snapshot();
-        (s.p50, s.p99)
+    // Per-search p50/p99 as one table cell.
+    let search_pcts = |report: &xar_workload::SimReport| -> String {
+        let pct = |p| fmt_time_s(percentile_ns(&report.search_ns, p) / 1e9);
+        format!("{}/{}", pct(50.0), pct(99.0))
     };
 
     header(&[
@@ -58,7 +57,6 @@ fn main() {
         let mut xar = XarBackend::new(city.xar(region));
         let rx = run_simulation(&mut xar, &trips, &cfg);
         let x_total = rx.total_search_s() + rx.total_create_s() + rx.total_book_s();
-        let (xp50, xp99) = search_pcts(&rx);
 
         let ts_cfg = TShareConfig {
             grid_cell_m: 1_000.0,
@@ -68,7 +66,6 @@ fn main() {
         let mut ts = TShareBackend::new(TShareEngine::new(Arc::clone(&city.graph), ts_cfg));
         let rt = run_simulation(&mut ts, &trips, &cfg);
         let t_total = rt.total_search_s() + rt.total_create_s() + rt.total_book_s();
-        let (tp50, tp99) = search_pcts(&rt);
 
         let ratio = t_total / x_total.max(1e-12);
         if first_ratio.is_none() {
@@ -78,25 +75,26 @@ fn main() {
         row(&[
             r.to_string(),
             fmt_time_s(x_total),
-            format!(
-                "{}/{}",
-                fmt_time_s(xp50 as f64 / 1e9),
-                fmt_time_s(xp99 as f64 / 1e9)
-            ),
+            search_pcts(&rx),
             fmt_time_s(t_total),
-            format!(
-                "{}/{}",
-                fmt_time_s(tp50 as f64 / 1e9),
-                fmt_time_s(tp99 as f64 / 1e9)
-            ),
+            search_pcts(&rt),
             format!("{ratio:.1}x"),
         ]);
     }
-    println!(
-        "\nshape check: the T-Share/XAR gap grows with r — {:.1}x at r=1 vs {:.1}x at r=1000 \
-         (paper: T-Share faster at r=1, ~40x slower at r=1000).",
+    let (first, last) = (
         first_ratio.unwrap_or(f64::NAN),
-        last_ratio.unwrap_or(f64::NAN)
+        last_ratio.unwrap_or(f64::NAN),
+    );
+    println!(
+        "\nshape check: the T-Share/XAR gap grows with r — {first:.1}x at r=1 vs {last:.1}x at r=1000 \
+         (paper: T-Share faster at r=1, ~40x slower at r=1000)."
     );
     trace_finish(trace);
+    // A NaN ratio (no work timed) fails too.
+    if last > first {
+        println!("shape check passed: the ratio at r=1000 is above the ratio at r=1");
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("shape check failed: the ratio at r=1000 ({last:.1}x) is not above the ratio at r=1 ({first:.1}x)");
+    ExitCode::FAILURE
 }

@@ -61,7 +61,6 @@ impl XarEngine {
     /// realised detour may still overshoot the estimate by the
     /// discretization error (Figure 3a).
     pub fn book_checked(&mut self, m: &RideMatch) -> Result<BookingOutcome, XarError> {
-        let _span = xar_obs::SpanTimer::new(std::sync::Arc::clone(&self.metrics.book_ns));
         let mut tspan = xar_obs::trace::span("book");
         let region = std::sync::Arc::clone(self.region());
         let pickup_node = region.landmark(m.pickup_landmark).node;
@@ -102,7 +101,7 @@ impl XarEngine {
         // no route fails the booking after its predecessors were paid
         // for, and `engine.shortest_paths` must not fall behind
         // `engine.sp_ns`.
-        let sp_total = std::sync::Arc::clone(&self.stats.shortest_paths);
+        let sp_total = std::sync::Arc::clone(&self.metrics.shortest_paths);
         let mut leg = |a: NodeId, b: NodeId| -> Option<Route> {
             sp_count += 1;
             sp_total.inc();
@@ -166,7 +165,7 @@ impl XarEngine {
             let from = ride.progress_idx;
             XarEngine::index_ride(&region, &config, ride, index, from);
         });
-        self.stats.bookings.inc();
+        self.metrics.bookings.inc();
         tspan.attr("ride", m.ride.0);
         tspan.attr("shortest_paths", sp_count);
         tspan.attr("detour_m", actual_detour);

@@ -11,7 +11,6 @@ use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use xar_discretize::{ClusterId, RegionIndex};
-use xar_obs::{Counter, Registry};
 use xar_roadnet::Route;
 
 use crate::error::XarError;
@@ -45,70 +44,6 @@ impl Default for EngineConfig {
             historical_speed_mps: 8.0,
             index_reachable: true,
             historical: None,
-        }
-    }
-}
-
-/// Operation counters (searches, creations, bookings, tracking calls).
-///
-/// These are handles into the engine's metric registry (names
-/// `engine.searches` … `engine.shortest_paths`), so the counts appear
-/// in every registry snapshot / `--metrics-out` dump with no second
-/// bookkeeping path; [`EngineStats::snapshot`] is a thin reader over
-/// the same atomics.
-#[derive(Debug, Clone)]
-pub struct EngineStats {
-    /// Number of search operations served (`engine.searches`).
-    pub searches: Arc<Counter>,
-    /// Number of rides created (`engine.creates`).
-    pub creates: Arc<Counter>,
-    /// Number of bookings confirmed (`engine.bookings`).
-    pub bookings: Arc<Counter>,
-    /// Number of tracking advances applied (`engine.tracks`).
-    pub tracks: Arc<Counter>,
-    /// Total shortest-path computations performed (creation + booking —
-    /// never search); `engine.shortest_paths`.
-    pub shortest_paths: Arc<Counter>,
-}
-
-/// A point-in-time reading of [`EngineStats`], with named fields so
-/// callers never depend on positional tuple order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineStatsSnapshot {
-    /// Search operations served.
-    pub searches: u64,
-    /// Rides created.
-    pub creates: u64,
-    /// Bookings confirmed.
-    pub bookings: u64,
-    /// Tracking advances applied.
-    pub tracks: u64,
-    /// Shortest-path computations performed (creation + booking —
-    /// never search).
-    pub shortest_paths: u64,
-}
-
-impl EngineStats {
-    /// Resolve the counter handles from `registry` (get-or-create, so
-    /// engines sharing a registry share the counts).
-    pub fn from_registry(registry: &Registry) -> Self {
-        Self {
-            searches: registry.counter("engine.searches"),
-            creates: registry.counter("engine.creates"),
-            bookings: registry.counter("engine.bookings"),
-            tracks: registry.counter("engine.tracks"),
-            shortest_paths: registry.counter("engine.shortest_paths"),
-        }
-    }
-
-    /// Read every counter at once.
-    pub fn snapshot(&self) -> EngineStatsSnapshot {
-        EngineStatsSnapshot {
-            searches: self.searches.get(),
-            creates: self.creates.get(),
-            bookings: self.bookings.get(),
-            tracks: self.tracks.get(),
-            shortest_paths: self.shortest_paths.get(),
         }
     }
 }
@@ -164,7 +99,6 @@ pub struct XarEngine {
     rides: RideMap,
     index: ClusterIndex,
     next_id: u64,
-    pub(crate) stats: EngineStats,
     pub(crate) metrics: EngineMetrics,
 }
 
@@ -178,15 +112,13 @@ impl XarEngine {
     /// Create an engine over a pre-processed region. Ride ids are
     /// dense: 1, 2, 3, … in creation order.
     pub fn new(region: Arc<RegionIndex>, config: EngineConfig) -> Self {
-        let metrics = EngineMetrics::new();
         Self {
             index: ClusterIndex::new(region.cluster_count()),
-            stats: EngineStats::from_registry(&metrics.registry()),
             region,
             config,
             rides: RideMap::default(),
             next_id: 1,
-            metrics,
+            metrics: EngineMetrics::new(),
         }
     }
 
@@ -208,14 +140,8 @@ impl XarEngine {
         &self.index
     }
 
-    /// Operation counters.
-    #[inline]
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
-    /// Latency and candidate-set telemetry (see [`EngineMetrics`] for
-    /// the metric names).
+    /// Operation counters and shortest-path telemetry (see
+    /// [`EngineMetrics`] for the metric names).
     #[inline]
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
@@ -246,7 +172,6 @@ impl XarEngine {
     /// detour limit, and inserts the ride into every such cluster's
     /// potential-rides lists — none when the offer has no seat.
     pub fn create_ride(&mut self, offer: &RideOffer) -> Result<RideId, XarError> {
-        let _span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.create_ns));
         let mut tspan = xar_obs::trace::span("create");
         if !(offer.detour_limit_m.is_finite() && offer.detour_limit_m >= 0.0) {
             return Err(XarError::InvalidRequest(
@@ -279,7 +204,7 @@ impl XarEngine {
         }
 
         let (route, via_points) = Route::through(&stop_nodes, |a, b| {
-            self.stats.shortest_paths.inc();
+            self.metrics.shortest_paths.inc();
             let path = {
                 let _sp_span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.sp_ns));
                 let _sp_trace = xar_obs::trace::span("shortest_path");
@@ -314,7 +239,7 @@ impl XarEngine {
         };
         Self::index_ride(&self.region, &self.config, &mut ride, &mut self.index, 0);
         self.rides.insert(id, ride);
-        self.stats.creates.inc();
+        self.metrics.creates.inc();
         tspan.attr("ride", id.0);
         tspan.attr("legs", stop_nodes.len() as u64 - 1);
         Ok(id)

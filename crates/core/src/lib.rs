@@ -23,9 +23,9 @@
 //! [`sharded::ShardedXarEngine`] is the same engine as a clonable,
 //! thread-safe handle behind one `RwLock`: search reads the live
 //! [`index::ClusterIndex`] under the read lock, and every write takes
-//! the write lock. All four operations are instrumented through
-//! [`metrics::EngineMetrics`] (an `xar-obs` registry), so latency
-//! percentiles come for free:
+//! the write lock. [`metrics::EngineMetrics`] (an `xar-obs` registry)
+//! counts the operations and times every shortest path they compute;
+//! an operation's own latency is the replay driver's to measure:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -52,9 +52,11 @@
 //!         2_500.0,
 //!     ))
 //!     .unwrap();
-//! // The create was timed into the engine's metrics registry.
+//! // The create was counted, and its route's one leg timed, in the
+//! // engine's metrics registry.
 //! let reg = engine.metrics().registry();
-//! assert_eq!(reg.histogram("engine.create_ns").count(), 1);
+//! assert_eq!(reg.counter("engine.creates").get(), 1);
+//! assert_eq!(reg.histogram("engine.sp_ns").count(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -74,10 +76,10 @@ pub mod social;
 pub mod tracking;
 
 pub use booking::BookingOutcome;
-pub use engine::{EngineConfig, EngineStats, EngineStatsSnapshot, XarEngine};
+pub use engine::{EngineConfig, XarEngine};
 pub use error::{Reason, XarError};
 pub use index::ClusterIndex;
-pub use metrics::EngineMetrics;
+pub use metrics::{EngineCounts, EngineMetrics};
 pub use request::RideRequest;
 pub use ride::{Ride, RideId, RideOffer, RideStatus, RiderId};
 pub use search::{RideMatch, SearchExplain};

@@ -3,63 +3,63 @@
 //!
 //! Every [`crate::engine::XarEngine`] owns one [`EngineMetrics`]. The
 //! handles are `Arc`s resolved once at engine construction, so the hot
-//! paths (search / create / book / track) never touch the registry's
-//! lock — recording is a handful of relaxed atomic operations.
+//! paths never touch the registry's lock — recording is a few relaxed
+//! atomic operations.
 //!
 //! Metric names (all under the engine's own registry):
 //!
 //! | name | type | unit |
 //! |------|------|------|
-//! | `engine.search_ns` | histogram | ns per search call |
-//! | `engine.create_ns` | histogram | ns per ride creation |
-//! | `engine.book_ns` | histogram | ns per booking |
-//! | `engine.track_ns` | histogram | ns per tracking advance |
-//! | `engine.search_candidates` | histogram | rides in the R1 candidate set per search |
 //! | `engine.sp_ns` | histogram | ns per shortest-path computation (create/book only) |
-//! | `lock.write_hold_ns` | histogram | ns the write lock of [`crate::ShardedXarEngine`] is held per create / book / track |
-//! | `engine.searches` / `creates` / `bookings` / `tracks` | counter | operation counts ([`crate::engine::EngineStats`]) |
 //! | `engine.shortest_paths` | counter | shortest-path computations (create/book — never search) |
+//! | `engine.searches` / `creates` / `bookings` / `tracks` | counter | valid searches, rides created, bookings confirmed, `track_ride` calls |
+//! | `lock.write_hold_ns` | histogram | ns the write lock of [`crate::ShardedXarEngine`] is held per create / book / track |
 //!
-//! Labeled series (low-cardinality, pre-resolved into the arrays
-//! below so the hot paths never re-intern):
-//!
-//! | series | type | meaning |
-//! |--------|------|---------|
-//! | `engine.search_ns{tier="t1\|t2\|t3"}` | histogram | search latency by source fan-out: t1 ≤ 2 walkable clusters, t2 3–6, t3 ≥ 7 (unservable searches carry no tier) |
-//!
-//! Which request was slow is answered from files, not from these
-//! series: `xar trace --top` over a `--trace-out` file and `xar logs
-//! --slower-than` over an `--events-out` file.
+//! An operation's latency is not recorded here: the replay driver
+//! times every search, create and booking once, for XAR and T-Share
+//! alike (`xar_workload::SimReport`). Which request was slow is
+//! answered from files: `xar trace --top` over a `--trace-out` file and
+//! `xar logs --slower-than` over an `--events-out` file.
 
 use std::sync::Arc;
 
-use xar_obs::{Histogram, Registry};
-
-/// The `tier` label values for search fan-out (source walkable-cluster
-/// count: t1 ≤ 2, t2 3–6, t3 ≥ 7).
-pub const SEARCH_TIERS: [&str; 3] = ["t1", "t2", "t3"];
+use xar_obs::{Counter, Histogram, Registry};
 
 /// Cached metric handles for one engine instance.
 #[derive(Clone)]
 pub struct EngineMetrics {
     registry: Arc<Registry>,
-    /// End-to-end search latency, nanoseconds.
-    pub search_ns: Arc<Histogram>,
-    /// End-to-end ride-creation latency, nanoseconds.
-    pub create_ns: Arc<Histogram>,
-    /// End-to-end booking latency, nanoseconds.
-    pub book_ns: Arc<Histogram>,
-    /// End-to-end tracking-advance latency, nanoseconds.
-    pub track_ns: Arc<Histogram>,
-    /// Candidate-set size (distinct rides surviving the R1 source-side
-    /// range queries) per search.
-    pub search_candidates: Arc<Histogram>,
     /// Per shortest-path computation latency during create/book,
-    /// nanoseconds.
+    /// nanoseconds (`engine.sp_ns`).
     pub sp_ns: Arc<Histogram>,
-    /// `engine.search_ns{tier=…}` — search latency by source fan-out,
-    /// index-aligned with [`SEARCH_TIERS`].
-    pub search_ns_tier: [Arc<Histogram>; 3],
+    /// Shortest-path computations performed (creation + booking —
+    /// never search); `engine.shortest_paths`.
+    pub shortest_paths: Arc<Counter>,
+    /// Searches of a valid request (`engine.searches`).
+    pub searches: Arc<Counter>,
+    /// Rides created (`engine.creates`).
+    pub creates: Arc<Counter>,
+    /// Bookings confirmed (`engine.bookings`).
+    pub bookings: Arc<Counter>,
+    /// `track_ride` calls (`engine.tracks`).
+    pub tracks: Arc<Counter>,
+}
+
+/// A point-in-time reading of the [`EngineMetrics`] counters, with
+/// named fields so callers never depend on positional tuple order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EngineCounts {
+    /// Searches of a valid request.
+    pub searches: u64,
+    /// Rides created.
+    pub creates: u64,
+    /// Bookings confirmed.
+    pub bookings: u64,
+    /// `track_ride` calls.
+    pub tracks: u64,
+    /// Shortest-path computations performed (creation + booking —
+    /// never search).
+    pub shortest_paths: u64,
 }
 
 impl EngineMetrics {
@@ -68,26 +68,17 @@ impl EngineMetrics {
         Self::with_registry(Arc::new(Registry::new()))
     }
 
-    /// Metrics recording into an existing registry (so several engines,
-    /// or an engine plus its baseline, can share one snapshot).
+    /// Metrics recording into an existing registry (get-or-create, so
+    /// engines sharing a registry share the series).
     pub fn with_registry(registry: Arc<Registry>) -> Self {
-        let search_ns = registry.histogram("engine.search_ns");
-        let create_ns = registry.histogram("engine.create_ns");
-        let book_ns = registry.histogram("engine.book_ns");
-        let track_ns = registry.histogram("engine.track_ns");
-        let search_candidates = registry.histogram("engine.search_candidates");
-        let sp_ns = registry.histogram("engine.sp_ns");
-        let search_ns_tier =
-            SEARCH_TIERS.map(|t| registry.histogram_with("engine.search_ns", &[("tier", t)]));
         Self {
+            sp_ns: registry.histogram("engine.sp_ns"),
+            shortest_paths: registry.counter("engine.shortest_paths"),
+            searches: registry.counter("engine.searches"),
+            creates: registry.counter("engine.creates"),
+            bookings: registry.counter("engine.bookings"),
+            tracks: registry.counter("engine.tracks"),
             registry,
-            search_ns,
-            create_ns,
-            book_ns,
-            track_ns,
-            search_candidates,
-            sp_ns,
-            search_ns_tier,
         }
     }
 
@@ -96,14 +87,14 @@ impl EngineMetrics {
         Arc::clone(&self.registry)
     }
 
-    /// Index into [`SEARCH_TIERS`] / `search_ns_tier` for a search whose
-    /// source has `walkable` walkable clusters.
-    #[inline]
-    pub fn tier_index(walkable: usize) -> usize {
-        match walkable {
-            0..=2 => 0,
-            3..=6 => 1,
-            _ => 2,
+    /// Read every counter at once.
+    pub fn counts(&self) -> EngineCounts {
+        EngineCounts {
+            searches: self.searches.get(),
+            creates: self.creates.get(),
+            bookings: self.bookings.get(),
+            tracks: self.tracks.get(),
+            shortest_paths: self.shortest_paths.get(),
         }
     }
 }
@@ -121,38 +112,12 @@ mod tests {
     #[test]
     fn handles_share_the_registry() {
         let m = EngineMetrics::new();
-        m.search_ns.record(1_000);
+        m.sp_ns.record(1_000);
+        m.bookings.inc();
         let json = m.registry().snapshot_json();
-        assert!(json.contains("\"engine.search_ns\""), "{json}");
-        assert!(json.contains("\"engine.book_ns\""), "{json}");
-    }
-
-    #[test]
-    fn labeled_handles_are_distinct_series() {
-        let m = EngineMetrics::new();
-        m.search_ns_tier[0].record(10);
-        m.search_ns_tier[2].record(99);
-        // Series keys carry their labels; the inner quotes arrive
-        // JSON-escaped in the document text.
-        let json = m.registry().snapshot_json();
-        assert!(json.contains("engine.search_ns{tier=\\\"t1\\\"}"), "{json}");
-        assert!(json.contains("engine.search_ns{tier=\\\"t3\\\"}"), "{json}");
-        // The unlabeled aggregate family still coexists.
-        m.search_ns.record(7);
-        assert!(m
-            .registry()
-            .snapshot_json()
-            .contains("\"engine.search_ns\""));
-    }
-
-    #[test]
-    fn tier_and_bucket_mapping() {
-        assert_eq!(EngineMetrics::tier_index(0), 0);
-        assert_eq!(EngineMetrics::tier_index(2), 0);
-        assert_eq!(EngineMetrics::tier_index(3), 1);
-        assert_eq!(EngineMetrics::tier_index(6), 1);
-        assert_eq!(EngineMetrics::tier_index(7), 2);
-        assert_eq!(EngineMetrics::tier_index(1_000), 2);
+        assert!(json.contains("\"engine.sp_ns\""), "{json}");
+        assert!(json.contains("\"engine.bookings\":1"), "{json}");
+        assert_eq!(m.counts().bookings, 1);
     }
 
     #[test]
@@ -160,8 +125,11 @@ mod tests {
         let reg = Arc::new(Registry::new());
         let a = EngineMetrics::with_registry(Arc::clone(&reg));
         let b = EngineMetrics::with_registry(Arc::clone(&reg));
-        a.search_ns.record(10);
-        b.search_ns.record(20);
-        assert_eq!(reg.histogram("engine.search_ns").count(), 2);
+        a.sp_ns.record(10);
+        b.sp_ns.record(20);
+        a.searches.inc();
+        b.searches.inc();
+        assert_eq!(reg.histogram("engine.sp_ns").count(), 2);
+        assert_eq!(b.counts().searches, 2);
     }
 }

@@ -27,15 +27,12 @@
 //! field of every row ([`crate::index::PotentialRide::budget_m`]).
 
 use std::cell::RefCell;
-use std::sync::Arc;
-use std::time::Instant;
 
 use xar_discretize::{ClusterId, LandmarkId, WalkEntry};
 
 use crate::engine::XarEngine;
 use crate::error::{Reason, XarError};
 use crate::index::{eta_range, ClusterIndex, PotentialRide};
-use crate::metrics::EngineMetrics;
 use crate::request::RideRequest;
 use crate::ride::RideId;
 
@@ -76,6 +73,18 @@ pub struct SearchExplain {
 }
 
 impl SearchExplain {
+    /// The search tier of a source with `walkable` walkable clusters:
+    /// its fan-out, the main cost driver of a search — 1 for ≤ 2
+    /// clusters, 2 for 3–6, 3 for ≥ 7.
+    #[inline]
+    pub fn tier_of(walkable: usize) -> u8 {
+        match walkable {
+            0..=2 => 1,
+            3..=6 => 2,
+            _ => 3,
+        }
+    }
+
     /// The single [`Reason`] that best summarises this search, given
     /// how many matches it returned. Never [`Reason::Unknown`]: a
     /// matchless search with candidates has every candidate classified
@@ -210,11 +219,8 @@ impl XarEngine {
             explain.hard = Some(e.reason());
             return Err(e);
         }
-        self.stats.searches.inc();
-        let metrics = &self.metrics;
+        self.metrics.searches.inc();
         let region = self.region();
-        let t0 = Instant::now();
-        let _span = xar_obs::SpanTimer::new(Arc::clone(&metrics.search_ns));
         let mut tspan = xar_obs::trace::span("search");
         let src_walkable = region.walkable_within(region.snap(&req.source), req.walk_limit_m);
         let dst_walkable = region.walkable_within(region.snap(&req.destination), req.walk_limit_m);
@@ -222,12 +228,8 @@ impl XarEngine {
             explain.hard = Some(Reason::NotServable);
             return Err(XarError::NotServable);
         }
-        // Tiered latency series: fan-out (walkable clusters on the source
-        // side) is the main cost driver, so the per-tier p99s separate
-        // "cheap" from "wide" searches in the metrics file. Unservable
-        // searches (above) carry no tier.
-        let tier = EngineMetrics::tier_index(src_walkable.len());
-        explain.tier = tier as u8 + 1;
+        // Unservable searches (above) carry no tier.
+        explain.tier = SearchExplain::tier_of(src_walkable.len());
 
         // One search runs at a time per thread, so the borrow never nests.
         SCRATCH.with(|scratch| {
@@ -242,14 +244,11 @@ impl XarEngine {
             }
             .collect_matches(self.index());
         });
-        let candidates = u64::from(explain.candidates);
-        metrics.search_candidates.record(candidates);
-        tspan.attr("candidates", candidates);
+        tspan.attr("candidates", u64::from(explain.candidates));
 
         sort_matches(out);
         out.truncate(limit);
         tspan.attr("matches", out.len());
-        metrics.search_ns_tier[tier].record(t0.elapsed().as_nanos() as u64);
         Ok(())
     }
 }
@@ -830,5 +829,11 @@ mod tests {
         assert_eq!(s.generation, 1);
         assert_eq!((s.find(RideId(42)), s.find(RideId(43))), (None, None));
         assert!(s.slots.iter().all(|slot| slot.stamp == 0));
+    }
+
+    #[test]
+    fn tier_buckets_the_source_fan_out() {
+        let tiers: Vec<u8> = [0, 2, 3, 6, 7, 1_000].map(SearchExplain::tier_of).into();
+        assert_eq!(tiers, [1, 1, 2, 2, 3, 3]);
     }
 }

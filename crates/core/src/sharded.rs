@@ -197,7 +197,7 @@ mod tests {
         }
         let booked = eng.book_checked(&matches[0]).expect("best match books");
         assert_eq!(booked.ride, matches[0].ride);
-        let s = eng.read().stats().snapshot();
+        let s = eng.read().metrics().counts();
         assert_eq!((s.bookings, s.searches), (1, 1));
     }
 

@@ -33,8 +33,7 @@ impl XarEngine {
     /// disappears from the index and from the engine's ride table, and
     /// the method reports `RideStatus::Completed`.
     pub fn track_ride(&mut self, id: RideId, now_s: f64) -> Result<RideStatus, XarError> {
-        self.stats.tracks.inc();
-        let _span = xar_obs::SpanTimer::new(std::sync::Arc::clone(&self.metrics.track_ns));
+        self.metrics.tracks.inc();
         let mut tspan = xar_obs::trace::span("track");
         tspan.attr("ride", id.0);
         let ride = self

@@ -95,7 +95,7 @@ fn create_populates_index() {
             let _ = c;
         }
     }
-    let s = eng.stats().snapshot();
+    let s = eng.metrics().counts();
     let (creates, sps) = (s.creates, s.shortest_paths);
     assert_eq!(creates, 1);
     assert_eq!(sps, 1, "creation computes exactly one shortest path");
@@ -461,6 +461,8 @@ fn tracking_to_completion_retires_ride() {
         eng.track_ride(id, arrival + 120.0),
         Err(XarError::UnknownRide(_))
     ));
+    // `engine.tracks` counts every call, the refused one included.
+    assert_eq!(eng.metrics().counts().tracks, 2);
 }
 
 #[test]
@@ -480,12 +482,12 @@ fn searches_never_compute_shortest_paths() {
     let mut eng = engine();
     let g = Arc::clone(eng.region().graph());
     eng.create_ride(&cross_city_offer(&g)).unwrap();
-    let sps_before = eng.stats().snapshot().shortest_paths;
+    let sps_before = eng.metrics().counts().shortest_paths;
     let req = mid_to_corner_request(&g);
     for _ in 0..50 {
         let _ = eng.search(&req, usize::MAX).unwrap();
     }
-    let after = eng.stats().snapshot();
+    let after = eng.metrics().counts();
     let (searches, sps_after) = (after.searches, after.shortest_paths);
     assert_eq!(searches, 50);
     assert_eq!(
@@ -640,7 +642,7 @@ fn failed_booking_still_counts_its_shortest_paths() {
             5_000.0,
         ))
         .unwrap();
-    assert_eq!(eng.stats().snapshot().shortest_paths, 1);
+    assert_eq!(eng.metrics().counts().shortest_paths, 1);
 
     let m = RideMatch {
         ride,
@@ -661,7 +663,7 @@ fn failed_booking_still_counts_its_shortest_paths() {
     // 1 for the creation + 3 legs attempted by the failed booking.
     assert_eq!(eng.metrics().sp_ns.count(), 4);
     assert_eq!(
-        eng.stats().snapshot().shortest_paths,
+        eng.metrics().counts().shortest_paths,
         eng.metrics().sp_ns.count()
     );
     // Nothing else about the ride moved.

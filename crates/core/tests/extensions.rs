@@ -66,7 +66,7 @@ fn alternate_route_passes_declared_points() {
     };
     assert!(ride.route.dist_m() >= direct - 1.0);
     // Two legs => two shortest-path computations at creation.
-    let sps = eng.stats().snapshot().shortest_paths;
+    let sps = eng.metrics().counts().shortest_paths;
     assert_eq!(sps, 2);
 }
 

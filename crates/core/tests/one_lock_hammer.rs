@@ -147,7 +147,7 @@ fn hammer_never_overbooks_and_loses_no_updates() {
 
     // No lost updates: the shared counter saw exactly the successful
     // books, and search traffic was all counted.
-    let s = eng.read().stats().snapshot();
+    let s = eng.read().metrics().counts();
     assert_eq!(s.bookings, booked_ok.load(Ordering::Relaxed));
     assert_eq!(s.searches, u64::from(THREADS) * 60);
     assert!(

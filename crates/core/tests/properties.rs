@@ -7,10 +7,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use xar_core::{
-    EngineConfig, EngineMetrics, Reason, RideMatch, RideOffer, RideRequest, SearchExplain,
-    XarEngine,
-};
+use xar_core::{EngineConfig, Reason, RideMatch, RideOffer, RideRequest, SearchExplain, XarEngine};
 use xar_discretize::{ClusterGoal, ClusterId, RegionConfig, RegionIndex};
 use xar_roadnet::{sample_pois, CityConfig, NodeId, PoiConfig, RoadGraph};
 
@@ -183,7 +180,7 @@ fn reference_search(eng: &XarEngine, req: &RideRequest) -> Option<(Vec<RideMatch
         return None;
     }
     let mut ex = SearchExplain {
-        tier: EngineMetrics::tier_index(src_w.len()) as u8 + 1,
+        tier: SearchExplain::tier_of(src_w.len()),
         ..Default::default()
     };
     let mut out = Vec::new();

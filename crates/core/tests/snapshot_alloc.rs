@@ -242,7 +242,7 @@ fn search_path_is_allocation_free_and_tear_free() {
     let mut iterated = 0usize;
     eng.for_each_ride(|_| iterated += 1);
     assert_eq!(iterated, eng.ride_count());
-    let stats = eng.read().stats().snapshot();
+    let stats = eng.read().metrics().counts();
     assert!(stats.creates >= 120);
     assert!(stats.searches > 0);
 }

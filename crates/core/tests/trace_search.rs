@@ -66,7 +66,7 @@ fn search_trees_have_one_shape_and_no_shortest_path_spans() {
     let mut eng = XarEngine::new(region, EngineConfig::default());
     let n = graph.node_count() as u32;
     let counts = |eng: &XarEngine| {
-        let s = eng.stats().snapshot();
+        let s = eng.metrics().counts();
         (s.searches, s.shortest_paths)
     };
 

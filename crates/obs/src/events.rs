@@ -79,8 +79,6 @@ pub struct EventRecord {
     pub candidates: u32,
     /// Feasible matches the (first) search returned.
     pub matches: u32,
-    /// Search calls performed for this request (re-searches included).
-    pub searches: u32,
     /// Booking attempts that failed stale before the outcome.
     pub stale: u32,
     /// Booked ride id, or [`NO_RIDE`].
@@ -126,7 +124,6 @@ impl EventRecord {
             tier: 0,
             candidates: 0,
             matches: 0,
-            searches: 0,
             stale: 0,
             ride: NO_RIDE,
             search_ns: 0,
@@ -161,8 +158,6 @@ fn write_event_line(out: &mut String, e: &EventRecord) {
     w.number_u64(u64::from(e.candidates));
     w.key("matches");
     w.number_u64(u64::from(e.matches));
-    w.key("searches");
-    w.number_u64(u64::from(e.searches));
     w.key("stale");
     w.number_u64(u64::from(e.stale));
     w.key("ride");
@@ -280,8 +275,6 @@ pub struct ParsedEvent {
     pub candidates: u64,
     /// Matches returned.
     pub matches: u64,
-    /// Search calls performed.
-    pub searches: u64,
     /// Stale booking attempts.
     pub stale: u64,
     /// Booked ride id, if any.
@@ -416,7 +409,6 @@ pub fn parse_jsonl(text: &str) -> Result<EventLog, String> {
                         tier: field_u64(v, "tier")?,
                         candidates: field_u64(v, "candidates")?,
                         matches: field_u64(v, "matches")?,
-                        searches: field_u64(v, "searches")?,
                         stale: field_u64(v, "stale")?,
                         ride: v.get("ride").and_then(JsonValue::as_u64),
                         search_ns,

@@ -58,6 +58,6 @@ pub mod span;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{global, Counter, MetricSnapshot, Registry};
+pub use registry::{Counter, MetricSnapshot, Registry};
 pub use span::SpanTimer;
 pub use trace::{AttrList, AttrValue, Recorder, TraceConfig};

@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::json::JsonWriter;
@@ -120,11 +120,11 @@ impl Family {
 ///
 /// let reg = Registry::new();
 /// let searches = reg.counter("engine.searches");
-/// let latency = reg.histogram("engine.search_ns");
+/// let latency = reg.histogram("engine.sp_ns");
 /// searches.inc();
 /// latency.record(12_500);
 /// assert_eq!(reg.counter("engine.searches").get(), 1); // same series
-/// assert!(reg.snapshot_json().contains("\"engine.search_ns\""));
+/// assert!(reg.snapshot_json().contains("\"engine.sp_ns\""));
 /// ```
 #[derive(Default)]
 pub struct Registry {
@@ -397,14 +397,6 @@ pub(crate) fn write_hist_json(w: &mut JsonWriter, h: &HistogramSnapshot) {
     w.end_object();
 }
 
-/// The process-wide registry, for subsystems (like the road network's
-/// shortest-path engines) that have no natural owner to hang a
-/// registry off.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,11 +509,5 @@ mod tests {
             json.contains("\"sim.requests{outcome=\\\"booked\\\"}\":3"),
             "{json}"
         );
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        global().counter("test.global").inc();
-        assert!(global().counter("test.global").get() >= 1);
     }
 }

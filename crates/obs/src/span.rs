@@ -22,7 +22,7 @@ use crate::hist::Histogram;
 /// ```
 #[derive(Debug)]
 pub struct SpanTimer {
-    hist: Option<Arc<Histogram>>,
+    hist: Arc<Histogram>,
     start: Instant,
 }
 
@@ -30,32 +30,16 @@ impl SpanTimer {
     /// Start timing into `hist`.
     pub fn new(hist: Arc<Histogram>) -> Self {
         Self {
-            hist: Some(hist),
+            hist,
             start: Instant::now(),
         }
-    }
-
-    /// Nanoseconds elapsed so far.
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Stop early, recording now instead of at scope end.
-    pub fn stop(self) {
-        drop(self);
-    }
-
-    /// Abandon the span without recording anything.
-    pub fn cancel(mut self) {
-        self.hist = None;
     }
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        if let Some(hist) = &self.hist {
-            hist.record(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        self.hist
+            .record(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 }
 
@@ -77,13 +61,5 @@ mod tests {
             "slept 2 ms but recorded {} ns",
             snap.max
         );
-    }
-
-    #[test]
-    fn cancel_records_nothing() {
-        let h = Arc::new(Histogram::new());
-        let s = SpanTimer::new(Arc::clone(&h));
-        s.cancel();
-        assert_eq!(h.count(), 0);
     }
 }

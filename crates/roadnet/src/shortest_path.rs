@@ -23,31 +23,6 @@ use std::collections::BinaryHeap;
 use crate::graph::{Edge, NodeId, RoadGraph};
 use crate::scratch::{with_scratch, HeapEntry, NO_MARK};
 
-/// Cached handles into the process-wide metric registry
-/// ([`xar_obs::global`]): one latency histogram per traversal entry
-/// point. `ShortestPaths` is a short-lived borrowed view constructed
-/// ad hoc all over the workspace, so there is no natural owner to hang
-/// a registry off — the global registry is the right home, and the
-/// `OnceLock` caching keeps the per-call cost to an `Arc` clone.
-mod sp_metrics {
-    use std::sync::{Arc, OnceLock};
-    use xar_obs::Histogram;
-
-    macro_rules! cached {
-        ($fn_name:ident, $metric:literal) => {
-            pub(super) fn $fn_name() -> Arc<Histogram> {
-                static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-                Arc::clone(H.get_or_init(|| xar_obs::global().histogram($metric)))
-            }
-        };
-    }
-
-    cached!(path_ns, "roadnet.sp_path_ns");
-    cached!(bounded_ns, "roadnet.sp_bounded_ns");
-    cached!(targets_ns, "roadnet.sp_targets_ns");
-    cached!(one_to_all_ns, "roadnet.sp_one_to_all_ns");
-}
-
 /// Pedestrian speed used to convert walking distances to times: 1.4 m/s
 /// (~5 km/h).
 pub const WALK_SPEED_MPS: f64 = 1.4;
@@ -163,7 +138,6 @@ impl<'g> ShortestPaths<'g> {
     /// arrays, no goal direction: it is the oracle the
     /// [`crate::Router`] is tested against.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<PathResult> {
-        let _span = xar_obs::SpanTimer::new(sp_metrics::path_ns());
         let n = self.graph.node_count();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev = vec![u32::MAX; n];
@@ -203,7 +177,6 @@ impl<'g> ShortestPaths<'g> {
     /// non-decreasing cost order. The source itself is included with
     /// cost 0.
     pub fn bounded_from(&self, src: NodeId, max_cost: f64) -> Vec<(NodeId, f64)> {
-        let _span = xar_obs::SpanTimer::new(sp_metrics::bounded_ns());
         with_scratch(self.graph.node_count(), |mut labels, heap| {
             let mut out = Vec::new();
             labels.lower(src.index(), 0.0);
@@ -229,7 +202,6 @@ impl<'g> ShortestPaths<'g> {
     /// target is settled or `max_cost` is exceeded. Unreachable (or
     /// beyond-bound) targets yield `None`.
     pub fn to_targets(&self, src: NodeId, targets: &[NodeId], max_cost: f64) -> Vec<Option<f64>> {
-        let _span = xar_obs::SpanTimer::new(sp_metrics::targets_ns());
         // Mark of a target that is not settled yet.
         const WANTED: u32 = 1;
         with_scratch(self.graph.node_count(), |mut labels, heap| {
@@ -290,7 +262,6 @@ impl<'g> ShortestPaths<'g> {
     /// labels the least fixpoint of `d(v) = min_u fl(d(u) + w)`, the one
     /// heap Dijkstra and [`Self::path`] reach: every bit is theirs.
     pub fn one_to_all(&self, src: NodeId) -> Vec<f64> {
-        let _span = xar_obs::SpanTimer::new(sp_metrics::one_to_all_ns());
         let n = self.graph.node_count();
         let mut dist = vec![f64::INFINITY; n];
         dist[src.index()] = 0.0;

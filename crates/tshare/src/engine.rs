@@ -21,7 +21,6 @@ use xar_roadnet::route::segment_of;
 use xar_roadnet::{NodeId, NodeLocator, RoadGraph, Route, Router};
 
 use crate::index::{CellEntry, GridTaxiIndex};
-use crate::metrics::TShareMetrics;
 use crate::taxi::{CellVisit, Taxi, TaxiId};
 
 /// How the feasibility check measures distances.
@@ -127,22 +126,11 @@ pub struct TShareEngine {
     index: GridTaxiIndex,
     next_id: u64,
     stats: TShareStats,
-    metrics: TShareMetrics,
 }
 
 impl TShareEngine {
     /// Create an engine over a road graph.
     pub fn new(graph: Arc<RoadGraph>, config: TShareConfig) -> Self {
-        Self::with_metrics(graph, config, TShareMetrics::new())
-    }
-
-    /// Create an engine recording into caller-supplied metrics (for
-    /// sharing one registry with the XAR engine under comparison).
-    pub fn with_metrics(
-        graph: Arc<RoadGraph>,
-        config: TShareConfig,
-        metrics: TShareMetrics,
-    ) -> Self {
         let bbox = BoundingBox::from_points(graph.node_ids().map(|n| graph.point(n)))
             .expect("non-empty graph")
             .expanded(1e-3);
@@ -159,13 +147,7 @@ impl TShareEngine {
             index: GridTaxiIndex::new(),
             next_id: 1,
             stats: TShareStats::default(),
-            metrics,
         }
-    }
-
-    /// Latency and candidate-set telemetry.
-    pub fn metrics(&self) -> &TShareMetrics {
-        &self.metrics
     }
 
     /// The underlying road graph.
@@ -212,7 +194,6 @@ impl TShareEngine {
         departure_s: f64,
         seats: u8,
     ) -> Option<TaxiId> {
-        let _span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.create_ns));
         let _tspan = xar_obs::trace::span("create");
         let src = self.locator.nearest(&self.graph, &source).0;
         let dst = self.locator.nearest(&self.graph, &destination).0;
@@ -301,15 +282,10 @@ impl TShareEngine {
     /// makes T-Share's search cost grow with `k` (Figure 5a).
     pub fn search(&self, req: &TShareRequest, k: usize) -> Vec<TShareMatch> {
         self.stats.searches.fetch_add(1, Ordering::Relaxed);
-        let t0 = std::time::Instant::now();
-        let _span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.search_ns));
         let mut tspan = xar_obs::trace::span("search");
         if k == 0 {
             return vec![];
         }
-        // Outcome-labeled latency: misses scan the full ring budget, so
-        // their distribution is the interesting one in the metrics.
-        let outcome_hist = |hit: bool| &self.metrics.search_ns_outcome[usize::from(!hit)];
         let pickup_node = self.locator.nearest(&self.graph, &req.pickup).0;
         let dropoff_node = self.locator.nearest(&self.graph, &req.dropoff).0;
         let p_center = self.grid.grid_of(&req.pickup);
@@ -388,8 +364,6 @@ impl TShareEngine {
                 ) {
                     out.push(m);
                     if out.len() >= k {
-                        self.metrics.search_candidates.record(checked.len() as u64);
-                        outcome_hist(true).record(t0.elapsed().as_nanos() as u64);
                         tspan.attr("candidates", checked.len());
                         tspan.attr("matches", out.len());
                         return out;
@@ -397,8 +371,6 @@ impl TShareEngine {
                 }
             }
         }
-        self.metrics.search_candidates.record(checked.len() as u64);
-        outcome_hist(!out.is_empty()).record(t0.elapsed().as_nanos() as u64);
         tspan.attr("candidates", checked.len());
         tspan.attr("matches", out.len());
         out
@@ -460,7 +432,6 @@ impl TShareEngine {
     /// insertion XAR books with, so only the changed legs are routed —
     /// and refresh the grid lists.
     pub fn book(&mut self, m: &TShareMatch) -> Option<f64> {
-        let _span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.book_ns));
         let mut tspan = xar_obs::trace::span("book");
         let taxi = self.taxis.get(&m.taxi)?;
         if taxi.seats_available == 0 {
@@ -510,7 +481,6 @@ impl TShareEngine {
     /// Advance every taxi to `now_s`: drop passed cell entries, retire
     /// finished taxis. Returns the number retired.
     pub fn track_all(&mut self, now_s: f64) -> usize {
-        let _span = xar_obs::SpanTimer::new(Arc::clone(&self.metrics.track_ns));
         let mut tspan = xar_obs::trace::span("track");
         let ids: Vec<TaxiId> = self.taxis.keys().copied().collect();
         let mut retired = 0usize;

@@ -52,10 +52,8 @@
 
 pub mod engine;
 pub mod index;
-pub mod metrics;
 pub mod taxi;
 
 pub use engine::{DistanceMode, TShareConfig, TShareEngine, TShareMatch};
 pub use index::GridTaxiIndex;
-pub use metrics::TShareMetrics;
 pub use taxi::{Taxi, TaxiId};

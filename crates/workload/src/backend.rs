@@ -169,10 +169,6 @@ impl RideBackend for TShareBackend {
         self.engine.track_all(now_s);
     }
 
-    fn registry(&self) -> Option<Arc<Registry>> {
-        Some(self.engine.metrics().registry())
-    }
-
     fn name(&self) -> &'static str {
         "tshare"
     }
@@ -233,19 +229,20 @@ mod tests {
             assert!(*w <= 800.0 + 1e-9);
         }
         // XAR search never computes shortest paths.
-        let s = backend.engine.stats().snapshot();
+        let s = backend.engine.metrics().counts();
         let (creates, bookings, sps) = (s.creates, s.bookings, s.shortest_paths);
         assert!(
             sps <= creates + 4 * bookings,
             "search leaked shortest paths"
         );
-        // The run's registry covers both the simulator phases and the
-        // engine internals.
+        // One latency sample per search, in the report; the run's
+        // registry covers both the simulator outcomes and the engine
+        // internals.
+        assert_eq!(report.search_ns.len() as u64, report.looks);
         let reg = report.registry.as_ref().expect("registry attached");
-        assert_eq!(reg.histogram("sim.search_ns").count(), report.looks);
-        assert_eq!(reg.histogram("engine.search_ns").count(), report.looks);
-        assert!(reg.histogram("engine.search_candidates").count() > 0);
-        assert!(report.to_json().contains("\"engine.create_ns\""));
+        assert_eq!(reg.counter("engine.searches").get(), report.looks);
+        assert_eq!(reg.counter("sim.requests_total").get(), 400);
+        assert!(report.to_json().contains("\"engine.sp_ns\""));
     }
 
     #[test]

@@ -19,18 +19,14 @@ use std::time::Instant;
 
 use xar_core::{Reason, SearchExplain};
 use xar_obs::events::EventRecord;
-use xar_obs::{Counter, Histogram, Registry};
+use xar_obs::{Counter, Registry};
 
 use crate::report::{Decision, DecisionOutcome, SimReport};
 use crate::sim::{BookResult, RideBackend, SimConfig};
 use crate::trips::Trip;
 
-/// Pre-resolved `sim.*` phase series.
-struct PhaseMetrics {
-    search_h: Arc<Histogram>,
-    book_h: Arc<Histogram>,
-    create_h: Arc<Histogram>,
-    track_h: Arc<Histogram>,
+/// Pre-resolved `sim.*` outcome counters.
+struct OutcomeCounters {
     requests_total: Arc<Counter>,
     req_booked: Arc<Counter>,
     req_created: Arc<Counter>,
@@ -43,13 +39,9 @@ struct PhaseMetrics {
     reject_reason: Vec<Arc<Counter>>,
 }
 
-impl PhaseMetrics {
+impl OutcomeCounters {
     fn new(registry: &Registry) -> Self {
         Self {
-            search_h: registry.histogram("sim.search_ns"),
-            book_h: registry.histogram("sim.book_ns"),
-            create_h: registry.histogram("sim.create_ns"),
-            track_h: registry.histogram("sim.track_ns"),
             requests_total: registry.counter("sim.requests_total"),
             req_booked: registry.counter_with("sim.requests", &[("outcome", "booked")]),
             req_created: registry.counter_with("sim.requests", &[("outcome", "created")]),
@@ -68,8 +60,9 @@ impl PhaseMetrics {
 
 /// Run the §X.A.2 protocol over `trips`: search; book the best match
 /// if any (falling through the match list on stale entries); otherwise
-/// create a new ride. Per-operation wall-clock latencies are recorded
-/// in the returned report.
+/// create a new ride. The returned report holds the wall-clock
+/// nanoseconds of every search, booking attempt and create — the run's
+/// one latency record, for XAR and T-Share alike.
 ///
 /// When the global trace recorder is enabled, every trip becomes one
 /// `request` root carrying the trip's wide event — outcome, reason,
@@ -81,21 +74,21 @@ pub fn run_simulation<B: RideBackend>(
     trips: &[Trip],
     cfg: &SimConfig,
 ) -> SimReport {
-    // Phase histograms live in the backend's registry when it has one
-    // (so engine internals and simulator phases share a snapshot), in a
-    // private one otherwise.
+    // Outcome counters live in the backend's registry when it has one
+    // (so engine internals and simulator outcomes share a snapshot), in
+    // a private one otherwise.
     let registry = backend
         .registry()
         .unwrap_or_else(|| Arc::new(Registry::new()));
     let mut report = SimReport::default();
-    let pm = PhaseMetrics::new(&registry);
+    let counters = OutcomeCounters::new(&registry);
     let system = backend.name();
     let mut next_track = trips.first().map_or(0.0, |t| t.pickup_s);
     // Every search of the run fills this one buffer.
     let mut matches = Vec::new();
 
     for (idx, trip) in trips.iter().enumerate() {
-        track_sweeps(backend, cfg, trip.pickup_s, &mut next_track, &pm, system);
+        track_sweeps(backend, cfg, trip.pickup_s, &mut next_track, system);
         dispatch_request(
             backend,
             cfg,
@@ -103,7 +96,7 @@ pub fn run_simulation<B: RideBackend>(
             trip,
             &mut matches,
             &mut report,
-            &pm,
+            &counters,
             system,
         );
     }
@@ -117,7 +110,6 @@ fn track_sweeps<B: RideBackend>(
     cfg: &SimConfig,
     now_s: f64,
     next_track: &mut f64,
-    pm: &PhaseMetrics,
     system: &'static str,
 ) {
     if let Some(every) = cfg.track_every_s {
@@ -126,9 +118,7 @@ fn track_sweeps<B: RideBackend>(
                 let mut troot = xar_obs::trace::root("track");
                 troot.attr("sim_t_s", *next_track);
                 troot.attr("system", system);
-                let t0 = Instant::now();
                 backend.track(*next_track);
-                pm.track_h.record(t0.elapsed().as_nanos() as u64);
             }
             *next_track += every;
         }
@@ -144,14 +134,12 @@ fn timed_search<B: RideBackend>(
     cfg: &SimConfig,
     matches: &mut Vec<B::Match>,
     report: &mut SimReport,
-    pm: &PhaseMetrics,
 ) -> (SearchExplain, u64) {
     let _phase = xar_obs::trace::span("sim.search");
     let t0 = Instant::now();
     let explain = backend.search(trip, cfg, matches);
     let ns = t0.elapsed().as_nanos() as u64;
     report.search_ns.push(ns);
-    pm.search_h.record(ns);
     report.looks += 1;
     (explain, ns)
 }
@@ -160,7 +148,7 @@ fn timed_search<B: RideBackend>(
 /// request's wide event.
 fn record_booked(
     report: &mut SimReport,
-    pm: &PhaseMetrics,
+    counters: &OutcomeCounters,
     trip: &Trip,
     res: BookResult,
     ev: &mut EventRecord,
@@ -178,8 +166,8 @@ fn record_booked(
         unreachable!("record_booked called with a failed booking");
     };
     report.booked += 1;
-    pm.requests_total.inc();
-    pm.req_booked.inc();
+    counters.requests_total.inc();
+    counters.req_booked.inc();
     report.detour_actual_m.push(actual_detour_m);
     report.detour_estimated_m.push(estimated_detour_m);
     report
@@ -212,25 +200,24 @@ fn timed_create<B: RideBackend>(
     trip: &Trip,
     cfg: &SimConfig,
     report: &mut SimReport,
-    pm: &PhaseMetrics,
+    counters: &OutcomeCounters,
 ) -> Result<(), Reason> {
     let _phase = xar_obs::trace::span("sim.create");
     let t0 = Instant::now();
     let res = backend.create(trip, cfg);
     let ns = t0.elapsed().as_nanos() as u64;
     report.create_ns.push(ns);
-    pm.create_h.record(ns);
-    pm.requests_total.inc();
+    counters.requests_total.inc();
     if res.is_ok() {
         report.created += 1;
-        pm.req_created.inc();
+        counters.req_created.inc();
         report.decisions.push(Decision {
             trip_id: trip.id,
             outcome: DecisionOutcome::Created,
         });
     } else {
         report.unservable += 1;
-        pm.req_unservable.inc();
+        counters.req_unservable.inc();
         report.decisions.push(Decision {
             trip_id: trip.id,
             outcome: DecisionOutcome::Unservable,
@@ -250,7 +237,7 @@ fn dispatch_request<B: RideBackend>(
     trip: &Trip,
     matches: &mut Vec<B::Match>,
     report: &mut SimReport,
-    pm: &PhaseMetrics,
+    counters: &OutcomeCounters,
     system: &'static str,
 ) {
     let mut troot = xar_obs::trace::root("request");
@@ -262,12 +249,11 @@ fn dispatch_request<B: RideBackend>(
 
     // Extra "look" searches (high look-to-book scenarios, Fig. 5b).
     for _ in 0..cfg.lookups_per_request {
-        let _ = timed_search(backend, trip, cfg, matches, report, pm);
+        let _ = timed_search(backend, trip, cfg, matches, report);
     }
 
-    let (explain, search_ns) = timed_search(backend, trip, cfg, matches, report, pm);
+    let (explain, search_ns) = timed_search(backend, trip, cfg, matches, report);
     report.matches_returned += matches.len() as u64;
-    ev.searches = cfg.lookups_per_request as u32 + 1;
     ev.search_ns = search_ns;
     ev.tier = explain.tier;
     ev.candidates = explain.candidates;
@@ -281,11 +267,10 @@ fn dispatch_request<B: RideBackend>(
         let res = backend.book(m, cfg);
         let ns = t0.elapsed().as_nanos() as u64;
         report.book_ns.push(ns);
-        pm.book_h.record(ns);
         match res {
             BookResult::Booked { .. } => {
                 ev.book_ns = ns;
-                record_booked(report, pm, trip, res, &mut ev);
+                record_booked(report, counters, trip, res, &mut ev);
                 booked = true;
                 troot.attr("outcome", "booked");
                 break;
@@ -296,7 +281,7 @@ fn dispatch_request<B: RideBackend>(
         ev.stale += 1;
     }
     if !booked {
-        let res = timed_create(backend, trip, cfg, report, pm);
+        let res = timed_create(backend, trip, cfg, report, counters);
         ev.outcome = if res.is_ok() { "created" } else { "unservable" };
         // Fixed precedence (EXPERIMENTS.md): a refused offer keeps its
         // own reason, then the last booking failure, then the search's
@@ -306,7 +291,7 @@ fn dispatch_request<B: RideBackend>(
             .or(last_book_failure)
             .unwrap_or_else(|| explain.dominant_reason(0));
         ev.reason = reason.code();
-        pm.reject(reason);
+        counters.reject(reason);
         troot.attr("outcome", ev.outcome);
     }
     troot.event(ev);

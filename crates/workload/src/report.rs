@@ -68,9 +68,9 @@ pub struct SimReport {
     pub wait_s: Vec<f64>,
     /// Per-request booking decisions, in replay order.
     pub decisions: Vec<Decision>,
-    /// The registry this run recorded into: per-phase `sim.*`
-    /// histograms, plus the backend's own metrics (`engine.*` /
-    /// `tshare.*` / `lock.*`) when the backend exposes its registry.
+    /// The registry this run recorded into: the `sim.*` outcome
+    /// counters, plus the backend's own metrics (`engine.*` / `lock.*`)
+    /// when the backend exposes its registry.
     pub registry: Option<Arc<Registry>>,
 }
 
@@ -117,26 +117,6 @@ impl SimReport {
         } else {
             self.search_ns.iter().sum::<u64>() as f64 / self.search_ns.len() as f64 / 1e6
         }
-    }
-
-    /// One human-readable line per simulation phase with registry-backed
-    /// percentiles, for operator-facing report output.
-    pub fn phase_summary(&self) -> Vec<String> {
-        let Some(reg) = &self.registry else {
-            return Vec::new();
-        };
-        [
-            "sim.search_ns",
-            "sim.book_ns",
-            "sim.create_ns",
-            "sim.track_ns",
-        ]
-        .iter()
-        .filter_map(|name| {
-            let h = reg.histogram(name);
-            (h.count() > 0).then(|| format!("{name}: {}", h.snapshot().format_ns()))
-        })
-        .collect()
     }
 
     /// The whole report as a JSON object (outcome counters, derived
@@ -298,7 +278,7 @@ mod tests {
     #[test]
     fn json_has_counters_and_metrics() {
         let reg = Arc::new(Registry::new());
-        reg.histogram("sim.search_ns").record(1_000);
+        reg.counter("sim.requests_total").add(5);
         let r = SimReport {
             looks: 5,
             booked: 2,
@@ -311,21 +291,7 @@ mod tests {
         assert!(json.contains("\"looks\":5"), "{json}");
         assert!(json.contains("\"share_rate\":0.4"), "{json}");
         assert!(json.contains("\"metrics\":{"), "{json}");
-        assert!(json.contains("\"sim.search_ns\""), "{json}");
+        assert!(json.contains("\"sim.requests_total\":5"), "{json}");
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn phase_summary_lists_only_recorded_phases() {
-        let reg = Arc::new(Registry::new());
-        reg.histogram("sim.search_ns").record(2_000);
-        let r = SimReport {
-            registry: Some(reg),
-            ..Default::default()
-        };
-        let lines = r.phase_summary();
-        assert_eq!(lines.len(), 1, "{lines:?}");
-        assert!(lines[0].starts_with("sim.search_ns:"));
-        assert!(SimReport::default().phase_summary().is_empty());
     }
 }

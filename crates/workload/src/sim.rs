@@ -78,9 +78,9 @@ pub trait RideBackend {
     /// Advance the system clock (tracking sweep).
     fn track(&mut self, now_s: f64);
     /// The backend's own metric registry, if it keeps one. When
-    /// present, [`run_simulation`] records its `sim.*` phase metrics into
-    /// the same registry, so one snapshot covers the whole stack
-    /// (simulator phases + engine internals + lock telemetry).
+    /// present, [`run_simulation`] records its `sim.*` outcome counters
+    /// into the same registry, so one snapshot covers the whole stack
+    /// (simulator outcomes + engine internals + lock telemetry).
     fn registry(&self) -> Option<Arc<Registry>> {
         None
     }

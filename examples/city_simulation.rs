@@ -88,7 +88,7 @@ fn main() {
         percentile_ns(&report.book_ns, 95.0) / 1e3,
     );
 
-    let s = backend.engine.stats().snapshot();
+    let s = backend.engine.metrics().counts();
     let (searches, creates, bookings, tracks, sps) = (
         s.searches,
         s.creates,

@@ -477,16 +477,13 @@ fn simulate(flags: &Flags, out: &mut dyn Write) -> Result<(), CmdError> {
         percentile_ns(&report.create_ns, 50.0) / 1e3,
         percentile_ns(&report.book_ns, 50.0) / 1e3,
     )?;
-    let sps = sim.engine.stats().snapshot().shortest_paths;
+    let sps = sim.engine.metrics().counts().shortest_paths;
     writeln!(out, "shortest paths : {sps} (never during search)")?;
     writeln!(
         out,
         "runtime memory : {:.1} MiB",
         sim.engine.heap_bytes() as f64 / (1024.0 * 1024.0)
     )?;
-    for line in report.phase_summary() {
-        writeln!(out, "phase          : {line}")?;
-    }
     if let Some(json) = flags.get_opt("json") {
         std::fs::write(json, report.to_json()).map_err(|e| format!("cannot write {json}: {e}"))?;
         writeln!(out, "raw report     : {json}")?;

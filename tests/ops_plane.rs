@@ -1,7 +1,8 @@
 //! End-to-end test of the run's one metrics export: run a real
 //! simulation and read its registry the way `xar simulate
 //! --metrics-out` writes it, through `snapshot_json()` and the in-repo
-//! JSON reader. The labeled families are there under their
+//! JSON reader. The key set is exactly the one EXPERIMENTS.md gives a
+//! reader for, the labeled families are there under their
 //! `name{k="v"}` keys, the outcome counter agrees with the run's own
 //! report, and no series is split by cluster bucket.
 
@@ -13,6 +14,34 @@ use xhare_a_ride::roadnet::{sample_pois, CityConfig, PoiConfig};
 use xhare_a_ride::workload::{
     generate_trips, run_simulation, RideBackend as _, SimConfig, TripGenConfig, XarBackend,
 };
+
+/// Every key a serial run's metrics export holds, sorted. Each has a
+/// reader named in EXPERIMENTS.md ("Every key has a reader"); a series
+/// added without one fails here.
+const KEYS: [&str; 22] = [
+    "engine.bookings",
+    "engine.creates",
+    "engine.searches",
+    "engine.shortest_paths",
+    "engine.sp_ns",
+    "engine.tracks",
+    "sim.reject_reason{reason=\"capacity_full\"}",
+    "sim.reject_reason{reason=\"detour_budget_exceeded\"}",
+    "sim.reject_reason{reason=\"invalid_request\"}",
+    "sim.reject_reason{reason=\"no_cluster_candidates\"}",
+    "sim.reject_reason{reason=\"no_route\"}",
+    "sim.reject_reason{reason=\"not_servable\"}",
+    "sim.reject_reason{reason=\"ordering_infeasible\"}",
+    "sim.reject_reason{reason=\"served\"}",
+    "sim.reject_reason{reason=\"stale_commit\"}",
+    "sim.reject_reason{reason=\"unknown\"}",
+    "sim.reject_reason{reason=\"walk_limit_exceeded\"}",
+    "sim.reject_reason{reason=\"window_expired\"}",
+    "sim.requests_total",
+    "sim.requests{outcome=\"booked\"}",
+    "sim.requests{outcome=\"created\"}",
+    "sim.requests{outcome=\"unservable\"}",
+];
 
 // The name predates the removal of the rolling windows, the SLO engine
 // and the HTTP server, and is listed in the tier-1 floor.
@@ -68,11 +97,7 @@ fn ops_plane_serves_labeled_metrics_rolling_windows_and_alerts() {
         Some(report.booked as u64),
         "outcome counter:\n{json}"
     );
-    let tiered = series.iter().any(|(key, v)| {
-        key.starts_with("engine.search_ns{tier=")
-            && v.get("count")
-                .and_then(|c| c.as_u64())
-                .is_some_and(|c| c > 0)
-    });
-    assert!(tiered, "no tier-labeled search samples:\n{json}");
+    let mut keys: Vec<&str> = series.iter().map(|(key, _)| key.as_str()).collect();
+    keys.sort_unstable();
+    assert_eq!(keys, KEYS, "metrics export key set:\n{json}");
 }
